@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- fig3 --trace DIR   # + dump per-run traces
 
    Experiments: table1 fig3 fig4 fig5 table2 dense ablations micro faults
-   saturation chaos selfperf ring pdes
+   saturation chaos selfperf pdes pdes-scale
 
    Simulation runs are independent (own kernel, clock, seeded RNG), so the
    drivers fan them out across OCaml 5 domains via [Pool.map] and print the
@@ -29,7 +29,6 @@ let experiments =
     ("saturation", fun ~quick ~domains () -> Saturation.run ~quick ~domains ());
     ("chaos", fun ~quick ~domains () -> Chaos.run ~quick ~domains ());
     ("selfperf", fun ~quick ~domains () -> Selfperf.run ~quick ~domains ());
-    ("ring", fun ~quick ~domains () -> Ring.run ~quick ~domains ());
     ("pdes", fun ~quick ~domains () -> Pdes.run ~quick ~domains ());
     ("pdes-scale", fun ~quick ~domains () -> Pdes.run_scaling ~quick ~domains ());
   ]

@@ -443,7 +443,7 @@ let run_cmd =
       & info [ "record" ] ~docv:"FILE"
           ~doc:
             "Capture the master's full replicated stream (syscalls, \
-             lock-order decisions, signal deliveries, ring flushes) into \
+             lock-order decisions, signal deliveries) into \
              FILE as a versioned binary recording; replay it offline with \
              `remon replay FILE`. Written even when the run is killed by a \
              verdict — the recording reproduces that verdict.")

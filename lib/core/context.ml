@@ -34,14 +34,6 @@ type mode = {
          slowest slave. [None] = unbounded (VARAN's default); the paper
          wonders aloud what shrinking this window costs - the ablation
          bench answers it. *)
-  ring_batch : int;
-      (* io_uring-style submission ring: how many completed policy-exempt
-         records the master accumulates before draining them into the RB
-         in one rendezvous. 1 = ring bypassed, per-record publishes (the
-         paper's behavior); the ring ablation sweeps this. *)
-  ring_flush_ns : Vtime.t;
-      (* ring flush deadline: a partial batch drains this long after its
-         first record was submitted, bounding slave staleness *)
 }
 
 let remon_mode =
@@ -52,8 +44,6 @@ let remon_mode =
     per_call_condvar = true;
     slave_wait = Wait_auto;
     runahead_window = None;
-    ring_batch = 1;
-    ring_flush_ns = Vtime.us 50;
   }
 
 (* VARAN-like: everything replicated in-process, no lockstep, no tokens. *)
@@ -70,8 +60,6 @@ type group = {
   epoll_map : Epoll_map.t;
   ikb : Ikb.t;
   shm_key : int; (* SysV key GHUMVEE recognizes as the RB segment *)
-  mutable ring : Syscall_ring.t option;
-      (* batched submission ring; Some iff [mode.ring_batch] > 1 *)
   mutable replicas : Proc.process array; (* index = variant *)
   mutable divergence : Divergence.t option;
   mutable shutdown : bool;

@@ -23,9 +23,10 @@
    variant's rendezvous state is purged so the remaining replicas keep
    running degraded. Under [Respawn], a fresh replica re-executes from the
    start with every call forced onto the monitored path; GHUMVEE satisfies
-   each from the master syscall journal (skip-with-result for I/O calls,
-   pass-through for replicated calls) and splices the replica back into the
-   group when it catches up with the journal at a live rendezvous point. *)
+   each from the master's captured stream in [Record_log] (skip-with-result
+   for I/O calls, pass-through for replicated calls) and splices the replica
+   back into the group when it catches up with the stream at a live
+   rendezvous point. *)
 
 open Remon_kernel
 open Remon_sim
@@ -52,8 +53,8 @@ type t = {
   deferred_signals : int Queue.t;
   watchdog_ns : Vtime.t;
   max_watchdog_retries : int;
-  replaying : (int, (int, int) Hashtbl.t) Hashtbl.t;
-      (* respawned variant -> per-rank journal replay position *)
+  replaying : (int, (int, Record_log.cursor) Hashtbl.t) Hashtbl.t;
+      (* respawned variant -> per-rank replay cursor into the stream store *)
   waiting_replay : (int * int, arrival) Hashtbl.t;
       (* (rank, variant) -> replaying arrival parked at the journal head *)
   mutable exits_seen : (int * int) list; (* variant, exit code *)
@@ -109,7 +110,7 @@ let variant_of (p : Proc.process) =
   | Some { Proc.variant_index; _ } -> variant_index
   | None -> -1
 
-let journal t = t.g.Context.rb.Replication_buffer.sync_log
+let store t = t.g.Context.rb.Replication_buffer.sync_log
 
 (* Monitor-context trace events (pid/tid 0): rendezvous lifecycle and the
    watchdog. One match on the sink per site; nothing runs when it's off.
@@ -247,7 +248,7 @@ let inject_deferred t (arrivals : arrival list) =
     (* every replica receives the injection at the same logical point, so
        the recording carries one event, stamped with the rendezvous rank *)
     (match arrivals with
-    | a :: _ -> Record_log.note_signal (journal t) ~rank:a.th.Proc.rank ~signo:sg
+    | a :: _ -> Record_log.note_signal (store t) ~rank:a.th.Proc.rank ~signo:sg
     | [] -> ());
     List.iter (fun a -> Kernel.inject_signal_now t.kernel a.th sg) arrivals
   done;
@@ -332,7 +333,7 @@ let rec process_rendezvous t rank (arrivals : arrival list) =
     | Some denial ->
       (* rejection is a policy action, not a divergence: deny in all *)
       t.shm_rejected <- t.shm_rejected + 1;
-      Record_log.journal_append (journal t) ~rank
+      Record_log.note_call (store t) ~rank
         ~call:(Callinfo.normalize call) ~result:denial;
       set_state t rank Idle;
       List.iter
@@ -460,7 +461,7 @@ let rec handle_entry t (th : Proc.thread) (call : Syscall.call) =
     let rank = th.Proc.rank in
     let variant = variant_of th.Proc.proc in
     match Hashtbl.find_opt t.replaying variant with
-    | Some positions -> replay_entry t th call ~variant ~positions
+    | Some cursors -> replay_entry t th call ~variant ~cursors
     | None ->
       (* replaying variants parked at the journal head rejoin at the
          master's next monitored entry: their parked call is this very
@@ -499,17 +500,21 @@ let rec handle_entry t (th : Proc.thread) (call : Syscall.call) =
              }))
   end
 
-(* One replayed call of a respawned replica: verify it against the journal
-   and satisfy it the way the original execution went. *)
-and replay_entry t (th : Proc.thread) (call : Syscall.call) ~variant ~positions
+(* One replayed call of a respawned replica: verify it against the master's
+   stream and satisfy it the way the original execution went. *)
+and replay_entry t (th : Proc.thread) (call : Syscall.call) ~variant ~cursors
     =
   let rank = th.Proc.rank in
-  let log = journal t in
-  let pos =
-    match Hashtbl.find_opt positions rank with Some p -> p | None -> 0
+  let cursor =
+    match Hashtbl.find_opt cursors rank with
+    | Some c -> c
+    | None ->
+      let c = Record_log.cursor ~rank in
+      Hashtbl.replace cursors rank c;
+      c
   in
-  match Record_log.journal_nth log ~rank pos with
-  | Some { Record_log.jcall; jresult } ->
+  match Record_log.next_call (store t) cursor with
+  | Some (jcall, jresult) ->
     if not (Callinfo.equal_normalized call jcall) then begin
       (* the replay diverged from the journal: the respawn failed; the
          replica dies and stays quarantined *)
@@ -518,10 +523,9 @@ and replay_entry t (th : Proc.thread) (call : Syscall.call) ~variant ~positions
       Kernel.kill_process t.kernel th.Proc.proc ~code:134
     end
     else begin
-      Hashtbl.replace positions rank (pos + 1);
       t.replayed_records <- t.replayed_records + 1;
       let cost = Kernel.cost t.kernel in
-      (* the follower replays in-process from its journal copy — it pays
+      (* the follower replays in-process from the shared stream — it pays
          no ptrace round trip and does not serialize through the monitor;
          refund the entry-stop charge and bill the cheap replay step, or
          the follower could never outpace the master and catch up *)
@@ -551,8 +555,8 @@ and replay_entry t (th : Proc.thread) (call : Syscall.call) ~variant ~positions
       (* park until the journal grows or the master reaches a rendezvous *)
       Hashtbl.replace t.waiting_replay (rank, variant) { variant; th; call })
 
-(* The journal gained a record on [rank]: parked replaying arrivals can
-   consume it. Wired to [Record_log.set_on_journal_append]. *)
+(* The store gained a call on [rank]: parked replaying arrivals can
+   consume it. Wired to [Record_log.set_on_call]. *)
 and feed_waiting t ~rank =
   let parked =
     Hashtbl.fold
@@ -587,7 +591,7 @@ and flush_waiting_rejoin t ~rank =
 
 (* Install the journal feed; idempotent, called when Respawn is armed. *)
 let enable_replay_feed t =
-  Record_log.set_on_journal_append (journal t) (fun ~rank -> feed_waiting t ~rank)
+  Record_log.set_on_call (store t) (fun ~rank -> feed_waiting t ~rank)
 
 let is_replaying t ~variant = Hashtbl.mem t.replaying variant
 
@@ -621,7 +625,7 @@ let handle_exit t (th : Proc.thread) (call : Syscall.call)
       | Master_running { slaves; nslaves } when variant = 0 ->
         (* master finished: replicate results to the waiting slaves *)
         master_side_effects t ~call result;
-        Record_log.journal_append (journal t) ~rank
+        Record_log.note_call (store t) ~rank
           ~call:(Callinfo.normalize call) ~result;
         let bytes = Syscall.result_bytes result in
         let done_at =
@@ -653,7 +657,7 @@ let handle_exit t (th : Proc.thread) (call : Syscall.call)
         Kernel.resume t.kernel th Proc.Resume_continue
       | All_running st ->
         if variant = 0 then
-          Record_log.journal_append (journal t) ~rank
+          Record_log.note_call (store t) ~rank
             ~call:(Callinfo.normalize call) ~result;
         st.remaining <- st.remaining - 1;
         if st.remaining = 0 then set_state t rank Idle;
@@ -668,7 +672,7 @@ let handle_exit t (th : Proc.thread) (call : Syscall.call)
 let handle_signal t (th : Proc.thread) sg =
   if t.shutting_down then ()
   else if Sigdefs.synchronous sg then begin
-    Record_log.note_signal (journal t) ~rank:th.Proc.rank ~signo:sg;
+    Record_log.note_signal (store t) ~rank:th.Proc.rank ~signo:sg;
     Kernel.resume t.kernel th Proc.Resume_deliver
   end
   else begin

@@ -35,8 +35,8 @@ type t = {
   max_watchdog_retries : int;
       (** stalled rendezvous grace periods (each doubling the delay) before
           the watchdog escalates *)
-  replaying : (int, (int, int) Hashtbl.t) Hashtbl.t;
-      (** respawned variant -> per-rank journal replay position *)
+  replaying : (int, (int, Record_log.cursor) Hashtbl.t) Hashtbl.t;
+      (** respawned variant -> per-rank replay cursor into the stream store *)
   waiting_replay : (int * int, arrival) Hashtbl.t;
       (** (rank, variant) -> replaying arrival parked at the journal head *)
   mutable exits_seen : (int * int) list;

@@ -51,10 +51,6 @@ type t = {
   mutable rejected : int;
   mutable grants : int;
   mutable on_violation : Divergence.t -> unit;
-  mutable pre_monitor : (Proc.thread -> unit) option;
-      (* ring-drain barrier (ring mode only): invoked just before a replica
-         thread is routed onto the monitored path, so batched records land
-         in the RB ahead of the lockstep rendezvous *)
 }
 
 let create ~kernel ~policy ~seed =
@@ -73,7 +69,6 @@ let create ~kernel ~policy ~seed =
     rejected = 0;
     grants = 0;
     on_violation = (fun _ -> ());
-    pre_monitor = None;
   }
 
 (* Token-lifecycle observability: grants/revocations are metrics only (one
@@ -269,13 +264,7 @@ let install t ~group_id =
   Kernel.register_broker t.kernel ~group_id
     {
       K.broker_name = "ik-b";
-      classify =
-        (fun th call ->
-          let route = classify t th call in
-          (match route, t.pre_monitor with
-          | K.Route_monitor, Some barrier -> barrier th
-          | _, _ -> ());
-          route);
+      classify = (fun th call -> classify t th call);
       verify = (fun th ~token ~call -> verify t th ~token ~call);
     }
 

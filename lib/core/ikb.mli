@@ -34,11 +34,6 @@ type t = {
   mutable rejected : int;
   mutable grants : int;
   mutable on_violation : Divergence.t -> unit;
-  mutable pre_monitor : (Proc.thread -> unit) option;
-      (** ring-drain barrier, installed by [Mvee] in ring mode: runs just
-          before a replica thread is routed onto the monitored path, so
-          pending batched records reach the RB ahead of the lockstep
-          rendezvous *)
 }
 
 val create : kernel:Kernel.t -> policy:Policy.t -> seed:int -> t

@@ -117,11 +117,7 @@ let rec invoke inst (th : Proc.thread) ~token ~(call : Syscall.call)
     let bytes = Rb.record_bytes call in
     if not (Rb.fits_at_all g.Context.rb ~bytes) then
       do_fallback inst th ~call ~return
-    else if inst.variant = 0 then begin
-      match g.Context.ring with
-      | Some ring -> master_ring_path inst ring th ~token ~call ~return ~bytes
-      | None -> master_path inst th ~token ~call ~return ~bytes
-    end
+    else if inst.variant = 0 then master_path inst th ~token ~call ~return ~bytes
     else slave_path inst th ~token ~call ~return
   end
 
@@ -137,13 +133,6 @@ and do_fallback inst th ~call ~return =
   | Some o ->
     obs_emit o th ~name:"fallback" ~key:key_fallback
       [ ("call", Remon_obs.Trace.Str (Syscall.to_string call)) ]);
-  (* ring mode: the master is about to enter the monitored path, which acts
-     as a batch barrier — pending records must reach the RB first so the
-     slaves can line up for the rendezvous *)
-  (match g.Context.ring with
-  | Some ring when inst.variant = 0 ->
-    Syscall_ring.flush ~th ring Syscall_ring.Barrier
-  | _ -> ());
   Ikb.destroy_token g.Context.ikb th;
   charge th (Kernel.cost k).Cost_model.ipmon_restart_ns;
   Kernel.monitor_path k th call ~return
@@ -153,7 +142,7 @@ and master_window_ok g (th : Proc.thread) =
   | None -> true
   | Some w -> Rb.lag g.Context.rb ~rank:th.Proc.rank < w
 
-(* Master fast path, per-record publishes (ring off). The common case —
+(* Master fast path, one publish per record (Section 3.7). The common case —
    no overflow, open run-ahead window — runs straight through with no
    intermediate closures; the stall machinery lives in [master_path_slow]. *)
 and master_path inst th ~token ~call ~return ~bytes =
@@ -189,9 +178,9 @@ and master_proceed inst th ~token ~call ~return ~bytes =
           (cost.Cost_model.rb_write_fixed_ns
           + Cost_model.local_copy_ns cost ~bytes:(Syscall.result_bytes r));
         let need_wake = Rb.master_publish g.Context.rb entry logical in
-        (* Respawn support: fast-path calls also land in the master syscall
-           journal (no-op unless Mvee enabled it) *)
-        Record_log.journal_append g.Context.rb.Rb.sync_log ~rank:th.Proc.rank
+        (* fast-path calls land in the master-stream store too (no-op
+           unless capture is on) *)
+        Record_log.note_call g.Context.rb.Rb.sync_log ~rank:th.Proc.rank
           ~call:(Callinfo.normalize call) ~result:r;
         (* slaves pulling the record bounce its cache lines back and forth *)
         charge th
@@ -241,130 +230,18 @@ and master_path_slow inst th ~token ~call ~return ~bytes =
   end
   else proceed_windowed ()
 
-(* Master path with the submission ring (mode.ring_batch > 1): the call
-   executes immediately — run-ahead is unchanged — but PRECALL/POSTCALL
-   park the record in the ring; the per-record RB fixed costs, the wake
-   and the cache-line bounces are paid once per batch drain instead. *)
-and master_ring_path inst ring th ~token ~call ~return ~bytes =
-  let g = inst.group in
-  let k = g.Context.kernel in
-  let cost = Kernel.cost k in
-  (* CALCSIZE, batch-aware: the RB must keep room for the whole pending
-     batch plus this record. Drain first; if that is not enough space the
-     arbitrated reset takes over, exactly as in the unbatched path. *)
-  if
-    Rb.would_overflow g.Context.rb
-      ~bytes:(bytes + Syscall_ring.pending_bytes ring)
-  then Syscall_ring.flush ~th ring Syscall_ring.Overflow;
-  let window_ok () =
-    match g.Context.mode.Context.runahead_window with
-    | None -> true
-    | Some w ->
-      (* ring-pending records of this rank are invisible to [Rb.lag] but
-         count towards the master's logical run-ahead *)
-      Rb.lag g.Context.rb ~rank:th.Proc.rank
-      + Syscall_ring.pending_rank ring ~rank:th.Proc.rank
-      < w
-  in
-  let proceed () =
-    let expect_block = Callinfo.may_block g.Context.file_map call in
-    (* PRECALL: local copy into the ring slot; the RB fixed-cost write is
-       deferred to the drain *)
-    charge th (Cost_model.local_copy_ns cost ~bytes:(Syscall.arg_bytes call));
-    (Kernel.stats k).Kstate.rb_bytes <- (Kernel.stats k).Kstate.rb_bytes + bytes;
-    note_epoll inst call;
-    charge th cost.Cost_model.token_check_ns;
-    if not (Ikb.verify g.Context.ikb th ~token ~call) then begin
-      (Kernel.stats k).Kstate.tokens_rejected <-
-        (Kernel.stats k).Kstate.tokens_rejected + 1;
-      do_fallback inst th ~call ~return
-    end
-    else begin
-      let normalized = Callinfo.normalize call in
-      match Callinfo.disposition call with
-      | Callinfo.All_call ->
-        (* every replica runs this call locally: slaves only need the
-           record's *presence*, never its result, so it is published at
-           submission — a terminal call (exit_group) or an in-replica
-           rendezvous (futex) can therefore never strand the batch *)
-        let slot =
-          Syscall_ring.submit ring ~th ~call:normalized ~expect_block
-        in
-        Syscall_ring.complete ~th ring slot Syscall.Ok_unit;
-        (* a terminal call never returns: push the batch out now rather
-           than leaving the slaves to the flush deadline *)
-        (match call with
-        | Syscall.Exit _ | Syscall.Exit_group _ ->
-          Syscall_ring.flush ~th ring Syscall_ring.Barrier
-        | _ -> ());
-        Kernel.execute_raw k th call ~ret:return
-      | Callinfo.Master_call ->
-        let slot =
-          Syscall_ring.submit ring ~th ~call:normalized ~expect_block
-        in
-        Kernel.execute_raw k th call ~ret:(fun r ->
-            (* POSTCALL: the result parks next to its arguments; the batch
-               publish happens at the drain *)
-            let logical = to_logical inst r in
-            charge th
-              (Cost_model.local_copy_ns cost ~bytes:(Syscall.result_bytes r));
-            Syscall_ring.complete ~th ring slot logical;
-            return r)
-    end
-  in
-  if Rb.would_overflow g.Context.rb ~bytes then begin
-    (match Kernel.obs k with
-    | None -> ()
-    | Some o ->
-      obs_emit o th ~name:"overflow_wait" ~key:key_overflow_wait
-        [ ("used_bytes", Remon_obs.Trace.Int g.Context.rb.Rb.used_bytes) ]);
-    charge th (Cost_model.ptrace_stop_ns cost);
-    Kernel.wait_until k th ~what:"rb overflow: waiting for slaves to drain"
-      ~poll:(fun () -> if Rb.fully_drained g.Context.rb then Some () else None)
-      ~on_ready:(fun () ->
-        Rb.reset g.Context.rb;
-        Kernel.kick k;
-        if window_ok () then proceed ()
-        else
-          Kernel.wait_until k th ~what:"ipmon master: run-ahead window full"
-            ~poll:(fun () -> if window_ok () then Some () else None)
-            ~on_ready:(fun () -> proceed ()))
-  end
-  else if window_ok () then proceed ()
-  else begin
-    (* drain so the slaves can actually catch up — ring-pending records
-       are invisible to them until flushed *)
-    Syscall_ring.flush ~th ring Syscall_ring.Barrier;
-    Kernel.wait_until k th ~what:"ipmon master: run-ahead window full"
-      ~poll:(fun () -> if window_ok () then Some () else None)
-      ~on_ready:(fun () -> proceed ())
-  end
-
 and slave_path inst th ~token ~call ~return =
   let g = inst.group in
   let k = g.Context.kernel in
   let cost = Kernel.cost k in
   let rank = th.Proc.rank in
   let variant = inst.variant in
-  (* wait for the master's record for this call. In ring mode the record
-     may be parked in the master's submission ring: pull it directly out
-     of the shared slots ([Syscall_ring.demand]) instead of sleeping
-     until the master's flush deadline. *)
+  (* wait for the master's record for this call *)
   Kernel.wait_until k th ~what:"ipmon slave: waiting for master record"
-    ~poll:(fun () ->
-      match Rb.slave_lookup g.Context.rb ~rank ~variant with
-      | Some e -> Some e
-      | None -> (
-        match g.Context.ring with
-        | Some ring when Syscall_ring.demand ring ~th ~rank ->
-          Rb.slave_lookup g.Context.rb ~rank ~variant
-        | _ -> None))
+    ~poll:(fun () -> Rb.slave_lookup g.Context.rb ~rank ~variant)
     ~on_ready:(fun (entry : Rb.entry) ->
-      (* a batch follower's cache lines arrived with the drain's first
-         record: its fixed read cost is one spin poll, not a fresh pull *)
       charge th
-        ((if entry.Rb.batch_follower then cost.Cost_model.spin_poll_ns
-          else cost.Cost_model.rb_read_fixed_ns)
+        (cost.Cost_model.rb_read_fixed_ns
         + Cost_model.compare_ns cost ~bytes:(Syscall.arg_bytes call));
       match entry.Rb.call with
       | None ->
@@ -423,13 +300,6 @@ and slave_path inst th ~token ~call ~return =
           | Callinfo.Master_call ->
             (* abort the original call; the one-time token goes unused *)
             Ikb.consume_token g.Context.ikb th;
-            (* ring mode: when a batch drain already published the result
-               alongside the record, the slave's first read finds it — one
-               spin poll, no sleep. This is the batching win on the slave
-               side: one wake services the whole batch. *)
-            let immediate =
-              g.Context.ring <> None && entry.Rb.result <> None
-            in
             let use_futex =
               match g.Context.mode.Context.slave_wait with
               | Context.Wait_auto -> entry.Rb.flags.Rb.expect_block
@@ -437,8 +307,7 @@ and slave_path inst th ~token ~call ~return =
               | Context.Wait_futex_only -> true
             in
             let wait_cost =
-              if immediate then cost.Cost_model.spin_poll_ns
-              else if use_futex then
+              if use_futex then
                 (* optimized per-record condition variable (Section 3.7) *)
                 cost.Cost_model.futex_wait_ns
               else (* spin-read loop *) 2 * cost.Cost_model.spin_poll_ns

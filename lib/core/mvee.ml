@@ -144,7 +144,6 @@ type handle = {
   mutable master_exit_ns : Vtime.t option;
   mutable exit_codes : (int * int) list; (* variant, code *)
   mutable heap_bases : int64 array;
-  recorder : Recording.builder option;
 }
 
 type outcome = {
@@ -159,9 +158,6 @@ type outcome = {
   ipmon_fallbacks : int;
   rb_resets : int;
   rb_records : int;
-  ring_flushes : int; (* ring drains (0 when ring_batch = 1) *)
-  ring_records : int; (* records that reached the RB through the ring *)
-  ring_max_batch : int; (* largest single drain *)
   tokens_granted : int;
   tokens_rejected : int;
   (* resilience telemetry *)
@@ -196,25 +192,6 @@ let make_group kernel (config : config) nreplicas =
   let ikb = Ikb.create ~kernel ~policy:config.policy ~seed:config.seed in
   if config.backend = Varan then ikb.Ikb.route_all <- true;
   let rb = Replication_buffer.create ~size_bytes:config.rb_size ~nreplicas in
-  let ring =
-    if mode.Context.ring_batch > 1 then
-      Some
-        (Syscall_ring.create ~rb ~kernel ~nreplicas
-           ~batch:mode.Context.ring_batch
-           ~flush_ns:mode.Context.ring_flush_ns
-           ~wake_always:(not mode.Context.per_call_condvar))
-    else None
-  in
-  (* monitored-call barrier: before a master thread reaches GHUMVEE, its
-     batched records must land in the RB so the slaves can line up *)
-  (match ring with
-  | None -> ()
-  | Some r ->
-    ikb.Ikb.pre_monitor <-
-      Some
-        (fun th ->
-          if Proc.is_master th.Proc.proc && Syscall_ring.pending r > 0 then
-            Syscall_ring.flush ~th r Syscall_ring.Barrier));
   {
     Context.kernel;
     nreplicas;
@@ -228,7 +205,6 @@ let make_group kernel (config : config) nreplicas =
       (match config.shm_key with
       | Some key -> key
       | None -> Context.mvee_shm_key_base + (shm_serial * 16));
-    ring;
     replicas = [||];
     divergence = None;
     shutdown = false;
@@ -314,28 +290,16 @@ let launch (kernel : Kernel.t) (config : config) ~name
     Record_replay.create ~kernel ~log:group.Context.rb.Replication_buffer.sync_log
       ~enabled:(config.record_replay && nreplicas > 1)
   in
-  (* the Respawn policy needs the master syscall journal to resynchronize a
-     fresh replica; the other policies skip its memory cost *)
-  (match config.on_failure with
-  | Context.Respawn _ ->
-    Record_log.enable_journal group.Context.rb.Replication_buffer.sync_log
-  | Context.Kill_group | Context.Quarantine -> ());
-  let recorder =
-    if config.record then begin
-      (* the header pins the key the group actually drew, so a replay of
-         this recording reproduces the exact same shm traffic *)
-      let b =
-        Recording.builder
-          {
-            (header_of_config config ~workload:"") with
-            Recording.shm_key = group.Context.shm_key;
-          }
-      in
-      Recording.attach b group.Context.rb.Replication_buffer.sync_log;
-      Some b
-    end
-    else None
+  (* one store of the master's stream serves both consumers: a recording
+     snapshots it, and the Respawn policy resynchronizes fresh replicas
+     from it. Runs with neither skip its memory cost. *)
+  let respawn =
+    match config.on_failure with
+    | Context.Respawn _ -> true
+    | Context.Kill_group | Context.Quarantine -> false
   in
+  if config.record || respawn then
+    Record_log.enable_capture group.Context.rb.Replication_buffer.sync_log;
   let handle =
     {
       kernel;
@@ -347,7 +311,6 @@ let launch (kernel : Kernel.t) (config : config) ~name
       master_exit_ns = None;
       exit_codes = [];
       heap_bases = Array.make nreplicas 0L;
-      recorder;
     }
   in
   (* when the kernel carries an observability sink, the RB reports into it
@@ -580,6 +543,26 @@ let stop (h : handle) =
       if p.Proc.alive then Kernel.kill_process h.kernel p ~code:0)
     h.group.Context.replicas
 
+(* The recording so far: a snapshot of the group's stream store. The
+   header pins the key the group actually drew, so a replay reproduces the
+   exact same shm traffic. *)
+let recording (h : handle) =
+  if not h.config.record then None
+  else
+    Some
+      {
+        Recording.header =
+          {
+            (header_of_config h.config ~workload:"") with
+            Recording.shm_key = h.group.Context.shm_key;
+          };
+        events = Record_log.events h.group.Context.rb.Replication_buffer.sync_log;
+        verdict =
+          Option.map
+            (fun v -> (Divergence.class_of v, Divergence.to_string v))
+            h.group.Context.divergence;
+      }
+
 (* Collects the outcome after [Kernel.run] has drained the simulation. *)
 let finish (h : handle) : outcome =
   let st = Kernel.stats h.kernel in
@@ -617,18 +600,6 @@ let finish (h : handle) : outcome =
     ipmon_fallbacks = h.group.Context.ipmon_fallbacks;
     rb_resets = h.group.Context.rb.Replication_buffer.resets;
     rb_records = h.group.Context.rb.Replication_buffer.total_records;
-    ring_flushes =
-      (match h.group.Context.ring with
-      | Some r -> r.Syscall_ring.flushes
-      | None -> 0);
-    ring_records =
-      (match h.group.Context.ring with
-      | Some r -> r.Syscall_ring.records_flushed
-      | None -> 0);
-    ring_max_batch =
-      (match h.group.Context.ring with
-      | Some r -> r.Syscall_ring.max_batch
-      | None -> 0);
     tokens_granted = st.Kstate.tokens_granted;
     tokens_rejected = st.Kstate.tokens_rejected;
     faults_injected = (match h.fault with Some f -> Fault.injected f | None -> 0);
@@ -642,17 +613,7 @@ let finish (h : handle) : outcome =
           | None -> Kernel.now h.kernel);
     watchdog_retries = h.group.Context.watchdog_retries;
     metrics;
-    recording =
-      (match h.recorder with
-      | None -> None
-      | Some b ->
-        Recording.detach b h.group.Context.rb.Replication_buffer.sync_log;
-        let verdict =
-          match h.group.Context.divergence with
-          | None -> None
-          | Some v -> Some (Divergence.class_of v, Divergence.to_string v)
-        in
-        Some (Recording.finish b ~verdict));
+    recording = recording h;
   }
 
 (* One-shot convenience: fresh kernel, launch, run to completion. *)

@@ -87,7 +87,6 @@ type handle = {
   mutable master_exit_ns : Vtime.t option;
   mutable exit_codes : (int * int) list;
   mutable heap_bases : int64 array;
-  recorder : Recording.builder option;
 }
 
 type outcome = {
@@ -102,9 +101,6 @@ type outcome = {
   ipmon_fallbacks : int;
   rb_resets : int;
   rb_records : int;
-  ring_flushes : int; (** ring drains (0 when [ring_batch] = 1) *)
-  ring_records : int; (** records that reached the RB through the ring *)
-  ring_max_batch : int; (** largest single drain *)
   tokens_granted : int;
   tokens_rejected : int;
   faults_injected : int; (** fault-plan specs that actually fired *)
@@ -135,6 +131,12 @@ val stop : handle -> unit
     no verdict, and silences pending watchdogs. The instance's descriptors
     (listener port included) are released immediately, so a successor can
     rebind the same port. Used by fleet rolling restarts. *)
+
+val recording : handle -> Recording.t option
+(** A snapshot of the group's stream store as a recording, with the verdict
+    so far; [None] unless [config.record] was set. {!finish} takes one for
+    [outcome.recording]; fleet reproducer dumps take one from handles that
+    are never finished. *)
 
 val finish : handle -> outcome
 

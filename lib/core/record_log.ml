@@ -1,78 +1,80 @@
-(* Shared log of user-space synchronization events (Section 2.3).
+(* The record log: the lock-order log of the record/replay agent (Section
+   2.3) and the single store of the master's replicated stream.
 
-   The record/replay agent embedded in each replica forces all replicas to
-   acquire user-space locks in the order the master acquired them, removing
-   scheduling non-determinism that would otherwise make replicas issue
-   different syscall sequences. The master appends (lock, thread-rank)
-   events; each slave consumes them in order, gating its own acquisitions.
+   Lock-order log. The agent embedded in each replica forces all replicas
+   to acquire user-space locks in the order the master acquired them,
+   removing scheduling non-determinism that would otherwise make replicas
+   issue different syscall sequences. The master appends (lock,
+   thread-rank) events; each slave consumes them in order, gating its own
+   acquisitions. This log runs whether or not the stream is captured.
 
-   Under the Respawn recovery policy the log additionally carries a
-   master-side *syscall journal*: one (normalized call, result) record per
-   replicated call, per thread rank. A freshly respawned replica replays
-   the journal — its calls are verified against the master's stream and
-   satisfied from the recorded results — until it has caught up and can
-   rejoin the group at the next rendezvous. *)
+   Stream store. When capture is on, every replicated master call, every
+   lock acquisition and every injected signal is appended to one ordered
+   array, once. Two consumers read that same array: a respawned replica
+   under the Respawn recovery policy walks its thread rank's calls through
+   a cursor to resynchronize with the group, and [Mvee] snapshots it into
+   an RMRC recording. *)
 
 open Remon_kernel
 
-type event = { lock_id : int; thread_rank : int }
+type event =
+  | Call of { rank : int; call : Syscall.call; result : Syscall.result }
+  | Lock of { lock_id : int; thread_rank : int }
+  | Signal of { rank : int; signo : int }
 
-(* One replicated master call, as the journal stores it. *)
-type callrec = { jcall : Syscall.call; jresult : Syscall.result }
-
-type jstream = { mutable recs : callrec array; mutable jlen : int }
-
-(* Live capture sink: sees every replicated master call, lock-order event,
-   injected signal and ring-flush boundary, independent of whether the
-   respawn journal is enabled. *)
-type sink = {
-  sink_call : rank:int -> call:Syscall.call -> result:Syscall.result -> unit;
-  sink_lock : lock_id:int -> thread_rank:int -> unit;
-  sink_signal : rank:int -> signo:int -> unit;
-  sink_flush : reason:string -> count:int -> unit;
-}
+type lock_event = { lock_id : int; thread_rank : int }
 
 type t = {
-  mutable events : event array;
+  mutable locks : lock_event array;
   mutable len : int;
   consumed : int array; (* per variant; index 0 unused *)
-  journal : (int, jstream) Hashtbl.t; (* thread rank -> master call stream *)
-  mutable journal_enabled : bool;
-  mutable on_journal_append : (rank:int -> unit) option;
-      (* fired after each journal append; GHUMVEE uses it to feed records
+  mutable capture : bool;
+  mutable stream : event array;
+  mutable stream_len : int;
+  mutable on_call : (rank:int -> unit) option;
+      (* fired after each captured call; GHUMVEE uses it to feed records
          to replaying replicas waiting at the head of the stream *)
-  mutable recorder : sink option;
 }
 
 let create ~nreplicas =
   {
-    events = Array.make 64 { lock_id = 0; thread_rank = 0 };
+    locks = Array.make 64 { lock_id = 0; thread_rank = 0 };
     len = 0;
     consumed = Array.make nreplicas 0;
-    journal = Hashtbl.create 4;
-    journal_enabled = false;
-    on_journal_append = None;
-    recorder = None;
+    capture = false;
+    stream = [||];
+    stream_len = 0;
+    on_call = None;
   }
+
+let push t ev =
+  if t.stream_len = Array.length t.stream then begin
+    let bigger = Array.make (max 256 (2 * t.stream_len)) ev in
+    Array.blit t.stream 0 bigger 0 t.stream_len;
+    t.stream <- bigger
+  end;
+  t.stream.(t.stream_len) <- ev;
+  t.stream_len <- t.stream_len + 1
+
+(* ------------------------------------------------------------------ *)
+(* Lock-order log *)
 
 let length t = t.len
 
 let append t ~lock_id ~thread_rank =
-  (match t.recorder with
-  | Some s -> s.sink_lock ~lock_id ~thread_rank
-  | None -> ());
-  if t.len = Array.length t.events then begin
-    let bigger = Array.make (2 * t.len) t.events.(0) in
-    Array.blit t.events 0 bigger 0 t.len;
-    t.events <- bigger
+  if t.capture then push t (Lock { lock_id; thread_rank });
+  if t.len = Array.length t.locks then begin
+    let bigger = Array.make (2 * t.len) t.locks.(0) in
+    Array.blit t.locks 0 bigger 0 t.len;
+    t.locks <- bigger
   end;
-  t.events.(t.len) <- { lock_id; thread_rank };
+  t.locks.(t.len) <- { lock_id; thread_rank };
   t.len <- t.len + 1
 
 (* The next unconsumed event for [variant], if the master has produced it. *)
 let peek t ~variant =
   let pos = t.consumed.(variant) in
-  if pos < t.len then Some t.events.(pos) else None
+  if pos < t.len then Some t.locks.(pos) else None
 
 let advance t ~variant = t.consumed.(variant) <- t.consumed.(variant) + 1
 
@@ -81,54 +83,34 @@ let advance t ~variant = t.consumed.(variant) <- t.consumed.(variant) + 1
 let reset_variant t ~variant = t.consumed.(variant) <- 0
 
 (* ------------------------------------------------------------------ *)
-(* Master syscall journal (Respawn replay) *)
+(* Stream store *)
 
-let enable_journal t = t.journal_enabled <- true
-let set_on_journal_append t f = t.on_journal_append <- Some f
+let enable_capture t = t.capture <- true
+let set_on_call t f = t.on_call <- Some f
 
-let jstream t rank =
-  match Hashtbl.find_opt t.journal rank with
-  | Some s -> s
-  | None ->
-    let s = { recs = [||]; jlen = 0 } in
-    Hashtbl.replace t.journal rank s;
-    s
-
-let journal_append t ~rank ~call ~result =
-  (* the recorder sees the full replicated stream even when the (memory-
-     costly) respawn journal is off *)
-  (match t.recorder with
-  | Some s -> s.sink_call ~rank ~call ~result
-  | None -> ());
-  if t.journal_enabled then begin
-    let s = jstream t rank in
-    if s.jlen = Array.length s.recs then begin
-      let cap = max 64 (2 * s.jlen) in
-      let bigger = Array.make cap { jcall = call; jresult = result } in
-      Array.blit s.recs 0 bigger 0 s.jlen;
-      s.recs <- bigger
-    end;
-    s.recs.(s.jlen) <- { jcall = call; jresult = result };
-    s.jlen <- s.jlen + 1;
-    match t.on_journal_append with Some f -> f ~rank | None -> ()
+let note_call t ~rank ~call ~result =
+  if t.capture then begin
+    push t (Call { rank; call; result });
+    match t.on_call with Some f -> f ~rank | None -> ()
   end
 
-let journal_length t ~rank =
-  match Hashtbl.find_opt t.journal rank with Some s -> s.jlen | None -> 0
-
-let journal_nth t ~rank n =
-  match Hashtbl.find_opt t.journal rank with
-  | Some s when n >= 0 && n < s.jlen -> Some s.recs.(n)
-  | _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* Recording sink *)
-
-let set_recorder t sink = t.recorder <- Some sink
-let clear_recorder t = t.recorder <- None
-
 let note_signal t ~rank ~signo =
-  match t.recorder with Some s -> s.sink_signal ~rank ~signo | None -> ()
+  if t.capture then push t (Signal { rank; signo })
 
-let note_flush t ~reason ~count =
-  match t.recorder with Some s -> s.sink_flush ~reason ~count | None -> ()
+let events t = Array.sub t.stream 0 t.stream_len
+
+type cursor = { rank : int; mutable pos : int }
+
+let cursor ~rank = { rank; pos = 0 }
+
+(* Scans forward to the cursor rank's next call. Events of other ranks are
+   passed over for good, so each cursor reads the store once. *)
+let rec next_call t (c : cursor) =
+  if c.pos >= t.stream_len then None
+  else begin
+    let ev = t.stream.(c.pos) in
+    c.pos <- c.pos + 1;
+    match ev with
+    | Call r when r.rank = c.rank -> Some (r.call, r.result)
+    | Call _ | Lock _ | Signal _ -> next_call t c
+  end

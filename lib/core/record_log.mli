@@ -1,36 +1,41 @@
-(** Shared log of user-space synchronization events (Section 2.3): the
-    master appends lock-acquisition events; each slave consumes them in
-    order to replay the master's acquisition order.
+(** The record log: the lock-order log of the record/replay agent (Section
+    2.3) and the single store of the master's replicated stream.
 
-    Under the Respawn recovery policy the log also carries a master-side
-    syscall journal — one (normalized call, result) record per replicated
-    call per thread rank — that a freshly respawned replica replays to
-    resynchronize with the group. *)
+    The lock-order log always runs: the master appends lock-acquisition
+    events and each slave consumes them in order to replay the master's
+    acquisition order.
+
+    The stream store runs only when capture is enabled ([Mvee] enables it
+    when the run records or its failure policy is [Respawn]). It holds
+    every replicated master call, lock acquisition and injected signal
+    once, in one ordered array. A respawned replica reads its thread
+    rank's calls through a {!cursor}; a recording is a snapshot of the
+    array ({!events}). *)
 
 open Remon_kernel
 
-type event = { lock_id : int; thread_rank : int }
+(** One event of the master's replicated stream. *)
+type event =
+  | Call of { rank : int; call : Syscall.call; result : Syscall.result }
+      (** one replicated master call on thread [rank] *)
+  | Lock of { lock_id : int; thread_rank : int }
+      (** user-space lock acquisition order (Section 2.3 agent) *)
+  | Signal of { rank : int; signo : int }  (** delivered/injected signal *)
 
-(** One replicated master call, as the journal stores it. *)
-type callrec = { jcall : Syscall.call; jresult : Syscall.result }
-
-(** Live capture sink ({!Recording} installs one): sees every replicated
-    master call, lock-order event, injected signal and ring-flush boundary
-    as it happens, independent of whether the respawn journal is enabled. *)
-type sink = {
-  sink_call : rank:int -> call:Syscall.call -> result:Syscall.result -> unit;
-  sink_lock : lock_id:int -> thread_rank:int -> unit;
-  sink_signal : rank:int -> signo:int -> unit;
-  sink_flush : reason:string -> count:int -> unit;
-}
+type lock_event = { lock_id : int; thread_rank : int }
 
 type t
 
 val create : nreplicas:int -> t
-val length : t -> int
-val append : t -> lock_id:int -> thread_rank:int -> unit
 
-val peek : t -> variant:int -> event option
+(** {1 Lock-order log} *)
+
+val length : t -> int
+
+val append : t -> lock_id:int -> thread_rank:int -> unit
+(** Log a master lock acquisition (and capture it, when capture is on). *)
+
+val peek : t -> variant:int -> lock_event option
 (** Next unconsumed event for [variant], if the master has produced it. *)
 
 val advance : t -> variant:int -> unit
@@ -39,33 +44,32 @@ val reset_variant : t -> variant:int -> unit
 (** Rewind [variant]'s consumption position to the beginning; a respawned
     replica re-consumes the whole lock-order history. *)
 
-(** {1 Master syscall journal (Respawn replay)} *)
+(** {1 Stream store} *)
 
-val enable_journal : t -> unit
-(** Start journaling replicated master calls. Off by default: the journal
-    costs memory proportional to the run, so [Mvee] enables it only under
-    the [Respawn] recovery policy. *)
+val enable_capture : t -> unit
+(** Start storing the stream. Off by default: the store costs memory
+    proportional to the run. *)
 
-val set_on_journal_append : t -> (rank:int -> unit) -> unit
-(** Callback fired after each journal append; GHUMVEE uses it to feed
-    fresh records to replaying replicas waiting at the head of a stream. *)
+val set_on_call : t -> (rank:int -> unit) -> unit
+(** Callback fired after each captured call; GHUMVEE uses it to feed
+    fresh records to replaying replicas waiting at the head of a rank. *)
 
-val journal_append :
+val note_call :
   t -> rank:int -> call:Syscall.call -> result:Syscall.result -> unit
-(** No-op unless journaling is enabled. *)
-
-val journal_length : t -> rank:int -> int
-val journal_nth : t -> rank:int -> int -> callrec option
-
-(** {1 Recording sink} *)
-
-val set_recorder : t -> sink -> unit
-(** Install the live-capture sink. At most one; the last install wins. *)
-
-val clear_recorder : t -> unit
+(** Capture one replicated master call. No-op unless capture is on. *)
 
 val note_signal : t -> rank:int -> signo:int -> unit
-(** Feed a delivered/injected signal to the recorder. No-op without one. *)
+(** Capture a delivered/injected signal. No-op unless capture is on. *)
 
-val note_flush : t -> reason:string -> count:int -> unit
-(** Feed a ring-flush boundary to the recorder. No-op without one. *)
+val events : t -> event array
+(** A snapshot of the store, in capture order. *)
+
+type cursor
+(** A read position into the store for one thread rank. *)
+
+val cursor : rank:int -> cursor
+(** A cursor at the start of the store. *)
+
+val next_call : t -> cursor -> (Syscall.call * Syscall.result) option
+(** The cursor rank's next captured call, advancing past it; [None] when
+    the cursor has caught up with the store. *)

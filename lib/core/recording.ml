@@ -17,11 +17,10 @@ type header = {
   shm_key : int; (* the group's SysV key; 0 = unknown (allocate fresh) *)
 }
 
-type event =
+type event = Record_log.event =
   | Call of { rank : int; call : Syscall.call; result : Syscall.result }
   | Lock of { lock_id : int; thread_rank : int }
   | Signal of { rank : int; signo : int }
-  | Flush of { reason : string; count : int }
 
 type t = {
   header : header;
@@ -37,7 +36,6 @@ let equal_event a b =
     && Syscall.equal_result a.result b.result
   | Lock a, Lock b -> a.lock_id = b.lock_id && a.thread_rank = b.thread_rank
   | Signal a, Signal b -> a.rank = b.rank && a.signo = b.signo
-  | Flush a, Flush b -> a.reason = b.reason && a.count = b.count
   | _ -> false
 
 let event_to_string = function
@@ -47,7 +45,6 @@ let event_to_string = function
   | Lock { lock_id; thread_rank } ->
     Printf.sprintf "lock  id=%d rank=%d" lock_id thread_rank
   | Signal { rank; signo } -> Printf.sprintf "signal rank=%d signo=%d" rank signo
-  | Flush { reason; count } -> Printf.sprintf "flush %s count=%d" reason count
 
 (* ------------------------------------------------------------------ *)
 (* Serialization *)
@@ -66,10 +63,6 @@ let write_event w = function
     Syswire.W.u8 w 2;
     Syswire.W.uint w rank;
     Syswire.W.uint w signo
-  | Flush { reason; count } ->
-    Syswire.W.u8 w 3;
-    Syswire.W.str w reason;
-    Syswire.W.uint w count
 
 let read_event r =
   match Syswire.R.u8 r with
@@ -84,9 +77,6 @@ let read_event r =
   | 2 ->
     let rank = Syswire.R.uint r in
     Signal { rank; signo = Syswire.R.uint r }
-  | 3 ->
-    let reason = Syswire.R.str r in
-    Flush { reason; count = Syswire.R.uint r }
   | _ -> raise (Syswire.Fail (Syswire.Corrupt "bad event tag"))
 
 let write_header w h =
@@ -208,42 +198,3 @@ let prefix_digests t =
     d.(i + 1) <- Digest.string (d.(i) ^ event_bytes t.events.(i))
   done;
   d
-
-(* ------------------------------------------------------------------ *)
-(* Live capture *)
-
-type builder = {
-  bheader : header;
-  mutable bevents : event array;
-  mutable blen : int;
-}
-
-let builder bheader = { bheader; bevents = [||]; blen = 0 }
-
-let record b ev =
-  if b.blen = Array.length b.bevents then begin
-    let cap = max 256 (2 * b.blen) in
-    let bigger = Array.make cap ev in
-    Array.blit b.bevents 0 bigger 0 b.blen;
-    b.bevents <- bigger
-  end;
-  b.bevents.(b.blen) <- ev;
-  b.blen <- b.blen + 1
-
-let event_count b = b.blen
-
-let attach b log =
-  Record_log.set_recorder log
-    {
-      Record_log.sink_call =
-        (fun ~rank ~call ~result -> record b (Call { rank; call; result }));
-      sink_lock =
-        (fun ~lock_id ~thread_rank -> record b (Lock { lock_id; thread_rank }));
-      sink_signal = (fun ~rank ~signo -> record b (Signal { rank; signo }));
-      sink_flush = (fun ~reason ~count -> record b (Flush { reason; count }));
-    }
-
-let detach _b log = Record_log.clear_recorder log
-
-let finish b ~verdict =
-  { header = b.bheader; events = Array.sub b.bevents 0 b.blen; verdict }

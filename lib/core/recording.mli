@@ -1,9 +1,8 @@
 (** Versioned binary recordings of a replicated run (deployable
     record/replay, after rr): the master's full replicated stream —
-    syscalls with normalized args and results, lock-order events, signal
-    deliveries and ring-flush boundaries — captured live through the
-    {!Record_log} sink and serialized with the {!Remon_kernel.Syswire}
-    codec.
+    syscalls with normalized args and results, lock-order events and
+    signal deliveries — as a snapshot of the {!Record_log} stream store,
+    serialized with the {!Remon_kernel.Syswire} codec.
 
     File layout (format version 1):
     {v
@@ -12,6 +11,8 @@
     header  backend / nreplicas / seed / level / on_failure / faults /
             workload (strings via the CLI's converters)
     events  uint count, then per event: u8 tag + payload
+            (0 = call, 1 = lock, 2 = signal; tag 3, a batching-ring flush
+            boundary, is retired and rejected as corrupt)
     trailer verdict (class + rendered, optional) then the MD5 of every
             preceding byte; no trailing bytes allowed
     v}
@@ -38,13 +39,13 @@ type header = {
           [0] = unknown *)
 }
 
-type event =
+(** Re-export of {!Record_log.event}. *)
+type event = Record_log.event =
   | Call of { rank : int; call : Syscall.call; result : Syscall.result }
       (** one replicated master call on thread [rank] *)
   | Lock of { lock_id : int; thread_rank : int }
       (** user-space lock acquisition order (Section 2.3 agent) *)
   | Signal of { rank : int; signo : int }  (** delivered/injected signal *)
-  | Flush of { reason : string; count : int }  (** ring drain boundary *)
 
 type t = { header : header; events : event array; verdict : (string * string) option }
 (** [verdict = Some (class, rendered)]; [None] = clean run. *)
@@ -76,18 +77,3 @@ val prefix_digests : t -> string array
 (** [n+1] chained digests; element [i] covers events [0..i-1]. Element [n]
     distinguishes any two streams that differ anywhere before [n], which
     makes prefix agreement monotone — the property bisection searches. *)
-
-(* {1 Live capture} *)
-
-type builder
-
-val builder : header -> builder
-val record : builder -> event -> unit
-val event_count : builder -> int
-
-val attach : builder -> Record_log.t -> unit
-(** Install the builder as the log's recording sink. *)
-
-val detach : builder -> Record_log.t -> unit
-
-val finish : builder -> verdict:(string * string) option -> t

@@ -87,7 +87,6 @@ let bisect ?(context = 3) ~(recorded : Recording.t) ~(replayed : Recording.t)
           (Some rank, Some (Divergence.render_call call))
         | Recording.Lock { thread_rank; _ } -> (Some thread_rank, None)
         | Recording.Signal { rank; _ } -> (Some rank, None)
-        | Recording.Flush _ -> (None, None)
       in
       if first < na then of_event rec_evs.(first)
       else if first < nb then of_event rep_evs.(first)

@@ -24,10 +24,6 @@ type entry = {
   mutable flags : flags;
   mutable waiters : int; (* slaves waiting on this record's condvar *)
   mutable consumed : int; (* slaves that copied the result *)
-  mutable batch_follower : bool;
-      (* published by a ring drain behind an earlier record of the same
-         rank: its cache lines arrived in the same bounce round, so the
-         slave's fixed read cost drops to a spin poll *)
 }
 
 (* One record stream per thread rank: replica threads are matched by rank,
@@ -58,7 +54,8 @@ type t = {
   mutable resets : int;
   mutable wakes_issued : int;
   mutable wakes_skipped : int;
-  (* record/replay sync-event log (Section 2.3) rides in the same segment *)
+  (* the record log rides in the same segment: the record/replay agent's
+     lock-order log (Section 2.3) and the master-stream store *)
   sync_log : Record_log.t;
   mutable obs : (Remon_obs.Obs.t * (unit -> int)) option;
       (* structured trace sink + virtual-clock reader, set by [Mvee] when
@@ -176,7 +173,6 @@ let master_append t ~rank ~call ~expect_block ~forwarded =
       flags = { forwarded_to_monitor = forwarded; expect_block };
       waiters = 0;
       consumed = 0;
-      batch_follower = false;
     }
   in
   Hashtbl.replace s.entries e.seq e;

@@ -19,10 +19,6 @@ type entry = {
   mutable flags : flags;
   mutable waiters : int; (** slaves on this record's condition variable *)
   mutable consumed : int;
-  mutable batch_follower : bool;
-      (** published by a ring drain behind an earlier same-rank record: the
-          slave's fixed read cost drops to a spin poll (the cache lines
-          arrived in the same bounce round) *)
 }
 
 type stream = {
@@ -48,7 +44,8 @@ type t = {
   mutable wakes_issued : int;
   mutable wakes_skipped : int;
   sync_log : Record_log.t;
-      (** the record/replay agent's sync-event log rides along *)
+      (** the record log rides along: the record/replay agent's lock-order
+          log and the master-stream store *)
   mutable obs : (Remon_obs.Obs.t * (unit -> int)) option;
       (** structured trace sink + virtual-clock reader, set by [Mvee] when
           observability is on; [None] = the zero-cost disabled path *)

@@ -1,7 +1,7 @@
 (* Monitor-level behaviours: GHUMVEE signal deferral, maps filtering,
    exit-code divergence, epoll pointer translation under lockstep, the
    rendezvous watchdog, IK-B token mechanics and RB overflow handling
-   end-to-end. *)
+   end-to-end, including overflow with a blocked call in flight. *)
 
 open Remon_kernel
 open Remon_core
@@ -178,6 +178,116 @@ let test_rb_overflow_end_to_end () =
   Alcotest.(check bool) "buffer was reset at least once" true (o.Mvee.rb_resets > 0);
   Alcotest.(check bool) "fast path still used" true (o.Mvee.ipmon_fastpath > 100)
 
+(* RB overflow with a blocked call in flight. A helper thread parks a
+   blocking pipe read (its record appended, its result unpublished) while
+   the main thread streams records. The main thread then feeds the pipe and
+   overflows a 4 KiB RB several times over, concurrently with the helper's
+   own stream, so drains and resets interleave with two ranks' records.
+   Each thread works on its own file and fds, so every digested result
+   (byte counts, read data, errnos) is scheduling-invariant: the master
+   digest must be the same on all four backends, and every slave must see
+   the master's results. *)
+
+let digest_result buf tag (r : Syscall.result) =
+  Buffer.add_string buf tag;
+  Buffer.add_string buf
+    (match r with
+    | Syscall.Ok_unit -> "u"
+    | Syscall.Ok_int n -> string_of_int n
+    | Syscall.Ok_data s -> "d:" ^ s
+    | Syscall.Error e -> "e:" ^ Errno.to_string e
+    | _ -> "?");
+  Buffer.add_char buf '|'
+
+let in_flight_body (digests : string array) (env : Mvee.env) =
+  let open Remon_workloads in
+  let main_buf = Buffer.create 512 in
+  let helper_buf = Buffer.create 512 in
+  let helper_done = ref false in
+  let pipe_r, pipe_w = Api.pipe () in
+  let rw = { Syscall.o_rdwr with create = true } in
+  let helper_fd = Api.open_file ~flags:rw "/tmp/rb-ovf-h" in
+  ignore
+    (env.Mvee.spawn_thread (fun () ->
+         (* blocks until the main thread feeds the pipe *)
+         digest_result helper_buf "hr" (sys (Syscall.Read (pipe_r, 9)));
+         for j = 0 to 11 do
+           let s = Printf.sprintf "helper-%02d-%s" j (String.make 80 'h') in
+           digest_result helper_buf "hw"
+             (sys (Syscall.Pwrite64 (helper_fd, s, j * 128)));
+           digest_result helper_buf "hrd"
+             (sys (Syscall.Pread64 (helper_fd, String.length s, j * 128)))
+         done;
+         helper_done := true));
+  let main_fd = Api.open_file ~flags:rw "/tmp/rb-ovf-m" in
+  let main_rw j =
+    let s = Printf.sprintf "main-%02d-%s" j (String.make 200 'm') in
+    digest_result main_buf "mw" (sys (Syscall.Pwrite64 (main_fd, s, j * 256)));
+    digest_result main_buf "mr"
+      (sys (Syscall.Pread64 (main_fd, String.length s, j * 256)))
+  in
+  (* a few records while the helper's read is parked, then feed the pipe
+     BEFORE the buffer can overflow: an overflow wait needs the slaves fully
+     drained, and they cannot drain past a blocked call's unresulted record,
+     so the blocking window must not overlap the waits *)
+  for j = 0 to 3 do
+    main_rw j
+  done;
+  digest_result main_buf "mp" (sys (Syscall.Write (pipe_w, "unblocked")));
+  for j = 4 to 59 do
+    main_rw j
+  done;
+  Sched.wait_user (fun () -> !helper_done);
+  digests.(env.Mvee.variant) <-
+    Buffer.contents main_buf ^ "##" ^ Buffer.contents helper_buf
+
+let test_rb_overflow_in_flight () =
+  let reference = ref None in
+  List.iter
+    (fun backend ->
+      let name = Mvee.backend_to_string backend in
+      let nreplicas = match backend with Mvee.Native -> 1 | _ -> 3 in
+      let config =
+        {
+          Mvee.default_config with
+          Mvee.backend;
+          nreplicas;
+          seed = 7;
+          policy =
+            (match backend with
+            | Mvee.Ghumvee_only -> Policy.monitor_everything
+            | _ -> Policy.spatial Classification.Nonsocket_rw_level);
+          (* ~360 bytes per record against a 4 KiB buffer *)
+          rb_size = 4096;
+        }
+      in
+      let digests = Array.make nreplicas "<unfinished>" in
+      let kernel = Kernel.create ~seed:7 () in
+      let h =
+        Mvee.launch kernel config ~name:"rb-ovf" ~body:(in_flight_body digests)
+      in
+      Kernel.run kernel;
+      let o = Mvee.finish h in
+      (match o.Mvee.verdict with
+      | None -> ()
+      | Some v -> Alcotest.failf "%s verdict: %s" name (Divergence.to_string v));
+      (match !reference with
+      | None -> reference := Some digests.(0)
+      | Some r ->
+        Alcotest.(check string) (name ^ " master digest vs native") r digests.(0));
+      Array.iteri
+        (fun v d ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s replica %d digest vs master" name v)
+            digests.(0) d)
+        digests;
+      match backend with
+      | Mvee.Varan | Mvee.Remon ->
+        Alcotest.(check bool) (name ^ " hit the reset path") true
+          (o.Mvee.rb_resets > 0)
+      | Mvee.Native | Mvee.Ghumvee_only -> ())
+    [ Mvee.Native; Mvee.Ghumvee_only; Mvee.Varan; Mvee.Remon ]
+
 (* IK-B token mechanics at the unit level. *)
 let test_token_single_use () =
   let kernel = Kernel.create () in
@@ -303,6 +413,8 @@ let () =
         [
           tc "overflow handled end-to-end" `Quick test_rb_overflow_end_to_end;
           tc "periodic migration (Section 4 extension)" `Quick test_rb_migration;
+          tc "overflow with a blocked call in flight" `Quick
+            test_rb_overflow_in_flight;
         ] );
       ( "tokens",
         [

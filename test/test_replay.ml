@@ -115,8 +115,7 @@ let tamper recording k =
     (match events.(k) with
     | Recording.Call c -> Recording.Call { c with rank = c.rank + 1 }
     | Recording.Lock l -> Recording.Lock { l with lock_id = l.lock_id + 1 }
-    | Recording.Signal s -> Recording.Signal { s with signo = s.signo + 1 }
-    | Recording.Flush f -> Recording.Flush { f with count = f.count + 1 });
+    | Recording.Signal s -> Recording.Signal { s with signo = s.signo + 1 });
   { recording with Recording.events }
 
 (* Ground truth by linear scan, for checking the binary search against. *)
@@ -194,7 +193,9 @@ let test_bisect_matches_linear_scan () =
 (* ------------------------------------------------------------------ *)
 (* Double respawn: two injected slave crashes under a Respawn budget of 3
    must both recover (journal catch-up after reset_variant), leaving a
-   clean verdict and the twice-respawned slave exiting 0. *)
+   clean verdict and the twice-respawned slave exiting 0. The respawn
+   follower and the recording read the same stream store, and the
+   recording still replays byte-identically. *)
 
 let test_double_respawn () =
   let faults =
@@ -208,13 +209,20 @@ let test_double_respawn () =
       ~on_failure:(Mvee.Respawn { max_respawns = 3; backoff_ns = Vtime.us 200 })
       ~faults ()
   in
-  let o = Mvee.run_program cfg ~name:"respawn2" ~body:(mixed_body ~iters:200 ()) in
+  let body = mixed_body ~iters:200 () in
+  let o = Mvee.run_program cfg ~name:"respawn2" ~body in
   Alcotest.(check int) "both crashes recovered" 2 o.Mvee.respawns;
   Alcotest.(check int) "both faults fired" 2 o.Mvee.faults_injected;
   Alcotest.(check bool) "clean verdict" true (o.Mvee.verdict = None);
   Alcotest.(check bool)
     "twice-respawned slave finished cleanly" true
-    (List.mem (1, 0) o.Mvee.exit_codes)
+    (List.mem (1, 0) o.Mvee.exit_codes);
+  match o.Mvee.recording with
+  | None -> Alcotest.fail "run captured no recording"
+  | Some recorded ->
+    let rep = replay_exn recorded ~body in
+    Alcotest.(check bool) "recording replays byte-identically" true
+      rep.Replayer.identical
 
 let () =
   Alcotest.run "replay"

@@ -249,10 +249,6 @@ let gen_event : Recording.event QCheck2.Gen.t =
       map
         (fun (rank, signo) -> Recording.Signal { rank; signo })
         (pair (int_range 0 7) (int_range 1 31));
-      map
-        (fun (reason, count) -> Recording.Flush { reason; count })
-        (pair (oneofl [ "full"; "deadline"; "barrier"; "overflow"; "demand" ])
-           gen_small);
     ]
 
 let gen_recording : Recording.t QCheck2.Gen.t =
@@ -375,6 +371,52 @@ let test_empty_and_garbage () =
       | Error _ -> ())
     [ ""; "R"; "RMRC"; "RMRC\x01"; String.make 64 '\xff'; String.make 3 '\x00' ]
 
+(* Event tag 3 (a batching-ring flush boundary: reason string + count) is
+   retired. A file carrying one under a valid checksum is corrupt, not a
+   crash. The same bytes with a tag-2 signal event decode, so the error
+   comes from the tag alone. *)
+let test_retired_tag_3 () =
+  let craft write_event =
+    let w = Syswire.W.create () in
+    String.iter (fun c -> Syswire.W.u8 w (Char.code c)) "RMRC";
+    Syswire.W.u8 w Recording.version;
+    (* header: backend, nreplicas, seed, level, on_failure, faults,
+       workload, shm_key *)
+    Syswire.W.str w "remon";
+    Syswire.W.uint w 2;
+    Syswire.W.int w 42;
+    List.iter (Syswire.W.str w) [ "SOCKET_RW_LEVEL"; "kill-group"; ""; "" ];
+    Syswire.W.uint w 0;
+    Syswire.W.uint w 1;
+    write_event w;
+    Syswire.W.bool w false;
+    let body = Syswire.W.contents w in
+    Syswire.W.str w (Digest.string body);
+    Syswire.W.contents w
+  in
+  let signal =
+    craft (fun w ->
+        Syswire.W.u8 w 2;
+        Syswire.W.uint w 0;
+        Syswire.W.uint w 10)
+  in
+  (match Recording.of_string signal with
+  | Ok r ->
+    Alcotest.(check int) "control decodes one event" 1
+      (Array.length r.Recording.events)
+  | Error _ -> Alcotest.fail "control recording rejected");
+  let flush =
+    craft (fun w ->
+        Syswire.W.u8 w 3;
+        Syswire.W.str w "full";
+        Syswire.W.uint w 8)
+  in
+  match Recording.of_string flush with
+  | Error (Syswire.Corrupt _) -> ()
+  | Error Syswire.Truncated -> Alcotest.fail "expected Corrupt, got Truncated"
+  | Ok _ -> Alcotest.fail "retired tag 3 parsed"
+  | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+
 (* Varint edge cases straight through the W/R modules. *)
 let test_varint_edges () =
   let round_int n =
@@ -417,5 +459,6 @@ let () =
           Alcotest.test_case "unknown version" `Quick test_unknown_version;
           Alcotest.test_case "empty and garbage" `Quick test_empty_and_garbage;
           Alcotest.test_case "varint edges" `Quick test_varint_edges;
+          Alcotest.test_case "retired event tag 3" `Quick test_retired_tag_3;
         ] );
     ]
