@@ -62,16 +62,16 @@ let run ?domains () =
   in
   let strategies =
     [
-      ( Context.remon_mode,
+      ( Context.default_mode,
         "per-record condvar + auto spin (ReMon)",
         "wakes skipped when nobody waits" );
-      ( { Context.remon_mode with Context.per_call_condvar = false },
+      ( { Context.default_mode with Context.per_call_condvar = false },
         "single condition variable",
         "every publish pays a FUTEX_WAKE" );
-      ( { Context.remon_mode with Context.slave_wait = Context.Wait_futex_only },
+      ( { Context.default_mode with Context.slave_wait = Context.Wait_futex_only },
         "condvar always",
         "futex wait even for non-blocking calls" );
-      ( { Context.remon_mode with Context.slave_wait = Context.Wait_spin_only },
+      ( { Context.default_mode with Context.slave_wait = Context.Wait_spin_only },
         "spin always",
         "lowest latency; burns slave CPU (not modeled)" );
     ]
@@ -121,7 +121,7 @@ let run ?domains () =
   let window_rows =
     Pool.map ?domains
       (fun window ->
-        let mode = { Context.varan_mode with Context.runahead_window = window } in
+        let mode = { Context.default_mode with Context.runahead_window = window } in
         let config = { (Runner.cfg_varan ()) with Mvee.mode_override = Some mode } in
         let v = Runner.normalized_time dense_profile config in
         let attack = Attack.divergent_syscall ~config () in

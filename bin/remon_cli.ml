@@ -15,30 +15,17 @@ open Remon_workloads
 (* ------------------------------------------------------------------ *)
 (* Shared options *)
 
-let backend_conv =
-  let parse = function
-    | "native" -> Ok Mvee.Native
-    | "ghumvee" -> Ok Mvee.Ghumvee_only
-    | "varan" -> Ok Mvee.Varan
-    | "remon" -> Ok Mvee.Remon
-    | s -> Error (`Msg (Printf.sprintf "unknown backend %S" s))
-  in
-  let print fmt b = Format.pp_print_string fmt (Mvee.backend_to_string b) in
-  Arg.conv (parse, print)
-
-let level_conv =
+(* A cmdliner converter from a field's to/of-string pair. *)
+let string_conv ~what of_string to_string =
   let parse s =
-    match Classification.level_of_string s with
-    | Some l -> Ok (Some l)
-    | None ->
-      if s = "all" || s = "monitor-all" then Ok None
-      else Error (`Msg (Printf.sprintf "unknown level %S" s))
+    match of_string s with
+    | Some v -> Ok v
+    | None -> Error (`Msg (Printf.sprintf "unknown %s %S" what s))
   in
-  let print fmt = function
-    | Some l -> Format.pp_print_string fmt (Classification.level_to_string l)
-    | None -> Format.pp_print_string fmt "monitor-all"
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (to_string v))
+
+let backend_conv =
+  string_conv ~what:"backend" Mvee.backend_of_string Mvee.backend_to_string
 
 let backend_arg =
   Arg.(
@@ -55,7 +42,10 @@ let replicas_arg =
 let level_arg =
   Arg.(
     value
-    & opt level_conv (Some Classification.Socket_rw_level)
+    & opt
+        (string_conv ~what:"level" Policy.level_of_string
+           Policy.level_to_string)
+        (Policy.spatial Classification.Socket_rw_level)
     & info [ "l"; "level" ] ~docv:"LEVEL"
         ~doc:
           "Spatial exemption level: base, nonsocket_ro, nonsocket_rw, \
@@ -87,58 +77,28 @@ let faults_arg =
            'crash@12:1,delay@30:1=5ms,droprb@5'. Kinds: crash, kill, args, \
            delay, sockerr, again, droprb, corruptrb.")
 
-let on_failure_conv =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ "kill-group" ] | [ "kill" ] -> Ok Mvee.Kill_group
-    | [ "quarantine" ] -> Ok Mvee.Quarantine
-    | "respawn" :: rest -> (
-      let max_respawns =
-        match rest with
-        | [] -> Some 3
-        | [ n ] -> int_of_string_opt n
-        | _ -> None
-      in
-      match max_respawns with
-      | Some max_respawns ->
-        Ok (Mvee.Respawn { max_respawns; backoff_ns = Vtime.ms 1 })
-      | None -> Error (`Msg (Printf.sprintf "bad respawn budget in %S" s)))
-    | _ ->
-      Error
-        (`Msg
-           (Printf.sprintf
-              "unknown failure policy %S (kill-group, quarantine, respawn[:N])"
-              s))
-  in
-  let print fmt = function
-    | Mvee.Kill_group -> Format.pp_print_string fmt "kill-group"
-    | Mvee.Quarantine -> Format.pp_print_string fmt "quarantine"
-    | Mvee.Respawn { max_respawns; _ } ->
-      Format.fprintf fmt "respawn:%d" max_respawns
-  in
-  Arg.conv (parse, print)
-
 let on_failure_arg =
   Arg.(
     value
-    & opt on_failure_conv Mvee.Kill_group
+    & opt
+        (string_conv ~what:"failure policy" Mvee.on_failure_of_string
+           Mvee.on_failure_to_string)
+        Mvee.Kill_group
     & info [ "on-failure" ] ~docv:"POLICY"
         ~doc:
           "Recovery policy for non-master replica faults: kill-group (the \
            paper's behavior), quarantine (detach and continue degraded), or \
-           respawn[:N] (quarantine, then replay the journal to bring a fresh \
-           replica back; at most N respawns, default 3).")
+           respawn[:N[:BACKOFF_NS]] (quarantine, then replay the journal to \
+           bring a fresh replica back; at most N respawns, default 3, with \
+           exponential backoff from BACKOFF_NS, default 1 ms).")
 
-let config_of backend nreplicas level seed faults on_failure =
+let config_of backend nreplicas policy seed faults on_failure =
   {
     Mvee.default_config with
     Mvee.backend;
     nreplicas;
     seed;
-    policy =
-      (match level with
-      | Some l -> Policy.spatial l
-      | None -> Policy.monitor_everything);
+    policy;
     faults;
     on_failure;
   }
@@ -274,7 +234,7 @@ let dump_recording ~record ~workload_name (outcome : Mvee.outcome option) =
     Printf.eprintf "recording NOT written to %s: no stream captured\n" path
   | None, _ -> ()
 
-let run_workload name backend nreplicas level latency seed faults on_failure
+let run_workload name backend nreplicas policy latency seed faults on_failure
     trace_lines trace_file metrics repeat domains record =
   match Registry.find name with
   | None ->
@@ -285,7 +245,7 @@ let run_workload name backend nreplicas level latency seed faults on_failure
       Printf.eprintf "--record needs a single run (drop --repeat)\n";
       exit 2
     end;
-    let config = config_of backend nreplicas level seed faults on_failure in
+    let config = config_of backend nreplicas policy seed faults on_failure in
     let config = { config with Mvee.record = record <> None } in
     let latency = Vtime.of_float_ns (latency *. 1e6) in
     if repeat > 1 then begin
@@ -297,14 +257,20 @@ let run_workload name backend nreplicas level latency seed faults on_failure
       run_repeated workload config latency ~repeat ~domains ~trace_file ~metrics
     end
     else
-    let obs = if trace_file <> None || metrics then Some (Obs.create ()) else None in
-    let dump_trace kernel =
-      if trace_lines > 0 then begin
+    let obs =
+      if trace_file <> None || metrics || trace_lines > 0 then
+        Some (Obs.create ())
+      else None
+    in
+    (* the --trace-lines view of the sink, printed right after the run *)
+    let print_route_lines () =
+      match obs with
+      | Some o when trace_lines > 0 ->
         Printf.printf "\nsyscall trace (first %d lines):\n" trace_lines;
         List.iteri
           (fun i line -> if i < trace_lines then Printf.printf "  %s\n" line)
-          (Remon_kernel.Kernel.trace kernel)
-      end
+          (Remon_kernel.Kernel.route_lines o)
+      | _ -> ()
     in
     Printf.printf "workload : %s\n" (Registry.describe workload);
     Printf.printf "backend  : %s, %d replica(s), policy %s\n\n"
@@ -314,21 +280,8 @@ let run_workload name backend nreplicas level latency seed faults on_failure
     try match workload with
     | Registry.Profile_workload profile ->
       let native = Runner.run_profile profile { config with Mvee.backend = Mvee.Native } in
-      let under =
-        if trace_lines > 0 then begin
-          let kernel = Remon_kernel.Kernel.create ~seed:config.Mvee.seed () in
-          Remon_kernel.Kernel.enable_tracing kernel;
-          (match obs with
-          | Some o -> Remon_kernel.Kernel.set_obs kernel o
-          | None -> ());
-          let h = Mvee.launch kernel config ~name ~body:(Profile.body profile) in
-          Remon_kernel.Kernel.run kernel;
-          let outcome = Mvee.finish h in
-          dump_trace kernel;
-          { Runner.duration = outcome.Mvee.duration; outcome }
-        end
-        else Runner.run_profile ?obs profile config
-      in
+      let under = Runner.run_profile ?obs profile config in
+      print_route_lines ();
       let o = under.Runner.outcome in
       Printf.printf "native runtime     : %s\n" (Vtime.to_string native.Runner.duration);
       Printf.printf "mvee runtime       : %s (normalized %.2f)\n"
@@ -358,6 +311,7 @@ let run_workload name backend nreplicas level latency seed faults on_failure
           { config with Mvee.backend = Mvee.Native }
       in
       let under = Runner.run_server_bench ~latency ?obs ~server ~client config in
+      print_route_lines ();
       Printf.printf "native client time : %s\n"
         (Vtime.to_string native.Runner.client_duration);
       Printf.printf "mvee client time   : %s (overhead %s)\n"
@@ -381,6 +335,7 @@ let run_workload name backend nreplicas level latency seed faults on_failure
          is a legitimate outcome, not a crash — dump what was collected
          before exiting, it is exactly what a failure wants looked at.
          The recording especially: it reproduces this very verdict. *)
+      print_route_lines ();
       Printf.printf "mvee terminated    : %s\n" (Divergence.to_string v);
       dump_recording ~record ~workload_name:name !Runner.last_outcome;
       (match obs with Some o -> finalize_obs ~trace_file ~metrics o | None -> ());
@@ -397,7 +352,10 @@ let run_cmd =
     Arg.(
       value & opt int 0
       & info [ "trace-lines" ] ~docv:"N"
-          ~doc:"Print the first N human-readable syscall-trace lines.")
+          ~doc:
+            "Print the first N lines of the routing trace: one line per \
+             syscall with the route IK-B chose, stamped with the thread's \
+             virtual clock after the trap.")
   in
   let trace_file_arg =
     Arg.(
@@ -602,8 +560,8 @@ let replay_cmd =
       $ show_events_arg $ trace_file_arg $ metrics_arg)
 
 let attack_cmd =
-  let run backend nreplicas level seed =
-    let config = config_of backend nreplicas level seed [] Mvee.Kill_group in
+  let run backend nreplicas policy seed =
+    let config = config_of backend nreplicas policy seed [] Mvee.Kill_group in
     List.iter
       (fun r -> Format.printf "%a@." Attack.pp_report r)
       (Attack.all_scenarios ~config ())

@@ -33,7 +33,9 @@ let app (env : Mvee.env) =
 let () =
   print_endline "-- quickstart: one program, two replicas, one set of effects --\n";
   let kernel = Kernel.create () in
-  Kernel.enable_tracing kernel;
+  (* a structured trace sink: the routing lines below are a view of it *)
+  let obs = Remon_obs.Obs.create () in
+  Kernel.set_obs kernel obs;
   let config =
     {
       Mvee.default_config with
@@ -57,7 +59,7 @@ let () =
   Printf.printf "replication records    : %d (resets: %d)\n" o.Mvee.rb_records o.Mvee.rb_resets;
   Printf.printf "tokens granted/rejected: %d/%d\n" o.Mvee.tokens_granted o.Mvee.tokens_rejected;
   (* a peek at the syscall routing IK-B performed *)
-  let trace = Kernel.trace kernel in
+  let trace = Kernel.route_lines obs in
   Printf.printf "\nfirst syscalls, as routed by IK-B (of %d traced):\n"
     (List.length trace);
   List.iteri (fun i line -> if i < 8 then Printf.printf "  %s\n" line) trace;

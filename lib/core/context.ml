@@ -19,10 +19,9 @@ type failure_policy =
   | Quarantine
   | Respawn of { max_respawns : int; backoff_ns : Vtime.t }
 
+(* Replication-buffer tuning. Every backend runs [default_mode]; the
+   ablations override single fields. *)
 type mode = {
-  use_token : bool; (* IK-B authorization (off in the VARAN baseline) *)
-  lockstep : bool; (* CP monitor enforces lockstep for monitored calls *)
-  crash_on_mismatch : bool; (* IP-MON slaves crash intentionally on divergence *)
   per_call_condvar : bool;
       (* Section 3.7 optimization: one condition variable per RB record.
          When off (ablation), every publish pays a FUTEX_WAKE. *)
@@ -36,19 +35,8 @@ type mode = {
          bench answers it. *)
 }
 
-let remon_mode =
-  {
-    use_token = true;
-    lockstep = true;
-    crash_on_mismatch = true;
-    per_call_condvar = true;
-    slave_wait = Wait_auto;
-    runahead_window = None;
-  }
-
-(* VARAN-like: everything replicated in-process, no lockstep, no tokens. *)
-let varan_mode =
-  { remon_mode with use_token = false; lockstep = false }
+let default_mode =
+  { per_call_condvar = true; slave_wait = Wait_auto; runahead_window = None }
 
 type group = {
   kernel : Kernel.t;
@@ -63,7 +51,6 @@ type group = {
   mutable replicas : Proc.process array; (* index = variant *)
   mutable divergence : Divergence.t option;
   mutable shutdown : bool;
-  mutable ipmon_calls : int;
   mutable ipmon_fallbacks : int;
   (* recovery-policy state *)
   quarantined : bool array; (* per variant; index 0 never set *)

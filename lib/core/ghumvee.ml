@@ -59,14 +59,7 @@ type t = {
       (* (rank, variant) -> replaying arrival parked at the journal head *)
   mutable exits_seen : (int * int) list; (* variant, exit code *)
   mutable shutting_down : bool;
-  (* statistics *)
   mutable rendezvous_count : int;
-  mutable results_copied : int;
-  mutable signals_deferred : int;
-  mutable signals_injected : int;
-  mutable maps_filtered : int;
-  mutable shm_rejected : int;
-  mutable replayed_records : int;
 }
 
 let create (g : Context.group) ?(watchdog_ns = Vtime.s 10)
@@ -85,12 +78,6 @@ let create (g : Context.group) ?(watchdog_ns = Vtime.s 10)
     exits_seen = [];
     shutting_down = false;
     rendezvous_count = 0;
-    results_copied = 0;
-    signals_deferred = 0;
-    signals_injected = 0;
-    maps_filtered = 0;
-    shm_rejected = 0;
-    replayed_records = 0;
   }
 
 let rank_state t rank =
@@ -228,14 +215,13 @@ let master_side_effects t ~(call : Syscall.call) (result : Syscall.result) =
   | (Syscall.Open ("/proc/self/maps", _) | Syscall.Openat ("/proc/self/maps", _)),
     Syscall.Ok_int fd -> (
     match Proc.desc_of_fd master fd with
-    | Some ({ kind = Proc.Proc_maps pm; _ } as _d) ->
+    | Some { kind = Proc.Proc_maps pm; _ } ->
       let hide (r : Vm.region) =
         match r.Vm.backing with
         | Vm.Ipmon_code | Vm.Shm_seg _ -> true
         | _ -> false
       in
-      pm.content <- Vm.maps_text ~hide master.Proc.vm;
-      t.maps_filtered <- t.maps_filtered + 1
+      pm.content <- Vm.maps_text ~hide master.Proc.vm
     | _ -> ())
   | _ -> ()
 
@@ -244,7 +230,6 @@ let master_side_effects t ~(call : Syscall.call) (result : Syscall.result) =
 let inject_deferred t (arrivals : arrival list) =
   while not (Queue.is_empty t.deferred_signals) do
     let sg = Queue.pop t.deferred_signals in
-    t.signals_injected <- t.signals_injected + 1;
     (* every replica receives the injection at the same logical point, so
        the recording carries one event, stamped with the rendezvous rank *)
     (match arrivals with
@@ -332,7 +317,6 @@ let rec process_rendezvous t rank (arrivals : arrival list) =
     match shm_verdict call with
     | Some denial ->
       (* rejection is a policy action, not a divergence: deny in all *)
-      t.shm_rejected <- t.shm_rejected + 1;
       Record_log.note_call (store t) ~rank
         ~call:(Callinfo.normalize call) ~result:denial;
       set_state t rank Idle;
@@ -400,7 +384,10 @@ let purge_variant t ~variant =
 (* Bounded retry with doubled delay: a stalled arrival (e.g. an injected
    rendezvous delay) gets [max_watchdog_retries] grace periods before the
    monitor escalates. Escalation quarantines the missing slaves when the
-   policy allows; a missing master (or a declined policy) kills the group. *)
+   policy allows; a missing master (or a declined policy) kills the group.
+   Once every replica has exited there is nothing left to stall: a
+   half-collected rendezvous (an [exit_group] killed the thread the others
+   were waiting for) is not a timeout. *)
 let rec arm_watchdog ?(attempt = 0) t rank =
   let seq = match Hashtbl.find_opt t.seqs rank with Some s -> s | None -> 0 in
   let delay = Vtime.scale t.watchdog_ns (2. ** float_of_int attempt) in
@@ -408,7 +395,11 @@ let rec arm_watchdog ?(attempt = 0) t rank =
     ~time:(Vtime.add (Kernel.now t.kernel) delay)
     (fun () ->
       let cur = match Hashtbl.find_opt t.seqs rank with Some s -> s | None -> 0 in
-      if (not t.shutting_down) && cur = seq then begin
+      if
+        (not t.shutting_down) && cur = seq
+        && Array.exists (fun (p : Proc.process) -> p.Proc.alive)
+             t.g.Context.replicas
+      then begin
         match rank_state t rank with
         | Collecting { arrivals; _ } ->
           if attempt < t.max_watchdog_retries then begin
@@ -523,7 +514,6 @@ and replay_entry t (th : Proc.thread) (call : Syscall.call) ~variant ~cursors
       Kernel.kill_process t.kernel th.Proc.proc ~code:134
     end
     else begin
-      t.replayed_records <- t.replayed_records + 1;
       let cost = Kernel.cost t.kernel in
       (* the follower replays in-process from the shared stream — it pays
          no ptrace round trip and does not serialize through the monitor;
@@ -645,9 +635,6 @@ let handle_exit t (th : Proc.thread) (call : Syscall.call)
               Vtime.add
                 (Vtime.max a.th.Proc.clock done_at)
                 (Vtime.ns (Cost_model.copy_ns cost ~bytes));
-            (Kernel.stats t.kernel).Kstate.bytes_copied_xproc <-
-              (Kernel.stats t.kernel).Kstate.bytes_copied_xproc + bytes;
-            t.results_copied <- t.results_copied + 1;
             Kernel.resume t.kernel a.th (Proc.Resume_skip r))
           slaves;
         Kernel.resume t.kernel th Proc.Resume_continue
@@ -678,7 +665,6 @@ let handle_signal t (th : Proc.thread) sg =
   else begin
     (* defer: take ownership and set the RB flag so replicas restart calls
        as monitored calls until the injection happens (Section 3.8) *)
-    t.signals_deferred <- t.signals_deferred + 1;
     Queue.push sg t.deferred_signals;
     t.g.Context.rb.Replication_buffer.signals_pending <- true;
     (* abort the master's blocked unmonitored calls so it reaches a

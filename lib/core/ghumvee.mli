@@ -42,12 +42,6 @@ type t = {
   mutable exits_seen : (int * int) list;
   mutable shutting_down : bool;
   mutable rendezvous_count : int;
-  mutable results_copied : int;
-  mutable signals_deferred : int;
-  mutable signals_injected : int;
-  mutable maps_filtered : int;
-  mutable shm_rejected : int;
-  mutable replayed_records : int;
 }
 
 val create :

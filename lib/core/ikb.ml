@@ -47,10 +47,6 @@ type t = {
   replaying : (int, unit) Hashtbl.t;
       (* variants resynchronizing from the journal: every call they make is
          forced onto the monitored path so GHUMVEE can replay-verify it *)
-  mutable revocations : int;
-  mutable rejected : int;
-  mutable grants : int;
-  mutable on_violation : Divergence.t -> unit;
 }
 
 let create ~kernel ~policy ~seed =
@@ -65,10 +61,6 @@ let create ~kernel ~policy ~seed =
     route_all = false;
     master_proc = None;
     replaying = Hashtbl.create 4;
-    revocations = 0;
-    rejected = 0;
-    grants = 0;
-    on_violation = (fun _ -> ());
   }
 
 (* Token-lifecycle observability: grants/revocations are metrics only (one
@@ -99,7 +91,6 @@ let revoke t (th : Proc.thread) =
   match Hashtbl.find_opt t.tokens th.tid with
   | Some tr when tr.live ->
     tr.live <- false;
-    t.revocations <- t.revocations + 1;
     obs_metric t "ikb.revocations"
   | _ -> ()
 
@@ -169,7 +160,6 @@ let classify t (th : Proc.thread) (call : Syscall.call) : K.route =
           let value = fresh_token t in
           Hashtbl.replace t.tokens th.tid
             { value; granted_for = call; live = true; temporal = false };
-          t.grants <- t.grants + 1;
           obs_metric t "ikb.tokens_granted";
           K.Route_ipmon value
         end
@@ -202,7 +192,6 @@ let classify t (th : Proc.thread) (call : Syscall.call) : K.route =
             let value = fresh_token t in
             Hashtbl.replace t.tokens th.tid
               { value; granted_for = call; live = true; temporal = temporally_ok };
-            t.grants <- t.grants + 1;
             obs_metric t "ikb.tokens_granted";
             K.Route_ipmon value
           end
@@ -221,11 +210,9 @@ let verify t (th : Proc.thread) ~token ~(call : Syscall.call) =
     true
   | Some tr ->
     if tr.live then revoke t th;
-    t.rejected <- t.rejected + 1;
     obs_rejected t th;
     false
   | None ->
-    t.rejected <- t.rejected + 1;
     obs_rejected t th;
     false
 
@@ -258,15 +245,13 @@ let note_approval t (no : Sysno.t) =
   | Some cfg ->
     Policy.record_approval t.temporal_state ~now:(Kernel.now t.kernel) no ~cfg
 
-(* Installs this broker into the kernel, scoped to one replica group so
-   several MVEE instances (a fleet) can coexist in a single kernel. *)
+(* Installs this broker's interceptor into the kernel, scoped to one
+   replica group so several MVEE instances (a fleet) can coexist in a
+   single kernel. The verifier needs no hook: IP-MON calls [verify]
+   directly. *)
 let install t ~group_id =
   Kernel.register_broker t.kernel ~group_id
-    {
-      K.broker_name = "ik-b";
-      classify = (fun th call -> classify t th call);
-      verify = (fun th ~token ~call -> verify t th ~token ~call);
-    }
+    { K.classify = (fun th call -> classify t th call) }
 
 (* Executes [call] through the verifier, or reports a violation and runs the
    fallback. Used by IP-MON (legitimate) and by attack scenarios (forged

@@ -30,10 +30,6 @@ type t = {
       (** authoritative fd table for classification (slaves hold stubs) *)
   replaying : (int, unit) Hashtbl.t;
       (** variants resynchronizing from the journal: forced monitored *)
-  mutable revocations : int;
-  mutable rejected : int;
-  mutable grants : int;
-  mutable on_violation : Divergence.t -> unit;
 }
 
 val create : kernel:Kernel.t -> policy:Policy.t -> seed:int -> t

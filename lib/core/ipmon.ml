@@ -109,7 +109,6 @@ let from_logical inst (result : Syscall.result) =
 let rec invoke inst (th : Proc.thread) ~token ~(call : Syscall.call)
     ~(return : Syscall.result -> unit) =
   let g = inst.group in
-  g.Context.ipmon_calls <- g.Context.ipmon_calls + 1;
   if g.Context.shutdown then do_fallback inst th ~call ~return
   else if maybe_checked inst th ~token call then do_fallback inst th ~call ~return
   else begin

@@ -47,8 +47,8 @@ type config = {
   watchdog_retries : int;
       (* stalled-rendezvous grace periods (each doubling the delay) before
          the watchdog escalates *)
-  record_replay : bool;
-  mode_override : Context.mode option; (* ablations; None = backend default *)
+  mode_override : Context.mode option;
+      (* ablations; None = Context.default_mode *)
   rb_migration_interval : Vtime.t option;
       (* Section 4 extension: IK-B periodically moves the RB to a fresh
          virtual address by remapping the replicas' page tables, further
@@ -95,7 +95,6 @@ let default_config =
     seed = 42;
     watchdog_ns = Vtime.s 30;
     watchdog_retries = 2;
-    record_replay = true;
     mode_override = None;
     rb_migration_interval = None;
     on_failure = Kill_group;
@@ -111,10 +110,7 @@ let header_of_config (config : config) ~workload =
     Recording.backend = backend_to_string config.backend;
     nreplicas = config.nreplicas;
     seed = config.seed;
-    level =
-      (match config.policy.Policy.spatial with
-      | Some l -> Classification.level_to_string l
-      | None -> "monitor-all");
+    level = Policy.level_to_string config.policy;
     on_failure = on_failure_to_string config.on_failure;
     faults = Fault.to_string config.faults;
     workload;
@@ -181,14 +177,7 @@ let shm_key_counter = Atomic.make 0
 
 let make_group kernel (config : config) nreplicas =
   let shm_serial = Atomic.fetch_and_add shm_key_counter 1 + 1 in
-  let mode =
-    match config.mode_override with
-    | Some m -> m
-    | None -> (
-      match config.backend with
-      | Varan -> Context.varan_mode
-      | Native | Ghumvee_only | Remon -> Context.remon_mode)
-  in
+  let mode = Option.value config.mode_override ~default:Context.default_mode in
   let ikb = Ikb.create ~kernel ~policy:config.policy ~seed:config.seed in
   if config.backend = Varan then ikb.Ikb.route_all <- true;
   let rb = Replication_buffer.create ~size_bytes:config.rb_size ~nreplicas in
@@ -208,7 +197,6 @@ let make_group kernel (config : config) nreplicas =
     replicas = [||];
     divergence = None;
     shutdown = false;
-    ipmon_calls = 0;
     ipmon_fallbacks = 0;
     quarantined = Array.make nreplicas false;
     replica_fault_handler = None;
@@ -288,7 +276,7 @@ let launch (kernel : Kernel.t) (config : config) ~name
   | Native | Ghumvee_only -> ());
   let agent =
     Record_replay.create ~kernel ~log:group.Context.rb.Replication_buffer.sync_log
-      ~enabled:(config.record_replay && nreplicas > 1)
+      ~enabled:(nreplicas > 1)
   in
   (* one store of the master's stream serves both consumers: a recording
      snapshots it, and the Respawn policy resynchronizes fresh replicas

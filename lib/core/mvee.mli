@@ -37,8 +37,8 @@ type config = {
   watchdog_retries : int;
       (** stalled-rendezvous grace periods (each doubling the delay)
           before the watchdog escalates *)
-  record_replay : bool; (** enable the user-space sync agent *)
-  mode_override : Context.mode option; (** ablations; [None] = backend default *)
+  mode_override : Context.mode option;
+      (** ablations; [None] = {!Context.default_mode} *)
   rb_migration_interval : Vtime.t option;
       (** Section 4 extension: periodically remap the RB to fresh
           randomized addresses *)

@@ -31,12 +31,18 @@ let with_temporal t temporal = { t with temporal = Some temporal }
 let default_temporal =
   { min_approvals = 32; exempt_probability = 0.5; window_ns = Remon_sim.Vtime.ms 100 }
 
+(* The spatial level alone, as recordings and the CLI spell it. *)
+let level_to_string t =
+  match t.spatial with
+  | Some l -> Classification.level_to_string l
+  | None -> "monitor-all"
+
+let level_of_string = function
+  | "monitor-all" | "all" -> Some monitor_everything
+  | s -> Option.map spatial (Classification.level_of_string s)
+
 let to_string t =
-  match (t.spatial, t.temporal) with
-  | None, None -> "monitor-all"
-  | Some l, None -> Classification.level_to_string l
-  | None, Some _ -> "monitor-all+temporal"
-  | Some l, Some _ -> Classification.level_to_string l ^ "+temporal"
+  level_to_string t ^ (if t.temporal = None then "" else "+temporal")
 
 (* ------------------------------------------------------------------ *)
 (* Spatial decision *)

@@ -23,6 +23,14 @@ val with_temporal : t -> temporal -> t
 val default_temporal : temporal
 val to_string : t -> string
 
+val level_to_string : t -> string
+(** The spatial level alone (temporal exemption is not part of it): a
+    Table 1 level name, or ["monitor-all"]. Recordings store it. *)
+
+val level_of_string : string -> t option
+(** Inverse of {!level_to_string}; also accepts the short level names
+    ([socket_rw], ...) and ["all"]. *)
+
 val op_type_allowed : Syscall.call -> bool
 (** Table 1's "depending on op type" column: benign fcntl/ioctl subtypes
     only (e.g. F_DUPFD allocates an fd and is never exempt). *)

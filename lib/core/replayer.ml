@@ -20,13 +20,7 @@ let config_of_header ?backend (h : Recording.header) =
     | None ->
       Error (Printf.sprintf "unknown failure policy %S" h.Recording.on_failure)
     | Some on_failure -> (
-      let policy =
-        if h.Recording.level = "monitor-all" then Some Policy.monitor_everything
-        else
-          Option.map Policy.spatial
-            (Classification.level_of_string h.Recording.level)
-      in
-      match policy with
+      match Policy.level_of_string h.Recording.level with
       | None -> Error (Printf.sprintf "unknown level %S" h.Recording.level)
       | Some policy -> (
         match Fault.of_string h.Recording.faults with

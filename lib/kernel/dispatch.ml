@@ -3,9 +3,9 @@
 
    Control flow for one syscall (mirrors Figure 2 of the paper):
 
-     handle --(broker route)--> ipmon invoke --> execute_raw ...... finish
-         \--(Route_monitor)---> entry stop --> proceed --> exit stop --> finish
-         \--(Route_plain)-----> proceed ------------------------------> finish
+     handle -> route -+-(ipmon)-----> IP-MON invoke -> execute_raw ..... finish
+                      +-(monitored)-> entry stop -> exec -> exit stop -> finish
+                      +-(plain)-----> exec ----------------------------> finish
 
    Every stage is CPS: a stage either completes synchronously or parks the
    thread with a retry thunk and completes later. *)
@@ -184,18 +184,57 @@ let block k (th : Proc.thread) ~what ?timeout_ns ?(intr = true)
       in
       b.Proc.timeout <- Some handle)
 
+(* The blocking idiom of calls on a descriptor: where a blocking one parks
+   until [poll] yields, a nonblocking one fails with EAGAIN. *)
+let park_or_eagain k th (d : Proc.desc) ~what ~poll ~on_ready ~ret =
+  if d.nonblock then
+    match poll () with Some v -> on_ready v | None -> ret (err Errno.EAGAIN)
+  else block k th ~what ~poll ~on_ready ~complete:ret ()
+
+(* Readiness waits (select, poll, epoll_wait): [poll] yields [None] while
+   nothing is ready. A zero timeout polls once; an expired one reports an
+   empty ready set. *)
+let wait_ready k th ~what ~timeout_ns ~poll ~(ready : 'a list -> Syscall.result)
+    ~ret =
+  if timeout_ns = Some 0 then
+    ret (ready (match poll () with Some l -> l | None -> []))
+  else
+    block k th ~what ?timeout_ns ~poll
+      ~on_ready:(fun l -> ret (ready l))
+      ~complete:(fun r ->
+        if r = err Errno.ETIMEDOUT then ret (ready []) else ret r)
+      ()
+
+(* select/poll over [fds]: (fd, wanted events) pairs. A closed fd reports
+   POLLERR. *)
+let poll_fds k (th : Proc.thread) ~what fds ~timeout_ns ~ret =
+  let p = proc_of th in
+  let poll () =
+    let ready =
+      List.filter_map
+        (fun (fd, want) ->
+          match Proc.desc_of_fd p fd with
+          | None -> Some (fd, { Syscall.ev_none with pollerr = true })
+          | Some d ->
+            let have = poll_desc k d in
+            if events_intersect want have then Some (fd, have) else None)
+        fds
+    in
+    match ready with [] -> None | ready -> Some ready
+  in
+  wait_ready k th ~what ~timeout_ns ~poll ~ready:(fun l -> Syscall.Ok_poll l)
+    ~ret
+
 (* ------------------------------------------------------------------ *)
 (* Descriptor release *)
 
-let release_desc k (p : Proc.process) (d : Proc.desc) =
+(* Drops one reference. Epoll interest is keyed by fd number, so nothing
+   here touches epoll instances: stale entries are skipped at wait time. *)
+let release_desc k (d : Proc.desc) =
   d.refs <- d.refs - 1;
   if d.refs <= 0 then begin
-    (match d.kind with
-    | Proc.Pipe_read pi ->
-      pi.readers <- pi.readers - 1;
-      if Pipe.read_closed pi then
-        (* writers blocked on a reader-less pipe get SIGPIPE/EPIPE on retry *)
-        ()
+    match d.kind with
+    | Proc.Pipe_read pi -> pi.readers <- pi.readers - 1
     | Proc.Pipe_write pi -> pi.writers <- pi.writers - 1
     | Proc.Stream s ->
       Net.close_stream s;
@@ -204,15 +243,7 @@ let release_desc k (p : Proc.process) (d : Proc.desc) =
     | Proc.Listener l -> Net.close_listener k.K.net l
     | Proc.Epoll_fd _ | Proc.Timer_fd _ | Proc.Event_fd _ | Proc.Regular _
     | Proc.Directory _ | Proc.Dev_null | Proc.Proc_maps _
-    | Proc.Replicated_handle _ -> ());
-    (* epoll instances watching this process's fds learn on close *)
-    Hashtbl.iter
-      (fun _ (other : Proc.desc) ->
-        match other.kind with
-        | Proc.Epoll_fd _ -> () (* interest keyed by fd number; stale entries
-                                    are skipped at wait time *)
-        | _ -> ())
-      p.fds
+    | Proc.Replicated_handle _ -> ()
   end;
   Sched.kick k.K.sched
 
@@ -224,14 +255,13 @@ let release_all_fds k (p : Proc.process) =
   let descs = Hashtbl.fold (fun fd d acc -> (fd, d) :: acc) p.fds [] in
   let descs = List.sort (fun (a, _) (b, _) -> compare (a : int) b) descs in
   Hashtbl.reset p.fds;
-  List.iter (fun (_, d) -> release_desc k p d) descs
+  List.iter (fun (_, d) -> release_desc k d) descs
 
 (* ------------------------------------------------------------------ *)
 (* Signals *)
 
 let rec post_signal k (p : Proc.process) sg =
   if p.alive && sg > 0 then begin
-    k.K.stats.signals_posted <- k.K.stats.signals_posted + 1;
     (match signal_action p sg with
     | Syscall.Sig_ignore when Sigdefs.catchable sg -> ()
     | _ -> Queue.push sg p.pending_signals);
@@ -267,7 +297,6 @@ and kill_process k (p : Proc.process) ~code =
 let deliver_signal k (th : Proc.thread) sg =
   let p = proc_of th in
   remove_pending p sg;
-  k.K.stats.signals_delivered <- k.K.stats.signals_delivered + 1;
   charge th k.K.cost.signal_delivery_ns;
   match signal_action p sg with
   | Syscall.Sig_handler _ ->
@@ -286,10 +315,11 @@ let deliver_signal k (th : Proc.thread) sg =
 
 let encode_flags (d : Proc.desc) = if d.nonblock then 0x800 else 0
 
+let wall_ns k = Int64.add k.K.epoch_offset_ns (Int64.of_int (K.now k))
+
 (* Reads [count] bytes from a descriptor; blocks according to [d.nonblock]
    unless the caller is the kernel itself. *)
 let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.result -> unit) =
-  let p = proc_of th in
   let data_done s =
     charge th (Cost_model.local_copy_ns k.K.cost ~bytes:(String.length s));
     ret (Syscall.Ok_data s)
@@ -320,13 +350,8 @@ let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.resu
         else if Pipe.write_closed pi then Some ""
         else None
       in
-      if d.nonblock then (
-        match attempt () with
-        | Some s -> data_done s
-        | None -> ret (err Errno.EAGAIN))
-      else
-        block k th ~what:"read(pipe)" ~poll:attempt ~on_ready:data_done
-          ~complete:ret ()
+      park_or_eagain k th d ~what:"read(pipe)" ~poll:attempt ~on_ready:data_done
+        ~ret
     | Proc.Pipe_write _ -> ret (err Errno.EBADF)
     | Proc.Stream s ->
       let attempt () =
@@ -341,13 +366,8 @@ let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.resu
         else if stream_eof s then Some ""
         else None
       in
-      if d.nonblock then (
-        match attempt () with
-        | Some data -> data_done data
-        | None -> ret (err Errno.EAGAIN))
-      else
-        block k th ~what:"read(socket)" ~poll:attempt ~on_ready:data_done
-          ~complete:ret ()
+      park_or_eagain k th d ~what:"read(socket)" ~poll:attempt
+        ~on_ready:data_done ~ret
     | Proc.Timer_fd tf ->
       let attempt () =
         let avail = timer_available tf (K.now k) in
@@ -357,13 +377,8 @@ let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.resu
         end
         else None
       in
-      if d.nonblock then (
-        match attempt () with
-        | Some r -> ret r
-        | None -> ret (err Errno.EAGAIN))
-      else
-        block k th ~what:"read(timerfd)" ~poll:attempt ~on_ready:ret
-          ~complete:ret ()
+      park_or_eagain k th d ~what:"read(timerfd)" ~poll:attempt ~on_ready:ret
+        ~ret
     | Proc.Event_fd e ->
       (* eventfd semantics: read returns the counter and resets it,
          blocking while it is zero *)
@@ -376,19 +391,13 @@ let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.resu
         end
         else None
       in
-      if d.nonblock then (
-        match attempt () with
-        | Some r -> ret r
-        | None -> ret (err Errno.EAGAIN))
-      else
-        block k th ~what:"read(eventfd)" ~poll:attempt ~on_ready:ret
-          ~complete:ret ()
+      park_or_eagain k th d ~what:"read(eventfd)" ~poll:attempt ~on_ready:ret
+        ~ret
     | Proc.Listener _ | Proc.Epoll_fd _ -> ret (err Errno.EINVAL)
     | Proc.Replicated_handle _ ->
       (* A slave replica's stub descriptor reached the kernel: under a
          correctly-functioning MVEE this never happens, because slave I/O
          is aborted and satisfied from replicated results. *)
-      ignore p;
       ret (err Errno.EREMOTEIO)
 
 and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -> unit) =
@@ -423,13 +432,8 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
             end
             else None
         in
-        if d.nonblock then (
-          match attempt () with
-          | Some r -> ret r
-          | None -> ret (err Errno.EAGAIN))
-        else
-          block k th ~what:"write(pipe)" ~poll:attempt ~on_ready:ret
-            ~complete:ret ()
+        park_or_eagain k th d ~what:"write(pipe)" ~poll:attempt ~on_ready:ret
+          ~ret
       end
     | Proc.Stream s ->
       (* Bounded socket buffers: each send accepts at most the peer's free
@@ -492,6 +496,24 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
     | Proc.Directory _ | Proc.Proc_maps _ ->
       ret (err Errno.EBADF)
     | Proc.Replicated_handle _ -> ret (err Errno.EREMOTEIO)
+
+(* Positional I/O (pread64/preadv, pwrite64/pwritev): regular files only,
+   and the descriptor offset does not move. *)
+and pread (d : Proc.desc) ~offset ~count ~ret =
+  match d.kind with
+  | Proc.Regular node -> (
+    match Vfs.read_at node ~offset ~count with
+    | Ok s -> ret (Syscall.Ok_data s)
+    | Error e -> ret (err e))
+  | _ -> ret (err Errno.ESPIPE)
+
+and pwrite k (d : Proc.desc) ~offset ~data ~ret =
+  match d.kind with
+  | Proc.Regular node -> (
+    match Vfs.write_at node ~offset ~data ~now_ns:(K.now k) with
+    | Ok n -> ret (Syscall.Ok_int n)
+    | Error e -> ret (err e))
+  | _ -> ret (err Errno.ESPIPE)
 
 (* Builds the stat result for a node-backed or anonymous descriptor. *)
 and stat_of_node (node : Vfs.node) =
@@ -558,7 +580,6 @@ let exit_current k (th : Proc.thread) ~code ~group =
 
 let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> unit) =
   let p = proc_of th in
-  let now () = K.now k in
   let with_fd fd f =
     match Proc.desc_of_fd p fd with
     | None -> ret (err Errno.EBADF)
@@ -569,22 +590,11 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
     Hashtbl.replace p.fds fd desc;
     fd
   in
-  let wall_ns () = Int64.add k.K.epoch_offset_ns (Int64.of_int (now ())) in
-  let gather_poll fds =
-    List.filter_map
-      (fun (fd, want) ->
-        match Proc.desc_of_fd p fd with
-        | None -> Some (fd, { Syscall.ev_none with pollerr = true })
-        | Some d ->
-          let have = poll_desc k d in
-          if events_intersect want have then Some (fd, have) else None)
-      fds
-  in
   match call with
   (* ---- identity / time ---- *)
-  | Syscall.Gettimeofday | Syscall.Time -> ret (Syscall.Ok_int64 (wall_ns ()))
-  | Syscall.Clock_gettime `Realtime -> ret (Syscall.Ok_int64 (wall_ns ()))
-  | Syscall.Clock_gettime `Monotonic -> ret (Syscall.Ok_int64 (Int64.of_int (now ())))
+  | Syscall.Gettimeofday | Syscall.Time -> ret (Syscall.Ok_int64 (wall_ns k))
+  | Syscall.Clock_gettime `Realtime -> ret (Syscall.Ok_int64 (wall_ns k))
+  | Syscall.Clock_gettime `Monotonic -> ret (Syscall.Ok_int64 (Int64.of_int (K.now k)))
   | Syscall.Getpid -> ret (Syscall.Ok_int p.pid)
   | Syscall.Gettid -> ret (Syscall.Ok_int th.tid)
   | Syscall.Getpgrp -> ret (Syscall.Ok_int p.pid)
@@ -594,13 +604,13 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Getcwd -> ret (Syscall.Ok_str p.cwd)
   | Syscall.Getpriority -> ret (Syscall.Ok_int 20)
   | Syscall.Getrusage -> ret (Syscall.Ok_int64 (Int64.of_int th.clock))
-  | Syscall.Times -> ret (Syscall.Ok_int64 (Int64.of_int (now ())))
+  | Syscall.Times -> ret (Syscall.Ok_int64 (Int64.of_int (K.now k)))
   | Syscall.Capget -> ret (Syscall.Ok_int 0)
   | Syscall.Getitimer -> (
     match p.itimer with
     | Some spec -> ret (Syscall.Ok_itimer spec)
     | None -> ret (Syscall.Ok_itimer { interval_ns = 0; value_ns = 0 }))
-  | Syscall.Sysinfo -> ret (Syscall.Ok_int64 (Int64.of_int (now ())))
+  | Syscall.Sysinfo -> ret (Syscall.Ok_int64 (Int64.of_int (K.now k)))
   | Syscall.Uname -> ret (Syscall.Ok_str "Linux remon-sim 3.13.11 x86_64")
   | Syscall.Sched_yield -> ret (Syscall.Ok_int 0)
   | Syscall.Nanosleep ns ->
@@ -612,7 +622,6 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
       ()
   (* ---- futex ---- *)
   | Syscall.Futex (Syscall.Futex_wait { addr; expected; timeout_ns }) ->
-    k.K.stats.futex_waits <- k.K.stats.futex_waits + 1;
     charge th k.K.cost.futex_wait_ns;
     if Vm.read_word p.vm addr <> expected then ret (err Errno.EAGAIN)
     else begin
@@ -629,7 +638,6 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
         ()
     end
   | Syscall.Futex (Syscall.Futex_wake { addr; count }) ->
-    k.K.stats.futex_wakes <- k.K.stats.futex_wakes + 1;
     charge th k.K.cost.futex_wake_ns;
     let key = Vm.futex_key p.vm ~space_id:p.pid addr in
     let q = K.futex_queue k key in
@@ -745,8 +753,8 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Alarm seconds ->
     let prev =
       match p.alarm_deadline with
-      | Some d when Vtime.(d > now ()) ->
-        Vtime.sub d (now ()) / 1_000_000_000
+      | Some d when Vtime.(d > K.now k) ->
+        Vtime.sub d (K.now k) / 1_000_000_000
       | _ -> 0
     in
     if seconds = 0 then begin
@@ -754,7 +762,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
       ret (Syscall.Ok_int prev)
     end
     else begin
-      let deadline = Vtime.add (now ()) (Vtime.s seconds) in
+      let deadline = Vtime.add (K.now k) (Vtime.s seconds) in
       p.alarm_deadline <- Some deadline;
       Sched.schedule k.K.sched ~time:deadline (fun () ->
           match p.alarm_deadline with
@@ -768,7 +776,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
     let armed = spec.value_ns > 0 in
     p.itimer <- (if armed then Some spec else None);
     if armed then begin
-      let first = Vtime.add (now ()) spec.value_ns in
+      let first = Vtime.add (K.now k) spec.value_ns in
       p.itimer_next <- Some first;
       let rec fire deadline =
         Sched.schedule k.K.sched ~time:deadline (fun () ->
@@ -788,7 +796,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
     else p.itimer_next <- None;
     ret (Syscall.Ok_int 0)
   | Syscall.Timerfd_create ->
-    let tf = { Proc.spec = None; armed_at = now (); expirations = 0 } in
+    let tf = { Proc.spec = None; armed_at = K.now k; expirations = 0 } in
     ret (Syscall.Ok_int (install_fd (Proc.make_desc (Proc.Timer_fd tf))))
   | Syscall.Timerfd_gettime fd ->
     with_fd fd (fun d ->
@@ -804,7 +812,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
         | Proc.Timer_fd tf ->
           let armed = spec.value_ns > 0 in
           tf.spec <- (if armed then Some spec else None);
-          tf.armed_at <- now ();
+          tf.armed_at <- K.now k;
           tf.expirations <- 0;
           if armed then begin
             (* chain kicks at each expiration so poll/epoll waiters wake *)
@@ -817,7 +825,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
                       chain (Vtime.add t s.interval_ns)
                   | _ -> ())
             in
-            chain (Vtime.add (now ()) spec.value_ns)
+            chain (Vtime.add (K.now k) spec.value_ns)
           end;
           ret (Syscall.Ok_int 0)
         | _ -> ret (err Errno.EINVAL))
@@ -830,56 +838,20 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
     with_fd fd (fun d -> do_read k th d ~count:(msgs * each) ~ret)
   | Syscall.Readv (fd, lens) ->
     with_fd fd (fun d -> do_read k th d ~count:(List.fold_left ( + ) 0 lens) ~ret)
-  | Syscall.Pread64 (fd, count, offset) | Syscall.Preadv (fd, [ count ], offset)
-    ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Regular node -> (
-          match Vfs.read_at node ~offset ~count with
-          | Ok s -> ret (Syscall.Ok_data s)
-          | Error e -> ret (err e))
-        | _ -> ret (err Errno.ESPIPE))
+  | Syscall.Pread64 (fd, count, offset) ->
+    with_fd fd (fun d -> pread d ~offset ~count ~ret)
   | Syscall.Preadv (fd, lens, offset) ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Regular node -> (
-          let count = List.fold_left ( + ) 0 lens in
-          match Vfs.read_at node ~offset ~count with
-          | Ok s -> ret (Syscall.Ok_data s)
-          | Error e -> ret (err e))
-        | _ -> ret (err Errno.ESPIPE))
+    let count = List.fold_left ( + ) 0 lens in
+    with_fd fd (fun d -> pread d ~offset ~count ~ret)
   | Syscall.Select { readfds; writefds; timeout_ns }
   | Syscall.Pselect6 { readfds; writefds; timeout_ns } ->
-    let want_read = List.map (fun fd -> (fd, Syscall.ev_in)) readfds in
-    let want_write = List.map (fun fd -> (fd, Syscall.ev_out)) writefds in
-    let fds = want_read @ want_write in
-    let attempt () =
-      match gather_poll fds with [] -> None | ready -> Some ready
+    let fds =
+      List.map (fun fd -> (fd, Syscall.ev_in)) readfds
+      @ List.map (fun fd -> (fd, Syscall.ev_out)) writefds
     in
-    if timeout_ns = Some 0 then (
-      match attempt () with
-      | Some ready -> ret (Syscall.Ok_poll ready)
-      | None -> ret (Syscall.Ok_poll []))
-    else
-      block k th ~what:"select" ?timeout_ns ~poll:attempt
-        ~on_ready:(fun ready -> ret (Syscall.Ok_poll ready))
-        ~complete:(fun r ->
-          if r = err Errno.ETIMEDOUT then ret (Syscall.Ok_poll []) else ret r)
-        ()
+    poll_fds k th ~what:"select" fds ~timeout_ns ~ret
   | Syscall.Poll { fds; timeout_ns } | Syscall.Ppoll { fds; timeout_ns } ->
-    let attempt () =
-      match gather_poll fds with [] -> None | ready -> Some ready
-    in
-    if timeout_ns = Some 0 then (
-      match attempt () with
-      | Some ready -> ret (Syscall.Ok_poll ready)
-      | None -> ret (Syscall.Ok_poll []))
-    else
-      block k th ~what:"poll" ?timeout_ns ~poll:attempt
-        ~on_ready:(fun ready -> ret (Syscall.Ok_poll ready))
-        ~complete:(fun r ->
-          if r = err Errno.ETIMEDOUT then ret (Syscall.Ok_poll []) else ret r)
-        ()
+    poll_fds k th ~what:"poll" fds ~timeout_ns ~ret
   (* ---- sync family ---- *)
   | Syscall.Sync | Syscall.Syncfs _ | Syscall.Fsync _ | Syscall.Fdatasync _ ->
     ret (Syscall.Ok_int 0)
@@ -890,22 +862,9 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Writev (fd, chunks) | Syscall.Sendmmsg (fd, chunks) ->
     with_fd fd (fun d -> do_write k th d ~data:(String.concat "" chunks) ~ret)
   | Syscall.Pwrite64 (fd, data, offset) ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Regular node -> (
-          match Vfs.write_at node ~offset ~data ~now_ns:(now ()) with
-          | Ok n -> ret (Syscall.Ok_int n)
-          | Error e -> ret (err e))
-        | _ -> ret (err Errno.ESPIPE))
+    with_fd fd (fun d -> pwrite k d ~offset ~data ~ret)
   | Syscall.Pwritev (fd, chunks, offset) ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Regular node -> (
-          let data = String.concat "" chunks in
-          match Vfs.write_at node ~offset ~data ~now_ns:(now ()) with
-          | Ok n -> ret (Syscall.Ok_int n)
-          | Error e -> ret (err e))
-        | _ -> ret (err Errno.ESPIPE))
+    with_fd fd (fun d -> pwrite k d ~offset ~data:(String.concat "" chunks) ~ret)
   | Syscall.Sendfile { out_fd; in_fd; count } ->
     with_fd in_fd (fun din ->
         match din.kind with
@@ -956,17 +915,8 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
               in
               Some (take max_events ready)
           in
-          if timeout_ns = Some 0 then (
-            match attempt () with
-            | Some ready -> ret (Syscall.Ok_epoll ready)
-            | None -> ret (Syscall.Ok_epoll []))
-          else
-            block k th ~what:"epoll_wait" ?timeout_ns ~poll:attempt
-              ~on_ready:(fun ready -> ret (Syscall.Ok_epoll ready))
-              ~complete:(fun r ->
-                if r = err Errno.ETIMEDOUT then ret (Syscall.Ok_epoll [])
-                else ret r)
-              ()
+          wait_ready k th ~what:"epoll_wait" ~timeout_ns ~poll:attempt
+            ~ready:(fun l -> Syscall.Ok_epoll l) ~ret
         | _ -> ret (err Errno.EINVAL))
   (* ---- sockets ---- *)
   | Syscall.Socket (_, _) ->
@@ -1018,13 +968,8 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
             Sched.kick k.K.sched;
             ret (Syscall.Ok_accept { conn_fd; peer_port = Net.peer_port s })
           in
-          if d.nonblock then (
-            match attempt () with
-            | Some s -> deliver s
-            | None -> ret (err Errno.EAGAIN))
-          else
-            block k th ~what:"accept" ~poll:attempt ~on_ready:deliver
-              ~complete:ret ()
+          park_or_eagain k th d ~what:"accept" ~poll:attempt ~on_ready:deliver
+            ~ret
         | _ -> ret (err Errno.EINVAL))
   | Syscall.Connect (fd, port) ->
     with_fd fd (fun d ->
@@ -1085,7 +1030,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
                POLLHUP on the in-progress socket when nonblocking). *)
             let refused = ref false in
             Sched.schedule k.K.sched
-              ~time:(Vtime.add (now ()) latency)
+              ~time:(Vtime.add (K.now k) latency)
               (fun () ->
                 if not (Net.try_enqueue l server) then begin
                   refused := true;
@@ -1190,7 +1135,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
                        (Proc.Directory node))))
         | Vfs.Reg _ ->
           if flags.trunc && flags.write then
-            ignore (Vfs.truncate node ~size:0 ~now_ns:(now ()));
+            ignore (Vfs.truncate node ~size:0 ~now_ns:(K.now k));
           ret
             (Syscall.Ok_int
                (install_fd
@@ -1209,7 +1154,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Creat path -> (
     match Vfs.create_file k.K.vfs path with
     | Ok node ->
-      ignore (Vfs.truncate node ~size:0 ~now_ns:(now ()));
+      ignore (Vfs.truncate node ~size:0 ~now_ns:(K.now k));
       ret
         (Syscall.Ok_int
            (install_fd
@@ -1219,7 +1164,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Close fd ->
     with_fd fd (fun d ->
         Hashtbl.remove p.fds fd;
-        release_desc k p d;
+        release_desc k d;
         ret (Syscall.Ok_int 0))
   | Syscall.Dup fd ->
     with_fd fd (fun d ->
@@ -1232,16 +1177,23 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
           (match Proc.desc_of_fd p newfd with
           | Some old ->
             Hashtbl.remove p.fds newfd;
-            release_desc k p old
+            release_desc k old
           | None -> ());
           d.refs <- d.refs + 1;
           Hashtbl.replace p.fds newfd d;
           ret (Syscall.Ok_int newfd)
         end)
-  | Syscall.Pipe ->
+  | Syscall.Pipe | Syscall.Pipe2 _ ->
+    let nonblock =
+      match call with Syscall.Pipe2 { nonblock } -> nonblock | _ -> false
+    in
     let pi = Pipe.create () in
-    let rfd = install_fd (Proc.make_desc ~can_write:false (Proc.Pipe_read pi)) in
-    let wfd = install_fd (Proc.make_desc ~can_read:false (Proc.Pipe_write pi)) in
+    let rfd =
+      install_fd (Proc.make_desc ~nonblock ~can_write:false (Proc.Pipe_read pi))
+    in
+    let wfd =
+      install_fd (Proc.make_desc ~nonblock ~can_read:false (Proc.Pipe_write pi))
+    in
     ret (Syscall.Ok_pair (rfd, wfd))
   | Syscall.Unlink path | Syscall.Unlinkat path -> (
     match Vfs.unlink k.K.vfs path with
@@ -1262,7 +1214,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Truncate (path, size) -> (
     match Vfs.resolve k.K.vfs path with
     | Ok node -> (
-      match Vfs.truncate node ~size ~now_ns:(now ()) with
+      match Vfs.truncate node ~size ~now_ns:(K.now k) with
       | Ok () -> ret (Syscall.Ok_int 0)
       | Error e -> ret (err e))
     | Error e -> ret (err e))
@@ -1270,7 +1222,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
     with_fd fd (fun d ->
         match d.kind with
         | Proc.Regular node -> (
-          match Vfs.truncate node ~size ~now_ns:(now ()) with
+          match Vfs.truncate node ~size ~now_ns:(K.now k) with
           | Ok () -> ret (Syscall.Ok_int 0)
           | Error e -> ret (err e))
         | _ -> ret (err Errno.EINVAL))
@@ -1351,33 +1303,9 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
     if entry_idx < 0 || entry_idx >= Array.length p.entry_table then
       ret (err Errno.EINVAL)
     else begin
-      let tid = K.fresh_tid k in
-      let rank = p.next_tid_rank in
-      p.next_tid_rank <- rank + 1;
-      let nt =
-        {
-          Proc.tid;
-          proc = p;
-          rank;
-          clock = th.clock;
-          tstate = Proc.Ready;
-          syscall_index = 0;
-          current_call = None;
-          pending_delivery = Queue.create ();
-          in_ipmon = false;
-          last_result = None;
-          resume_kind = 0;
-          resume_k = Obj.repr 0;
-          resume_r = Syscall.Ok_unit;
-          resume_thunk = (fun () -> ());
-          return_fn = (fun _ -> ());
-          finish_fn = Proc.fn_unset;
-          ipmon_finish_fn = Proc.fn_unset;
-        }
-      in
-      Vec.push p.threads nt;
+      let nt = K.add_thread k p ~start_clock:th.clock in
       Sched.spawn k.K.sched nt p.entry_table.(entry_idx);
-      ret (Syscall.Ok_int tid)
+      ret (Syscall.Ok_int nt.tid)
     end
   | Syscall.Fork | Syscall.Execve _ ->
     (* Documented limitation: one-shot continuations cannot be duplicated,
@@ -1411,13 +1339,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
           child.Proc.reaped <- true;
           ret (Syscall.Ok_int child.Proc.pid))
         ~complete:ret ()
-  | Syscall.Kill (pid, sg) -> (
-    match K.find_proc k pid with
-    | Some target ->
-      post_signal k target sg;
-      ret (Syscall.Ok_int 0)
-    | None -> ret (err Errno.ESRCH))
-  | Syscall.Tgkill (pid, _tid, sg) -> (
+  | Syscall.Kill (pid, sg) | Syscall.Tgkill (pid, _, sg) -> (
     match K.find_proc k pid with
     | Some target ->
       post_signal k target sg;
@@ -1471,14 +1393,14 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Chmod (path, _) | Syscall.Chown (path, _, _) | Syscall.Utimensat path -> (
     match Vfs.resolve k.K.vfs path with
     | Ok node ->
-      node.Vfs.mtime_ns <- now ();
+      node.Vfs.mtime_ns <- K.now k;
       ret (Syscall.Ok_int 0)
     | Error e -> ret (err e))
   | Syscall.Fchmod (fd, _) ->
     with_fd fd (fun d ->
         match d.kind with
         | Proc.Regular node | Proc.Directory node ->
-          node.Vfs.mtime_ns <- now ();
+          node.Vfs.mtime_ns <- K.now k;
           ret (Syscall.Ok_int 0)
         | _ -> ret (err Errno.EBADF))
   (* ---- advisory file locks ---- *)
@@ -1503,12 +1425,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
               | Some holder when holder = p.pid -> Some (Syscall.Ok_int 0)
               | Some _ -> None
             in
-            if d.nonblock then (
-              match attempt () with
-              | Some r -> ret r
-              | None -> ret (err Errno.EAGAIN))
-            else
-              block k th ~what:"flock" ~poll:attempt ~on_ready:ret ~complete:ret ())
+            park_or_eagain k th d ~what:"flock" ~poll:attempt ~on_ready:ret ~ret)
         | _ -> ret (err Errno.EBADF))
   (* ---- hard and symbolic links ---- *)
   | Syscall.Link (target, path) | Syscall.Linkat (target, path) -> (
@@ -1531,15 +1448,6 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
     | Ok _ -> ret (Syscall.Ok_int 0)
     | Error e -> ret (err e))
   (* ---- new fd factories ---- *)
-  | Syscall.Pipe2 { nonblock } ->
-    let pi = Pipe.create () in
-    let rfd =
-      install_fd (Proc.make_desc ~nonblock ~can_write:false (Proc.Pipe_read pi))
-    in
-    let wfd =
-      install_fd (Proc.make_desc ~nonblock ~can_read:false (Proc.Pipe_write pi))
-    in
-    ret (Syscall.Ok_pair (rfd, wfd))
   | Syscall.Eventfd initial ->
     let e = { Proc.count = max 0 initial } in
     ret (Syscall.Ok_int (install_fd (Proc.make_desc (Proc.Event_fd e))))
@@ -1642,11 +1550,6 @@ let rec finish k (th : Proc.thread) (result : Syscall.result) ~return =
       | _ ->
         if deliver_signal k th sg then finish k th result ~return)
 
-(* Executes a call without any monitor interposition; used for the plain
-   path and, via [execute_raw], by IP-MON for token-authorized calls. *)
-let plain_exec k th call ~done_ =
-  exec k th call ~ret:done_
-
 (* Syscall-exit ptrace stop (when the entry was stopped too). *)
 let exit_phase k (th : Proc.thread) call result ~return =
   let p = proc_of th in
@@ -1681,8 +1584,7 @@ let monitor_path k (th : Proc.thread) call ~return =
   match p.tracer with
   | None ->
     (* no monitor attached: execute directly *)
-    k.K.stats.plain <- k.K.stats.plain + 1;
-    plain_exec k th call ~done_:(fun r -> finish k th r ~return)
+    exec k th call ~ret:(fun r -> finish k th r ~return)
   | Some tracer ->
     k.K.stats.monitored <- k.K.stats.monitored + 1;
     k.K.stats.ptrace_stops <- k.K.stats.ptrace_stops + 1;
@@ -1697,22 +1599,18 @@ let monitor_path k (th : Proc.thread) call ~return =
             (fun action ->
               th.tstate <- Proc.Ready;
               match action with
-              | Proc.Resume_continue ->
-                plain_exec k th call ~done_:(fun r ->
-                    exit_phase k th call r ~return)
+              | Proc.Resume_continue | Proc.Resume_deliver
+              | Proc.Resume_suppress ->
+                exec k th call ~ret:(fun r -> exit_phase k th call r ~return)
               | Proc.Resume_rewrite call' ->
                 th.current_call <- Some call';
-                plain_exec k th call' ~done_:(fun r ->
-                    exit_phase k th call' r ~return)
+                exec k th call' ~ret:(fun r -> exit_phase k th call' r ~return)
               | Proc.Resume_skip r ->
                 (* call aborted by the monitor; go straight to exit stop so
                    the monitor can inject replicated results *)
                 exit_phase k th call r ~return
               | Proc.Resume_kill -> kill_process k p ~code:137
-              | Proc.Resume_set_result r -> exit_phase k th call r ~return
-              | Proc.Resume_deliver | Proc.Resume_suppress ->
-                plain_exec k th call ~done_:(fun r ->
-                    exit_phase k th call r ~return));
+              | Proc.Resume_set_result r -> exit_phase k th call r ~return);
         };
     tracer.on_stop th (Proc.Syscall_entry_stop call)
 
@@ -1722,11 +1620,10 @@ let execute_raw k th call ~(ret : Syscall.result -> unit) =
   charge th k.K.cost.ipmon_restart_ns;
   exec k th call ~ret
 
-(* Trace hook: records one line per syscall with its route when tracing is
-   enabled (Kstate.log_enabled), and a routing instant + per-route tally
-   in the structured sink when one is attached. Metric keys for the fixed
-   route vocabulary are interned at module init so the per-call tally
-   does not concatenate strings. *)
+(* The route trace: a routing instant plus a per-route tally in the
+   structured sink, when one is attached. Metric keys for the fixed route
+   vocabulary are interned at module init so the per-call tally does not
+   concatenate strings. *)
 let route_key = function
   | "plain" -> "route.plain"
   | "monitored" -> "route.monitored"
@@ -1738,7 +1635,7 @@ let route_key = function
   | r -> "route." ^ r
 
 let trace_route k (th : Proc.thread) call route =
-  (match k.K.obs with
+  match k.K.obs with
   | None -> ()
   | Some o ->
     Remon_obs.Metrics.incr o.Ob.metrics (route_key route);
@@ -1748,39 +1645,48 @@ let trace_route k (th : Proc.thread) call route =
         ("call", Tr.Str (Syscall.to_string call));
         ("variant", Tr.Int (variant_of th));
         ("index", Tr.Int th.Proc.syscall_index);
-      ]);
-  if k.K.log_enabled then
-    K.logf k "pid=%d tid=%d #%d %s -> %s" th.Proc.proc.Proc.pid th.Proc.tid
-      th.Proc.syscall_index (Syscall.to_string call) route
+      ]
 
-(* Tracing-off, fault-free routing: completion goes through the thread's
-   preallocated finish functions, so no per-call closure is built. The
-   caller guarantees [return] is the thread's own [return_fn] (true for
-   every trap arriving through the scheduler's syscall handler). *)
-let route_fast k (th : Proc.thread) call =
+(* The three routes of Figure 2. Top-level functions rather than closures
+   inside [route], so routing itself allocates nothing. *)
+let route_plain k th call ~done_ =
+  trace_route k th call "plain";
+  exec k th call ~ret:done_
+
+let route_monitored k th call ~return =
+  trace_route k th call "monitored";
+  monitor_path k th call ~return
+
+let route_ipmon k (th : Proc.thread) (reg : Proc.ipmon_registration) ~token
+    call ~ipmon_done =
+  k.K.stats.ipmon_fastpath <- k.K.stats.ipmon_fastpath + 1;
+  k.K.stats.tokens_granted <- k.K.stats.tokens_granted + 1;
+  trace_route k th call "ipmon";
+  charge th k.K.cost.ipmon_forward_ns;
+  th.in_ipmon <- true;
+  reg.Proc.invoke th ~token ~call ~return:ipmon_done
+
+(* IK-B's routing decision for one call (Figure 2, step 2). The caller
+   supplies the continuations: [return] for the monitored path, and
+   [done_] / [ipmon_done], which finish a plain or an IP-MON call with
+   [return]. *)
+let route k (th : Proc.thread) call ~return ~done_ ~ipmon_done =
   let p = proc_of th in
   match K.broker_for k th with
   | None -> (
-    match p.Proc.tracer with
-    | None ->
-      k.K.stats.plain <- k.K.stats.plain + 1;
-      plain_exec k th call ~done_:th.Proc.finish_fn
-    | Some _ -> monitor_path k th call ~return:th.Proc.return_fn)
+    match p.tracer with
+    | None -> route_plain k th call ~done_
+    | Some _ -> route_monitored k th call ~return)
   | Some broker -> (
     match broker.K.classify th call with
-    | K.Route_plain ->
-      k.K.stats.plain <- k.K.stats.plain + 1;
-      plain_exec k th call ~done_:th.Proc.finish_fn
-    | K.Route_monitor -> monitor_path k th call ~return:th.Proc.return_fn
+    | K.Route_plain -> route_plain k th call ~done_
+    | K.Route_monitor -> route_monitored k th call ~return
     | K.Route_ipmon token -> (
-      match p.Proc.ipmon_registered with
-      | None -> monitor_path k th call ~return:th.Proc.return_fn
-      | Some reg ->
-        k.K.stats.ipmon_fastpath <- k.K.stats.ipmon_fastpath + 1;
-        k.K.stats.tokens_granted <- k.K.stats.tokens_granted + 1;
-        charge th k.K.cost.ipmon_forward_ns;
-        th.Proc.in_ipmon <- true;
-        reg.Proc.invoke th ~token ~call ~return:th.Proc.ipmon_finish_fn))
+      match p.ipmon_registered with
+      | Some reg -> route_ipmon k th reg ~token call ~ipmon_done
+      | None ->
+        (* broker misconfiguration: fall back to the monitored path *)
+        route_monitored k th call ~return))
 
 (* Per-syscall latency-metric keys ("syscall.<name>"), interned at module
    init and indexed by [Sysno.index]: the per-call histogram update does
@@ -1800,116 +1706,84 @@ let handle k (th : Proc.thread) call ~return =
     th.syscall_index <- th.syscall_index + 1;
     th.current_call <- Some call;
     k.K.stats.syscalls <- k.K.stats.syscalls + 1;
-    k.K.stats.traps <- k.K.stats.traps + 1;
-    K.count_sysno k.K.stats (Syscall.number call);
     charge th k.K.cost.syscall_trap_ns;
-    let fast =
-      (match k.K.obs with None -> not k.K.log_enabled | Some _ -> false)
-      && (match K.fault_hook_for k th with None -> true | Some _ -> false)
-    in
-    if fast then begin
-      if th.Proc.finish_fn == Proc.fn_unset then begin
-        th.Proc.finish_fn <- (fun r -> finish k th r ~return:th.Proc.return_fn);
-        th.Proc.ipmon_finish_fn <-
+    match (k.K.obs, K.fault_hook_for k th) with
+    | None, None ->
+      (* No sink and no fault hook: completion goes through the thread's
+         preallocated finish functions, so the call builds no closure.
+         [return] is the thread's own [return_fn]: every trap arrives
+         through the scheduler's syscall handler. *)
+      if th.finish_fn == Proc.fn_unset then begin
+        th.finish_fn <- (fun r -> finish k th r ~return:th.return_fn);
+        th.ipmon_finish_fn <-
           (fun r ->
-            th.Proc.in_ipmon <- false;
-            finish k th r ~return:th.Proc.return_fn)
+            th.in_ipmon <- false;
+            finish k th r ~return:th.return_fn)
       end;
-      route_fast k th call
-    end
-    else begin
-    (* With a sink attached the whole call becomes one B/E span (even
-       across blocking and monitor stops) and feeds the per-syscall
-       latency histogram. A replica killed mid-call leaves an unclosed
-       span, which trace viewers render as running-to-end-of-trace. *)
-    let return =
-      match k.K.obs with
-      | None -> return
-      | Some o ->
-        let name = Syscall.to_string call in
-        let pid = p.Proc.pid and tid = th.Proc.tid in
-        let entry_clock = th.Proc.clock in
-        Tr.span_begin o.Ob.trace ~ts:entry_clock ~cat:"syscall" ~name ~pid
-          ~tid
-          [
-            ("variant", Tr.Int (variant_of th));
-            ("rank", Tr.Int th.Proc.rank);
-            ("index", Tr.Int th.Proc.syscall_index);
-          ];
-        fun r ->
-          Tr.span_end o.Ob.trace ~ts:th.Proc.clock ~cat:"syscall" ~name ~pid
-            ~tid [];
-          Remon_obs.Metrics.observe_ns o.Ob.metrics
-            syscall_metric_keys.(Sysno.index (Syscall.number call))
-            (Vtime.sub th.Proc.clock entry_clock);
-          return r
-    in
-    let route call =
-      match K.broker_for k th with
-      | None -> (
-        match p.tracer with
-        | None ->
-          k.K.stats.plain <- k.K.stats.plain + 1;
-          trace_route k th call "plain";
-          plain_exec k th call ~done_:(fun r -> finish k th r ~return)
-        | Some _ ->
-          trace_route k th call "monitored";
-          monitor_path k th call ~return)
-      | Some broker -> (
-        match broker.classify th call with
-        | K.Route_plain ->
-          k.K.stats.plain <- k.K.stats.plain + 1;
-          trace_route k th call "plain";
-          plain_exec k th call ~done_:(fun r -> finish k th r ~return)
-        | K.Route_monitor ->
-          trace_route k th call "monitored";
-          monitor_path k th call ~return
-        | K.Route_ipmon token -> (
-          match p.ipmon_registered with
-          | None ->
-            (* broker misconfiguration: fall back to the monitored path *)
-            monitor_path k th call ~return
-          | Some reg ->
-            k.K.stats.ipmon_fastpath <- k.K.stats.ipmon_fastpath + 1;
-            k.K.stats.tokens_granted <- k.K.stats.tokens_granted + 1;
-            trace_route k th call "ipmon";
-            charge th k.K.cost.ipmon_forward_ns;
-            th.in_ipmon <- true;
-            reg.Proc.invoke th ~token ~call ~return:(fun r ->
-                th.in_ipmon <- false;
-                finish k th r ~return)))
-    in
-    match (match K.fault_hook_for k th with Some f -> f th call | None -> K.Fault_none) with
-    | K.Fault_none -> route call
-    | K.Fault_rewrite call' ->
-      (* the corrupted capture flows through the normal routing/detection
-         paths; the monitors see it as an argument divergence *)
-      th.current_call <- Some call';
-      trace_route k th call' "fault:rewrite";
-      obs_instant k th ~cat:"fault" ~name:"rewrite"
-        [ ("call", Tr.Str (Syscall.to_string call')) ];
-      route call'
-    | K.Fault_result r ->
-      (* transient kernel-level failure (e.g. ECONNRESET): complete now *)
-      trace_route k th call "fault:result";
-      obs_instant k th ~cat:"fault" ~name:"result"
-        [ ("call", Tr.Str (Syscall.to_string call)) ];
-      finish k th r ~return
-    | K.Fault_crash sg ->
-      trace_route k th call "fault:crash";
-      obs_instant k th ~cat:"fault" ~name:"crash" [ ("signal", Tr.Int sg) ];
-      kill_process k p ~code:(128 + sg)
-    | K.Fault_delay ns ->
-      (* stall the arrival: the rendezvous watchdog can observe it *)
-      trace_route k th call "fault:delay";
-      obs_instant k th ~cat:"fault" ~name:"delay"
-        [ ("ns", Tr.Int ns) ];
-      block k th ~what:"fault: injected stall" ~timeout_ns:ns ~intr:false
-        ~poll:(fun () -> (None : unit option))
-        ~on_ready:(fun () -> ())
-        ~complete:(fun (_ : Syscall.result) -> route call)
-        ()
-    end
+      route k th call ~return:th.return_fn ~done_:th.finish_fn
+        ~ipmon_done:th.ipmon_finish_fn
+    | obs, hook -> (
+      (* With a sink attached the whole call becomes one B/E span (even
+         across blocking and monitor stops) and feeds the per-syscall
+         latency histogram. A replica killed mid-call leaves an unclosed
+         span, which trace viewers render as running-to-end-of-trace. *)
+      let return =
+        match obs with
+        | None -> return
+        | Some o ->
+          let name = Syscall.to_string call in
+          let pid = p.Proc.pid and tid = th.Proc.tid in
+          let entry_clock = th.Proc.clock in
+          Tr.span_begin o.Ob.trace ~ts:entry_clock ~cat:"syscall" ~name ~pid
+            ~tid
+            [
+              ("variant", Tr.Int (variant_of th));
+              ("rank", Tr.Int th.Proc.rank);
+              ("index", Tr.Int th.Proc.syscall_index);
+            ];
+          fun r ->
+            Tr.span_end o.Ob.trace ~ts:th.Proc.clock ~cat:"syscall" ~name ~pid
+              ~tid [];
+            Remon_obs.Metrics.observe_ns o.Ob.metrics
+              syscall_metric_keys.(Sysno.index (Syscall.number call))
+              (Vtime.sub th.Proc.clock entry_clock);
+            return r
+      in
+      let done_ r = finish k th r ~return in
+      let ipmon_done r =
+        th.in_ipmon <- false;
+        finish k th r ~return
+      in
+      match (match hook with Some f -> f th call | None -> K.Fault_none) with
+      | K.Fault_none -> route k th call ~return ~done_ ~ipmon_done
+      | K.Fault_rewrite call' ->
+        (* the corrupted capture flows through the normal routing/detection
+           paths; the monitors see it as an argument divergence *)
+        th.current_call <- Some call';
+        trace_route k th call' "fault:rewrite";
+        obs_instant k th ~cat:"fault" ~name:"rewrite"
+          [ ("call", Tr.Str (Syscall.to_string call')) ];
+        route k th call' ~return ~done_ ~ipmon_done
+      | K.Fault_result r ->
+        (* transient kernel-level failure (e.g. ECONNRESET): complete now *)
+        trace_route k th call "fault:result";
+        obs_instant k th ~cat:"fault" ~name:"result"
+          [ ("call", Tr.Str (Syscall.to_string call)) ];
+        finish k th r ~return
+      | K.Fault_crash sg ->
+        trace_route k th call "fault:crash";
+        obs_instant k th ~cat:"fault" ~name:"crash" [ ("signal", Tr.Int sg) ];
+        kill_process k p ~code:(128 + sg)
+      | K.Fault_delay ns ->
+        (* stall the arrival: the rendezvous watchdog can observe it *)
+        trace_route k th call "fault:delay";
+        obs_instant k th ~cat:"fault" ~name:"delay" [ ("ns", Tr.Int ns) ];
+        block k th ~what:"fault: injected stall" ~timeout_ns:ns ~intr:false
+          ~poll:(fun () -> (None : unit option))
+          ~on_ready:(fun () -> ())
+          ~complete:(fun (_ : Syscall.result) ->
+            route k th call ~return ~done_ ~ipmon_done)
+          ())
   end
 
 (* ------------------------------------------------------------------ *)

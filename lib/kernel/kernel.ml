@@ -80,33 +80,7 @@ let make_process (k : t) ?replica_info ?(parent = 1) ~name ~vm_seed () =
   Hashtbl.replace k.K.procs pid p;
   p
 
-let add_thread (k : t) (p : Proc.process) ~start_clock =
-  let tid = K.fresh_tid k in
-  let rank = p.Proc.next_tid_rank in
-  p.Proc.next_tid_rank <- rank + 1;
-  let th =
-    {
-      Proc.tid;
-      proc = p;
-      rank;
-      clock = start_clock;
-      tstate = Proc.Ready;
-      syscall_index = 0;
-      current_call = None;
-      pending_delivery = Queue.create ();
-      in_ipmon = false;
-      last_result = None;
-      resume_kind = 0;
-      resume_k = Obj.repr 0;
-      resume_r = Syscall.Ok_unit;
-      resume_thunk = (fun () -> ());
-      return_fn = (fun _ -> ());
-      finish_fn = Proc.fn_unset;
-      ipmon_finish_fn = Proc.fn_unset;
-    }
-  in
-  Vec.push p.Proc.threads th;
-  th
+let add_thread (k : t) p ~start_clock = K.add_thread k p ~start_clock
 
 (* Spawns a process whose main thread runs [main]. [entries] become the
    Clone entry table (index 0 conventionally unused by main). *)
@@ -126,7 +100,6 @@ let on_process_exit (p : Proc.process) f =
 (* Tracing (ptrace) *)
 
 let attach_tracer (p : Proc.process) tracer = p.Proc.tracer <- Some tracer
-let detach_tracer (p : Proc.process) = p.Proc.tracer <- None
 
 let resume (_k : t) (th : Proc.thread) (action : Proc.resume_action) =
   match th.Proc.tstate with
@@ -143,24 +116,14 @@ let kill_process (k : t) p ~code = Dispatch.kill_process k p ~code
 (* ------------------------------------------------------------------ *)
 (* Broker / IP-MON hookup *)
 
-let set_broker (k : t) broker = k.K.broker <- Some broker
-let clear_broker (k : t) = k.K.broker <- None
-let set_fault_hook (k : t) f = k.K.fault_hook <- Some f
-let clear_fault_hook (k : t) = k.K.fault_hook <- None
-
 (* Group-scoped registrations: one kernel can host several replica sets (a
    fleet), each with its own broker and fault plan, resolved per thread
    through [Proc.replica_info.group_id]. *)
 let register_broker (k : t) ~group_id broker =
   Hashtbl.replace k.K.brokers group_id broker
 
-let unregister_broker (k : t) ~group_id = Hashtbl.remove k.K.brokers group_id
-
 let register_fault_hook (k : t) ~group_id f =
   Hashtbl.replace k.K.fault_hooks group_id f
-
-let unregister_fault_hook (k : t) ~group_id =
-  Hashtbl.remove k.K.fault_hooks group_id
 
 let prepare_ipmon (k : t) ~pid (reg : Proc.ipmon_registration) =
   Hashtbl.replace k.K.pending_ipmon pid reg
@@ -169,10 +132,13 @@ let prepare_ipmon (k : t) ~pid (reg : Proc.ipmon_registration) =
 let execute_raw (k : t) th call ~ret = Dispatch.execute_raw k th call ~ret
 
 (* Parks [th] until [poll] succeeds; for monitor-internal waits (IP-MON
-   slaves waiting on the replication buffer). *)
-let wait_until (k : t) th ~what ~(poll : unit -> 'a option) ~(on_ready : 'a -> unit) =
+   slaves waiting on the replication buffer). A forced wake (GHUMVEE
+   aborting blocked calls to deliver a signal) does not satisfy the wait:
+   the thread parks again until [poll] does. *)
+let rec wait_until (k : t) th ~what ~(poll : unit -> 'a option)
+    ~(on_ready : 'a -> unit) =
   Dispatch.block k th ~what ~intr:false ~poll ~on_ready
-    ~complete:(fun _ -> on_ready (Option.get (poll ())))
+    ~complete:(fun _ -> wait_until k th ~what ~poll ~on_ready)
     ()
 
 let kick (k : t) = Sched.kick k.K.sched
@@ -199,15 +165,30 @@ let monitor_path (k : t) th call ~return = Dispatch.monitor_path k th call ~retu
 
 
 (* ------------------------------------------------------------------ *)
-(* Tracing of syscall routing (diagnostics) *)
-
-let enable_tracing (k : t) = k.K.log_enabled <- true
+(* Observability *)
 
 let set_obs (k : t) o = k.K.obs <- Some o
-let clear_obs (k : t) = k.K.obs <- None
 let obs (k : t) = k.K.obs
 
-let trace (k : t) =
-  List.rev_map
-    (fun (time, line) -> Printf.sprintf "[%s] %s" (Remon_sim.Vtime.to_string time) line)
-    k.K.log
+(* The sink's routing instants, one line per routed syscall. A view of the
+   structured trace, not a second channel. *)
+let route_lines (o : Remon_obs.Obs.t) =
+  let module Tr = Remon_obs.Trace in
+  List.filter_map
+    (fun (e : Tr.event) ->
+      if e.Tr.cat <> "route" then None
+      else
+        let call =
+          match List.assoc_opt "call" e.Tr.args with
+          | Some (Tr.Str c) -> c
+          | _ -> "?"
+        in
+        let index =
+          match List.assoc_opt "index" e.Tr.args with
+          | Some (Tr.Int i) -> i
+          | _ -> 0
+        in
+        Some
+          (Printf.sprintf "[%s] pid=%d tid=%d #%d %s -> %s"
+             (Vtime.to_string e.Tr.ts) e.Tr.pid e.Tr.tid index call e.Tr.name))
+    (Vec.to_list o.Remon_obs.Obs.trace.Tr.events)

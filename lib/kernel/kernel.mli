@@ -47,6 +47,7 @@ val make_process :
     threads yet. *)
 
 val add_thread : t -> Proc.process -> start_clock:Vtime.t -> Proc.thread
+(** A new, not yet scheduled thread of the process (next tid and rank). *)
 
 val spawn_process :
   t ->
@@ -67,7 +68,6 @@ val on_process_exit : Proc.process -> (int -> unit) -> unit
 (** {1 Tracing (ptrace)} *)
 
 val attach_tracer : Proc.process -> Proc.tracer -> unit
-val detach_tracer : Proc.process -> unit
 
 val resume : t -> Proc.thread -> Proc.resume_action -> unit
 (** Resume a trace-stopped thread. Raises [Invalid_argument] if the thread
@@ -86,35 +86,22 @@ val kill_process : t -> Proc.process -> code:int -> unit
 
 (** {1 IK-B broker / IP-MON hookup} *)
 
-val set_broker : t -> Kstate.broker -> unit
-val clear_broker : t -> unit
-
-val set_fault_hook :
-  t -> (Proc.thread -> Syscall.call -> Kstate.fault_decision) -> unit
-(** Install the fault-injection hook consulted once per syscall entry,
-    before broker routing. The MVEE's fault layer uses this to inject
-    crashes, corrupted captures, stalls and transient errors that the
-    monitors then detect through their normal paths. *)
-
-val clear_fault_hook : t -> unit
-
 val register_broker : t -> group_id:int -> Kstate.broker -> unit
 (** Group-scoped broker registration: one kernel can host several replica
     sets (a fleet), each with its own broker. A thread resolves to its
     group's broker through [Proc.replica_info.group_id]; threads outside
-    any group (clients, load balancers) fall back to the kernel-wide
-    [set_broker] slot, if any. *)
-
-val unregister_broker : t -> group_id:int -> unit
+    any group (clients, load balancers) have none and run unbrokered. *)
 
 val register_fault_hook :
   t ->
   group_id:int ->
   (Proc.thread -> Syscall.call -> Kstate.fault_decision) ->
   unit
-(** Group-scoped fault hook; same resolution rule as {!register_broker}. *)
-
-val unregister_fault_hook : t -> group_id:int -> unit
+(** Group-scoped fault-injection hook, consulted once per syscall entry
+    before broker routing; same resolution rule as {!register_broker}.
+    The MVEE's fault layer uses it to inject crashes, corrupted captures,
+    stalls and transient errors that the monitors then detect through their
+    normal paths. *)
 
 val prepare_ipmon : t -> pid:int -> Proc.ipmon_registration -> unit
 (** Stage the registration (including the invoke closure, which cannot
@@ -138,7 +125,9 @@ val wait_until :
   on_ready:('a -> unit) ->
   unit
 (** Park a thread until [poll] succeeds; for monitor-internal waits (IP-MON
-    slaves waiting on the replication buffer). *)
+    slaves waiting on the replication buffer). A forced wake
+    ({!interrupt_blocked}) re-parks the thread instead of completing the
+    wait. *)
 
 val kick : t -> unit
 (** Re-run all parked retries; call after mutating shared state. *)
@@ -154,21 +143,18 @@ val run : ?until:Vtime.t -> t -> unit
 
 val blocked_report : t -> string list
 
-(** {1 Diagnostics} *)
-
-val enable_tracing : t -> unit
-(** Record one line per syscall with the route IK-B chose. *)
-
-val trace : t -> string list
-(** The recorded trace, in chronological order. *)
+(** {1 Observability} *)
 
 val set_obs : t -> Remon_obs.Obs.t -> unit
 (** Attach a structured trace/metrics sink. Emission points throughout
     the dispatcher and monitors stamp events with virtual time only, so a
     given seed yields a byte-identical exported trace. *)
 
-val clear_obs : t -> unit
-
 val obs : t -> Remon_obs.Obs.t option
 (** The attached sink, if any ([None] = observability off, the zero-cost
     path). *)
+
+val route_lines : Remon_obs.Obs.t -> string list
+(** The sink's routing instants in chronological order, one
+    ["[t] pid=P tid=T #I call -> route"] line per routed syscall, where [t]
+    is the thread's virtual clock after the trap. *)

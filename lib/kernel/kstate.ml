@@ -6,46 +6,26 @@ open Remon_util
 
 type counters = {
   mutable syscalls : int;
-  mutable traps : int;
   mutable ptrace_stops : int;
   mutable ipmon_fastpath : int; (* calls completed through IP-MON *)
   mutable monitored : int; (* calls that took the ptrace path *)
-  mutable plain : int; (* untraced, unbrokered executions *)
   mutable context_switches : int;
-  mutable bytes_copied_xproc : int;
   mutable rb_bytes : int;
-  mutable futex_waits : int;
-  mutable futex_wakes : int;
-  mutable signals_posted : int;
-  mutable signals_delivered : int;
   mutable tokens_granted : int;
   mutable tokens_rejected : int;
-  by_sysno : int array; (* per-syscall tallies, indexed by [Sysno.index] *)
 }
 
 let make_counters () =
   {
     syscalls = 0;
-    traps = 0;
     ptrace_stops = 0;
     ipmon_fastpath = 0;
     monitored = 0;
-    plain = 0;
     context_switches = 0;
-    bytes_copied_xproc = 0;
     rb_bytes = 0;
-    futex_waits = 0;
-    futex_wakes = 0;
-    signals_posted = 0;
-    signals_delivered = 0;
     tokens_granted = 0;
     tokens_rejected = 0;
-    by_sysno = Array.make Sysno.slots 0;
   }
-
-let count_sysno c no =
-  let i = Sysno.index no in
-  c.by_sysno.(i) <- c.by_sysno.(i) + 1
 
 (* Routing decision taken by the IK-B broker at syscall entry (Figure 2). *)
 type route =
@@ -54,11 +34,8 @@ type route =
   | Route_monitor (* report to the CP monitor via ptrace *)
 
 type broker = {
-  broker_name : string;
   classify : Proc.thread -> Syscall.call -> route;
       (* IK-B interceptor: called once per syscall entry *)
-  verify : Proc.thread -> token:int64 -> call:Syscall.call -> bool;
-      (* IK-B verifier: may the forwarded call complete? One-time. *)
 }
 
 (* Fault-injection decision, consulted once per syscall entry before broker
@@ -122,12 +99,9 @@ type t = {
   mutable next_share_group : int;
   futexes : (Vm.futex_key, futex_waiter Queue.t) Hashtbl.t;
   stats : counters;
-  mutable broker : broker option;
-  mutable fault_hook : (Proc.thread -> Syscall.call -> fault_decision) option;
-  (* Per-group hook registries, keyed by [Proc.replica_info.group_id]: one
-     kernel can host several replica sets (a fleet), each with its own
-     broker and fault plan. The single-slot [broker]/[fault_hook] fields
-     above remain as a kernel-wide fallback for threads outside any group. *)
+  (* Hook registries, keyed by [Proc.replica_info.group_id]: one kernel can
+     host several replica sets (a fleet), each with its own broker and
+     fault plan. Threads outside any group have neither. *)
   brokers : (int, broker) Hashtbl.t;
   fault_hooks : (int, Proc.thread -> Syscall.call -> fault_decision) Hashtbl.t;
   flocks : (int, int) Hashtbl.t;
@@ -136,8 +110,6 @@ type t = {
       (* pid -> registration prepared by the MVEE before the replica issues
          ipmon_register (the closure cannot travel through the syscall) *)
   epoch_offset_ns : int64; (* "wall clock" base for gettimeofday *)
-  mutable log : (Vtime.t * string) list; (* recent diagnostic events, reversed *)
-  mutable log_enabled : bool;
   mutable obs : Remon_obs.Obs.t option;
       (* structured trace/metrics sink; None = observability fully off *)
   mutable gateway : gateway option;
@@ -159,15 +131,11 @@ let create ?(cost = Cost_model.default) ?(seed = 42)
     next_share_group = 1;
     futexes = Hashtbl.create 32;
     stats = make_counters ();
-    broker = None;
-    fault_hook = None;
     brokers = Hashtbl.create 4;
     fault_hooks = Hashtbl.create 4;
     flocks = Hashtbl.create 8;
     pending_ipmon = Hashtbl.create 8;
     epoch_offset_ns = 1_600_000_000_000_000_000L;
-    log = [];
-    log_enabled = false;
     obs = None;
     gateway = None;
   }
@@ -181,29 +149,17 @@ let gw_poke k s = match k.gateway with Some g -> g.gw_poke s | None -> ()
 let gw_drained k s n =
   match k.gateway with Some g -> g.gw_drained s n | None -> ()
 
-(* Resolve the broker / fault hook a thread is subject to: its group's
-   registered hook when it belongs to a replica set, else the kernel-wide
-   single slot. *)
+(* The broker / fault hook a thread is subject to: its replica group's,
+   if it belongs to one. *)
 let broker_for k (th : Proc.thread) =
   match th.proc.Proc.replica_info with
-  | Some { Proc.group_id; _ } -> (
-    match Hashtbl.find_opt k.brokers group_id with
-    | Some _ as b -> b
-    | None -> k.broker)
-  | None -> k.broker
+  | Some { Proc.group_id; _ } -> Hashtbl.find_opt k.brokers group_id
+  | None -> None
 
 let fault_hook_for k (th : Proc.thread) =
   match th.proc.Proc.replica_info with
-  | Some { Proc.group_id; _ } -> (
-    match Hashtbl.find_opt k.fault_hooks group_id with
-    | Some _ as f -> f
-    | None -> k.fault_hook)
-  | None -> k.fault_hook
-
-let logf k fmt =
-  Printf.ksprintf
-    (fun s -> if k.log_enabled then k.log <- (now k, s) :: k.log)
-    fmt
+  | Some { Proc.group_id; _ } -> Hashtbl.find_opt k.fault_hooks group_id
+  | None -> None
 
 let charge (th : Proc.thread) ns =
   th.clock <- Vtime.add th.clock (Vtime.ns (max 0 ns))
@@ -217,6 +173,36 @@ let fresh_tid k =
   let tid = k.next_tid in
   k.next_tid <- k.next_tid + 1;
   tid
+
+(* A new thread of [p] starting at virtual time [start_clock]: the next tid
+   and the next rank within the process. Not yet scheduled. *)
+let add_thread k (p : Proc.process) ~start_clock =
+  let tid = fresh_tid k in
+  let rank = p.Proc.next_tid_rank in
+  p.Proc.next_tid_rank <- rank + 1;
+  let th =
+    {
+      Proc.tid;
+      proc = p;
+      rank;
+      clock = start_clock;
+      tstate = Proc.Ready;
+      syscall_index = 0;
+      current_call = None;
+      pending_delivery = Queue.create ();
+      in_ipmon = false;
+      last_result = None;
+      resume_kind = 0;
+      resume_k = Obj.repr 0;
+      resume_r = Syscall.Ok_unit;
+      resume_thunk = (fun () -> ());
+      return_fn = (fun _ -> ());
+      finish_fn = Proc.fn_unset;
+      ipmon_finish_fn = Proc.fn_unset;
+    }
+  in
+  Vec.push p.Proc.threads th;
+  th
 
 let fresh_share_group k =
   let g = k.next_share_group in

@@ -3,44 +3,14 @@
    Call sites hold an [Obs.t option]; [None] is the fully-disabled path —
    a single pattern match per emission point and nothing else, which is
    what keeps the tracing layer zero-cost when off (selfperf guards the
-   budget). Helpers below take the option so emission points stay
-   one-liners. *)
+   budget). *)
 
 type t = { trace : Trace.t; metrics : Metrics.t }
 
 let create () = { trace = Trace.create (); metrics = Metrics.create () }
 
-let span_begin o ~ts ~cat ~name ~pid ~tid args =
-  match o with
-  | None -> ()
-  | Some o -> Trace.span_begin o.trace ~ts ~cat ~name ~pid ~tid args
-
-let span_end o ~ts ~cat ~name ~pid ~tid args =
-  match o with
-  | None -> ()
-  | Some o -> Trace.span_end o.trace ~ts ~cat ~name ~pid ~tid args
-
-let instant o ~ts ~cat ~name ~pid ~tid args =
-  match o with
-  | None -> ()
-  | Some o -> Trace.instant o.trace ~ts ~cat ~name ~pid ~tid args
-
-let counter o ~ts ~cat ~name ~pid ~tid args =
-  match o with
-  | None -> ()
-  | Some o -> Trace.counter o.trace ~ts ~cat ~name ~pid ~tid args
-
 let observe_ns o name ns =
   match o with None -> () | Some o -> Metrics.observe_ns o.metrics name ns
-
-let metric_add o name n =
-  match o with None -> () | Some o -> Metrics.add o.metrics name n
-
-let metric_incr o name =
-  match o with None -> () | Some o -> Metrics.incr o.metrics name
-
-let metric_hwm o name v =
-  match o with None -> () | Some o -> Metrics.hwm o.metrics name v
 
 let summary = function None -> [] | Some o -> Metrics.summary o.metrics
 

@@ -74,6 +74,8 @@ echo "== cross-backend conformance fuzz (30-scenario slice)"
 mkdir -p fuzz-artifacts
 FUZZ_SCENARIOS=30 FUZZ_DUMP_DIR=fuzz-artifacts \
   "$root/_build/default/test/test_fuzz.exe" > fuzz.txt
+
+stage=trace
 echo "== trace determinism: repeat, and --domains 1 vs 4"
 "$remon" run -w parsec.dedup -b remon --trace trace_a.json > /dev/null
 "$remon" run -w parsec.dedup -b remon --trace trace_b.json > /dev/null
@@ -83,6 +85,10 @@ cmp trace_a.json trace_b.json
 "$remon" run -w parsec.dedup -b remon --repeat 4 --domains 4 \
   --trace trace_d4.json > /dev/null
 cmp trace_d1.json trace_d4.json
+echo "== routing trace lines rendered from the sink: IP-MON and monitored routes"
+"$remon" run -w parsec.dedup -b remon --trace-lines 40 > trace_lines.txt
+grep -q -- '-> ipmon' trace_lines.txt
+grep -q -- '-> monitored' trace_lines.txt
 
 stage=replay
 echo "== record and replay a clean run (byte identity)"

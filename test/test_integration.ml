@@ -203,9 +203,9 @@ let test_ablation_modes_behave () =
       let r = Runner.run_profile profile config in
       Alcotest.(check bool) "clean" true (r.Runner.outcome.Mvee.verdict = None))
     [
-      { Context.remon_mode with Context.per_call_condvar = false };
-      { Context.remon_mode with Context.slave_wait = Context.Wait_spin_only };
-      { Context.remon_mode with Context.slave_wait = Context.Wait_futex_only };
+      { Context.default_mode with Context.per_call_condvar = false };
+      { Context.default_mode with Context.slave_wait = Context.Wait_spin_only };
+      { Context.default_mode with Context.slave_wait = Context.Wait_futex_only };
     ]
 
 let tc = Alcotest.test_case

@@ -265,10 +265,32 @@ let test_new_classification () =
   Alcotest.(check bool) "syscall surface grew past 150" true
     (List.length Sysno.all >= 150)
 
-(* The trace facility records one line per syscall with its route. *)
+(* The route trace renders one line per syscall with its route: checked
+   on a fault-free multi-threaded profile under every backend, then for
+   the routes themselves on a small ReMon program. *)
 let test_trace_facility () =
+  let dedup =
+    match Remon_workloads.Registry.find "parsec.dedup" with
+    | Some (Remon_workloads.Registry.Profile_workload p) -> p
+    | _ -> Alcotest.fail "parsec.dedup is not a profile workload"
+  in
+  List.iter
+    (fun (name, config) ->
+      let obs = Remon_obs.Obs.create () in
+      let r = Remon_workloads.Runner.run_profile ~obs dedup config in
+      Alcotest.(check int)
+        (name ^ ": one route line per syscall")
+        r.Remon_workloads.Runner.outcome.Mvee.syscalls
+        (List.length (Kernel.route_lines obs)))
+    [
+      ("native", Remon_workloads.Runner.cfg_native ());
+      ("ghumvee", Remon_workloads.Runner.cfg_ghumvee ());
+      ("varan", Remon_workloads.Runner.cfg_varan ());
+      ("remon", Remon_workloads.Runner.cfg_remon Classification.Socket_rw_level);
+    ];
   let kernel = Kernel.create () in
-  Kernel.enable_tracing kernel;
+  let obs = Remon_obs.Obs.create () in
+  Kernel.set_obs kernel obs;
   let body (_ : Mvee.env) =
     ignore (sys Syscall.Gettimeofday);
     ignore (sys Syscall.Getpid)
@@ -280,7 +302,7 @@ let test_trace_facility () =
   in
   Kernel.run kernel;
   ignore (Mvee.finish h);
-  let trace = Kernel.trace kernel in
+  let trace = Kernel.route_lines obs in
   let contains needle hay =
     let n = String.length needle and hl = String.length hay in
     let rec scan i = i + n <= hl && (String.sub hay i n = needle || scan (i + 1)) in

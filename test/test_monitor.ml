@@ -50,6 +50,53 @@ let test_signal_deferral_consistency backend_cfg () =
   Alcotest.(check int) "all replicas at the same syscall index" observed.(0)
     observed.(1)
 
+(* Deferring a signal force-wakes every other blocked thread (Section
+   3.8), including an IP-MON slave waiting for a record its master thread
+   has not written yet: that slave must park again, not complete its wait.
+   Here the master's helper thread runs far behind the slave's, so the
+   slave's helper sits in that wait whenever the signal arrives. *)
+let test_signal_during_ipmon_wait () =
+  List.iter
+    (fun at_us ->
+      let kernel = Kernel.create () in
+      let observed = Array.make 2 (-1) in
+      let body (env : Mvee.env) =
+        ignore
+          (sys (Syscall.Rt_sigaction (Sigdefs.sigusr1, Syscall.Sig_handler 1)));
+        let helper () =
+          for _ = 1 to 20 do
+            ignore (sys Syscall.Gettimeofday);
+            Sched.compute (Vtime.us (if env.Mvee.variant = 0 then 300 else 1))
+          done
+        in
+        ignore (env.Mvee.spawn_thread helper);
+        for _ = 1 to 60 do
+          ignore (sys Syscall.Gettimeofday);
+          Sched.compute (Vtime.us 20);
+          let th = Sched.self () in
+          if not (Queue.is_empty th.Proc.pending_delivery) then begin
+            Queue.clear th.Proc.pending_delivery;
+            if observed.(env.Mvee.variant) < 0 then
+              observed.(env.Mvee.variant) <- th.Proc.syscall_index
+          end
+        done
+      in
+      let h = Mvee.launch kernel (remon ()) ~name:"sigwait" ~body in
+      Kernel.schedule kernel ~time:(Vtime.us at_us) (fun () ->
+          Kernel.post_signal kernel h.Mvee.group.Context.replicas.(0)
+            Sigdefs.sigusr1);
+      Kernel.run kernel;
+      let o = Mvee.finish h in
+      let at = Printf.sprintf "signal at %d us" at_us in
+      (match o.Mvee.verdict with
+      | None -> ()
+      | Some v -> Alcotest.failf "%s: verdict %s" at (Divergence.to_string v));
+      Alcotest.(check bool) (at ^ ": master observed the signal") true
+        (observed.(0) > 0);
+      Alcotest.(check int) (at ^ ": same syscall index in both replicas")
+        observed.(0) observed.(1))
+    [ 100; 400; 1000 ]
+
 (* The master's blocked call is aborted so the deferred signal can be
    delivered (Section 3.8): here the master sits in a blocking read on a
    pipe when the signal arrives. *)
@@ -149,6 +196,33 @@ let test_rendezvous_watchdog () =
     Alcotest.(check (list int)) "variant 1 missing" [ 1 ] missing
   | Some v -> Alcotest.failf "wrong verdict: %s" (Divergence.to_string v)
   | None -> Alcotest.fail "watchdog did not fire"
+
+(* An exit_group that kills a helper thread while its slave twin waits in
+   a half-collected rendezvous ends the replica, not the group's health:
+   once every replica has exited cleanly the watchdog must stay quiet. *)
+let test_watchdog_quiet_after_exit () =
+  let kernel = Kernel.create () in
+  let body (env : Mvee.env) =
+    let helper () =
+      for _ = 1 to 20 do
+        ignore (sys Syscall.Gettimeofday);
+        Sched.compute (Vtime.us (if env.Mvee.variant = 0 then 20 else 1))
+      done
+    in
+    ignore (env.Mvee.spawn_thread helper);
+    for _ = 1 to 5 do
+      ignore (sys Syscall.Gettimeofday);
+      Sched.compute (Vtime.us 20)
+    done
+  in
+  let h = Mvee.launch kernel (ghumvee ()) ~name:"exit-mid-rendezvous" ~body in
+  Kernel.run kernel;
+  let o = Mvee.finish h in
+  Alcotest.(check (list (pair int int))) "both replicas exit 0"
+    [ (0, 0); (1, 0) ] o.Mvee.exit_codes;
+  match o.Mvee.verdict with
+  | None -> ()
+  | Some v -> Alcotest.failf "verdict after a clean exit: %s" (Divergence.to_string v)
 
 (* RB overflow: a tiny buffer forces GHUMVEE-arbitrated resets, and the
    run still completes correctly. *)
@@ -396,11 +470,17 @@ let () =
             (test_signal_deferral_consistency (ghumvee ()));
           tc "blocked call aborted for delivery" `Quick
             test_signal_aborts_blocked_call;
+          tc "deferral during an IP-MON wait" `Quick
+            test_signal_during_ipmon_wait;
         ] );
       ( "verdicts",
         [
           tc "exit code mismatch" `Quick test_exit_code_mismatch;
           tc "rendezvous watchdog" `Quick test_rendezvous_watchdog;
+        ] );
+      ( "watchdog",
+        [
+          tc "quiet after a clean exit" `Quick test_watchdog_quiet_after_exit;
         ] );
       ( "epoll",
         [

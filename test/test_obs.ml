@@ -216,20 +216,33 @@ let test_trace_domains_identical () =
         a b)
     (List.combine sequential parallel)
 
-(* enabling tracing must not perturb the simulation *)
-let test_tracing_does_not_perturb () =
-  let cfg = Runner.cfg_remon ~nreplicas:3 ~seed:42 Classification.Socket_rw_level in
+(* enabling tracing must not perturb the simulation. The untraced run
+   takes the dispatcher's route with the thread's preallocated finishers,
+   the traced one with per-call closures; both must meet on every
+   backend. *)
+let check_tracing_does_not_perturb (backend, cfg) =
   let obs = Obs.create () in
   let traced = Runner.run_profile ~obs tiny_profile cfg in
   let plain = Runner.run_profile tiny_profile cfg in
-  Alcotest.(check (list (pair string string))) "no metrics when disabled" []
+  let label what = backend ^ ": " ^ what in
+  Alcotest.(check (list (pair string string))) (label "no metrics when disabled") []
     plain.Runner.outcome.Mvee.metrics;
-  Alcotest.(check bool) "identical outcome modulo metrics" true
+  Alcotest.(check bool) (label "identical outcome modulo metrics") true
     ({ traced.Runner.outcome with Mvee.metrics = [] } = plain.Runner.outcome);
-  Alcotest.(check int) "identical virtual duration" traced.Runner.duration
+  Alcotest.(check int) (label "identical virtual duration") traced.Runner.duration
     plain.Runner.duration;
-  Alcotest.(check bool) "metrics populated when enabled" true
+  Alcotest.(check bool) (label "metrics populated when enabled") true
     (List.length traced.Runner.outcome.Mvee.metrics > 0)
+
+let test_tracing_does_not_perturb () =
+  List.iter check_tracing_does_not_perturb
+    [
+      ("native", Runner.cfg_native ~seed:42 ());
+      ("ghumvee", Runner.cfg_ghumvee ~nreplicas:3 ~seed:42 ());
+      ("varan", Runner.cfg_varan ~nreplicas:3 ~seed:42 ());
+      ( "remon",
+        Runner.cfg_remon ~nreplicas:3 ~seed:42 Classification.Socket_rw_level );
+    ]
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in

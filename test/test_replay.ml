@@ -224,6 +224,56 @@ let test_double_respawn () =
     Alcotest.(check bool) "recording replays byte-identically" true
       rep.Replayer.identical
 
+(* ------------------------------------------------------------------ *)
+(* Each config field a recording header stores has one string codec, and
+   a header decodes back to the configuration it was made from. *)
+
+let test_config_codecs_round_trip () =
+  let policies =
+    Policy.monitor_everything :: List.map Policy.spatial Classification.all_levels
+  in
+  let failure_policies =
+    [
+      Mvee.Kill_group;
+      Mvee.Quarantine;
+      Mvee.Respawn { max_respawns = 3; backoff_ns = Vtime.ms 1 };
+      Mvee.Respawn { max_respawns = 5; backoff_ns = Vtime.us 250 };
+    ]
+  in
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) "backend" true
+        (Mvee.backend_of_string (Mvee.backend_to_string b) = Some b))
+    all_backends;
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (Policy.level_to_string p) true
+        (Policy.level_of_string (Policy.level_to_string p) = Some p))
+    policies;
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (Mvee.on_failure_to_string f) true
+        (Mvee.on_failure_of_string (Mvee.on_failure_to_string f) = Some f))
+    failure_policies;
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun policy ->
+          List.iter
+            (fun on_failure ->
+              let cfg = { (config ~backend ~on_failure ()) with Mvee.policy } in
+              match
+                Replayer.config_of_header (Mvee.header_of_config cfg ~workload:"")
+              with
+              | Error msg -> Alcotest.fail msg
+              | Ok back ->
+                Alcotest.(check bool) "header round trip" true
+                  (back.Mvee.backend = backend && back.Mvee.policy = policy
+                 && back.Mvee.on_failure = on_failure))
+            failure_policies)
+        policies)
+    all_backends
+
 let () =
   Alcotest.run "replay"
     [
@@ -260,5 +310,10 @@ let () =
         [
           Alcotest.test_case "double respawn recovers twice" `Quick
             test_double_respawn;
+        ] );
+      ( "header",
+        [
+          Alcotest.test_case "config codecs round-trip" `Quick
+            test_config_codecs_round_trip;
         ] );
     ]
