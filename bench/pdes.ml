@@ -63,9 +63,7 @@ let run_matrix ?(quick = false) () =
             (ref_wall /. wall);
           ( r.Topology.digest = ref_r.Topology.digest,
             List.for_all2
-              (fun (h1, r1) (h2, r2) ->
-                h1 = h2
-                && Recording.to_string r1 = Recording.to_string r2)
+              (fun (h1, r1) (h2, r2) -> h1 = h2 && Recording.equal r1 r2)
               r.Topology.recordings ref_r.Topology.recordings )
       in
       if shards = 1 then

@@ -554,7 +554,7 @@ let replay_cmd =
        ~doc:
          "Replay a recording offline: re-execute its configuration, check \
           the replayed stream against the recorded one byte for byte, and \
-          on a fork binary-search for the first divergent record.")
+          on a fork report the first divergent record.")
     Term.(
       const replay_recording $ file_arg $ backend_override_arg $ context_arg
       $ show_events_arg $ trace_file_arg $ metrics_arg)
@@ -848,8 +848,7 @@ let pdes_cmd =
           && List.length r.Topology.recordings
              = List.length ref_r.Topology.recordings
           && List.for_all2
-               (fun (h1, a) (h2, b) ->
-                 h1 = h2 && Recording.to_string a = Recording.to_string b)
+               (fun (h1, a) (h2, b) -> h1 = h2 && Recording.equal a b)
                r.Topology.recordings ref_r.Topology.recordings
         in
         Printf.printf "\nverify vs shards=1: %s\n"

@@ -38,6 +38,12 @@ let equal_event a b =
   | Signal a, Signal b -> a.rank = b.rank && a.signo = b.signo
   | _ -> false
 
+let equal a b =
+  a.header = b.header
+  && a.verdict = b.verdict
+  && Array.length a.events = Array.length b.events
+  && Array.for_all2 equal_event a.events b.events
+
 let event_to_string = function
   | Call { rank; call; result } ->
     Printf.sprintf "call  rank=%d %s -> %s" rank (Syscall.to_string call)
@@ -154,11 +160,20 @@ let of_string s =
   with Syswire.Fail e -> Error e
 
 let to_file t path =
+  let s = to_string t in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  output_string oc (to_string t);
-  close_out oc;
-  Sys.rename tmp path
+  try
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc s;
+        close_out oc);
+    Sys.rename tmp path
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Printexc.raise_with_backtrace e bt
 
 let of_file path =
   match
@@ -176,25 +191,7 @@ let with_workload t workload = { t with header = { t.header with workload } }
 (* ------------------------------------------------------------------ *)
 (* Digests *)
 
-let event_bytes ev =
-  let w = Syswire.W.create ~initial:64 () in
-  write_event w ev;
-  Syswire.W.contents w
-
 let stream_digest t =
   let w = Syswire.W.create ~initial:4096 () in
   Array.iter (write_event w) t.events;
   Digest.to_hex (Digest.string (Syswire.W.contents w))
-
-(* Chained prefix digests: d.(0) seeds on the event count alone;
-   d.(i+1) = MD5(d.(i) ++ bytes(event i)). Prefix agreement between two
-   streams is monotone in the prefix length, which is the invariant the
-   bisection driver binary-searches. *)
-let prefix_digests t =
-  let n = Array.length t.events in
-  let d = Array.make (n + 1) "" in
-  d.(0) <- Digest.string "rmrc-prefix-0";
-  for i = 0 to n - 1 do
-    d.(i + 1) <- Digest.string (d.(i) ^ event_bytes t.events.(i))
-  done;
-  d

@@ -51,6 +51,12 @@ type t = { header : header; events : event array; verdict : (string * string) op
 (** [verdict = Some (class, rendered)]; [None] = clean run. *)
 
 val equal_event : event -> event -> bool
+
+val equal : t -> t -> bool
+(** Header, verdict and every event equal. The codec is a function and
+    round-trips, so [equal a b] iff [to_string a = to_string b]; compare
+    values with this rather than encoding both. *)
+
 val event_to_string : event -> string
 
 (* {1 Serialization} *)
@@ -61,7 +67,8 @@ val of_string : string -> (t, Syswire.error) result
     bytes, checksum mismatch — yields [Error], never an exception. *)
 
 val to_file : t -> string -> unit
-(** Atomic (tmp + rename) write. *)
+(** Atomic (tmp + rename) write. On failure the tmp file is removed and
+    the exception re-raised. *)
 
 val of_file : string -> (t, Syswire.error) result
 
@@ -72,8 +79,3 @@ val with_workload : t -> string -> t
 val stream_digest : t -> string
 (** MD5 (hex) over the serialized event stream alone — header-independent,
     so the same execution recorded under different labels compares equal. *)
-
-val prefix_digests : t -> string array
-(** [n+1] chained digests; element [i] covers events [0..i-1]. Element [n]
-    distinguishes any two streams that differ anywhere before [n], which
-    makes prefix agreement monotone — the property bisection searches. *)

@@ -51,30 +51,20 @@ let render_opt events i =
 
 let bisect ?(context = 3) ~(recorded : Recording.t) ~(replayed : Recording.t)
     () =
-  let da = Recording.prefix_digests recorded in
-  let db = Recording.prefix_digests replayed in
-  let na = Array.length recorded.Recording.events in
-  let nb = Array.length replayed.Recording.events in
+  let rec_evs = recorded.Recording.events in
+  let rep_evs = replayed.Recording.events in
+  let na = Array.length rec_evs in
+  let nb = Array.length rep_evs in
   let n = min na nb in
-  let agree i = String.equal da.(i) db.(i) in
-  if agree n && na = nb then None
+  (* the fork is the first record the streams disagree on; when the
+     common prefix fully agrees, one stream simply ended *)
+  let rec scan i =
+    if i < n && Recording.equal_event rec_evs.(i) rep_evs.(i) then scan (i + 1)
+    else i
+  in
+  let first = scan 0 in
+  if first = n && na = nb then None
   else begin
-    (* chained digests make prefix agreement monotone: find the smallest
-       disagreeing prefix by binary search; the fork is the record before
-       it. When the common prefix fully agrees, one stream simply ended. *)
-    let first =
-      if agree n then n
-      else begin
-        let lo = ref 0 and hi = ref n in
-        while !hi - !lo > 1 do
-          let mid = (!lo + !hi) / 2 in
-          if agree mid then lo := mid else hi := mid
-        done;
-        !lo
-      end
-    in
-    let rec_evs = recorded.Recording.events in
-    let rep_evs = replayed.Recording.events in
     let thread_rank, syscall =
       let of_event = function
         | Recording.Call { rank; call; _ } ->
@@ -138,26 +128,12 @@ let replay ?backend ?context ?obs (recorded : Recording.t) ~body =
       | Some r -> Recording.with_workload r recorded.Recording.header.Recording.workload
       | None -> assert false (* config.record = true *)
     in
-    let same_backend =
-      String.equal replayed.Recording.header.Recording.backend
-        recorded.Recording.header.Recording.backend
-    in
-    let identical =
-      same_backend
-      && String.equal (Recording.to_string recorded) (Recording.to_string replayed)
-    in
+    let identical = Recording.equal recorded replayed in
     let class_of (r : Recording.t) =
       match r.Recording.verdict with Some (cls, _) -> Some cls | None -> None
     in
     let verdict_class_agrees = class_of recorded = class_of replayed in
-    let divergence =
-      if
-        String.equal
-          (Recording.stream_digest recorded)
-          (Recording.stream_digest replayed)
-      then None
-      else bisect ?context ~recorded ~replayed ()
-    in
+    let divergence = bisect ?context ~recorded ~replayed () in
     obs_instant obs ~ts:(Kernel.now kernel) ~name:"replay.end"
       [
         ("identical", Remon_obs.Trace.Int (if identical then 1 else 0));

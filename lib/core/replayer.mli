@@ -1,15 +1,17 @@
 (** Offline replay of {!Recording} files: re-executes the recorded
     configuration in a fresh kernel (optionally under a different backend —
     a first-class mode), compares the replayed stream against the
-    recording, and on a fork runs time-travel divergence bisection:
-    binary-search over chained prefix digests for the first record where
-    the replica's visible stream forks from the recorded master stream. *)
+    recording, and on a fork runs time-travel divergence bisection: a
+    first-difference scan for the first record where the replica's visible
+    stream forks from the recorded master stream. Both steps compare
+    recordings as values; neither re-encodes them. *)
 
 type report = {
   recorded : Recording.t;
   replayed : Recording.t;
   identical : bool;
-      (** byte-identical serializations — the same-backend replay oracle *)
+      (** {!Recording.equal}, which holds iff the serializations are
+          byte-identical — the same-backend replay oracle *)
   verdict_class_agrees : bool;
       (** verdict-class equality — the cross-backend replay oracle *)
   divergence : Divergence.replay_divergence option;
@@ -29,8 +31,9 @@ val bisect :
   replayed:Recording.t ->
   unit ->
   Divergence.replay_divergence option
-(** Binary search over the chained prefix digests of both streams for the
-    first divergent record; [None] when the streams are identical.
+(** The first divergent record: the first index below [min na nb] whose
+    events differ ({!Recording.equal_event}), or [min na nb] when one
+    stream is a prefix of the other; [None] when the streams are equal.
     [?context] is the half-width K of the report's ±K-record window
     (default 3). *)
 

@@ -102,8 +102,13 @@ echo "== record a violating run and replay it (verdict included)"
 test -f violation.rmrc
 "$remon" replay violation.rmrc > replay_violation.txt
 grep -q 'identical : yes' replay_violation.txt
-echo "== replay under a different backend (verdict-class agreement)"
+echo "== replay under a different backend (verdict-class agreement, fork report)"
 "$remon" replay clean.rmrc -b varan > replay_varan.txt
+grep -q 'verdicts  : same class' replay_varan.txt
+grep -q 'first divergent record:' replay_varan.txt
+"$remon" replay violation.rmrc -b remon > replay_violation_remon.txt
+grep -q 'verdicts  : same class' replay_violation_remon.txt
+grep -q 'first divergent record:' replay_violation_remon.txt
 echo "== chaos reproducer recordings: --domains 1 vs 4"
 REMON_RECORD_DIR=rec_d1 "$bench" chaos quick --domains 1 > /dev/null 2>&1
 REMON_RECORD_DIR=rec_d4 "$bench" chaos quick --domains 4 > /dev/null 2>&1

@@ -1,7 +1,7 @@
 (* Deployable record/replay: record -> offline replay identity on every
    backend, replay-under-a-different-backend verdict agreement, divergence
-   bisection (binary search must match a linear scan exactly), and the
-   double-respawn recovery regression. *)
+   bisection (the first-difference scan must match a byte-level oracle
+   exactly), and the double-respawn recovery regression. *)
 
 open Remon_kernel
 open Remon_core
@@ -66,6 +66,10 @@ let test_replay_identity backend () =
       (Array.length recorded.Recording.events > 0);
   let rep = replay_exn recorded ~body in
   Alcotest.(check bool) "byte-identical" true rep.Replayer.identical;
+  Alcotest.(check bool) "serializations equal" true
+    (String.equal
+       (Recording.to_string recorded)
+       (Recording.to_string rep.Replayer.replayed));
   Alcotest.(check string) "stream digest"
     (Recording.stream_digest recorded)
     (Recording.stream_digest rep.Replayer.replayed);
@@ -118,19 +122,23 @@ let tamper recording k =
     | Recording.Signal s -> Recording.Signal { s with signo = s.signo + 1 });
   { recording with Recording.events }
 
-(* Ground truth by linear scan, for checking the binary search against. *)
-let linear_fork (a : Recording.t) (b : Recording.t) =
+(* Byte-level oracle, independent of [Recording.equal_event]: the fork is
+   the longest common prefix length k whose serialized streams digest
+   equal; there is no fork iff both streams are that prefix. *)
+let digest_fork (a : Recording.t) (b : Recording.t) =
   let na = Array.length a.Recording.events in
   let nb = Array.length b.Recording.events in
-  let n = min na nb in
-  let rec go i =
-    if i >= n then if na = nb then None else Some n
-    else if
-      Recording.equal_event a.Recording.events.(i) b.Recording.events.(i)
-    then go (i + 1)
-    else Some i
+  let prefix (r : Recording.t) k =
+    Recording.stream_digest
+      { r with Recording.events = Array.sub r.Recording.events 0 k }
   in
-  go 0
+  let rec longest k =
+    if k < min na nb && String.equal (prefix a (k + 1)) (prefix b (k + 1))
+    then longest (k + 1)
+    else k
+  in
+  let k = longest 0 in
+  if k = na && k = nb then None else Some k
 
 let test_bisect_pinpoints () =
   let recorded = record (config ()) (mixed_body ()) in
@@ -139,6 +147,10 @@ let test_bisect_pinpoints () =
   List.iter
     (fun k ->
       let tampered = tamper recorded k in
+      Alcotest.(check (option int))
+        (Printf.sprintf "tamper@%d: oracle" k)
+        (Some k)
+        (digest_fork recorded tampered);
       match Replayer.bisect ~recorded ~replayed:tampered () with
       | None -> Alcotest.failf "tamper@%d: no divergence reported" k
       | Some d ->
@@ -152,6 +164,8 @@ let test_bisect_pinpoints () =
         Alcotest.(check bool) "context window non-empty" true
           (d.Divergence.context <> []))
     [ 0; 1; n / 2; n - 1 ];
+  Alcotest.(check (option int)) "identical streams: oracle" None
+    (digest_fork recorded recorded);
   Alcotest.(check bool)
     "identical streams: no divergence" true
     (Replayer.bisect ~recorded ~replayed:recorded () = None)
@@ -166,6 +180,8 @@ let test_bisect_truncation () =
       Recording.events = Array.sub recorded.Recording.events 0 m;
     }
   in
+  Alcotest.(check (option int)) "oracle" (Some m)
+    (digest_fork recorded truncated);
   match Replayer.bisect ~recorded ~replayed:truncated () with
   | None -> Alcotest.fail "truncated stream: no divergence reported"
   | Some d ->
@@ -174,21 +190,19 @@ let test_bisect_truncation () =
     Alcotest.(check int) "totals" n d.Divergence.total_recorded;
     Alcotest.(check int) "totals" m d.Divergence.total_replayed
 
-(* Clean vs fault-injected run of the same configuration: the bisection's
-   binary search must land exactly where a linear scan does. *)
+(* Clean vs fault-injected run of the same configuration: the scan must
+   land exactly where the byte-level oracle does. *)
 let test_bisect_matches_linear_scan () =
   let body = mixed_body () in
   let clean = record (config ~backend:Mvee.Ghumvee_only ()) body in
   let faults = [ Fault.spec ~kind:Fault.Corrupt_args ~variant:1 ~at:25 ] in
   let faulted = record (config ~backend:Mvee.Ghumvee_only ~faults ()) body in
-  let expected = linear_fork clean faulted in
+  let expected = digest_fork clean faulted in
   Alcotest.(check bool) "the fault forked the stream" true (expected <> None);
-  match (Replayer.bisect ~recorded:clean ~replayed:faulted (), expected) with
-  | Some d, Some k ->
-    Alcotest.(check int) "binary search = linear scan" k
-      d.Divergence.first_rank
-  | None, _ -> Alcotest.fail "bisect reported no divergence"
-  | _, None -> assert false
+  Alcotest.(check (option int)) "scan = byte-level oracle" expected
+    (Option.map
+       (fun d -> d.Divergence.first_rank)
+       (Replayer.bisect ~recorded:clean ~replayed:faulted ()))
 
 (* ------------------------------------------------------------------ *)
 (* Double respawn: two injected slave crashes under a Respawn budget of 3

@@ -299,18 +299,91 @@ let prop_result_roundtrip =
       let back = Syswire.read_result r in
       Syscall.equal_result result back && Syswire.R.remaining r = 0)
 
-let equal_recording (a : Recording.t) (b : Recording.t) =
-  a.Recording.header = b.Recording.header
-  && a.Recording.verdict = b.Recording.verdict
-  && Array.length a.Recording.events = Array.length b.Recording.events
-  && Array.for_all2 Recording.equal_event a.Recording.events b.Recording.events
-
 let prop_recording_roundtrip =
   QCheck2.Test.make ~name:"recording serialize/parse round-trips" ~count:300
     gen_recording (fun t ->
       match Recording.of_string (Recording.to_string t) with
-      | Ok back -> equal_recording t back
+      | Ok back -> Recording.equal t back
       | Error _ -> false)
+
+(* ------------------------------------------------------------------ *)
+(* Value equality agrees with byte equality *)
+
+let gen_header_change : (Recording.header -> Recording.header) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map
+        (fun backend h -> { h with Recording.backend })
+        (oneofl [ "native"; "ghumvee"; "varan"; "remon" ]);
+      map (fun nreplicas h -> { h with Recording.nreplicas }) (int_range 1 4);
+      map (fun seed h -> { h with Recording.seed }) gen_small;
+      map
+        (fun level h -> { h with Recording.level })
+        (oneofl [ "SOCKET_RW_LEVEL"; "NONSOCKET_RW_LEVEL" ]);
+      map
+        (fun on_failure h -> { h with Recording.on_failure })
+        (oneofl [ "kill-group"; "quarantine" ]);
+      map
+        (fun faults h -> { h with Recording.faults })
+        (oneofl [ ""; "args@25:1" ]);
+      map (fun workload h -> { h with Recording.workload }) gen_str;
+      map (fun shm_key h -> { h with Recording.shm_key }) (int_range 0 3);
+    ]
+
+(* One mutation of a recording. A replacement event or header value may
+   equal the one it replaces, so both sides of the iff get exercised. *)
+let gen_mutation : (Recording.t -> Recording.t) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let at i (t : Recording.t) f =
+    let n = Array.length t.Recording.events in
+    if n = 0 then t else f (i mod n) t.Recording.events
+  in
+  oneof
+    [
+      return (fun (t : Recording.t) ->
+          { t with Recording.events = Array.copy t.Recording.events });
+      map2
+        (fun i ev t ->
+          at i t (fun i evs ->
+              {
+                t with
+                Recording.events =
+                  Array.mapi (fun j e -> if j = i then ev else e) evs;
+              }))
+        nat gen_event;
+      map
+        (fun i t ->
+          at i t (fun i evs ->
+              {
+                t with
+                Recording.events =
+                  Array.init (Array.length evs - 1) (fun j ->
+                      if j < i then evs.(j) else evs.(j + 1));
+              }))
+        nat;
+      map
+        (fun change (t : Recording.t) ->
+          { t with Recording.header = change t.Recording.header })
+        gen_header_change;
+      map
+        (fun v (t : Recording.t) ->
+          {
+            t with
+            Recording.verdict =
+              (match t.Recording.verdict with None -> Some v | Some _ -> None);
+          })
+        (pair gen_str gen_str);
+    ]
+
+let prop_equal_iff_bytes_equal =
+  QCheck2.Test.make ~name:"Recording.equal iff serializations are equal"
+    ~count:1000
+    QCheck2.Gen.(pair gen_recording gen_mutation)
+    (fun (a, mutate) ->
+      let b = mutate a in
+      Recording.equal a b
+      = String.equal (Recording.to_string a) (Recording.to_string b))
 
 (* ------------------------------------------------------------------ *)
 (* Totality on malformed input: typed error, never an exception *)
@@ -417,6 +490,30 @@ let test_retired_tag_3 () =
   | Ok _ -> Alcotest.fail "retired tag 3 parsed"
   | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
 
+(* A failed write leaves no tmp file behind: here the rename fails
+   because the target is an existing directory. *)
+let test_to_file_failure_cleans_up () =
+  let dir = Filename.temp_dir "rmrc" "" in
+  let t =
+    QCheck2.Gen.generate1 ~rand:(Random.State.make [| 1 |]) gen_recording
+  in
+  (match Recording.to_file t dir with
+  | () -> Alcotest.fail "wrote a recording over a directory"
+  | exception Sys_error _ -> ());
+  let leftover = Sys.file_exists (dir ^ ".tmp") in
+  if leftover then Sys.remove (dir ^ ".tmp");
+  Alcotest.(check bool) "tmp file removed" false leftover;
+  let path = Filename.concat dir "ok.rmrc" in
+  Recording.to_file t path;
+  (match Recording.of_file path with
+  | Ok back ->
+    Alcotest.(check bool) "written file reads back" true (Recording.equal t back)
+  | Error e -> Alcotest.fail (Syswire.error_to_string e));
+  Alcotest.(check bool) "no tmp file after success" false
+    (Sys.file_exists (path ^ ".tmp"));
+  Sys.remove path;
+  Sys.rmdir dir
+
 (* Varint edge cases straight through the W/R modules. *)
 let test_varint_edges () =
   let round_int n =
@@ -449,6 +546,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_call_roundtrip;
           QCheck_alcotest.to_alcotest prop_result_roundtrip;
           QCheck_alcotest.to_alcotest prop_recording_roundtrip;
+          QCheck_alcotest.to_alcotest prop_equal_iff_bytes_equal;
         ] );
       ( "malformed",
         [
@@ -460,5 +558,10 @@ let () =
           Alcotest.test_case "empty and garbage" `Quick test_empty_and_garbage;
           Alcotest.test_case "varint edges" `Quick test_varint_edges;
           Alcotest.test_case "retired event tag 3" `Quick test_retired_tag_3;
+        ] );
+      ( "file",
+        [
+          Alcotest.test_case "to_file cleans up on failure" `Quick
+            test_to_file_failure_cleans_up;
         ] );
     ]
