@@ -35,9 +35,15 @@ type arrival = { variant : int; th : Proc.thread; call : Syscall.call }
 
 type rstate =
   | Idle
-  | Collecting of { arrivals : arrival list; count : int }
+  | Collecting of {
+      arrivals : arrival list;
+      count : int;
+      mutable watchdog : Event_queue.handle;
+    }
       (* [count = List.length arrivals], maintained so the per-arrival
-         completeness check is O(1) instead of a list walk per syscall *)
+         completeness check is O(1) instead of a list walk per syscall;
+         [watchdog] is the armed stall timer, cancelled when the
+         rendezvous completes or a purge empties it *)
   | Master_running of { slaves : arrival list; nslaves : int }
       (* the master is executing; only the waiting slaves matter at its
          exit stop, so they are pre-split (and pre-counted) here *)
@@ -48,7 +54,6 @@ type t = {
   g : Context.group;
   kernel : Kernel.t;
   rendezvous : (int, rstate) Hashtbl.t; (* thread rank -> state *)
-  seqs : (int, int) Hashtbl.t; (* rank -> state generation, for the watchdog *)
   mutable busy_until : Vtime.t;
   deferred_signals : int Queue.t;
   watchdog_ns : Vtime.t;
@@ -68,7 +73,6 @@ let create (g : Context.group) ?(watchdog_ns = Vtime.s 10)
     g;
     kernel = g.Context.kernel;
     rendezvous = Hashtbl.create 8;
-    seqs = Hashtbl.create 8;
     busy_until = Vtime.zero;
     deferred_signals = Queue.create ();
     watchdog_ns;
@@ -83,14 +87,13 @@ let create (g : Context.group) ?(watchdog_ns = Vtime.s 10)
 let rank_state t rank =
   match Hashtbl.find_opt t.rendezvous rank with Some s -> s | None -> Idle
 
-let bump_seq t rank =
-  let s = match Hashtbl.find_opt t.seqs rank with Some s -> s | None -> 0 in
-  Hashtbl.replace t.seqs rank (s + 1);
-  s + 1
+let set_state t rank st = Hashtbl.replace t.rendezvous rank st
 
-let set_state t rank st =
-  Hashtbl.replace t.rendezvous rank st;
-  ignore (bump_seq t rank)
+(* The collecting rendezvous on [rank] is over (complete or emptied by a
+   purge): disarm its watchdog. *)
+let end_collecting t rank watchdog =
+  Kernel.cancel t.kernel watchdog;
+  set_state t rank Idle
 
 let variant_of (p : Proc.process) =
   match p.Proc.replica_info with
@@ -100,9 +103,10 @@ let variant_of (p : Proc.process) =
 let store t = t.g.Context.rb.Replication_buffer.sync_log
 
 (* Monitor-context trace events (pid/tid 0): rendezvous lifecycle and the
-   watchdog. One match on the sink per site; nothing runs when it's off.
-   Metric keys for the fixed event vocabulary are interned at module init:
-   the per-rendezvous tallies do not concatenate strings. *)
+   watchdog. Each site matches on the sink itself, so nothing runs and no
+   argument list is built when it's off. Metric keys for the fixed event
+   vocabulary are interned at module init: the per-rendezvous tallies do
+   not concatenate strings. *)
 let rendezvous_key = function
   | "collect" -> "rendezvous.collect"
   | "release" -> "rendezvous.release"
@@ -112,13 +116,10 @@ let rendezvous_key = function
   | "respawn_replay" -> "rendezvous.respawn_replay"
   | n -> "rendezvous." ^ n
 
-let obs_instant t ~ts ~name args =
-  match Kernel.obs t.kernel with
-  | None -> ()
-  | Some o ->
-    Remon_obs.Trace.instant o.Remon_obs.Obs.trace ~ts ~cat:"rendezvous" ~name
-      ~pid:0 ~tid:0 args;
-    Remon_obs.Metrics.incr o.Remon_obs.Obs.metrics (rendezvous_key name)
+let obs_instant o ~ts ~name args =
+  Remon_obs.Trace.instant o.Remon_obs.Obs.trace ~ts ~cat:"rendezvous" ~name
+    ~pid:0 ~tid:0 args;
+  Remon_obs.Metrics.incr o.Remon_obs.Obs.metrics (rendezvous_key name)
 
 (* Charges the monitor's serialized processing time starting no earlier
    than [earliest], and returns the completion instant. *)
@@ -263,12 +264,15 @@ let rec process_rendezvous t rank (arrivals : arrival list) =
   List.iter
     (fun a -> a.th.Proc.clock <- Vtime.max a.th.Proc.clock done_at)
     arrivals;
-  obs_instant t ~ts:done_at ~name:"release"
-    [
-      ("rank", Remon_obs.Trace.Int rank);
-      ("arrivals", Remon_obs.Trace.Int narrivals);
-      ("call", Remon_obs.Trace.Str (Syscall.to_string call));
-    ];
+  (match Kernel.obs t.kernel with
+  | None -> ()
+  | Some o ->
+    obs_instant o ~ts:done_at ~name:"release"
+      [
+        ("rank", Remon_obs.Trace.Int rank);
+        ("arrivals", Remon_obs.Trace.Int narrivals);
+        ("call", Remon_obs.Trace.Str (Syscall.to_string call));
+      ]);
   (* deep argument comparison *)
   let mismatch =
     List.find_opt
@@ -288,11 +292,14 @@ let rec process_rendezvous t rank (arrivals : arrival list) =
           detector = Divergence.By_ghumvee;
         }
     in
-    obs_instant t ~ts:done_at ~name:"args_mismatch"
-      [
-        ("rank", Remon_obs.Trace.Int rank);
-        ("variant", Remon_obs.Trace.Int bad.variant);
-      ];
+    (match Kernel.obs t.kernel with
+    | None -> ()
+    | Some o ->
+      obs_instant o ~ts:done_at ~name:"args_mismatch"
+        [
+          ("rank", Remon_obs.Trace.Int rank);
+          ("variant", Remon_obs.Trace.Int bad.variant);
+        ]);
     if Context.replica_fault t.g ~variant:bad.variant verdict then
       (* the bad replica was quarantined (and killed); the survivors still
          sit at their entry stops — re-run the rendezvous without it *)
@@ -355,17 +362,17 @@ let purge_variant t ~variant =
     (fun rank ->
       match rank_state t rank with
       | Idle -> ()
-      | Collecting { arrivals; _ } -> (
+      | Collecting { arrivals; watchdog; _ } -> (
         let arrivals = List.filter (fun a -> a.variant <> variant) arrivals in
         match arrivals with
-        | [] -> set_state t rank Idle
+        | [] -> end_collecting t rank watchdog
         | _ ->
           let count = List.length arrivals in
           if count >= Context.active_count t.g then begin
-            set_state t rank Idle;
+            end_collecting t rank watchdog;
             process_rendezvous t rank arrivals
           end
-          else set_state t rank (Collecting { arrivals; count }))
+          else set_state t rank (Collecting { arrivals; count; watchdog }))
       | Master_running { slaves; _ } ->
         let slaves = List.filter (fun a -> a.variant <> variant) slaves in
         set_state t rank
@@ -381,46 +388,52 @@ let purge_variant t ~variant =
 (* ------------------------------------------------------------------ *)
 (* Stop-event handlers *)
 
-(* Bounded retry with doubled delay: a stalled arrival (e.g. an injected
+(* Armed when a rendezvous starts collecting and kept with it until it
+   completes or a purge empties it, whatever the replica count. Bounded
+   retry with doubled delay: a stalled arrival (e.g. an injected
    rendezvous delay) gets [max_watchdog_retries] grace periods before the
    monitor escalates. Escalation quarantines the missing slaves when the
    policy allows; a missing master (or a declined policy) kills the group.
    Once every replica has exited there is nothing left to stall: a
    half-collected rendezvous (an [exit_group] killed the thread the others
    were waiting for) is not a timeout. *)
-let rec arm_watchdog ?(attempt = 0) t rank =
-  let seq = match Hashtbl.find_opt t.seqs rank with Some s -> s | None -> 0 in
+let rec arm_watchdog t rank ~attempt =
   let delay = Vtime.scale t.watchdog_ns (2. ** float_of_int attempt) in
-  Kernel.schedule t.kernel
+  Kernel.schedule_at t.kernel
     ~time:(Vtime.add (Kernel.now t.kernel) delay)
     (fun () ->
-      let cur = match Hashtbl.find_opt t.seqs rank with Some s -> s | None -> 0 in
       if
-        (not t.shutting_down) && cur = seq
+        (not t.shutting_down)
         && Array.exists (fun (p : Proc.process) -> p.Proc.alive)
              t.g.Context.replicas
       then begin
         match rank_state t rank with
-        | Collecting { arrivals; _ } ->
+        | Collecting c ->
           if attempt < t.max_watchdog_retries then begin
             t.g.Context.watchdog_retries <- t.g.Context.watchdog_retries + 1;
-            obs_instant t ~ts:(Kernel.now t.kernel) ~name:"watchdog_retry"
-              [
-                ("rank", Remon_obs.Trace.Int rank);
-                ("attempt", Remon_obs.Trace.Int attempt);
-              ];
-            arm_watchdog ~attempt:(attempt + 1) t rank
+            (match Kernel.obs t.kernel with
+            | None -> ()
+            | Some o ->
+              obs_instant o ~ts:(Kernel.now t.kernel) ~name:"watchdog_retry"
+                [
+                  ("rank", Remon_obs.Trace.Int rank);
+                  ("attempt", Remon_obs.Trace.Int attempt);
+                ]);
+            c.watchdog <- arm_watchdog t rank ~attempt:(attempt + 1)
           end
           else begin
-            obs_instant t ~ts:(Kernel.now t.kernel) ~name:"watchdog_timeout"
-              [ ("rank", Remon_obs.Trace.Int rank) ];
-            let present = List.map (fun a -> a.variant) arrivals in
+            (match Kernel.obs t.kernel with
+            | None -> ()
+            | Some o ->
+              obs_instant o ~ts:(Kernel.now t.kernel) ~name:"watchdog_timeout"
+                [ ("rank", Remon_obs.Trace.Int rank) ]);
+            let present = List.map (fun a -> a.variant) c.arrivals in
             let missing =
               List.filter
                 (fun v -> not (List.mem v present))
                 (Context.active_variants t.g)
             in
-            let a = List.hd arrivals in
+            let a = List.hd c.arrivals in
             let index = a.th.Proc.syscall_index in
             let verdict =
               Divergence.Rendezvous_timeout { rank; index; missing }
@@ -458,26 +471,35 @@ let rec handle_entry t (th : Proc.thread) (call : Syscall.call) =
          master's next monitored entry: their parked call is this very
          rendezvous *)
       if variant = 0 then flush_waiting_rejoin t ~rank;
-      obs_instant t ~ts:th.Proc.clock ~name:"collect"
-        [
-          ("rank", Remon_obs.Trace.Int rank);
-          ("variant", Remon_obs.Trace.Int variant);
-          ("index", Remon_obs.Trace.Int th.Proc.syscall_index);
-        ];
+      (match Kernel.obs t.kernel with
+      | None -> ()
+      | Some o ->
+        obs_instant o ~ts:th.Proc.clock ~name:"collect"
+          [
+            ("rank", Remon_obs.Trace.Int rank);
+            ("variant", Remon_obs.Trace.Int variant);
+            ("index", Remon_obs.Trace.Int th.Proc.syscall_index);
+          ]);
       let arrival = { variant; th; call } in
       (match rank_state t rank with
       | Idle ->
-        set_state t rank (Collecting { arrivals = [ arrival ]; count = 1 });
         if Context.active_count t.g = 1 then process_rendezvous t rank [ arrival ]
-        else arm_watchdog t rank
-      | Collecting { arrivals; count } ->
+        else
+          set_state t rank
+            (Collecting
+               {
+                 arrivals = [ arrival ];
+                 count = 1;
+                 watchdog = arm_watchdog t rank ~attempt:0;
+               })
+      | Collecting { arrivals; count; watchdog } ->
         let arrivals = arrival :: arrivals in
         let count = count + 1 in
         if count >= Context.active_count t.g then begin
-          set_state t rank Idle;
+          end_collecting t rank watchdog;
           process_rendezvous t rank arrivals
         end
-        else set_state t rank (Collecting { arrivals; count })
+        else set_state t rank (Collecting { arrivals; count; watchdog })
       | Master_running _ | Await_slave_exits _ | All_running _ ->
         (* a thread re-entered the kernel while its rank's previous call is
            still being processed: possible under attack; treat as sequence
@@ -588,8 +610,11 @@ let is_replaying t ~variant = Hashtbl.mem t.replaying variant
 (* A respawned variant starts replaying the journal from the beginning. *)
 let begin_replay t ~variant =
   enable_replay_feed t;
-  obs_instant t ~ts:(Kernel.now t.kernel) ~name:"respawn_replay"
-    [ ("variant", Remon_obs.Trace.Int variant) ];
+  (match Kernel.obs t.kernel with
+  | None -> ()
+  | Some o ->
+    obs_instant o ~ts:(Kernel.now t.kernel) ~name:"respawn_replay"
+      [ ("variant", Remon_obs.Trace.Int variant) ]);
   Hashtbl.replace t.replaying variant (Hashtbl.create 4);
   Ikb.set_replaying t.g.Context.ikb ~variant true
 

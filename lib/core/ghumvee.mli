@@ -15,9 +15,14 @@ type arrival = { variant : int; th : Proc.thread; call : Syscall.call }
 
 type rstate =
   | Idle
-  | Collecting of { arrivals : arrival list; count : int }
+  | Collecting of {
+      arrivals : arrival list;
+      count : int;
+      mutable watchdog : Event_queue.handle;
+    }
       (** [count = List.length arrivals]: the per-arrival completeness
-          check is O(1) *)
+          check is O(1). [watchdog] is the rendezvous's stall timer,
+          cancelled when it completes or a purge empties it. *)
   | Master_running of { slaves : arrival list; nslaves : int }
       (** waiting slaves only, pre-split for the master's exit stop *)
   | Await_slave_exits of { mutable remaining : int }
@@ -27,7 +32,6 @@ type t = {
   g : Context.group;
   kernel : Kernel.t;
   rendezvous : (int, rstate) Hashtbl.t; (** per thread rank *)
-  seqs : (int, int) Hashtbl.t;
   mutable busy_until : Vtime.t;
       (** monitor serialization: concurrent stops queue behind it *)
   deferred_signals : int Queue.t;

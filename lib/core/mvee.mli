@@ -90,7 +90,9 @@ type handle = {
 }
 
 type outcome = {
-  duration : Vtime.t; (** master replica lifetime in virtual time *)
+  duration : Vtime.t;
+      (** master replica lifetime in virtual time; for a master that never
+          exits (a server), the instant of the run's last simulated event *)
   verdict : Divergence.t option; (** [None] = clean run *)
   exit_codes : (int * int) list; (** (variant, code) *)
   syscalls : int;

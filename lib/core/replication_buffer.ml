@@ -89,22 +89,20 @@ let default_size = 16 * 1024 * 1024 (* the paper's 16 MiB *)
 
 (* RB events belong to the monitor context, not any replica: pid/tid 0.
    Occupancy rides along as a high-water-mark metric on every event.
-   Metric keys for the fixed event vocabulary are interned at module init:
-   the per-record tallies do not concatenate strings. *)
+   Each site matches on the sink itself, so no argument list is built
+   when it's off. Metric keys for the fixed event vocabulary are interned
+   at module init: the per-record tallies do not concatenate strings. *)
 let rb_key = function
   | "append" -> "rb.append"
   | "consume" -> "rb.consume"
   | "reset" -> "rb.reset"
   | n -> "rb." ^ n
 
-let obs_event t ~name args =
-  match t.obs with
-  | None -> ()
-  | Some (o, now) ->
-    Remon_obs.Trace.instant o.Remon_obs.Obs.trace ~ts:(now ()) ~cat:"rb" ~name
-      ~pid:0 ~tid:0 args;
-    Remon_obs.Metrics.incr o.Remon_obs.Obs.metrics (rb_key name);
-    Remon_obs.Metrics.hwm o.Remon_obs.Obs.metrics "rb.used_bytes" t.used_bytes
+let obs_event t (o, now) ~name args =
+  Remon_obs.Trace.instant o.Remon_obs.Obs.trace ~ts:(now ()) ~cat:"rb" ~name
+    ~pid:0 ~tid:0 args;
+  Remon_obs.Metrics.incr o.Remon_obs.Obs.metrics (rb_key name);
+  Remon_obs.Metrics.hwm o.Remon_obs.Obs.metrics "rb.used_bytes" t.used_bytes
 
 (* Perfetto-graphable occupancy track. *)
 let obs_occupancy t =
@@ -157,7 +155,11 @@ let reset t =
   t.used_bytes <- 0;
   t.generation <- t.generation + 1;
   t.resets <- t.resets + 1;
-  obs_event t ~name:"reset" [ ("generation", Remon_obs.Trace.Int t.generation) ];
+  (match t.obs with
+  | None -> ()
+  | Some sink ->
+    obs_event t sink ~name:"reset"
+      [ ("generation", Remon_obs.Trace.Int t.generation) ]);
   obs_occupancy t
 
 (* Master side: append the record for its next call on [rank]'s stream. *)
@@ -179,12 +181,15 @@ let master_append t ~rank ~call ~expect_block ~forwarded =
   s.master_next <- s.master_next + 1;
   t.used_bytes <- t.used_bytes + bytes;
   t.total_records <- t.total_records + 1;
-  obs_event t ~name:"append"
-    [
-      ("rank", Remon_obs.Trace.Int rank);
-      ("seq", Remon_obs.Trace.Int e.seq);
-      ("bytes", Remon_obs.Trace.Int bytes);
-    ];
+  (match t.obs with
+  | None -> ()
+  | Some sink ->
+    obs_event t sink ~name:"append"
+      [
+        ("rank", Remon_obs.Trace.Int rank);
+        ("seq", Remon_obs.Trace.Int e.seq);
+        ("bytes", Remon_obs.Trace.Int bytes);
+      ]);
   obs_occupancy t;
   (match t.tamper with Some f -> f e | None -> ());
   e
@@ -219,12 +224,15 @@ let slave_advance t ~rank ~variant =
   | Some e -> e.consumed <- e.consumed + 1
   | None -> ());
   s.slave_next.(variant) <- seq + 1;
-  obs_event t ~name:"consume"
-    [
-      ("rank", Remon_obs.Trace.Int rank);
-      ("variant", Remon_obs.Trace.Int variant);
-      ("seq", Remon_obs.Trace.Int seq);
-    ];
+  (match t.obs with
+  | None -> ()
+  | Some sink ->
+    obs_event t sink ~name:"consume"
+      [
+        ("rank", Remon_obs.Trace.Int rank);
+        ("variant", Remon_obs.Trace.Int variant);
+        ("seq", Remon_obs.Trace.Int seq);
+      ]);
   (* Drop the record once every active slave has moved past it: lookups
      only ever target [slave_next] positions, so a record behind all of
      them is unreachable and would otherwise pin the simulator's memory

@@ -133,7 +133,7 @@ let block k (th : Proc.thread) ~what ?timeout_ns ?(intr = true)
     let b = Sched.park k.K.sched th ~what ~retry:(fun () -> false) in
     let settle () =
       finished := true;
-      (match b.Proc.timeout with Some h -> Event_queue.cancel h | None -> ());
+      (match b.Proc.timeout with Some h -> Sched.cancel k.K.sched h | None -> ());
       th.Proc.clock <- Vtime.max th.Proc.clock (K.now k)
     in
     let force result =
@@ -279,7 +279,7 @@ and kill_process k (p : Proc.process) ~code =
       (fun (t : Proc.thread) ->
         (match t.tstate with
         | Proc.Blocked b -> (
-          match b.timeout with Some h -> Event_queue.cancel h | None -> ())
+          match b.timeout with Some h -> Sched.cancel k.K.sched h | None -> ())
         | _ -> ());
         t.tstate <- Proc.Dead;
         Sched.unpark k.K.sched t)
@@ -552,7 +552,7 @@ let exit_current k (th : Proc.thread) ~code ~group =
           if t != th then begin
             (match t.tstate with
             | Proc.Blocked b -> (
-              match b.timeout with Some h -> Event_queue.cancel h | None -> ())
+              match b.timeout with Some h -> Sched.cancel k.K.sched h | None -> ())
             | _ -> ());
             t.tstate <- Proc.Dead;
             Sched.unpark k.K.sched t;

@@ -144,6 +144,8 @@ let rec wait_until (k : t) th ~what ~(poll : unit -> 'a option)
 let kick (k : t) = Sched.kick k.K.sched
 
 let schedule (k : t) ~time f = Sched.schedule k.K.sched ~time f
+let schedule_at (k : t) ~time f = Sched.schedule_at k.K.sched ~time f
+let cancel (k : t) h = Sched.cancel k.K.sched h
 
 (* ------------------------------------------------------------------ *)
 (* Running *)

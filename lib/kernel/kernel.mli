@@ -134,6 +134,11 @@ val kick : t -> unit
 
 val schedule : t -> time:Vtime.t -> (unit -> unit) -> unit
 
+val schedule_at : t -> time:Vtime.t -> (unit -> unit) -> Event_queue.handle
+(** {!schedule}, returning a handle that {!cancel} takes. *)
+
+val cancel : t -> Event_queue.handle -> unit
+
 (** {1 Running} *)
 
 val run : ?until:Vtime.t -> t -> unit

@@ -90,6 +90,8 @@ let schedule_at t ~time thunk =
   let time = Vtime.max time t.now in
   Event_queue.add t.events ~time thunk
 
+let cancel t h = Event_queue.cancel t.events h
+
 (* Handle-free scheduling: the hot path for syscall returns and computes. *)
 let schedule t ~time thunk =
   Event_queue.add_ t.events ~time:(Vtime.max time t.now) thunk

@@ -35,6 +35,9 @@ val now : t -> Vtime.t
 val schedule_at : t -> time:Vtime.t -> (unit -> unit) -> Event_queue.handle
 (** Times in the past are clamped to [now]. *)
 
+val cancel : t -> Event_queue.handle -> unit
+(** Cancels an event from {!schedule_at}; a no-op once it ran. *)
+
 val schedule : t -> time:Vtime.t -> (unit -> unit) -> unit
 
 val schedule_pre : t -> time:Vtime.t -> (unit -> unit) -> unit

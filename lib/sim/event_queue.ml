@@ -1,35 +1,43 @@
 (* Binary min-heap of timestamped events.
 
    Ties are broken by insertion sequence so that simulation runs are fully
-   deterministic regardless of heap internals.
+   deterministic regardless of heap internals: (time, seq) is a total
+   order, and any heap over it pops the same sequence.
+
+   Layout (structure of arrays):
+   - The heap is three parallel int arrays, [heap_time], [heap_seq] and
+     [heap_slot]: position i holds the key (time, seq) of one queued
+     event and the slot its payload sits in. Sifts move only immediates,
+     so they never run the GC write barrier, and they move a hole instead
+     of swapping.
+   - Payloads live in a slot table ([payloads]) indexed by slot and never
+     move while their event is queued. Every heap entry, live or dead,
+     holds its own slot, so the free slots fit in [heap_slot]'s unused
+     tail: positions [size, nslots) list them, and an insert takes the
+     one at position [size]. All the arrays share one capacity.
+   - [gens] holds a per-slot generation, odd while the slot's event is
+     live. A handle is (generation, slot) packed into an immediate int;
+     popping or cancelling the event bumps the generation, so every
+     earlier handle to that slot goes inert.
 
    Hot-path properties:
    - [length]/[is_empty] are O(1): a live-entry counter is maintained by
-     add/cancel/pop instead of scanning the heap (these are called inside
-     run loops).
-   - [add]/[add_] are amortized O(1) for the common monotone-time insertion
-     pattern: a new entry that is not earlier than its parent needs a
-     single comparison and no sift.
-   - Steady-state operation allocates nothing: entries are mutable records
-     recycled through a free pool, [add_] returns no handle, and
-     [pop_into] writes the popped event into a caller-owned slot instead
-     of building a tuple. The allocating [add]/[pop] remain for callers
-     that need cancellation handles or do not care.
-   - Cancelled entries are compacted away once they outnumber the live
-     ones, so a workload that schedules-and-cancels (timeouts, watchdogs)
-     cannot grow the heap without bound. Compaction rebuilds the heap by
-     (time, seq), a total order, so pop order is unaffected. *)
-
-type 'a entry = {
-  mutable time : Vtime.t;
-  mutable seq : int;
-  mutable payload : 'a;
-  mutable live : bool;
-}
+     add/cancel/pop.
+   - [add]/[add_] are amortized O(1) for the common monotone-time
+     insertion pattern: a new entry that is not earlier than its parent
+     needs a single comparison and no sift.
+   - Steady-state operation allocates nothing: handles are immediates,
+     and [pop_into] writes the popped event into a caller-owned slot.
+   - Cancelled entries stay in the heap until popped, or are compacted
+     away once they outnumber the live ones, so a workload that
+     schedules-and-cancels (timeouts, watchdogs) cannot grow the heap
+     without bound. *)
 
 type 'a t = {
-  mutable heap : 'a entry array;
-  mutable size : int; (* physical entries, live + dead *)
+  mutable heap_time : int array;
+  mutable heap_seq : int array;
+  mutable heap_slot : int array;
+  mutable size : int; (* physical heap entries, live + dead *)
   mutable lives : int; (* live (non-cancelled, non-popped) entries *)
   mutable next_seq : int;
   (* pre-lane sequence counter: starts at [min_int] and counts up, so every
@@ -39,10 +47,9 @@ type 'a t = {
      locally-scheduled event at the same instant, making pop order at a tie
      independent of which synchronization round performed the insertion. *)
   mutable next_pre_seq : int;
-  (* recycled entries: popped/compacted-away records come back here so the
-     steady state allocates no entry per event *)
-  mutable pool : 'a entry array;
-  mutable pooled : int;
+  mutable payloads : 'a array;
+  mutable gens : int array;
+  mutable nslots : int; (* slots ever handed out; the rest are untouched *)
   (* lifetime tallies, scraped into the observability metrics at run end;
      plain int increments, cheap enough to keep unconditionally *)
   mutable adds : int;
@@ -63,9 +70,14 @@ type stats = {
   lazy_drops : int;
 }
 
-(* The seq snapshot distinguishes the scheduled event from later reuses of
-   the same (recycled) entry record: cancel is a no-op once they differ. *)
-type handle = H : 'a t * 'a entry * int -> handle
+type handle = int
+
+(* 2^30 slots bound the queue's physical size; the generation takes the
+   remaining bits (it would have to wrap past 2^32 reuses of one slot for
+   a stale handle to alias a live event). *)
+let slot_bits = 30
+let slot_mask = (1 lsl slot_bits) - 1
+let handle_of slot gen = (gen lsl slot_bits) lor slot
 
 type 'a slot = { mutable s_time : Vtime.t; mutable s_payload : 'a }
 
@@ -76,13 +88,16 @@ let slot_payload slot = slot.s_payload
 
 let create () =
   {
-    heap = [||];
+    heap_time = [||];
+    heap_seq = [||];
+    heap_slot = [||];
     size = 0;
     lives = 0;
     next_seq = 0;
     next_pre_seq = min_int;
-    pool = [||];
-    pooled = 0;
+    payloads = [||];
+    gens = [||];
+    nslots = 0;
     adds = 0;
     cancels = 0;
     pops = 0;
@@ -105,198 +120,192 @@ let is_empty t = t.lives = 0
 
 let physical_size t = t.size
 
-let before a b =
-  if a.time = b.time then a.seq < b.seq else Vtime.(a.time < b.time)
-
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
+(* Fill the hole at heap position [i] with (time, seq, slot), first moving
+   the hole up past every parent that sorts after the new key. *)
+let sift_up t i time seq slot =
+  let time_at = t.heap_time and seq_at = t.heap_seq and slot_at = t.heap_slot in
+  let i = ref i in
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let pt = time_at.(p) in
+    if time < pt || (time = pt && seq < seq_at.(p)) then begin
+      time_at.(!i) <- pt;
+      seq_at.(!i) <- seq_at.(p);
+      slot_at.(!i) <- slot_at.(p);
+      i := p
     end
-  end
+    else moving := false
+  done;
+  time_at.(!i) <- time;
+  seq_at.(!i) <- seq;
+  slot_at.(!i) <- slot
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && before t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+(* Fill the hole at heap position [i] with (time, seq, slot), first moving
+   the hole down past every smaller child. *)
+let sift_down t i time seq slot =
+  let time_at = t.heap_time and seq_at = t.heap_seq and slot_at = t.heap_slot in
+  let n = t.size in
+  let i = ref i in
+  let moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= n then moving := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < n then begin
+          let lt = time_at.(l) and rt = time_at.(r) in
+          if rt < lt || (rt = lt && seq_at.(r) < seq_at.(l)) then r else l
+        end
+        else l
+      in
+      let ct = time_at.(c) in
+      if ct < time || (ct = time && seq_at.(c) < seq) then begin
+        time_at.(!i) <- ct;
+        seq_at.(!i) <- seq_at.(c);
+        slot_at.(!i) <- slot_at.(c);
+        i := c
+      end
+      else moving := false
+    end
+  done;
+  time_at.(!i) <- time;
+  seq_at.(!i) <- seq;
+  slot_at.(!i) <- slot
 
-let grow t =
-  let cap = Array.length t.heap in
-  if t.size >= cap then begin
-    let dummy = t.heap.(0) in
-    let bigger = Array.make (max 16 (2 * cap)) dummy in
-    Array.blit t.heap 0 bigger 0 t.size;
-    t.heap <- bigger
-  end
+(* Drop heap position 0, re-seat the last entry, and return the dropped
+   entry's slot to the free tail. Its payload stays in the table until
+   the slot is reused. *)
+let remove_top t =
+  let slot = t.heap_slot.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then sift_down t 0 t.heap_time.(n) t.heap_seq.(n) t.heap_slot.(n);
+  t.heap_slot.(n) <- slot
 
-(* Return a recycled entry to the pool. The payload reference is kept (the
-   slot is overwritten on reuse); the heap array retained popped entries
-   before this change too, so the retention window is unchanged. *)
-let release t e =
-  e.live <- false;
-  let cap = Array.length t.pool in
-  if t.pooled >= cap then begin
-    let bigger = Array.make (max 16 (2 * cap)) e in
-    Array.blit t.pool 0 bigger 0 t.pooled;
-    t.pool <- bigger
+(* The slot table is full: double every array. The payload fills the new
+   table's unused cells. *)
+let grow t payload =
+  let cap = Array.length t.gens in
+  let cap' = max 16 (2 * cap) in
+  let widen a =
+    let b = Array.make cap' 0 in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.heap_time <- widen t.heap_time;
+  t.heap_seq <- widen t.heap_seq;
+  t.heap_slot <- widen t.heap_slot;
+  t.gens <- widen t.gens;
+  let payloads = Array.make cap' payload in
+  Array.blit t.payloads 0 payloads 0 cap;
+  t.payloads <- payloads
+
+let insert (t : _ t) ~seq ~time payload =
+  let i = t.size in
+  if i = t.nslots then begin
+    (* no free slot: hand out a fresh one *)
+    if i = Array.length t.gens then grow t payload;
+    t.heap_slot.(i) <- i;
+    t.nslots <- i + 1
   end;
-  t.pool.(t.pooled) <- e;
-  t.pooled <- t.pooled + 1
+  let slot = t.heap_slot.(i) in
+  t.payloads.(slot) <- payload;
+  let gen = t.gens.(slot) + 1 in
+  t.gens.(slot) <- gen;
+  t.size <- i + 1;
+  t.lives <- t.lives + 1;
+  t.adds <- t.adds + 1;
+  sift_up t i time seq slot;
+  handle_of slot gen
 
 (* Drop dead entries and re-establish the heap property bottom-up
    (Floyd heapify, O(size)). Run when dead entries outnumber live ones,
    which amortizes to O(1) per cancellation. *)
 let compact (t : _ t) =
   t.compactions <- t.compactions + 1;
+  (* partition: live entries to the front, dead slots behind them, where
+     they join the free tail *)
   let j = ref 0 in
   for i = 0 to t.size - 1 do
-    let e = t.heap.(i) in
-    if e.live then begin
-      t.heap.(!j) <- t.heap.(i);
+    let slot = t.heap_slot.(i) in
+    if t.gens.(slot) land 1 = 1 then begin
+      let dead = t.heap_slot.(!j) in
+      t.heap_time.(!j) <- t.heap_time.(i);
+      t.heap_seq.(!j) <- t.heap_seq.(i);
+      t.heap_slot.(!j) <- slot;
+      t.heap_slot.(i) <- dead;
       incr j
     end
-    else release t e
   done;
   t.size <- !j;
   for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
+    sift_down t i t.heap_time.(i) t.heap_seq.(i) t.heap_slot.(i)
   done
-
-(* Burst arrival refill: when an insert finds the pool dry, allocate a
-   geometric batch of spare entries (proportional to the live heap size,
-   capped) instead of one record per insert. A connection storm that
-   schedules 10^6 events then allocates O(log n) batches rather than 10^6
-   individual records, and the GC sees large young blocks instead of a
-   stream of 5-word ones. *)
-let refill_pool t payload =
-  let n = max 15 (min 1023 t.size) in
-  let cap = Array.length t.pool in
-  if n > cap then begin
-    let dummy = { time = Vtime.zero; seq = 0; payload; live = false } in
-    let bigger = Array.make (max 16 (max n (2 * cap))) dummy in
-    Array.blit t.pool 0 bigger 0 t.pooled;
-    t.pool <- bigger
-  end;
-  for i = t.pooled to t.pooled + n - 1 do
-    t.pool.(i) <- { time = Vtime.zero; seq = 0; payload; live = false }
-  done;
-  t.pooled <- t.pooled + n
-
-let insert t ~seq ~time payload =
-  if t.pooled = 0 then refill_pool t payload;
-  t.pooled <- t.pooled - 1;
-  let entry = t.pool.(t.pooled) in
-  entry.time <- time;
-  entry.seq <- seq;
-  entry.payload <- payload;
-  entry.live <- true;
-  if Array.length t.heap = 0 then t.heap <- Array.make 16 entry;
-  grow t;
-  t.heap.(t.size) <- entry;
-  t.size <- t.size + 1;
-  t.lives <- t.lives + 1;
-  t.adds <- t.adds + 1;
-  (* fast path: events scheduled at non-decreasing times stay put *)
-  let i = t.size - 1 in
-  if i > 0 && before entry t.heap.((i - 1) / 2) then sift_up t i;
-  entry
 
 let take_seq t =
   let s = t.next_seq in
   t.next_seq <- s + 1;
   s
 
-let add t ~time payload =
-  let entry = insert t ~seq:(take_seq t) ~time payload in
-  H (t, entry, entry.seq)
+let add t ~time payload = insert t ~seq:(take_seq t) ~time payload
 
 let add_ t ~time payload =
-  ignore (insert t ~seq:(take_seq t) ~time payload : _ entry)
+  ignore (insert t ~seq:(take_seq t) ~time payload : handle)
 
 let add_pre_ t ~time payload =
   let s = t.next_pre_seq in
   t.next_pre_seq <- s + 1;
-  ignore (insert t ~seq:s ~time payload : _ entry)
+  ignore (insert t ~seq:s ~time payload : handle)
 
-let cancel (H (t, entry, seq)) =
-  if entry.live && entry.seq = seq then begin
-    entry.live <- false;
+let cancel (t : _ t) h =
+  let slot = h land slot_mask in
+  let gen = t.gens.(slot) in
+  if handle_of slot gen = h then begin
+    t.gens.(slot) <- gen + 1;
     t.lives <- t.lives - 1;
     t.cancels <- t.cancels + 1;
     if t.size >= 32 && t.size - t.lives > t.lives then compact t
   end
 
-(* Remove the heap top and hand the entry back; caller must read the
-   fields it needs before anything else touches the queue. *)
-let rec pop_entry t =
-  if t.size = 0 then None
+(* Remove the earliest entry, skipping dead ones, and copy the live one's
+   time and payload into [slot]. A top-level recursion, not a local
+   closure, so a pop allocates nothing. *)
+let rec pop_into (t : _ t) slot =
+  if t.size = 0 then false
   else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      sift_down t 0
-    end;
-    if top.live then begin
-      (* mark popped so a late cancel of its handle is a no-op *)
-      top.live <- false;
+    let s = t.heap_slot.(0) in
+    let time = t.heap_time.(0) in
+    remove_top t;
+    let gen = t.gens.(s) in
+    if gen land 1 = 1 then begin
+      t.gens.(s) <- gen + 1;
       t.lives <- t.lives - 1;
       t.pops <- t.pops + 1;
-      Some top
+      slot.s_time <- time;
+      slot.s_payload <- t.payloads.(s);
+      true
     end
-    else begin
-      release t top;
-      pop_entry t
-    end
+    else pop_into t slot
   end
 
 let pop t =
-  match pop_entry t with
-  | None -> None
-  | Some e ->
-    let r = Some (e.time, e.payload) in
-    release t e;
-    r
+  if t.size = 0 then None
+  else begin
+    let slot = make_slot t.payloads.(0) in
+    if pop_into t slot then Some (slot.s_time, slot.s_payload) else None
+  end
 
-(* Non-allocating pop used by the scheduler run loop. *)
-let pop_into t slot =
-  match pop_entry t with
-  | None -> false
-  | Some e ->
-    slot.s_time <- e.time;
-    slot.s_payload <- e.payload;
-    release t e;
-    true
-
-let peek_time t =
-  let rec scan () =
-    if t.size = 0 then None
+let rec peek_time (t : _ t) =
+  if t.size = 0 then None
+  else begin
+    let s = t.heap_slot.(0) in
+    if t.gens.(s) land 1 = 1 then Some t.heap_time.(0)
     else begin
-      let top = t.heap.(0) in
-      if top.live then Some top.time
-      else begin
-        (* Drop dead entries lazily. *)
-        t.lazy_drops <- t.lazy_drops + 1;
-        t.size <- t.size - 1;
-        if t.size > 0 then begin
-          t.heap.(0) <- t.heap.(t.size);
-          sift_down t 0
-        end;
-        release t top;
-        scan ()
-      end
+      (* Drop dead entries lazily. *)
+      t.lazy_drops <- t.lazy_drops + 1;
+      remove_top t;
+      peek_time t
     end
-  in
-  scan ()
+  end

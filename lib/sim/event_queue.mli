@@ -1,6 +1,6 @@
 (** Binary min-heap of timestamped events with deterministic tie-breaking
     (insertion order), O(1) cancellation, and an allocation-free hot path
-    (recycled entry pool, [add_]/[pop_into]). *)
+    (immediate handles, [add_]/[pop_into]). *)
 
 type 'a t
 
@@ -12,7 +12,8 @@ type stats = {
   lazy_drops : int;  (** dead entries discarded by [peek_time]'s lazy sweep *)
 }
 
-type handle
+type handle [@@immediate]
+(** Names one scheduled event of the queue that issued it. *)
 
 type 'a slot
 (** A caller-owned landing pad for [pop_into]: holds the time and payload
@@ -39,8 +40,7 @@ val add : 'a t -> time:Vtime.t -> 'a -> handle
 (** Schedules a payload; the returned handle can cancel it. *)
 
 val add_ : 'a t -> time:Vtime.t -> 'a -> unit
-(** [add] without the handle: allocation-free in steady state (the entry
-    comes from the recycle pool). For events that are never cancelled. *)
+(** [add] without the handle, for events that are never cancelled. *)
 
 val add_pre_ : 'a t -> time:Vtime.t -> 'a -> unit
 (** Like [add_], but the event lands in the pre-lane: among events at the
@@ -50,9 +50,10 @@ val add_pre_ : 'a t -> time:Vtime.t -> 'a -> unit
     so that pop order at a time tie does not depend on which
     synchronization round performed the insertion. *)
 
-val cancel : handle -> unit
-(** Marks an event dead; it will be skipped on pop. Idempotent, and a
-    no-op once the event was popped (even if its entry was recycled). *)
+val cancel : 'a t -> handle -> unit
+(** [cancel q h] marks the event [h] of [q] dead; it will be skipped on
+    pop. Idempotent, and a no-op once the event was popped (even if its
+    slot was reused). *)
 
 val pop : 'a t -> (Vtime.t * 'a) option
 (** Removes and returns the earliest live event. *)

@@ -115,6 +115,12 @@ REMON_RECORD_DIR=rec_d4 "$bench" chaos quick --domains 4 > /dev/null 2>&1
 ls rec_d1
 diff -r rec_d1 rec_d4
 
+stage=watchdog
+echo "== rendezvous watchdog at 3 replicas: the stalled slave is quarantined"
+"$remon" run -w parsec.blackscholes -b ghumvee -n 3 \
+  --faults 'delay@15:2=400000ms' --on-failure quarantine > watchdog_n3.txt
+grep -q 'quarantines        : 1' watchdog_n3.txt
+
 stage=pdes
 echo "== shard determinism corpus"
 "$root/_build/default/test/test_pdes.exe" -e > pdes_corpus.txt

@@ -178,13 +178,17 @@ let test_epoll_translation_lockstep backend_cfg () =
   Alcotest.(check bool) "both non-zero" true
     (Int64.compare got.(0) 0L > 0 && Int64.compare got.(1) 0L > 0)
 
-(* A replica that silently stops making syscalls trips the watchdog. *)
-let test_rendezvous_watchdog () =
+(* A replica that silently stops making syscalls trips the watchdog. With
+   three replicas the other two arrive at the rendezvous one after the
+   other: the watchdog armed by the first arrival must survive the second. *)
+let test_rendezvous_watchdog ~nreplicas ~spinner () =
   let kernel = Kernel.create () in
-  let config = { (ghumvee ()) with Mvee.watchdog_ns = Vtime.ms 50 } in
+  let config =
+    { (ghumvee ()) with Mvee.watchdog_ns = Vtime.ms 50; nreplicas }
+  in
   let body (env : Mvee.env) =
     ignore (sys Syscall.Getpid);
-    if env.Mvee.variant = 1 then
+    if env.Mvee.variant = spinner then
       (* compromised replica spins forever in userspace *)
       Sched.compute (Vtime.s 3600)
     else ignore (sys Syscall.Gettimeofday)
@@ -193,7 +197,9 @@ let test_rendezvous_watchdog () =
   Kernel.run ~until:(Vtime.s 7200) kernel;
   match (Mvee.finish h).Mvee.verdict with
   | Some (Divergence.Rendezvous_timeout { missing; _ }) ->
-    Alcotest.(check (list int)) "variant 1 missing" [ 1 ] missing
+    Alcotest.(check (list int))
+      (Printf.sprintf "variant %d missing" spinner)
+      [ spinner ] missing
   | Some v -> Alcotest.failf "wrong verdict: %s" (Divergence.to_string v)
   | None -> Alcotest.fail "watchdog did not fire"
 
@@ -476,7 +482,10 @@ let () =
       ( "verdicts",
         [
           tc "exit code mismatch" `Quick test_exit_code_mismatch;
-          tc "rendezvous watchdog" `Quick test_rendezvous_watchdog;
+          tc "rendezvous watchdog" `Quick
+            (test_rendezvous_watchdog ~nreplicas:2 ~spinner:1);
+          tc "rendezvous watchdog, 3 replicas" `Quick
+            (test_rendezvous_watchdog ~nreplicas:3 ~spinner:2);
         ] );
       ( "watchdog",
         [

@@ -50,7 +50,7 @@ let test_event_queue_cancel () =
   let q = Event_queue.create () in
   let fired = ref false in
   let h = Event_queue.add q ~time:(Vtime.ms 1) (fun () -> fired := true) in
-  Event_queue.cancel h;
+  Event_queue.cancel q h;
   Alcotest.(check int) "no live events" 0 (Event_queue.length q);
   (match Event_queue.pop q with
   | None -> ()
@@ -63,7 +63,7 @@ let test_event_queue_peek () =
   let h = Event_queue.add q ~time:(Vtime.ms 2) () in
   Alcotest.(check (option int)) "peek earliest" (Some (Vtime.ms 2))
     (Event_queue.peek_time q);
-  Event_queue.cancel h;
+  Event_queue.cancel q h;
   Alcotest.(check (option int)) "peek skips cancelled" (Some (Vtime.ms 9))
     (Event_queue.peek_time q)
 
@@ -77,17 +77,17 @@ let test_event_queue_live_counter () =
     List.init 100 (fun i -> Event_queue.add q ~time:(Vtime.us i) i)
   in
   Alcotest.(check int) "after adds" 100 (Event_queue.length q);
-  List.iteri (fun i h -> if i mod 2 = 0 then Event_queue.cancel h) handles;
+  List.iteri (fun i h -> if i mod 2 = 0 then Event_queue.cancel q h) handles;
   Alcotest.(check int) "after cancelling half" 50 (Event_queue.length q);
   (* cancelling again must not decrement twice *)
-  List.iteri (fun i h -> if i mod 2 = 0 then Event_queue.cancel h) handles;
+  List.iteri (fun i h -> if i mod 2 = 0 then Event_queue.cancel q h) handles;
   Alcotest.(check int) "double cancel is a no-op" 50 (Event_queue.length q);
   (match Event_queue.pop q with
   | Some (_, v) -> Alcotest.(check int) "first live payload" 1 v
   | None -> Alcotest.fail "expected a live event");
   Alcotest.(check int) "after pop" 49 (Event_queue.length q);
   (* cancelling a handle whose event already fired must also be a no-op *)
-  Event_queue.cancel (List.nth handles 1);
+  Event_queue.cancel q (List.nth handles 1);
   Alcotest.(check int) "cancel after pop is a no-op" 49 (Event_queue.length q);
   let rec drain n =
     match Event_queue.pop q with None -> n | Some _ -> drain (n + 1)
@@ -105,7 +105,7 @@ let test_event_queue_compaction () =
   in
   Alcotest.(check int) "physical matches logical" 1024
     (Event_queue.physical_size q);
-  List.iteri (fun i h -> if i mod 8 <> 0 then Event_queue.cancel h) handles;
+  List.iteri (fun i h -> if i mod 8 <> 0 then Event_queue.cancel q h) handles;
   Alcotest.(check int) "live survivors" 128 (Event_queue.length q);
   Alcotest.(check bool)
     (Printf.sprintf "dead entries reclaimed (physical %d)"
@@ -141,14 +141,14 @@ let test_event_queue_cancel_after_pop_compaction () =
   Alcotest.(check int) "48 live after pops" 48 (Event_queue.length q);
   (* cancel every popped handle: all no-ops *)
   for i = 0 to 15 do
-    Event_queue.cancel handles.(i)
+    Event_queue.cancel q handles.(i)
   done;
   Alcotest.(check int) "cancel-after-pop never decrements" 48
     (Event_queue.length q);
   (* now cancel live entries until dead outnumber live: compaction fires
      while the popped handles are still reachable *)
   for i = 16 to 48 do
-    Event_queue.cancel handles.(i)
+    Event_queue.cancel q handles.(i)
   done;
   let len = Event_queue.length q in
   Alcotest.(check int) "live count exact" 15 len;
@@ -156,7 +156,7 @@ let test_event_queue_cancel_after_pop_compaction () =
   Alcotest.(check bool) "physical >= logical" true
     (Event_queue.physical_size q >= len);
   (* cancel the popped handles again, post-compaction: still no-ops *)
-  Array.iter Event_queue.cancel handles;
+  Array.iter (Event_queue.cancel q) handles;
   Alcotest.(check int) "all cancels idempotent" 0 (Event_queue.length q);
   Alcotest.(check (option int)) "nothing left to pop" None
     (match Event_queue.pop q with Some (t, _) -> Some t | None -> None);
@@ -167,52 +167,83 @@ let test_event_queue_cancel_after_pop_compaction () =
   Alcotest.(check bool) "compaction actually ran" true
     (st.Event_queue.compactions > 0)
 
-(* Model-based property: random add/cancel/pop interleavings (including
-   cancels of popped and already-cancelled handles) keep the live counter
-   exact and pop exactly the surviving events in (time, insertion) order. *)
+(* Model-based property: random add/add_pre_/cancel/pop/peek_time
+   interleavings (cancels of arbitrary handles, popped and
+   already-cancelled ones included, and cancels aimed at live events)
+   keep the live counter exact, pop exactly the surviving events
+   in (time, lane, insertion) order (at a time tie every pre-lane event
+   pops first, and each lane keeps its own insertion order), and
+   [peek_time] always names the earliest survivor. Right after a cancel
+   that kills a live event, compaction keeps the dead entries no more
+   numerous than the live ones. *)
 let prop_event_queue_model =
   QCheck2.Test.make ~name:"add/cancel/pop interleavings match a model"
     ~count:200
-    QCheck2.Gen.(list_size (int_range 1 300) (pair (int_range 0 2) (int_range 0 5_000)))
+    QCheck2.Gen.(list_size (int_range 1 300) (pair (int_range 0 5) (int_range 0 5_000)))
     (fun ops ->
       let q = Event_queue.create () in
-      (* model: (id, time, alive) in insertion order; handles by id *)
+      (* model: (id, (time, lane)) per live event, lane 0 = pre-lane; ids
+         count insertions across both lanes *)
       let handles = ref [||] in
       let alive = ref [] in
-      let popped = ref [] in
       let ok = ref true in
       let nadds = ref 0 in
+      let fresh_id () =
+        let id = !nadds in
+        incr nadds;
+        id
+      in
+      let by_key (i1, (t1, l1)) (i2, (t2, l2)) = compare (t1, l1, i1) (t2, l2, i2) in
+      let earliest () =
+        match List.sort by_key !alive with e :: _ -> Some e | [] -> None
+      in
       List.iter
         (fun (op, x) ->
           (match op with
           | 0 ->
-            let id = !nadds in
-            incr nadds;
+            let id = fresh_id () in
             let h = Event_queue.add q ~time:(Vtime.ns x) id in
-            handles := Array.append !handles [| h |];
-            alive := (id, x) :: !alive
-          | 1 ->
-            if !nadds > 0 then begin
-              let id = x mod !nadds in
-              Event_queue.cancel !handles.(id);
-              alive := List.filter (fun (i, _) -> i <> id) !alive
+            handles := Array.append !handles [| (id, h) |];
+            alive := (id, (x, 1)) :: !alive
+          | 1 | 5 ->
+            let pool =
+              if op = 1 then !handles
+              else
+                Array.of_list
+                  (List.filter
+                     (fun (id, _) -> List.mem_assoc id !alive)
+                     (Array.to_list !handles))
+            in
+            if Array.length pool > 0 then begin
+              let id, h = pool.(x mod Array.length pool) in
+              let kills = List.mem_assoc id !alive in
+              Event_queue.cancel q h;
+              alive := List.remove_assoc id !alive;
+              let phys = Event_queue.physical_size q in
+              if kills && not (phys < 32 || phys <= 2 * Event_queue.length q)
+              then ok := false
             end
-          | _ -> (
-            match Event_queue.pop q with
-            | None -> if !alive <> [] then ok := false
-            | Some (_, id) ->
-              popped := id :: !popped;
-              alive := List.filter (fun (i, _) -> i <> id) !alive));
+          | 2 -> (
+            match (Event_queue.pop q, earliest ()) with
+            | None, None -> ()
+            | Some (time, id), Some (id', (x', _))
+              when id = id' && time = Vtime.ns x' ->
+              alive := List.remove_assoc id !alive
+            | _ -> ok := false)
+          | 3 ->
+            let id = fresh_id () in
+            Event_queue.add_pre_ q ~time:(Vtime.ns x) id;
+            alive := (id, (x, 0)) :: !alive
+          | _ ->
+            let expected =
+              Option.map (fun (_, (x', _)) -> Vtime.ns x') (earliest ())
+            in
+            if Event_queue.peek_time q <> expected then ok := false);
           if Event_queue.length q <> List.length !alive then ok := false;
           if Event_queue.physical_size q < Event_queue.length q then ok := false)
         ops;
-      (* drain: the survivors must come out in (time, insertion id) order *)
-      let expected =
-        List.sort
-          (fun (i1, t1) (i2, t2) -> compare (t1, i1) (t2, i2))
-          (List.rev !alive)
-        |> List.map fst
-      in
+      (* drain: the survivors must come out in (time, lane, id) order *)
+      let expected = List.map fst (List.sort by_key !alive) in
       let rec drain acc =
         match Event_queue.pop q with
         | None -> List.rev acc
@@ -263,7 +294,7 @@ let prop_event_queue_recycling =
                event, never a recycled successor in the same entry *)
             if Array.length !handles > 0 then begin
               let victim, h = !handles.(x mod Array.length !handles) in
-              Event_queue.cancel h;
+              Event_queue.cancel q h;
               alive := List.filter (fun (id, _) -> id <> victim) !alive
             end
           | _ ->
@@ -317,7 +348,7 @@ let test_event_queue_stale_handle_after_recycle () =
   | _ -> Alcotest.fail "expected the first event");
   (* the popped entry returns to the pool; this add_ recycles it *)
   Event_queue.add_ q ~time:(Vtime.ns 2) 2;
-  Event_queue.cancel h;
+  Event_queue.cancel q h;
   Alcotest.(check int) "recycled occupant survives stale cancel" 1
     (Event_queue.length q);
   match Event_queue.pop q with

@@ -69,6 +69,23 @@ let test_server_under_all_backends () =
       Runner.cfg_remon ~nreplicas:5 Classification.Socket_rw_level;
     ]
 
+(* A server master never exits, so its duration is the instant of the
+   run's last simulated event: it ends with the client load, not with a
+   stall timer of some long-finished rendezvous. *)
+let test_server_duration_ends_with_load () =
+  let client = Clients.wrk ~concurrency:32 ~total_requests:640 () in
+  let r =
+    Runner.run_server_bench ~server:Servers.beanstalkd ~client
+      (Runner.cfg_ghumvee ())
+  in
+  let duration = r.Runner.server_outcome.Mvee.duration in
+  Alcotest.(check bool)
+    (Printf.sprintf "duration %s within 10 ms of the client's %s"
+       (Vtime.to_string duration)
+       (Vtime.to_string r.Runner.client_duration))
+    true
+    Vtime.(duration - r.Runner.client_duration < ms 10)
+
 let test_latency_hiding_shape () =
   (* the defining server result: overhead decreases as latency grows *)
   let server = Servers.memcached in
@@ -188,6 +205,8 @@ let () =
           tc "architectures serve load" `Quick test_server_archs;
           tc "all backends serve load" `Quick test_server_under_all_backends;
           tc "latency hiding" `Quick test_latency_hiding_shape;
+          tc "never-exiting master: duration ends with the load" `Quick
+            test_server_duration_ends_with_load;
           tc "backend ordering" `Quick test_backend_ordering_dense;
         ] );
       ("registry", [ tc "lookup + uniqueness" `Quick test_registry ]);
