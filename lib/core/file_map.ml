@@ -74,7 +74,7 @@ let sync_from_process t (p : Proc.process) =
     Array.fill t.nonblocking 0 (t.high_water + 1) false
   end;
   t.high_water <- -1;
-  Hashtbl.iter
+  Fdtable.iter
     (fun fd (d : Proc.desc) ->
       if in_range fd then begin
         if fd > t.high_water then t.high_water <- fd;

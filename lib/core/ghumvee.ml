@@ -186,11 +186,11 @@ let translate_for_slave t ~(arrival : arrival) ~(call : Syscall.call)
   let slave_proc = arrival.th.Proc.proc in
   List.iter
     (fun fd ->
-      Hashtbl.replace slave_proc.Proc.fds fd
+      Fdtable.set slave_proc.Proc.fds fd
         (Proc.make_desc (Proc.Replicated_handle fd)))
     (Callinfo.fds_created call result);
   List.iter
-    (fun fd -> Hashtbl.remove slave_proc.Proc.fds fd)
+    (fun fd -> Fdtable.remove slave_proc.Proc.fds fd)
     (Callinfo.fds_closed call result);
   match result with
   | Syscall.Ok_epoll events ->

@@ -325,11 +325,11 @@ and slave_path inst th ~token ~call ~return =
                    install stub descriptors so numbering stays aligned *)
                 List.iter
                   (fun fd ->
-                    Hashtbl.replace inst.proc.Proc.fds fd
+                    Fdtable.set inst.proc.Proc.fds fd
                       (Proc.make_desc (Proc.Replicated_handle fd)))
                   (Callinfo.fds_created call r);
                 List.iter
-                  (fun fd -> Hashtbl.remove inst.proc.Proc.fds fd)
+                  (fun fd -> Fdtable.remove inst.proc.Proc.fds fd)
                   (Callinfo.fds_closed call r);
                 Rb.slave_advance g.Context.rb ~rank ~variant;
                 Kernel.kick k (* unblock a master waiting on drain *);

@@ -249,12 +249,12 @@ let release_desc k (d : Proc.desc) =
 
 (* Process death closes every descriptor the way a real kernel does:
    listeners unbind (the port becomes reusable, connects start getting
-   ECONNREFUSED) and stream peers observe EOF/EPIPE. Iteration is in fd
-   order so release side effects are deterministic. *)
+   ECONNREFUSED) and stream peers observe EOF/EPIPE. The table is emptied
+   first, then descriptors are released in ascending fd order so release
+   side effects are deterministic. *)
 let release_all_fds k (p : Proc.process) =
-  let descs = Hashtbl.fold (fun fd d acc -> (fd, d) :: acc) p.fds [] in
-  let descs = List.sort (fun (a, _) (b, _) -> compare (a : int) b) descs in
-  Hashtbl.reset p.fds;
+  let descs = Fdtable.bindings p.fds in
+  Fdtable.reset p.fds;
   List.iter (fun (_, d) -> release_desc k d) descs
 
 (* ------------------------------------------------------------------ *)
@@ -585,11 +585,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
     | None -> ret (err Errno.EBADF)
     | Some d -> f d
   in
-  let install_fd desc =
-    let fd = Proc.alloc_fd p in
-    Hashtbl.replace p.fds fd desc;
-    fd
-  in
+  let install_fd desc = Fdtable.alloc p.fds ~from:0 desc in
   match call with
   (* ---- identity / time ---- *)
   | Syscall.Gettimeofday | Syscall.Time -> ret (Syscall.Ok_int64 (wall_ns k))
@@ -671,9 +667,12 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
         | Syscall.F_setfl { nonblock } ->
           d.nonblock <- nonblock;
           ret (Syscall.Ok_int 0)
-        | Syscall.F_dupfd _ ->
-          d.refs <- d.refs + 1;
-          ret (Syscall.Ok_int (install_fd d)))
+        | Syscall.F_dupfd from ->
+          if not (Fdtable.in_range from) then ret (err Errno.EINVAL)
+          else begin
+            d.refs <- d.refs + 1;
+            ret (Syscall.Ok_int (Fdtable.alloc p.fds ~from d))
+          end)
   (* ---- filesystem queries ---- *)
   | Syscall.Access path | Syscall.Faccessat path ->
     if Vfs.exists k.K.vfs path then ret (Syscall.Ok_int 0)
@@ -882,7 +881,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
     with_fd epfd (fun d ->
         match d.kind with
         | Proc.Epoll_fd ep ->
-          if not (Hashtbl.mem p.fds fd) then ret (err Errno.EBADF)
+          if not (Fdtable.mem p.fds fd) then ret (err Errno.EBADF)
           else (
             match Epoll.ctl ep ~op ~fd ~events ~user_data with
             | Ok () -> ret (Syscall.Ok_int 0)
@@ -1163,26 +1162,30 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
     | Error e -> ret (err e))
   | Syscall.Close fd ->
     with_fd fd (fun d ->
-        Hashtbl.remove p.fds fd;
+        Fdtable.remove p.fds fd;
         release_desc k d;
         ret (Syscall.Ok_int 0))
   | Syscall.Dup fd ->
     with_fd fd (fun d ->
         d.refs <- d.refs + 1;
         ret (Syscall.Ok_int (install_fd d)))
+  (* Linux rejects dup3(fd, fd) before it looks at fd *)
+  | Syscall.Dup3 (fd, newfd) when fd = newfd -> ret (err Errno.EINVAL)
   | Syscall.Dup2 (fd, newfd) | Syscall.Dup3 (fd, newfd) ->
-    with_fd fd (fun d ->
-        if fd = newfd then ret (Syscall.Ok_int newfd)
-        else begin
-          (match Proc.desc_of_fd p newfd with
-          | Some old ->
-            Hashtbl.remove p.fds newfd;
-            release_desc k old
-          | None -> ());
-          d.refs <- d.refs + 1;
-          Hashtbl.replace p.fds newfd d;
-          ret (Syscall.Ok_int newfd)
-        end)
+    if not (Fdtable.in_range newfd) then ret (err Errno.EBADF)
+    else
+      with_fd fd (fun d ->
+          if fd = newfd then ret (Syscall.Ok_int newfd)
+          else begin
+            (match Proc.desc_of_fd p newfd with
+            | Some old ->
+              Fdtable.remove p.fds newfd;
+              release_desc k old
+            | None -> ());
+            d.refs <- d.refs + 1;
+            Fdtable.set p.fds newfd d;
+            ret (Syscall.Ok_int newfd)
+          end)
   | Syscall.Pipe | Syscall.Pipe2 _ ->
     let nonblock =
       match call with Syscall.Pipe2 { nonblock } -> nonblock | _ -> false

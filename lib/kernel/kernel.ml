@@ -56,7 +56,7 @@ let make_process (k : t) ?replica_info ?(parent = 1) ~name ~vm_seed () =
       Proc.pid;
       parent_pid = parent;
       name;
-      fds = Hashtbl.create 16;
+      fds = Fdtable.create ();
       vm = Vm.create ~rng:(Rng.make vm_seed);
       cwd = "/home/user";
       sig_actions = Hashtbl.create 8;

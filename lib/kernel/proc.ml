@@ -96,7 +96,7 @@ type process = {
   pid : int;
   mutable parent_pid : int;
   mutable name : string;
-  fds : (int, desc) Hashtbl.t;
+  fds : desc Fdtable.t;
   vm : Vm.t;
   mutable cwd : string;
   sig_actions : (int, Syscall.sig_action) Hashtbl.t;
@@ -184,12 +184,7 @@ let thread_name t = Printf.sprintf "%s[pid=%d,tid=%d]" t.proc.name t.proc.pid t.
 
 let find_thread_by_rank p rank = Vec.find_opt (fun t -> t.rank = rank) p.threads
 
-(* Lowest-free fd allocation, like Linux. *)
-let alloc_fd p =
-  let rec scan n = if Hashtbl.mem p.fds n then scan (n + 1) else n in
-  scan 0
-
-let desc_of_fd p fd = Hashtbl.find_opt p.fds fd
+let desc_of_fd p fd = Fdtable.find p.fds fd
 
 let make_desc ?(nonblock = false) ?(can_read = true) ?(can_write = true)
     ?(append = false) ?path kind =

@@ -94,7 +94,7 @@ type process = {
   pid : int;
   mutable parent_pid : int;
   mutable name : string;
-  fds : (int, desc) Hashtbl.t;
+  fds : desc Fdtable.t;
   vm : Vm.t;
   mutable cwd : string;
   sig_actions : (int, Syscall.sig_action) Hashtbl.t;
@@ -179,9 +179,6 @@ val is_master : process -> bool
 val thread_name : thread -> string
 
 val find_thread_by_rank : process -> int -> thread option
-
-val alloc_fd : process -> int
-(** Lowest free descriptor number, like Linux. *)
 
 val desc_of_fd : process -> int -> desc option
 

@@ -54,7 +54,7 @@ let run_in_kernel ?seed ?sock_buf body =
 (* The stream behind an fd of the current process. *)
 let stream_of_fd fd =
   let p = (Sched.self ()).Proc.proc in
-  match Hashtbl.find_opt p.Proc.fds fd with
+  match Proc.desc_of_fd p fd with
   | Some { Proc.kind = Proc.Stream s; _ } -> s
   | _ -> Alcotest.fail "expected a stream fd"
 
@@ -253,7 +253,7 @@ let test_cap_invariant_under_load () =
     incr checks;
     Hashtbl.iter
       (fun _pid (p : Proc.process) ->
-        Hashtbl.iter
+        Fdtable.iter
           (fun _fd (d : Proc.desc) ->
             match d.Proc.kind with
             | Proc.Stream s ->

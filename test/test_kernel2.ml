@@ -170,6 +170,113 @@ let test_lowest_free_fd () =
       let c = expect_int "c" (sys (Syscall.Creat "/tmp/f3")) in
       Alcotest.(check int) "lowest free fd reused" a c)
 
+let test_fcntl_dupfd_minimum () =
+  run_in_kernel (fun _ ->
+      let fd = expect_int "open" (sys (Syscall.Creat "/tmp/dupfd-min.txt")) in
+      Alcotest.(check int) "only fd open" 0 fd;
+      let dupfd n = sys (Syscall.Fcntl (fd, Syscall.F_dupfd n)) in
+      Alcotest.(check int) "lowest free >= 10" 10 (expect_int "F_DUPFD 10" (dupfd 10));
+      Alcotest.(check int) "10 taken: next is 11" 11 (expect_int "F_DUPFD 10" (dupfd 10));
+      Alcotest.(check int) "minimum 0: lowest free" 1 (expect_int "F_DUPFD 0" (dupfd 0));
+      expect_err "negative minimum" Errno.EINVAL (dupfd (-5));
+      expect_err "minimum at the limit" Errno.EINVAL (dupfd Fdtable.limit);
+      ignore (expect_int "write via fd 10" (sys (Syscall.Write (10, "z"))));
+      Alcotest.(check int) "dup shares the offset" 1
+        (expect_int "lseek" (sys (Syscall.Lseek (fd, 0, Syscall.Seek_cur)))))
+
+let test_dup2_dup3_target_range () =
+  run_in_kernel (fun _ ->
+      let fd = expect_int "open" (sys (Syscall.Creat "/tmp/dup-range.txt")) in
+      List.iter
+        (fun newfd ->
+          let label = Printf.sprintf "target %d" newfd in
+          expect_err ("dup2 " ^ label) Errno.EBADF (sys (Syscall.Dup2 (fd, newfd)));
+          expect_err ("dup3 " ^ label) Errno.EBADF (sys (Syscall.Dup3 (fd, newfd))))
+        [ -1; Fdtable.limit; 1 lsl 40 ];
+      expect_err "nothing installed at -1" Errno.EBADF (sys (Syscall.Write (-1, "x")));
+      let top = Fdtable.limit - 1 in
+      Alcotest.(check int) "highest fd accepted" top
+        (expect_int "dup2 top" (sys (Syscall.Dup2 (fd, top))));
+      ignore (expect_int "write via top fd" (sys (Syscall.Write (top, "x")))))
+
+let test_dup3_same_fd () =
+  run_in_kernel (fun _ ->
+      let fd = expect_int "open" (sys (Syscall.Creat "/tmp/dup3-same.txt")) in
+      expect_err "dup3(fd, fd)" Errno.EINVAL (sys (Syscall.Dup3 (fd, fd)));
+      (* Linux checks oldfd = newfd before it looks at oldfd *)
+      expect_err "dup3 of a closed fd onto itself" Errno.EINVAL
+        (sys (Syscall.Dup3 (42, 42)));
+      ignore (expect_int "fd still usable" (sys (Syscall.Write (fd, "x")))))
+
+(* The fd table against an IntMap model: random allocate-lowest,
+   allocate->=n, install-at-k, remove and find steps, with k < 300 so the
+   table grows past its 16 initial slots and holds sparse entries. Finds
+   also probe negative fds and fds past the table's capacity. *)
+module IntMap = Map.Make (Int)
+
+type fd_op = Alloc of int | Set of int | Remove of int | Find of int
+
+let gen_fd_op =
+  QCheck2.Gen.(
+    let k = int_range 0 299 in
+    frequency
+      [
+        (3, return (Alloc 0));
+        (2, map (fun n -> Alloc n) k);
+        (2, map (fun n -> Set n) k);
+        (3, map (fun n -> Remove n) k);
+        (2, map (fun n -> Find n) (int_range (-5) 2000));
+      ])
+
+let print_fd_op = function
+  | Alloc n -> Printf.sprintf "alloc>=%d" n
+  | Set n -> Printf.sprintf "set %d" n
+  | Remove n -> Printf.sprintf "remove %d" n
+  | Find n -> Printf.sprintf "find %d" n
+
+let prop_fdtable_model =
+  QCheck2.Test.make ~name:"fd table matches an IntMap model" ~count:300
+    ~print:QCheck2.Print.(list print_fd_op)
+    QCheck2.Gen.(list_size (int_range 1 400) gen_fd_op)
+    (fun ops ->
+      let t = Fdtable.create () in
+      let step (model, v) op =
+        let model =
+          match op with
+          | Alloc n ->
+            let rec least fd = if IntMap.mem fd model then least (fd + 1) else fd in
+            let fd = Fdtable.alloc t ~from:n v in
+            if fd <> least n then
+              QCheck2.Test.fail_reportf "alloc>=%d gave %d, model says %d" n fd
+                (least n);
+            IntMap.add fd v model
+          | Set k ->
+            Fdtable.set t k v;
+            IntMap.add k v model
+          | Remove k ->
+            Fdtable.remove t k;
+            IntMap.remove k model
+          | Find k ->
+            if Fdtable.find t k <> IntMap.find_opt k model then
+              QCheck2.Test.fail_reportf "find %d disagrees" k;
+            model
+        in
+        for fd = -1 to 300 do
+          if Fdtable.find t fd <> IntMap.find_opt fd model then
+            QCheck2.Test.fail_reportf "after %s: find %d disagrees" (print_fd_op op) fd
+        done;
+        let walked = ref [] in
+        Fdtable.iter (fun fd x -> walked := (fd, x) :: !walked) t;
+        if List.rev !walked <> IntMap.bindings model
+           || Fdtable.bindings t <> IntMap.bindings model
+        then
+          QCheck2.Test.fail_reportf "after %s: iteration differs from the model"
+            (print_fd_op op);
+        (model, v + 1)
+      in
+      ignore (List.fold_left step (IntMap.empty, 0) ops);
+      true)
+
 (* ---- VFS operations ---- *)
 
 let test_rename_unlink () =
@@ -409,6 +516,11 @@ let () =
           tc "dup2 same fd" `Quick test_dup2_same_fd;
           tc "fcntl F_DUPFD" `Quick test_fcntl_dupfd;
           tc "lowest free fd" `Quick test_lowest_free_fd;
+          tc "fcntl F_DUPFD honours its minimum" `Quick test_fcntl_dupfd_minimum;
+          tc "dup2/dup3 reject out-of-range targets" `Quick
+            test_dup2_dup3_target_range;
+          tc "dup3(fd, fd) is EINVAL" `Quick test_dup3_same_fd;
+          QCheck_alcotest.to_alcotest prop_fdtable_model;
         ] );
       ( "vfs",
         [
