@@ -50,8 +50,8 @@ let test_event_queue =
          ignore (Remon_sim.Event_queue.pop q)))
 
 (* Same add+pop cost, but against a heap holding a million live events —
-   pins the hot path the million-connection herd leans on (geometric pool
-   refill, no per-entry allocation once warm). A thunk, not a top-level
+   pins the hot path the million-connection herd leans on (flat heap
+   arrays, no per-entry allocation once warm). A thunk, not a top-level
    binding: the million-event prefill must not sit live under every other
    experiment's heap measurements. *)
 let test_event_queue_1m () =

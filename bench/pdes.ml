@@ -318,8 +318,7 @@ let run_scaling ~quick ~domains () =
   Table.print t;
   print_newline ();
   let pair_cost = Topology.stream_pair_cost_bytes () in
-  Printf.printf "flat stream pair cost: %d bytes (pooled, packed fields)\n"
-    pair_cost;
+  Printf.printf "flat stream pair cost: %d bytes (packed fields)\n" pair_cost;
   let ih = idle_heavy_ablation ~domains in
   let ih_ad, ih_fx, _, _, speedup = ih in
   (* stdout stays deterministic: the round counts are exact, the wall-clock

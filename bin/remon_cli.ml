@@ -168,7 +168,8 @@ let run_repeated workload config latency ~repeat ~domains ~trace_file ~metrics =
           let row =
             try
               let native =
-                Runner.run_profile profile { config with Mvee.backend = Mvee.Native }
+                Runner.run_profile profile
+                  { config with Mvee.backend = Mvee.Native; faults = [] }
               in
               let under = Runner.run_profile ?obs profile config in
               let o = under.Runner.outcome in
@@ -194,7 +195,7 @@ let run_repeated workload config latency ~repeat ~domains ~trace_file ~metrics =
             try
               let native =
                 Runner.run_server_bench ~latency ~server ~client
-                  { config with Mvee.backend = Mvee.Native }
+                  { config with Mvee.backend = Mvee.Native; faults = [] }
               in
               let under =
                 Runner.run_server_bench ~latency ?obs ~server ~client config
@@ -279,7 +280,10 @@ let run_workload name backend nreplicas policy latency seed faults on_failure
       (Policy.to_string config.Mvee.policy);
     try match workload with
     | Registry.Profile_workload profile ->
-      let native = Runner.run_profile profile { config with Mvee.backend = Mvee.Native } in
+      let native =
+        Runner.run_profile profile
+          { config with Mvee.backend = Mvee.Native; faults = [] }
+      in
       let under = Runner.run_profile ?obs profile config in
       print_route_lines ();
       let o = under.Runner.outcome in
@@ -308,7 +312,7 @@ let run_workload name backend nreplicas policy latency seed faults on_failure
     | Registry.Server_workload (server, client) ->
       let native =
         Runner.run_server_bench ~latency ~server ~client
-          { config with Mvee.backend = Mvee.Native }
+          { config with Mvee.backend = Mvee.Native; faults = [] }
       in
       let under = Runner.run_server_bench ~latency ?obs ~server ~client config in
       print_route_lines ();

@@ -124,6 +124,20 @@ let fds_closed (call : Syscall.call) (result : Syscall.result) : int list =
   | Syscall.Close fd, Syscall.Ok_int _ -> [ fd ]
   | _ -> []
 
+(* Calls that may create, close or retype a descriptor, or change its
+   blocking mode: every call [fds_created] or [fds_closed] can name, plus
+   connect/listen and the fcntl/ioctl mode switches. *)
+let changes_fds (call : Syscall.call) =
+  match call with
+  | Syscall.Open _ | Syscall.Openat _ | Syscall.Creat _ | Syscall.Close _
+  | Syscall.Dup _ | Syscall.Dup2 _ | Syscall.Dup3 _ | Syscall.Pipe
+  | Syscall.Pipe2 _ | Syscall.Eventfd _ | Syscall.Socket _
+  | Syscall.Socketpair _ | Syscall.Accept _ | Syscall.Accept4 _
+  | Syscall.Connect _ | Syscall.Listen _ | Syscall.Epoll_create
+  | Syscall.Timerfd_create | Syscall.Fcntl _ | Syscall.Ioctl _ ->
+    true
+  | _ -> false
+
 (* Normalizes a call for cross-replica comparison: fields that legitimately
    differ between diversified replicas (pointer-valued epoll user data) are
    blanked; everything else must match bit for bit. *)

@@ -21,6 +21,11 @@ val fds_created : Syscall.call -> Syscall.result -> int list
 
 val fds_closed : Syscall.call -> Syscall.result -> int list
 
+val changes_fds : Syscall.call -> bool
+(** May the call create, close or retype a descriptor, or change its
+    blocking mode? GHUMVEE refreshes IP-MON's file map after each such
+    call. *)
+
 val normalize : Syscall.call -> Syscall.call
 (** Blanks fields that legitimately differ between diversified replicas
     (pointer-valued epoll user data, futex/mapping addresses) before

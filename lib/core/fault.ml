@@ -11,7 +11,9 @@
    Everything is deterministic. Explicit plans fire at fixed points; the
    only randomness (argument perturbation, generated plans) flows from a
    seeded SplitMix64 stream, so identical seeds reproduce identical
-   outcomes — this is what the determinism tests pin down. *)
+   outcomes — this is what the determinism tests pin down. A plan is an
+   immutable value: which of its specs have fired is per-run state in [t],
+   so any number of runs, on any number of domains, may share one plan. *)
 
 open Remon_kernel
 open Remon_sim
@@ -29,13 +31,13 @@ type spec = {
   kind : kind;
   variant : int; (* target replica; ignored for RB faults (they hit a record) *)
   at : int; (* syscall index (kernel faults) / n-th RB record (RB faults) *)
-  mutable fired : bool;
 }
 
 type plan = spec list
 
 type t = {
-  plan : plan;
+  plan : spec array;
+  fired : bool array; (* per spec: already injected in this run *)
   rng : Rng.t;
   mutable injected : int;
   mutable rb_records_seen : int;
@@ -44,13 +46,15 @@ type t = {
          (kernel-path injections are traced by the dispatcher itself) *)
 }
 
-let spec ~kind ~variant ~at = { kind; variant; at; fired = false }
+let spec ~kind ~variant ~at = { kind; variant; at }
 
 let make ~seed plan =
+  let plan = Array.of_list plan in
   (* split off a private stream so fault perturbations cannot shift any
      other seeded decision in the run *)
   {
     plan;
+    fired = Array.make (Array.length plan) false;
     rng = Rng.make (seed lxor 0x0FA017);
     injected = 0;
     rb_records_seen = 0;
@@ -82,17 +86,18 @@ let kernel_decision t (th : Proc.thread) (call : Syscall.call) =
   match th.Proc.proc.Proc.replica_info with
   | None -> Kstate.Fault_none
   | Some { Proc.variant_index = v; _ } ->
-    let rec find = function
-      | [] -> Kstate.Fault_none
-      | s :: rest -> (
+    let rec find i =
+      if i >= Array.length t.plan then Kstate.Fault_none
+      else
+        let s = t.plan.(i) in
         let kernel_kind =
           match s.kind with Drop_rb | Corrupt_rb -> false | _ -> true
         in
-        if s.fired || (not kernel_kind) || s.variant <> v
+        if t.fired.(i) || (not kernel_kind) || s.variant <> v
            || s.at <> th.Proc.syscall_index
-        then find rest
+        then find (i + 1)
         else begin
-          s.fired <- true;
+          t.fired.(i) <- true;
           t.injected <- t.injected + 1;
           match s.kind with
           | Crash sg -> Kstate.Fault_crash sg
@@ -100,9 +105,9 @@ let kernel_decision t (th : Proc.thread) (call : Syscall.call) =
           | Delay ns -> Kstate.Fault_delay ns
           | Sock_err e -> Kstate.Fault_result (Syscall.Error e)
           | Drop_rb | Corrupt_rb -> Kstate.Fault_none (* unreachable *)
-        end)
+        end
     in
-    find t.plan
+    find 0
 
 (* RB tamper hook: fires RB specs on the n-th appended record. *)
 let obs_rb_fault t ~name (e : Replication_buffer.entry) =
@@ -123,17 +128,17 @@ let obs_rb_fault t ~name (e : Replication_buffer.entry) =
 
 let rb_tamper t (e : Replication_buffer.entry) =
   t.rb_records_seen <- t.rb_records_seen + 1;
-  List.iter
-    (fun s ->
-      if (not s.fired) && s.at = t.rb_records_seen then
+  Array.iteri
+    (fun i s ->
+      if (not t.fired.(i)) && s.at = t.rb_records_seen then
         match s.kind with
         | Drop_rb ->
-          s.fired <- true;
+          t.fired.(i) <- true;
           t.injected <- t.injected + 1;
           e.Replication_buffer.call <- None;
           obs_rb_fault t ~name:"droprb" e
         | Corrupt_rb ->
-          s.fired <- true;
+          t.fired.(i) <- true;
           t.injected <- t.injected + 1;
           e.Replication_buffer.call <-
             Option.map (corrupt_call t.rng) e.Replication_buffer.call;
@@ -146,11 +151,6 @@ let install t ~kernel ~group_id ~rb =
   Kernel.register_fault_hook kernel ~group_id (fun th call ->
       kernel_decision t th call);
   rb.Replication_buffer.tamper <- Some (fun e -> rb_tamper t e)
-
-(* A fresh, unfired copy of a plan: fleet respawns reuse the same plan
-   across instance generations, and [fired] flags must not leak between
-   them. *)
-let copy_plan plan = List.map (fun s -> { s with fired = false }) plan
 
 (* ------------------------------------------------------------------ *)
 (* Generated plans (the resilience bench) *)

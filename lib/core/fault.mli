@@ -9,7 +9,8 @@
     recovery layer ([Mvee.config.on_failure]) is exercised end to end.
 
     All injection is deterministic: identical seeds and plans reproduce
-    identical outcomes. *)
+    identical outcomes. A plan is an immutable value; which specs have
+    fired is per-run state, so runs may share a plan freely. *)
 
 open Remon_kernel
 open Remon_sim
@@ -26,15 +27,17 @@ type spec = {
   kind : kind;
   variant : int;  (** target replica; ignored for RB faults *)
   at : int;  (** syscall index (kernel faults) / n-th RB record (RB faults) *)
-  mutable fired : bool;
 }
 
 type plan = spec list
 
 type t
+(** One run's injector: the plan plus which of its specs have fired. *)
 
 val spec : kind:kind -> variant:int -> at:int -> spec
+
 val make : seed:int -> plan -> t
+(** A fresh injector for one run; no spec has fired yet. *)
 
 val injected : t -> int
 (** Faults actually fired so far. *)
@@ -44,10 +47,6 @@ val install :
 (** Wire the plan into the kernel dispatch hook (scoped to the replica
     group identified by [group_id], so fleet instances in one kernel carry
     independent plans) and the RB tamper hook. *)
-
-val copy_plan : plan -> plan
-(** A fresh, unfired copy: fleet respawns reuse a plan across instance
-    generations without leaking [fired] flags between them. *)
 
 val random_plan :
   seed:int -> rate:float -> horizon:int -> nreplicas:int -> plan

@@ -11,7 +11,6 @@ open Remon_kernel
 type t = {
   classes : Proc.fd_class option array; (* indexed by fd; None = closed *)
   nonblocking : bool array;
-  mutable updates : int; (* GHUMVEE write generation, for tests *)
   mutable high_water : int;
       (* highest fd ever populated; bounds the clear in [sync_from_process]
          so a full-table refresh costs O(live fds), not O(max_fds) *)
@@ -25,7 +24,6 @@ let create () =
   {
     classes = Array.make max_fds None;
     nonblocking = Array.make max_fds false;
-    updates = 0;
     high_water = -1;
   }
 
@@ -35,22 +33,17 @@ let set t ~fd ~cls ~nonblocking =
   if in_range fd then begin
     if fd > t.high_water then t.high_water <- fd;
     t.classes.(fd) <- Some cls;
-    t.nonblocking.(fd) <- nonblocking;
-    t.updates <- t.updates + 1
+    t.nonblocking.(fd) <- nonblocking
   end
 
 let clear t ~fd =
   if in_range fd then begin
     t.classes.(fd) <- None;
-    t.nonblocking.(fd) <- false;
-    t.updates <- t.updates + 1
+    t.nonblocking.(fd) <- false
   end
 
 let set_nonblocking t ~fd v =
-  if in_range fd then begin
-    t.nonblocking.(fd) <- v;
-    t.updates <- t.updates + 1
-  end
+  if in_range fd then t.nonblocking.(fd) <- v
 
 let class_of t ~fd = if in_range fd then t.classes.(fd) else None
 
@@ -81,5 +74,4 @@ let sync_from_process t (p : Proc.process) =
         t.classes.(fd) <- Some (Proc.classify_desc d);
         t.nonblocking.(fd) <- d.nonblock
       end)
-    p.fds;
-  t.updates <- t.updates + 1
+    p.fds

@@ -8,7 +8,6 @@ open Remon_kernel
 type t = {
   classes : Proc.fd_class option array;
   nonblocking : bool array;
-  mutable updates : int; (** write generation, for tests *)
   mutable high_water : int;
       (** highest fd ever populated; bounds full-table refreshes *)
 }

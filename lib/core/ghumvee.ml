@@ -203,14 +203,8 @@ let translate_for_slave t ~(arrival : arrival) ~(call : Syscall.call)
 let master_side_effects t ~(call : Syscall.call) (result : Syscall.result) =
   let master = t.g.Context.replicas.(0) in
   (* keep the IP-MON file map in sync with fd lifecycle changes *)
-  (match call with
-  | Syscall.Open _ | Syscall.Openat _ | Syscall.Creat _ | Syscall.Close _
-  | Syscall.Dup _ | Syscall.Dup2 _ | Syscall.Pipe | Syscall.Socket _
-  | Syscall.Socketpair _ | Syscall.Accept _ | Syscall.Accept4 _
-  | Syscall.Connect _ | Syscall.Listen _ | Syscall.Epoll_create
-  | Syscall.Timerfd_create | Syscall.Fcntl _ | Syscall.Ioctl _ ->
-    File_map.sync_from_process t.g.Context.file_map master
-  | _ -> ());
+  if Callinfo.changes_fds call then
+    File_map.sync_from_process t.g.Context.file_map master;
   (* filter the maps file: hide IP-MON and RB regions (Section 3.6) *)
   match (call, result) with
   | (Syscall.Open ("/proc/self/maps", _) | Syscall.Openat ("/proc/self/maps", _)),

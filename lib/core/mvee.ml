@@ -130,6 +130,16 @@ type env = {
       (* a logical object id rendered as this replica's pointer value *)
 }
 
+(* Object [id] of a replica lives at [heap_base + 65536 + 16 id], so the
+   same object carries a different pointer in every replica, as under
+   ASLR. [ptr_id] inverts the encoding in O(1). *)
+let ptr_of_id ~heap_base id =
+  Int64.add heap_base (Int64.of_int (65536 + (id * 16)))
+
+let ptr_id env ptr =
+  let off = Int64.to_int (Int64.sub ptr env.heap_base) - 65536 in
+  if off >= 0 && off land 15 = 0 then Some (off / 16) else None
+
 type handle = {
   kernel : Kernel.t;
   config : config;
@@ -253,8 +263,7 @@ let make_env (h : handle) ~variant ~nreplicas : env =
     lock;
     unlock;
     spawn_thread;
-    diversified_ptr =
-      (fun id -> Int64.add h.heap_bases.(variant) (Int64.of_int (65536 + (id * 16))));
+    diversified_ptr = ptr_of_id ~heap_base:h.heap_bases.(variant);
   }
 
 (* Launches the replica set. [body] is the program every replica runs. *)

@@ -77,6 +77,10 @@ type env = {
       (** a logical object id rendered as this replica's pointer value *)
 }
 
+val ptr_id : env -> int64 -> int option
+(** The inverse of [env.diversified_ptr], in O(1): the id a pointer
+    renders, or [None] for a value it never returns. *)
+
 type handle = {
   kernel : Kernel.t;
   config : config;

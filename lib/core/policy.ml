@@ -81,17 +81,10 @@ type temporal_state = {
   rng : Rng.t;
   approvals : (Sysno.t, (Remon_sim.Vtime.t * int) ref) Hashtbl.t;
       (* sysno -> (window start, count within window) *)
-  mutable exempted : int;
-  mutable considered : int;
 }
 
 let make_temporal_state ~seed =
-  {
-    rng = Rng.make seed;
-    approvals = Hashtbl.create 32;
-    exempted = 0;
-    considered = 0;
-  }
+  { rng = Rng.make seed; approvals = Hashtbl.create 32 }
 
 (* Called by the broker each time GHUMVEE approves a monitored call. *)
 let record_approval st ~now (no : Sysno.t) ~(cfg : temporal) =
@@ -109,15 +102,10 @@ let record_approval st ~now (no : Sysno.t) ~(cfg : temporal) =
 
 (* May [no] be stochastically exempted right now? *)
 let temporal_exempts st ~now (no : Sysno.t) ~(cfg : temporal) =
-  st.considered <- st.considered + 1;
   match Hashtbl.find_opt st.approvals no with
   | None -> false
   | Some cell ->
     let start, count = !cell in
     if now - start > cfg.window_ns then false
     else if count < cfg.min_approvals then false
-    else begin
-      let exempt = Rng.float st.rng < cfg.exempt_probability in
-      if exempt then st.exempted <- st.exempted + 1;
-      exempt
-    end
+    else Rng.float st.rng < cfg.exempt_probability

@@ -44,8 +44,6 @@ val spatial_allows : t -> Syscall.call -> on_socket:bool -> bool
 type temporal_state = {
   rng : Rng.t;
   approvals : (Sysno.t, (Remon_sim.Vtime.t * int) ref) Hashtbl.t;
-  mutable exempted : int;
-  mutable considered : int;
 }
 
 val make_temporal_state : seed:int -> temporal_state

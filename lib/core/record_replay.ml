@@ -17,10 +17,9 @@ type t = {
   kernel : Kernel.t;
   log : Record_log.t;
   enabled : bool;
-  mutable gated : int; (* slave acquisitions that had to wait *)
 }
 
-let create ~kernel ~log ~enabled = { kernel; log; enabled; gated = 0 }
+let create ~kernel ~log ~enabled = { kernel; log; enabled }
 
 (* Master side: runs right after a successful acquisition. *)
 let master_acquired t ~lock_id ~thread_rank =
@@ -38,10 +37,7 @@ let slave_gate t ~variant ~lock_id ~thread_rank =
       | Some ev -> ev.Record_log.lock_id = lock_id && ev.thread_rank = thread_rank
       | None -> false
     in
-    if not (ready ()) then begin
-      t.gated <- t.gated + 1;
-      Sched.wait_user ready
-    end;
+    if not (ready ()) then Sched.wait_user ready;
     Record_log.advance t.log ~variant;
     Kernel.kick t.kernel
   end

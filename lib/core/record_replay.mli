@@ -9,7 +9,6 @@ type t = {
   kernel : Kernel.t;
   log : Record_log.t;
   enabled : bool;
-  mutable gated : int; (** slave acquisitions that had to wait *)
 }
 
 val create : kernel:Kernel.t -> log:Record_log.t -> enabled:bool -> t

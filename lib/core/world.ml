@@ -132,8 +132,8 @@ let ensure_pair t ~src ~dst =
     match Hashtbl.find_opt t.pairs key with
     | Some p -> p
     | None ->
-      let fwd = Link.create ~src ~dst ~latency:t.link_latency in
-      let bwd = Link.create ~src:dst ~dst:src ~latency:t.link_latency in
+      let fwd = Link.create ~dst ~latency:t.link_latency in
+      let bwd = Link.create ~dst:src ~latency:t.link_latency in
       let rec pa =
         { p_src = src; p_dst = dst; p_link = fwd; p_s = Vtime.infinity; p_rev = pb }
       and pb =
@@ -151,11 +151,14 @@ let ensure_pair t ~src ~dst =
 let create ?(link_latency = Vtime.ns (Cost_model.link_latency Cost_model.default))
     ~n ~(mk : int -> Kernel.t) () =
   if n < 1 then invalid_arg "World.create: need at least one host";
-  let kernels = Array.init n mk in
-  let hostnets = Array.init n (fun i -> Hostnet.create ~host:i kernels.(i)) in
   let hosts =
     Array.init n (fun i ->
-        { idx = i; kernel = kernels.(i); hostnet = hostnets.(i) })
+        let kernel = mk i in
+        let hostnet =
+          Hostnet.create ~host:i (Kernel.sched kernel) (Kernel.net kernel)
+        in
+        kernel.Kstate.hostnet <- Some hostnet;
+        { idx = i; kernel; hostnet })
   in
   let t =
     {

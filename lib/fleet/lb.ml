@@ -33,7 +33,6 @@ type backend = {
   mutable active_conns : int; (* proxied client conns pinned to it *)
   mutable consec_failures : int;
   mutable consec_successes : int;
-  mutable picked : int; (* routing decisions that landed here *)
   mutable probes : int;
   mutable probe_failures : int;
 }
@@ -104,32 +103,28 @@ let backend_for lb ~port =
 let pick lb ~excluding =
   let eligible b = b.state = Up && not (List.mem b.id excluding) in
   let n = Array.length lb.backends in
-  let chosen =
-    match lb.config.policy with
-    | Round_robin ->
-      let rec scan k =
-        if k >= n then None
+  match lb.config.policy with
+  | Round_robin ->
+    let rec scan k =
+      if k >= n then None
+      else
+        let b = lb.backends.((lb.rr_cursor + k) mod n) in
+        if eligible b then begin
+          lb.rr_cursor <- (lb.rr_cursor + k + 1) mod n;
+          Some b
+        end
+        else scan (k + 1)
+    in
+    scan 0
+  | Least_conns ->
+    Array.fold_left
+      (fun best b ->
+        if not (eligible b) then best
         else
-          let b = lb.backends.((lb.rr_cursor + k) mod n) in
-          if eligible b then begin
-            lb.rr_cursor <- (lb.rr_cursor + k + 1) mod n;
-            Some b
-          end
-          else scan (k + 1)
-      in
-      scan 0
-    | Least_conns ->
-      Array.fold_left
-        (fun best b ->
-          if not (eligible b) then best
-          else
-            match best with
-            | Some c when c.active_conns <= b.active_conns -> best
-            | _ -> Some b)
-        None lb.backends
-  in
-  (match chosen with Some b -> b.picked <- b.picked + 1 | None -> ());
-  chosen
+          match best with
+          | Some c when c.active_conns <= b.active_conns -> best
+          | _ -> Some b)
+      None lb.backends
 
 (* ------------------------------------------------------------------ *)
 (* Health probes *)
@@ -310,7 +305,6 @@ let launch kernel config ~backend_ports ~deadline =
              active_conns = 0;
              consec_failures = 0;
              consec_successes = 0;
-             picked = 0;
              probes = 0;
              probe_failures = 0;
            })

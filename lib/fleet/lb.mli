@@ -26,7 +26,6 @@ type backend = {
   mutable active_conns : int;  (** proxied client conns pinned to it *)
   mutable consec_failures : int;
   mutable consec_successes : int;
-  mutable picked : int;  (** routing decisions that landed here *)
   mutable probes : int;
   mutable probe_failures : int;
 }

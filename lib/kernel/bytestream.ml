@@ -12,8 +12,6 @@ let create () = { chunks = Queue.create (); front_off = 0; length = 0 }
 
 let length t = t.length
 
-let is_empty t = t.length = 0
-
 let push t s =
   if String.length s > 0 then begin
     Queue.push s t.chunks;
@@ -42,30 +40,3 @@ let pull t n =
     Buffer.contents buf
   end
 
-let peek t n =
-  let n = min n t.length in
-  if n = 0 then ""
-  else begin
-    let buf = Buffer.create n in
-    let remaining = ref n in
-    let off = ref t.front_off in
-    (try
-       Queue.iter
-         (fun chunk ->
-           if !remaining > 0 then begin
-             let avail = String.length chunk - !off in
-             let take = min avail !remaining in
-             Buffer.add_substring buf chunk !off take;
-             remaining := !remaining - take;
-             off := 0
-           end
-           else raise Exit)
-         t.chunks
-     with Exit -> ());
-    Buffer.contents buf
-  end
-
-let clear t =
-  Queue.clear t.chunks;
-  t.front_off <- 0;
-  t.length <- 0

@@ -4,15 +4,9 @@ type t
 
 val create : unit -> t
 val length : t -> int
-val is_empty : t -> bool
 
 val push : t -> string -> unit
 (** Appends bytes at the back. Empty strings are ignored. *)
 
 val pull : t -> int -> string
 (** [pull t n] removes and returns up to [n] bytes from the front. *)
-
-val peek : t -> int -> string
-(** Like {!pull} without consuming. *)
-
-val clear : t -> unit

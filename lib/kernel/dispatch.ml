@@ -236,10 +236,12 @@ let release_desc k (d : Proc.desc) =
     match d.kind with
     | Proc.Pipe_read pi -> pi.readers <- pi.readers - 1
     | Proc.Pipe_write pi -> pi.writers <- pi.writers - 1
-    | Proc.Stream s ->
+    | Proc.Stream s -> (
       Net.close_stream s;
       (* a cross-host endpoint: let the gateway flush and send FIN *)
-      if Net.is_remote s then K.gw_poke k s
+      match k.K.hostnet with
+      | Some h when Net.is_remote s -> Hostnet.poke h s
+      | _ -> ())
     | Proc.Listener l -> Net.close_listener k.K.net l
     | Proc.Epoll_fd _ | Proc.Timer_fd _ | Proc.Event_fd _ | Proc.Regular _
     | Proc.Directory _ | Proc.Dev_null | Proc.Proc_maps _
@@ -358,7 +360,10 @@ let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.resu
         if Net.incoming_length s > 0 then begin
           let data = Net.recv s count in
           (* cross-host streams return the freed space as link credit *)
-          if Net.is_remote s then K.gw_drained k s (String.length data);
+          (match k.K.hostnet with
+          | Some h when Net.is_remote s ->
+            Hostnet.drained h s (String.length data)
+          | _ -> ());
           (* draining frees receive-buffer space: wake blocked senders *)
           Sched.kick k.K.sched;
           Some data
@@ -455,7 +460,9 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
         Sched.schedule k.K.sched ~time:arrival (fun () ->
             Net.commit peer chunk;
             (* the peer of a cross-host app endpoint is gateway-held *)
-            if Net.is_remote peer then K.gw_poke k peer;
+            (match k.K.hostnet with
+            | Some h when Net.is_remote peer -> Hostnet.poke h peer
+            | _ -> ());
             Sched.kick k.K.sched)
       in
       (* Everything before [offset] has been accepted already, so an error
@@ -976,8 +983,8 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
         | Proc.Stream placeholder -> (
           match Net.find_listener k.K.net ~port with
           | None -> (
-            match k.K.gateway with
-            | Some g when g.K.gw_has_port port ->
+            match k.K.hostnet with
+            | Some h when Hostnet.has_port h port ->
               (* port statically routed to another host: the gateway runs
                  the SYN handshake over the inter-host link, and whether a
                  listener exists there is resolved at SYN-arrival virtual
@@ -987,18 +994,18 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
                   Net.local_port placeholder
                 else Net.ephemeral_port k.K.net
               in
-              let client, progress = g.K.gw_connect ~local_port ~port in
+              let client, progress = Hostnet.connect h ~local_port ~port in
               d.kind <- Proc.Stream client;
               if d.nonblock then ret (err Errno.EINPROGRESS)
               else
                 block k th ~what:"connect(remote)"
                   ~poll:(fun () ->
                     match !progress with
-                    | K.Gw_connecting -> None
-                    | (K.Gw_connected | K.Gw_refused) as st -> Some st)
+                    | Hostnet.Connecting -> None
+                    | (Hostnet.Connected | Hostnet.Refused) as st -> Some st)
                   ~on_ready:(fun st ->
                     match st with
-                    | K.Gw_connected -> ret (Syscall.Ok_int 0)
+                    | Hostnet.Connected -> ret (Syscall.Ok_int 0)
                     | _ -> ret (err Errno.ECONNREFUSED))
                   ~complete:ret ()
             | _ ->
@@ -1095,7 +1102,9 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
           | Syscall.Shut_rdwr ->
             Net.shutdown_rd s;
             Net.shutdown_wr s);
-          if Net.is_remote s then K.gw_poke k s;
+          (match k.K.hostnet with
+          | Some h when Net.is_remote s -> Hostnet.poke h s
+          | _ -> ());
           Sched.kick k.K.sched;
           ret (Syscall.Ok_int 0)
         | _ -> ret (err Errno.ENOTSOCK))
@@ -1106,13 +1115,13 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
         (Syscall.Ok_int
            (install_fd
               (Proc.make_desc ~nonblock:flags.nonblock ~can_read:flags.read
-                 ~can_write:flags.write ~path (Proc.Dev_null))))
+                 ~can_write:flags.write (Proc.Dev_null))))
     else if path = "/proc/self/maps" then begin
       let content = Vm.maps_text p.vm in
       ret
         (Syscall.Ok_int
            (install_fd
-              (Proc.make_desc ~can_read:true ~can_write:false ~path
+              (Proc.make_desc ~can_read:true ~can_write:false
                  (Proc.Proc_maps { content }))))
     end
     else begin
@@ -1130,7 +1139,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
             ret
               (Syscall.Ok_int
                  (install_fd
-                    (Proc.make_desc ~can_read:true ~can_write:false ~path
+                    (Proc.make_desc ~can_read:true ~can_write:false
                        (Proc.Directory node))))
         | Vfs.Reg _ ->
           if flags.trunc && flags.write then
@@ -1140,14 +1149,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
                (install_fd
                   (Proc.make_desc ~nonblock:flags.nonblock
                      ~can_read:flags.read ~can_write:flags.write
-                     ~append:flags.append ~path (Proc.Regular node))))
-        | Vfs.Special gen ->
-          let content = gen () in
-          ret
-            (Syscall.Ok_int
-               (install_fd
-                  (Proc.make_desc ~can_read:true ~can_write:false ~path
-                     (Proc.Proc_maps { content }))))
+                     ~append:flags.append (Proc.Regular node))))
         | Vfs.Symlink _ -> ret (err Errno.ELOOP))
     end
   | Syscall.Creat path -> (
@@ -1157,7 +1159,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
       ret
         (Syscall.Ok_int
            (install_fd
-              (Proc.make_desc ~can_read:false ~can_write:true ~path
+              (Proc.make_desc ~can_read:false ~can_write:true
                  (Proc.Regular node))))
     | Error e -> ret (err e))
   | Syscall.Close fd ->
@@ -1520,9 +1522,7 @@ let rec finish k (th : Proc.thread) (result : Syscall.result) ~return =
   if th.tstate = Proc.Dead then ()
   else
     match next_deliverable p with
-    | None ->
-      th.last_result <- Some result;
-      return result
+    | None -> return result
     | Some sg -> (
       match p.tracer with
       | Some tracer when not (Sigdefs.synchronous sg) ->
@@ -1606,7 +1606,6 @@ let monitor_path k (th : Proc.thread) call ~return =
               | Proc.Resume_suppress ->
                 exec k th call ~ret:(fun r -> exit_phase k th call r ~return)
               | Proc.Resume_rewrite call' ->
-                th.current_call <- Some call';
                 exec k th call' ~ret:(fun r -> exit_phase k th call' r ~return)
               | Proc.Resume_skip r ->
                 (* call aborted by the monitor; go straight to exit stop so
@@ -1707,7 +1706,6 @@ let handle k (th : Proc.thread) call ~return =
   if not p.alive || th.tstate = Proc.Dead then ()
   else begin
     th.syscall_index <- th.syscall_index + 1;
-    th.current_call <- Some call;
     k.K.stats.syscalls <- k.K.stats.syscalls + 1;
     charge th k.K.cost.syscall_trap_ns;
     match (k.K.obs, K.fault_hook_for k th) with
@@ -1762,7 +1760,6 @@ let handle k (th : Proc.thread) call ~return =
       | K.Fault_rewrite call' ->
         (* the corrupted capture flows through the normal routing/detection
            paths; the monitors see it as an argument divergence *)
-        th.current_call <- Some call';
         trace_route k th call' "fault:rewrite";
         obs_instant k th ~cat:"fault" ~name:"rewrite"
           [ ("call", Tr.Str (Syscall.to_string call')) ];

@@ -35,5 +35,3 @@ let ctl t ~(op : Syscall.epoll_op) ~fd ~events ~user_data =
 let interest_list t =
   Hashtbl.fold (fun fd e acc -> (fd, e) :: acc) t.interest []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let forget_fd t fd = Hashtbl.remove t.interest fd

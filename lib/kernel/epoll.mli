@@ -18,5 +18,3 @@ val ctl :
 
 val interest_list : t -> (int * entry) list
 (** Sorted by fd, for deterministic iteration. *)
-
-val forget_fd : t -> int -> unit

@@ -1,5 +1,7 @@
 (* Cross-host network gateway: one per simulated host in a sharded (PDES)
-   run. Implements the [Kstate.gateway] hooks over typed inter-host links.
+   run. The dispatcher calls it for ports routed to another host and for
+   every state change of a cross-host stream; it speaks a credit-windowed
+   SYN/DATA/WINDOW/FIN/RST protocol over typed inter-host links.
 
    A cross-host TCP connection is modeled as two *local* stream pairs, one
    per host, stitched together by the gateway:
@@ -21,23 +23,24 @@
    end-to-end: remote buffer full -> no credit -> gateway buffer fills ->
    local writer blocks.
 
-   Determinism: every hook runs inside a scheduled event of the owning
+   Determinism: every entry point runs inside a scheduled event of the owning
    host (a commit event, a syscall retry, or a link-message application
    event), so send timestamps and per-link sequence numbers are pure
    functions of virtual time. Connection ids are globally unique without
    coordination: initiator host index * 2^24 + a per-host counter.
 
    Scale: links are created lazily by the shard runner, so the gateway
-   holds a resolver closure instead of an outbound-link table; connection
-   lookup by stream rides the stream's [tag] field instead of a side
-   table; and the gateway-side endpoint of a torn-down connection is
-   recycled through [Net]'s stream pool once no scheduled commit can still
-   reference it (its in-flight count is zero). The per-destination
-   [targets] counts feed the adaptive-lookahead synchronizer: a host that
-   neither routes to nor holds a connection towards host [d] provably
-   cannot send to it. *)
+   holds a resolver closure instead of an outbound-link table, and
+   connection lookup by stream rides the stream's [tag] field instead of a
+   side table. The per-destination [targets] counts feed the
+   adaptive-lookahead synchronizer: a host that neither routes to nor
+   holds a connection towards host [d] provably cannot send to it. *)
 
-module K = Kstate
+(* Where an initiating connect stands; a blocking connect polls it. *)
+type progress =
+  | Connecting
+  | Connected
+  | Refused (* no remote listener / backlog full *)
 
 (* fin_sent / fin_rcvd / rst_sent, packed so an idle connection record is
    8 words; a million-connection herd holds one live conn per endpoint
@@ -52,14 +55,15 @@ type conn = {
   gw : Net.stream; (* our end of the local pair; buffers outbound data *)
   link : Link.t; (* outbound link towards the remote end *)
   mutable credits : int; (* bytes the remote app buffer can still absorb *)
-  mutable progress : K.gw_progress ref option;
+  mutable progress : progress ref option;
       (* Some on the initiating side until SYN_OK/SYN_REFUSED resolves *)
   mutable cflags : int;
 }
 
 type t = {
   host : int;
-  k : K.t;
+  sched : Sched.t;
+  net : Net.t;
   routes : (int, int) Hashtbl.t; (* port -> owning host index *)
   mutable resolve : (dst:int -> Link.t) option;
       (* outbound links, provided by the shard runner (lazily created) *)
@@ -76,7 +80,20 @@ type t = {
 
 let conn_id_stride = 0x1_000_000
 
-let host t = t.host
+let create ~host sched net =
+  {
+    host;
+    sched;
+    net;
+    routes = Hashtbl.create 16;
+    resolve = None;
+    conns = Hashtbl.create 32;
+    targets = Hashtbl.create 8;
+    next_conn = 0;
+    opened = 0;
+    refused = 0;
+    resets = 0;
+  }
 
 let incr_target t dst =
   Hashtbl.replace t.targets dst
@@ -106,8 +123,6 @@ let link_to t dst =
 
 let sends_to t dst = Hashtbl.mem t.targets dst
 
-let active_conns t = Hashtbl.length t.conns
-
 let stats t = (t.opened, t.refused, t.resets)
 
 (* ------------------------------------------------------------------ *)
@@ -115,7 +130,7 @@ let stats t = (t.opened, t.refused, t.resets)
 
 let mark_remote (a : Net.stream) (b : Net.stream) =
   (* local: the pair is an intra-host hop (cheap, ~2us); remote: the
-     dispatcher charges wire cost and calls the gateway hooks *)
+     dispatcher charges wire cost and calls the gateway *)
   Net.mark_local a;
   Net.mark_local b;
   Net.mark_remote a;
@@ -127,25 +142,18 @@ let register t c =
   Net.set_tag c.gw c.cid;
   incr_target t (Link.dst c.link)
 
-(* The gateway endpoint is private to this module: no fd maps to it, no
-   thread parks on it, and once its in-flight count is zero no scheduled
-   commit event references it either — so it can be recycled immediately.
-   (A nonzero in-flight count means an app-side write's commit is still
-   scheduled; that stream is simply left to the GC.) The app endpoint is
-   owned by a process fd and is never recycled here. *)
 let unregister t c =
   Hashtbl.remove t.conns c.cid;
   Net.set_tag c.app (-1);
   Net.set_tag c.gw (-1);
-  decr_target t (Link.dst c.link);
-  if Net.in_flight c.gw = 0 then Net.release_stream t.k.K.net c.gw
+  decr_target t (Link.dst c.link)
 
 let conn_of_stream t s =
   let tag = Net.tag s in
   if tag < 0 then None else Hashtbl.find_opt t.conns tag
 
 let established c =
-  match c.progress with None -> true | Some p -> !p = K.Gw_connected
+  match c.progress with None -> true | Some p -> !p = Connected
 
 (* Both directions torn down: release everything. Closing is idempotent
    and never drops committed-but-unread data (EOF is after-drain). *)
@@ -159,11 +167,11 @@ let maybe_gc t c =
 
 (* Pump buffered outbound bytes onto the link, within credit; emit FIN
    once the application's write side is done and everything is flushed.
-   Safe to call from any hook: it does nothing when there is nothing to
-   do. *)
+   Safe to call from any entry point: it does nothing when there is
+   nothing to do. *)
 let pump t c =
   if established c && c.cflags land c_fin_sent = 0 then begin
-    let now = Sched.now t.k.K.sched in
+    let now = Sched.now t.sched in
     let avail = Net.incoming_length c.gw in
     let n = min avail c.credits in
     if n > 0 then begin
@@ -171,7 +179,7 @@ let pump t c =
       c.credits <- c.credits - n;
       Link.send c.link ~now (Link.Data { conn = c.cid; data });
       (* freed gateway buffer space: a blocked local writer may resume *)
-      Sched.kick t.k.K.sched
+      Sched.kick t.sched
     end;
     let flushed = Net.incoming_length c.gw = 0 && Net.in_flight c.gw = 0 in
     let write_done = Net.peer_gone c.gw || Net.wr_shut c.app in
@@ -187,34 +195,34 @@ let pump t c =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Gateway hooks (outbound side) *)
+(* Dispatcher entry points (outbound side) *)
 
-let gw_has_port t port =
+let has_port t port =
   match Hashtbl.find_opt t.routes port with
   | Some h -> h <> t.host
   | None -> false
 
-let gw_connect t ~local_port ~port =
+let connect t ~local_port ~port =
   let dst =
     match Hashtbl.find_opt t.routes port with
     | Some h when h <> t.host -> h
-    | _ -> invalid_arg "Hostnet.gw_connect: port is not remotely routed"
+    | _ -> invalid_arg "Hostnet.connect: port is not remotely routed"
   in
   let link = link_to t dst in
   let app, gw =
-    Net.make_pair t.k.K.net ~client_port:local_port ~server_port:port
+    Net.make_pair t.net ~client_port:local_port ~server_port:port
   in
   mark_remote app gw;
   let cid = (t.host * conn_id_stride) + t.next_conn in
   t.next_conn <- t.next_conn + 1;
   t.opened <- t.opened + 1;
-  let progress = ref K.Gw_connecting in
+  let progress = ref Connecting in
   let c =
     { cid; app; gw; link; credits = 0; progress = Some progress; cflags = 0 }
   in
   register t c;
   Link.send link
-    ~now:(Sched.now t.k.K.sched)
+    ~now:(Sched.now t.sched)
     (Link.Syn
        {
          conn = cid;
@@ -224,15 +232,15 @@ let gw_connect t ~local_port ~port =
        });
   (app, progress)
 
-let gw_poke t s =
+let poke t s =
   match conn_of_stream t s with Some c -> pump t c | None -> ()
 
-let gw_drained t s n =
+let drained t s n =
   if n > 0 then
     match conn_of_stream t s with
     | Some c when c.cflags land c_fin_sent = 0 ->
       Link.send c.link
-        ~now:(Sched.now t.k.K.sched)
+        ~now:(Sched.now t.sched)
         (Link.Window { conn = c.cid; bytes = n })
     | _ -> ()
 
@@ -245,18 +253,17 @@ let gw_drained t s n =
    work. [src] is the sending host (for SYN replies; established
    connections carry their own outbound link). *)
 let apply t ~src (m : Link.msg) =
-  let k = t.k in
-  let now = Sched.now k.K.sched in
+  let now = Sched.now t.sched in
   let reply payload = Link.send (link_to t src) ~now payload in
   match m.Link.payload with
   | Link.Syn { conn; src_port; dst_port; window } -> (
-    match Net.find_listener k.K.net ~port:dst_port with
+    match Net.find_listener t.net ~port:dst_port with
     | None ->
       t.refused <- t.refused + 1;
       reply (Link.Syn_refused { conn })
     | Some l ->
       let gw, app =
-        Net.make_pair k.K.net ~client_port:src_port ~server_port:dst_port
+        Net.make_pair t.net ~client_port:src_port ~server_port:dst_port
       in
       mark_remote app gw;
       if Net.try_enqueue l app then begin
@@ -274,16 +281,13 @@ let apply t ~src (m : Link.msg) =
         register t c;
         t.opened <- t.opened + 1;
         reply (Link.Syn_ok { conn; window = Net.rcvbuf app });
-        Sched.kick k.K.sched
+        Sched.kick t.sched
       end
       else begin
-        (* backlog full at SYN arrival, like the local enqueue check; the
-           pair was never exposed to any process, so both halves recycle *)
+        (* backlog full at SYN arrival, like the local enqueue check *)
         t.refused <- t.refused + 1;
         Net.close_stream gw;
         Net.close_stream app;
-        Net.release_stream k.K.net gw;
-        Net.release_stream k.K.net app;
         reply (Link.Syn_refused { conn })
       end)
   | Link.Syn_ok { conn; window } -> (
@@ -292,18 +296,18 @@ let apply t ~src (m : Link.msg) =
     | Some c ->
       c.credits <- window;
       Net.set_connected c.app;
-      (match c.progress with Some p -> p := K.Gw_connected | None -> ());
+      (match c.progress with Some p -> p := Connected | None -> ());
       pump t c;
-      Sched.kick k.K.sched)
+      Sched.kick t.sched)
   | Link.Syn_refused { conn } -> (
     match Hashtbl.find_opt t.conns conn with
     | None -> ()
     | Some c ->
-      (match c.progress with Some p -> p := K.Gw_refused | None -> ());
+      (match c.progress with Some p -> p := Refused | None -> ());
       Net.close_stream c.gw;
       Net.close_stream c.app;
       unregister t c;
-      Sched.kick k.K.sched)
+      Sched.kick t.sched)
   | Link.Data { conn; data } -> (
     match Hashtbl.find_opt t.conns conn with
     | None -> () (* both sides torn down already: late data is dropped *)
@@ -319,7 +323,7 @@ let apply t ~src (m : Link.msg) =
       end
       else begin
         Net.commit_inbound c.app data;
-        Sched.kick k.K.sched
+        Sched.kick t.sched
       end)
   | Link.Window { conn; bytes } -> (
     match Hashtbl.find_opt t.conns conn with
@@ -337,7 +341,7 @@ let apply t ~src (m : Link.msg) =
       Net.shutdown_wr c.gw;
       pump t c;
       maybe_gc t c;
-      Sched.kick k.K.sched)
+      Sched.kick t.sched)
   | Link.Rst { conn } -> (
     match Hashtbl.find_opt t.conns conn with
     | None -> ()
@@ -346,31 +350,4 @@ let apply t ~src (m : Link.msg) =
       Net.close_stream c.gw;
       Net.close_stream c.app;
       unregister t c;
-      Sched.kick k.K.sched)
-
-(* ------------------------------------------------------------------ *)
-
-let create ~host k =
-  let t =
-    {
-      host;
-      k;
-      routes = Hashtbl.create 16;
-      resolve = None;
-      conns = Hashtbl.create 32;
-      targets = Hashtbl.create 8;
-      next_conn = 0;
-      opened = 0;
-      refused = 0;
-      resets = 0;
-    }
-  in
-  k.K.gateway <-
-    Some
-      {
-        K.gw_has_port = gw_has_port t;
-        gw_connect = (fun ~local_port ~port -> gw_connect t ~local_port ~port);
-        gw_poke = gw_poke t;
-        gw_drained = gw_drained t;
-      };
-  t
+      Sched.kick t.sched)

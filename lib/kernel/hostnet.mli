@@ -3,16 +3,20 @@
     application endpoint and a gateway endpoint on each host — stitched
     together by a credit-windowed SYN/DATA/WINDOW/FIN/RST protocol over
     typed inter-host {!Link}s, so every dispatcher read/write/poll/
-    backpressure path works unchanged. Installs itself as the kernel's
-    {!Kstate.gateway}. *)
+    backpressure path works unchanged. The dispatcher calls it directly
+    through [Kstate.hostnet]; single-host kernels have none. *)
 
 type t
 
-val create : host:int -> Kstate.t -> t
-(** Builds the gateway for host [host] and installs its hooks into the
-    kernel. Routes and links are added afterwards. *)
+(** Where an initiating connect stands. *)
+type progress =
+  | Connecting
+  | Connected
+  | Refused  (** no remote listener, or its backlog was full *)
 
-val host : t -> int
+val create : host:int -> Sched.t -> Net.t -> t
+(** The gateway of host [host], over that host's scheduler and network.
+    Routes and links are added afterwards. *)
 
 val add_route : t -> port:int -> host:int -> unit
 (** Declare statically that [port] is served from [host]. Connects to a
@@ -31,12 +35,32 @@ val sends_to : t -> int -> bool
     adaptive-lookahead synchronizer uses the negation as a proof of
     idleness. *)
 
+(** {1 Dispatcher entry points}
+
+    Each runs inside a scheduled event of this host. Call sites guard on
+    [Net.is_remote], so single-host streams never reach them. *)
+
+val has_port : t -> int -> bool
+(** Is this port statically routed to another host? *)
+
+val connect : t -> local_port:int -> port:int -> Net.stream * progress ref
+(** Build the local endpoint pair and send the SYN. Returns the
+    application endpoint and a progress cell that a blocking connect polls;
+    a nonblocking one relies on [Net.connected]/[Net.peer_gone] instead. *)
+
+val poke : t -> Net.stream -> unit
+(** The stream's state changed (data committed, write side shut, endpoint
+    closed): pump buffered bytes onto the link, and send FIN once the
+    stream is flushed. *)
+
+val drained : t -> Net.stream -> int -> unit
+(** The application consumed [n] bytes from a remote stream: return the
+    credit with a WINDOW update. *)
+
 val apply : t -> src:int -> Link.msg -> unit
 (** Apply one drained inbound message from host [src]. The shard runner
     must invoke this from a scheduled event of this host at the message's
     delivery time, in the canonical (at, src, seq) order. *)
-
-val active_conns : t -> int
 
 val stats : t -> int * int * int
 (** [(opened, refused, resets)] lifetime tallies. *)

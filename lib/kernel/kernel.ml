@@ -44,7 +44,6 @@ let shm_registry (k : t) = k.K.shm
 let cost (k : t) = k.K.cost
 let stats (k : t) = k.K.stats
 let now (k : t) = K.now k
-let rng (k : t) = k.K.rng
 
 (* ------------------------------------------------------------------ *)
 (* Process management *)

@@ -4,7 +4,6 @@
     {!Syscall}. *)
 
 open Remon_sim
-open Remon_util
 
 type t = Kstate.t
 
@@ -31,7 +30,6 @@ val shm_registry : t -> Shm.t
 val cost : t -> Cost_model.t
 val stats : t -> Kstate.counters
 val now : t -> Vtime.t
-val rng : t -> Rng.t
 
 (** {1 Processes} *)
 

@@ -49,35 +49,6 @@ type fault_decision =
   | Fault_delay of Vtime.t (* stall this arrival before routing it *)
   | Fault_result of Syscall.result (* complete immediately (transient errors) *)
 
-(* Cross-host gateway, installed by the sharded-run host-network layer.
-   In a sharded (PDES) simulation each host runs its own kernel; a connect
-   to a port no local listener owns is handed to the gateway, which speaks
-   a SYN/DATA/WINDOW/FIN protocol over typed inter-host links. The hooks
-   live here as a closure record so the dispatcher needs no dependency on
-   the gateway implementation; a [None] gateway (every single-host run)
-   keeps the historical behavior: unknown ports get ECONNREFUSED. *)
-
-type gw_progress =
-  | Gw_connecting
-  | Gw_connected
-  | Gw_refused (* no remote listener / backlog full *)
-
-type gateway = {
-  gw_has_port : int -> bool;
-      (* is this port statically routed to another host? *)
-  gw_connect : local_port:int -> port:int -> Net.stream * gw_progress ref;
-      (* build the local endpoint pair, send the SYN; the dispatcher polls
-         the returned progress cell (blocking connect) or relies on
-         [connected]/[peer_gone] (nonblocking + poll) *)
-  gw_poke : Net.stream -> unit;
-      (* state of a gateway-tracked stream changed (data committed, write
-         side shut, endpoint closed): pump buffered bytes onto the link
-         and emit FIN when flushed *)
-  gw_drained : Net.stream -> int -> unit;
-      (* the application consumed [n] bytes from a remote stream: the
-         gateway returns the credit with a WINDOW update *)
-}
-
 (* Futex wait queues, keyed by physical backing (shared segments give the
    same key in every attached process). *)
 type futex_waiter = {
@@ -112,8 +83,9 @@ type t = {
   epoch_offset_ns : int64; (* "wall clock" base for gettimeofday *)
   mutable obs : Remon_obs.Obs.t option;
       (* structured trace/metrics sink; None = observability fully off *)
-  mutable gateway : gateway option;
-      (* cross-host network gateway; None outside sharded runs *)
+  mutable hostnet : Hostnet.t option;
+      (* cross-host network gateway, installed by the shard runner; None in
+         single-host runs, where unknown ports get ECONNREFUSED *)
 }
 
 let create ?(cost = Cost_model.default) ?(seed = 42)
@@ -137,17 +109,10 @@ let create ?(cost = Cost_model.default) ?(seed = 42)
     pending_ipmon = Hashtbl.create 8;
     epoch_offset_ns = 1_600_000_000_000_000_000L;
     obs = None;
-    gateway = None;
+    hostnet = None;
   }
 
 let now k = Sched.now k.sched
-
-(* Gateway hook dispatch: call sites guard on [stream.Net.remote] so the
-   single-host hot path pays nothing. *)
-let gw_poke k s = match k.gateway with Some g -> g.gw_poke s | None -> ()
-
-let gw_drained k s n =
-  match k.gateway with Some g -> g.gw_drained s n | None -> ()
 
 (* The broker / fault hook a thread is subject to: its replica group's,
    if it belongs to one. *)
@@ -188,10 +153,8 @@ let add_thread k (p : Proc.process) ~start_clock =
       clock = start_clock;
       tstate = Proc.Ready;
       syscall_index = 0;
-      current_call = None;
       pending_delivery = Queue.create ();
       in_ipmon = false;
-      last_result = None;
       resume_kind = 0;
       resume_k = Obj.repr 0;
       resume_r = Syscall.Ok_unit;

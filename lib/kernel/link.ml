@@ -46,7 +46,6 @@ type msg = {
 }
 
 type t = {
-  src : int;
   dst : int;
   latency : Vtime.t;
   mu : Mutex.t;
@@ -57,11 +56,10 @@ type t = {
   mutable data_bytes : int;
 }
 
-let create ~src ~dst ~latency =
+let create ~dst ~latency =
   if Vtime.(latency <= Vtime.zero) then
     invalid_arg "Link.create: latency must be positive (it is the lookahead)";
   {
-    src;
     dst;
     latency;
     mu = Mutex.create ();
@@ -71,9 +69,7 @@ let create ~src ~dst ~latency =
     data_bytes = 0;
   }
 
-let src t = t.src
 let dst t = t.dst
-let latency t = t.latency
 
 (* Called by the source shard only (single-threaded per shard), while the
    destination may concurrently drain: only the queue needs the lock. *)
@@ -113,12 +109,6 @@ let drain_before t ~bound =
   let msgs = take [] in
   Mutex.unlock t.mu;
   msgs
-
-let is_empty t =
-  Mutex.lock t.mu;
-  let r = Queue.is_empty t.q in
-  Mutex.unlock t.mu;
-  r
 
 let stats t =
   Mutex.lock t.mu;

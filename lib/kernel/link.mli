@@ -22,13 +22,11 @@ type msg = { at : Vtime.t; seq : int; payload : payload }
 
 type t
 
-val create : src:int -> dst:int -> latency:Vtime.t -> t
+val create : dst:int -> latency:Vtime.t -> t
 (** Raises [Invalid_argument] on a non-positive latency: zero lookahead
     would deadlock the conservative synchronizer. *)
 
-val src : t -> int
 val dst : t -> int
-val latency : t -> Vtime.t
 
 val send : t -> now:Vtime.t -> payload -> unit
 (** Enqueue for delivery at [now + latency]. Source-shard side only. *)
@@ -40,8 +38,6 @@ val drain_before : t -> bound:Vtime.t -> msg list
 (** Pops every message with [at < bound] in send order. Complete and final
     for that window, provided [bound] respects the sender's frontier +
     latency (the conservative invariant). *)
-
-val is_empty : t -> bool
 
 val stats : t -> int * int
 (** [(messages_sent, data_bytes)] lifetime tallies. *)

@@ -13,15 +13,11 @@
 
    Memory layout: million-connection worlds mean millions of stream
    endpoints, most of them idle at any instant, so the stream record is
-   kept flat — seven fields (an 8-word block, 64 bytes on 64-bit) with the
+   kept flat — six fields (a 7-word block, 56 bytes on 64-bit) with the
    boolean flags and both ports packed into one int, the buffer caps into a
    second, and the in-flight/high-water counters into a third. The receive
    queue is allocated lazily on the first byte committed: an endpoint that
-   never receives (or has not received yet) carries no [Bytestream.t].
-   Streams whose lifetime is provably private to the kernel (gateway-side
-   endpoints, refused-connection pairs) are recycled through a
-   geometrically-grown pool, the same idiom as [Event_queue]'s entry
-   pool. *)
+   never receives (or has not received yet) carries no [Bytestream.t]. *)
 
 (* Default per-direction buffer capacity; mirrors Linux's default
    net.core.{r,w}mem_default of 212992 bytes. *)
@@ -57,7 +53,6 @@ let pport_shift = 31
 let mask31 = 0x7FFF_FFFF
 
 type stream = {
-  mutable sid : int;
   mutable flags : int;
   mutable bufs : int;
   mutable counts : int;
@@ -68,21 +63,16 @@ type stream = {
 
 type listener = {
   port : int;
-  mutable backlog : int;
+  backlog : int;
   pending : stream Queue.t; (* server-side endpoints awaiting accept *)
   mutable closed : bool;
-  mutable refused : int; (* connections turned away by a full backlog *)
 }
 
 type t = {
-  mutable latency : Remon_sim.Vtime.t; (* one-way propagation delay *)
-  mutable bufcap : int; (* default snd/rcv cap for fresh streams *)
+  latency : Remon_sim.Vtime.t; (* one-way propagation delay *)
+  bufcap : int; (* default snd/rcv cap for fresh streams *)
   listeners : (int, listener) Hashtbl.t;
-  mutable next_sid : int;
   mutable next_ephemeral : int;
-  (* recycled stream endpoints (kernel-private lifetimes only) *)
-  mutable spool : stream array;
-  mutable spooled : int;
 }
 
 let create ?(latency = Remon_sim.Vtime.us 50) ?(bufcap = default_bufcap) () =
@@ -90,19 +80,12 @@ let create ?(latency = Remon_sim.Vtime.us 50) ?(bufcap = default_bufcap) () =
     latency;
     bufcap = min mask31 (max min_bufcap bufcap);
     listeners = Hashtbl.create 8;
-    next_sid = 1;
     next_ephemeral = 32_768;
-    spool = [||];
-    spooled = 0;
   }
-
-let set_latency t l = t.latency <- l
-let set_bufcap t cap = t.bufcap <- min mask31 (max min_bufcap cap)
 
 (* ------------------------------------------------------------------ *)
 (* Packed-field accessors *)
 
-let sid s = s.sid
 let rd_shut s = s.flags land f_rd_shut <> 0
 let wr_shut s = s.flags land f_wr_shut <> 0
 let shutdown_rd s = s.flags <- s.flags lor f_rd_shut
@@ -156,57 +139,19 @@ let get_incoming s =
 (* Stream lifecycle *)
 
 let fresh_stream t =
-  let sid = t.next_sid in
-  t.next_sid <- t.next_sid + 1;
-  let bufs = pack_bufs ~sndbuf:t.bufcap ~rcvbuf:t.bufcap in
-  if t.spooled > 0 then begin
-    t.spooled <- t.spooled - 1;
-    let s = t.spool.(t.spooled) in
-    s.sid <- sid;
-    s.flags <- 0;
-    s.bufs <- bufs;
-    s.counts <- 0;
-    (* s.incoming was left as None or an empty, reusable Bytestream *)
-    s.peer <- None;
-    s.tag <- -1;
-    s
-  end
-  else
-    { sid; flags = 0; bufs; counts = 0; incoming = None; peer = None; tag = -1 }
-
-(* Return an endpoint to the pool. Callers must guarantee no live reference
-   remains (no fd, no parked thread, no pending commit event): the gateway
-   recycles its private endpoints once their in-flight count is zero, and
-   the dispatcher recycles both halves of a pair refused at SYN arrival
-   (never exposed to any process). An empty receive queue is kept for
-   reuse; a non-empty one is dropped so stale bytes cannot leak into the
-   next connection. *)
-let release_stream t s =
-  (match s.incoming with
-  | Some b when Bytestream.length b > 0 -> s.incoming <- None
-  | _ -> ());
-  s.peer <- None;
-  s.flags <- 0;
-  s.counts <- 0;
-  s.tag <- -1;
-  s.sid <- 0;
-  let cap = Array.length t.spool in
-  if t.spooled >= cap then begin
-    let bigger = Array.make (max 16 (2 * cap)) s in
-    Array.blit t.spool 0 bigger 0 t.spooled;
-    t.spool <- bigger
-  end;
-  t.spool.(t.spooled) <- s;
-  t.spooled <- t.spooled + 1
-
-let pooled_streams t = t.spooled
+  {
+    flags = 0;
+    bufs = pack_bufs ~sndbuf:t.bufcap ~rcvbuf:t.bufcap;
+    counts = 0;
+    incoming = None;
+    peer = None;
+    tag = -1;
+  }
 
 let listen t ~port ~backlog =
   if Hashtbl.mem t.listeners port then Error Errno.EADDRINUSE
   else begin
-    let l =
-      { port; backlog; pending = Queue.create (); closed = false; refused = 0 }
-    in
+    let l = { port; backlog; pending = Queue.create (); closed = false } in
     Hashtbl.replace t.listeners port l;
     Ok l
   end
@@ -227,10 +172,7 @@ let backlog_full l = Queue.length l.pending >= max 1 l.backlog
 (* Enqueue a server-side endpoint for accept, refusing when the listener is
    gone or its backlog is full. Returns false on refusal. *)
 let try_enqueue l stream =
-  if l.closed || backlog_full l then begin
-    l.refused <- l.refused + 1;
-    false
-  end
+  if l.closed || backlog_full l then false
   else begin
     Queue.push stream l.pending;
     true
@@ -302,14 +244,6 @@ let commit stream data =
   Bytestream.push (get_incoming stream) data
 
 let peer_gone stream = stream.peer = None
-
-let readable stream =
-  incoming_length stream > 0 || rd_shut stream || peer_gone stream
-
-let at_eof stream =
-  incoming_length stream = 0
-  && in_flight stream = 0
-  && (peer_gone stream || rd_shut stream)
 
 (* Draining the committed queue frees receive-buffer space; the dispatcher
    kicks the scheduler afterwards so blocked senders retry. *)

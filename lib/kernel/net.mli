@@ -8,10 +8,11 @@
     backpressure — partial writes, EAGAIN, or blocking — at the same
     boundary a Linux socket would.
 
-    The stream type is abstract and memory-flat: seven fields (one 8-word
-    block, 64 bytes) with flags and ports packed into ints and the receive
+    The stream type is abstract and memory-flat: six fields (one 7-word
+    block, 56 bytes) with flags and ports packed into ints and the receive
     queue allocated lazily, so a million idle connections cost tens of
-    bytes each rather than a pointer-rich record apiece. *)
+    bytes each rather than a pointer-rich record apiece. Streams are never
+    recycled: a closed endpoint is left to the GC. *)
 
 val default_bufcap : int
 (** Default per-direction buffer cap (Linux's 212992-byte default). *)
@@ -31,40 +32,23 @@ type stream
 
 type listener = {
   port : int;
-  mutable backlog : int;
+  backlog : int;
   pending : stream Queue.t;
   mutable closed : bool;
-  mutable refused : int;  (** connections refused by a full backlog *)
 }
 
 type t = {
-  mutable latency : Remon_sim.Vtime.t;  (** one-way propagation delay *)
-  mutable bufcap : int;  (** default snd/rcv cap for fresh streams *)
+  latency : Remon_sim.Vtime.t;  (** one-way propagation delay *)
+  bufcap : int;  (** default snd/rcv cap for fresh streams *)
   listeners : (int, listener) Hashtbl.t;
-  mutable next_sid : int;
   mutable next_ephemeral : int;
-  mutable spool : stream array;  (** recycled endpoints (kernel-private) *)
-  mutable spooled : int;
 }
 
 val create : ?latency:Remon_sim.Vtime.t -> ?bufcap:int -> unit -> t
-val set_latency : t -> Remon_sim.Vtime.t -> unit
-val set_bufcap : t -> int -> unit
 val fresh_stream : t -> stream
-
-val release_stream : t -> stream -> unit
-(** Return an endpoint to the recycle pool. The caller must guarantee no
-    live reference remains: no fd maps to it, no thread is parked on it,
-    and no scheduled commit event captures it. Used by the gateway for its
-    private endpoints (once in-flight is zero) and for pairs refused at SYN
-    arrival. *)
-
-val pooled_streams : t -> int
-(** Endpoints currently waiting in the recycle pool (observability). *)
 
 (** {1 Stream accessors} *)
 
-val sid : stream -> int
 val local_port : stream -> int
 val set_local_port : stream -> int -> unit
 val peer_port : stream -> int
@@ -113,8 +97,8 @@ val backlog_full : listener -> bool
 (** True when the pending-accept queue has reached the listener backlog. *)
 
 val try_enqueue : listener -> stream -> bool
-(** Enqueue a server endpoint for accept; false (and bumps [refused]) when
-    the listener is closed or its backlog is full. *)
+(** Enqueue a server endpoint for accept; false when the listener is
+    closed or its backlog is full. *)
 
 val make_pair : t -> client_port:int -> server_port:int -> stream * stream
 val ephemeral_port : t -> int
@@ -148,7 +132,5 @@ val commit_inbound : stream -> string -> unit
     [buffered_hwm]. *)
 
 val peer_gone : stream -> bool
-val readable : stream -> bool
-val at_eof : stream -> bool
 val recv : stream -> int -> string
 val close_stream : stream -> unit

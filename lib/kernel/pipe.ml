@@ -5,7 +5,6 @@
    is pure state. *)
 
 type t = {
-  id : int;
   capacity : int;
   data : Bytestream.t;
   mutable readers : int; (* open read descriptors *)
@@ -14,14 +13,8 @@ type t = {
 
 let default_capacity = 65_536
 
-(* Atomic: pipes are created from concurrently running simulations when the
-   experiment harness fans runs out across domains. The id is only a debug
-   label, so cross-run numbering does not affect simulated behaviour. *)
-let counter = Atomic.make 0
-
 let create ?(capacity = default_capacity) () =
-  let id = Atomic.fetch_and_add counter 1 + 1 in
-  { id; capacity; data = Bytestream.create (); readers = 1; writers = 1 }
+  { capacity; data = Bytestream.create (); readers = 1; writers = 1 }
 
 let bytes_available t = Bytestream.length t.data
 

@@ -2,7 +2,6 @@
     Blocking is implemented by the dispatcher; this module is pure state. *)
 
 type t = {
-  id : int;
   capacity : int;
   data : Bytestream.t;
   mutable readers : int;

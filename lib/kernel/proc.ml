@@ -44,12 +44,10 @@ type desc = {
   mutable kind : desc_kind;
   mutable offset : int;
   mutable nonblock : bool;
-  mutable cloexec : bool;
   mutable refs : int; (* fd-table entries sharing this description (dup) *)
   can_read : bool;
   can_write : bool;
   append : bool;
-  path : string option; (* for path-opened descriptors *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -88,7 +86,6 @@ and blocked = {
       (* forcibly complete the blocked call with the given result; used by
          signal delivery (EINTR) and by GHUMVEE when it aborts a blocked
          master call (Section 3.8) *)
-  blocked_since : Vtime.t;
   what : string; (* human-readable reason, for deadlock reports *)
 }
 
@@ -127,10 +124,8 @@ and thread = {
   mutable clock : Vtime.t; (* local virtual time *)
   mutable tstate : thread_state;
   mutable syscall_index : int; (* entries so far: rendezvous identity *)
-  mutable current_call : Syscall.call option;
   pending_delivery : int Queue.t; (* signals to run handlers for, set at syscall return *)
   mutable in_ipmon : bool; (* executing inside IP-MON's entry point *)
-  mutable last_result : Syscall.result option;
   (* Preallocated resume scratch, managed by [Sched]. A coroutine thread
      has at most one pending suspension at any instant, so the captured
      continuation and its resume value live here instead of inside
@@ -177,28 +172,13 @@ and replica_info = {
 let fn_unset : Syscall.result -> unit =
  fun _ -> failwith "Proc: finish fn used before the dispatcher installed it"
 
-let is_master p =
-  match p.replica_info with Some { variant_index = 0; _ } -> true | _ -> false
-
 let thread_name t = Printf.sprintf "%s[pid=%d,tid=%d]" t.proc.name t.proc.pid t.tid
-
-let find_thread_by_rank p rank = Vec.find_opt (fun t -> t.rank = rank) p.threads
 
 let desc_of_fd p fd = Fdtable.find p.fds fd
 
 let make_desc ?(nonblock = false) ?(can_read = true) ?(can_write = true)
-    ?(append = false) ?path kind =
-  {
-    kind;
-    offset = 0;
-    nonblock;
-    cloexec = false;
-    refs = 1;
-    can_read;
-    can_write;
-    append;
-    path;
-  }
+    ?(append = false) kind =
+  { kind; offset = 0; nonblock; refs = 1; can_read; can_write; append }
 
 (* File-map classification byte (Section 3.6): one byte of metadata per fd
    describing its type; IP-MON consults this to apply conditional policy. *)

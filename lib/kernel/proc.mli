@@ -42,12 +42,10 @@ type desc = {
   mutable kind : desc_kind;
   mutable offset : int;
   mutable nonblock : bool;
-  mutable cloexec : bool;
   mutable refs : int; (* fd-table entries sharing this description (dup) *)
   can_read : bool;
   can_write : bool;
   append : bool;
-  path : string option; (* for path-opened descriptors *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -86,7 +84,6 @@ and blocked = {
       (* forcibly complete the blocked call with the given result; used by
          signal delivery (EINTR) and by GHUMVEE when it aborts a blocked
          master call (Section 3.8) *)
-  blocked_since : Vtime.t;
   what : string; (* human-readable reason, for deadlock reports *)
 }
 
@@ -125,10 +122,8 @@ and thread = {
   mutable clock : Vtime.t; (* local virtual time *)
   mutable tstate : thread_state;
   mutable syscall_index : int; (* entries so far: rendezvous identity *)
-  mutable current_call : Syscall.call option;
   pending_delivery : int Queue.t; (* signals to run handlers for, set at syscall return *)
   mutable in_ipmon : bool; (* executing inside IP-MON's entry point *)
-  mutable last_result : Syscall.result option;
   (* Preallocated resume scratch, managed by [Sched]. A coroutine thread
      has at most one pending suspension at any instant, so the captured
      continuation and its resume value live here instead of inside
@@ -173,12 +168,7 @@ val fn_unset : Syscall.result -> unit
 (** Sentinel for [finish_fn]/[ipmon_finish_fn]: physical identity marks "not
     yet installed"; calling it fails. *)
 
-val is_master : process -> bool
-(** Is this the replica set's variant 0? *)
-
 val thread_name : thread -> string
-
-val find_thread_by_rank : process -> int -> thread option
 
 val desc_of_fd : process -> int -> desc option
 
@@ -187,7 +177,6 @@ val make_desc :
   ?can_read:bool ->
   ?can_write:bool ->
   ?append:bool ->
-  ?path:string ->
   desc_kind ->
   desc
 

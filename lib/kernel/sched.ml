@@ -152,9 +152,7 @@ let schedule_unit_resume t th (k : (unit, unit) Effect.Deep.continuation) =
   schedule t ~time:th.Proc.clock th.Proc.resume_thunk
 
 let park t th ~what ~(retry : unit -> bool) =
-  let b =
-    { Proc.retry; timeout = None; interrupt = None; blocked_since = t.now; what }
-  in
+  let b = { Proc.retry; timeout = None; interrupt = None; what } in
   th.Proc.tstate <- Proc.Blocked b;
   t.blocked <- t.blocked @ [ th ];
   b

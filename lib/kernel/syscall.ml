@@ -19,7 +19,6 @@ type open_flags = {
 }
 
 let o_rdonly = { read = true; write = false; create = false; trunc = false; append = false; nonblock = false }
-let o_wronly = { read = false; write = true; create = false; trunc = false; append = false; nonblock = false }
 let o_rdwr = { read = true; write = true; create = false; trunc = false; append = false; nonblock = false }
 
 type whence = Seek_set | Seek_cur | Seek_end
@@ -490,8 +489,6 @@ let result_bytes = function
    CHECKREG/CHECKPOINTER/CHECKBUFFER argument comparison. *)
 let equal_call (a : call) (b : call) = a = b
 let equal_result (a : result) (b : result) = a = b
-
-let is_error = function Error _ -> true | _ -> false
 
 let pp_call fmt c = Format.fprintf fmt "%s" (Sysno.to_string (number c))
 

@@ -19,7 +19,6 @@ type open_flags = {
 }
 
 val o_rdonly : open_flags
-val o_wronly : open_flags
 val o_rdwr : open_flags
 
 type whence = Seek_set | Seek_cur | Seek_end
@@ -268,7 +267,6 @@ val equal_call : call -> call -> bool
     CHECKREG/CHECKPOINTER/CHECKBUFFER comparison. *)
 
 val equal_result : result -> result -> bool
-val is_error : result -> bool
 val pp_call : Format.formatter -> call -> unit
 val pp_result : Format.formatter -> result -> unit
 val to_string : call -> string

@@ -22,8 +22,6 @@ and kind =
   | Reg of filebuf
   | Dir of (string, node) Hashtbl.t
   | Symlink of string
-  | Special of (unit -> string)
-      (* content generated on open; used for /proc files *)
 
 let filebuf_create () = { bytes = Bytes.create 256; size = 0 }
 
@@ -70,8 +68,8 @@ let rec resolve_from t node components depth =
             match resolve_from t t.root (split_path target) (depth + 1) with
             | Ok n -> resolve_from t n rest (depth + 1)
             | Error _ as e -> e)
-          | Reg _ | Dir _ | Special _ -> resolve_from t child rest depth))
-      | Reg _ | Special _ | Symlink _ -> Error Errno.ENOTDIR)
+          | Reg _ | Dir _ -> resolve_from t child rest depth))
+      | Reg _ | Symlink _ -> Error Errno.ENOTDIR)
 
 let resolve t path = resolve_from t t.root (split_path path) 0
 
@@ -150,17 +148,6 @@ let create_file t path =
         Ok node)
     | _ -> Error Errno.ENOTDIR)
 
-let add_special t path gen =
-  match parent_and_name t path with
-  | Error _ as e -> e
-  | Ok (parent, name) -> (
-    match parent.kind with
-    | Dir entries ->
-      let node = mk_node t (Special gen) in
-      Hashtbl.replace entries name node;
-      Ok node
-    | _ -> Error Errno.ENOTDIR)
-
 let symlink t ~target ~path =
   match parent_and_name t path with
   | Error _ as e -> e
@@ -236,14 +223,12 @@ let file_size node =
   | Reg fb -> fb.size
   | Symlink s -> String.length s
   | Dir _ -> 4096
-  | Special _ -> 0
 
 let stat_kind node =
   match node.kind with
   | Reg _ -> `Reg
   | Dir _ -> `Dir
   | Symlink _ -> `Reg
-  | Special _ -> `Special
 
 (* Reads up to [count] bytes at [offset] from a regular file. *)
 let read_at node ~offset ~count =
@@ -255,7 +240,7 @@ let read_at node ~offset ~count =
       Ok (Bytes.sub_string fb.bytes offset n)
     end
   | Dir _ -> Error Errno.EISDIR
-  | Symlink _ | Special _ -> Error Errno.EINVAL
+  | Symlink _ -> Error Errno.EINVAL
 
 (* Writes [data] at [offset]; extends (zero-filling any gap) as needed.
    Amortized O(|data|): only the written range is touched, plus a
@@ -273,7 +258,7 @@ let write_at node ~offset ~data ~now_ns =
     node.mtime_ns <- now_ns;
     Ok dlen
   | Dir _ -> Error Errno.EISDIR
-  | Symlink _ | Special _ -> Error Errno.EINVAL
+  | Symlink _ -> Error Errno.EINVAL
 
 let truncate node ~size ~now_ns =
   match node.kind with
@@ -286,4 +271,4 @@ let truncate node ~size ~now_ns =
     node.mtime_ns <- now_ns;
     Ok ()
   | Dir _ -> Error Errno.EISDIR
-  | Symlink _ | Special _ -> Error Errno.EINVAL
+  | Symlink _ -> Error Errno.EINVAL

@@ -18,7 +18,6 @@ and kind =
   | Reg of filebuf
   | Dir of (string, node) Hashtbl.t
   | Symlink of string
-  | Special of (unit -> string) (** content generated on open (/proc) *)
 
 type t
 
@@ -34,7 +33,6 @@ val exists : t -> string -> bool
 val mkdir : t -> string -> (node, Errno.t) result
 val mkdir_p : t -> string -> (node, Errno.t) result
 val create_file : t -> string -> (node, Errno.t) result
-val add_special : t -> string -> (unit -> string) -> (node, Errno.t) result
 val symlink : t -> target:string -> path:string -> (node, Errno.t) result
 val unlink : t -> string -> (unit, Errno.t) result
 val rmdir : t -> string -> (unit, Errno.t) result

@@ -23,11 +23,9 @@ let s n = n * 1_000_000_000
 let of_float_ns f = int_of_float f
 let to_float_ns t = float_of_int t
 
-let of_float_s f = int_of_float (f *. 1e9)
 let to_float_s t = float_of_int t /. 1e9
 
 let to_int_ns t = t
-let of_int_ns n = n
 
 let add = ( + )
 let sub = ( - )

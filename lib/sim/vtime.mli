@@ -22,11 +22,9 @@ val s : int -> t
 
 val of_float_ns : float -> t
 val to_float_ns : t -> float
-val of_float_s : float -> t
 val to_float_s : t -> float
 
 val to_int_ns : t -> int
-val of_int_ns : int -> t
 
 val add : t -> t -> t
 val sub : t -> t -> t

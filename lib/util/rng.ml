@@ -11,8 +11,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let make seed = { state = Int64.of_int seed }
 
-let of_int64 seed = { state = seed }
-
 (* ------------------------------------------------------------------ *)
 (* Stable seed derivation.
 
@@ -89,15 +87,6 @@ let weighted t weights =
       if x < acc then i else scan (i + 1) acc
   in
   scan 0 0.
-
-let shuffle t arr =
-  let n = Array.length arr in
-  for i = n - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
 
 (* Exponentially distributed duration with the given mean; used to model
    jitter in compute phases and client think times. *)

@@ -9,9 +9,6 @@ type t
 val make : int -> t
 (** [make seed] creates a generator from an integer seed. *)
 
-val of_int64 : int64 -> t
-(** [of_int64 seed] creates a generator from a full 64-bit seed. *)
-
 val fnv1a64 : string -> int64
 (** FNV-1a hash of the string's bytes. Stable across OCaml versions and
     platforms, unlike [Hashtbl.hash] — use this (plus {!stable_seed}) to
@@ -49,9 +46,6 @@ val bool : t -> bool
 
 val weighted : t -> float array -> int
 (** [weighted t w] draws an index with probability proportional to [w.(i)]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed positive float with the given mean. *)

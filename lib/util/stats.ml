@@ -19,14 +19,6 @@ let geomean xs =
     in
     exp (sum_logs /. float_of_int (List.length xs))
 
-let stddev xs =
-  let m = mean xs in
-  let var =
-    List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. xs
-    /. float_of_int (List.length xs)
-  in
-  sqrt var
-
 let min_max xs =
   match xs with
   | [] -> invalid_arg "Stats.min_max: empty list"

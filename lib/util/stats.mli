@@ -3,9 +3,6 @@
 val mean : float list -> float
 val geomean : float list -> float
 
-(** Population standard deviation. *)
-val stddev : float list -> float
-
 val min_max : float list -> float * float
 
 (** Nearest-rank percentile, [p] in [\[0, 100\]]. *)

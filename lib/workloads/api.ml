@@ -220,11 +220,3 @@ let sigaction sg action =
 let alarm seconds = int_of "alarm" (retrying "alarm" (Syscall.Alarm seconds))
 
 let exit_group code = ignore (Sched.syscall (Syscall.Exit_group code))
-
-(* Handlers queued by the kernel for this thread (ids registered via
-   [Sig_handler]); programs poll this after interesting calls. *)
-let take_pending_signals () =
-  let th = Sched.self () in
-  let pending = List.of_seq (Queue.to_seq th.Proc.pending_delivery) in
-  Queue.clear th.Proc.pending_delivery;
-  pending

@@ -96,6 +96,3 @@ val set_nonblocking : int -> bool -> unit
 val sigaction : int -> Syscall.sig_action -> unit
 val alarm : int -> int
 val exit_group : int -> unit
-
-val take_pending_signals : unit -> int list
-(** Handler ids the kernel queued for this thread since the last call. *)

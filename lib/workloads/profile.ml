@@ -202,10 +202,6 @@ let mix_unpack =
    *predictions* of the model, not fitted. *)
 let c_cp_seconds = 16.5e-6
 
-let density_for ~paper_overhead =
-  Float.max 300. ((paper_overhead -. 1.) /. c_cp_seconds)
-
-
 (* Expected fraction of a mix's syscalls that stay monitored at
    NONSOCKET_RW and above (the fd-lifecycle ops). *)
 let monitored_fraction mix =

@@ -65,8 +65,6 @@ val mix_unpack : (float * op) list
 val c_cp_seconds : float
 (** Measured per-call cost of CP monitoring in this simulator. *)
 
-val density_for : paper_overhead:float -> float
-
 val monitored_fraction : (float * op) list -> float
 val residual_ratio : (float * op) list -> float
 

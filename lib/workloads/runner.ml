@@ -73,7 +73,8 @@ let run_profile ?cost ?obs (profile : Profile.t) (config : Mvee.config) :
    profile — the y-axis of Figures 3 and 4. *)
 let normalized_time ?cost (profile : Profile.t) (config : Mvee.config) : float =
   let native =
-    run_profile ?cost profile { config with Mvee.backend = Mvee.Native }
+    run_profile ?cost profile
+      { config with Mvee.backend = Mvee.Native; faults = [] }
   in
   let under = run_profile ?cost profile config in
   Vtime.to_float_ns under.duration /. Vtime.to_float_ns native.duration
@@ -167,7 +168,7 @@ let run_server_bench ?(latency = Vtime.us 100) ?sock_buf ?obs
 let server_overhead ?latency ~server ~client (config : Mvee.config) : float =
   let native =
     run_server_bench ?latency ~server ~client
-      { config with Mvee.backend = Mvee.Native }
+      { config with Mvee.backend = Mvee.Native; faults = [] }
   in
   let under = run_server_bench ?latency ~server ~client config in
   Vtime.to_float_ns under.client_duration

@@ -130,20 +130,16 @@ let epoll_server ?stats spec (env : Mvee.env) =
               ~user_data:(env.Mvee.diversified_ptr conn_fd)
           | _ -> ()
         end
-        else begin
+        else
           (* find the fd back from our diversified pointer *)
-          let fd = ref (-1) in
-          for candidate = 0 to 63 do
-            if Int64.equal (env.Mvee.diversified_ptr candidate) user_data then
-              fd := candidate
-          done;
-          if !fd >= 0 then
-            match serve_request ?stats spec ~env ~content_fd !fd with
+          match Mvee.ptr_id env user_data with
+          | None -> ()
+          | Some fd -> (
+            match serve_request ?stats spec ~env ~content_fd fd with
             | Served -> ()
             | Closed | Truncated ->
-              Api.epoll_del epfd !fd;
-              Api.close !fd
-        end)
+              Api.epoll_del epfd fd;
+              Api.close fd))
       events;
     loop ()
   in

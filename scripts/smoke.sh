@@ -121,6 +121,17 @@ echo "== rendezvous watchdog at 3 replicas: the stalled slave is quarantined"
   --faults 'delay@15:2=400000ms' --on-failure quarantine > watchdog_n3.txt
 grep -q 'quarantines        : 1' watchdog_n3.txt
 
+stage=faults
+echo "== one fault plan, --repeat 3: every seed injects, at --domains 1 and 2"
+for d in 1 2; do
+  "$remon" run -w parsec.blackscholes -b remon --faults 'crash@20:1' \
+    --on-failure quarantine --repeat 3 --domains "$d" > "faults_repeat_d$d.txt"
+  # the header names the domain count; only the per-seed rows must agree
+  grep '^seed' "faults_repeat_d$d.txt" > "faults_rows_d$d.txt"
+done
+diff -u faults_rows_d1.txt faults_rows_d2.txt
+test "$(grep -c ' faults 1 ' faults_rows_d1.txt)" -eq 3
+
 stage=pdes
 echo "== shard determinism corpus"
 "$root/_build/default/test/test_pdes.exe" -e > pdes_corpus.txt

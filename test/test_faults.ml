@@ -45,12 +45,10 @@ let run_once cfg body =
   Kernel.run kernel;
   Mvee.finish h
 
-(* The spec list carries mutable [fired] flags, so each run needs a fresh
-   plan — this is also what [Mvee.launch] expects from [of_string]. *)
-let crash_slave_plan () =
+let crash_slave_plan =
   [ Fault.spec ~kind:(Fault.Crash Sigdefs.sigsegv) ~variant:1 ~at:12 ]
 
-let noisy_plan () =
+let noisy_plan =
   [
     Fault.spec ~kind:(Fault.Crash Sigdefs.sigsegv) ~variant:1 ~at:14;
     Fault.spec ~kind:(Fault.Delay (Vtime.us 300)) ~variant:1 ~at:7;
@@ -64,7 +62,7 @@ let noisy_plan () =
 let test_determinism backend () =
   let run () =
     run_once
-      (config ~backend ~faults:(noisy_plan ()) ~on_failure:Mvee.Quarantine ())
+      (config ~backend ~faults:noisy_plan ~on_failure:Mvee.Quarantine ())
       (mixed_body ())
   in
   let o1 = run () and o2 = run () in
@@ -79,7 +77,7 @@ let test_determinism backend () =
 let test_quarantine_slave_crash () =
   let o =
     run_once
-      (config ~faults:(crash_slave_plan ()) ~on_failure:Mvee.Quarantine ())
+      (config ~faults:crash_slave_plan ~on_failure:Mvee.Quarantine ())
       (mixed_body ())
   in
   (match o.Mvee.verdict with
@@ -94,11 +92,27 @@ let test_quarantine_slave_crash () =
     "master exit preserved" (Some 0)
     (List.assoc_opt 0 o.Mvee.exit_codes)
 
+(* A plan is a value: one parsed plan drives any number of runs, and each
+   run fires it afresh. *)
+let test_plan_shared_across_runs () =
+  match Fault.of_string "crash@12:1" with
+  | Error msg -> Alcotest.fail msg
+  | Ok faults ->
+    let run () =
+      Mvee.run_program
+        (config ~faults ~on_failure:Mvee.Quarantine ())
+        ~name:"shared-plan" ~body:(mixed_body ())
+    in
+    let first = run () in
+    let second = run () in
+    Alcotest.(check int) "first run fired" 1 first.Mvee.faults_injected;
+    Alcotest.(check int) "second run fired" 1 second.Mvee.faults_injected
+
 (* Kill-group (the paper's policy): the same plan is a fatal verdict. *)
 let test_kill_group_fatal () =
   let o =
     run_once
-      (config ~faults:(crash_slave_plan ()) ~on_failure:Mvee.Kill_group ())
+      (config ~faults:crash_slave_plan ~on_failure:Mvee.Kill_group ())
       (mixed_body ())
   in
   match o.Mvee.verdict with
@@ -113,7 +127,7 @@ let test_kill_group_fatal () =
 let test_respawn_rejoins () =
   let o =
     run_once
-      (config ~faults:(crash_slave_plan ())
+      (config ~faults:crash_slave_plan
          ~on_failure:
            (Mvee.Respawn { max_respawns = 2; backoff_ns = Vtime.us 200 })
          ())
@@ -321,6 +335,8 @@ let () =
           Alcotest.test_case "kill-group is fatal" `Quick test_kill_group_fatal;
           Alcotest.test_case "respawn replays and rejoins" `Quick
             test_respawn_rejoins;
+          Alcotest.test_case "one plan drives two runs" `Quick
+            test_plan_shared_across_runs;
         ] );
       ( "master-crash",
         List.map

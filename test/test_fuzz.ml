@@ -61,9 +61,7 @@ type scenario = {
   nreplicas : int;
   level : Classification.level;
   ops : op list;
-  faults : string;
-      (* --faults syntax; parsed fresh per run because specs carry a
-         mutable [fired] flag *)
+  faults : string; (* --faults syntax, so shrinking can drop specs *)
 }
 
 let payload rng id j =

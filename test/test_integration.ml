@@ -187,6 +187,24 @@ let test_migration_under_load () =
   let r = Runner.run_server_bench ~latency:(Vtime.us 100) ~server ~client config in
   Alcotest.(check int) "all served across migrations" 80 r.Runner.responses
 
+(* The epoll server maps an event's pointer back to its fd in O(1), so a
+   connection on fd 64 or above is served like any other. The lowered
+   event budget turns a connection the server never serves (level-triggered
+   epoll keeps reporting it) into a quick failure instead of a long spin. *)
+let test_epoll_server_past_fd_64 () =
+  let server = Servers.nginx_wrk in
+  let client = Clients.wrk ~concurrency:64 ~total_requests:512 () in
+  let kernel = Kernel.create ~net_latency:(Vtime.us 100) () in
+  (Kernel.sched kernel).Sched.max_events <- 2_000_000;
+  let h =
+    Mvee.launch kernel (Runner.cfg_native ()) ~name:server.Servers.name
+      ~body:(Servers.body server)
+  in
+  let meas = Clients.launch kernel server client in
+  Kernel.run kernel;
+  ignore (Mvee.finish h);
+  Alcotest.(check int) "every request served" 512 meas.Clients.responses
+
 (* The spin/futex and condvar ablation modes must not change behaviour,
    only timing. *)
 let test_ablation_modes_behave () =
@@ -236,4 +254,6 @@ let () =
         ] );
       ( "extensions",
         [ tc "rb migration under load" `Quick test_migration_under_load ] );
+      ( "epoll-server",
+        [ tc "64 connections served" `Quick test_epoll_server_past_fd_64 ] );
     ]

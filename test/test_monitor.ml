@@ -178,6 +178,55 @@ let test_epoll_translation_lockstep backend_cfg () =
   Alcotest.(check bool) "both non-zero" true
     (Int64.compare got.(0) 0L > 0 && Int64.compare got.(1) 0L > 0)
 
+(* GHUMVEE refreshes IP-MON's file map after every fd-creating call, so
+   the master sees a descriptor from pipe2, eventfd or dup3 classed as soon
+   as the call returns. *)
+let test_file_map_tracks_fd_creators () =
+  let kernel = Kernel.create () in
+  let file_map = ref None in
+  let seen = ref [] in
+  let body (env : Mvee.env) =
+    let note call fd =
+      if env.Mvee.variant = 0 then
+        let cls =
+          match !file_map with
+          | Some fm -> File_map.class_of fm ~fd
+          | None -> None
+        in
+        seen := (call, Option.map Proc.fd_class_to_string cls) :: !seen
+    in
+    let rfd =
+      match sys (Syscall.Pipe2 { nonblock = false }) with
+      | Syscall.Ok_pair (rfd, wfd) ->
+        note "pipe2 (read end)" rfd;
+        note "pipe2 (write end)" wfd;
+        rfd
+      | _ -> Alcotest.fail "pipe2"
+    in
+    (match sys (Syscall.Eventfd 0) with
+    | Syscall.Ok_int fd -> note "eventfd" fd
+    | _ -> Alcotest.fail "eventfd");
+    match sys (Syscall.Dup3 (rfd, 40)) with
+    | Syscall.Ok_int fd -> note "dup3" fd
+    | _ -> Alcotest.fail "dup3"
+  in
+  let h = Mvee.launch kernel (remon ()) ~name:"fdmap" ~body in
+  file_map := Some h.Mvee.group.Context.file_map;
+  Kernel.run kernel;
+  let o = Mvee.finish h in
+  (match o.Mvee.verdict with
+  | None -> ()
+  | Some v -> Alcotest.failf "verdict: %s" (Divergence.to_string v));
+  Alcotest.(check (list (pair string (option string))))
+    "file-map class right after each call"
+    [
+      ("pipe2 (read end)", Some "pipe");
+      ("pipe2 (write end)", Some "pipe");
+      ("eventfd", Some "special");
+      ("dup3", Some "pipe");
+    ]
+    (List.rev !seen)
+
 (* A replica that silently stops making syscalls trips the watchdog. With
    three replicas the other two arrive at the rendezvous one after the
    other: the watchdog armed by the first arrival must survive the second. *)
@@ -491,6 +540,9 @@ let () =
         [
           tc "quiet after a clean exit" `Quick test_watchdog_quiet_after_exit;
         ] );
+      ( "file-map",
+        [ tc "classes fds from pipe2, eventfd, dup3" `Quick
+            test_file_map_tracks_fd_creators ] );
       ( "epoll",
         [
           tc "pointer translation (lockstep)" `Quick

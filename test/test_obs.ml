@@ -162,7 +162,6 @@ let test_trace_backends_differ () =
    the crash produces a verdict by design) *)
 let test_trace_faulted_repeat_identical () =
   let run () =
-    (* parse the plan afresh per run: specs carry a mutable [fired] flag *)
     let faults =
       match Fault.of_string "delay@5:0=200us,crash@25:1" with
       | Ok p -> p
