@@ -317,8 +317,10 @@ let run_scaling ~quick ~domains () =
   in
   Table.print t;
   print_newline ();
+  (* a GC live-words probe: it moves with heap layout, so it stays off
+     the deterministic stdout *)
   let pair_cost = Topology.stream_pair_cost_bytes () in
-  Printf.printf "flat stream pair cost: %d bytes (packed fields)\n" pair_cost;
+  Printf.eprintf "flat stream pair cost: %d bytes (packed fields)\n%!" pair_cost;
   let ih = idle_heavy_ablation ~domains in
   let ih_ad, ih_fx, _, _, speedup = ih in
   (* stdout stays deterministic: the round counts are exact, the wall-clock

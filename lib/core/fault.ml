@@ -3,10 +3,11 @@
    A fault plan is a list of specs: each names a fault kind, a target
    variant and a trigger point — a per-thread syscall index for kernel-path
    faults, or the n-th appended replication-buffer record for RB faults.
-   The plan is installed into the kernel's syscall dispatch hook and the
-   RB's tamper hook; the monitors (GHUMVEE / IP-MON / IK-B) then detect the
-   injected failures through their normal code paths, which is the point:
-   the recovery layer is exercised end to end, not short-circuited.
+   Each replica of the group carries [decide] as its syscall-entry fault
+   hook, and [install] sets the RB's tamper hook; the monitors (GHUMVEE /
+   IP-MON / IK-B) then detect the injected failures through their normal
+   code paths, which is the point: the recovery layer is exercised end to
+   end, not short-circuited.
 
    Everything is deterministic. Explicit plans fire at fixed points; the
    only randomness (argument perturbation, generated plans) flows from a
@@ -82,12 +83,12 @@ let corrupt_call rng (call : Syscall.call) =
 
 (* Kernel syscall-entry hook: fires kernel-path specs matching this
    thread's variant at its current syscall index. *)
-let kernel_decision t (th : Proc.thread) (call : Syscall.call) =
+let decide t (th : Proc.thread) (call : Syscall.call) =
   match th.Proc.proc.Proc.replica_info with
-  | None -> Kstate.Fault_none
+  | None -> Proc.Fault_none
   | Some { Proc.variant_index = v; _ } ->
     let rec find i =
-      if i >= Array.length t.plan then Kstate.Fault_none
+      if i >= Array.length t.plan then Proc.Fault_none
       else
         let s = t.plan.(i) in
         let kernel_kind =
@@ -100,11 +101,11 @@ let kernel_decision t (th : Proc.thread) (call : Syscall.call) =
           t.fired.(i) <- true;
           t.injected <- t.injected + 1;
           match s.kind with
-          | Crash sg -> Kstate.Fault_crash sg
-          | Corrupt_args -> Kstate.Fault_rewrite (corrupt_call t.rng call)
-          | Delay ns -> Kstate.Fault_delay ns
-          | Sock_err e -> Kstate.Fault_result (Syscall.Error e)
-          | Drop_rb | Corrupt_rb -> Kstate.Fault_none (* unreachable *)
+          | Crash sg -> Proc.Fault_crash sg
+          | Corrupt_args -> Proc.Fault_rewrite (corrupt_call t.rng call)
+          | Delay ns -> Proc.Fault_delay ns
+          | Sock_err e -> Proc.Fault_result (Syscall.Error e)
+          | Drop_rb | Corrupt_rb -> Proc.Fault_none (* unreachable *)
         end
     in
     find 0
@@ -146,10 +147,8 @@ let rb_tamper t (e : Replication_buffer.entry) =
         | Crash _ | Corrupt_args | Delay _ | Sock_err _ -> ())
     t.plan
 
-let install t ~kernel ~group_id ~rb =
+let install t ~kernel ~rb =
   t.kernel <- Some kernel;
-  Kernel.register_fault_hook kernel ~group_id (fun th call ->
-      kernel_decision t th call);
   rb.Replication_buffer.tamper <- Some (fun e -> rb_tamper t e)
 
 (* ------------------------------------------------------------------ *)

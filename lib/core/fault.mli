@@ -3,10 +3,11 @@
     A fault plan names what goes wrong, where and when: replica crash
     signals, corrupted syscall-argument captures, stalled rendezvous
     arrivals, dropped or tampered replication-buffer records, and
-    transient socket errors. The plan is installed into the kernel's
-    syscall-dispatch hook and the RB's tamper hook; the monitors detect
-    the injected failures through their normal code paths, so the
-    recovery layer ([Mvee.config.on_failure]) is exercised end to end.
+    transient socket errors. Each replica carries {!decide} as its
+    syscall-entry fault hook and {!install} sets the RB's tamper hook; the
+    monitors detect the injected failures through their normal code
+    paths, so the recovery layer ([Mvee.config.on_failure]) is exercised
+    end to end.
 
     All injection is deterministic: identical seeds and plans reproduce
     identical outcomes. A plan is an immutable value; which specs have
@@ -42,11 +43,15 @@ val make : seed:int -> plan -> t
 val injected : t -> int
 (** Faults actually fired so far. *)
 
-val install :
-  t -> kernel:Kernel.t -> group_id:int -> rb:Replication_buffer.t -> unit
-(** Wire the plan into the kernel dispatch hook (scoped to the replica
-    group identified by [group_id], so fleet instances in one kernel carry
-    independent plans) and the RB tamper hook. *)
+val decide : t -> Proc.thread -> Syscall.call -> Proc.fault_decision
+(** The syscall-entry fault hook: fires the kernel-path spec matching the
+    thread's variant at its current syscall index, if any. The MVEE puts it
+    in each replica's [Proc.replica_info.fault], so fleet instances in one
+    kernel carry independent plans. *)
+
+val install : t -> kernel:Kernel.t -> rb:Replication_buffer.t -> unit
+(** Wire the plan into the RB tamper hook; RB-path injections trace
+    through [kernel]'s sink. *)
 
 val random_plan :
   seed:int -> rate:float -> horizon:int -> nreplicas:int -> plan

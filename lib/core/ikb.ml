@@ -123,10 +123,10 @@ let on_socket t (th : Proc.thread) call =
     | None -> false)
 
 (* The interceptor: one decision per syscall entry (Figure 2, step 2). *)
-let classify t (th : Proc.thread) (call : Syscall.call) : K.route =
+let classify t (th : Proc.thread) (call : Syscall.call) : Proc.route =
   let p = th.proc in
   let default () =
-    if p.Proc.tracer <> None then K.Route_monitor else K.Route_plain
+    if p.Proc.tracer <> None then Proc.Route_monitor else Proc.Route_plain
   in
   (* a live token means the previous forwarded call never came back through
      IP-MON: revoke it and force this call onto the monitored path *)
@@ -161,7 +161,7 @@ let classify t (th : Proc.thread) (call : Syscall.call) : K.route =
           Hashtbl.replace t.tokens th.tid
             { value; granted_for = call; live = true; temporal = false };
           obs_metric t "ikb.tokens_granted";
-          K.Route_ipmon value
+          Proc.Route_ipmon value
         end
         else if signal_pending then default ()
         else if not (Sysno.Set.mem no reg.Proc.unmonitored) then default ()
@@ -193,7 +193,7 @@ let classify t (th : Proc.thread) (call : Syscall.call) : K.route =
             Hashtbl.replace t.tokens th.tid
               { value; granted_for = call; live = true; temporal = temporally_ok };
             obs_metric t "ikb.tokens_granted";
-            K.Route_ipmon value
+            Proc.Route_ipmon value
           end
           else default ()
         end)
@@ -244,14 +244,6 @@ let note_approval t (no : Sysno.t) =
   | None -> ()
   | Some cfg ->
     Policy.record_approval t.temporal_state ~now:(Kernel.now t.kernel) no ~cfg
-
-(* Installs this broker's interceptor into the kernel, scoped to one
-   replica group so several MVEE instances (a fleet) can coexist in a
-   single kernel. The verifier needs no hook: IP-MON calls [verify]
-   directly. *)
-let install t ~group_id =
-  Kernel.register_broker t.kernel ~group_id
-    { K.classify = (fun th call -> classify t th call) }
 
 (* Executes [call] through the verifier, or reports a violation and runs the
    fallback. Used by IP-MON (legitimate) and by attack scenarios (forged

@@ -36,8 +36,11 @@ val create : kernel:Kernel.t -> policy:Policy.t -> seed:int -> t
 val fresh_token : t -> int64
 val revoke : t -> Proc.thread -> unit
 
-val classify : t -> Proc.thread -> Syscall.call -> Kstate.route
-(** The interceptor: one routing decision per syscall entry. *)
+val classify : t -> Proc.thread -> Syscall.call -> Proc.route
+(** The interceptor: one routing decision per syscall entry. Each replica
+    of the group carries it in its [Proc.replica_info.classify], so
+    several MVEE instances (a fleet) coexist in one kernel; the verifier
+    needs no hook, IP-MON calls {!verify} directly. *)
 
 val verify : t -> Proc.thread -> token:int64 -> call:Syscall.call -> bool
 (** The verifier: single-shot token check. *)
@@ -54,11 +57,6 @@ val set_replaying : t -> variant:int -> bool -> unit
 
 val was_temporal_grant : t -> Proc.thread -> token:int64 -> bool
 val note_approval : t -> Sysno.t -> unit
-
-val install : t -> group_id:int -> unit
-(** Hook this broker into the kernel's syscall path, scoped to the replica
-    group identified by [group_id] (the group's shm key): a fleet of MVEE
-    instances in one kernel each get their own broker. *)
 
 val execute :
   t ->

@@ -386,16 +386,17 @@ let init ?(calls = Classification.ipmon_supported) (g : Context.group) ~variant
   | Syscall.Ok_int64 _ -> ()
   | _ -> failwith "ipmon: file-map shmat failed");
   (* register with IK-B through the new kernel syscall; the invoke closure
-     is staged kernel-side because closures cannot travel through the
+     is staged on the process because closures cannot travel through the
      syscall interface *)
-  Kernel.prepare_ipmon g.Context.kernel ~pid:proc.Proc.pid
-    {
-      Proc.unmonitored = Sysno.Set.of_list calls;
-      rb_addr = inst.rb_addr;
-      entry_addr = inst.entry_addr;
-      invoke =
-        (fun th ~token ~call ~return -> invoke inst th ~token ~call ~return);
-    };
+  proc.Proc.ipmon_staged <-
+    Some
+      {
+        Proc.unmonitored = Sysno.Set.of_list calls;
+        rb_addr = inst.rb_addr;
+        entry_addr = inst.entry_addr;
+        invoke =
+          (fun th ~token ~call ~return -> invoke inst th ~token ~call ~return);
+      };
   (match
      Sched.syscall
        (Syscall.Ipmon_register

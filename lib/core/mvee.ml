@@ -279,10 +279,6 @@ let launch (kernel : Kernel.t) (config : config) ~name
            ~watchdog_retries:config.watchdog_retries ())
     | Native | Varan -> None
   in
-  (match config.backend with
-  | Varan | Remon ->
-    Ikb.install group.Context.ikb ~group_id:group.Context.shm_key
-  | Native | Ghumvee_only -> ());
   let agent =
     Record_replay.create ~kernel ~log:group.Context.rb.Replication_buffer.sync_log
       ~enabled:(nreplicas > 1)
@@ -317,13 +313,27 @@ let launch (kernel : Kernel.t) (config : config) ~name
     group.Context.rb.Replication_buffer.obs <-
       Some (o, fun () -> Kernel.now kernel)
   | None -> ());
-  (* wire the deterministic fault plan into the kernel + RB hooks *)
+  (* wire the deterministic fault plan into the RB hook; the kernel-path
+     hook rides on each replica's [replica_info] below *)
   if config.faults <> [] then begin
     let f = Fault.make ~seed:config.seed config.faults in
-    Fault.install f ~kernel ~group_id:group.Context.shm_key
-      ~rb:group.Context.rb;
+    Fault.install f ~kernel ~rb:group.Context.rb;
     handle.fault <- Some f
   end;
+  (* what every replica of this group, respawns included, carries into the
+     kernel's syscall path: IK-B's interceptor (VARAN and ReMon) and the
+     fault hook. Several groups (a fleet) can share one kernel. *)
+  let replica_info =
+    let classify =
+      match config.backend with
+      | Varan | Remon ->
+        let ikb = group.Context.ikb in
+        Some (fun th call -> Ikb.classify ikb th call)
+      | Native | Ghumvee_only -> None
+    in
+    let fault = Option.map Fault.decide handle.fault in
+    fun variant -> { Proc.variant_index = variant; classify; fault }
+  in
   (* spawn parameters are factored out so a Respawn can relaunch a variant
      bit-identically: same vm seed, same body *)
   let vm_seed_for variant =
@@ -380,8 +390,7 @@ let launch (kernel : Kernel.t) (config : config) ~name
   in
   let replicas =
     Array.init nreplicas (fun variant ->
-        Kernel.spawn_process kernel
-          ~replica_info:{ Proc.variant_index = variant; group_id = group.Context.shm_key }
+        Kernel.spawn_process kernel ~replica_info:(replica_info variant)
           ~name:(Printf.sprintf "%s-v%d" name variant)
           ~vm_seed:(vm_seed_for variant) (replica_main variant))
   in
@@ -406,9 +415,7 @@ let launch (kernel : Kernel.t) (config : config) ~name
             (Vtime.max g.Ghumvee.busy_until (Kernel.now kernel))
             (Vtime.ns (Kernel.cost kernel).Cost_model.respawn_spawn_ns);
         let p =
-          Kernel.spawn_process kernel
-            ~replica_info:
-              { Proc.variant_index = variant; group_id = group.Context.shm_key }
+          Kernel.spawn_process kernel ~replica_info:(replica_info variant)
             ~name:
               (Printf.sprintf "%s-v%d-r%d" name variant
                  respawn_attempts.(variant))

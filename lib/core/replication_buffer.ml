@@ -268,5 +268,3 @@ let reactivate t ~variant =
     t.active.(variant) <- true;
     Hashtbl.iter (fun _ s -> s.slave_next.(variant) <- s.master_next) t.streams
   end
-
-let is_active t ~variant = t.active.(variant)

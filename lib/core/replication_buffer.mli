@@ -97,5 +97,3 @@ val reactivate : t -> variant:int -> unit
 (** Re-admit a respawned replica, fast-forwarding its consumption
     positions to the master's current positions (its backlog was satisfied
     from the journal, not the buffer). *)
-
-val is_active : t -> variant:int -> bool

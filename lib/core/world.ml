@@ -17,8 +17,10 @@
      3. drain every inbound message with at < bound_i, in canonical
         (at, src host, link seq) order, scheduling each as a pre-lane
         local event at its delivery time
-     4. every shard runs its hosts' events strictly below bound_i
-        ([Sched.run_before]); barrier; repeat until every E_i is infinite.
+     4. the coordinator and the worker domains pull hosts from the
+        round's shared cursor and run each host's events strictly below
+        bound_i ([Sched.run_before]); barrier; repeat until every E_i is
+        infinite.
 
    [Fixed] mode is the single-latency bound: F_i = min(E_i, min_j E_j + L)
    and bound_i = min over j <> i of F_j + L, over all host pairs (the
@@ -78,17 +80,19 @@
    run sequentially or on domains — bounds depend only on post-barrier
    state, draining is done by the coordinator in canonical order, link
    sequence numbers are assigned by the (single-threaded) sending host in
-   its own deterministic event order, and hosts share no other state. The
-   [shards = 1] path is the very same round loop with the domain barrier
-   elided, so outcome digests, recordings and traces are byte-identical at
-   any shard count. Adaptive and fixed mode partition the same event
+   its own deterministic event order, and hosts share no other state, so
+   which domain runs a host in a round is invisible. [shards = 1] is the
+   very same round loop with nobody else pulling from the cursor, so
+   outcome digests, recordings and traces are byte-identical at any shard
+   count. Adaptive and fixed mode partition the same event
    executions into different rounds; because drained messages are
    delivered through the scheduler's pre-lane (ahead of any same-instant
    local event, regardless of insertion round), the per-host event order —
    and hence every observable outcome — is also identical across modes.
 
-   Scale: links and pair records are created lazily (first use), under a
-   world mutex — a million-connection world touches a few thousand host
+   Scale: [route] creates links and pair records only for the host pairs
+   that may ever talk, and hands each pair's two links to the two
+   gateways — a million-connection world touches a few thousand host
    pairs, not an eager n^2 mesh. *)
 
 open Remon_kernel
@@ -96,7 +100,7 @@ open Remon_sim
 
 type mode = Fixed | Adaptive
 
-type host = { idx : int; kernel : Kernel.t; hostnet : Hostnet.t }
+type host = { kernel : Kernel.t; hostnet : Hostnet.t }
 
 (* One direction of an active host pair. [p_rev] is the opposite
    direction; both are created together with their links. *)
@@ -111,12 +115,11 @@ type pair = {
 type t = {
   hosts : host array;
   link_latency : Vtime.t;
-  mu : Mutex.t; (* guards pairs/in_pairs mutation (lazy creation) *)
+  mu : Mutex.t; (* guards pairs/in_pairs mutation *)
   pairs : (int, pair) Hashtbl.t; (* src * n + dst -> pair *)
   in_pairs : pair list array; (* inbound pairs per destination host *)
   frontier : Vtime.t array; (* F_i scratch *)
   bound : Vtime.t array; (* per-round execution bounds *)
-  mutable mode : mode;
   mutable rounds : int;
 }
 
@@ -124,29 +127,28 @@ type t = {
    wrap around. *)
 let ( +! ) a b = if Vtime.is_finite a then Vtime.add a b else Vtime.infinity
 
-let ensure_pair t ~src ~dst =
+(* Creates the active pair (src, dst) and its two links, once, and hands
+   each link to the gateway that sends on it. *)
+let add_pair t ~src ~dst =
   let n = Array.length t.hosts in
   let key = (src * n) + dst in
   Mutex.lock t.mu;
-  let p =
-    match Hashtbl.find_opt t.pairs key with
-    | Some p -> p
-    | None ->
-      let fwd = Link.create ~dst ~latency:t.link_latency in
-      let bwd = Link.create ~dst:src ~latency:t.link_latency in
-      let rec pa =
-        { p_src = src; p_dst = dst; p_link = fwd; p_s = Vtime.infinity; p_rev = pb }
-      and pb =
-        { p_src = dst; p_dst = src; p_link = bwd; p_s = Vtime.infinity; p_rev = pa }
-      in
-      Hashtbl.replace t.pairs key pa;
-      Hashtbl.replace t.pairs ((dst * n) + src) pb;
-      t.in_pairs.(dst) <- pa :: t.in_pairs.(dst);
-      t.in_pairs.(src) <- pb :: t.in_pairs.(src);
-      pa
-  in
-  Mutex.unlock t.mu;
-  p
+  if not (Hashtbl.mem t.pairs key) then begin
+    let fwd = Link.create ~dst ~latency:t.link_latency in
+    let bwd = Link.create ~dst:src ~latency:t.link_latency in
+    let rec pa =
+      { p_src = src; p_dst = dst; p_link = fwd; p_s = Vtime.infinity; p_rev = pb }
+    and pb =
+      { p_src = dst; p_dst = src; p_link = bwd; p_s = Vtime.infinity; p_rev = pa }
+    in
+    Hashtbl.replace t.pairs key pa;
+    Hashtbl.replace t.pairs ((dst * n) + src) pb;
+    t.in_pairs.(dst) <- pa :: t.in_pairs.(dst);
+    t.in_pairs.(src) <- pb :: t.in_pairs.(src);
+    Hostnet.add_link t.hosts.(src).hostnet fwd;
+    Hostnet.add_link t.hosts.(dst).hostnet bwd
+  end;
+  Mutex.unlock t.mu
 
 let create ?(link_latency = Vtime.ns (Cost_model.link_latency Cost_model.default))
     ~n ~(mk : int -> Kernel.t) () =
@@ -158,30 +160,19 @@ let create ?(link_latency = Vtime.ns (Cost_model.link_latency Cost_model.default
           Hostnet.create ~host:i (Kernel.sched kernel) (Kernel.net kernel)
         in
         kernel.Kstate.hostnet <- Some hostnet;
-        { idx = i; kernel; hostnet })
+        { kernel; hostnet })
   in
-  let t =
-    {
-      hosts;
-      link_latency;
-      mu = Mutex.create ();
-      pairs = Hashtbl.create 64;
-      in_pairs = Array.make n [];
-      frontier = Array.make n Vtime.infinity;
-      bound = Array.make n Vtime.infinity;
-      mode = Adaptive;
-      rounds = 0;
-    }
-  in
-  (* links come into existence on first use; the gateway asks us *)
-  Array.iter
-    (fun h ->
-      Hostnet.set_link_resolver h.hostnet (fun ~dst ->
-          (ensure_pair t ~src:h.idx ~dst).p_link))
+  {
     hosts;
-  t
+    link_latency;
+    mu = Mutex.create ();
+    pairs = Hashtbl.create 64;
+    in_pairs = Array.make n [];
+    frontier = Array.make n Vtime.infinity;
+    bound = Array.make n Vtime.infinity;
+    rounds = 0;
+  }
 
-let n_hosts t = Array.length t.hosts
 let kernel t i = t.hosts.(i).kernel
 let hostnet t i = t.hosts.(i).hostnet
 let rounds t = t.rounds
@@ -190,8 +181,8 @@ let rounds t = t.rounds
    hosts that may ever *connect* to it (defaults to every host); only
    those get the route entry — the owning host falls through to its local
    listener table either way — and only those become active pairs with the
-   owner. Narrowing the initiator set is what lets adaptive lookahead
-   decouple unrelated host groups. *)
+   owner, whose two links go to the two gateways. Narrowing the initiator
+   set is what lets adaptive lookahead decouple unrelated host groups. *)
 let route ?initiators t ~port ~host =
   let inits =
     match initiators with
@@ -201,7 +192,7 @@ let route ?initiators t ~port ~host =
   List.iter
     (fun i ->
       Hostnet.add_route t.hosts.(i).hostnet ~port ~host;
-      if i <> host then ignore (ensure_pair t ~src:i ~dst:host : pair))
+      if i <> host then add_pair t ~src:i ~dst:host)
     inits
 
 let link_stats t =
@@ -303,12 +294,12 @@ let adaptive_bounds t =
         Vtime.infinity t.in_pairs.(i)
   done
 
-(* Computes E, F and the per-host bounds; returns [true] while there is
-   work left anywhere. *)
-let compute_bounds t =
+(* Computes E, F and the per-host bounds under [mode]; returns [true]
+   while there is work left anywhere. *)
+let compute_bounds t mode =
   let live = compute_horizons t in
   (if live then
-     match t.mode with
+     match mode with
      | Fixed -> fixed_bounds t
      | Adaptive -> adaptive_bounds t);
   live
@@ -359,40 +350,42 @@ let drain_round t =
         msgs)
     t.hosts
 
-let run_host t (h : host) =
-  Sched.run_before (Kernel.sched h.kernel) ~bound:t.bound.(h.idx)
-
 (* ------------------------------------------------------------------ *)
 (* Execution *)
 
-let run_seq t =
-  while compute_bounds t do
-    t.rounds <- t.rounds + 1;
-    drain_round t;
-    Array.iter (fun h -> run_host t h) t.hosts
-  done
+(* One round loop at every shard count. The coordinator alone computes
+   bounds and drains links; then it and [shards - 1] worker domains pull
+   host indices from the round's shared cursor until it runs past the
+   last host, so a round's hosts spread over whoever is free, whatever
+   their index. With [shards = 1] nobody else pulls: no domain is spawned
+   and the coordinator runs the hosts in index order.
 
-(* Parallel rounds on persistent domains. The barrier is a mutex/condvar
-   phase counter rather than a spin loop: shards may outnumber cores (the
-   determinism contract must hold on a 1-CPU box too), and a spinning
-   coordinator would stall the very workers it waits for. The monitor
-   gives the happens-before edges both ways — the coordinator's drain
-   writes are visible to workers, worker event processing (and lazy pair
-   creation, which is additionally guarded by the world mutex) is visible
-   to the next bound computation. Static host -> shard assignment
-   ([idx mod shards]) keeps placement deterministic, though determinism
-   does not depend on it: hosts only interact through the links. *)
-let run_par t ~shards =
+   The barrier is a mutex/condvar phase counter rather than a spin loop:
+   shards may outnumber cores (the determinism contract must hold on a
+   1-CPU box too), and a spinning coordinator would stall the very
+   workers it waits for. The monitor gives the happens-before edges both
+   ways — the coordinator's cursor reset and drain writes are visible to
+   workers, and worker event processing is visible to the next bound
+   computation. *)
+let run ?(shards = 1) ?(mode = Adaptive) t =
+  if shards < 1 then invalid_arg "World.run: shards must be >= 1";
+  let n = Array.length t.hosts in
+  let workers = min shards n - 1 in
+  let cursor = Atomic.make 0 in
+  let rec run_hosts () =
+    let i = Atomic.fetch_and_add cursor 1 in
+    if i < n then begin
+      Sched.run_before (Kernel.sched t.hosts.(i).kernel) ~bound:t.bound.(i);
+      run_hosts ()
+    end
+  in
   let m = Mutex.create () in
   let cv = Condition.create () in
   let phase = ref 0 in
   let done_count = ref 0 in
   let stop = ref false in
   let failure = ref None in
-  let run_shard s =
-    Array.iter (fun h -> if h.idx mod shards = s then run_host t h) t.hosts
-  in
-  let worker s =
+  let worker () =
     let seen = ref 0 in
     let running = ref true in
     while !running do
@@ -405,7 +398,7 @@ let run_par t ~shards =
       Mutex.unlock m;
       if stopping then running := false
       else begin
-        let err = (try run_shard s; None with e -> Some e) in
+        let err = (try run_hosts (); None with e -> Some e) in
         Mutex.lock m;
         (match (err, !failure) with
         | Some e, None -> failure := Some e
@@ -416,9 +409,7 @@ let run_par t ~shards =
       end
     done
   in
-  let domains =
-    List.init (shards - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
-  in
+  let domains = List.init workers (fun _ -> Domain.spawn worker) in
   let release_and_join () =
     Mutex.lock m;
     stop := true;
@@ -426,31 +417,22 @@ let run_par t ~shards =
     Mutex.unlock m;
     List.iter Domain.join domains
   in
-  (try
-     while compute_bounds t do
-       t.rounds <- t.rounds + 1;
-       drain_round t;
-       Mutex.lock m;
-       done_count := 0;
-       incr phase;
-       Condition.broadcast cv;
-       Mutex.unlock m;
-       run_shard 0;
-       Mutex.lock m;
-       while !done_count < shards - 1 do
-         Condition.wait cv m
-       done;
-       let err = !failure in
-       Mutex.unlock m;
-       match err with Some e -> raise e | None -> ()
-     done
-   with e ->
-     release_and_join ();
-     raise e);
-  release_and_join ()
-
-let run ?(shards = 1) ?(mode = Adaptive) t =
-  if shards < 1 then invalid_arg "World.run: shards must be >= 1";
-  t.mode <- mode;
-  let shards = min shards (Array.length t.hosts) in
-  if shards = 1 then run_seq t else run_par t ~shards
+  Fun.protect ~finally:release_and_join (fun () ->
+      while compute_bounds t mode do
+        t.rounds <- t.rounds + 1;
+        drain_round t;
+        Atomic.set cursor 0;
+        Mutex.lock m;
+        done_count := 0;
+        incr phase;
+        Condition.broadcast cv;
+        Mutex.unlock m;
+        run_hosts ();
+        Mutex.lock m;
+        while !done_count < workers do
+          Condition.wait cv m
+        done;
+        let err = !failure in
+        Mutex.unlock m;
+        Option.iter raise err
+      done)

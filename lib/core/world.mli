@@ -2,11 +2,13 @@
 
     Each simulated host owns a whole kernel; hosts interact only through
     typed inter-host links with a fixed positive latency (the lookahead).
-    [run] drives all hosts in barrier-synchronous conservative rounds —
-    sequentially with [shards = 1], on OCaml 5 domains otherwise — and the
-    round structure is identical either way, so every observable outcome
-    (digests, recordings, traces) is byte-identical at any shard count,
-    and identical between the two lookahead modes. *)
+    [run] drives all hosts in barrier-synchronous conservative rounds with
+    one round loop at every shard count: each round's hosts are pulled
+    from a shared cursor by the coordinator and [shards - 1] worker
+    domains ([shards = 1] spawns none). Hosts interact only through links
+    drained between rounds, so every observable outcome (digests,
+    recordings, traces) is byte-identical at any shard count, and
+    identical between the two lookahead modes. *)
 
 open Remon_kernel
 open Remon_sim
@@ -24,13 +26,13 @@ type mode =
 
 val create :
   ?link_latency:Vtime.t -> n:int -> mk:(int -> Kernel.t) -> unit -> t
-(** [create ~n ~mk ()] builds [n] hosts; host [i]'s kernel is [mk i].
-    Links are created lazily on first use (no eager n^2 mesh).
+(** [create ~n ~mk ()] builds [n] hosts; host [i]'s kernel is [mk i],
+    with its gateway installed. No links exist yet: {!route} creates them
+    (no eager n^2 mesh).
     [link_latency] defaults to the cost model's inter-host latency
     ({!Cost_model.link_latency} of the default model) and must be
     positive — it is the conservative lookahead. *)
 
-val n_hosts : t -> int
 val kernel : t -> int -> Kernel.t
 val hostnet : t -> int -> Hostnet.t
 
@@ -39,13 +41,15 @@ val route : ?initiators:int list -> t -> port:int -> host:int -> unit
     initiator hosts are carried over the links. [initiators] is the set of
     hosts that may ever connect to the port (default: every host) —
     narrowing it is what lets adaptive lookahead decouple unrelated host
-    groups. Routing must be set up before [run]. *)
+    groups. Each initiator's pair with [host] gets its two links here,
+    handed to the two gateways, so routing must be set up before
+    [run]. *)
 
 val run : ?shards:int -> ?mode:mode -> t -> unit
 (** Runs every host to completion. [shards] is clamped to the host count;
-    [shards = 1] (default) is the sequential reference execution. [mode]
-    defaults to [Adaptive]; outcomes are byte-identical in either mode,
-    only the round partitioning differs. *)
+    [shards = 1] (default) runs the same round loop on the calling domain
+    alone. [mode] defaults to [Adaptive]; outcomes are byte-identical in
+    either mode, only the round partitioning differs. *)
 
 val rounds : t -> int
 (** Conservative rounds executed so far (a parallelism diagnostic). *)

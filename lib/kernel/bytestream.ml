@@ -20,7 +20,7 @@ let push t s =
 
 let pull t n =
   let n = min n t.length in
-  if n = 0 then ""
+  if n <= 0 then ""
   else begin
     let buf = Buffer.create n in
     let remaining = ref n in

@@ -317,16 +317,23 @@ let deliver_signal k (th : Proc.thread) sg =
 
 let encode_flags (d : Proc.desc) = if d.nonblock then 0x800 else 0
 
+(* An iovec length that is negative as an int is a size_t past
+   SSIZE_MAX: readv and preadv answer EINVAL. *)
+let negative_len lens = List.exists (fun l -> l < 0) lens
+
 let wall_ns k = Int64.add k.K.epoch_offset_ns (Int64.of_int (K.now k))
 
 (* Reads [count] bytes from a descriptor; blocks according to [d.nonblock]
-   unless the caller is the kernel itself. *)
+   unless the caller is the kernel itself. A negative count is a size_t
+   past the end of the address space: Linux fails its buffer check with
+   EFAULT, whatever the descriptor. *)
 let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.result -> unit) =
   let data_done s =
     charge th (Cost_model.local_copy_ns k.K.cost ~bytes:(String.length s));
     ret (Syscall.Ok_data s)
   in
   if not d.can_read then ret (err Errno.EBADF)
+  else if count < 0 then ret (err Errno.EFAULT)
   else
     match d.kind with
     | Proc.Regular node -> (
@@ -505,9 +512,11 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
     | Proc.Replicated_handle _ -> ret (err Errno.EREMOTEIO)
 
 (* Positional I/O (pread64/preadv, pwrite64/pwritev): regular files only,
-   and the descriptor offset does not move. *)
+   and the descriptor offset does not move. The caller has rejected a
+   negative offset; a negative count fails like [do_read]'s. *)
 and pread (d : Proc.desc) ~offset ~count ~ret =
   match d.kind with
+  | Proc.Regular _ when count < 0 -> ret (err Errno.EFAULT)
   | Proc.Regular node -> (
     match Vfs.read_at node ~offset ~count with
     | Ok s -> ret (Syscall.Ok_data s)
@@ -837,18 +846,34 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
         | _ -> ret (err Errno.EINVAL))
   | Syscall.Madvise _ | Syscall.Fadvise64 _ -> ret (Syscall.Ok_int 0)
   (* ---- read family ---- *)
-  | Syscall.Read (fd, count) | Syscall.Recvfrom (fd, count)
-  | Syscall.Recvmsg (fd, count) ->
+  (* Linux rejects a negative file offset before it looks at the fd *)
+  | Syscall.Pread64 (_, _, offset) | Syscall.Preadv (_, _, offset)
+  | Syscall.Pwrite64 (_, _, offset) | Syscall.Pwritev (_, _, offset)
+    when offset < 0 ->
+    ret (err Errno.EINVAL)
+  | Syscall.Read (fd, count) -> with_fd fd (fun d -> do_read k th d ~count ~ret)
+  | Syscall.Recvfrom (fd, count) ->
+    (* Linux clamps recvfrom's length to MAX_RW_COUNT before checking the
+       buffer, so a negative one reads what is queued *)
+    let count = if count < 0 then max_int else count in
     with_fd fd (fun d -> do_read k th d ~count ~ret)
+  | Syscall.Recvmsg (fd, count) ->
+    with_fd fd (fun d ->
+        if d.can_read && count < 0 then ret (err Errno.EINVAL)
+        else do_read k th d ~count ~ret)
   | Syscall.Recvmmsg (fd, msgs, each) ->
     with_fd fd (fun d -> do_read k th d ~count:(msgs * each) ~ret)
   | Syscall.Readv (fd, lens) ->
-    with_fd fd (fun d -> do_read k th d ~count:(List.fold_left ( + ) 0 lens) ~ret)
+    (* a negative iovec length is EINVAL once the descriptor is readable *)
+    with_fd fd (fun d ->
+        if d.can_read && negative_len lens then ret (err Errno.EINVAL)
+        else do_read k th d ~count:(List.fold_left ( + ) 0 lens) ~ret)
   | Syscall.Pread64 (fd, count, offset) ->
     with_fd fd (fun d -> pread d ~offset ~count ~ret)
   | Syscall.Preadv (fd, lens, offset) ->
-    let count = List.fold_left ( + ) 0 lens in
-    with_fd fd (fun d -> pread d ~offset ~count ~ret)
+    with_fd fd (fun d ->
+        if negative_len lens then ret (err Errno.EINVAL)
+        else pread d ~offset ~count:(List.fold_left ( + ) 0 lens) ~ret)
   | Syscall.Select { readfds; writefds; timeout_ns }
   | Syscall.Pselect6 { readfds; writefds; timeout_ns } ->
     let fds =
@@ -874,6 +899,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Sendfile { out_fd; in_fd; count } ->
     with_fd in_fd (fun din ->
         match din.kind with
+        | Proc.Regular _ when count < 0 -> ret (err Errno.EINVAL)
         | Proc.Regular node -> (
           match Vfs.read_at node ~offset:din.offset ~count with
           | Ok data ->
@@ -1216,6 +1242,8 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
     match Vfs.rmdir k.K.vfs path with
     | Ok () -> ret (Syscall.Ok_int 0)
     | Error e -> ret (err e))
+  | Syscall.Truncate (_, size) | Syscall.Ftruncate (_, size) when size < 0 ->
+    ret (err Errno.EINVAL)
   | Syscall.Truncate (path, size) -> (
     match Vfs.resolve k.K.vfs path with
     | Ok node -> (
@@ -1383,7 +1411,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Getrandom n ->
     (* kernel entropy: replicas must receive identical bytes, which is why
        the MVEE replicates this call's results verbatim *)
-    let buf = Bytes.create (min n 4096) in
+    let buf = Bytes.create (if n < 0 then 4096 else min n 4096) in
     for i = 0 to Bytes.length buf - 1 do
       Bytes.set buf i (Char.chr (Remon_util.Rng.int k.K.rng 256))
     done;
@@ -1458,7 +1486,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
     ret (Syscall.Ok_int (install_fd (Proc.make_desc (Proc.Event_fd e))))
   (* ---- ReMon registration ---- *)
   | Syscall.Ipmon_register { calls; rb_addr; entry_addr } -> (
-    match Hashtbl.find_opt k.K.pending_ipmon p.pid with
+    match p.ipmon_staged with
     | None -> ret (err Errno.EINVAL)
     | Some reg ->
       (* The syscall's argument list is authoritative: GHUMVEE may have
@@ -1467,7 +1495,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
         { reg with Proc.unmonitored = Sysno.Set.of_list calls; rb_addr; entry_addr }
       in
       p.ipmon_registered <- Some reg;
-      Hashtbl.remove k.K.pending_ipmon p.pid;
+      p.ipmon_staged <- None;
       ret (Syscall.Ok_int 0))
 
 (* ------------------------------------------------------------------ *)
@@ -1668,27 +1696,28 @@ let route_ipmon k (th : Proc.thread) (reg : Proc.ipmon_registration) ~token
   th.in_ipmon <- true;
   reg.Proc.invoke th ~token ~call ~return:ipmon_done
 
-(* IK-B's routing decision for one call (Figure 2, step 2). The caller
-   supplies the continuations: [return] for the monitored path, and
-   [done_] / [ipmon_done], which finish a plain or an IP-MON call with
-   [return]. *)
+(* IK-B's routing decision for one call (Figure 2, step 2). A replica asks
+   its group's interceptor, which rides on its [replica_info]; any other
+   process runs plain, or monitored while traced. The caller supplies the
+   continuations: [return] for the monitored path, and [done_] /
+   [ipmon_done], which finish a plain or an IP-MON call with [return]. *)
 let route k (th : Proc.thread) call ~return ~done_ ~ipmon_done =
   let p = proc_of th in
-  match K.broker_for k th with
-  | None -> (
-    match p.tracer with
-    | None -> route_plain k th call ~done_
-    | Some _ -> route_monitored k th call ~return)
-  | Some broker -> (
-    match broker.K.classify th call with
-    | K.Route_plain -> route_plain k th call ~done_
-    | K.Route_monitor -> route_monitored k th call ~return
-    | K.Route_ipmon token -> (
+  match p.replica_info with
+  | Some { Proc.classify = Some classify; _ } -> (
+    match classify th call with
+    | Proc.Route_plain -> route_plain k th call ~done_
+    | Proc.Route_monitor -> route_monitored k th call ~return
+    | Proc.Route_ipmon token -> (
       match p.ipmon_registered with
       | Some reg -> route_ipmon k th reg ~token call ~ipmon_done
       | None ->
         (* broker misconfiguration: fall back to the monitored path *)
         route_monitored k th call ~return))
+  | Some { Proc.classify = None; _ } | None -> (
+    match p.tracer with
+    | None -> route_plain k th call ~done_
+    | Some _ -> route_monitored k th call ~return)
 
 (* Per-syscall latency-metric keys ("syscall.<name>"), interned at module
    init and indexed by [Sysno.index]: the per-call histogram update does
@@ -1708,7 +1737,10 @@ let handle k (th : Proc.thread) call ~return =
     th.syscall_index <- th.syscall_index + 1;
     k.K.stats.syscalls <- k.K.stats.syscalls + 1;
     charge th k.K.cost.syscall_trap_ns;
-    match (k.K.obs, K.fault_hook_for k th) with
+    let hook =
+      match p.replica_info with Some ri -> ri.Proc.fault | None -> None
+    in
+    match (k.K.obs, hook) with
     | None, None ->
       (* No sink and no fault hook: completion goes through the thread's
          preallocated finish functions, so the call builds no closure.
@@ -1755,26 +1787,26 @@ let handle k (th : Proc.thread) call ~return =
         th.in_ipmon <- false;
         finish k th r ~return
       in
-      match (match hook with Some f -> f th call | None -> K.Fault_none) with
-      | K.Fault_none -> route k th call ~return ~done_ ~ipmon_done
-      | K.Fault_rewrite call' ->
+      match (match hook with Some f -> f th call | None -> Proc.Fault_none) with
+      | Proc.Fault_none -> route k th call ~return ~done_ ~ipmon_done
+      | Proc.Fault_rewrite call' ->
         (* the corrupted capture flows through the normal routing/detection
            paths; the monitors see it as an argument divergence *)
         trace_route k th call' "fault:rewrite";
         obs_instant k th ~cat:"fault" ~name:"rewrite"
           [ ("call", Tr.Str (Syscall.to_string call')) ];
         route k th call' ~return ~done_ ~ipmon_done
-      | K.Fault_result r ->
+      | Proc.Fault_result r ->
         (* transient kernel-level failure (e.g. ECONNRESET): complete now *)
         trace_route k th call "fault:result";
         obs_instant k th ~cat:"fault" ~name:"result"
           [ ("call", Tr.Str (Syscall.to_string call)) ];
         finish k th r ~return
-      | K.Fault_crash sg ->
+      | Proc.Fault_crash sg ->
         trace_route k th call "fault:crash";
         obs_instant k th ~cat:"fault" ~name:"crash" [ ("signal", Tr.Int sg) ];
         kill_process k p ~code:(128 + sg)
-      | K.Fault_delay ns ->
+      | Proc.Fault_delay ns ->
         (* stall the arrival: the rendezvous watchdog can observe it *)
         trace_route k th call "fault:delay";
         obs_instant k th ~cat:"fault" ~name:"delay" [ ("ns", Tr.Int ns) ];

@@ -52,4 +52,3 @@ type t =
   | EKEYREJECTED (* used by IK-B when an authorization token fails to verify *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

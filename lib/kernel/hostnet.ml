@@ -29,9 +29,10 @@
    functions of virtual time. Connection ids are globally unique without
    coordination: initiator host index * 2^24 + a per-host counter.
 
-   Scale: links are created lazily by the shard runner, so the gateway
-   holds a resolver closure instead of an outbound-link table, and
-   connection lookup by stream rides the stream's [tag] field instead of a
+   Scale: the shard runner creates links only for host pairs that may
+   ever talk ([World.route]) and hands each gateway its outbound ends, so
+   a connect or a SYN reply finds its link in its own gateway's table.
+   Connection lookup by stream rides the stream's [tag] field instead of a
    side table. The per-destination [targets] counts feed the
    adaptive-lookahead synchronizer: a host that neither routes to nor
    holds a connection towards host [d] provably cannot send to it. *)
@@ -65,8 +66,8 @@ type t = {
   sched : Sched.t;
   net : Net.t;
   routes : (int, int) Hashtbl.t; (* port -> owning host index *)
-  mutable resolve : (dst:int -> Link.t) option;
-      (* outbound links, provided by the shard runner (lazily created) *)
+  links : (int, Link.t) Hashtbl.t;
+      (* destination host -> outbound link, handed over by the shard runner *)
   conns : (int, conn) Hashtbl.t; (* conn id -> connection *)
   targets : (int, int) Hashtbl.t;
       (* destination host -> count of reasons we may send there
@@ -86,7 +87,7 @@ let create ~host sched net =
     sched;
     net;
     routes = Hashtbl.create 16;
-    resolve = None;
+    links = Hashtbl.create 4;
     conns = Hashtbl.create 32;
     targets = Hashtbl.create 8;
     next_conn = 0;
@@ -114,12 +115,12 @@ let add_route t ~port ~host =
   | None -> if host <> t.host then incr_target t host);
   Hashtbl.replace t.routes port host
 
-let set_link_resolver t f = t.resolve <- Some f
+let add_link t link = Hashtbl.replace t.links (Link.dst link) link
 
 let link_to t dst =
-  match t.resolve with
-  | Some f -> f ~dst
-  | None -> invalid_arg "Hostnet: no link resolver installed"
+  match Hashtbl.find_opt t.links dst with
+  | Some l -> l
+  | None -> invalid_arg "Hostnet: no link to that host"
 
 let sends_to t dst = Hashtbl.mem t.targets dst
 

@@ -23,10 +23,11 @@ val add_route : t -> port:int -> host:int -> unit
     port routed to another host go through the gateway; whether a listener
     actually exists there is resolved at SYN-arrival virtual time. *)
 
-val set_link_resolver : t -> (dst:int -> Link.t) -> unit
-(** Install the outbound-link resolver. The shard runner provides it so
-    links can be created lazily on first use instead of as an eager
-    all-pairs mesh. *)
+val add_link : t -> Link.t -> unit
+(** Hand the gateway its outbound link towards [Link.dst]. The shard
+    runner creates links only for host pairs that may ever talk, both
+    directions at once, so every connect and every SYN reply finds its
+    link here. *)
 
 val sends_to : t -> int -> bool
 (** [sends_to t d] — may this host ever send a link message to host [d]

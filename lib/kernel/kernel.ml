@@ -69,6 +69,7 @@ let make_process (k : t) ?replica_info ?(parent = 1) ~name ~vm_seed () =
       tracer = None;
       entry_table = [||];
       ipmon_registered = None;
+      ipmon_staged = None;
       alarm_deadline = None;
       itimer = None;
       itimer_next = None;
@@ -113,19 +114,7 @@ let post_signal (k : t) p sg = Dispatch.post_signal k p sg
 let kill_process (k : t) p ~code = Dispatch.kill_process k p ~code
 
 (* ------------------------------------------------------------------ *)
-(* Broker / IP-MON hookup *)
-
-(* Group-scoped registrations: one kernel can host several replica sets (a
-   fleet), each with its own broker and fault plan, resolved per thread
-   through [Proc.replica_info.group_id]. *)
-let register_broker (k : t) ~group_id broker =
-  Hashtbl.replace k.K.brokers group_id broker
-
-let register_fault_hook (k : t) ~group_id f =
-  Hashtbl.replace k.K.fault_hooks group_id f
-
-let prepare_ipmon (k : t) ~pid (reg : Proc.ipmon_registration) =
-  Hashtbl.replace k.K.pending_ipmon pid reg
+(* IP-MON hookup *)
 
 (* Raw execution used by IP-MON after token verification. *)
 let execute_raw (k : t) th call ~ret = Dispatch.execute_raw k th call ~ret
@@ -149,15 +138,7 @@ let cancel (k : t) h = Sched.cancel k.K.sched h
 (* ------------------------------------------------------------------ *)
 (* Running *)
 
-let run ?until (k : t) = Sched.run ?until k.K.sched
-
-let blocked_report (k : t) =
-  List.map
-    (fun (th : Proc.thread) ->
-      match th.tstate with
-      | Proc.Blocked b -> Printf.sprintf "%s: %s" (Proc.thread_name th) b.what
-      | _ -> Proc.thread_name th)
-    (Sched.blocked_threads k.K.sched)
+let run (k : t) = Sched.run k.K.sched
 
 (* Re-enters the monitored (ptrace) path for a call IP-MON declined to
    handle (Figure 2's step 4': token destroyed, call forwarded to the CP

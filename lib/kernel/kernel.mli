@@ -1,7 +1,10 @@
 (** Kernel facade: construction, process management, ptrace attachment, the
-    IK-B broker hookup, and the run loop. This is the main entry point for
-    MVEE layers and workloads; shared data types live in {!Proc} and
-    {!Syscall}. *)
+    IP-MON hookup, and the run loop. This is the main entry point for MVEE
+    layers and workloads; shared data types live in {!Proc} and
+    {!Syscall}. A replica's IK-B interceptor and fault hook ride on its
+    {!Proc.replica_info}, given at spawn, and IP-MON stages its
+    registration in [Proc.process.ipmon_staged]; the kernel keeps no
+    registry of either. *)
 
 open Remon_sim
 
@@ -82,29 +85,7 @@ val inject_signal_now : t -> Proc.thread -> int -> unit
 val post_signal : t -> Proc.process -> int -> unit
 val kill_process : t -> Proc.process -> code:int -> unit
 
-(** {1 IK-B broker / IP-MON hookup} *)
-
-val register_broker : t -> group_id:int -> Kstate.broker -> unit
-(** Group-scoped broker registration: one kernel can host several replica
-    sets (a fleet), each with its own broker. A thread resolves to its
-    group's broker through [Proc.replica_info.group_id]; threads outside
-    any group (clients, load balancers) have none and run unbrokered. *)
-
-val register_fault_hook :
-  t ->
-  group_id:int ->
-  (Proc.thread -> Syscall.call -> Kstate.fault_decision) ->
-  unit
-(** Group-scoped fault-injection hook, consulted once per syscall entry
-    before broker routing; same resolution rule as {!register_broker}.
-    The MVEE's fault layer uses it to inject crashes, corrupted captures,
-    stalls and transient errors that the monitors then detect through their
-    normal paths. *)
-
-val prepare_ipmon : t -> pid:int -> Proc.ipmon_registration -> unit
-(** Stage the registration (including the invoke closure, which cannot
-    travel through the syscall interface) before the replica issues
-    [ipmon_register]. *)
+(** {1 IP-MON hookup} *)
 
 val execute_raw :
   t -> Proc.thread -> Syscall.call -> ret:(Syscall.result -> unit) -> unit
@@ -139,12 +120,10 @@ val cancel : t -> Event_queue.handle -> unit
 
 (** {1 Running} *)
 
-val run : ?until:Vtime.t -> t -> unit
-(** Drain the event queue (to [until] if given). Returns when no events
-    remain; threads still blocked at that point are either servers waiting
-    for input or deadlocks — see {!blocked_report}. *)
-
-val blocked_report : t -> string list
+val run : t -> unit
+(** Drain the event queue. Returns when no events remain; threads still
+    blocked at that point are either servers waiting for input or
+    deadlocks. *)
 
 (** {1 Observability} *)
 

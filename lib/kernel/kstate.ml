@@ -1,5 +1,6 @@
-(* Kernel state: every subsystem instance plus the hook points the MVEE
-   layers attach to (the IK-B broker and ptrace tracers). *)
+(* Kernel state: every subsystem instance of one simulated host. The MVEE
+   layers' hooks (the IK-B broker, fault injection, ptrace tracers, IP-MON)
+   ride on the processes they apply to, not on the kernel. *)
 
 open Remon_sim
 open Remon_util
@@ -27,28 +28,6 @@ let make_counters () =
     tokens_rejected = 0;
   }
 
-(* Routing decision taken by the IK-B broker at syscall entry (Figure 2). *)
-type route =
-  | Route_plain (* no broker/tracer interest: execute directly *)
-  | Route_ipmon of int64 (* forward to IP-MON with this one-time token *)
-  | Route_monitor (* report to the CP monitor via ptrace *)
-
-type broker = {
-  classify : Proc.thread -> Syscall.call -> route;
-      (* IK-B interceptor: called once per syscall entry *)
-}
-
-(* Fault-injection decision, consulted once per syscall entry before broker
-   routing. Installed by the MVEE's fault layer; the kernel stays agnostic
-   of fault *plans* and only knows how to apply a decision, so the monitors
-   observe injected failures through their normal detection paths. *)
-type fault_decision =
-  | Fault_none
-  | Fault_crash of int (* kill the process as if a fatal signal hit mid-call *)
-  | Fault_rewrite of Syscall.call (* corrupted argument capture *)
-  | Fault_delay of Vtime.t (* stall this arrival before routing it *)
-  | Fault_result of Syscall.result (* complete immediately (transient errors) *)
-
 (* Futex wait queues, keyed by physical backing (shared segments give the
    same key in every attached process). *)
 type futex_waiter = {
@@ -70,16 +49,8 @@ type t = {
   mutable next_share_group : int;
   futexes : (Vm.futex_key, futex_waiter Queue.t) Hashtbl.t;
   stats : counters;
-  (* Hook registries, keyed by [Proc.replica_info.group_id]: one kernel can
-     host several replica sets (a fleet), each with its own broker and
-     fault plan. Threads outside any group have neither. *)
-  brokers : (int, broker) Hashtbl.t;
-  fault_hooks : (int, Proc.thread -> Syscall.call -> fault_decision) Hashtbl.t;
   flocks : (int, int) Hashtbl.t;
       (* advisory exclusive file locks: inode -> holder pid *)
-  pending_ipmon : (int, Proc.ipmon_registration) Hashtbl.t;
-      (* pid -> registration prepared by the MVEE before the replica issues
-         ipmon_register (the closure cannot travel through the syscall) *)
   epoch_offset_ns : int64; (* "wall clock" base for gettimeofday *)
   mutable obs : Remon_obs.Obs.t option;
       (* structured trace/metrics sink; None = observability fully off *)
@@ -103,28 +74,13 @@ let create ?(cost = Cost_model.default) ?(seed = 42)
     next_share_group = 1;
     futexes = Hashtbl.create 32;
     stats = make_counters ();
-    brokers = Hashtbl.create 4;
-    fault_hooks = Hashtbl.create 4;
     flocks = Hashtbl.create 8;
-    pending_ipmon = Hashtbl.create 8;
     epoch_offset_ns = 1_600_000_000_000_000_000L;
     obs = None;
     hostnet = None;
   }
 
 let now k = Sched.now k.sched
-
-(* The broker / fault hook a thread is subject to: its replica group's,
-   if it belongs to one. *)
-let broker_for k (th : Proc.thread) =
-  match th.proc.Proc.replica_info with
-  | Some { Proc.group_id; _ } -> Hashtbl.find_opt k.brokers group_id
-  | None -> None
-
-let fault_hook_for k (th : Proc.thread) =
-  match th.proc.Proc.replica_info with
-  | Some { Proc.group_id; _ } -> Hashtbl.find_opt k.fault_hooks group_id
-  | None -> None
 
 let charge (th : Proc.thread) ns =
   th.clock <- Vtime.add th.clock (Vtime.ns (max 0 ns))

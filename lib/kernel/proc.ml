@@ -69,6 +69,26 @@ type resume_action =
   | Resume_kill (* terminate the whole process group under trace *)
 
 (* ------------------------------------------------------------------ *)
+(* Replica hooks *)
+
+(* Routing decision taken by the IK-B broker at syscall entry (Figure 2). *)
+type route =
+  | Route_plain (* no broker/tracer interest: execute directly *)
+  | Route_ipmon of int64 (* forward to IP-MON with this one-time token *)
+  | Route_monitor (* report to the CP monitor via ptrace *)
+
+(* Fault-injection decision, consulted once per syscall entry before broker
+   routing. The MVEE's fault layer supplies it; the kernel stays agnostic
+   of fault *plans* and only knows how to apply a decision, so the monitors
+   observe injected failures through their normal detection paths. *)
+type fault_decision =
+  | Fault_none
+  | Fault_crash of int (* kill the process as if a fatal signal hit mid-call *)
+  | Fault_rewrite of Syscall.call (* corrupted argument capture *)
+  | Fault_delay of Vtime.t (* stall this arrival before routing it *)
+  | Fault_result of Syscall.result (* complete immediately (transient errors) *)
+
+(* ------------------------------------------------------------------ *)
 (* Threads and processes *)
 
 type thread_state =
@@ -108,6 +128,9 @@ type process = {
   mutable entry_table : (unit -> unit) array;
       (* thread entry points for Clone; index = logical function identity *)
   mutable ipmon_registered : ipmon_registration option;
+  mutable ipmon_staged : ipmon_registration option;
+      (* prepared by IP-MON before it issues ipmon_register (the invoke
+         closure cannot travel through the syscall); consumed by that call *)
   mutable alarm_deadline : Vtime.t option;
   mutable itimer : Syscall.itimer_spec option;
   mutable itimer_next : Vtime.t option;
@@ -164,7 +187,11 @@ and ipmon_registration = {
 
 and replica_info = {
   variant_index : int; (* 0 = master *)
-  group_id : int; (* identifies the replica set this process belongs to *)
+  classify : (thread -> Syscall.call -> route) option;
+      (* the group's IK-B interceptor, called once per syscall entry; None
+         when the group runs without a broker (native, GHUMVEE only) *)
+  fault : (thread -> Syscall.call -> fault_decision) option;
+      (* the group's fault-injection hook, consulted before routing *)
 }
 
 (* Sentinel for the lazily installed per-thread dispatch closures: physical

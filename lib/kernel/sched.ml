@@ -233,11 +233,6 @@ let kick t =
    or a kill transitions it out of Blocked directly). *)
 let unpark t th = t.blocked <- List.filter (fun th' -> th' != th) t.blocked
 
-let blocked_threads t =
-  List.filter
-    (fun th -> match th.Proc.tstate with Proc.Blocked _ -> true | _ -> false)
-    t.blocked
-
 (* ------------------------------------------------------------------ *)
 (* Main loop *)
 
@@ -245,7 +240,7 @@ exception Event_budget_exhausted
 
 (* Unbounded drain: the common case, kept free of any per-event bound
    check or peek. *)
-let run_all t =
+let run t =
   let slot = t.slot in
   let running = ref true in
   while !running do
@@ -259,19 +254,16 @@ let run_all t =
     end
   done
 
-(* Bounded drain. [strict] selects [time < limit] (shard windows) vs
-   [time <= limit] (the historical [run ~until] contract). The first
-   out-of-bound event is *peeked*, not popped: the old loop popped it to
-   look at its timestamp and then dropped it on the floor, silently losing
-   one future event per bounded run. *)
-let run_bounded t ~limit ~strict =
+(* Conservative-parallel window: process everything strictly below
+   [bound], leave the rest queued. The first out-of-bound event is
+   *peeked*, not popped, so no future event is lost. *)
+let run_before t ~bound =
   let slot = t.slot in
   let running = ref true in
   while !running do
     match Event_queue.peek_time t.events with
     | None -> running := false
-    | Some time when (if strict then Vtime.(time >= limit) else Vtime.(time > limit)) ->
-      running := false
+    | Some time when Vtime.(time >= bound) -> running := false
     | Some _ ->
       if Event_queue.pop_into t.events slot then begin
         t.events_processed <- t.events_processed + 1;
@@ -282,15 +274,6 @@ let run_bounded t ~limit ~strict =
       end
       else running := false
   done
-
-let run ?until t =
-  match until with
-  | None -> run_all t
-  | Some limit -> run_bounded t ~limit ~strict:false
-
-(* Conservative-parallel window: process everything strictly below
-   [bound], leave the rest queued. *)
-let run_before t ~bound = run_bounded t ~limit:bound ~strict:true
 
 (* Time of the next runnable event, [Vtime.infinity] on an empty queue:
    the E_i input of the shard synchronizer's lookahead fixed point. *)

@@ -53,15 +53,12 @@ val kick : t -> unit
 (** Schedule a retry sweep over all parked threads (coalesced). *)
 
 val unpark : t -> Proc.thread -> unit
-val blocked_threads : t -> Proc.thread list
 val spawn : t -> Proc.thread -> (unit -> unit) -> unit
 
 exception Event_budget_exhausted
 
-val run : ?until:Vtime.t -> t -> unit
-(** Drains the event queue; with [~until] only events with [time <= until]
-    run and later ones stay queued (a bounded run no longer discards the
-    first event past the limit). *)
+val run : t -> unit
+(** Drains the event queue. *)
 
 val run_before : t -> bound:Vtime.t -> unit
 (** Processes every event with [time < bound] (strict) and leaves the rest

@@ -351,8 +351,6 @@ let all =
   ]
 
 let compare = Stdlib.compare
-let equal = Stdlib.( = )
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 (* All constructors are constant, so values are small consecutive integers;
    [index] exposes that for dense per-syscall counter arrays. *)

@@ -179,8 +179,6 @@ val all : t list
 (** Every supported call, in declaration order. *)
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val index : t -> int
 (** Dense 0-based constructor index (constant-constructor representation);

@@ -41,5 +41,4 @@ let min (a : int) b = if Stdlib.( <= ) a b then a else b
 
 let scale t f = int_of_float (float_of_int t *. f)
 
-let pp fmt t = Format.fprintf fmt "%s" (Remon_util.Table.fmt_ns t)
 let to_string t = Remon_util.Table.fmt_ns t

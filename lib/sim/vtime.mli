@@ -43,5 +43,4 @@ val min : t -> t -> t
 val scale : t -> float -> t
 (** [scale t f] multiplies a duration by a float factor. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -87,10 +87,3 @@ let weighted t weights =
       if x < acc then i else scan (i + 1) acc
   in
   scan 0 0.
-
-(* Exponentially distributed duration with the given mean; used to model
-   jitter in compute phases and client think times. *)
-let exponential t ~mean =
-  let u = float t in
-  let u = if u <= 0. then epsilon_float else u in
-  -.mean *. log u

@@ -46,6 +46,3 @@ val bool : t -> bool
 
 val weighted : t -> float array -> int
 (** [weighted t w] draws an index with probability proportional to [w.(i)]. *)
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed positive float with the given mean. *)

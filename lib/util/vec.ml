@@ -11,8 +11,6 @@ let create () = { data = [||]; len = 0 }
 
 let length t = t.len
 
-let is_empty t = t.len = 0
-
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get";
   t.data.(i)
@@ -36,23 +34,6 @@ let for_all p t =
   let rec go i = i >= t.len || (p t.data.(i) && go (i + 1)) in
   go 0
 
-let exists p t =
-  let rec go i = i < t.len && (p t.data.(i) || go (i + 1)) in
-  go 0
-
-let find_opt p t =
-  let rec go i =
-    if i >= t.len then None
-    else if p t.data.(i) then Some t.data.(i)
-    else go (i + 1)
-  in
-  go 0
-
 let first_opt t = if t.len = 0 then None else Some t.data.(0)
 
 let to_list t = List.init t.len (fun i -> t.data.(i))
-
-let of_list xs =
-  let t = create () in
-  List.iter (push t) xs;
-  t

@@ -7,8 +7,6 @@ val create : unit -> 'a t
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 val get : 'a t -> int -> 'a
 (** Raises [Invalid_argument] out of bounds. *)
 
@@ -20,13 +18,6 @@ val iter : ('a -> unit) -> 'a t -> unit
 
 val for_all : ('a -> bool) -> 'a t -> bool
 
-val exists : ('a -> bool) -> 'a t -> bool
-
-val find_opt : ('a -> bool) -> 'a t -> 'a option
-(** First match in insertion order. *)
-
 val first_opt : 'a t -> 'a option
 
 val to_list : 'a t -> 'a list
-
-val of_list : 'a list -> 'a t

@@ -75,10 +75,6 @@ let fstat fd =
   | Syscall.Error e -> fail "fstat" e
   | _ -> fail "fstat" Errno.EINVAL
 
-let fsync fd = unit_of "fsync" (retrying "fsync" (Syscall.Fsync fd))
-
-let unlink path = unit_of "unlink" (retrying "unlink" (Syscall.Unlink path))
-
 (* ---- time / identity ---- *)
 
 let gettimeofday () =
@@ -216,7 +212,5 @@ let set_nonblocking fd v =
 
 let sigaction sg action =
   unit_of "rt_sigaction" (retrying "rt_sigaction" (Syscall.Rt_sigaction (sg, action)))
-
-let alarm seconds = int_of "alarm" (retrying "alarm" (Syscall.Alarm seconds))
 
 let exit_group code = ignore (Sched.syscall (Syscall.Exit_group code))

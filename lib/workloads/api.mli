@@ -31,8 +31,6 @@ val pwrite : int -> string -> int -> int
 val lseek : int -> int -> int
 val stat : string -> Syscall.stat_info
 val fstat : int -> Syscall.stat_info
-val fsync : int -> unit
-val unlink : string -> unit
 
 (** {1 Time / identity} *)
 
@@ -94,5 +92,4 @@ val set_nonblocking : int -> bool -> unit
 (** {1 Signals} *)
 
 val sigaction : int -> Syscall.sig_action -> unit
-val alarm : int -> int
 val exit_group : int -> unit

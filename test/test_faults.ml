@@ -108,6 +108,48 @@ let test_plan_shared_across_runs () =
     Alcotest.(check int) "first run fired" 1 first.Mvee.faults_injected;
     Alcotest.(check int) "second run fired" 1 second.Mvee.faults_injected
 
+(* Two replica groups in one kernel keep their own hooks: each replica
+   carries its group's IK-B interceptor and fault hook, so only the group
+   with the plan sees a fault, and the other still takes the IP-MON fast
+   path through its own broker. B computes less between calls, so it
+   reaches A's trigger index first: a plan that leaked into B would fire
+   there, not in A. *)
+let test_groups_keep_their_hooks () =
+  match Fault.of_string "crash@20:1" with
+  | Error msg -> Alcotest.fail msg
+  | Ok faults ->
+    let kernel = Kernel.create ~seed:Mvee.default_config.Mvee.seed () in
+    let group ~key ~faults ~on_failure ~compute_us ~name =
+      Mvee.launch kernel
+        { (config ~faults ~on_failure ()) with Mvee.shm_key = Some key }
+        ~name ~body:(mixed_body ~compute_us ())
+    in
+    let key n = Context.mvee_shm_key_base + (n * 0x40) in
+    let a =
+      group ~key:(key 1) ~faults ~on_failure:Mvee.Quarantine ~compute_us:40
+        ~name:"group-a"
+    in
+    let b =
+      group ~key:(key 2) ~faults:[] ~on_failure:Mvee.Kill_group ~compute_us:10
+        ~name:"group-b"
+    in
+    Kernel.run kernel;
+    let oa = Mvee.finish a and ob = Mvee.finish b in
+    Alcotest.(check int) "A injected its fault" 1 oa.Mvee.faults_injected;
+    Alcotest.(check int) "A quarantined one replica" 1 oa.Mvee.quarantines;
+    Alcotest.(check bool) "A quarantined variant 1" true
+      (Context.is_quarantined a.Mvee.group 1);
+    Alcotest.(check int) "B injected nothing" 0 ob.Mvee.faults_injected;
+    Alcotest.(check int) "B quarantined nothing" 0 ob.Mvee.quarantines;
+    (match ob.Mvee.verdict with
+    | None -> ()
+    | Some v -> Alcotest.failf "B got a verdict: %s" (Divergence.to_string v));
+    Alcotest.(check (list (pair int int)))
+      "B exit codes" [ (0, 0); (1, 0) ]
+      (List.sort compare ob.Mvee.exit_codes);
+    Alcotest.(check bool) "B replicated through its RB" true
+      (ob.Mvee.rb_records > 0)
+
 (* Kill-group (the paper's policy): the same plan is a fatal verdict. *)
 let test_kill_group_fatal () =
   let o =
@@ -337,6 +379,8 @@ let () =
             test_respawn_rejoins;
           Alcotest.test_case "one plan drives two runs" `Quick
             test_plan_shared_across_runs;
+          Alcotest.test_case "two groups in one kernel keep their hooks"
+            `Quick test_groups_keep_their_hooks;
         ] );
       ( "master-crash",
         List.map

@@ -492,6 +492,158 @@ let prop_futex_key_shared_segments =
            <> Vm.futex_key vm2 ~space_id:200 0x1234L
       end)
 
+(* ---- bad counts, offsets and sizes ----
+
+   A compromised replica chooses its own arguments, so none of these may
+   raise inside the kernel or corrupt its state. Each expectation is what
+   Linux 6.18 answered to the same call from C: a negative int here is a
+   size_t or loff_t with the top bit set there. *)
+
+let open_file name =
+  let fd =
+    expect_int "open"
+      (sys (Syscall.Open (name, { Syscall.o_rdwr with create = true })))
+  in
+  ignore (expect_int "write" (sys (Syscall.Write (fd, "hello"))));
+  ignore (sys (Syscall.Lseek (fd, 0, Syscall.Seek_set)));
+  fd
+
+let fionread fd = expect_int "FIONREAD" (sys (Syscall.Ioctl (fd, Syscall.Fionread)))
+
+(* socket writes land after the local hop's latency *)
+let settle () = ignore (sys (Syscall.Nanosleep (Vtime.us 10)))
+
+let expect_pair label r =
+  match (r : Syscall.result) with
+  | Syscall.Ok_pair (a, b) -> (a, b)
+  | other ->
+    Alcotest.failf "%s: expected Ok_pair, got %s" label
+      (Format.asprintf "%a" Syscall.pp_result other)
+
+let test_read_negative_count () =
+  run_in_kernel (fun _ ->
+      let f = open_file "/tmp/neg-read" in
+      expect_err "read(file, -5)" Errno.EFAULT (sys (Syscall.Read (f, -5)));
+      Alcotest.(check string) "file offset kept" "he"
+        (expect_data "read" (sys (Syscall.Read (f, 2))));
+      (* pipes and sockets must not count phantom bytes either *)
+      let pr, pw = expect_pair "pipe" (sys Syscall.Pipe) in
+      let a, b =
+        expect_pair "socketpair"
+          (sys (Syscall.Socketpair (Syscall.Af_unix, Syscall.Sock_stream)))
+      in
+      ignore (expect_int "write pipe" (sys (Syscall.Write (pw, "abc"))));
+      ignore (expect_int "write socket" (sys (Syscall.Write (a, "abc"))));
+      settle ();
+      List.iter
+        (fun (what, fd) ->
+          expect_err what Errno.EFAULT (sys (Syscall.Read (fd, -5)));
+          Alcotest.(check int) (what ^ ": FIONREAD") 3 (fionread fd);
+          Alcotest.(check string) (what ^ ": data intact") "abc"
+            (expect_data what (sys (Syscall.Read (fd, 8))));
+          Alcotest.(check int) (what ^ ": drained") 0 (fionread fd))
+        [ ("read(pipe, -5)", pr); ("read(socketpair, -5)", b) ])
+
+let test_readv_negative_len () =
+  run_in_kernel (fun _ ->
+      let f = open_file "/tmp/neg-readv" in
+      expect_err "readv(file, [3; -1])" Errno.EINVAL
+        (sys (Syscall.Readv (f, [ 3; -1 ])));
+      Alcotest.(check string) "nothing consumed" "hello"
+        (expect_data "read" (sys (Syscall.Read (f, 8)))))
+
+let test_pread64_negative () =
+  run_in_kernel (fun _ ->
+      let f = open_file "/tmp/neg-pread" in
+      expect_err "pread64(f, 3, -1)" Errno.EINVAL
+        (sys (Syscall.Pread64 (f, 3, -1)));
+      expect_err "pread64(badfd, 3, -1)" Errno.EINVAL
+        (sys (Syscall.Pread64 (99, 3, -1)));
+      expect_err "pread64(f, -5, 0)" Errno.EFAULT
+        (sys (Syscall.Pread64 (f, -5, 0))))
+
+let test_preadv_negative () =
+  run_in_kernel (fun _ ->
+      let f = open_file "/tmp/neg-preadv" in
+      expect_err "preadv(f, [3], -2)" Errno.EINVAL
+        (sys (Syscall.Preadv (f, [ 3 ], -2)));
+      expect_err "preadv(f, [-1], 0)" Errno.EINVAL
+        (sys (Syscall.Preadv (f, [ -1 ], 0))))
+
+let test_pwrite64_negative_offset () =
+  run_in_kernel (fun _ ->
+      let f = open_file "/tmp/neg-pwrite" in
+      expect_err "pwrite64(f, xy, -1)" Errno.EINVAL
+        (sys (Syscall.Pwrite64 (f, "xy", -1)));
+      Alcotest.(check string) "file untouched" "hello"
+        (expect_data "read" (sys (Syscall.Read (f, 8)))))
+
+let test_pwritev_negative_offset () =
+  run_in_kernel (fun _ ->
+      let f = open_file "/tmp/neg-pwritev" in
+      expect_err "pwritev(f, [x], -1)" Errno.EINVAL
+        (sys (Syscall.Pwritev (f, [ "x" ], -1)));
+      Alcotest.(check string) "file untouched" "hello"
+        (expect_data "read" (sys (Syscall.Read (f, 8)))))
+
+let test_sendfile_negative_count () =
+  run_in_kernel (fun _ ->
+      let f = open_file "/tmp/neg-sendfile" in
+      let a, b =
+        expect_pair "socketpair"
+          (sys (Syscall.Socketpair (Syscall.Af_unix, Syscall.Sock_stream)))
+      in
+      expect_err "sendfile(a, f, -1)" Errno.EINVAL
+        (sys (Syscall.Sendfile { out_fd = a; in_fd = f; count = -1 }));
+      Alcotest.(check int) "nothing sent" 0 (fionread b))
+
+let file_size fd =
+  match sys (Syscall.Fstat fd) with
+  | Syscall.Ok_stat s -> s.Syscall.st_size
+  | _ -> Alcotest.fail "fstat"
+
+let test_truncate_negative () =
+  run_in_kernel (fun _ ->
+      let f = open_file "/tmp/neg-truncate" in
+      expect_err "truncate(path, -1)" Errno.EINVAL
+        (sys (Syscall.Truncate ("/tmp/neg-truncate", -1)));
+      Alcotest.(check int) "size kept" 5 (file_size f))
+
+let test_ftruncate_negative () =
+  run_in_kernel (fun _ ->
+      let f = open_file "/tmp/neg-ftruncate" in
+      expect_err "ftruncate(f, -1)" Errno.EINVAL
+        (sys (Syscall.Ftruncate (f, -1)));
+      Alcotest.(check int) "size kept" 5 (file_size f))
+
+let test_getrandom_negative () =
+  run_in_kernel (fun _ ->
+      (* a huge request is a short read, capped like any large one *)
+      let d = expect_data "getrandom(-1)" (sys (Syscall.Getrandom (-1))) in
+      Alcotest.(check int) "short read" 4096 (String.length d))
+
+let test_recvfrom_negative_len () =
+  run_in_kernel (fun _ ->
+      let a, b =
+        expect_pair "socketpair"
+          (sys (Syscall.Socketpair (Syscall.Af_unix, Syscall.Sock_stream)))
+      in
+      ignore (expect_int "write" (sys (Syscall.Write (a, "abc"))));
+      Alcotest.(check string) "recvfrom(b, -1) reads the queue" "abc"
+        (expect_data "recvfrom" (sys (Syscall.Recvfrom (b, -1))));
+      Alcotest.(check int) "drained" 0 (fionread b))
+
+let test_recvmsg_negative_len () =
+  run_in_kernel (fun _ ->
+      let a, b =
+        expect_pair "socketpair"
+          (sys (Syscall.Socketpair (Syscall.Af_unix, Syscall.Sock_stream)))
+      in
+      ignore (expect_int "write" (sys (Syscall.Write (a, "abc"))));
+      settle ();
+      expect_err "recvmsg(b, -1)" Errno.EINVAL (sys (Syscall.Recvmsg (b, -1)));
+      Alcotest.(check int) "queue kept" 3 (fionread b))
+
 let tc = Alcotest.test_case
 
 let () =
@@ -537,6 +689,27 @@ let () =
           tc "shutdown(WR) -> peer EOF" `Quick test_shutdown_wr_gives_peer_eof;
           tc "EPIPE on closed peer" `Quick test_write_to_closed_socket;
           tc "poll timeout" `Quick test_poll_timeout;
+        ] );
+      ( "bad-args",
+        [
+          tc "read with a negative count" `Quick test_read_negative_count;
+          tc "readv with a negative length" `Quick test_readv_negative_len;
+          tc "pread64 with a negative offset or count" `Quick
+            test_pread64_negative;
+          tc "preadv with a negative offset or length" `Quick
+            test_preadv_negative;
+          tc "pwrite64 with a negative offset" `Quick
+            test_pwrite64_negative_offset;
+          tc "pwritev with a negative offset" `Quick
+            test_pwritev_negative_offset;
+          tc "sendfile with a negative count" `Quick
+            test_sendfile_negative_count;
+          tc "truncate to a negative size" `Quick test_truncate_negative;
+          tc "ftruncate to a negative size" `Quick test_ftruncate_negative;
+          tc "getrandom with a negative count" `Quick test_getrandom_negative;
+          tc "recvfrom with a negative length" `Quick
+            test_recvfrom_negative_len;
+          tc "recvmsg with a negative length" `Quick test_recvmsg_negative_len;
         ] );
       ( "vm",
         [

@@ -243,7 +243,7 @@ let test_rendezvous_watchdog ~nreplicas ~spinner () =
     else ignore (sys Syscall.Gettimeofday)
   in
   let h = Mvee.launch kernel config ~name:"watchdog" ~body in
-  Kernel.run ~until:(Vtime.s 7200) kernel;
+  Kernel.run kernel;
   match (Mvee.finish h).Mvee.verdict with
   | Some (Divergence.Rendezvous_timeout { missing; _ }) ->
     Alcotest.(check (list int))
