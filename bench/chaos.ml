@@ -81,8 +81,12 @@ let run ?(quick = false) ?domains () =
    with
   | [] -> ()
   | paths ->
-    Printf.printf "reproducer recordings (replay with `remon replay FILE`):\n";
-    List.iter (fun p -> Printf.printf "  %s\n" p) paths;
+    (* names relative to REMON_RECORD_DIR, so stdout does not depend on
+       where the directory lives *)
+    Printf.printf
+      "reproducer recordings in REMON_RECORD_DIR (replay with `remon replay \
+       DIR/FILE`):\n";
+    List.iter (fun p -> Printf.printf "  %s\n" (Filename.basename p)) paths;
     print_newline ());
   (* rolling restart under live traffic, no injected faults *)
   let rolling_cells =

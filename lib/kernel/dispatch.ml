@@ -120,52 +120,48 @@ let events_intersect (want : Syscall.poll_events) (have : Syscall.poll_events) =
 (* ------------------------------------------------------------------ *)
 (* Blocking *)
 
-(* Parks [th] until [poll] yields a value, a timeout fires, a signal
-   arrives (when [intr]), or someone force-completes the call. Exactly one
-   of [on_ready]/[complete] is eventually invoked. *)
-let block k (th : Proc.thread) ~what ?timeout_ns ?(intr = true)
+(* Parks [th] on the wait queue [on] (see [Sched.park]) until [poll] yields
+   a value, a timeout fires, a signal arrives (when [intr]), or someone
+   force-completes the call. Exactly one of [on_ready]/[complete] is
+   eventually invoked. A [poll] that yields [None] must have no effect,
+   and whatever can make it yield must wake [on]. *)
+let block k (th : Proc.thread) ~on ~what ?timeout_ns ?(intr = true)
     ~(poll : unit -> 'a option) ~(on_ready : 'a -> unit)
     ~(complete : Syscall.result -> unit) () =
   match poll () with
   | Some v -> on_ready v
   | None ->
-    let finished = ref false in
-    let b = Sched.park k.K.sched th ~what ~retry:(fun () -> false) in
+    let b = Sched.park k.K.sched th ~on ~what ~retry:(fun () -> false) in
+    (* Ends the wait, exactly once: the entry is [Done] from here on. *)
     let settle () =
-      finished := true;
-      (match b.Proc.timeout with Some h -> Sched.cancel k.K.sched h | None -> ());
+      Sched.unpark b;
+      (match b.Waitq.timeout with Some h -> Sched.cancel k.K.sched h | None -> ());
       th.Proc.clock <- Vtime.max th.Proc.clock (K.now k)
     in
-    let force result =
-      if not !finished then begin
-        settle ();
-        Sched.unpark k.K.sched th;
-        complete result
-      end
-    in
-    b.Proc.interrupt <- Some force;
-    b.Proc.retry <-
+    b.Waitq.interrupt <-
+      (fun result ->
+        if b.Waitq.state <> Waitq.Done then begin
+          settle ();
+          complete result
+        end);
+    b.Waitq.retry <-
       (fun () ->
-        if !finished then true
-        else
-          match th.Proc.tstate with
-          | Proc.Dead ->
-            finished := true;
+        match th.Proc.tstate with
+        | Proc.Dead -> true
+        | _ ->
+          if intr && next_deliverable (proc_of th) <> None then begin
+            settle ();
+            complete (err Errno.EINTR);
             true
-          | _ ->
-            if intr && next_deliverable (proc_of th) <> None then begin
+          end
+          else begin
+            match poll () with
+            | Some v ->
               settle ();
-              complete (err Errno.EINTR);
+              on_ready v;
               true
-            end
-            else begin
-              match poll () with
-              | Some v ->
-                settle ();
-                on_ready v;
-                true
-              | None -> false
-            end);
+            | None -> false
+          end);
     (match timeout_ns with
     | None -> ()
     | Some ns ->
@@ -173,23 +169,22 @@ let block k (th : Proc.thread) ~what ?timeout_ns ?(intr = true)
         Sched.schedule_at k.K.sched
           ~time:(Vtime.add (K.now k) ns)
           (fun () ->
-            if not !finished then begin
+            if b.Waitq.state <> Waitq.Done then begin
               match th.Proc.tstate with
               | Proc.Blocked b' when b' == b ->
                 settle ();
-                Sched.unpark k.K.sched th;
                 complete (err Errno.ETIMEDOUT)
               | _ -> ()
             end)
       in
-      b.Proc.timeout <- Some handle)
+      b.Waitq.timeout <- Some handle)
 
 (* The blocking idiom of calls on a descriptor: where a blocking one parks
-   until [poll] yields, a nonblocking one fails with EAGAIN. *)
-let park_or_eagain k th (d : Proc.desc) ~what ~poll ~on_ready ~ret =
+   on [on] until [poll] yields, a nonblocking one fails with EAGAIN. *)
+let park_or_eagain k th (d : Proc.desc) ~on ~what ~poll ~on_ready ~ret =
   if d.nonblock then
     match poll () with Some v -> on_ready v | None -> ret (err Errno.EAGAIN)
-  else block k th ~what ~poll ~on_ready ~complete:ret ()
+  else block k th ~on ~what ~poll ~on_ready ~complete:ret ()
 
 (* Readiness waits (select, poll, epoll_wait): [poll] yields [None] while
    nothing is ready. A zero timeout polls once; an expired one reports an
@@ -199,7 +194,7 @@ let wait_ready k th ~what ~timeout_ns ~poll ~(ready : 'a list -> Syscall.result)
   if timeout_ns = Some 0 then
     ret (ready (match poll () with Some l -> l | None -> []))
   else
-    block k th ~what ?timeout_ns ~poll
+    block k th ~on:Waitq.global ~what ?timeout_ns ~poll
       ~on_ready:(fun l -> ret (ready l))
       ~complete:(fun r ->
         if r = err Errno.ETIMEDOUT then ret (ready []) else ret r)
@@ -267,6 +262,7 @@ let rec post_signal k (p : Proc.process) sg =
     (match signal_action p sg with
     | Syscall.Sig_ignore when Sigdefs.catchable sg -> ()
     | _ -> Queue.push sg p.pending_signals);
+    Sched.wake_process k.K.sched p;
     if sg = Sigdefs.sigkill then kill_process k p ~code:(128 + sg);
     Sched.kick k.K.sched
   end
@@ -280,11 +276,11 @@ and kill_process k (p : Proc.process) ~code =
     Vec.iter
       (fun (t : Proc.thread) ->
         (match t.tstate with
-        | Proc.Blocked b -> (
-          match b.timeout with Some h -> Sched.cancel k.K.sched h | None -> ())
+        | Proc.Blocked b ->
+          (match b.timeout with Some h -> Sched.cancel k.K.sched h | None -> ());
+          Sched.unpark b
         | _ -> ());
-        t.tstate <- Proc.Dead;
-        Sched.unpark k.K.sched t)
+        t.tstate <- Proc.Dead)
       p.threads;
     release_all_fds k p;
     let waiters = p.exit_waiters in
@@ -359,8 +355,8 @@ let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.resu
         else if Pipe.write_closed pi then Some ""
         else None
       in
-      park_or_eagain k th d ~what:"read(pipe)" ~poll:attempt ~on_ready:data_done
-        ~ret
+      park_or_eagain k th d ~on:Waitq.global ~what:"read(pipe)" ~poll:attempt
+        ~on_ready:data_done ~ret
     | Proc.Pipe_write _ -> ret (err Errno.EBADF)
     | Proc.Stream s ->
       let attempt () =
@@ -378,8 +374,8 @@ let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.resu
         else if stream_eof s then Some ""
         else None
       in
-      park_or_eagain k th d ~what:"read(socket)" ~poll:attempt
-        ~on_ready:data_done ~ret
+      park_or_eagain k th d ~on:(Net.waitq s) ~what:"read(socket)"
+        ~poll:attempt ~on_ready:data_done ~ret
     | Proc.Timer_fd tf ->
       let attempt () =
         let avail = timer_available tf (K.now k) in
@@ -389,8 +385,8 @@ let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.resu
         end
         else None
       in
-      park_or_eagain k th d ~what:"read(timerfd)" ~poll:attempt ~on_ready:ret
-        ~ret
+      park_or_eagain k th d ~on:Waitq.global ~what:"read(timerfd)"
+        ~poll:attempt ~on_ready:ret ~ret
     | Proc.Event_fd e ->
       (* eventfd semantics: read returns the counter and resets it,
          blocking while it is zero *)
@@ -403,8 +399,8 @@ let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.resu
         end
         else None
       in
-      park_or_eagain k th d ~what:"read(eventfd)" ~poll:attempt ~on_ready:ret
-        ~ret
+      park_or_eagain k th d ~on:Waitq.global ~what:"read(eventfd)"
+        ~poll:attempt ~on_ready:ret ~ret
     | Proc.Listener _ | Proc.Epoll_fd _ -> ret (err Errno.EINVAL)
     | Proc.Replicated_handle _ ->
       (* A slave replica's stub descriptor reached the kernel: under a
@@ -444,8 +440,8 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
             end
             else None
         in
-        park_or_eagain k th d ~what:"write(pipe)" ~poll:attempt ~on_ready:ret
-          ~ret
+        park_or_eagain k th d ~on:Waitq.global ~what:"write(pipe)"
+          ~poll:attempt ~on_ready:ret ~ret
       end
     | Proc.Stream s ->
       (* Bounded socket buffers: each send accepts at most the peer's free
@@ -489,7 +485,7 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
               if offset > 0 then ret (Syscall.Ok_int offset)
               else ret (err Errno.EAGAIN)
             else
-              block k th ~what:"write(socket)"
+              block k th ~on:(Net.send_waitq s) ~what:"write(socket)"
                 ~poll:(fun () ->
                   if Net.peer_gone s || Net.wr_shut s then Some ()
                   else if Net.send_space s > 0 then Some ()
@@ -512,23 +508,32 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
     | Proc.Replicated_handle _ -> ret (err Errno.EREMOTEIO)
 
 (* Positional I/O (pread64/preadv, pwrite64/pwritev): regular files only,
-   and the descriptor offset does not move. The caller has rejected a
-   negative offset; a negative count fails like [do_read]'s. *)
-and pread (d : Proc.desc) ~offset ~count ~ret =
+   and the descriptor offset does not move. Linux checks in this order: a
+   negative offset (EINVAL, rejected by the caller), a descriptor without
+   positional I/O (ESPIPE), the access mode (EBADF), then the count, where
+   [bad_count] is the answer to a bad one (EFAULT for pread64's size_t,
+   EINVAL for an iovec length). *)
+and pread (d : Proc.desc) ~offset ~count ~bad_count ~ret =
   match d.kind with
-  | Proc.Regular _ when count < 0 -> ret (err Errno.EFAULT)
   | Proc.Regular node -> (
-    match Vfs.read_at node ~offset ~count with
-    | Ok s -> ret (Syscall.Ok_data s)
-    | Error e -> ret (err e))
+    if not d.can_read then ret (err Errno.EBADF)
+    else
+      match bad_count with
+      | Some e -> ret (err e)
+      | None -> (
+        match Vfs.read_at node ~offset ~count with
+        | Ok s -> ret (Syscall.Ok_data s)
+        | Error e -> ret (err e)))
   | _ -> ret (err Errno.ESPIPE)
 
 and pwrite k (d : Proc.desc) ~offset ~data ~ret =
   match d.kind with
   | Proc.Regular node -> (
-    match Vfs.write_at node ~offset ~data ~now_ns:(K.now k) with
-    | Ok n -> ret (Syscall.Ok_int n)
-    | Error e -> ret (err e))
+    if not d.can_write then ret (err Errno.EBADF)
+    else
+      match Vfs.write_at node ~offset ~data ~now_ns:(K.now k) with
+      | Ok n -> ret (Syscall.Ok_int n)
+      | Error e -> ret (err e))
   | _ -> ret (err Errno.ESPIPE)
 
 (* Builds the stat result for a node-backed or anonymous descriptor. *)
@@ -567,11 +572,11 @@ let exit_current k (th : Proc.thread) ~code ~group =
         (fun (t : Proc.thread) ->
           if t != th then begin
             (match t.tstate with
-            | Proc.Blocked b -> (
-              match b.timeout with Some h -> Sched.cancel k.K.sched h | None -> ())
+            | Proc.Blocked b ->
+              (match b.timeout with Some h -> Sched.cancel k.K.sched h | None -> ());
+              Sched.unpark b
             | _ -> ());
             t.tstate <- Proc.Dead;
-            Sched.unpark k.K.sched t;
             k.K.sched.Sched.on_thread_exit t
           end)
         p.threads
@@ -579,7 +584,6 @@ let exit_current k (th : Proc.thread) ~code ~group =
     else if Vec.for_all (fun (t : Proc.thread) -> t == th || t.tstate = Proc.Dead) p.threads
     then p.exit_code <- code;
     th.tstate <- Proc.Dead;
-    Sched.unpark k.K.sched th;
     k.K.sched.Sched.on_thread_exit th
   in
   match p.tracer with
@@ -626,7 +630,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Uname -> ret (Syscall.Ok_str "Linux remon-sim 3.13.11 x86_64")
   | Syscall.Sched_yield -> ret (Syscall.Ok_int 0)
   | Syscall.Nanosleep ns ->
-    block k th ~what:"nanosleep" ~timeout_ns:ns
+    block k th ~on:Waitq.none ~what:"nanosleep" ~timeout_ns:ns
       ~poll:(fun () -> None)
       ~on_ready:(fun (r : Syscall.result) -> ret r)
       ~complete:(fun r ->
@@ -641,7 +645,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
       let q = K.futex_queue k key in
       let w = { K.ft = th; woken = false; cancelled = false } in
       Queue.push w q;
-      block k th ~what:"futex_wait" ?timeout_ns
+      block k th ~on:Waitq.global ~what:"futex_wait" ?timeout_ns
         ~poll:(fun () -> if w.K.woken then Some () else None)
         ~on_ready:(fun () -> ret (Syscall.Ok_int 0))
         ~complete:(fun r ->
@@ -869,11 +873,15 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
         if d.can_read && negative_len lens then ret (err Errno.EINVAL)
         else do_read k th d ~count:(List.fold_left ( + ) 0 lens) ~ret)
   | Syscall.Pread64 (fd, count, offset) ->
-    with_fd fd (fun d -> pread d ~offset ~count ~ret)
+    with_fd fd (fun d ->
+        pread d ~offset ~count
+          ~bad_count:(if count < 0 then Some Errno.EFAULT else None)
+          ~ret)
   | Syscall.Preadv (fd, lens, offset) ->
     with_fd fd (fun d ->
-        if negative_len lens then ret (err Errno.EINVAL)
-        else pread d ~offset ~count:(List.fold_left ( + ) 0 lens) ~ret)
+        pread d ~offset ~count:(List.fold_left ( + ) 0 lens)
+          ~bad_count:(if negative_len lens then Some Errno.EINVAL else None)
+          ~ret)
   | Syscall.Select { readfds; writefds; timeout_ns }
   | Syscall.Pselect6 { readfds; writefds; timeout_ns } ->
     let fds =
@@ -899,6 +907,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Sendfile { out_fd; in_fd; count } ->
     with_fd in_fd (fun din ->
         match din.kind with
+        | _ when not din.can_read -> ret (err Errno.EBADF)
         | Proc.Regular _ when count < 0 -> ret (err Errno.EINVAL)
         | Proc.Regular node -> (
           match Vfs.read_at node ~offset:din.offset ~count with
@@ -1000,8 +1009,8 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
             Sched.kick k.K.sched;
             ret (Syscall.Ok_accept { conn_fd; peer_port = Net.peer_port s })
           in
-          park_or_eagain k th d ~what:"accept" ~poll:attempt ~on_ready:deliver
-            ~ret
+          park_or_eagain k th d ~on:l.Net.wq ~what:"accept" ~poll:attempt
+            ~on_ready:deliver ~ret
         | _ -> ret (err Errno.EINVAL))
   | Syscall.Connect (fd, port) ->
     with_fd fd (fun d ->
@@ -1024,7 +1033,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
               d.kind <- Proc.Stream client;
               if d.nonblock then ret (err Errno.EINPROGRESS)
               else
-                block k th ~what:"connect(remote)"
+                block k th ~on:Waitq.global ~what:"connect(remote)"
                   ~poll:(fun () ->
                     match !progress with
                     | Hostnet.Connecting -> None
@@ -1036,7 +1045,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
                   ~complete:ret ()
             | _ ->
               (* RST arrives one round trip later *)
-              block k th ~what:"connect(refused)"
+              block k th ~on:Waitq.none ~what:"connect(refused)"
                 ~timeout_ns:(Vtime.scale k.K.net.Net.latency 2.)
                 ~poll:(fun () -> None)
                 ~on_ready:(fun (r : Syscall.result) -> ret r)
@@ -1072,7 +1081,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
                 Sched.kick k.K.sched);
             if d.nonblock then ret (err Errno.EINPROGRESS)
             else
-              block k th ~what:"connect"
+              block k th ~on:Waitq.none ~what:"connect"
                 ~timeout_ns:(Vtime.scale latency 2.)
                 ~poll:(fun () -> None)
                 ~on_ready:(fun (r : Syscall.result) -> ret r)
@@ -1367,7 +1376,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
     in
     if not (has_children ()) then ret (err Errno.ECHILD)
     else
-      block k th ~what:"wait4" ~poll:find_dead
+      block k th ~on:Waitq.global ~what:"wait4" ~poll:find_dead
         ~on_ready:(fun child ->
           child.Proc.reaped <- true;
           ret (Syscall.Ok_int child.Proc.pid))
@@ -1391,12 +1400,13 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
     | Syscall.Sig_block -> p.sig_mask <- Proc.IntSet.union p.sig_mask set
     | Syscall.Sig_unblock -> p.sig_mask <- Proc.IntSet.diff p.sig_mask set
     | Syscall.Sig_setmask -> p.sig_mask <- set);
+    Sched.wake_process k.K.sched p;
     Sched.kick k.K.sched;
     ret (Syscall.Ok_int 0)
   | Syscall.Rt_sigreturn -> ret Syscall.Ok_unit
   | Syscall.Sigaltstack -> ret (Syscall.Ok_int 0)
   | Syscall.Pause ->
-    block k th ~what:"pause"
+    block k th ~on:Waitq.none ~what:"pause"
       ~poll:(fun () -> None)
       ~on_ready:(fun (r : Syscall.result) -> ret r)
       ~complete:ret ()
@@ -1458,7 +1468,8 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
               | Some holder when holder = p.pid -> Some (Syscall.Ok_int 0)
               | Some _ -> None
             in
-            park_or_eagain k th d ~what:"flock" ~poll:attempt ~on_ready:ret ~ret)
+            park_or_eagain k th d ~on:Waitq.global ~what:"flock" ~poll:attempt
+              ~on_ready:ret ~ret)
         | _ -> ret (err Errno.EBADF))
   (* ---- hard and symbolic links ---- *)
   | Syscall.Link (target, path) | Syscall.Linkat (target, path) -> (
@@ -1810,7 +1821,8 @@ let handle k (th : Proc.thread) call ~return =
         (* stall the arrival: the rendezvous watchdog can observe it *)
         trace_route k th call "fault:delay";
         obs_instant k th ~cat:"fault" ~name:"delay" [ ("ns", Tr.Int ns) ];
-        block k th ~what:"fault: injected stall" ~timeout_ns:ns ~intr:false
+        block k th ~on:Waitq.global ~what:"fault: injected stall" ~timeout_ns:ns
+          ~intr:false
           ~poll:(fun () -> (None : unit option))
           ~on_ready:(fun () -> ())
           ~complete:(fun (_ : Syscall.result) ->
@@ -1825,8 +1837,8 @@ let handle k (th : Proc.thread) call ~return =
 let interrupt_blocked k (th : Proc.thread) result =
   ignore k;
   match th.tstate with
-  | Proc.Blocked ({ interrupt = Some force; _ } : Proc.blocked) ->
-    force result;
+  | Proc.Blocked b when b.Waitq.interrupt != Waitq.no_interrupt ->
+    b.Waitq.interrupt result;
     true
   | _ -> false
 

@@ -50,5 +50,6 @@ type t =
   | ETIME
   | EREMOTEIO
   | EKEYREJECTED (* used by IK-B when an authorization token fails to verify *)
+  | EFBIG
 
 val to_string : t -> string

@@ -125,7 +125,7 @@ let execute_raw (k : t) th call ~ret = Dispatch.execute_raw k th call ~ret
    the thread parks again until [poll] does. *)
 let rec wait_until (k : t) th ~what ~(poll : unit -> 'a option)
     ~(on_ready : 'a -> unit) =
-  Dispatch.block k th ~what ~intr:false ~poll ~on_ready
+  Dispatch.block k th ~on:Waitq.global ~what ~intr:false ~poll ~on_ready
     ~complete:(fun _ -> wait_until k th ~what ~poll ~on_ready)
     ()
 

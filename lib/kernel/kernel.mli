@@ -104,12 +104,13 @@ val wait_until :
   on_ready:('a -> unit) ->
   unit
 (** Park a thread until [poll] succeeds; for monitor-internal waits (IP-MON
-    slaves waiting on the replication buffer). A forced wake
-    ({!interrupt_blocked}) re-parks the thread instead of completing the
-    wait. *)
+    slaves waiting on the replication buffer). These waits are retried by
+    every {!kick}. A forced wake ({!interrupt_blocked}) re-parks the thread
+    instead of completing the wait. *)
 
 val kick : t -> unit
-(** Re-run all parked retries; call after mutating shared state. *)
+(** Schedules a retry sweep; call after mutating shared state that a
+    {!wait_until} poll reads. *)
 
 val schedule : t -> time:Vtime.t -> (unit -> unit) -> unit
 

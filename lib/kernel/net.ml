@@ -13,11 +13,22 @@
 
    Memory layout: million-connection worlds mean millions of stream
    endpoints, most of them idle at any instant, so the stream record is
-   kept flat — six fields (a 7-word block, 56 bytes on 64-bit) with the
+   kept flat — seven fields (an 8-word block, 64 bytes on 64-bit) with the
    boolean flags and both ports packed into one int, the buffer caps into a
    second, and the in-flight/high-water counters into a third. The receive
    queue is allocated lazily on the first byte committed: an endpoint that
-   never receives (or has not received yet) carries no [Bytestream.t]. *)
+   never receives (or has not received yet) carries no [Bytestream.t].
+   Likewise the wait queue is allocated on the first call that could block
+   on the endpoint.
+
+   Wake-ups: a thread blocked reading an endpoint waits on that endpoint's
+   queue, and one blocked writing waits on the queue of the endpoint it
+   writes into (the peer), as AF_UNIX writers wait on their peer's
+   [peer_wait]. Each queue therefore collects the threads that wait for
+   something to happen to one receive buffer, and every function here that
+   changes a buffer or tears a connection down wakes that buffer's
+   endpoint. A request/response exchange wakes nobody but the reader the
+   response is for. *)
 
 (* Default per-direction buffer capacity; mirrors Linux's default
    net.core.{r,w}mem_default of 212992 bytes. *)
@@ -59,6 +70,7 @@ type stream = {
   mutable incoming : Bytestream.t option; (* committed, readable data; lazy *)
   mutable peer : stream option; (* None once the peer endpoint is closed *)
   mutable tag : int; (* gateway connection id, -1 when unset *)
+  mutable wq : Waitq.t; (* threads blocked on this endpoint; lazy *)
 }
 
 type listener = {
@@ -66,6 +78,7 @@ type listener = {
   backlog : int;
   pending : stream Queue.t; (* server-side endpoints awaiting accept *)
   mutable closed : bool;
+  wq : Waitq.t; (* threads blocked in accept *)
 }
 
 type t = {
@@ -88,8 +101,6 @@ let create ?(latency = Remon_sim.Vtime.us 50) ?(bufcap = default_bufcap) () =
 
 let rd_shut s = s.flags land f_rd_shut <> 0
 let wr_shut s = s.flags land f_wr_shut <> 0
-let shutdown_rd s = s.flags <- s.flags lor f_rd_shut
-let shutdown_wr s = s.flags <- s.flags lor f_wr_shut
 let connected s = s.flags land f_connected <> 0
 let set_connected s = s.flags <- s.flags lor f_connected
 let is_local s = s.flags land f_local <> 0
@@ -122,6 +133,23 @@ let set_hwm s v = s.counts <- s.counts land mask31 lor (v lsl 31)
 let tag s = s.tag
 let set_tag s v = s.tag <- v
 
+let waitq (s : stream) =
+  if s.wq == Waitq.none then s.wq <- Waitq.create ();
+  s.wq
+
+let send_waitq (s : stream) =
+  match s.peer with Some p -> waitq p | None -> Waitq.none
+
+let shutdown_rd (s : stream) =
+  s.flags <- s.flags lor f_rd_shut;
+  Waitq.wake s.wq
+
+(* Our writers fail with EPIPE from now on and the peer's readers reach
+   EOF: both wait on the peer's queue. *)
+let shutdown_wr (s : stream) =
+  s.flags <- s.flags lor f_wr_shut;
+  match s.peer with Some p -> Waitq.wake p.wq | None -> ()
+
 let incoming_length s =
   match s.incoming with None -> 0 | Some b -> Bytestream.length b
 
@@ -146,12 +174,21 @@ let fresh_stream t =
     incoming = None;
     peer = None;
     tag = -1;
+    wq = Waitq.none;
   }
 
 let listen t ~port ~backlog =
   if Hashtbl.mem t.listeners port then Error Errno.EADDRINUSE
   else begin
-    let l = { port; backlog; pending = Queue.create (); closed = false } in
+    let l =
+      {
+        port;
+        backlog;
+        pending = Queue.create ();
+        closed = false;
+        wq = Waitq.create ();
+      }
+    in
     Hashtbl.replace t.listeners port l;
     Ok l
   end
@@ -175,6 +212,7 @@ let try_enqueue l stream =
   if l.closed || backlog_full l then false
   else begin
     Queue.push stream l.pending;
+    Waitq.wake l.wq;
     true
   end
 
@@ -211,7 +249,8 @@ let set_sndbuf stream v =
    drains; already-accepted bytes are never dropped. *)
 let set_rcvbuf stream v =
   stream.bufs <-
-    pack_bufs ~sndbuf:(sndbuf stream) ~rcvbuf:(min mask31 (max min_bufcap v))
+    pack_bufs ~sndbuf:(sndbuf stream) ~rcvbuf:(min mask31 (max min_bufcap v));
+  Waitq.wake stream.wq
 
 (* Room the sender may still fill towards [stream]'s peer. *)
 let send_space stream =
@@ -241,16 +280,20 @@ let send_start stream data =
    committed queue — the cap cannot be exceeded here. *)
 let commit stream data =
   set_in_flight stream (in_flight stream - String.length data);
-  Bytestream.push (get_incoming stream) data
+  Bytestream.push (get_incoming stream) data;
+  Waitq.wake stream.wq
 
 let peer_gone stream = stream.peer = None
 
-(* Draining the committed queue frees receive-buffer space; the dispatcher
-   kicks the scheduler afterwards so blocked senders retry. *)
+(* Draining the committed queue frees receive-buffer space: blocked
+   senders into [stream] may resume. *)
 let recv stream count =
   match stream.incoming with
   | None -> ""
-  | Some b -> Bytestream.pull b count
+  | Some b ->
+    let data = Bytestream.pull b count in
+    Waitq.wake stream.wq;
+    data
 
 (* Receiver side of a cross-host link: the per-connection credit window
    reserved the space end-to-end, so arriving bytes go straight into the
@@ -258,12 +301,18 @@ let recv stream count =
 let commit_inbound stream data =
   Bytestream.push (get_incoming stream) data;
   let b = buffered stream in
-  if b > buffered_hwm stream then set_hwm stream b
+  if b > buffered_hwm stream then set_hwm stream b;
+  Waitq.wake stream.wq
 
 let peer stream = stream.peer
 
 (* Endpoint close: detach from peer so the peer observes EOF / EPIPE. *)
 let close_stream stream =
-  (match stream.peer with Some p -> p.peer <- None | None -> ());
+  (match stream.peer with
+  | Some p ->
+    p.peer <- None;
+    Waitq.wake p.wq
+  | None -> ());
   stream.peer <- None;
-  stream.flags <- stream.flags lor f_rd_shut lor f_wr_shut
+  stream.flags <- stream.flags lor f_rd_shut lor f_wr_shut;
+  Waitq.wake stream.wq

@@ -8,11 +8,14 @@
     backpressure — partial writes, EAGAIN, or blocking — at the same
     boundary a Linux socket would.
 
-    The stream type is abstract and memory-flat: six fields (one 7-word
-    block, 56 bytes) with flags and ports packed into ints and the receive
-    queue allocated lazily, so a million idle connections cost tens of
-    bytes each rather than a pointer-rich record apiece. Streams are never
-    recycled: a closed endpoint is left to the GC. *)
+    The stream type is abstract and memory-flat: seven fields (one 8-word
+    block, 64 bytes) with flags and ports packed into ints and the receive
+    queue and wait queue allocated lazily, so a million idle connections
+    cost tens of bytes each rather than a pointer-rich record apiece.
+    Streams are never recycled: a closed endpoint is left to the GC.
+
+    Every mutator below that can unblock a [read], [write] or [accept]
+    wakes the wait queue of the endpoint or listener concerned. *)
 
 val default_bufcap : int
 (** Default per-direction buffer cap (Linux's 212992-byte default). *)
@@ -35,6 +38,7 @@ type listener = {
   backlog : int;
   pending : stream Queue.t;
   mutable closed : bool;
+  wq : Waitq.t;  (** threads blocked in accept; woken by {!try_enqueue} *)
 }
 
 type t = {
@@ -46,6 +50,15 @@ type t = {
 
 val create : ?latency:Remon_sim.Vtime.t -> ?bufcap:int -> unit -> t
 val fresh_stream : t -> stream
+
+val waitq : stream -> Waitq.t
+(** The endpoint's wait queue, allocated on first use: its readers park
+    here, and so do the peer's writers, who wait for room in this
+    endpoint's receive buffer. *)
+
+val send_waitq : stream -> Waitq.t
+(** Where a writer on this endpoint parks: the peer's queue, or
+    {!Waitq.none} once the peer is gone (a write then never blocks). *)
 
 (** {1 Stream accessors} *)
 

@@ -91,21 +91,9 @@ type fault_decision =
 
 type thread_state =
   | Ready (* a scheduled event will run or resume it *)
-  | Blocked of blocked
+  | Blocked of Waitq.entry (* parked: on a wait queue or the global sweep *)
   | Trace_stopped of { reason : stop_reason; resume : resume_action -> unit }
   | Dead
-
-and blocked = {
-  mutable retry : unit -> bool;
-      (* re-attempt the pending operation; true = unblocked (the retry has
-         scheduled the thread's resumption itself) *)
-  mutable timeout : Event_queue.handle option;
-  mutable interrupt : (Syscall.result -> unit) option;
-      (* forcibly complete the blocked call with the given result; used by
-         signal delivery (EINTR) and by GHUMVEE when it aborts a blocked
-         master call (Section 3.8) *)
-  what : string; (* human-readable reason, for deadlock reports *)
-}
 
 type process = {
   pid : int;

@@ -7,10 +7,21 @@
    run "in parallel" on the simulated machine while the host execution stays
    single-threaded and deterministic.
 
-   Blocking model: a blocked thread is parked with a [retry] thunk. Any
-   state mutation calls [kick], which re-runs all parked retries at the
-   current virtual time (cheap at simulation scale, and deterministic:
-   retries run in park order).
+   Blocking model: a blocked thread parks one [Waitq.entry] holding a
+   [retry] thunk, on the wait queue of the object it waits for or, for
+   kinds without one yet, on the global sweep ([Waitq] says which). A
+   state mutation calls [kick], which schedules one retry sweep at the
+   current virtual time. The sweep merges the global entries (an array in
+   park order) with the run queue of woken entries (a heap on the same
+   park order), so it retries every global entry and every entry woken
+   since its last retry, in park order; [Waitq] states when an entry
+   woken during a sweep joins it. A failed retry has no effect, so
+   skipping one that cannot succeed changes nothing.
+
+   Checking mode (tests only, see [set_wakeup_check]): after every sweep,
+   each parked entry that was not woken is retried too; a success there is
+   a state change that forgot to wake its queue, reported as
+   [Lost_wakeup].
 
    Hot-path discipline: a suspended thread has exactly one pending
    continuation at any instant, so the continuation and its resume value
@@ -32,6 +43,7 @@ type _ Effect.t +=
          replication agents that synchronize through shared memory *)
 
 exception Thread_killed
+exception Lost_wakeup of string
 
 type t = {
   events : (unit -> unit) Event_queue.t;
@@ -40,14 +52,93 @@ type t = {
   mutable syscall_handler :
     Proc.thread -> Syscall.call -> return:(Syscall.result -> unit) -> unit;
   mutable on_thread_exit : Proc.thread -> unit;
-  mutable blocked : Proc.thread list; (* park order *)
+  mutable swept : Waitq.entry array; (* global entries, park order *)
+  mutable nswept : int;
+  runq : Waitq.runq; (* woken entries *)
+  mutable next_seq : int; (* park sequence numbers *)
   mutable kick_scheduled : bool;
   mutable kick_thunk : unit -> unit; (* preallocated retry sweep *)
   mutable events_processed : int;
+  mutable retries : int; (* retries run by sweeps *)
+  mutable retries_ok : int; (* ... of which unblocked their thread *)
   mutable max_events : int; (* runaway-simulation guard *)
+  checking : bool; (* lost-wakeup oracle on *)
+  mutable watched : Waitq.entry list; (* checking mode: queued entries *)
 }
 
 let nop () = ()
+
+(* Test-only: schedulers created while this is set run the lost-wakeup
+   oracle after every sweep. *)
+let wakeup_check = Atomic.make false
+let set_wakeup_check on = Atomic.set wakeup_check on
+
+let retry t (b : Waitq.entry) =
+  t.retries <- t.retries + 1;
+  if b.Waitq.retry () then begin
+    t.retries_ok <- t.retries_ok + 1;
+    Waitq.unlink b;
+    b.Waitq.state <- Waitq.Done;
+    true
+  end
+  else false
+
+(* The oracle: retry every queued entry that was not woken. *)
+let check_wakeups t =
+  t.watched <- List.filter (fun b -> b.Waitq.state <> Waitq.Done) t.watched;
+  List.iter
+    (fun (b : Waitq.entry) ->
+      if b.Waitq.state = Waitq.Waiting && b.Waitq.retry () then
+        raise
+          (Lost_wakeup
+             (Printf.sprintf "%s (park #%d) unblocked without a wake-up"
+                b.Waitq.what b.Waitq.seq)))
+    (List.rev t.watched)
+
+(* Merges the global entries [swept.(0..n-1)] with the run queue, both in
+   park order. Global survivors are compacted in place; entries parked
+   during the sweep were appended past [n]. *)
+let sweep_entries t rq =
+  let n = t.nswept in
+  Waitq.begin_sweep rq ~limit:t.next_seq;
+  let i = ref 0 and w = ref 0 and go = ref true in
+  while !go do
+    let gseq = if !i < n then t.swept.(!i).Waitq.seq else max_int in
+    let wseq = Waitq.min_seq rq in
+    if gseq < wseq then begin
+      let b = t.swept.(!i) in
+      incr i;
+      rq.Waitq.cursor <- gseq;
+      if b.Waitq.state = Waitq.Swept && not (retry t b) then begin
+        t.swept.(!w) <- b;
+        incr w
+      end
+    end
+    else if wseq < max_int then begin
+      let b = Waitq.pop rq in
+      rq.Waitq.cursor <- wseq;
+      if b.Waitq.state = Waitq.Woken then begin
+        b.Waitq.state <- Waitq.Waiting;
+        ignore (retry t b)
+      end
+    end
+    else go := false
+  done;
+  let added = t.nswept - n in
+  if !w < n then begin
+    Array.blit t.swept n t.swept !w added;
+    Array.fill t.swept (!w + added) (n - !w) Waitq.nil
+  end;
+  t.nswept <- !w + added;
+  Waitq.end_sweep rq
+
+(* One retry sweep; with nothing parked globally and nothing woken it
+   touches nothing. *)
+let sweep t =
+  t.kick_scheduled <- false;
+  let rq = t.runq in
+  if t.nswept > 0 || rq.Waitq.size > 0 then sweep_entries t rq;
+  if t.checking then check_wakeups t
 
 let create () =
   let t =
@@ -58,30 +149,21 @@ let create () =
       syscall_handler =
         (fun _ _ ~return:_ -> failwith "Sched: no syscall handler installed");
       on_thread_exit = (fun _ -> ());
-      blocked = [];
+      swept = Array.make 16 Waitq.nil;
+      nswept = 0;
+      runq = Waitq.create_runq ();
+      next_seq = 0;
       kick_scheduled = false;
       kick_thunk = nop;
       events_processed = 0;
+      retries = 0;
+      retries_ok = 0;
       max_events = 200_000_000;
+      checking = Atomic.get wakeup_check;
+      watched = [];
     }
   in
-  t.kick_thunk <-
-    (fun () ->
-      t.kick_scheduled <- false;
-      (* Retries may park threads again (or park new ones): run them
-         against a snapshot with the live list emptied, then merge the
-         survivors back with whatever was parked meanwhile. *)
-      let snapshot = t.blocked in
-      t.blocked <- [];
-      let still =
-        List.filter
-          (fun th ->
-            match th.Proc.tstate with
-            | Proc.Blocked b -> not (b.Proc.retry ())
-            | Proc.Ready | Proc.Trace_stopped _ | Proc.Dead -> false)
-          snapshot
-      in
-      t.blocked <- still @ t.blocked);
+  t.kick_thunk <- (fun () -> sweep t);
   t
 
 let now t = t.now
@@ -151,10 +233,34 @@ let schedule_unit_resume t th (k : (unit, unit) Effect.Deep.continuation) =
   th.Proc.resume_kind <- 2;
   schedule t ~time:th.Proc.clock th.Proc.resume_thunk
 
-let park t th ~what ~(retry : unit -> bool) =
-  let b = { Proc.retry; timeout = None; interrupt = None; what } in
+(* Parks [th] on the wait queue [on]: [Waitq.global] for the global sweep,
+   [Waitq.none] for a wait only a signal (see [wake_process]) or a timeout
+   ends. *)
+let park t th ~(on : Waitq.t) ~what ~(retry : unit -> bool) =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let b =
+    Waitq.entry ~what ~seq
+      ~state:(if on == Waitq.global then Waitq.Swept else Waitq.Waiting)
+  in
+  b.Waitq.retry <- retry;
   th.Proc.tstate <- Proc.Blocked b;
-  t.blocked <- t.blocked @ [ th ];
+  if on == Waitq.global then begin
+    if t.nswept = Array.length t.swept then begin
+      let bigger = Array.make (2 * t.nswept) Waitq.nil in
+      Array.blit t.swept 0 bigger 0 t.nswept;
+      t.swept <- bigger
+    end;
+    t.swept.(t.nswept) <- b;
+    t.nswept <- t.nswept + 1
+  end
+  else begin
+    if on != Waitq.none then begin
+      if on.Waitq.runq != t.runq then on.Waitq.runq <- t.runq;
+      Waitq.link on b
+    end;
+    if t.checking then t.watched <- b :: t.watched
+  end;
   b
 
 let run_thread_body t (th : Proc.thread) (body : unit -> unit) =
@@ -194,9 +300,10 @@ let run_thread_body t (th : Proc.thread) (body : unit -> unit) =
                 if cond () then continue k ()
                 else begin
                   let b =
-                    park t th ~what:"user-space wait" ~retry:(fun () -> false)
+                    park t th ~on:Waitq.global ~what:"user-space wait"
+                      ~retry:(fun () -> false)
                   in
-                  b.Proc.retry <-
+                  b.Waitq.retry <-
                     (fun () ->
                       match th.Proc.tstate with
                       | Proc.Dead -> true
@@ -229,9 +336,21 @@ let kick t =
     schedule t ~time:t.now t.kick_thunk
   end
 
-(* Removes a thread from the park list without retrying (used when a tracer
-   or a kill transitions it out of Blocked directly). *)
-let unpark t th = t.blocked <- List.filter (fun th' -> th' != th) t.blocked
+(* Takes a parked entry out of every sweep without retrying it (a timeout,
+   a forced completion or a kill ends the wait). O(1): a global entry is
+   dropped by the next sweep. *)
+let unpark (b : Waitq.entry) =
+  Waitq.unlink b;
+  b.Waitq.state <- Waitq.Done
+
+(* A signal or a signal-mask change can end any interruptible wait of the
+   process. *)
+let wake_process t (p : Proc.process) =
+  for i = 0 to Remon_util.Vec.length p.Proc.threads - 1 do
+    match (Remon_util.Vec.get p.Proc.threads i).Proc.tstate with
+    | Proc.Blocked b -> Waitq.wake_entry t.runq b
+    | Proc.Ready | Proc.Trace_stopped _ | Proc.Dead -> ()
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Main loop *)

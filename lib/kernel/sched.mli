@@ -1,7 +1,9 @@
 (** Discrete-event cooperative scheduler. Simulated threads are OCaml 5
     effect-handler coroutines; the kernel decides when (in virtual time)
-    each one resumes. Blocked threads are parked with retry thunks that
-    re-run on every {!kick}. *)
+    each one resumes. A blocked thread parks a retry thunk on the wait
+    queue of the object it waits for ({!Waitq}); each {!kick} schedules a
+    sweep that retries, in park order, the entries woken since their last
+    retry plus every entry of a wait kind that has no wait queue yet. *)
 
 open Remon_sim
 
@@ -15,6 +17,10 @@ type _ Effect.t +=
 
 exception Thread_killed
 
+exception Lost_wakeup of string
+(** Raised in checking mode (see {!set_wakeup_check}) when a parked entry
+    that nothing woke could have completed; names the wait's [what]. *)
+
 type t = {
   events : (unit -> unit) Event_queue.t;
   slot : (unit -> unit) Event_queue.slot;  (** run-loop landing pad *)
@@ -22,11 +28,19 @@ type t = {
   mutable syscall_handler :
     Proc.thread -> Syscall.call -> return:(Syscall.result -> unit) -> unit;
   mutable on_thread_exit : Proc.thread -> unit;
-  mutable blocked : Proc.thread list;
+  mutable swept : Waitq.entry array;
+      (** entries of kinds without a wait queue, in park order *)
+  mutable nswept : int;
+  runq : Waitq.runq;  (** woken entries awaiting their retry *)
+  mutable next_seq : int;
   mutable kick_scheduled : bool;
   mutable kick_thunk : unit -> unit;  (** preallocated retry sweep *)
   mutable events_processed : int;
+  mutable retries : int;  (** retries run by sweeps *)
+  mutable retries_ok : int;  (** retries that unblocked their thread *)
   mutable max_events : int;
+  checking : bool;
+  mutable watched : Waitq.entry list;
 }
 
 val create : unit -> t
@@ -45,14 +59,35 @@ val schedule_pre : t -> time:Vtime.t -> (unit -> unit) -> unit
     the thunk runs before every normally scheduled event, independent of
     insertion round. Used for cross-host message delivery. *)
 
-val park : t -> Proc.thread -> what:string -> retry:(unit -> bool) -> Proc.blocked
-(** Park a thread; its [retry] runs on every kick and returns true once the
-    thread has rescheduled itself. *)
+val park :
+  t ->
+  Proc.thread ->
+  on:Waitq.t ->
+  what:string ->
+  retry:(unit -> bool) ->
+  Waitq.entry
+(** Parks a thread on the wait queue [on]; [retry] returns true once the
+    thread has rescheduled itself. [on] is an object's queue (retried by
+    the first sweep after the queue is woken), {!Waitq.none} (retried only
+    after a signal, see {!wake_process}) or {!Waitq.global} (retried by
+    every sweep). *)
 
 val kick : t -> unit
-(** Schedule a retry sweep over all parked threads (coalesced). *)
+(** Schedules a retry sweep (coalesced). *)
 
-val unpark : t -> Proc.thread -> unit
+val unpark : Waitq.entry -> unit
+(** Ends a wait without retrying it (timeout, forced completion, kill). *)
+
+val wake_process : t -> Proc.process -> unit
+(** Wakes every parked thread of the process: a signal or a signal-mask
+    change can end any interruptible wait. *)
+
+val set_wakeup_check : bool -> unit
+(** Test-only lost-wakeup oracle. Schedulers created while it is on follow
+    every sweep with a retry of each queued entry that was not woken, and
+    raise {!Lost_wakeup} if one succeeds. A failed retry has no effect, so
+    the oracle does not perturb a correct run. *)
+
 val spawn : t -> Proc.thread -> (unit -> unit) -> unit
 
 exception Event_budget_exhausted

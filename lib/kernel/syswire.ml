@@ -278,7 +278,7 @@ let errno_table : Errno.t array =
     EMSGSIZE; EPROTONOSUPPORT; EOPNOTSUPP; EADDRINUSE; EADDRNOTAVAIL;
     ENETUNREACH; ECONNABORTED; ECONNRESET; ENOBUFS; EISCONN; ENOTCONN;
     ETIMEDOUT; ECONNREFUSED; EALREADY; EINPROGRESS; ECHILD; EDEADLK;
-    ENAMETOOLONG; EIDRM; ETIME; EREMOTEIO; EKEYREJECTED;
+    ENAMETOOLONG; EIDRM; ETIME; EREMOTEIO; EKEYREJECTED; EFBIG;
   |]
 
 let errno_index : (Errno.t, int) Hashtbl.t =

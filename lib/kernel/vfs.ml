@@ -25,8 +25,14 @@ and kind =
 
 let filebuf_create () = { bytes = Bytes.create 256; size = 0 }
 
-(* Grow capacity to hold [n] bytes; newly exposed bytes beyond the old
-   size are zeroed by the callers that create a gap. *)
+(* The largest file size, in the role of a Linux filesystem's s_maxbytes.
+   Workload files are kilobytes; the cap sits far above them and, since
+   files are stored densely, keeps one call from claiming more host memory
+   than this. *)
+let max_file_size = 1 lsl 28
+
+(* Grow capacity to hold [n <= max_file_size] bytes; newly exposed bytes
+   beyond the old size are zeroed by the callers that create a gap. *)
 let filebuf_reserve fb n =
   let cap = Bytes.length fb.bytes in
   if n > cap then begin
@@ -244,11 +250,17 @@ let read_at node ~offset ~count =
 
 (* Writes [data] at [offset]; extends (zero-filling any gap) as needed.
    Amortized O(|data|): only the written range is touched, plus a
-   capacity-doubling copy when the file outgrows its backing array. *)
+   capacity-doubling copy when the file outgrows its backing array.
+   Linux's limits: an empty write changes nothing, one starting at or past
+   [max_file_size] fails with EFBIG (no SIGXFSZ: that signal belongs to
+   RLIMIT_FSIZE), and one crossing it is cut short there. *)
 let write_at node ~offset ~data ~now_ns =
   match node.kind with
+  | Reg _ when String.length data = 0 -> Ok 0
+  | Reg _ when offset >= max_file_size -> Error Errno.EFBIG
   | Reg fb ->
-    let dlen = String.length data in
+    (* [offset < max_file_size]: no sum below can overflow *)
+    let dlen = min (String.length data) (max_file_size - offset) in
     let new_size = max fb.size (offset + dlen) in
     filebuf_reserve fb new_size;
     if offset > fb.size then
@@ -262,6 +274,7 @@ let write_at node ~offset ~data ~now_ns =
 
 let truncate node ~size ~now_ns =
   match node.kind with
+  | Reg _ when size > max_file_size -> Error Errno.EFBIG
   | Reg fb ->
     if size > fb.size then begin
       filebuf_reserve fb size;

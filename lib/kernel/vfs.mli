@@ -40,9 +40,20 @@ val rename : t -> src:string -> dst:string -> (unit, Errno.t) result
 val list_dir : node -> (string list, Errno.t) result
 val file_size : node -> int
 val stat_kind : node -> [ `Reg | `Dir | `Fifo | `Sock | `Special ]
+val max_file_size : int
+(** The largest regular file, in the role of a Linux filesystem's
+    [s_maxbytes] (2^28 bytes): far above any workload's files, and a bound
+    on the host memory one file can claim. *)
+
 val read_at : node -> offset:int -> count:int -> (string, Errno.t) result
+
 val write_at : node -> offset:int -> data:string -> now_ns:int -> (int, Errno.t) result
+(** Writes at a non-negative [offset], extending the file as needed. An
+    empty write changes nothing; a write starting at or past
+    {!max_file_size} fails with EFBIG, and one crossing it is cut short. *)
+
 val truncate : node -> size:int -> now_ns:int -> (unit, Errno.t) result
+(** EFBIG past {!max_file_size}. *)
 
 val parent_and_name : t -> string -> (node * string, Errno.t) result
 (** The directory containing [path]'s final component, plus that name. *)

@@ -110,10 +110,12 @@ grep -q 'first divergent record:' replay_varan.txt
 grep -q 'verdicts  : same class' replay_violation_remon.txt
 grep -q 'first divergent record:' replay_violation_remon.txt
 echo "== chaos reproducer recordings: --domains 1 vs 4"
-REMON_RECORD_DIR=rec_d1 "$bench" chaos quick --domains 1 > /dev/null 2>&1
-REMON_RECORD_DIR=rec_d4 "$bench" chaos quick --domains 4 > /dev/null 2>&1
+REMON_RECORD_DIR=rec_d1 "$bench" chaos quick --domains 1 > chaos_rec_d1.txt 2> /dev/null
+REMON_RECORD_DIR=rec_d4 "$bench" chaos quick --domains 4 > chaos_rec_d4.txt 2> /dev/null
 ls rec_d1
 diff -r rec_d1 rec_d4
+# reproducers are listed relative to REMON_RECORD_DIR: stdout agrees too
+cmp chaos_rec_d1.txt chaos_rec_d4.txt
 
 stage=watchdog
 echo "== rendezvous watchdog at 3 replicas: the stalled slave is quarantined"

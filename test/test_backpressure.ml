@@ -185,6 +185,28 @@ let test_blocking_send_wakes_on_drain () =
       done;
       check_int "reader got every byte" total !received)
 
+(* Growing the receiver's buffer is room for a blocked writer: the
+   setsockopt wakes it with no read in between. *)
+let test_rcvbuf_growth_wakes_writer () =
+  run_in_kernel (fun _k ->
+      let self = Sched.self () in
+      let a, b =
+        expect_pair "socketpair"
+          (sys (Syscall.Socketpair (Syscall.Af_unix, Syscall.Sock_stream)))
+      in
+      ignore (expect_int "setsockopt" (sys (Syscall.Setsockopt (b, Net.so_rcvbuf, 1))));
+      self.Proc.proc.Proc.entry_table <-
+        [|
+          (fun () ->
+            Sched.compute (Vtime.us 100);
+            ignore
+              (expect_int "grow rcvbuf"
+                 (sys (Syscall.Setsockopt (b, Net.so_rcvbuf, 4096)))));
+        |];
+      ignore (expect_int "clone" (sys (Syscall.Clone 0)));
+      let n = expect_int "blocking write" (sys (Syscall.Write (a, String.make 1000 'w'))) in
+      check_int "written once the buffer grew" 1000 n)
+
 let test_epoll_writability_edge () =
   run_in_kernel (fun _k ->
       let a, b =
@@ -369,6 +391,10 @@ let test_reservoir_determinism_across_domains () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Every scheduler of this executable runs the lost-wake-up oracle: each
+   sweep is followed by a retry of every queued wait that was not woken. *)
+let () = Remon_kernel.Sched.set_wakeup_check true
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "backpressure"
@@ -382,6 +408,8 @@ let () =
         [
           tc "nonblock partial + EAGAIN" `Quick test_nonblock_partial_and_eagain;
           tc "blocking send wakes on drain" `Quick test_blocking_send_wakes_on_drain;
+          tc "a larger receive buffer wakes a blocked sender" `Quick
+            test_rcvbuf_growth_wakes_writer;
           tc "epoll writability edge" `Quick test_epoll_writability_edge;
           tc "cap invariant under load" `Quick test_cap_invariant_under_load;
         ] );

@@ -223,6 +223,10 @@ let test_metrics_surface () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Every scheduler of this executable runs the lost-wake-up oracle: each
+   sweep is followed by a retry of every queued wait that was not woken. *)
+let () = Remon_kernel.Sched.set_wakeup_check true
+
 let () =
   Alcotest.run "fleet"
     [

@@ -470,6 +470,10 @@ let test_known_clean_conforms () =
   | None -> ()
   | Some msg -> Alcotest.failf "clean scenario violated conformance: %s" msg
 
+(* Every scheduler of this executable runs the lost-wake-up oracle: each
+   sweep is followed by a retry of every queued wait that was not woken. *)
+let () = Remon_kernel.Sched.set_wakeup_check true
+
 let () =
   Alcotest.run "fuzz"
     [

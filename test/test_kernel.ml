@@ -444,6 +444,97 @@ let test_wait4 () =
   Kernel.run k;
   Alcotest.(check int) "reaped child pid" child.Proc.pid !waited
 
+(* ------------------------------------------------------------------ *)
+(* Wait queues *)
+
+(* Four threads of one process, parked directly on the scheduler: a, b and
+   c on their own queues in that order, d parked later by b's retry. Only
+   b's queue is woken before the sweep. b's retry wakes a (behind the
+   cursor), c (ahead of it) and d (parked during the sweep). The sweep
+   retries b then c; a and d wait for the next sweep. Each retry records
+   the sweep it ran in (a sweep is one scheduler event). *)
+let test_waitq_order_rule () =
+  let k = Kernel.create () in
+  let sched = Kernel.sched k in
+  let p = Kernel.make_process k ~name:"waiters" ~vm_seed:1 () in
+  let thread () = Kernel.add_thread k p ~start_clock:Vtime.zero in
+  let log = ref [] in
+  let note name () =
+    log := (name, sched.Sched.events_processed) :: !log;
+    true
+  in
+  let qa = Waitq.create () and qb = Waitq.create () in
+  let qc = Waitq.create () and qd = Waitq.create () in
+  ignore (Sched.park sched (thread ()) ~on:qa ~what:"a" ~retry:(note "a"));
+  ignore
+    (Sched.park sched (thread ()) ~on:qb ~what:"b" ~retry:(fun () ->
+         ignore
+           (Sched.park sched (thread ()) ~on:qd ~what:"d" ~retry:(note "d"));
+         Waitq.wake qa;
+         Waitq.wake qc;
+         Waitq.wake qd;
+         Sched.kick sched;
+         note "b" ()));
+  ignore (Sched.park sched (thread ()) ~on:qc ~what:"c" ~retry:(note "c"));
+  Waitq.wake qb;
+  Sched.kick sched;
+  Kernel.run k;
+  match List.rev !log with
+  | [ ("b", s1); ("c", s1'); ("a", s2); ("d", s2') ] ->
+    check_int "c runs in b's sweep" s1 s1';
+    check_bool "a and d wait for the next sweep" true (s2 > s1 && s2' = s2)
+  | l ->
+    Alcotest.failf "retry order: %s"
+      (String.concat " " (List.map (fun (n, e) -> Printf.sprintf "%s@%d" n e) l))
+
+(* A sweep retries only what was woken: with 64 threads parked on a queue
+   nobody wakes, a thousand sweeps allocate nothing (the retry-everything
+   sweep rebuilt its 64-element park list on each). *)
+let test_waitq_idle_sweeps_allocate_nothing () =
+  let k = Kernel.create () in
+  let sched = Kernel.sched k in
+  let p = Kernel.make_process k ~name:"idle" ~vm_seed:1 () in
+  let q = Waitq.create () in
+  for _ = 1 to 64 do
+    ignore
+      (Sched.park sched
+         (Kernel.add_thread k p ~start_clock:Vtime.zero)
+         ~on:q ~what:"idle" ~retry:(fun () -> false))
+  done;
+  Sched.kick sched;
+  Kernel.run k;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Sched.kick sched;
+    Kernel.run k
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "retries" 0 sched.Sched.retries;
+  check_bool
+    (Printf.sprintf "1000 sweeps allocated %.0f words" words)
+    true (words < 100.)
+
+(* A state change that forgets to wake the queue its waiter sits on is a
+   lost wake-up: the oracle names the wait. *)
+let test_waitq_oracle () =
+  Sched.set_wakeup_check true;
+  let k = Kernel.create () in
+  Sched.set_wakeup_check false;
+  let sched = Kernel.sched k in
+  let p = Kernel.make_process k ~name:"waiter" ~vm_seed:1 () in
+  let th = Kernel.add_thread k p ~start_clock:Vtime.zero in
+  let ready = ref false in
+  ignore
+    (Sched.park sched th ~on:(Waitq.create ()) ~what:"forgotten"
+       ~retry:(fun () -> !ready));
+  ready := true;
+  Sched.kick sched;
+  match Kernel.run k with
+  | () -> Alcotest.fail "lost wake-up not reported"
+  | exception Sched.Lost_wakeup msg ->
+    check_bool "report names the wait" true
+      (String.length msg >= 9 && String.sub msg 0 9 = "forgotten")
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "kernel"
@@ -456,6 +547,12 @@ let () =
           tc "getdents" test_dents_and_dirs;
           tc "dup shares offset" test_dup_shares_offset;
           tc "nanosleep" test_nanosleep_duration;
+        ] );
+      ( "wait queues",
+        [
+          tc "woken ahead of the cursor: this sweep" test_waitq_order_rule;
+          tc "lost wake-up oracle" test_waitq_oracle;
+          tc "idle sweeps allocate nothing" test_waitq_idle_sweeps_allocate_nothing;
         ] );
       ( "pipes",
         [

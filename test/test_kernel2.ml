@@ -644,6 +644,117 @@ let test_recvmsg_negative_len () =
       expect_err "recvmsg(b, -1)" Errno.EINVAL (sys (Syscall.Recvmsg (b, -1)));
       Alcotest.(check int) "queue kept" 3 (fionread b))
 
+(* ---- access modes of positional I/O ----
+
+   Linux checks a negative offset first (EINVAL), then whether the
+   descriptor supports positional I/O (ESPIPE), then its access mode
+   (EBADF), and the count last; the same calls from C on Linux 6.18 gave
+   every answer below. *)
+
+let open_mode name flags =
+  expect_int "open" (sys (Syscall.Open (name, flags)))
+
+let write_only = { Syscall.o_rdwr with read = false }
+
+let test_pread_access_mode () =
+  run_in_kernel (fun _ ->
+      ignore (open_file "/tmp/mode-pread");
+      let wo = open_mode "/tmp/mode-pread" write_only in
+      let pr, pw = expect_pair "pipe" (sys Syscall.Pipe) in
+      expect_err "pread64(wronly, 3, 0)" Errno.EBADF
+        (sys (Syscall.Pread64 (wo, 3, 0)));
+      expect_err "pread64(wronly, 3, -1)" Errno.EINVAL
+        (sys (Syscall.Pread64 (wo, 3, -1)));
+      expect_err "pread64(wronly, -5, 0)" Errno.EBADF
+        (sys (Syscall.Pread64 (wo, -5, 0)));
+      expect_err "pread64(pipe write end, 3, 0)" Errno.ESPIPE
+        (sys (Syscall.Pread64 (pw, 3, 0)));
+      expect_err "preadv(wronly, [3], 0)" Errno.EBADF
+        (sys (Syscall.Preadv (wo, [ 3 ], 0)));
+      expect_err "preadv(wronly, [-1], 0)" Errno.EBADF
+        (sys (Syscall.Preadv (wo, [ -1 ], 0)));
+      expect_err "preadv(pipe read end, [-1], 0)" Errno.ESPIPE
+        (sys (Syscall.Preadv (pr, [ -1 ], 0))))
+
+let test_pwrite_access_mode () =
+  run_in_kernel (fun _ ->
+      let f = open_file "/tmp/mode-pwrite" in
+      let ro = open_mode "/tmp/mode-pwrite" Syscall.o_rdonly in
+      let pr, _ = expect_pair "pipe" (sys Syscall.Pipe) in
+      expect_err "pwrite64(rdonly, xy, 0)" Errno.EBADF
+        (sys (Syscall.Pwrite64 (ro, "xy", 0)));
+      expect_err "pwrite64(rdonly, xy, -1)" Errno.EINVAL
+        (sys (Syscall.Pwrite64 (ro, "xy", -1)));
+      expect_err "pwrite64(pipe read end, xy, 0)" Errno.ESPIPE
+        (sys (Syscall.Pwrite64 (pr, "xy", 0)));
+      expect_err "pwritev(rdonly, [x], 0)" Errno.EBADF
+        (sys (Syscall.Pwritev (ro, [ "x" ], 0)));
+      Alcotest.(check string) "file untouched" "hello"
+        (expect_data "read" (sys (Syscall.Read (f, 8)))))
+
+let test_sendfile_access_mode () =
+  run_in_kernel (fun _ ->
+      ignore (open_file "/tmp/mode-sendfile");
+      let wo = open_mode "/tmp/mode-sendfile" write_only in
+      let a, b =
+        expect_pair "socketpair"
+          (sys (Syscall.Socketpair (Syscall.Af_unix, Syscall.Sock_stream)))
+      in
+      expect_err "sendfile(a, wronly, 3)" Errno.EBADF
+        (sys (Syscall.Sendfile { out_fd = a; in_fd = wo; count = 3 }));
+      expect_err "sendfile(a, wronly, -1)" Errno.EBADF
+        (sys (Syscall.Sendfile { out_fd = a; in_fd = wo; count = -1 }));
+      settle ();
+      Alcotest.(check int) "nothing sent" 0 (fionread b))
+
+(* ---- file sizes past the filesystem's maximum ----
+
+   Files are stored densely, so these used to ask the host for a
+   terabyte-sized buffer. Linux answers EFBIG for a write that starts past
+   the filesystem's maximum file size and for a truncate beyond it. *)
+
+let huge = [ ("2^40", 1 lsl 40); ("max_int", max_int) ]
+
+let test_pwrite64_huge_offset () =
+  run_in_kernel (fun _ ->
+      let f = open_file "/tmp/huge-pwrite" in
+      List.iter
+        (fun (what, off) ->
+          expect_err ("pwrite64(f, x, " ^ what ^ ")") Errno.EFBIG
+            (sys (Syscall.Pwrite64 (f, "x", off)));
+          expect_err ("pwritev(f, [x], " ^ what ^ ")") Errno.EFBIG
+            (sys (Syscall.Pwritev (f, [ "x" ], off)));
+          Alcotest.(check int)
+            ("pwrite64(f, \"\", " ^ what ^ ") writes nothing")
+            0
+            (expect_int "pwrite64" (sys (Syscall.Pwrite64 (f, "", off)))))
+        huge;
+      Alcotest.(check int) "size kept" 5 (file_size f))
+
+let test_write_after_huge_lseek () =
+  run_in_kernel (fun _ ->
+      let f = open_file "/tmp/huge-lseek" in
+      List.iter
+        (fun (what, off) ->
+          Alcotest.(check int) ("lseek " ^ what) off
+            (expect_int "lseek" (sys (Syscall.Lseek (f, off, Syscall.Seek_set))));
+          expect_err ("write after lseek " ^ what) Errno.EFBIG
+            (sys (Syscall.Write (f, "x"))))
+        huge;
+      Alcotest.(check int) "size kept" 5 (file_size f))
+
+let test_truncate_huge () =
+  run_in_kernel (fun _ ->
+      let f = open_file "/tmp/huge-truncate" in
+      List.iter
+        (fun (what, size) ->
+          expect_err ("truncate(path, " ^ what ^ ")") Errno.EFBIG
+            (sys (Syscall.Truncate ("/tmp/huge-truncate", size)));
+          expect_err ("ftruncate(f, " ^ what ^ ")") Errno.EFBIG
+            (sys (Syscall.Ftruncate (f, size))))
+        huge;
+      Alcotest.(check int) "size kept" 5 (file_size f))
+
 let tc = Alcotest.test_case
 
 let () =
@@ -710,6 +821,18 @@ let () =
           tc "recvfrom with a negative length" `Quick
             test_recvfrom_negative_len;
           tc "recvmsg with a negative length" `Quick test_recvmsg_negative_len;
+          tc "pread64/preadv on a write-only descriptor" `Quick
+            test_pread_access_mode;
+          tc "pwrite64/pwritev on a read-only descriptor" `Quick
+            test_pwrite_access_mode;
+          tc "sendfile from a write-only descriptor" `Quick
+            test_sendfile_access_mode;
+          tc "pwrite64/pwritev past the maximum file size" `Quick
+            test_pwrite64_huge_offset;
+          tc "write after lseek past the maximum file size" `Quick
+            test_write_after_huge_lseek;
+          tc "truncate/ftruncate past the maximum file size" `Quick
+            test_truncate_huge;
         ] );
       ( "vm",
         [

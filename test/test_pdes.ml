@@ -381,6 +381,10 @@ let prop_adaptive_conservative =
 
 (* ------------------------------------------------------------------ *)
 
+(* Every scheduler of this executable runs the lost-wake-up oracle: each
+   sweep is followed by a retry of every queued wait that was not woken. *)
+let () = Remon_kernel.Sched.set_wakeup_check true
+
 let () =
   Alcotest.run "pdes"
     [

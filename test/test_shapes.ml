@@ -159,6 +159,10 @@ let test_table1_counts () =
 
 let tc = Alcotest.test_case
 
+(* Every scheduler of this executable runs the lost-wake-up oracle: each
+   sweep is followed by a retry of every queued wait that was not woken. *)
+let () = Remon_kernel.Sched.set_wakeup_check true
+
 let () =
   Alcotest.run "shapes"
     [

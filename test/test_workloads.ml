@@ -179,6 +179,10 @@ let prop_profiles_run_natively =
 
 let tc = Alcotest.test_case
 
+(* Every scheduler of this executable runs the lost-wake-up oracle: each
+   sweep is followed by a retry of every queued wait that was not woken. *)
+let () = Remon_kernel.Sched.set_wakeup_check true
+
 let () =
   Alcotest.run "workloads"
     [
