@@ -121,8 +121,7 @@ let to_string t =
     Syswire.W.str w rendered);
   (* checksum over every byte written so far: any bit flip that still
      decodes structurally is caught here *)
-  let body = Syswire.W.contents w in
-  Syswire.W.str w (Digest.string body);
+  Syswire.W.str w (Syswire.W.digest w);
   Syswire.W.contents w
 
 let of_string s =
@@ -139,10 +138,8 @@ let of_string s =
     let header = read_header r in
     let n = Syswire.R.uint r in
     if n > Syswire.R.remaining r then raise (Syswire.Fail Syswire.Truncated);
-    let rec read_events acc i =
-      if i = 0 then List.rev acc else read_events (read_event r :: acc) (i - 1)
-    in
-    let events = Array.of_list (read_events [] n) in
+    (* [Array.init] applies its function to 0, 1, ... in order *)
+    let events = Array.init n (fun _ -> read_event r) in
     let verdict =
       if Syswire.R.bool r then begin
         let cls = Syswire.R.str r in
@@ -154,7 +151,7 @@ let of_string s =
     let sum = Syswire.R.str r in
     if Syswire.R.remaining r <> 0 then
       raise (Syswire.Fail (Syswire.Corrupt "trailing bytes"));
-    if not (String.equal sum (Digest.string (String.sub s 0 body_len))) then
+    if not (String.equal sum (Digest.substring s 0 body_len)) then
       raise (Syswire.Fail (Syswire.Corrupt "checksum mismatch"));
     Ok { header; events; verdict }
   with Syswire.Fail e -> Error e
@@ -194,4 +191,4 @@ let with_workload t workload = { t with header = { t.header with workload } }
 let stream_digest t =
   let w = Syswire.W.create ~initial:4096 () in
   Array.iter (write_event w) t.events;
-  Digest.to_hex (Digest.string (Syswire.W.contents w))
+  Digest.to_hex (Syswire.W.digest w)

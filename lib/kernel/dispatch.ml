@@ -319,6 +319,12 @@ let negative_len lens = List.exists (fun l -> l < 0) lens
 
 let wall_ns k = Int64.add k.K.epoch_offset_ns (Int64.of_int (K.now k))
 
+(* Up to [count] bytes of a [/proc/self/maps] snapshot from [offset] on. *)
+let maps_at content ~offset ~count =
+  let size = String.length content in
+  if offset >= size then ""
+  else String.sub content offset (min count (size - offset))
+
 (* Reads [count] bytes from a descriptor; blocks according to [d.nonblock]
    unless the caller is the kernel itself. A negative count is a size_t
    past the end of the address space: Linux fails its buffer check with
@@ -341,10 +347,8 @@ let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.resu
     | Proc.Directory _ -> ret (err Errno.EISDIR)
     | Proc.Dev_null -> data_done ""
     | Proc.Proc_maps pm ->
-      let size = String.length pm.content in
-      let n = if d.offset >= size then 0 else min count (size - d.offset) in
-      let s = String.sub pm.content d.offset n in
-      d.offset <- d.offset + n;
+      let s = maps_at pm.content ~offset:d.offset ~count in
+      d.offset <- d.offset + String.length s;
       data_done s
     | Proc.Pipe_read pi ->
       let attempt () =
@@ -424,6 +428,10 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
         ret (Syscall.Ok_int n)
       | Error e -> ret (err e))
     | Proc.Dev_null -> ret (Syscall.Ok_int len)
+    | Proc.Pipe_write _ when len = 0 ->
+      (* a null write succeeds before Linux looks for readers: no EPIPE,
+         no SIGPIPE, and it never blocks *)
+      ret (Syscall.Ok_int 0)
     | Proc.Pipe_write pi ->
       if Pipe.read_closed pi then begin
         post_signal k p Sigdefs.sigpipe;
@@ -469,11 +477,12 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
             Sched.kick k.K.sched)
       in
       (* Everything before [offset] has been accepted already, so an error
-         or full buffer past that point reports a partial write. *)
+         or full buffer past that point reports a partial write. A write
+         the peer accepts whole commits [data] itself: no host copy. *)
       let rec push offset =
         if offset >= len then ret (Syscall.Ok_int len)
         else
-          match Net.send_start s (String.sub data offset (len - offset)) with
+          match Net.send_start s (len - offset) with
           | Error e ->
             if offset > 0 then ret (Syscall.Ok_int offset)
             else begin
@@ -493,7 +502,7 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
                 ~on_ready:(fun () -> push offset)
                 ~complete:ret ()
           | Ok (n, peer) ->
-            deliver (String.sub data offset n) peer;
+            deliver (if n = len then data else String.sub data offset n) peer;
             push (offset + n)
       in
       push 0
@@ -507,33 +516,44 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
       ret (err Errno.EBADF)
     | Proc.Replicated_handle _ -> ret (err Errno.EREMOTEIO)
 
-(* Positional I/O (pread64/preadv, pwrite64/pwritev): regular files only,
-   and the descriptor offset does not move. Linux checks in this order: a
-   negative offset (EINVAL, rejected by the caller), a descriptor without
-   positional I/O (ESPIPE), the access mode (EBADF), then the count, where
-   [bad_count] is the answer to a bad one (EFAULT for pread64's size_t,
-   EINVAL for an iovec length). *)
+(* Positional I/O (pread64/preadv, pwrite64/pwritev): the descriptor
+   offset does not move. Linux checks in this order: a negative offset
+   (EINVAL, rejected by the caller), a descriptor without positional I/O
+   (ESPIPE: pipes, sockets and the anonymous kinds), the access mode
+   (EBADF), the count, where [bad_count] is the answer to a bad one (EFAULT
+   for pread64's size_t, EINVAL for an iovec length), and last the kind's
+   own answer: a directory's read is EISDIR, /dev/null reads nothing and
+   takes every byte. A directory opens read-only (EBADF for pwrite);
+   /proc/self/maps is a seq_file, which reads at any offset but has no
+   positional write (ESPIPE). *)
 and pread (d : Proc.desc) ~offset ~count ~bad_count ~ret =
-  match d.kind with
-  | Proc.Regular node -> (
+  let checked read =
     if not d.can_read then ret (err Errno.EBADF)
-    else
-      match bad_count with
-      | Some e -> ret (err e)
-      | None -> (
+    else match bad_count with Some e -> ret (err e) | None -> read ()
+  in
+  match d.kind with
+  | Proc.Regular node ->
+    checked (fun () ->
         match Vfs.read_at node ~offset ~count with
         | Ok s -> ret (Syscall.Ok_data s)
-        | Error e -> ret (err e)))
+        | Error e -> ret (err e))
+  | Proc.Directory _ -> checked (fun () -> ret (err Errno.EISDIR))
+  | Proc.Dev_null -> checked (fun () -> ret (Syscall.Ok_data ""))
+  | Proc.Proc_maps pm ->
+    checked (fun () -> ret (Syscall.Ok_data (maps_at pm.content ~offset ~count)))
   | _ -> ret (err Errno.ESPIPE)
 
 and pwrite k (d : Proc.desc) ~offset ~data ~ret =
+  let checked write = if d.can_write then write () else ret (err Errno.EBADF) in
   match d.kind with
-  | Proc.Regular node -> (
-    if not d.can_write then ret (err Errno.EBADF)
-    else
-      match Vfs.write_at node ~offset ~data ~now_ns:(K.now k) with
-      | Ok n -> ret (Syscall.Ok_int n)
-      | Error e -> ret (err e))
+  | Proc.Regular node ->
+    checked (fun () ->
+        match Vfs.write_at node ~offset ~data ~now_ns:(K.now k) with
+        | Ok n -> ret (Syscall.Ok_int n)
+        | Error e -> ret (err e))
+  | Proc.Dev_null ->
+    checked (fun () -> ret (Syscall.Ok_int (String.length data)))
+  | Proc.Directory _ -> ret (err Errno.EBADF)
   | _ -> ret (err Errno.ESPIPE)
 
 (* Builds the stat result for a node-backed or anonymous descriptor. *)
@@ -905,17 +925,27 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Pwritev (fd, chunks, offset) ->
     with_fd fd (fun d -> pwrite k d ~offset ~data:(String.concat "" chunks) ~ret)
   | Syscall.Sendfile { out_fd; in_fd; count } ->
+    (* Linux checks [in_fd], the count and [out_fd] before it moves a byte,
+       then moves [in_fd]'s offset by what [out_fd] took: nothing on an
+       error, the accepted prefix on a short write, and only once a write
+       that parks completes. *)
     with_fd in_fd (fun din ->
-        match din.kind with
-        | _ when not din.can_read -> ret (err Errno.EBADF)
-        | Proc.Regular _ when count < 0 -> ret (err Errno.EINVAL)
-        | Proc.Regular node -> (
-          match Vfs.read_at node ~offset:din.offset ~count with
-          | Ok data ->
-            din.offset <- din.offset + String.length data;
-            with_fd out_fd (fun dout -> do_write k th dout ~data ~ret)
-          | Error e -> ret (err e))
-        | _ -> ret (err Errno.EINVAL))
+        if not din.can_read then ret (err Errno.EBADF)
+        else if count < 0 then ret (err Errno.EINVAL)
+        else
+          with_fd out_fd (fun dout ->
+              match din.kind with
+              | Proc.Regular node -> (
+                let start = din.offset in
+                match Vfs.read_at node ~offset:start ~count with
+                | Ok data ->
+                  do_write k th dout ~data ~ret:(fun r ->
+                      (match r with
+                      | Syscall.Ok_int n -> din.offset <- start + n
+                      | _ -> ());
+                      ret r)
+                | Error e -> ret (err e))
+              | _ -> ret (err Errno.EINVAL)))
   (* ---- epoll ---- *)
   | Syscall.Epoll_create ->
     ret (Syscall.Ok_int (install_fd (Proc.make_desc (Proc.Epoll_fd (Epoll.create ())))))

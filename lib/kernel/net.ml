@@ -258,18 +258,20 @@ let send_space stream =
   | None -> 0
   | Some peer -> max 0 (rcvbuf peer - buffered peer)
 
-(* Sender side: reserve space in the peer's receive buffer and account the
-   in-flight bytes; the kernel commits them later. Returns how many bytes
-   were accepted (0 = buffer full, the caller must block or report EAGAIN)
-   and the peer whose queue the data must be committed to. A single call
-   accepts at most [sndbuf] bytes, modeling the sender-side buffer. *)
-let send_start stream data =
+(* Sender side: reserve space in the peer's receive buffer for up to [len]
+   bytes and account the in-flight bytes; the kernel commits them later.
+   Returns how many bytes were accepted (0 = buffer full, the caller must
+   block or report EAGAIN) and the peer whose queue the data must be
+   committed to. A single call accepts at most [sndbuf] bytes, modeling the
+   sender-side buffer. Only the count crosses here, so the caller decides
+   whether the committed chunk needs a copy. *)
+let send_start stream len =
   match stream.peer with
   | None -> Error Errno.EPIPE
   | Some _ when wr_shut stream -> Error Errno.EPIPE
   | Some peer ->
     let space = max 0 (rcvbuf peer - buffered peer) in
-    let accepted = min (String.length data) (min space (sndbuf stream)) in
+    let accepted = min len (min space (sndbuf stream)) in
     set_in_flight peer (in_flight peer + accepted);
     let b = buffered peer in
     if b > buffered_hwm peer then set_hwm peer b;

@@ -130,11 +130,14 @@ val set_rcvbuf : stream -> int -> unit
 val send_space : stream -> int
 (** Receive-buffer space left on the peer; 0 when full or peer gone. *)
 
-val send_start : stream -> string -> (int * stream, Errno.t) result
-(** Accepts at most [min (send_space) sndbuf] bytes, accounting them as
-    in-flight on the peer; returns [(accepted, peer)] — the dispatcher must
-    commit exactly the accepted prefix after the propagation delay.
-    [accepted = 0] means the buffer is full: block or return EAGAIN. *)
+val send_start : stream -> int -> (int * stream, Errno.t) result
+(** [send_start s len] accepts at most [min len (min (send_space s) sndbuf)]
+    bytes, accounting them as in-flight on the peer; returns
+    [(accepted, peer)] — the dispatcher must {!commit} exactly the accepted
+    prefix after the propagation delay. It takes the length, not the bytes,
+    so a write the peer accepts whole commits the writer's string itself
+    and only a partial accept needs a [String.sub]. [accepted = 0] means
+    the buffer is full: block or return EAGAIN. *)
 
 val commit : stream -> string -> unit
 

@@ -24,11 +24,14 @@ let write_closed t = t.writers = 0
 
 let read_closed t = t.readers = 0
 
-(* Returns the number of bytes accepted (short writes when nearly full). *)
+(* Returns the number of bytes accepted (short writes when nearly full).
+   When all of [data] fits, the pipe keeps [data] itself. *)
 let write t data =
   let room = space_available t in
-  let n = min room (String.length data) in
-  if n > 0 then Bytestream.push t.data (String.sub data 0 n);
+  let len = String.length data in
+  let n = min room len in
+  if n > 0 then
+    Bytestream.push t.data (if n = len then data else String.sub data 0 n);
   n
 
 let read t count = Bytestream.pull t.data count

@@ -24,18 +24,41 @@ let corrupt msg = fail (Corrupt msg)
 (* Writer *)
 
 module W = struct
-  type t = { buf : Buffer.t }
+  (* A growable byte buffer of our own rather than a [Buffer.t], so the
+     bytes written so far can be hashed in place ([digest]) instead of
+     being copied out first. *)
+  type t = { mutable buf : Bytes.t; mutable len : int }
 
-  let create ?(initial = 256) () = { buf = Buffer.create initial }
-  let u8 t n = Buffer.add_char t.buf (Char.chr (n land 0xff))
+  let create ?(initial = 256) () =
+    { buf = Bytes.create (max 1 initial); len = 0 }
+
+  (* Makes room for [n] more bytes, doubling the buffer as [Buffer] does. *)
+  let reserve t n =
+    let need = t.len + n in
+    if need > Bytes.length t.buf then begin
+      let size = ref (2 * Bytes.length t.buf) in
+      while !size < need do
+        size := 2 * !size
+      done;
+      let grown = Bytes.create !size in
+      Bytes.blit t.buf 0 grown 0 t.len;
+      t.buf <- grown
+    end
+
+  let add_char t c =
+    if t.len = Bytes.length t.buf then reserve t 1;
+    Bytes.unsafe_set t.buf t.len c;
+    t.len <- t.len + 1
+
+  let u8 t n = add_char t (Char.chr (n land 0xff))
 
   (* LEB128 on a non-negative native int. *)
   let uint t n =
     if n < 0 then invalid_arg "Syswire.W.uint: negative";
     let rec go n =
-      if n < 0x80 then Buffer.add_char t.buf (Char.chr n)
+      if n < 0x80 then add_char t (Char.chr n)
       else begin
-        Buffer.add_char t.buf (Char.chr (0x80 lor (n land 0x7f)));
+        add_char t (Char.chr (0x80 lor (n land 0x7f)));
         go (n lsr 7)
       end
     in
@@ -46,9 +69,9 @@ module W = struct
     let zz = Int64.logxor (Int64.shift_left v 1) (Int64.shift_right v 63) in
     let rec go zz =
       if Int64.equal (Int64.logand zz (Int64.lognot 0x7fL)) 0L then
-        Buffer.add_char t.buf (Char.chr (Int64.to_int zz land 0x7f))
+        add_char t (Char.chr (Int64.to_int zz land 0x7f))
       else begin
-        Buffer.add_char t.buf (Char.chr (0x80 lor (Int64.to_int zz land 0x7f)));
+        add_char t (Char.chr (0x80 lor (Int64.to_int zz land 0x7f)));
         go (Int64.shift_right_logical zz 7)
       end
     in
@@ -58,11 +81,15 @@ module W = struct
   let bool t b = u8 t (if b then 1 else 0)
 
   let str t s =
-    uint t (String.length s);
-    Buffer.add_string t.buf s
+    let n = String.length s in
+    uint t n;
+    reserve t n;
+    Bytes.blit_string s 0 t.buf t.len n;
+    t.len <- t.len + n
 
-  let length t = Buffer.length t.buf
-  let contents t = Buffer.contents t.buf
+  let length t = t.len
+  let contents t = Bytes.sub_string t.buf 0 t.len
+  let digest t = Digest.subbytes t.buf 0 t.len
 end
 
 (* ------------------------------------------------------------------ *)

@@ -33,7 +33,13 @@ module W : sig
   val str : t -> string -> unit  (** length-prefixed bytes *)
 
   val length : t -> int
+
   val contents : t -> string
+  (** A copy of the bytes written so far. *)
+
+  val digest : t -> Digest.t
+  (** MD5 of the bytes written so far, hashed in place: equal to
+      [Digest.string (contents t)] without the copy. *)
 end
 
 (** Bounds-checked cursor over immutable bytes. *)

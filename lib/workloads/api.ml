@@ -145,13 +145,17 @@ let connect_retry ?(attempts = 50) ?(base_backoff_ns = 200_000)
 let send fd data = int_of "send" (retrying "send" (Syscall.Sendto (fd, data)))
 let recv fd count = data_of "recv" (retrying "recv" (Syscall.Recvfrom (fd, count)))
 
+(* [acc ^ s] without copying [s] when nothing came before it: a message
+   that arrives in one read is the kernel's string, shared, not a copy. *)
+let append acc s = if String.length acc = 0 then s else acc ^ s
+
 (* Reads exactly [n] bytes (or until EOF). *)
 let rec read_exactly fd n acc =
   if n <= 0 then acc
   else
     let chunk = read fd n in
     if chunk = "" then acc
-    else read_exactly fd (n - String.length chunk) (acc ^ chunk)
+    else read_exactly fd (n - String.length chunk) (append acc chunk)
 
 let recv_exactly fd n = read_exactly fd n ""
 
@@ -176,7 +180,7 @@ let recv_within fd n ~timeout_ns =
         | Syscall.Ok_poll _ -> (
           match retrying "recv" (Syscall.Recvfrom (fd, need)) with
           | Syscall.Ok_data "" -> acc
-          | Syscall.Ok_data s -> go (acc ^ s) (need - String.length s)
+          | Syscall.Ok_data s -> go (append acc s) (need - String.length s)
           | Syscall.Error e -> fail "recv" e
           | _ -> fail "recv" Errno.EINVAL)
         | Syscall.Error e -> fail "poll" e

@@ -22,13 +22,18 @@ type t = {
 
 let default_cap = 1 lsl 16
 
+(* The sample array starts small and doubles up to [cap], so a short run
+   does not pay for a full reservoir up front. *)
+let initial_size = 64
+
 let create ?(cap = default_cap) () =
+  let cap = max 2 cap in
   {
-    samples = Array.make (max 2 cap) Vtime.zero;
+    samples = Array.make (min cap initial_size) Vtime.zero;
     n = 0;
     stride = 1;
     next_keep = 0;
-    cap = max 2 cap;
+    cap;
     count = 0;
     sum_ns = 0;
     max = Vtime.zero;
@@ -52,7 +57,12 @@ let record t v =
   t.sum_ns <- t.sum_ns + v;
   if Vtime.(t.max < v) then t.max <- v;
   if t.count - 1 = t.next_keep then begin
-    if t.n = t.cap then decimate t;
+    if t.n = t.cap then decimate t
+    else if t.n = Array.length t.samples then begin
+      let grown = Array.make (min t.cap (2 * t.n)) Vtime.zero in
+      Array.blit t.samples 0 grown 0 t.n;
+      t.samples <- grown
+    end;
     t.samples.(t.n) <- v;
     t.n <- t.n + 1;
     t.next_keep <- t.next_keep + t.stride

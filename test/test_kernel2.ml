@@ -707,6 +707,157 @@ let test_sendfile_access_mode () =
       settle ();
       Alcotest.(check int) "nothing sent" 0 (fionread b))
 
+(* ---- sendfile moves in_fd's offset by what out_fd took ----
+
+   Linux looks up [out_fd] before it moves a byte, and sets [in_fd]'s
+   offset from the write's result. The same calls from C on Linux 6.18
+   left the offset at 0 for a closed [out_fd] and for EAGAIN, and moved it
+   by exactly the bytes a pipe had room for. *)
+
+let offset_of fd =
+  expect_int "lseek" (sys (Syscall.Lseek (fd, 0, Syscall.Seek_cur)))
+
+let big_file name size =
+  let fd =
+    expect_int "open"
+      (sys (Syscall.Open (name, { Syscall.o_rdwr with create = true })))
+  in
+  ignore
+    (expect_int "pwrite64"
+       (sys (Syscall.Pwrite64 (fd, String.make size 'f', 0))));
+  fd
+
+let nonblocking_pipe () =
+  expect_pair "pipe2" (sys (Syscall.Pipe2 { nonblock = true }))
+
+let test_sendfile_closed_out_fd () =
+  run_in_kernel (fun _ ->
+      let f = open_file "/tmp/sf-closed" in
+      expect_err "sendfile(99, f, 3)" Errno.EBADF
+        (sys (Syscall.Sendfile { out_fd = 99; in_fd = f; count = 3 }));
+      Alcotest.(check int) "offset kept" 0 (offset_of f))
+
+let test_sendfile_full_pipe () =
+  run_in_kernel (fun _ ->
+      let f = big_file "/tmp/sf-full" 100_000 in
+      let _, w = nonblocking_pipe () in
+      ignore
+        (expect_int "fill"
+           (sys (Syscall.Write (w, String.make Pipe.default_capacity 'j'))));
+      expect_err "sendfile(full pipe, f, 100000)" Errno.EAGAIN
+        (sys (Syscall.Sendfile { out_fd = w; in_fd = f; count = 100_000 }));
+      Alcotest.(check int) "offset kept" 0 (offset_of f))
+
+let test_sendfile_short_pipe_write () =
+  run_in_kernel (fun _ ->
+      let f = big_file "/tmp/sf-short" 100_000 in
+      let r, w = nonblocking_pipe () in
+      ignore
+        (expect_int "fill"
+           (sys (Syscall.Write (w, String.make Pipe.default_capacity 'j'))));
+      ignore (expect_data "drain" (sys (Syscall.Read (r, 1_000))));
+      Alcotest.(check int) "sendfile into 1,000 bytes of room" 1_000
+        (expect_int "sendfile"
+           (sys (Syscall.Sendfile { out_fd = w; in_fd = f; count = 10_000 })));
+      Alcotest.(check int) "offset moved by the bytes written" 1_000
+        (offset_of f))
+
+(* A blocking write parks; the offset moves when it completes, by what it
+   wrote. *)
+let test_sendfile_parked_write () =
+  run_in_kernel (fun _ ->
+      let f = big_file "/tmp/sf-parked" 10_000 in
+      let r, w = expect_pair "pipe" (sys Syscall.Pipe) in
+      ignore
+        (expect_int "fill"
+           (sys (Syscall.Write (w, String.make Pipe.default_capacity 'j'))));
+      let self = Sched.self () in
+      self.Proc.proc.Proc.entry_table <-
+        [|
+          (fun () ->
+            ignore (sys (Syscall.Nanosleep (Vtime.ms 1)));
+            ignore (expect_data "drain" (sys (Syscall.Read (r, 10_000)))));
+        |];
+      ignore (expect_int "clone" (sys (Syscall.Clone 0)));
+      Alcotest.(check int) "sendfile after the drain" 10_000
+        (expect_int "sendfile"
+           (sys (Syscall.Sendfile { out_fd = w; in_fd = f; count = 10_000 })));
+      Alcotest.(check int) "offset moved on completion" 10_000 (offset_of f))
+
+(* ---- null pipe writes ----
+
+   Linux returns 0 for an empty write to a pipe before it looks for
+   readers: no EAGAIN, no blocking, no EPIPE and no SIGPIPE (confirmed from
+   C on Linux 6.18). *)
+
+let test_null_write_nonblocking_pipe () =
+  run_in_kernel (fun _ ->
+      let _, w = nonblocking_pipe () in
+      Alcotest.(check int) "write(w, \"\")" 0
+        (expect_int "write" (sys (Syscall.Write (w, "")))))
+
+let test_null_write_blocking_pipe () =
+  run_in_kernel (fun _ ->
+      let _, w = expect_pair "pipe" (sys Syscall.Pipe) in
+      Alcotest.(check int) "write(w, \"\") returns" 0
+        (expect_int "write" (sys (Syscall.Write (w, "")))))
+
+let test_null_write_no_reader () =
+  run_in_kernel (fun _ ->
+      ignore (sys (Syscall.Rt_sigaction (Sigdefs.sigpipe, Syscall.Sig_ignore)));
+      let r, w = expect_pair "pipe" (sys Syscall.Pipe) in
+      ignore (expect_int "close" (sys (Syscall.Close r)));
+      Alcotest.(check int) "write(w, \"\")" 0
+        (expect_int "write" (sys (Syscall.Write (w, ""))));
+      expect_err "write(w, \"x\")" Errno.EPIPE (sys (Syscall.Write (w, "x"))))
+
+(* ---- positional I/O per descriptor kind ----
+
+   From C on Linux 6.18: pread64 on /dev/null returns 0 and pwrite64 the
+   count; a directory answers EISDIR to pread64 and EBADF to pwrite64 (it
+   is open read-only); /proc/self/maps reads the bytes at the offset
+   without moving the file offset, and has no positional write (ESPIPE). *)
+
+let test_pread_dev_null () =
+  run_in_kernel (fun _ ->
+      let fd = open_mode "/dev/null" Syscall.o_rdwr in
+      Alcotest.(check string) "pread64(/dev/null, 8, 0)" ""
+        (expect_data "pread64" (sys (Syscall.Pread64 (fd, 8, 0)))))
+
+let test_pwrite_dev_null () =
+  run_in_kernel (fun _ ->
+      let fd = open_mode "/dev/null" Syscall.o_rdwr in
+      Alcotest.(check int) "pwrite64(/dev/null, abc, 0)" 3
+        (expect_int "pwrite64" (sys (Syscall.Pwrite64 (fd, "abc", 0)))))
+
+let test_pread_directory () =
+  run_in_kernel (fun _ ->
+      ignore (sys (Syscall.Mkdir "/tmp/pread-dir"));
+      let fd = open_mode "/tmp/pread-dir" Syscall.o_rdonly in
+      expect_err "pread64(dir, 8, 0)" Errno.EISDIR
+        (sys (Syscall.Pread64 (fd, 8, 0)));
+      expect_err "pwrite64(dir, abc, 0)" Errno.EBADF
+        (sys (Syscall.Pwrite64 (fd, "abc", 0))))
+
+let test_pread_proc_maps () =
+  run_in_kernel (fun _ ->
+      ignore
+        (sys
+           (Syscall.Mmap
+              {
+                len = 4096;
+                prot = { Syscall.pr = true; pw = true; px = false };
+                kind = Syscall.Map_anon;
+              }));
+      let fd = open_mode "/proc/self/maps" Syscall.o_rdonly in
+      let head = expect_data "read" (sys (Syscall.Read (fd, 12))) in
+      Alcotest.(check int) "read 12" 12 (String.length head);
+      Alcotest.(check string) "pread64(maps, 8, 4)" (String.sub head 4 8)
+        (expect_data "pread64" (sys (Syscall.Pread64 (fd, 8, 4))));
+      Alcotest.(check int) "offset untouched" 12 (offset_of fd);
+      expect_err "pwrite64(maps, abc, 0)" Errno.ESPIPE
+        (sys (Syscall.Pwrite64 (fd, "abc", 0))))
+
 (* ---- file sizes past the filesystem's maximum ----
 
    Files are stored densely, so these used to ask the host for a
@@ -833,6 +984,25 @@ let () =
             test_write_after_huge_lseek;
           tc "truncate/ftruncate past the maximum file size" `Quick
             test_truncate_huge;
+          tc "sendfile to a closed out_fd keeps the offset" `Quick
+            test_sendfile_closed_out_fd;
+          tc "sendfile EAGAIN into a full pipe keeps the offset" `Quick
+            test_sendfile_full_pipe;
+          tc "sendfile moves the offset by a short write" `Quick
+            test_sendfile_short_pipe_write;
+          tc "sendfile moves the offset when a parked write completes"
+            `Quick test_sendfile_parked_write;
+          tc "null write to a nonblocking pipe" `Quick
+            test_null_write_nonblocking_pipe;
+          tc "null write to a blocking pipe" `Quick
+            test_null_write_blocking_pipe;
+          tc "null write to a pipe without readers" `Quick
+            test_null_write_no_reader;
+          tc "pread64 on /dev/null" `Quick test_pread_dev_null;
+          tc "pwrite64 on /dev/null" `Quick test_pwrite_dev_null;
+          tc "pread64/pwrite64 on a directory" `Quick test_pread_directory;
+          tc "pread64/pwrite64 on /proc/self/maps" `Quick
+            test_pread_proc_maps;
         ] );
       ( "vm",
         [

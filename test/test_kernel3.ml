@@ -314,6 +314,167 @@ let test_trace_facility () =
   Alcotest.(check bool) "monitored route visible" true
     (List.exists (contains "-> monitored") trace)
 
+(* ---- payloads cross the kernel without host copies ----
+
+   Strings are immutable, so a pipe or socket queues the writer's own
+   string and a read that takes exactly one queued write returns it. *)
+
+(* [Bytestream] against a model that keeps each pushed string with its
+   consumed prefix. The model also says when a pull must return a pushed
+   string itself: when it takes exactly an unsplit front chunk. *)
+type bs_op = Push of string | Pull of int | Pull_front
+
+let bs_op_to_string = function
+  | Push s -> Printf.sprintf "push %S" s
+  | Pull n -> Printf.sprintf "pull %d" n
+  | Pull_front -> "pull-front"
+
+let gen_bs_ops =
+  QCheck.Gen.(
+    list_size (int_range 0 60)
+      (frequency
+         [
+           (4, map (fun s -> Push s) (string_size ~gen:printable (0 -- 12)));
+           (4, map (fun n -> Pull n) (int_range (-3) 40));
+           (2, return Pull_front);
+         ]))
+
+let prop_bytestream_model =
+  QCheck.Test.make ~name:"bytestream matches a string model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map bs_op_to_string ops))
+       gen_bs_ops)
+    (fun ops ->
+      let b = Bytestream.create () in
+      (* the model: pushed strings in order, each with its consumed prefix *)
+      let model = ref [] in
+      let model_len () =
+        List.fold_left (fun acc (s, off) -> acc + String.length s - off) 0 !model
+      in
+      let model_pull n =
+        let rec take acc left = function
+          | (s, off) :: rest when left > 0 ->
+            let k = min left (String.length s - off) in
+            let acc = String.sub s off k :: acc in
+            if off + k = String.length s then take acc (left - k) rest
+            else (acc, (s, off + k) :: rest)
+          | chunks -> (acc, chunks)
+        in
+        let whole =
+          match !model with
+          | (s, 0) :: _ when n = String.length s -> Some s
+          | _ -> None
+        in
+        let parts, rest = take [] n !model in
+        model := rest;
+        (String.concat "" (List.rev parts), whole)
+      in
+      let check_pull n =
+        let expected, whole = model_pull n in
+        let got = Bytestream.pull b n in
+        String.equal got expected
+        && (match whole with Some s -> got == s | None -> true)
+        && Bytestream.length b = model_len ()
+      in
+      List.for_all
+        (function
+          | Push s ->
+            Bytestream.push b s;
+            if s <> "" then model := !model @ [ (s, 0) ];
+            Bytestream.length b = model_len ()
+          | Pull n -> check_pull n
+          | Pull_front ->
+            let n =
+              match !model with (s, off) :: _ -> String.length s - off | [] -> 0
+            in
+            check_pull n)
+        ops
+      && check_pull max_int
+      && Bytestream.length b = 0)
+
+(* socket writes land after the link latency (50 us on loopback TCP) *)
+let settle () = ignore (sys (Syscall.Nanosleep (Vtime.ms 1)))
+
+(* A connected pair of descriptors of each kind: (reader, writer). *)
+let socketpair_ends () =
+  let a, b =
+    expect_pair "socketpair"
+      (sys (Syscall.Socketpair (Syscall.Af_unix, Syscall.Sock_stream)))
+  in
+  (b, a)
+
+let tcp_socket () =
+  expect_int "socket" (sys (Syscall.Socket (Syscall.Af_inet, Syscall.Sock_stream)))
+
+let tcp_ends () =
+  let port = 8090 in
+  let sfd = tcp_socket () in
+  ignore (expect_int "bind" (sys (Syscall.Bind (sfd, port))));
+  ignore (expect_int "listen" (sys (Syscall.Listen (sfd, 4))));
+  let cfd = tcp_socket () in
+  ignore (expect_int "connect" (sys (Syscall.Connect (cfd, port))));
+  match sys (Syscall.Accept sfd) with
+  | Syscall.Ok_accept { conn_fd; _ } -> (conn_fd, cfd)
+  | _ -> Alcotest.fail "accept"
+
+let pipe_ends () = expect_pair "pipe" (sys Syscall.Pipe)
+
+let test_shared_reads ends () =
+  run_in_kernel (fun _ ->
+      let r, w = ends () in
+      let read n = expect_data "read" (sys (Syscall.Read (r, n))) in
+      let msg = String.make 4096 'm' in
+      ignore (expect_int "write" (sys (Syscall.Write (w, msg))));
+      Alcotest.(check bool) "a read of one whole write shares its string" true
+        (read 4096 == msg);
+      ignore (expect_int "write" (sys (Syscall.Write (w, "hello world"))));
+      Alcotest.(check string) "read inside a chunk" "hello" (read 5);
+      Alcotest.(check string) "rest of the chunk" " world" (read 64);
+      ignore (expect_int "write" (sys (Syscall.Write (w, "abc"))));
+      ignore (expect_int "write" (sys (Syscall.Write (w, "def"))));
+      ignore (expect_int "write" (sys (Syscall.Write (w, "gh"))));
+      settle ();
+      Alcotest.(check string) "read across chunks" "abcde" (read 5);
+      Alcotest.(check string) "read joining the rest" "fgh" (read 64))
+
+(* Host allocation guard. OCaml puts any block over 256 words straight
+   into the major heap, and a 4 KB payload is 513 words, so every host
+   copy of one costs a major-heap allocation that minor-word counts never
+   show. 200 round trips of one 4 KB message over a socketpair must not
+   allocate in the major heap beyond a small constant per message (copies
+   cost about 2,000 words each), and every read must return the sender's
+   string itself. *)
+let test_no_major_copies () =
+  let msg = String.make 4096 'm' in
+  let k = Kernel.create () in
+  let shared = ref 0 in
+  let reads = ref 0 in
+  ignore
+    (Kernel.spawn_process k ~name:"pingpong" ~vm_seed:3 (fun () ->
+         let a, b = socketpair_ends () in
+         let read fd =
+           let s = expect_data "read" (sys (Syscall.Read (fd, 4096))) in
+           incr reads;
+           if s == msg then incr shared
+         in
+         for _ = 1 to 200 do
+           ignore (expect_int "write" (sys (Syscall.Write (b, msg))));
+           read a;
+           ignore (expect_int "write" (sys (Syscall.Write (a, msg))));
+           read b
+         done));
+  let before = Gc.quick_stat () in
+  Kernel.run k;
+  let after = Gc.quick_stat () in
+  let direct s = s.Gc.major_words -. s.Gc.promoted_words in
+  let per_message = (direct after -. direct before) /. 400. in
+  Alcotest.(check int) "reads" 400 !reads;
+  if per_message > 64. || !shared <> 400 then
+    Alcotest.failf
+      "%.1f words per message went straight to the major heap (at most 64); \
+       %d of 400 reads shared the sender's string"
+      per_message !shared
+
 let tc = Alcotest.test_case
 
 let () =
@@ -351,6 +512,15 @@ let () =
         ] );
       ( "poll-variants",
         [ tc "pselect6 + ppoll" `Quick test_pselect_ppoll ] );
+      ( "shared strings",
+        [
+          QCheck_alcotest.to_alcotest prop_bytestream_model;
+          tc "socketpair reads" `Quick (test_shared_reads socketpair_ends);
+          tc "local TCP reads" `Quick (test_shared_reads tcp_ends);
+          tc "pipe reads" `Quick (test_shared_reads pipe_ends);
+          tc "no major-heap copies of 4 KB messages" `Quick
+            test_no_major_copies;
+        ] );
       ( "misc",
         [
           tc "limits/affinity/ids" `Quick test_limits_affinity_ids;

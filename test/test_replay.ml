@@ -288,6 +288,31 @@ let test_config_codecs_round_trip () =
         policies)
     all_backends
 
+(* ------------------------------------------------------------------ *)
+(* The RMRC bytes of one small run are pinned: the round-trip and replay
+   tests above would pass under any self-consistent encoding, so only this
+   test notices a codec change that moves the on-disk format. The SysV
+   key is fixed so the run does not depend on how many groups ran before
+   it in this process. *)
+
+let test_pinned_bytes () =
+  let cfg =
+    { (config ()) with Mvee.shm_key = Some (Context.mvee_shm_key_base + 16) }
+  in
+  let recorded = record cfg (mixed_body ~iters:20 ()) in
+  let bytes = Recording.to_string recorded in
+  Alcotest.(check int) "encoded length" 627 (String.length bytes);
+  Alcotest.(check string) "MD5 of the encoding"
+    "36d0e56d15bc0a460df26db2725d74db"
+    (Digest.to_hex (Digest.string bytes));
+  Alcotest.(check string) "stream digest" "5e18a7027bb576010f9976ed75712a83"
+    (Recording.stream_digest recorded);
+  match Recording.of_string bytes with
+  | Ok back ->
+    Alcotest.(check bool) "decodes to the recording" true
+      (Recording.equal back recorded)
+  | Error e -> Alcotest.fail (Syswire.error_to_string e)
+
 let () =
   Alcotest.run "replay"
     [
@@ -330,4 +355,6 @@ let () =
           Alcotest.test_case "config codecs round-trip" `Quick
             test_config_codecs_round_trip;
         ] );
+      ( "format",
+        [ Alcotest.test_case "pinned RMRC bytes" `Quick test_pinned_bytes ] );
     ]
