@@ -82,13 +82,13 @@ let poll_desc k (d : Proc.desc) : Syscall.poll_events =
   | Proc.Regular _ | Proc.Directory _ | Proc.Dev_null ->
     { Syscall.ev_none with pollin = true; pollout = true }
   | Proc.Proc_maps _ -> { Syscall.ev_none with pollin = true }
-  | Proc.Pipe_read p ->
+  | Proc.Pipe p when d.can_read ->
     {
       Syscall.ev_none with
       pollin = Pipe.bytes_available p > 0 || Pipe.write_closed p;
       pollhup = Pipe.write_closed p && Pipe.bytes_available p = 0;
     }
-  | Proc.Pipe_write p ->
+  | Proc.Pipe p ->
     {
       Syscall.ev_none with
       pollout = Pipe.space_available p > 0 && not (Pipe.read_closed p);
@@ -229,8 +229,8 @@ let release_desc k (d : Proc.desc) =
   d.refs <- d.refs - 1;
   if d.refs <= 0 then begin
     match d.kind with
-    | Proc.Pipe_read pi -> pi.readers <- pi.readers - 1
-    | Proc.Pipe_write pi -> pi.writers <- pi.writers - 1
+    | Proc.Pipe pi when d.can_read -> pi.readers <- pi.readers - 1
+    | Proc.Pipe pi -> pi.writers <- pi.writers - 1
     | Proc.Stream s -> (
       Net.close_stream s;
       (* a cross-host endpoint: let the gateway flush and send FIN *)
@@ -350,7 +350,7 @@ let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.resu
       let s = maps_at pm.content ~offset:d.offset ~count in
       d.offset <- d.offset + String.length s;
       data_done s
-    | Proc.Pipe_read pi ->
+    | Proc.Pipe pi ->
       let attempt () =
         if Pipe.bytes_available pi > 0 then begin
           Sched.kick k.K.sched;
@@ -361,7 +361,10 @@ let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.resu
       in
       park_or_eagain k th d ~on:Waitq.global ~what:"read(pipe)" ~poll:attempt
         ~on_ready:data_done ~ret
-    | Proc.Pipe_write _ -> ret (err Errno.EBADF)
+    | Proc.Stream s when Net.never_connected s ->
+      (* Linux's sock_read_iter returns 0 for an empty read before it looks
+         at the socket *)
+      if count = 0 then data_done "" else ret (err Errno.ENOTCONN)
     | Proc.Stream s ->
       let attempt () =
         if Net.incoming_length s > 0 then begin
@@ -380,6 +383,9 @@ let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.resu
       in
       park_or_eagain k th d ~on:(Net.waitq s) ~what:"read(socket)"
         ~poll:attempt ~on_ready:data_done ~ret
+    | Proc.Timer_fd _ | Proc.Event_fd _ when count < 8 ->
+      (* the 8-byte counter does not fit: EINVAL, even before blocking *)
+      ret (err Errno.EINVAL)
     | Proc.Timer_fd tf ->
       let attempt () =
         let avail = timer_available tf (K.now k) in
@@ -428,11 +434,11 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
         ret (Syscall.Ok_int n)
       | Error e -> ret (err e))
     | Proc.Dev_null -> ret (Syscall.Ok_int len)
-    | Proc.Pipe_write _ when len = 0 ->
+    | Proc.Pipe _ when len = 0 ->
       (* a null write succeeds before Linux looks for readers: no EPIPE,
          no SIGPIPE, and it never blocks *)
       ret (Syscall.Ok_int 0)
-    | Proc.Pipe_write pi ->
+    | Proc.Pipe pi ->
       if Pipe.read_closed pi then begin
         post_signal k p Sigdefs.sigpipe;
         ret (err Errno.EPIPE)
@@ -511,8 +517,8 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
       e.Proc.count <- e.Proc.count + len;
       Sched.kick k.K.sched;
       ret (Syscall.Ok_int len)
-    | Proc.Pipe_read _ | Proc.Listener _ | Proc.Epoll_fd _ | Proc.Timer_fd _
-    | Proc.Directory _ | Proc.Proc_maps _ ->
+    | Proc.Listener _ | Proc.Epoll_fd _ | Proc.Timer_fd _ | Proc.Directory _
+    | Proc.Proc_maps _ ->
       ret (err Errno.EBADF)
     | Proc.Replicated_handle _ -> ret (err Errno.EREMOTEIO)
 
@@ -569,7 +575,7 @@ and stat_of_node (node : Vfs.node) =
 and stat_of_desc (d : Proc.desc) =
   match d.kind with
   | Proc.Regular node | Proc.Directory node -> stat_of_node node
-  | Proc.Pipe_read _ | Proc.Pipe_write _ ->
+  | Proc.Pipe _ ->
     Syscall.Ok_stat { st_ino = 0; st_size = 0; st_kind = `Fifo; st_mtime_ns = 0 }
   | Proc.Listener _ | Proc.Stream _ ->
     Syscall.Ok_stat { st_ino = 0; st_size = 0; st_kind = `Sock; st_mtime_ns = 0 }
@@ -693,7 +699,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
         match op with
         | Syscall.Fionread -> (
           match d.kind with
-          | Proc.Pipe_read pi -> ret (Syscall.Ok_int (Pipe.bytes_available pi))
+          | Proc.Pipe pi -> ret (Syscall.Ok_int (Pipe.bytes_available pi))
           | Proc.Stream s -> ret (Syscall.Ok_int (Net.incoming_length s))
           | _ -> ret (Syscall.Ok_int 0))
         | Syscall.Fionbio v ->
@@ -720,32 +726,24 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Lseek (fd, offset, whence) ->
     with_fd fd (fun d ->
         match d.kind with
-        | Proc.Regular node ->
+        | Proc.Regular _ | Proc.Proc_maps _ -> (
           let base =
-            match whence with
-            | Syscall.Seek_set -> 0
-            | Syscall.Seek_cur -> d.offset
-            | Syscall.Seek_end -> Vfs.file_size node
+            match (whence, d.kind) with
+            | Syscall.Seek_set, _ -> Some 0
+            | Syscall.Seek_cur, _ -> Some d.offset
+            | Syscall.Seek_end, Proc.Regular node -> Some (Vfs.file_size node)
+            | Syscall.Seek_end, _ -> None (* seq_lseek has no SEEK_END *)
           in
-          let pos = base + offset in
-          if pos < 0 then ret (err Errno.EINVAL)
-          else begin
-            d.offset <- pos;
-            ret (Syscall.Ok_int pos)
-          end
-        | Proc.Proc_maps pm ->
-          let base =
-            match whence with
-            | Syscall.Seek_set -> 0
-            | Syscall.Seek_cur -> d.offset
-            | Syscall.Seek_end -> String.length pm.content
-          in
-          d.offset <- max 0 (base + offset);
-          ret (Syscall.Ok_int d.offset)
-        | Proc.Pipe_read _ | Proc.Pipe_write _ | Proc.Stream _
-        | Proc.Listener _ ->
-          ret (err Errno.ESPIPE)
-        | _ -> ret (err Errno.EINVAL))
+          match base with
+          | Some base when base + offset >= 0 ->
+            d.offset <- base + offset;
+            ret (Syscall.Ok_int d.offset)
+          | _ -> ret (err Errno.EINVAL))
+        (* null_lseek and noop_llseek: 0, and the position never moves *)
+        | Proc.Dev_null | Proc.Event_fd _ | Proc.Timer_fd _ | Proc.Epoll_fd _ ->
+          ret (Syscall.Ok_int 0)
+        | Proc.Pipe _ | Proc.Stream _ | Proc.Listener _ -> ret (err Errno.ESPIPE)
+        | Proc.Directory _ | Proc.Replicated_handle _ -> ret (err Errno.EINVAL))
   | Syscall.Stat path | Syscall.Fstatat path -> (
     match Vfs.resolve k.K.vfs path with
     | Ok node -> ret (stat_of_node node)
@@ -950,18 +948,26 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Epoll_create ->
     ret (Syscall.Ok_int (install_fd (Proc.make_desc (Proc.Epoll_fd (Epoll.create ())))))
   | Syscall.Epoll_ctl { epfd; op; fd; events; user_data } ->
+    (* Linux's order: both descriptors exist, the target can be polled
+       (files, directories, /dev/null and /proc/self/maps have no ->poll:
+       EPERM), and only then must [epfd] be an epoll other than the
+       target *)
     with_fd epfd (fun d ->
-        match d.kind with
-        | Proc.Epoll_fd ep ->
-          if not (Fdtable.mem p.fds fd) then ret (err Errno.EBADF)
-          else (
-            match Epoll.ctl ep ~op ~fd ~events ~user_data with
-            | Ok () -> ret (Syscall.Ok_int 0)
-            | Error e -> ret (err e))
-        | _ -> ret (err Errno.EINVAL))
+        with_fd fd (fun target ->
+            match (d.kind, target.kind) with
+            | ( _,
+                ( Proc.Regular _ | Proc.Directory _ | Proc.Dev_null
+                | Proc.Proc_maps _ ) ) ->
+              ret (err Errno.EPERM)
+            | Proc.Epoll_fd ep, _ when d != target -> (
+              match Epoll.ctl ep ~op ~fd ~events ~user_data with
+              | Ok () -> ret (Syscall.Ok_int 0)
+              | Error e -> ret (err e))
+            | _ -> ret (err Errno.EINVAL)))
   | Syscall.Epoll_wait { epfd; max_events; timeout_ns } ->
     with_fd epfd (fun d ->
         match d.kind with
+        | Proc.Epoll_fd _ when max_events <= 0 -> ret (err Errno.EINVAL)
         | Proc.Epoll_fd ep ->
           let attempt () =
             let ready =
@@ -1005,9 +1011,11 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Bind (fd, port) ->
     with_fd fd (fun d ->
         match d.kind with
-        | Proc.Stream s ->
+        | Proc.Stream s when Net.local_port s = 0 ->
           Net.set_local_port s port;
           ret (Syscall.Ok_int 0)
+        (* bound already: a second bind, a connected socket or a listener *)
+        | Proc.Stream _ | Proc.Listener _ -> ret (err Errno.EINVAL)
         | _ -> ret (err Errno.ENOTSOCK))
   | Syscall.Listen (fd, backlog) ->
     with_fd fd (fun d ->
@@ -1131,9 +1139,9 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Getpeername fd ->
     with_fd fd (fun d ->
         match d.kind with
-        | Proc.Stream s ->
-          if Net.connected s then ret (Syscall.Ok_int (Net.peer_port s))
-          else ret (err Errno.ENOTCONN)
+        | Proc.Stream s when Net.connected s ->
+          ret (Syscall.Ok_int (Net.peer_port s))
+        | Proc.Stream _ | Proc.Listener _ -> ret (err Errno.ENOTCONN)
         | _ -> ret (err Errno.ENOTSOCK))
   | Syscall.Getsockopt (fd, opt) ->
     with_fd fd (fun d ->
@@ -1160,6 +1168,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Shutdown (fd, how) ->
     with_fd fd (fun d ->
         match d.kind with
+        | Proc.Stream s when Net.never_connected s -> ret (err Errno.ENOTCONN)
         | Proc.Stream s ->
           (match how with
           | Syscall.Shut_rd -> Net.shutdown_rd s
@@ -1259,10 +1268,10 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
     in
     let pi = Pipe.create () in
     let rfd =
-      install_fd (Proc.make_desc ~nonblock ~can_write:false (Proc.Pipe_read pi))
+      install_fd (Proc.make_desc ~nonblock ~can_write:false (Proc.Pipe pi))
     in
     let wfd =
-      install_fd (Proc.make_desc ~nonblock ~can_read:false (Proc.Pipe_write pi))
+      install_fd (Proc.make_desc ~nonblock ~can_read:false (Proc.Pipe pi))
     in
     ret (Syscall.Ok_pair (rfd, wfd))
   | Syscall.Unlink path | Syscall.Unlinkat path -> (
@@ -1851,7 +1860,7 @@ let handle k (th : Proc.thread) call ~return =
         (* stall the arrival: the rendezvous watchdog can observe it *)
         trace_route k th call "fault:delay";
         obs_instant k th ~cat:"fault" ~name:"delay" [ ("ns", Tr.Int ns) ];
-        block k th ~on:Waitq.global ~what:"fault: injected stall" ~timeout_ns:ns
+        block k th ~on:Waitq.none ~what:"fault: injected stall" ~timeout_ns:ns
           ~intr:false
           ~poll:(fun () -> (None : unit option))
           ~on_ready:(fun () -> ())

@@ -287,6 +287,11 @@ let commit stream data =
 
 let peer_gone stream = stream.peer = None
 
+(* Every stream that ever had a peer was connected, or shut both ways when
+   it was closed; only [fresh_stream]'s placeholder was neither. *)
+let never_connected stream =
+  stream.peer = None && stream.flags land (f_connected lor f_rd_shut) = 0
+
 (* Draining the committed queue frees receive-buffer space: blocked
    senders into [stream] may resume. *)
 let recv stream count =

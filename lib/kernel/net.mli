@@ -148,5 +148,10 @@ val commit_inbound : stream -> string -> unit
     [buffered_hwm]. *)
 
 val peer_gone : stream -> bool
+
+val never_connected : stream -> bool
+(** The placeholder {!fresh_stream} made for [socket], which no connect
+    has replaced: it never had a peer. *)
+
 val recv : stream -> int -> string
 val close_stream : stream -> unit

@@ -24,8 +24,7 @@ type eventfd_state = { mutable count : int }
 type desc_kind =
   | Regular of Vfs.node
   | Directory of Vfs.node
-  | Pipe_read of Pipe.t
-  | Pipe_write of Pipe.t
+  | Pipe of Pipe.t (* either end: the access mode tells which *)
   | Listener of Net.listener
   | Stream of Net.stream
   | Epoll_fd of Epoll.t
@@ -93,7 +92,7 @@ type fault_decision =
 
 type thread_state =
   | Ready (* a scheduled event will run or resume it *)
-  | Blocked of Waitq.entry (* parked: on a wait queue or the global sweep *)
+  | Blocked of Waitq.entry (* parked: on a wait queue, or on none *)
   | Trace_stopped of { reason : stop_reason; resume : resume_action -> unit }
   | Dead
 
@@ -202,7 +201,7 @@ type fd_class = Fd_regular | Fd_pipe | Fd_socket | Fd_pollfd | Fd_special
 let classify_desc d =
   match d.kind with
   | Regular _ | Directory _ -> Fd_regular
-  | Pipe_read _ | Pipe_write _ -> Fd_pipe
+  | Pipe _ -> Fd_pipe
   | Listener _ | Stream _ -> Fd_socket
   | Epoll_fd _ -> Fd_pollfd
   | Timer_fd _ | Event_fd _ | Dev_null -> Fd_special

@@ -22,8 +22,7 @@ type eventfd_state = { mutable count : int }
 type desc_kind =
   | Regular of Vfs.node
   | Directory of Vfs.node
-  | Pipe_read of Pipe.t
-  | Pipe_write of Pipe.t
+  | Pipe of Pipe.t (* either end: the access mode tells which *)
   | Listener of Net.listener
   | Stream of Net.stream
   | Epoll_fd of Epoll.t
@@ -91,7 +90,7 @@ type fault_decision =
 
 type thread_state =
   | Ready (* a scheduled event will run or resume it *)
-  | Blocked of Waitq.entry (* parked: on a wait queue or the global sweep *)
+  | Blocked of Waitq.entry (* parked: on a wait queue, or on none *)
   | Trace_stopped of { reason : stop_reason; resume : resume_action -> unit }
   | Dead
 

@@ -9,14 +9,14 @@
 
    Blocking model: a blocked thread parks one [Waitq.entry] holding a
    [retry] thunk, on the wait queue of the object it waits for or, for
-   kinds without one yet, on the global sweep ([Waitq] says which). A
-   state mutation calls [kick], which schedules one retry sweep at the
-   current virtual time. The sweep merges the global entries (an array in
-   park order) with the run queue of woken entries (a heap on the same
-   park order), so it retries every global entry and every entry woken
-   since its last retry, in park order; [Waitq] states when an entry
-   woken during a sweep joins it. A failed retry has no effect, so
-   skipping one that cannot succeed changes nothing.
+   kinds without one yet, on the scheduler's catch-all queue ([Waitq]
+   says which). A state mutation calls [kick], which schedules one retry
+   sweep at the current virtual time. The sweep wakes the catch-all queue
+   into the run queue of woken entries (a heap on park order), then
+   retries the run queue in park order: every catch-all entry and every
+   entry woken since its last retry. [Waitq] states when an entry woken
+   during a sweep joins it. A failed retry has no effect, so skipping one
+   that cannot succeed changes nothing.
 
    Checking mode (tests only, see [set_wakeup_check]): after every sweep,
    each parked entry that was not woken is retried too; a success there is
@@ -52,8 +52,7 @@ type t = {
   mutable syscall_handler :
     Proc.thread -> Syscall.call -> return:(Syscall.result -> unit) -> unit;
   mutable on_thread_exit : Proc.thread -> unit;
-  mutable swept : Waitq.entry array; (* global entries, park order *)
-  mutable nswept : int;
+  global : Waitq.t; (* catch-all queue, woken by every sweep *)
   runq : Waitq.runq; (* woken entries *)
   mutable next_seq : int; (* park sequence numbers *)
   mutable kick_scheduled : bool;
@@ -73,15 +72,12 @@ let nop () = ()
 let wakeup_check = Atomic.make false
 let set_wakeup_check on = Atomic.set wakeup_check on
 
-let retry t (b : Waitq.entry) =
-  t.retries <- t.retries + 1;
-  if b.Waitq.retry () then begin
-    t.retries_ok <- t.retries_ok + 1;
-    Waitq.unlink b;
-    b.Waitq.state <- Waitq.Done;
-    true
-  end
-  else false
+(* Takes a parked entry off its queue without retrying it (a timeout, a
+   forced completion or a kill ends the wait). O(1); a woken entry left in
+   the run queue is skipped when the sweep reaches it. *)
+let unpark (b : Waitq.entry) =
+  Waitq.unlink b;
+  b.Waitq.state <- Waitq.Done
 
 (* The oracle: retry every queued entry that was not woken. *)
 let check_wakeups t =
@@ -95,52 +91,34 @@ let check_wakeups t =
                 b.Waitq.what b.Waitq.seq)))
     (List.rev t.watched)
 
-(* Merges the global entries [swept.(0..n-1)] with the run queue, both in
-   park order. Global survivors are compacted in place; entries parked
-   during the sweep were appended past [n]. *)
-let sweep_entries t rq =
-  let n = t.nswept in
-  Waitq.begin_sweep rq ~limit:t.next_seq;
-  let i = ref 0 and w = ref 0 and go = ref true in
-  while !go do
-    let gseq = if !i < n then t.swept.(!i).Waitq.seq else max_int in
-    let wseq = Waitq.min_seq rq in
-    if gseq < wseq then begin
-      let b = t.swept.(!i) in
-      incr i;
-      rq.Waitq.cursor <- gseq;
-      if b.Waitq.state = Waitq.Swept && not (retry t b) then begin
-        t.swept.(!w) <- b;
-        incr w
-      end
-    end
-    else if wseq < max_int then begin
-      let b = Waitq.pop rq in
-      rq.Waitq.cursor <- wseq;
-      if b.Waitq.state = Waitq.Woken then begin
-        b.Waitq.state <- Waitq.Waiting;
-        ignore (retry t b)
-      end
-    end
-    else go := false
-  done;
-  let added = t.nswept - n in
-  if !w < n then begin
-    Array.blit t.swept n t.swept !w added;
-    Array.fill t.swept (!w + added) (n - !w) Waitq.nil
-  end;
-  t.nswept <- !w + added;
-  Waitq.end_sweep rq
-
-(* One retry sweep; with nothing parked globally and nothing woken it
-   touches nothing. *)
+(* One retry sweep: wakes the catch-all queue, then retries the run queue
+   in park order. With nothing parked there and nothing woken it retries
+   nothing and allocates nothing. *)
 let sweep t =
   t.kick_scheduled <- false;
   let rq = t.runq in
-  if t.nswept > 0 || rq.Waitq.size > 0 then sweep_entries t rq;
+  Waitq.wake t.global;
+  if rq.Waitq.size > 0 then begin
+    Waitq.begin_sweep rq ~limit:t.next_seq;
+    while rq.Waitq.size > 0 do
+      let b = Waitq.pop rq in
+      if b.Waitq.state = Waitq.Woken then begin
+        b.Waitq.state <- Waitq.Waiting;
+        t.retries <- t.retries + 1;
+        if b.Waitq.retry () then begin
+          t.retries_ok <- t.retries_ok + 1;
+          unpark b
+        end
+      end
+    done;
+    Waitq.end_sweep rq
+  end;
   if t.checking then check_wakeups t
 
 let create () =
+  let runq = Waitq.create_runq () in
+  let global = Waitq.create () in
+  global.Waitq.runq <- runq;
   let t =
     {
       events = Event_queue.create ();
@@ -149,9 +127,8 @@ let create () =
       syscall_handler =
         (fun _ _ ~return:_ -> failwith "Sched: no syscall handler installed");
       on_thread_exit = (fun _ -> ());
-      swept = Array.make 16 Waitq.nil;
-      nswept = 0;
-      runq = Waitq.create_runq ();
+      global;
+      runq;
       next_seq = 0;
       kick_scheduled = false;
       kick_thunk = nop;
@@ -233,27 +210,16 @@ let schedule_unit_resume t th (k : (unit, unit) Effect.Deep.continuation) =
   th.Proc.resume_kind <- 2;
   schedule t ~time:th.Proc.clock th.Proc.resume_thunk
 
-(* Parks [th] on the wait queue [on]: [Waitq.global] for the global sweep,
-   [Waitq.none] for a wait only a signal (see [wake_process]) or a timeout
-   ends. *)
+(* Parks [th] on the wait queue [on]: [Waitq.global] for the scheduler's
+   catch-all queue, [Waitq.none] for a wait only a signal (see
+   [wake_process]) or a timeout ends. *)
 let park t th ~(on : Waitq.t) ~what ~(retry : unit -> bool) =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let b =
-    Waitq.entry ~what ~seq
-      ~state:(if on == Waitq.global then Waitq.Swept else Waitq.Waiting)
-  in
+  let b = Waitq.entry ~what ~seq in
   b.Waitq.retry <- retry;
   th.Proc.tstate <- Proc.Blocked b;
-  if on == Waitq.global then begin
-    if t.nswept = Array.length t.swept then begin
-      let bigger = Array.make (2 * t.nswept) Waitq.nil in
-      Array.blit t.swept 0 bigger 0 t.nswept;
-      t.swept <- bigger
-    end;
-    t.swept.(t.nswept) <- b;
-    t.nswept <- t.nswept + 1
-  end
+  if on == Waitq.global then Waitq.link t.global b
   else begin
     if on != Waitq.none then begin
       if on.Waitq.runq != t.runq then on.Waitq.runq <- t.runq;
@@ -335,13 +301,6 @@ let kick t =
     t.kick_scheduled <- true;
     schedule t ~time:t.now t.kick_thunk
   end
-
-(* Takes a parked entry out of every sweep without retrying it (a timeout,
-   a forced completion or a kill ends the wait). O(1): a global entry is
-   dropped by the next sweep. *)
-let unpark (b : Waitq.entry) =
-  Waitq.unlink b;
-  b.Waitq.state <- Waitq.Done
 
 (* A signal or a signal-mask change can end any interruptible wait of the
    process. *)

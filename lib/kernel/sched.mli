@@ -1,9 +1,10 @@
 (** Discrete-event cooperative scheduler. Simulated threads are OCaml 5
     effect-handler coroutines; the kernel decides when (in virtual time)
     each one resumes. A blocked thread parks a retry thunk on the wait
-    queue of the object it waits for ({!Waitq}); each {!kick} schedules a
-    sweep that retries, in park order, the entries woken since their last
-    retry plus every entry of a wait kind that has no wait queue yet. *)
+    queue of the object it waits for ({!Waitq}), or on the scheduler's
+    catch-all queue for a wait kind that has no wait queue yet. Each
+    {!kick} schedules a sweep that wakes the catch-all queue, then
+    retries, in park order, every entry woken since its last retry. *)
 
 open Remon_sim
 
@@ -28,9 +29,9 @@ type t = {
   mutable syscall_handler :
     Proc.thread -> Syscall.call -> return:(Syscall.result -> unit) -> unit;
   mutable on_thread_exit : Proc.thread -> unit;
-  mutable swept : Waitq.entry array;
-      (** entries of kinds without a wait queue, in park order *)
-  mutable nswept : int;
+  global : Waitq.t;
+      (** the catch-all queue, for kinds without a wait queue; every sweep
+          wakes it first *)
   runq : Waitq.runq;  (** woken entries awaiting their retry *)
   mutable next_seq : int;
   mutable kick_scheduled : bool;
@@ -69,14 +70,15 @@ val park :
 (** Parks a thread on the wait queue [on]; [retry] returns true once the
     thread has rescheduled itself. [on] is an object's queue (retried by
     the first sweep after the queue is woken), {!Waitq.none} (retried only
-    after a signal, see {!wake_process}) or {!Waitq.global} (retried by
-    every sweep). *)
+    after a signal, see {!wake_process}) or {!Waitq.global}, which stands
+    for the scheduler's catch-all queue (retried by every sweep). *)
 
 val kick : t -> unit
 (** Schedules a retry sweep (coalesced). *)
 
 val unpark : Waitq.entry -> unit
-(** Ends a wait without retrying it (timeout, forced completion, kill). *)
+(** Ends a wait without retrying it (timeout, forced completion, kill):
+    O(1), on any queue. *)
 
 val wake_process : t -> Proc.process -> unit
 (** Wakes every parked thread of the process: a signal or a signal-mask

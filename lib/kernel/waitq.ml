@@ -1,22 +1,24 @@
 (* Wait queues, in the manner of Linux's wait_queue_head.
 
    A thread that blocks in the kernel parks one [entry]: a retry thunk
-   plus the bookkeeping the scheduler's sweep needs. Entries of converted
-   wait kinds (stream read/write, listener accept) hang on the wait queue
-   of the object they wait for, and the code that changes the object's
-   state wakes that queue; waits that only a signal or their timeout can
-   end (nanosleep, pause, local and refused connect) hang on no queue at
-   all. Every other kind still parks on the global sweep, which retries it
+   plus the bookkeeping the scheduler's sweep needs. Every entry hangs on
+   one queue or on none. Entries of converted wait kinds (stream
+   read/write, listener accept) hang on the wait queue of the object they
+   wait for, and the code that changes the object's state wakes that
+   queue; waits that only a signal or their timeout can end (nanosleep,
+   pause, local and refused connect, an injected stall) hang on no queue
+   at all. Every other kind parks on its scheduler's catch-all queue
+   ([global]), which each sweep wakes first, so those entries are retried
    on every kick as before.
 
    A woken entry moves into its scheduler's run queue ([runq]): a binary
    min-heap keyed by the entry's park sequence number, so the sweep
-   retries woken threads in park order, interleaved with the global ones.
-   During a sweep, an entry woken ahead of the sweep's cursor joins this
-   sweep; one woken at or behind the cursor, or parked during the sweep,
-   waits in [later] for the next sweep. That is exactly when a sweep that
-   retried every parked entry would see the change, so which retries
-   succeed, and in what order, is the same as with such a sweep.
+   retries woken threads in park order. During a sweep, an entry woken
+   ahead of the sweep's cursor joins this sweep; one woken at or behind
+   the cursor, or parked during the sweep, waits in [later] for the next
+   sweep. That is exactly when a sweep that retried every parked entry
+   would see the change, so which retries succeed, and in what order, is
+   the same as with such a sweep.
 
    Linking, unlinking and waking an entry are O(1) and allocate nothing;
    the queue record itself is allocated lazily by its owner. *)
@@ -24,8 +26,7 @@
 open Remon_sim
 
 type state =
-  | Swept (* on the scheduler's global sweep: retried on every kick *)
-  | Waiting (* converted kind, not woken since its last retry *)
+  | Waiting (* not woken since its last retry *)
   | Woken (* in its scheduler's run queue *)
   | Done (* completed or unparked *)
 
@@ -57,7 +58,7 @@ let no_interrupt (_ : Syscall.result) = ()
 
 (* Sentinels. [nil] ends every list; [none] is "no object" and the lazy
    placeholder of an object that never had a waiter; [global] names the
-   global sweep. None of them is ever written to. *)
+   scheduler's catch-all queue. None of them is ever written to. *)
 let rec nil =
   {
     retry = (fun () -> false);
@@ -98,14 +99,14 @@ let create_runq () =
     limit = 0;
   }
 
-let entry ~what ~seq ~state =
+let entry ~what ~seq =
   {
     retry = (fun () -> false);
     timeout = None;
     interrupt = no_interrupt;
     what;
     seq;
-    state;
+    state = Waiting;
     queue = none;
     prev = nil;
     next = nil;
@@ -164,8 +165,6 @@ let heap_add rq e =
   rq.size <- rq.size + 1;
   sift_up rq.heap (rq.size - 1) e
 
-let min_seq rq = if rq.size = 0 then max_int else rq.heap.(0).seq
-
 let pop rq =
   let h = rq.heap in
   let top = h.(0) in
@@ -174,6 +173,7 @@ let pop rq =
   let last = h.(n) in
   h.(n) <- nil;
   if n > 0 then sift_down h n 0 last;
+  rq.cursor <- top.seq;
   top
 
 (* Ahead of the cursor of a running sweep: this sweep; otherwise the

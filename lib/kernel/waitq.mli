@@ -1,13 +1,13 @@
 (** Wait queues: each waitable object keeps the entries of the threads
-    blocked on it, and a state change wakes only those. A woken entry moves
-    into its scheduler's run queue, which the scheduler's sweep drains in
-    park order (see {!Sched}). Linking, unlinking and waking allocate
-    nothing. *)
+    blocked on it, and a state change wakes only those. Wait kinds without
+    an object queue park on their scheduler's catch-all queue, which every
+    sweep wakes. A woken entry moves into its scheduler's run queue, which
+    the scheduler's sweep drains in park order (see {!Sched}). Linking,
+    unlinking and waking allocate nothing. *)
 
 open Remon_sim
 
 type state =
-  | Swept  (** on the global sweep: retried on every kick *)
   | Waiting  (** on a wait queue (or none), not woken since its last retry *)
   | Woken  (** in its scheduler's run queue *)
   | Done  (** completed or unparked *)
@@ -53,21 +53,22 @@ val none : t
     placeholder of an object whose queue was never needed. *)
 
 val global : t
-(** The global sweep, for wait kinds without a wait queue yet. *)
+(** Names the catch-all queue, for wait kinds without a wait queue of their
+    own: {!Sched.park} links an entry parked here on its scheduler's
+    catch-all queue, which every sweep wakes first. *)
 
 val create : unit -> t
 val create_runq : unit -> runq
-val entry : what:string -> seq:int -> state:state -> entry
+val entry : what:string -> seq:int -> entry
+(** A [Waiting] entry on no queue. *)
 
 val link : t -> entry -> unit
 val unlink : entry -> unit
 (** No-op for an entry on no queue. *)
 
-val min_seq : runq -> int
-(** [seq] of the earliest woken entry, [max_int] when none. *)
-
 val pop : runq -> entry
-(** Removes the earliest woken entry; the run queue must not be empty. *)
+(** Removes the earliest woken entry and moves the cursor to it; the run
+    queue must not be empty. *)
 
 val begin_sweep : runq -> limit:int -> unit
 (** From here until {!end_sweep}, an entry woken at or behind [cursor], or

@@ -1,5 +1,5 @@
-(* Phoronix-like workload profiles (Figure 4): all five spatial exemption
-   levels are swept over each benchmark, so the mixes are chosen to
+(* Phoronix-like workload profiles (Figure 4): each benchmark runs at all
+   five spatial exemption levels, so the mixes are chosen to
    reproduce each benchmark's characteristic "staircase" — which level
    unlocks which fraction of its syscall stream. *)
 

@@ -487,19 +487,69 @@ let test_waitq_order_rule () =
     Alcotest.failf "retry order: %s"
       (String.concat " " (List.map (fun (n, e) -> Printf.sprintf "%s@%d" n e) l))
 
-(* A sweep retries only what was woken: with 64 threads parked on a queue
-   nobody wakes, a thousand sweeps allocate nothing (the retry-everything
-   sweep rebuilt its 64-element park list on each). *)
-let test_waitq_idle_sweeps_allocate_nothing () =
+(* Catch-all entries ([Waitq.global]) are retried by every sweep, in park
+   order among the woken queue entries. Parked in this order: a (queue),
+   g1 (catch-all), b (queue, never woken), g2, g3, g4 (catch-all), c
+   (queue). g4 is unparked before the sweep and g3 by a's retry: neither
+   is ever retried. g1's retry parks g5 on the catch-all queue and kicks:
+   g5 waits for the next sweep, which retries g2 again (it keeps failing)
+   and then g5. *)
+let test_waitq_global_order () =
+  let k = Kernel.create () in
+  let sched = Kernel.sched k in
+  let p = Kernel.make_process k ~name:"waiters" ~vm_seed:1 () in
+  let park on name retry =
+    Sched.park sched
+      (Kernel.add_thread k p ~start_clock:Vtime.zero)
+      ~on ~what:name ~retry
+  in
+  let log = ref [] in
+  let note name ok () =
+    log := (name, sched.Sched.events_processed) :: !log;
+    ok
+  in
+  let qa = Waitq.create () and qb = Waitq.create () and qc = Waitq.create () in
+  let g3 = ref Waitq.nil in
+  ignore
+    (park qa "a" (fun () ->
+         Sched.unpark !g3;
+         note "a" true ()));
+  ignore
+    (park Waitq.global "g1" (fun () ->
+         ignore (park Waitq.global "g5" (note "g5" true));
+         Sched.kick sched;
+         note "g1" true ()));
+  ignore (park qb "b" (note "b" true));
+  ignore (park Waitq.global "g2" (note "g2" false));
+  g3 := park Waitq.global "g3" (note "g3" true);
+  let g4 = park Waitq.global "g4" (note "g4" true) in
+  ignore (park qc "c" (note "c" true));
+  Sched.unpark g4;
+  Waitq.wake qa;
+  Waitq.wake qc;
+  Sched.kick sched;
+  Kernel.run k;
+  match List.rev !log with
+  | [ ("a", s1); ("g1", s1a); ("g2", s1b); ("c", s1c); ("g2", s2); ("g5", s2a) ]
+    ->
+    check_bool "a, g1, g2 and c in one sweep" true
+      (s1a = s1 && s1b = s1 && s1c = s1);
+    check_bool "g2 and g5 in the next" true (s2 > s1 && s2a = s2)
+  | l ->
+    Alcotest.failf "retry order: %s"
+      (String.concat " " (List.map (fun (n, e) -> Printf.sprintf "%s@%d" n e) l))
+
+(* Minor words a thousand sweeps allocate, after a first one, with 64
+   threads parked on [on] whose retries keep failing; and the retries run. *)
+let idle_sweeps ~on =
   let k = Kernel.create () in
   let sched = Kernel.sched k in
   let p = Kernel.make_process k ~name:"idle" ~vm_seed:1 () in
-  let q = Waitq.create () in
   for _ = 1 to 64 do
     ignore
       (Sched.park sched
          (Kernel.add_thread k p ~start_clock:Vtime.zero)
-         ~on:q ~what:"idle" ~retry:(fun () -> false))
+         ~on ~what:"idle" ~retry:(fun () -> false))
   done;
   Sched.kick sched;
   Kernel.run k;
@@ -508,8 +558,23 @@ let test_waitq_idle_sweeps_allocate_nothing () =
     Sched.kick sched;
     Kernel.run k
   done;
-  let words = Gc.minor_words () -. before in
-  check_int "retries" 0 sched.Sched.retries;
+  (Gc.minor_words () -. before, sched.Sched.retries)
+
+(* A sweep retries only what was woken: with 64 threads parked on a queue
+   nobody wakes, a thousand sweeps allocate nothing (the retry-everything
+   sweep rebuilt its 64-element park list on each). *)
+let test_waitq_idle_sweeps_allocate_nothing () =
+  let words, retries = idle_sweeps ~on:(Waitq.create ()) in
+  check_int "retries" 0 retries;
+  check_bool
+    (Printf.sprintf "1000 sweeps allocated %.0f words" words)
+    true (words < 100.)
+
+(* The catch-all queue is woken by every sweep, and waking allocates
+   nothing either. *)
+let test_waitq_global_sweeps_allocate_nothing () =
+  let words, retries = idle_sweeps ~on:Waitq.global in
+  check_int "every sweep retries all 64" (64 * 1001) retries;
   check_bool
     (Printf.sprintf "1000 sweeps allocated %.0f words" words)
     true (words < 100.)
@@ -553,6 +618,10 @@ let () =
           tc "woken ahead of the cursor: this sweep" test_waitq_order_rule;
           tc "lost wake-up oracle" test_waitq_oracle;
           tc "idle sweeps allocate nothing" test_waitq_idle_sweeps_allocate_nothing;
+          tc "catch-all entries: park order, next sweep, unpark"
+            test_waitq_global_order;
+          tc "catch-all sweeps allocate nothing"
+            test_waitq_global_sweeps_allocate_nothing;
         ] );
       ( "pipes",
         [

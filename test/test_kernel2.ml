@@ -906,6 +906,180 @@ let test_truncate_huge () =
         huge;
       Alcotest.(check int) "size kept" 5 (file_size f))
 
+(* ---- epoll, socket, pipe and anonymous-kind answers ----
+
+   Each expectation below is what Linux 6.18 answered to the same calls
+   from C. *)
+
+let epoll () = expect_int "epoll_create" (sys Syscall.Epoll_create)
+
+let epoll_add ep fd =
+  sys
+    (Syscall.Epoll_ctl
+       { epfd = ep; op = Syscall.Epoll_add; fd; events = Syscall.ev_in; user_data = 7L })
+
+let epoll_wait ep max_events =
+  sys (Syscall.Epoll_wait { epfd = ep; max_events; timeout_ns = Some 0 })
+
+let socket () =
+  expect_int "socket" (sys (Syscall.Socket (Syscall.Af_inet, Syscall.Sock_stream)))
+
+let test_epoll_add_self () =
+  run_in_kernel (fun _ ->
+      let ep = epoll () in
+      expect_err "epoll_ctl(ep, ADD, ep)" Errno.EINVAL (epoll_add ep ep);
+      let ep' = expect_int "dup" (sys (Syscall.Dup ep)) in
+      expect_err "epoll_ctl(ep, ADD, dup of ep)" Errno.EINVAL (epoll_add ep ep'))
+
+(* A file without ->poll: EPERM, so it never shows up ready. Another
+   epoll instance can be watched. *)
+let test_epoll_add_unpollable () =
+  run_in_kernel (fun _ ->
+      ignore (sys (Syscall.Mkdir "/tmp/epoll-dir"));
+      let ep = epoll () in
+      List.iter
+        (fun (what, fd) -> expect_err what Errno.EPERM (epoll_add ep fd))
+        [
+          ("ADD regular file", open_file "/tmp/epoll-file");
+          ("ADD directory", open_mode "/tmp/epoll-dir" Syscall.o_rdonly);
+          ("ADD /dev/null", open_mode "/dev/null" Syscall.o_rdwr);
+          ("ADD /proc/self/maps", open_mode "/proc/self/maps" Syscall.o_rdonly);
+        ];
+      (match epoll_wait ep 8 with
+      | Syscall.Ok_epoll l -> Alcotest.(check int) "nothing ready" 0 (List.length l)
+      | r -> Alcotest.failf "epoll_wait: %a" Syscall.pp_result r);
+      Alcotest.(check int) "ADD another epoll fd" 0
+        (expect_int "epoll_ctl" (epoll_add ep (epoll ()))))
+
+let test_epoll_wait_max_events () =
+  run_in_kernel (fun _ ->
+      let ep = epoll () in
+      let ev = expect_int "eventfd" (sys (Syscall.Eventfd 1)) in
+      ignore (expect_int "epoll_ctl" (epoll_add ep ev));
+      expect_err "epoll_wait(ep, 0)" Errno.EINVAL (epoll_wait ep 0);
+      expect_err "epoll_wait(ep, -1)" Errno.EINVAL (epoll_wait ep (-1));
+      (match epoll_wait ep 1 with
+      | Syscall.Ok_epoll l -> Alcotest.(check int) "epoll_wait(ep, 1)" 1 (List.length l)
+      | r -> Alcotest.failf "epoll_wait: %a" Syscall.pp_result r);
+      ignore (expect_int "close" (sys (Syscall.Close ep)));
+      expect_err "epoll_wait(closed, 0)" Errno.EBADF (epoll_wait ep 0))
+
+let test_listener_bind_getpeername () =
+  run_in_kernel (fun _ ->
+      let l = socket () in
+      ignore (expect_int "bind" (sys (Syscall.Bind (l, 7300))));
+      ignore (expect_int "listen" (sys (Syscall.Listen (l, 8))));
+      expect_err "bind(listener)" Errno.EINVAL (sys (Syscall.Bind (l, 7301)));
+      expect_err "getpeername(listener)" Errno.ENOTCONN
+        (sys (Syscall.Getpeername l)))
+
+let test_second_bind () =
+  run_in_kernel (fun _ ->
+      let s = socket () in
+      ignore (expect_int "bind" (sys (Syscall.Bind (s, 7310))));
+      expect_err "second bind" Errno.EINVAL (sys (Syscall.Bind (s, 7311)));
+      Alcotest.(check int) "port kept" 7310
+        (expect_int "getsockname" (sys (Syscall.Getsockname s))))
+
+let test_read_never_connected () =
+  run_in_kernel (fun _ ->
+      let s = socket () in
+      List.iter
+        (fun (what, call) -> expect_err what Errno.ENOTCONN (sys call))
+        [
+          ("read", Syscall.Read (s, 8));
+          ("readv", Syscall.Readv (s, [ 8 ]));
+          ("recvfrom", Syscall.Recvfrom (s, 8));
+          ("recvfrom, negative length", Syscall.Recvfrom (s, -1));
+          ("recvmsg", Syscall.Recvmsg (s, 8));
+          ("recvmmsg", Syscall.Recvmmsg (s, 2, 4));
+        ];
+      Alcotest.(check string) "read of 0 bytes" ""
+        (expect_data "read" (sys (Syscall.Read (s, 0))));
+      ignore
+        (expect_int "fcntl" (sys (Syscall.Fcntl (s, Syscall.F_setfl { nonblock = true }))));
+      expect_err "nonblocking read" Errno.ENOTCONN (sys (Syscall.Read (s, 8))))
+
+let test_shutdown_never_connected () =
+  run_in_kernel (fun _ ->
+      let s = socket () in
+      expect_err "shutdown(RDWR)" Errno.ENOTCONN
+        (sys (Syscall.Shutdown (s, Syscall.Shut_rdwr)));
+      expect_err "shutdown(WR)" Errno.ENOTCONN
+        (sys (Syscall.Shutdown (s, Syscall.Shut_wr))))
+
+let test_fionread_pipe_write_end () =
+  run_in_kernel (fun _ ->
+      let r, w = expect_pair "pipe" (sys Syscall.Pipe) in
+      ignore (expect_int "write" (sys (Syscall.Write (w, "abc"))));
+      Alcotest.(check int) "FIONREAD(write end)" 3 (fionread w);
+      Alcotest.(check int) "FIONREAD(read end)" 3 (fionread r))
+
+(* The 8-byte counter does not fit: EINVAL, where a full-size read would
+   block or fail with EAGAIN, and the counter is kept. *)
+let test_short_counter_reads () =
+  run_in_kernel (fun _ ->
+      let blocking = expect_int "eventfd" (sys (Syscall.Eventfd 0)) in
+      expect_err "read(eventfd, 4), counter 0" Errno.EINVAL
+        (sys (Syscall.Read (blocking, 4)));
+      let nonblock = expect_int "eventfd" (sys (Syscall.Eventfd 0)) in
+      ignore
+        (expect_int "fcntl"
+           (sys (Syscall.Fcntl (nonblock, Syscall.F_setfl { nonblock = true }))));
+      expect_err "read(eventfd, 7), nonblocking" Errno.EINVAL
+        (sys (Syscall.Read (nonblock, 7)));
+      let five = expect_int "eventfd" (sys (Syscall.Eventfd 5)) in
+      expect_err "read(eventfd, 4), counter 5" Errno.EINVAL
+        (sys (Syscall.Read (five, 4)));
+      expect_err "read(eventfd, 0)" Errno.EINVAL (sys (Syscall.Read (five, 0)));
+      (match sys (Syscall.Read (five, 8)) with
+      | Syscall.Ok_int64 n -> Alcotest.(check int64) "counter kept" 5L n
+      | r -> Alcotest.failf "read(eventfd, 8): %a" Syscall.pp_result r);
+      let tfd = expect_int "timerfd_create" (sys Syscall.Timerfd_create) in
+      expect_err "read(timerfd, 4), unarmed" Errno.EINVAL
+        (sys (Syscall.Read (tfd, 4))))
+
+let lseek fd offset whence = sys (Syscall.Lseek (fd, offset, whence))
+
+let test_lseek_dev_null () =
+  run_in_kernel (fun _ ->
+      let fd = open_mode "/dev/null" Syscall.o_rdwr in
+      List.iter
+        (fun (what, offset, whence) ->
+          Alcotest.(check int) what 0 (expect_int what (lseek fd offset whence)))
+        [
+          ("SEEK_SET 100", 100, Syscall.Seek_set);
+          ("SEEK_CUR 0", 0, Syscall.Seek_cur);
+          ("SEEK_END 5", 5, Syscall.Seek_end);
+          ("SEEK_SET -5", -5, Syscall.Seek_set);
+        ])
+
+let test_lseek_anonymous () =
+  run_in_kernel (fun _ ->
+      let ev = expect_int "eventfd" (sys (Syscall.Eventfd 0)) in
+      let tfd = expect_int "timerfd_create" (sys Syscall.Timerfd_create) in
+      let ep = epoll () in
+      List.iter
+        (fun (what, fd) ->
+          Alcotest.(check int) (what ^ " SEEK_SET 100") 0
+            (expect_int what (lseek fd 100 Syscall.Seek_set));
+          Alcotest.(check int) (what ^ " SEEK_CUR -5") 0
+            (expect_int what (lseek fd (-5) Syscall.Seek_cur)))
+        [ ("eventfd", ev); ("timerfd", tfd); ("epoll", ep) ])
+
+let test_lseek_proc_maps () =
+  run_in_kernel (fun _ ->
+      let fd = open_mode "/proc/self/maps" Syscall.o_rdonly in
+      Alcotest.(check int) "SEEK_SET 10" 10
+        (expect_int "lseek" (lseek fd 10 Syscall.Seek_set));
+      expect_err "SEEK_SET -1" Errno.EINVAL (lseek fd (-1) Syscall.Seek_set);
+      expect_err "SEEK_CUR -11" Errno.EINVAL (lseek fd (-11) Syscall.Seek_cur);
+      expect_err "SEEK_END 0" Errno.EINVAL (lseek fd 0 Syscall.Seek_end);
+      expect_err "SEEK_END -4" Errno.EINVAL (lseek fd (-4) Syscall.Seek_end);
+      Alcotest.(check int) "offset kept" 10 (offset_of fd);
+      Alcotest.(check int) "SEEK_CUR 5" 15
+        (expect_int "lseek" (lseek fd 5 Syscall.Seek_cur)))
+
 let tc = Alcotest.test_case
 
 let () =
@@ -1003,6 +1177,26 @@ let () =
           tc "pread64/pwrite64 on a directory" `Quick test_pread_directory;
           tc "pread64/pwrite64 on /proc/self/maps" `Quick
             test_pread_proc_maps;
+          tc "epoll_ctl ADD of the epoll fd into itself" `Quick
+            test_epoll_add_self;
+          tc "epoll_ctl ADD of a file without poll" `Quick
+            test_epoll_add_unpollable;
+          tc "epoll_wait with max_events <= 0" `Quick
+            test_epoll_wait_max_events;
+          tc "bind and getpeername on a listener" `Quick
+            test_listener_bind_getpeername;
+          tc "a second bind" `Quick test_second_bind;
+          tc "reads on a socket that never connected" `Quick
+            test_read_never_connected;
+          tc "shutdown of a socket that never connected" `Quick
+            test_shutdown_never_connected;
+          tc "FIONREAD on a pipe's write end" `Quick
+            test_fionread_pipe_write_end;
+          tc "eventfd and timerfd reads shorter than 8 bytes" `Quick
+            test_short_counter_reads;
+          tc "lseek on /dev/null" `Quick test_lseek_dev_null;
+          tc "lseek on eventfd, timerfd and epoll" `Quick test_lseek_anonymous;
+          tc "lseek on /proc/self/maps" `Quick test_lseek_proc_maps;
         ] );
       ( "vm",
         [
