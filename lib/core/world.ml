@@ -14,9 +14,10 @@
         cannot send, before F_i") and execution bounds bound_i ("no
         message host i has not yet seen can arrive before bound_i") —
         see the two modes below
-     3. drain every inbound message with at < bound_i, in canonical
-        (at, src host, link seq) order, scheduling each as a pre-lane
-        local event at its delivery time
+     3. drain every inbound message with at < bound_i, merging the
+        host's inbound links in canonical (at, src host, link seq) order
+        into its delivery inbox, and schedule the host's deliver event
+        through the pre-lane at each message's delivery time
      4. the coordinator and the worker domains pull hosts from the
         round's shared cursor and run each host's events strictly below
         bound_i ([Sched.run_before]); barrier; repeat until every E_i is
@@ -72,9 +73,18 @@
    bounds are computed.
 
    Every drained message is additionally checked against the destination
-   kernel's clock — a conservative violation raises immediately instead
-   of silently reordering, so the property tests (and every production
-   run) have teeth.
+   kernel's clock — a conservative violation raises
+   [Conservative_violation] immediately instead of silently reordering,
+   so the property tests (and every production run) have teeth.
+
+   Message path: a message costs no allocation beyond its payload. A link
+   is a ring of (delivery time, payload) and a host's inbox a ring of
+   (source host, payload); every delivery event is the host's one
+   preallocated [deliver] thunk, which applies the inbox's oldest entry.
+   That is sound because the pre-lane pops a round's deliveries in
+   insertion order, which the merge makes canonical, and every delivery
+   drained in a round also runs in that round (the invariant above), so
+   the inbox is empty whenever a drain starts.
 
    Determinism across shard counts: rounds are identical whether shards
    run sequentially or on domains — bounds depend only on post-barrier
@@ -100,7 +110,14 @@ open Remon_sim
 
 type mode = Fixed | Adaptive
 
-type host = { kernel : Kernel.t; hostnet : Hostnet.t }
+type host = {
+  kernel : Kernel.t;
+  hostnet : Hostnet.t;
+  inbox : Link.Ring.t;
+      (* drained messages keyed by source host, in canonical order, each
+         waiting for its delivery event *)
+  deliver : unit -> unit; (* the delivery event: applies the inbox's head *)
+}
 
 (* One direction of an active host pair. [p_rev] is the opposite
    direction; both are created together with their links. *)
@@ -120,8 +137,31 @@ type t = {
   in_pairs : pair list array; (* inbound pairs per destination host *)
   frontier : Vtime.t array; (* F_i scratch *)
   bound : Vtime.t array; (* per-round execution bounds *)
+  mutable merging : pair array;
+      (* the drain's merge set: one host's inbound pairs with a message due *)
   mutable rounds : int;
 }
+
+exception
+  Conservative_violation of {
+    round : int;
+    src : int;
+    dst : int;
+    at : Vtime.t;
+    clock : Vtime.t;
+    bound : Vtime.t;
+  }
+
+let () =
+  let ns t = if Vtime.is_finite t then Printf.sprintf "%dns" t else "infinity" in
+  Printexc.register_printer (function
+    | Conservative_violation { round; src; dst; at; clock; bound } ->
+      Some
+        (Printf.sprintf
+           "World.Conservative_violation: round %d: message from host %d at \
+            %s is behind host %d's clock %s (its bound %s)"
+           round src (ns at) dst (ns clock) (ns bound))
+    | _ -> None)
 
 (* Saturating add: [Vtime.infinity] is [max_int], so a plain add would
    wrap around. *)
@@ -160,7 +200,12 @@ let create ?(link_latency = Vtime.ns (Cost_model.link_latency Cost_model.default
           Hostnet.create ~host:i (Kernel.sched kernel) (Kernel.net kernel)
         in
         kernel.Kstate.hostnet <- Some hostnet;
-        { kernel; hostnet })
+        let inbox = Link.Ring.create () in
+        let deliver () =
+          let src = Link.Ring.peek_key inbox in
+          Hostnet.apply hostnet ~src (Link.Ring.take inbox)
+        in
+        { kernel; hostnet; inbox; deliver })
   in
   {
     hosts;
@@ -170,6 +215,7 @@ let create ?(link_latency = Vtime.ns (Cost_model.link_latency Cost_model.default
     in_pairs = Array.make n [];
     frontier = Array.make n Vtime.infinity;
     bound = Array.make n Vtime.infinity;
+    merging = [||];
     rounds = 0;
   }
 
@@ -304,51 +350,58 @@ let compute_bounds t mode =
      | Adaptive -> adaptive_bounds t);
   live
 
-(* Drain every inbound message below the host's bound and schedule it as a
-   pre-lane local event at its delivery time. Canonical (at, src, seq)
-   order plus the pre-lane make delivery order a pure function of the
-   message timestamps — independent of which link delivered first and of
-   which round performed the drain. *)
-let drain_round t =
-  Array.iteri
-    (fun i h ->
-      let msgs =
-        List.concat_map
-          (fun p ->
-            List.map
-              (fun m -> (p.p_src, m))
-              (Link.drain_before p.p_link ~bound:t.bound.(i)))
-          t.in_pairs.(i)
-      in
-      let msgs =
-        List.sort
-          (fun (s1, (m1 : Link.msg)) (s2, (m2 : Link.msg)) ->
-            match Vtime.compare m1.Link.at m2.Link.at with
-            | 0 -> (
-              match compare (s1 : int) s2 with
-              | 0 -> compare m1.Link.seq m2.Link.seq
-              | c -> c)
-            | c -> c)
-          msgs
-      in
-      let sched = Kernel.sched h.kernel in
-      let now = Sched.now sched in
-      List.iter
-        (fun (src, (m : Link.msg)) ->
-          (* the conservative contract, checked on every delivery: a
-             message must never arrive behind the destination's clock *)
-          if Vtime.(m.Link.at < now) then
-            failwith
-              (Printf.sprintf
-                 "World: conservative violation: message from host %d at \
-                  %dns is behind host %d's clock %dns"
-                 src
-                 (Vtime.to_int_ns m.Link.at)
-                 i (Vtime.to_int_ns now));
-          Sched.schedule_pre sched ~time:m.Link.at (fun () ->
-              Hostnet.apply h.hostnet ~src m))
-        msgs)
-    t.hosts
+(* Collects host [i]'s inbound pairs with a message below [bound] into
+   [t.merging] from index [k] on; returns how many there are in all. *)
+let rec gather t ~bound k = function
+  | [] -> k
+  | p :: rest ->
+    if Vtime.(Link.peek_at p.p_link < bound) then begin
+      if k = Array.length t.merging then begin
+        let wider = Array.make (max 8 (2 * k)) p in
+        Array.blit t.merging 0 wider 0 k;
+        t.merging <- wider
+      end;
+      t.merging.(k) <- p;
+      gather t ~bound (k + 1) rest
+    end
+    else gather t ~bound k rest
+
+(* Drain every inbound message below the host's bound into its inbox and
+   schedule one pre-lane delivery per message at its delivery time. The
+   merge takes the earliest head, ties to the lower source host; each
+   link is FIFO in its own seq order, so the inbox is in canonical (at,
+   src, seq) order, and with the pre-lane that makes delivery order a pure
+   function of the message timestamps — independent of which link
+   delivered first and of which round performed the drain. *)
+let drain_host t i h =
+  let bound = t.bound.(i) in
+  let k = ref (gather t ~bound 0 t.in_pairs.(i)) in
+  let m = t.merging in
+  let sched = Kernel.sched h.kernel in
+  let clock = Sched.now sched in
+  while !k > 0 do
+    let best = ref 0 in
+    for j = 1 to !k - 1 do
+      let a = Link.peek_at m.(j).p_link and b = Link.peek_at m.(!best).p_link in
+      if Vtime.(a < b) || (a = b && m.(j).p_src < m.(!best).p_src) then best := j
+    done;
+    let p = m.(!best) in
+    let at = Link.peek_at p.p_link in
+    (* the conservative contract, checked on every delivery: a message
+       must never arrive behind the destination's clock *)
+    if Vtime.(at < clock) then
+      raise
+        (Conservative_violation
+           { round = t.rounds; src = p.p_src; dst = i; at; clock; bound });
+    Link.Ring.push h.inbox p.p_src (Link.take p.p_link);
+    Sched.schedule_pre sched ~time:at h.deliver;
+    if Vtime.(Link.peek_at p.p_link >= bound) then begin
+      decr k;
+      m.(!best) <- m.(!k)
+    end
+  done
+
+let drain_round t = Array.iteri (drain_host t) t.hosts
 
 (* ------------------------------------------------------------------ *)
 (* Execution *)

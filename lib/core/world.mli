@@ -45,11 +45,27 @@ val route : ?initiators:int list -> t -> port:int -> host:int -> unit
     handed to the two gateways, so routing must be set up before
     [run]. *)
 
+exception
+  Conservative_violation of {
+    round : int;  (** the round whose drain found the message *)
+    src : int;  (** sending host *)
+    dst : int;  (** destination host *)
+    at : Vtime.t;  (** the message's delivery time *)
+    clock : Vtime.t;  (** the destination's clock, already past [at] *)
+    bound : Vtime.t;  (** the destination's bound for that round *)
+  }
+(** A message would arrive behind its destination's clock: the
+    conservative contract broke, and delivering it would reorder the
+    destination's past. [run] raises it rather than deliver. It has a
+    printer. *)
+
 val run : ?shards:int -> ?mode:mode -> t -> unit
 (** Runs every host to completion. [shards] is clamped to the host count;
     [shards = 1] (default) runs the same round loop on the calling domain
     alone. [mode] defaults to [Adaptive]; outcomes are byte-identical in
-    either mode, only the round partitioning differs. *)
+    either mode, only the round partitioning differs. Raises
+    {!Conservative_violation} if a link message would arrive behind its
+    destination's clock. *)
 
 val rounds : t -> int
 (** Conservative rounds executed so far (a parallelism diagnostic). *)

@@ -109,7 +109,12 @@ let poll_desc k (d : Proc.desc) : Syscall.poll_events =
   | Proc.Epoll_fd _ -> Syscall.ev_none
   | Proc.Timer_fd tf -> { Syscall.ev_none with pollin = timer_available tf now > 0 }
   | Proc.Event_fd e ->
-    { Syscall.ev_none with pollin = e.Proc.count > 0; pollout = true }
+    (* writable while a write of 1 would not overflow (see [do_write]) *)
+    {
+      Syscall.ev_none with
+      pollin = e.Proc.count > 0;
+      pollout = e.Proc.count < max_int - 1;
+    }
   | Proc.Replicated_handle _ -> Syscall.ev_none
 
 let events_intersect (want : Syscall.poll_events) (have : Syscall.poll_events) =
@@ -223,6 +228,13 @@ let poll_fds k (th : Proc.thread) ~what fds ~timeout_ns ~ret =
 (* ------------------------------------------------------------------ *)
 (* Descriptor release *)
 
+let close_stream k s =
+  Net.close_stream s;
+  (* a cross-host endpoint: let the gateway flush and send FIN *)
+  match k.K.hostnet with
+  | Some h when Net.is_remote s -> Hostnet.poke h s
+  | _ -> ()
+
 (* Drops one reference. Epoll interest is keyed by fd number, so nothing
    here touches epoll instances: stale entries are skipped at wait time. *)
 let release_desc k (d : Proc.desc) =
@@ -231,12 +243,7 @@ let release_desc k (d : Proc.desc) =
     match d.kind with
     | Proc.Pipe pi when d.can_read -> pi.readers <- pi.readers - 1
     | Proc.Pipe pi -> pi.writers <- pi.writers - 1
-    | Proc.Stream s -> (
-      Net.close_stream s;
-      (* a cross-host endpoint: let the gateway flush and send FIN *)
-      match k.K.hostnet with
-      | Some h when Net.is_remote s -> Hostnet.poke h s
-      | _ -> ())
+    | Proc.Stream s -> close_stream k s
     | Proc.Listener l -> Net.close_listener k.K.net l
     | Proc.Epoll_fd _ | Proc.Timer_fd _ | Proc.Event_fd _ | Proc.Regular _
     | Proc.Directory _ | Proc.Dev_null | Proc.Proc_maps _
@@ -512,11 +519,29 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
             push (offset + n)
       in
       push 0
+    | Proc.Event_fd _ when len <> 8 ->
+      (* Linux takes exactly the 8-byte counter; any other size is EINVAL *)
+      ret (err Errno.EINVAL)
     | Proc.Event_fd e ->
-      (* eventfd write adds the encoded value; we use the payload length *)
-      e.Proc.count <- e.Proc.count + len;
-      Sched.kick k.K.sched;
-      ret (Syscall.Ok_int len)
+      (* adds the u64 the buffer carries; ULLONG_MAX is EINVAL, and an add
+         that would overflow the counter waits for a read. The counter is
+         an OCaml int here, so max_int stands in for ULLONG_MAX, and a
+         value that does not fit below it never goes through. *)
+      let raw = String.get_int64_le data 0 in
+      if raw = -1L then ret (err Errno.EINVAL)
+      else begin
+        let v = Int64.to_int raw in
+        let attempt () =
+          if v >= 0 && v < max_int - e.Proc.count then begin
+            e.Proc.count <- e.Proc.count + v;
+            Sched.kick k.K.sched;
+            Some (Syscall.Ok_int 8)
+          end
+          else None
+        in
+        park_or_eagain k th d ~on:Waitq.global ~what:"write(eventfd)"
+          ~poll:attempt ~on_ready:ret ~ret
+      end
     | Proc.Listener _ | Proc.Epoll_fd _ | Proc.Timer_fd _ | Proc.Directory _
     | Proc.Proc_maps _ ->
       ret (err Errno.EBADF)
@@ -1037,15 +1062,24 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
     with_fd fd (fun d ->
         match d.kind with
         | Proc.Listener l ->
+          (* [Some None]: a shutdown took the descriptor out of listening *)
           let attempt () =
-            if Queue.is_empty l.pending then None else Some (Queue.pop l.pending)
+            match d.kind with
+            | Proc.Listener l' when l' == l ->
+              if Queue.is_empty l.pending then None
+              else Some (Some (Queue.pop l.pending))
+            | _ -> Some None
           in
-          let deliver (s : Net.stream) =
-            Net.set_connected s;
-            let desc = Proc.make_desc ~nonblock:nonblock_result (Proc.Stream s) in
-            let conn_fd = install_fd desc in
-            Sched.kick k.K.sched;
-            ret (Syscall.Ok_accept { conn_fd; peer_port = Net.peer_port s })
+          let deliver = function
+            | None -> ret (err Errno.EINVAL)
+            | Some s ->
+              Net.set_connected s;
+              let desc =
+                Proc.make_desc ~nonblock:nonblock_result (Proc.Stream s)
+              in
+              let conn_fd = install_fd desc in
+              Sched.kick k.K.sched;
+              ret (Syscall.Ok_accept { conn_fd; peer_port = Net.peer_port s })
           in
           park_or_eagain k th d ~on:l.Net.wq ~what:"accept" ~poll:attempt
             ~on_ready:deliver ~ret
@@ -1168,6 +1202,23 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Shutdown (fd, how) ->
     with_fd fd (fun d ->
         match d.kind with
+        | Proc.Listener _ when how = Syscall.Shut_wr -> ret (Syscall.Ok_int 0)
+        | Proc.Listener l ->
+          (* Linux disconnects a listener shut for reading: it stops
+             listening, resets its backlog, and is left an unconnected
+             socket bound to its port. So accept answers EINVAL, woken
+             accepters too; connects are refused; a second shutdown is
+             ENOTCONN; listen starts over. The reset backlog's clients see
+             their peer gone (EOF, EPIPE), not ECONNRESET. *)
+          Net.close_listener k.K.net l;
+          Queue.iter (close_stream k) l.Net.pending;
+          Queue.clear l.Net.pending;
+          let s = Net.fresh_stream k.K.net in
+          Net.set_local_port s l.Net.port;
+          d.kind <- Proc.Stream s;
+          Waitq.wake l.Net.wq;
+          Sched.kick k.K.sched;
+          ret (Syscall.Ok_int 0)
         | Proc.Stream s when Net.never_connected s -> ret (err Errno.ENOTCONN)
         | Proc.Stream s ->
           (match how with

@@ -61,15 +61,31 @@ type conn = {
   mutable cflags : int;
 }
 
+(* Int-keyed tables: a monomorphic hash and equality in place of the
+   polymorphic [caml_hash] and [compare_val] on every lookup. The hash
+   folds the high bits down because the bucket index takes the low ones,
+   and a connection id keeps its initiator host in the high bits. None of
+   these tables is ever iterated, so no bucket order can reach an
+   outcome. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x =
+    let h = x * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 32)
+end)
+
 type t = {
   host : int;
   sched : Sched.t;
   net : Net.t;
-  routes : (int, int) Hashtbl.t; (* port -> owning host index *)
-  links : (int, Link.t) Hashtbl.t;
+  routes : int Itbl.t; (* port -> owning host index *)
+  links : Link.t Itbl.t;
       (* destination host -> outbound link, handed over by the shard runner *)
-  conns : (int, conn) Hashtbl.t; (* conn id -> connection *)
-  targets : (int, int) Hashtbl.t;
+  conns : conn Itbl.t; (* conn id -> connection *)
+  targets : int Itbl.t;
       (* destination host -> count of reasons we may send there
          (remote routes + live connections); see [sends_to] *)
   mutable next_conn : int;
@@ -86,10 +102,10 @@ let create ~host sched net =
     host;
     sched;
     net;
-    routes = Hashtbl.create 16;
-    links = Hashtbl.create 4;
-    conns = Hashtbl.create 32;
-    targets = Hashtbl.create 8;
+    routes = Itbl.create 16;
+    links = Itbl.create 4;
+    conns = Itbl.create 32;
+    targets = Itbl.create 8;
     next_conn = 0;
     opened = 0;
     refused = 0;
@@ -97,32 +113,32 @@ let create ~host sched net =
   }
 
 let incr_target t dst =
-  Hashtbl.replace t.targets dst
-    (match Hashtbl.find_opt t.targets dst with Some n -> n + 1 | None -> 1)
+  Itbl.replace t.targets dst
+    (match Itbl.find_opt t.targets dst with Some n -> n + 1 | None -> 1)
 
 let decr_target t dst =
-  match Hashtbl.find_opt t.targets dst with
-  | Some n when n > 1 -> Hashtbl.replace t.targets dst (n - 1)
-  | Some _ -> Hashtbl.remove t.targets dst
+  match Itbl.find_opt t.targets dst with
+  | Some n when n > 1 -> Itbl.replace t.targets dst (n - 1)
+  | Some _ -> Itbl.remove t.targets dst
   | None -> ()
 
 let add_route t ~port ~host =
-  (match Hashtbl.find_opt t.routes port with
+  (match Itbl.find_opt t.routes port with
   | Some h when h = host -> ()
   | Some h ->
     if h <> t.host then decr_target t h;
     if host <> t.host then incr_target t host
   | None -> if host <> t.host then incr_target t host);
-  Hashtbl.replace t.routes port host
+  Itbl.replace t.routes port host
 
-let add_link t link = Hashtbl.replace t.links (Link.dst link) link
+let add_link t link = Itbl.replace t.links (Link.dst link) link
 
 let link_to t dst =
-  match Hashtbl.find_opt t.links dst with
+  match Itbl.find_opt t.links dst with
   | Some l -> l
   | None -> invalid_arg "Hostnet: no link to that host"
 
-let sends_to t dst = Hashtbl.mem t.targets dst
+let sends_to t dst = Itbl.mem t.targets dst
 
 let stats t = (t.opened, t.refused, t.resets)
 
@@ -138,20 +154,20 @@ let mark_remote (a : Net.stream) (b : Net.stream) =
   Net.mark_remote b
 
 let register t c =
-  Hashtbl.replace t.conns c.cid c;
+  Itbl.replace t.conns c.cid c;
   Net.set_tag c.app c.cid;
   Net.set_tag c.gw c.cid;
   incr_target t (Link.dst c.link)
 
 let unregister t c =
-  Hashtbl.remove t.conns c.cid;
+  Itbl.remove t.conns c.cid;
   Net.set_tag c.app (-1);
   Net.set_tag c.gw (-1);
   decr_target t (Link.dst c.link)
 
 let conn_of_stream t s =
   let tag = Net.tag s in
-  if tag < 0 then None else Hashtbl.find_opt t.conns tag
+  if tag < 0 then None else Itbl.find_opt t.conns tag
 
 let established c =
   match c.progress with None -> true | Some p -> !p = Connected
@@ -199,13 +215,13 @@ let pump t c =
 (* Dispatcher entry points (outbound side) *)
 
 let has_port t port =
-  match Hashtbl.find_opt t.routes port with
+  match Itbl.find_opt t.routes port with
   | Some h -> h <> t.host
   | None -> false
 
 let connect t ~local_port ~port =
   let dst =
-    match Hashtbl.find_opt t.routes port with
+    match Itbl.find_opt t.routes port with
     | Some h when h <> t.host -> h
     | _ -> invalid_arg "Hostnet.connect: port is not remotely routed"
   in
@@ -249,15 +265,15 @@ let drained t s n =
 (* Inbound message application *)
 
 (* Applies one drained link message. Must run as a scheduled event of this
-   host at the message's delivery time [m.at] (the shard runner arranges
-   that), so everything it does is ordinary in-timestamp-order simulation
-   work. [src] is the sending host (for SYN replies; established
-   connections carry their own outbound link). *)
-let apply t ~src (m : Link.msg) =
+   host at the message's delivery time (the shard runner arranges that),
+   so everything it does is ordinary in-timestamp-order simulation work.
+   [src] is the sending host (for SYN replies; established connections
+   carry their own outbound link). *)
+let apply t ~src (payload : Link.payload) =
   let now = Sched.now t.sched in
-  let reply payload = Link.send (link_to t src) ~now payload in
-  match m.Link.payload with
+  match payload with
   | Link.Syn { conn; src_port; dst_port; window } -> (
+    let reply payload = Link.send (link_to t src) ~now payload in
     match Net.find_listener t.net ~port:dst_port with
     | None ->
       t.refused <- t.refused + 1;
@@ -292,7 +308,7 @@ let apply t ~src (m : Link.msg) =
         reply (Link.Syn_refused { conn })
       end)
   | Link.Syn_ok { conn; window } -> (
-    match Hashtbl.find_opt t.conns conn with
+    match Itbl.find_opt t.conns conn with
     | None -> ()
     | Some c ->
       c.credits <- window;
@@ -301,7 +317,7 @@ let apply t ~src (m : Link.msg) =
       pump t c;
       Sched.kick t.sched)
   | Link.Syn_refused { conn } -> (
-    match Hashtbl.find_opt t.conns conn with
+    match Itbl.find_opt t.conns conn with
     | None -> ()
     | Some c ->
       (match c.progress with Some p -> p := Refused | None -> ());
@@ -310,7 +326,7 @@ let apply t ~src (m : Link.msg) =
       unregister t c;
       Sched.kick t.sched)
   | Link.Data { conn; data } -> (
-    match Hashtbl.find_opt t.conns conn with
+    match Itbl.find_opt t.conns conn with
     | None -> () (* both sides torn down already: late data is dropped *)
     | Some c ->
       if Net.peer_gone c.gw then begin
@@ -327,13 +343,13 @@ let apply t ~src (m : Link.msg) =
         Sched.kick t.sched
       end)
   | Link.Window { conn; bytes } -> (
-    match Hashtbl.find_opt t.conns conn with
+    match Itbl.find_opt t.conns conn with
     | None -> ()
     | Some c ->
       c.credits <- c.credits + bytes;
       pump t c)
   | Link.Fin { conn } -> (
-    match Hashtbl.find_opt t.conns conn with
+    match Itbl.find_opt t.conns conn with
     | None -> ()
     | Some c ->
       c.cflags <- c.cflags lor c_fin_rcvd;
@@ -344,7 +360,7 @@ let apply t ~src (m : Link.msg) =
       maybe_gc t c;
       Sched.kick t.sched)
   | Link.Rst { conn } -> (
-    match Hashtbl.find_opt t.conns conn with
+    match Itbl.find_opt t.conns conn with
     | None -> ()
     | Some c ->
       t.resets <- t.resets + 1;

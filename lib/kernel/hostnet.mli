@@ -58,7 +58,7 @@ val drained : t -> Net.stream -> int -> unit
 (** The application consumed [n] bytes from a remote stream: return the
     credit with a WINDOW update. *)
 
-val apply : t -> src:int -> Link.msg -> unit
+val apply : t -> src:int -> Link.payload -> unit
 (** Apply one drained inbound message from host [src]. The shard runner
     must invoke this from a scheduled event of this host at the message's
     delivery time, in the canonical (at, src, seq) order. *)

@@ -9,14 +9,20 @@
    the destination may safely simulate up to (but excluding) the earliest
    time a not-yet-seen message could still arrive.
 
-   Thread safety: the queue is mutex-protected because the sending and
-   receiving shards may run on different domains. Everything else about a
-   link is immutable after construction. Determinism does not depend on
-   domain scheduling: messages are stamped with a per-link sequence number
-   at send time (sender-deterministic), and receivers drain strictly below
-   a bound that the synchronizer derives from published frontiers, so the
-   set and order of messages an advance observes is a pure function of
-   virtual time. *)
+   Layout: the queue is a [Ring] of two parallel arrays, delivery time and
+   payload, so a queued message costs two array cells and no allocation
+   beyond its payload. A message's sequence number is its position in send
+   order: the ring's absolute index.
+
+   Thread safety: none is needed. The shard runner's round barrier orders
+   every access — the sending host only sends while it runs, and the
+   coordinator only peeks and drains between run phases, so a link is
+   never touched by two domains at once. Determinism does not depend on
+   domain scheduling either: sequence numbers are assigned in the
+   (single-threaded) sender's own event order, and receivers drain
+   strictly below a bound that the synchronizer derives from published
+   frontiers, so the set and order of messages an advance observes is a
+   pure function of virtual time. *)
 
 open Remon_sim
 
@@ -39,79 +45,80 @@ type payload =
       (* data arrived for a connection whose application endpoint is
          closed: both ends tear down, writers observe EPIPE *)
 
-type msg = {
-  at : Vtime.t; (* delivery instant at the destination: send + latency *)
-  seq : int; (* per-link send order; ties at equal [at] break by this *)
-  payload : payload;
-}
+(* A FIFO of (int key, payload) entries. Entry [k] (the k-th ever pushed)
+   sits at index [k land (capacity - 1)]; the capacity is a power of two
+   and doubles when full. A taken entry's payload cell is cleared so the
+   ring never keeps a delivered payload alive. *)
+module Ring = struct
+  type t = {
+    mutable keys : int array;
+    mutable vals : payload array;
+    mutable head : int; (* absolute index of the oldest entry *)
+    mutable tail : int; (* absolute index the next push takes *)
+  }
+
+  let vacant = Fin { conn = -1 }
+
+  let create () = { keys = [||]; vals = [||]; head = 0; tail = 0 }
+
+  let is_empty r = r.tail = r.head
+
+  let grow r =
+    let cap = Array.length r.keys in
+    let cap' = max 8 (2 * cap) in
+    let keys = Array.make cap' 0 and vals = Array.make cap' vacant in
+    for k = r.head to r.tail - 1 do
+      keys.(k land (cap' - 1)) <- r.keys.(k land (cap - 1));
+      vals.(k land (cap' - 1)) <- r.vals.(k land (cap - 1))
+    done;
+    r.keys <- keys;
+    r.vals <- vals
+
+  let push r key v =
+    if r.tail - r.head = Array.length r.keys then grow r;
+    let i = r.tail land (Array.length r.keys - 1) in
+    r.keys.(i) <- key;
+    r.vals.(i) <- v;
+    r.tail <- r.tail + 1
+
+  let peek_key r =
+    if r.tail = r.head then invalid_arg "Link.Ring.peek_key: empty";
+    r.keys.(r.head land (Array.length r.keys - 1))
+
+  let take r =
+    if r.tail = r.head then invalid_arg "Link.Ring.take: empty";
+    let i = r.head land (Array.length r.keys - 1) in
+    let v = r.vals.(i) in
+    r.vals.(i) <- vacant;
+    r.head <- r.head + 1;
+    v
+end
 
 type t = {
   dst : int;
   latency : Vtime.t;
-  mu : Mutex.t;
-  q : msg Queue.t;
-  mutable next_seq : int;
-  (* lifetime tallies for the observability scrape *)
-  mutable sent : int;
-  mutable data_bytes : int;
+  q : Ring.t; (* key: delivery instant at the destination, send + latency *)
+  mutable data_bytes : int; (* lifetime tally for the observability scrape *)
 }
 
 let create ~dst ~latency =
   if Vtime.(latency <= Vtime.zero) then
     invalid_arg "Link.create: latency must be positive (it is the lookahead)";
-  {
-    dst;
-    latency;
-    mu = Mutex.create ();
-    q = Queue.create ();
-    next_seq = 0;
-    sent = 0;
-    data_bytes = 0;
-  }
+  { dst; latency; q = Ring.create (); data_bytes = 0 }
 
 let dst t = t.dst
 
-(* Called by the source shard only (single-threaded per shard), while the
-   destination may concurrently drain: only the queue needs the lock. *)
 let send t ~now payload =
-  let at = Vtime.add now t.latency in
-  Mutex.lock t.mu;
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  Queue.push { at; seq; payload } t.q;
-  t.sent <- t.sent + 1;
-  (match payload with
+  Ring.push t.q (Vtime.add now t.latency) payload;
+  match payload with
   | Data { data; _ } -> t.data_bytes <- t.data_bytes + String.length data
-  | _ -> ());
-  Mutex.unlock t.mu
+  | _ -> ()
 
 (* Earliest queued delivery time, [Vtime.infinity] when empty. Sends are
    stamped with the sender's nondecreasing clock, so the head is the
    minimum. *)
-let peek_at t =
-  Mutex.lock t.mu;
-  let r = match Queue.peek_opt t.q with Some m -> m.at | None -> Vtime.infinity in
-  Mutex.unlock t.mu;
-  r
+let peek_at t = if Ring.is_empty t.q then Vtime.infinity else Ring.peek_key t.q
 
-(* Pops every message with [at < bound], in send order. The conservative
-   bound guarantees the sender can no longer produce messages below
-   [bound], so the returned list is complete and final for that window. *)
-let drain_before t ~bound =
-  Mutex.lock t.mu;
-  let rec take acc =
-    match Queue.peek_opt t.q with
-    | Some m when Vtime.(m.at < bound) ->
-      ignore (Queue.pop t.q);
-      take (m :: acc)
-    | _ -> List.rev acc
-  in
-  let msgs = take [] in
-  Mutex.unlock t.mu;
-  msgs
+let take t = Ring.take t.q
 
-let stats t =
-  Mutex.lock t.mu;
-  let r = (t.sent, t.data_bytes) in
-  Mutex.unlock t.mu;
-  r
+let stats t = (t.q.Ring.tail, t.data_bytes)

@@ -334,31 +334,24 @@ let run t =
 
 (* Conservative-parallel window: process everything strictly below
    [bound], leave the rest queued. The first out-of-bound event is
-   *peeked*, not popped, so no future event is lost. *)
+   *peeked*, not popped, so no future event is lost. An empty queue reads
+   as [Vtime.infinity], which no bound exceeds. *)
 let run_before t ~bound =
   let slot = t.slot in
-  let running = ref true in
-  while !running do
-    match Event_queue.peek_time t.events with
-    | None -> running := false
-    | Some time when Vtime.(time >= bound) -> running := false
-    | Some _ ->
-      if Event_queue.pop_into t.events slot then begin
-        t.events_processed <- t.events_processed + 1;
-        if t.events_processed > t.max_events then raise Event_budget_exhausted;
-        let time = Event_queue.slot_time slot in
-        if Vtime.(time > t.now) then t.now <- time;
-        (Event_queue.slot_payload slot) ()
-      end
-      else running := false
+  while
+    Vtime.(Event_queue.min_time t.events < bound)
+    && Event_queue.pop_into t.events slot
+  do
+    t.events_processed <- t.events_processed + 1;
+    if t.events_processed > t.max_events then raise Event_budget_exhausted;
+    let time = Event_queue.slot_time slot in
+    if Vtime.(time > t.now) then t.now <- time;
+    (Event_queue.slot_payload slot) ()
   done
 
 (* Time of the next runnable event, [Vtime.infinity] on an empty queue:
    the E_i input of the shard synchronizer's lookahead fixed point. *)
-let next_event_time t =
-  match Event_queue.peek_time t.events with
-  | Some time -> time
-  | None -> Vtime.infinity
+let next_event_time t = Event_queue.min_time t.events
 
 (* Effect-performing API for program bodies. *)
 let syscall call : Syscall.result = Effect.perform (Syscall_eff call)

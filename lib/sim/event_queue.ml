@@ -57,7 +57,7 @@ type 'a t = {
   mutable pops : int;
   mutable compactions : int;
   mutable lazy_drops : int;
-      (* dead entries discarded by [peek_time]'s lazy sweep: without this
+      (* dead entries discarded by [min_time]'s lazy sweep: without this
          tally the metrics scrape undercounts queue work under
          cancellation-heavy loads (the drops appear in no other stat) *)
 }
@@ -297,15 +297,12 @@ let pop t =
     if pop_into t slot then Some (slot.s_time, slot.s_payload) else None
   end
 
-let rec peek_time (t : _ t) =
-  if t.size = 0 then None
+let rec min_time (t : _ t) =
+  if t.size = 0 then Vtime.infinity
+  else if t.gens.(t.heap_slot.(0)) land 1 = 1 then t.heap_time.(0)
   else begin
-    let s = t.heap_slot.(0) in
-    if t.gens.(s) land 1 = 1 then Some t.heap_time.(0)
-    else begin
-      (* Drop dead entries lazily. *)
-      t.lazy_drops <- t.lazy_drops + 1;
-      remove_top t;
-      peek_time t
-    end
+    (* Drop dead entries lazily. *)
+    t.lazy_drops <- t.lazy_drops + 1;
+    remove_top t;
+    min_time t
   end

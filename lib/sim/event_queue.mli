@@ -9,7 +9,7 @@ type stats = {
   cancels : int;
   pops : int;
   compactions : int;
-  lazy_drops : int;  (** dead entries discarded by [peek_time]'s lazy sweep *)
+  lazy_drops : int;  (** dead entries discarded by [min_time]'s lazy sweep *)
 }
 
 type handle [@@immediate]
@@ -65,8 +65,9 @@ val pop_into : 'a t -> 'a slot -> bool
 val slot_time : 'a slot -> Vtime.t
 val slot_payload : 'a slot -> 'a
 
-val peek_time : 'a t -> Vtime.t option
-(** Time of the earliest live event without removing it. *)
+val min_time : 'a t -> Vtime.t
+(** Time of the earliest live event without removing it, or
+    [Vtime.infinity] on an empty queue. Allocation-free. *)
 
 val stats : 'a t -> stats
 (** Lifetime add/cancel/pop/compaction/lazy-drop tallies, for the

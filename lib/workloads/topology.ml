@@ -363,7 +363,8 @@ let send_all fd data =
   let len = String.length data in
   let rec go off =
     if off < len then begin
-      let n = Api.send fd (String.sub data off (len - off)) in
+      let rest = if off = 0 then data else String.sub data off (len - off) in
+      let n = Api.send fd rest in
       if n <= 0 then raise (Api.Sys_error (Errno.EPIPE, "send"))
       else go (off + n)
     end

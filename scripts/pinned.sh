@@ -16,6 +16,11 @@
 #                          the metrics for parsec.dedup under ReMon and
 #                          server.nginx-wrk under GHUMVEE
 #   pdes_100k.txt          the 10^5-connection herd (cell hash)
+#   pdes_hosts4.txt, pdes_hosts3_ghumvee.txt
+#                          MVEE topologies whose client host merges 4 and 3
+#                          inbound links (per-host recording digests); the
+#                          second under GHUMVEE with 3 replicas and the
+#                          fixed lookahead
 #   test_shapes.txt        the paper-shape assertions with their figures
 set -euo pipefail
 
@@ -58,6 +63,11 @@ record nginx -w server.nginx-wrk -b ghumvee
 
 echo "== 10^5-connection herd"
 "$remon" pdes --connections 100000 2> /dev/null > pdes_100k.txt
+
+echo "== multi-link pdes topologies"
+"$remon" pdes --hosts 4 2> /dev/null > pdes_hosts4.txt
+"$remon" pdes --hosts 3 -b ghumvee -n 3 --fixed-lookahead 2> /dev/null \
+  > pdes_hosts3_ghumvee.txt
 
 echo "== test_shapes"
 rm -rf shapes-raw

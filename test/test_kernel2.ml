@@ -1039,6 +1039,81 @@ let test_short_counter_reads () =
       expect_err "read(timerfd, 4), unarmed" Errno.EINVAL
         (sys (Syscall.Read (tfd, 4))))
 
+let u64 n =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 n;
+  Bytes.to_string b
+
+(* An eventfd write takes exactly the 8-byte counter: any other size, and
+   ULLONG_MAX, is EINVAL; a full write adds the value it carries and
+   returns 8. *)
+let test_eventfd_write_sizes () =
+  run_in_kernel (fun _ ->
+      let ev = expect_int "eventfd" (sys (Syscall.Eventfd 0)) in
+      ignore
+        (expect_int "fcntl"
+           (sys (Syscall.Fcntl (ev, Syscall.F_setfl { nonblock = true }))));
+      List.iter
+        (fun (what, data) ->
+          expect_err what Errno.EINVAL (sys (Syscall.Write (ev, data))))
+        [
+          ("write 3 bytes", "abc");
+          ("write 7 bytes", String.sub (u64 5L) 0 7);
+          ("write 16 bytes", u64 5L ^ u64 0L);
+          ("write ULLONG_MAX", u64 (-1L));
+        ];
+      expect_err "nothing was added" Errno.EAGAIN (sys (Syscall.Read (ev, 8)));
+      Alcotest.(check int) "write u64 5" 8
+        (expect_int "write" (sys (Syscall.Write (ev, u64 5L))));
+      Alcotest.(check int) "write u64 0" 8
+        (expect_int "write" (sys (Syscall.Write (ev, u64 0L))));
+      match sys (Syscall.Read (ev, 8)) with
+      | Syscall.Ok_int64 n -> Alcotest.(check int64) "counter" 5L n
+      | r -> Alcotest.failf "read(eventfd, 8): %a" Syscall.pp_result r)
+
+(* shutdown of a listener answers 0. SHUT_WR changes nothing; SHUT_RD
+   stops it listening: a blocked accept wakes with EINVAL, later accepts
+   answer EINVAL, connects are refused, a second shutdown is ENOTCONN, and
+   listen starts over. *)
+let test_shutdown_listener () =
+  run_in_kernel (fun _ ->
+      let connect port = sys (Syscall.Connect (socket (), port)) in
+      let l = socket () in
+      ignore (expect_int "bind" (sys (Syscall.Bind (l, 7310))));
+      ignore (expect_int "listen" (sys (Syscall.Listen (l, 8))));
+      Alcotest.(check int) "shutdown(WR)" 0
+        (expect_int "shutdown(WR)" (sys (Syscall.Shutdown (l, Syscall.Shut_wr))));
+      ignore (expect_int "connect after SHUT_WR" (connect 7310));
+      (match sys (Syscall.Accept l) with
+      | Syscall.Ok_accept _ -> ()
+      | r -> Alcotest.failf "accept after SHUT_WR: %a" Syscall.pp_result r);
+      let woken = ref None in
+      let self = Sched.self () in
+      self.Proc.proc.Proc.entry_table <-
+        [| (fun () -> woken := Some (sys (Syscall.Accept l))) |];
+      ignore (expect_int "clone" (sys (Syscall.Clone 0)));
+      Sched.compute (Vtime.ms 1);
+      Alcotest.(check int) "shutdown(RD)" 0
+        (expect_int "shutdown(RD)" (sys (Syscall.Shutdown (l, Syscall.Shut_rd))));
+      Sched.compute (Vtime.ms 1);
+      (match !woken with
+      | Some r -> expect_err "blocked accept" Errno.EINVAL r
+      | None -> Alcotest.fail "the blocked accept was not woken");
+      expect_err "accept after SHUT_RD" Errno.EINVAL (sys (Syscall.Accept l));
+      expect_err "connect after SHUT_RD" Errno.ECONNREFUSED (connect 7310);
+      expect_err "shutdown again" Errno.ENOTCONN
+        (sys (Syscall.Shutdown (l, Syscall.Shut_wr)));
+      ignore (expect_int "listen again" (sys (Syscall.Listen (l, 8))));
+      ignore (expect_int "connect after listen" (connect 7310));
+      let l2 = socket () in
+      ignore (expect_int "bind" (sys (Syscall.Bind (l2, 7311))));
+      ignore (expect_int "listen" (sys (Syscall.Listen (l2, 8))));
+      Alcotest.(check int) "shutdown(RDWR)" 0
+        (expect_int "shutdown(RDWR)"
+           (sys (Syscall.Shutdown (l2, Syscall.Shut_rdwr))));
+      expect_err "accept after SHUT_RDWR" Errno.EINVAL (sys (Syscall.Accept l2));
+      expect_err "connect after SHUT_RDWR" Errno.ECONNREFUSED (connect 7311))
+
 let lseek fd offset whence = sys (Syscall.Lseek (fd, offset, whence))
 
 let test_lseek_dev_null () =
@@ -1194,6 +1269,9 @@ let () =
             test_fionread_pipe_write_end;
           tc "eventfd and timerfd reads shorter than 8 bytes" `Quick
             test_short_counter_reads;
+          tc "eventfd writes of other than 8 bytes" `Quick
+            test_eventfd_write_sizes;
+          tc "shutdown of a listener" `Quick test_shutdown_listener;
           tc "lseek on /dev/null" `Quick test_lseek_dev_null;
           tc "lseek on eventfd, timerfd and epoll" `Quick test_lseek_anonymous;
           tc "lseek on /proc/self/maps" `Quick test_lseek_proc_maps;

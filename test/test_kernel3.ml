@@ -28,6 +28,12 @@ let expect_data label r =
     Alcotest.failf "%s: expected Ok_data, got %s" label
       (Format.asprintf "%a" Syscall.pp_result other)
 
+(* An eventfd write carries the 8-byte counter increment. *)
+let u64 n =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int n);
+  Bytes.to_string b
+
 let run_in_kernel body =
   let k = Kernel.create () in
   let done_ = ref false in
@@ -60,7 +66,7 @@ let test_eventfd_signal_wakeup () =
         [|
           (fun () ->
             Sched.compute (Vtime.ms 1);
-            ignore (sys (Syscall.Write (efd, String.make 5 'e'))));
+            ignore (sys (Syscall.Write (efd, u64 5))));
         |];
       ignore (expect_int "clone" (sys (Syscall.Clone 0)));
       let t0 = Sched.vnow () in
@@ -85,7 +91,7 @@ let test_eventfd_epoll () =
       (match sys (Syscall.Epoll_wait { epfd; max_events = 4; timeout_ns = Some 0 }) with
       | Syscall.Ok_epoll [] -> ()
       | _ -> Alcotest.fail "not ready yet");
-      ignore (sys (Syscall.Write (efd, "e")));
+      ignore (sys (Syscall.Write (efd, u64 1)));
       match sys (Syscall.Epoll_wait { epfd; max_events = 4; timeout_ns = Some 0 }) with
       | Syscall.Ok_epoll [ (9L, _) ] -> ()
       | _ -> Alcotest.fail "eventfd should be epoll-readable")

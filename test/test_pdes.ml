@@ -214,6 +214,58 @@ let test_three_host_fan_in () =
   check_int "client 0 answered" 5 answered.(0);
   check_int "client 1 answered" 5 answered.(1)
 
+let test_same_instant_tie_break () =
+  (* hosts 0 and 1 each connect twice to host 2, at the same instants: at
+     every delivery-time tie the lower source host goes first, so the
+     server's backlog interleaves the two clients *)
+  let w = make_world 3 in
+  World.route w ~port:7000 ~host:2;
+  let order = ref [] in
+  spawn w 2 "server" (fun () ->
+      let sfd = Api.socket () in
+      Api.bind sfd 7000;
+      Api.listen sfd 8;
+      for _ = 1 to 4 do
+        let a = Api.accept sfd in
+        order := Api.recv_exactly a.Syscall.conn_fd 4 :: !order
+      done);
+  for c = 0 to 1 do
+    spawn w c
+      (Printf.sprintf "client%d" c)
+      (fun () ->
+        for r = 1 to 2 do
+          let fd = Api.socket () in
+          Api.connect_retry fd 7000;
+          ignore (Api.send fd (Printf.sprintf "%d-%02d" c r))
+        done)
+  done;
+  World.run w;
+  check_string "accept order" "0-01 1-01 0-02 1-02"
+    (String.concat " " (List.rev !order))
+
+let test_conservative_violation () =
+  (* a first run leaves host 0 idle at time 0 and host 1 at 10 ms; a SYN
+     sent from host 0 afterwards would arrive in host 1's past *)
+  let w = make_world 2 in
+  World.route w ~port:7000 ~host:1 ~initiators:[ 0 ];
+  spawn w 1 "sleeper" (fun () -> Api.nanosleep 10_000_000);
+  World.run w;
+  let clock1 = Sched.now (Kernel.sched (World.kernel w 1)) in
+  check_bool "host 1 slept" true Vtime.(clock1 >= Vtime.ms 10);
+  ignore (Hostnet.connect (World.hostnet w 0) ~local_port:40_000 ~port:7000);
+  match World.run w with
+  | () -> Alcotest.fail "a message behind its destination's clock was delivered"
+  | exception (World.Conservative_violation v as e) ->
+    check_int "round" (World.rounds w) v.round;
+    check_int "source" 0 v.src;
+    check_int "destination" 1 v.dst;
+    check_int "delivery time" (Vtime.us 200) v.at;
+    check_int "destination clock" clock1 v.clock;
+    check_bool "drained below the bound" true Vtime.(v.at < v.bound);
+    check_bool "printer names the error" true
+      (String.starts_with ~prefix:"World.Conservative_violation: round"
+         (Printexc.to_string e))
+
 (* ------------------------------------------------------------------ *)
 (* The determinism contract *)
 
@@ -300,9 +352,10 @@ let test_oversubscribed_shards () =
    doubles as the conservative-safety oracle: if the adaptive bounds ever
    let a cross-host message act earlier than the single-latency bound
    would allow, some delivery interleaving changes and the digest
-   diverges. On top of that, World.drain_round fail-stops outright if a
-   drained message's delivery time is already in a shard's past — the
-   direct "never delivered early" check, always on, in every run below. *)
+   diverges. On top of that, World.drain_round fail-stops outright, with
+   World.Conservative_violation, if a drained message's delivery time is
+   already in a shard's past — the direct "never delivered early" check,
+   always on, in every run below. *)
 
 let test_mode_invariance_corpus () =
   List.iter
@@ -401,6 +454,10 @@ let () =
           Alcotest.test_case "reset on data-after-close" `Quick
             test_cross_host_reset_on_closed_peer;
           Alcotest.test_case "three-host fan-in" `Quick test_three_host_fan_in;
+          Alcotest.test_case "same-instant deliveries: lower source first"
+            `Quick test_same_instant_tie_break;
+          Alcotest.test_case "a message in the past raises" `Quick
+            test_conservative_violation;
         ] );
       ( "determinism",
         [

@@ -61,11 +61,13 @@ let test_event_queue_peek () =
   let q = Event_queue.create () in
   ignore (Event_queue.add q ~time:(Vtime.ms 9) ());
   let h = Event_queue.add q ~time:(Vtime.ms 2) () in
-  Alcotest.(check (option int)) "peek earliest" (Some (Vtime.ms 2))
-    (Event_queue.peek_time q);
+  Alcotest.(check int) "peek earliest" (Vtime.ms 2) (Event_queue.min_time q);
   Event_queue.cancel q h;
-  Alcotest.(check (option int)) "peek skips cancelled" (Some (Vtime.ms 9))
-    (Event_queue.peek_time q)
+  Alcotest.(check int) "peek skips cancelled" (Vtime.ms 9)
+    (Event_queue.min_time q);
+  ignore (Event_queue.pop q);
+  Alcotest.(check int) "empty reads infinity" Vtime.infinity
+    (Event_queue.min_time q)
 
 (* length/is_empty are backed by a live counter, so they must stay exact
    through any interleaving of add, cancel (including double-cancel and
@@ -167,15 +169,16 @@ let test_event_queue_cancel_after_pop_compaction () =
   Alcotest.(check bool) "compaction actually ran" true
     (st.Event_queue.compactions > 0)
 
-(* Model-based property: random add/add_pre_/cancel/pop/peek_time
+(* Model-based property: random add/add_pre_/cancel/pop/min_time
    interleavings (cancels of arbitrary handles, popped and
    already-cancelled ones included, and cancels aimed at live events)
    keep the live counter exact, pop exactly the surviving events
    in (time, lane, insertion) order (at a time tie every pre-lane event
    pops first, and each lane keeps its own insertion order), and
-   [peek_time] always names the earliest survivor. Right after a cancel
-   that kills a live event, compaction keeps the dead entries no more
-   numerous than the live ones. *)
+   [min_time] always names the earliest survivor ([Vtime.infinity] when
+   there is none). Right after a cancel that kills a live event,
+   compaction keeps the dead entries no more numerous than the live
+   ones. *)
 let prop_event_queue_model =
   QCheck2.Test.make ~name:"add/cancel/pop interleavings match a model"
     ~count:200
@@ -236,9 +239,11 @@ let prop_event_queue_model =
             alive := (id, (x, 0)) :: !alive
           | _ ->
             let expected =
-              Option.map (fun (_, (x', _)) -> Vtime.ns x') (earliest ())
+              match earliest () with
+              | Some (_, (x', _)) -> Vtime.ns x'
+              | None -> Vtime.infinity
             in
-            if Event_queue.peek_time q <> expected then ok := false);
+            if Event_queue.min_time q <> expected then ok := false);
           if Event_queue.length q <> List.length !alive then ok := false;
           if Event_queue.physical_size q < Event_queue.length q then ok := false)
         ops;
