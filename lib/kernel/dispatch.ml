@@ -58,17 +58,27 @@ let signal_action (p : Proc.process) sg =
 (* ------------------------------------------------------------------ *)
 (* Readiness polling *)
 
-let timer_fires (tf : Proc.timerfd_state) now =
-  match tf.spec with
+(* Expirations of [t] up to [now]. *)
+let timer_fires (t : Proc.timer) now =
+  match t.spec with
   | None -> 0
   | Some { value_ns; interval_ns } ->
-    let first = Vtime.add tf.armed_at value_ns in
-    if Vtime.(now < first) then 0
-    else if interval_ns <= 0 then 1
-    else
-      1 + (Vtime.sub now first / interval_ns)
+    let since = Vtime.sub now t.armed_at - value_ns in
+    if since < 0 then 0 else if interval_ns <= 0 then 1 else 1 + (since / interval_ns)
 
 let timer_available tf now = max 0 (timer_fires tf now - tf.Proc.expirations)
+
+(* getitimer's and timerfd_gettime's answer: the time to the next expiry
+   and the period; zeros once disarmed or a one-shot fired. *)
+let timer_left (t : Proc.timer) now : Syscall.itimer_spec =
+  match t.spec with
+  | Some { value_ns; interval_ns } ->
+    let since = Vtime.sub now t.armed_at - value_ns in
+    if since < 0 then { value_ns = -since; interval_ns }
+    else if interval_ns > 0 then
+      { value_ns = interval_ns - (since mod interval_ns); interval_ns }
+    else { value_ns = 0; interval_ns = 0 }
+  | None -> { value_ns = 0; interval_ns = 0 }
 
 let stream_eof (s : Net.stream) =
   Net.incoming_length s = 0
@@ -274,8 +284,9 @@ let rec post_signal k (p : Proc.process) sg =
     Sched.kick k.K.sched
   end
 
-(* Terminates every thread of [p]. Threads parked or trace-stopped simply
-   never resume; their continuations are dropped. *)
+(* The one process death: a fatal signal, exit_group or the last thread's
+   exit. Parked and trace-stopped threads never resume. The descriptors go
+   before the exit waiters run: listeners unbind, peers observe EOF. *)
 and kill_process k (p : Proc.process) ~code =
   if p.alive then begin
     p.alive <- false;
@@ -316,13 +327,35 @@ let deliver_signal k (th : Proc.thread) sg =
       false)
 
 (* ------------------------------------------------------------------ *)
+(* Timers *)
+
+(* Arms [t], or disarms it for a zero value. A new arming retires the
+   expiry events of the one before. Each expiry raises SIGALRM for the
+   process's real timer and wakes poll and epoll waiters for a timerfd. *)
+let arm_timer k (p : Proc.process) (t : Proc.timer) (spec : Syscall.itimer_spec) =
+  let armed = if spec.value_ns > 0 then Some spec else None in
+  t.spec <- armed;
+  t.armed_at <- K.now k;
+  t.expirations <- 0;
+  let rec expire at =
+    Sched.schedule k.K.sched ~time:at (fun () ->
+        if t.spec == armed && p.alive then begin
+          if t == p.real_timer then post_signal k p Sigdefs.sigalrm
+          else Sched.kick k.K.sched;
+          if spec.interval_ns > 0 then expire (Vtime.add at spec.interval_ns)
+        end)
+  in
+  if spec.value_ns > 0 then expire (Vtime.add t.armed_at spec.value_ns)
+
+(* ------------------------------------------------------------------ *)
 (* Call execution *)
 
 let encode_flags (d : Proc.desc) = if d.nonblock then 0x800 else 0
 
-(* An iovec length that is negative as an int is a size_t past
-   SSIZE_MAX: readv and preadv answer EINVAL. *)
-let negative_len lens = List.exists (fun l -> l < 0) lens
+(* An iovec's total length, or -1 when one length is negative as an int:
+   a size_t past SSIZE_MAX, which readv and preadv answer EINVAL. *)
+let iov_count lens =
+  if List.exists (fun l -> l < 0) lens then -1 else List.fold_left ( + ) 0 lens
 
 let wall_ns k = Int64.add k.K.epoch_offset_ns (Int64.of_int (K.now k))
 
@@ -332,47 +365,34 @@ let maps_at content ~offset ~count =
   if offset >= size then ""
   else String.sub content offset (min count (size - offset))
 
-(* Reads [count] bytes from a descriptor; blocks according to [d.nonblock]
-   unless the caller is the kernel itself. A negative count is a size_t
-   past the end of the address space: Linux fails its buffer check with
-   EFAULT, whatever the descriptor. *)
-let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.result -> unit) =
-  let data_done s =
-    charge th (Cost_model.local_copy_ns k.K.cost ~bytes:(String.length s));
-    ret (Syscall.Ok_data s)
-  in
-  if not d.can_read then ret (err Errno.EBADF)
-  else if count < 0 then ret (err Errno.EFAULT)
+(* Whether positional I/O reaches the kind. Linux's stream_open clears it
+   for pipes and sockets and anonymous files never have it, so they answer
+   ESPIPE; a seq_file such as /proc/self/maps reads at an offset but has
+   no positional write. *)
+let positional ~write (d : Proc.desc) =
+  match d.kind with
+  | Proc.Regular _ | Proc.Directory _ | Proc.Dev_null -> true
+  | Proc.Proc_maps _ -> not write
+  | _ -> false
+
+(* Positional I/O reads and writes a file at [pos] and moves no offset;
+   the other calls use and move the descriptor's offset. *)
+let at_offset pos (d : Proc.desc) = Option.value pos ~default:d.offset
+let advance pos (d : Proc.desc) s =
+  if Option.is_none pos then d.offset <- d.offset + String.length s
+
+let is_socket (d : Proc.desc) =
+  match d.kind with Proc.Stream _ | Proc.Listener _ -> true | _ -> false
+
+(* The socket receive, which the recv calls and a socket's read share. The
+   recv calls take sockets only (ENOTSOCK). A listener, and a socket that
+   never connected, answer ENOTCONN, also to an empty receive. *)
+let sock_recv k (th : Proc.thread) (d : Proc.desc) ~count ~bad_count ~ret =
+  if not (is_socket d) then ret (err Errno.ENOTSOCK)
+  else if count < 0 then ret (err bad_count)
   else
     match d.kind with
-    | Proc.Regular node -> (
-      match Vfs.read_at node ~offset:d.offset ~count with
-      | Ok s ->
-        d.offset <- d.offset + String.length s;
-        data_done s
-      | Error e -> ret (err e))
-    | Proc.Directory _ -> ret (err Errno.EISDIR)
-    | Proc.Dev_null -> data_done ""
-    | Proc.Proc_maps pm ->
-      let s = maps_at pm.content ~offset:d.offset ~count in
-      d.offset <- d.offset + String.length s;
-      data_done s
-    | Proc.Pipe pi ->
-      let attempt () =
-        if Pipe.bytes_available pi > 0 then begin
-          Sched.kick k.K.sched;
-          Some (Pipe.read pi count)
-        end
-        else if Pipe.write_closed pi then Some ""
-        else None
-      in
-      park_or_eagain k th d ~on:Waitq.global ~what:"read(pipe)" ~poll:attempt
-        ~on_ready:data_done ~ret
-    | Proc.Stream s when Net.never_connected s ->
-      (* Linux's sock_read_iter returns 0 for an empty read before it looks
-         at the socket *)
-      if count = 0 then data_done "" else ret (err Errno.ENOTCONN)
-    | Proc.Stream s ->
+    | Proc.Stream s when not (Net.never_connected s) ->
       let attempt () =
         if Net.incoming_length s > 0 then begin
           let data = Net.recv s count in
@@ -389,7 +409,58 @@ let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.resu
         else None
       in
       park_or_eagain k th d ~on:(Net.waitq s) ~what:"read(socket)"
-        ~poll:attempt ~on_ready:data_done ~ret
+        ~poll:attempt
+        ~on_ready:(fun s ->
+          charge th (Cost_model.local_copy_ns k.K.cost ~bytes:(String.length s));
+          ret (Syscall.Ok_data s))
+        ~ret
+    | _ -> ret (err Errno.ENOTCONN)
+
+(* The one read of every descriptor kind, at [pos] for pread64 and preadv.
+   Linux's order: ESPIPE for a kind without positional I/O, the access
+   mode (EBADF), a negative count, which [bad_count] answers (EFAULT for a
+   size_t past the address space, EINVAL for an iovec length), then the
+   kind. Positional reads are charged no copy (DESIGN §7). Blocks
+   according to [d.nonblock]. *)
+let do_read k (th : Proc.thread) ?pos (d : Proc.desc) ~count ~bad_count
+    ~(ret : Syscall.result -> unit) =
+  let data_done s =
+    if Option.is_none pos then
+      charge th (Cost_model.local_copy_ns k.K.cost ~bytes:(String.length s));
+    ret (Syscall.Ok_data s)
+  in
+  if Option.is_some pos && not (positional ~write:false d) then
+    ret (err Errno.ESPIPE)
+  else if not d.can_read then ret (err Errno.EBADF)
+  else if count < 0 then ret (err bad_count)
+  else
+    match d.kind with
+    | Proc.Regular node -> (
+      match Vfs.read_at node ~offset:(at_offset pos d) ~count with
+      | Ok s ->
+        advance pos d s;
+        data_done s
+      | Error e -> ret (err e))
+    | Proc.Directory _ -> ret (err Errno.EISDIR)
+    | Proc.Dev_null -> data_done ""
+    | Proc.Proc_maps pm ->
+      let s = maps_at pm.content ~offset:(at_offset pos d) ~count in
+      advance pos d s;
+      data_done s
+    (* pipe_read and sock_read_iter return 0 for an empty read at once *)
+    | Proc.Pipe _ | Proc.Stream _ | Proc.Listener _ when count = 0 -> data_done ""
+    | Proc.Pipe pi ->
+      let attempt () =
+        if Pipe.bytes_available pi > 0 then begin
+          Sched.kick k.K.sched;
+          Some (Pipe.read pi count)
+        end
+        else if Pipe.write_closed pi then Some ""
+        else None
+      in
+      park_or_eagain k th d ~on:Waitq.global ~what:"read(pipe)" ~poll:attempt
+        ~on_ready:data_done ~ret
+    | Proc.Stream _ | Proc.Listener _ -> sock_recv k th d ~count ~bad_count ~ret
     | Proc.Timer_fd _ | Proc.Event_fd _ when count < 8 ->
       (* the 8-byte counter does not fit: EINVAL, even before blocking *)
       ret (err Errno.EINVAL)
@@ -418,26 +489,37 @@ let rec do_read k (th : Proc.thread) (d : Proc.desc) ~count ~(ret : Syscall.resu
       in
       park_or_eagain k th d ~on:Waitq.global ~what:"read(eventfd)"
         ~poll:attempt ~on_ready:ret ~ret
-    | Proc.Listener _ | Proc.Epoll_fd _ -> ret (err Errno.EINVAL)
+    | Proc.Epoll_fd _ -> ret (err Errno.EINVAL)
     | Proc.Replicated_handle _ ->
       (* A slave replica's stub descriptor reached the kernel: under a
          correctly-functioning MVEE this never happens, because slave I/O
          is aborted and satisfied from replicated results. *)
       ret (err Errno.EREMOTEIO)
 
-and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -> unit) =
+(* The one write of every descriptor kind, at [pos] for pwrite64 and
+   pwritev, with [do_read]'s order and charges. *)
+let do_write k (th : Proc.thread) ?pos (d : Proc.desc) ~data
+    ~(ret : Syscall.result -> unit) =
   let p = proc_of th in
   let len = String.length data in
-  charge th (Cost_model.local_copy_ns k.K.cost ~bytes:len);
-  if not d.can_write then ret (err Errno.EBADF)
+  if Option.is_none pos then charge th (Cost_model.local_copy_ns k.K.cost ~bytes:len);
+  if Option.is_some pos && not (positional ~write:true d) then
+    ret (err Errno.ESPIPE)
+  else if not d.can_write then ret (err Errno.EBADF)
   else
     match d.kind with
     | Proc.Regular node ->
-      let offset = if d.append then Vfs.file_size node else d.offset in
+      let offset =
+        match pos with
+        | Some o -> o
+        | None -> if d.append then Vfs.file_size node else d.offset
+      in
       (match Vfs.write_at node ~offset ~data ~now_ns:(K.now k) with
       | Ok n ->
-        d.offset <- offset + n;
-        Sched.kick k.K.sched;
+        if Option.is_none pos then begin
+          d.offset <- offset + n;
+          Sched.kick k.K.sched
+        end;
         ret (Syscall.Ok_int n)
       | Error e -> ret (err e))
     | Proc.Dev_null -> ret (Syscall.Ok_int len)
@@ -464,7 +546,7 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
         park_or_eagain k th d ~on:Waitq.global ~what:"write(pipe)"
           ~poll:attempt ~on_ready:ret ~ret
       end
-    | Proc.Stream s ->
+    | Proc.Stream s when not (Net.never_connected s) ->
       (* Bounded socket buffers: each send accepts at most the peer's free
          receive space. A blocking sender parks until the peer drains; a
          nonblocking one sees a partial write or EAGAIN. *)
@@ -519,6 +601,11 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
             push (offset + n)
       in
       push 0
+    | Proc.Stream _ | Proc.Listener _ ->
+      (* not connected: tcp_sendmsg answers EPIPE and raises SIGPIPE, also
+         for an empty write *)
+      post_signal k p Sigdefs.sigpipe;
+      ret (err Errno.EPIPE)
     | Proc.Event_fd _ when len <> 8 ->
       (* Linux takes exactly the 8-byte counter; any other size is EINVAL *)
       ret (err Errno.EINVAL)
@@ -542,53 +629,16 @@ and do_write k (th : Proc.thread) (d : Proc.desc) ~data ~(ret : Syscall.result -
         park_or_eagain k th d ~on:Waitq.global ~what:"write(eventfd)"
           ~poll:attempt ~on_ready:ret ~ret
       end
-    | Proc.Listener _ | Proc.Epoll_fd _ | Proc.Timer_fd _ | Proc.Directory _
-    | Proc.Proc_maps _ ->
+    | Proc.Epoll_fd _ | Proc.Timer_fd _ | Proc.Directory _ | Proc.Proc_maps _ ->
       ret (err Errno.EBADF)
     | Proc.Replicated_handle _ -> ret (err Errno.EREMOTEIO)
 
-(* Positional I/O (pread64/preadv, pwrite64/pwritev): the descriptor
-   offset does not move. Linux checks in this order: a negative offset
-   (EINVAL, rejected by the caller), a descriptor without positional I/O
-   (ESPIPE: pipes, sockets and the anonymous kinds), the access mode
-   (EBADF), the count, where [bad_count] is the answer to a bad one (EFAULT
-   for pread64's size_t, EINVAL for an iovec length), and last the kind's
-   own answer: a directory's read is EISDIR, /dev/null reads nothing and
-   takes every byte. A directory opens read-only (EBADF for pwrite);
-   /proc/self/maps is a seq_file, which reads at any offset but has no
-   positional write (ESPIPE). *)
-and pread (d : Proc.desc) ~offset ~count ~bad_count ~ret =
-  let checked read =
-    if not d.can_read then ret (err Errno.EBADF)
-    else match bad_count with Some e -> ret (err e) | None -> read ()
-  in
-  match d.kind with
-  | Proc.Regular node ->
-    checked (fun () ->
-        match Vfs.read_at node ~offset ~count with
-        | Ok s -> ret (Syscall.Ok_data s)
-        | Error e -> ret (err e))
-  | Proc.Directory _ -> checked (fun () -> ret (err Errno.EISDIR))
-  | Proc.Dev_null -> checked (fun () -> ret (Syscall.Ok_data ""))
-  | Proc.Proc_maps pm ->
-    checked (fun () -> ret (Syscall.Ok_data (maps_at pm.content ~offset ~count)))
-  | _ -> ret (err Errno.ESPIPE)
-
-and pwrite k (d : Proc.desc) ~offset ~data ~ret =
-  let checked write = if d.can_write then write () else ret (err Errno.EBADF) in
-  match d.kind with
-  | Proc.Regular node ->
-    checked (fun () ->
-        match Vfs.write_at node ~offset ~data ~now_ns:(K.now k) with
-        | Ok n -> ret (Syscall.Ok_int n)
-        | Error e -> ret (err e))
-  | Proc.Dev_null ->
-    checked (fun () -> ret (Syscall.Ok_int (String.length data)))
-  | Proc.Directory _ -> ret (err Errno.EBADF)
-  | _ -> ret (err Errno.ESPIPE)
+(* The send calls take sockets only, as the recv calls do. *)
+let sock_send k th d ~data ~ret =
+  if is_socket d then do_write k th d ~data ~ret else ret (err Errno.ENOTSOCK)
 
 (* Builds the stat result for a node-backed or anonymous descriptor. *)
-and stat_of_node (node : Vfs.node) =
+let stat_of_node (node : Vfs.node) =
   Syscall.Ok_stat
     {
       Syscall.st_ino = node.ino;
@@ -597,7 +647,7 @@ and stat_of_node (node : Vfs.node) =
       st_mtime_ns = node.mtime_ns;
     }
 
-and stat_of_desc (d : Proc.desc) =
+let stat_of_desc (d : Proc.desc) =
   match d.kind with
   | Proc.Regular node | Proc.Directory node -> stat_of_node node
   | Proc.Pipe _ ->
@@ -617,25 +667,14 @@ and stat_of_desc (d : Proc.desc) =
 let exit_current k (th : Proc.thread) ~code ~group =
   let p = proc_of th in
   let die () =
-    if group then begin
-      p.exit_code <- code;
-      Vec.iter
-        (fun (t : Proc.thread) ->
-          if t != th then begin
-            (match t.tstate with
-            | Proc.Blocked b ->
-              (match b.timeout with Some h -> Sched.cancel k.K.sched h | None -> ());
-              Sched.unpark b
-            | _ -> ());
-            t.tstate <- Proc.Dead;
-            k.K.sched.Sched.on_thread_exit t
-          end)
-        p.threads
+    if group then kill_process k p ~code
+    else begin
+      (* the last thread's code is the process's *)
+      if Vec.for_all (fun (t : Proc.thread) -> t == th || t.tstate = Proc.Dead) p.threads
+      then p.exit_code <- code;
+      th.tstate <- Proc.Dead;
+      k.K.sched.Sched.on_thread_exit th
     end
-    else if Vec.for_all (fun (t : Proc.thread) -> t == th || t.tstate = Proc.Dead) p.threads
-    then p.exit_code <- code;
-    th.tstate <- Proc.Dead;
-    k.K.sched.Sched.on_thread_exit th
   in
   match p.tracer with
   | Some tracer ->
@@ -649,7 +688,7 @@ let exit_current k (th : Proc.thread) ~code ~group =
 (* ------------------------------------------------------------------ *)
 (* The big call-semantics match *)
 
-let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> unit) =
+let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> unit) =
   let p = proc_of th in
   let with_fd fd f =
     match Proc.desc_of_fd p fd with
@@ -673,10 +712,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Getrusage -> ret (Syscall.Ok_int64 (Int64.of_int th.clock))
   | Syscall.Times -> ret (Syscall.Ok_int64 (Int64.of_int (K.now k)))
   | Syscall.Capget -> ret (Syscall.Ok_int 0)
-  | Syscall.Getitimer -> (
-    match p.itimer with
-    | Some spec -> ret (Syscall.Ok_itimer spec)
-    | None -> ret (Syscall.Ok_itimer { interval_ns = 0; value_ns = 0 }))
+  | Syscall.Getitimer -> ret (Syscall.Ok_itimer (timer_left p.real_timer (K.now k)))
   | Syscall.Sysinfo -> ret (Syscall.Ok_int64 (Int64.of_int (K.now k)))
   | Syscall.Uname -> ret (Syscall.Ok_str "Linux remon-sim 3.13.11 x86_64")
   | Syscall.Sched_yield -> ret (Syscall.Ok_int 0)
@@ -813,83 +849,25 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
         | _ -> ret (err Errno.EBADF))
   (* ---- timers ---- *)
   | Syscall.Alarm seconds ->
-    let prev =
-      match p.alarm_deadline with
-      | Some d when Vtime.(d > K.now k) ->
-        Vtime.sub d (K.now k) / 1_000_000_000
-      | _ -> 0
-    in
-    if seconds = 0 then begin
-      p.alarm_deadline <- None;
-      ret (Syscall.Ok_int prev)
-    end
-    else begin
-      let deadline = Vtime.add (K.now k) (Vtime.s seconds) in
-      p.alarm_deadline <- Some deadline;
-      Sched.schedule k.K.sched ~time:deadline (fun () ->
-          match p.alarm_deadline with
-          | Some d when Vtime.compare d deadline = 0 ->
-            p.alarm_deadline <- None;
-            post_signal k p Sigdefs.sigalrm
-          | _ -> ());
-      ret (Syscall.Ok_int prev)
-    end
+    (* setitimer(ITIMER_REAL) in whole seconds. It answers the time that
+       was left as alarm_setitimer rounds it: to the nearest second, and
+       up to 1 below a second. *)
+    let left = (timer_left p.real_timer (K.now k)).value_ns in
+    arm_timer k p p.real_timer { value_ns = Vtime.s seconds; interval_ns = 0 };
+    ret (Syscall.Ok_int (max (min left 1) ((left + 500_000_000) / 1_000_000_000)))
   | Syscall.Setitimer spec ->
-    let armed = spec.value_ns > 0 in
-    p.itimer <- (if armed then Some spec else None);
-    if armed then begin
-      let first = Vtime.add (K.now k) spec.value_ns in
-      p.itimer_next <- Some first;
-      let rec fire deadline =
-        Sched.schedule k.K.sched ~time:deadline (fun () ->
-            match p.itimer_next with
-            | Some d when Vtime.compare d deadline = 0 && p.alive ->
-              post_signal k p Sigdefs.sigalrm;
-              if spec.interval_ns > 0 then begin
-                let next = Vtime.add deadline spec.interval_ns in
-                p.itimer_next <- Some next;
-                fire next
-              end
-              else p.itimer_next <- None
-            | _ -> ())
-      in
-      fire first
-    end
-    else p.itimer_next <- None;
+    arm_timer k p p.real_timer spec;
     ret (Syscall.Ok_int 0)
   | Syscall.Timerfd_create ->
-    let tf = { Proc.spec = None; armed_at = K.now k; expirations = 0 } in
-    ret (Syscall.Ok_int (install_fd (Proc.make_desc (Proc.Timer_fd tf))))
-  | Syscall.Timerfd_gettime fd ->
+    let t = { Proc.spec = None; armed_at = Vtime.zero; expirations = 0 } in
+    ret (Syscall.Ok_int (install_fd (Proc.make_desc (Proc.Timer_fd t))))
+  | Syscall.Timerfd_gettime fd | Syscall.Timerfd_settime (fd, _) ->
     with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Timer_fd tf -> (
-          match tf.spec with
-          | Some spec -> ret (Syscall.Ok_itimer spec)
-          | None -> ret (Syscall.Ok_itimer { interval_ns = 0; value_ns = 0 }))
-        | _ -> ret (err Errno.EINVAL))
-  | Syscall.Timerfd_settime (fd, spec) ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Timer_fd tf ->
-          let armed = spec.value_ns > 0 in
-          tf.spec <- (if armed then Some spec else None);
-          tf.armed_at <- K.now k;
-          tf.expirations <- 0;
-          if armed then begin
-            (* chain kicks at each expiration so poll/epoll waiters wake *)
-            let rec chain t =
-              Sched.schedule k.K.sched ~time:t (fun () ->
-                  match tf.spec with
-                  | Some s when p.alive ->
-                    Sched.kick k.K.sched;
-                    if s.interval_ns > 0 then
-                      chain (Vtime.add t s.interval_ns)
-                  | _ -> ())
-            in
-            chain (Vtime.add (K.now k) spec.value_ns)
-          end;
+        match (d.kind, call) with
+        | Proc.Timer_fd t, Syscall.Timerfd_settime (_, spec) ->
+          arm_timer k p t spec;
           ret (Syscall.Ok_int 0)
+        | Proc.Timer_fd t, _ -> ret (Syscall.Ok_itimer (timer_left t (K.now k)))
         | _ -> ret (err Errno.EINVAL))
   | Syscall.Madvise _ | Syscall.Fadvise64 _ -> ret (Syscall.Ok_int 0)
   (* ---- read family ---- *)
@@ -898,33 +876,26 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Pwrite64 (_, _, offset) | Syscall.Pwritev (_, _, offset)
     when offset < 0 ->
     ret (err Errno.EINVAL)
-  | Syscall.Read (fd, count) -> with_fd fd (fun d -> do_read k th d ~count ~ret)
+  | Syscall.Read (fd, count) ->
+    with_fd fd (fun d -> do_read k th d ~count ~bad_count:Errno.EFAULT ~ret)
+  | Syscall.Readv (fd, lens) ->
+    with_fd fd (fun d ->
+        do_read k th d ~count:(iov_count lens) ~bad_count:Errno.EINVAL ~ret)
+  | Syscall.Pread64 (fd, count, pos) ->
+    with_fd fd (fun d -> do_read k th ~pos d ~count ~bad_count:Errno.EFAULT ~ret)
+  | Syscall.Preadv (fd, lens, pos) ->
+    with_fd fd (fun d ->
+        do_read k th ~pos d ~count:(iov_count lens) ~bad_count:Errno.EINVAL ~ret)
   | Syscall.Recvfrom (fd, count) ->
     (* Linux clamps recvfrom's length to MAX_RW_COUNT before checking the
        buffer, so a negative one reads what is queued *)
     let count = if count < 0 then max_int else count in
-    with_fd fd (fun d -> do_read k th d ~count ~ret)
+    with_fd fd (fun d -> sock_recv k th d ~count ~bad_count:Errno.EFAULT ~ret)
   | Syscall.Recvmsg (fd, count) ->
-    with_fd fd (fun d ->
-        if d.can_read && count < 0 then ret (err Errno.EINVAL)
-        else do_read k th d ~count ~ret)
+    with_fd fd (fun d -> sock_recv k th d ~count ~bad_count:Errno.EINVAL ~ret)
   | Syscall.Recvmmsg (fd, msgs, each) ->
-    with_fd fd (fun d -> do_read k th d ~count:(msgs * each) ~ret)
-  | Syscall.Readv (fd, lens) ->
-    (* a negative iovec length is EINVAL once the descriptor is readable *)
     with_fd fd (fun d ->
-        if d.can_read && negative_len lens then ret (err Errno.EINVAL)
-        else do_read k th d ~count:(List.fold_left ( + ) 0 lens) ~ret)
-  | Syscall.Pread64 (fd, count, offset) ->
-    with_fd fd (fun d ->
-        pread d ~offset ~count
-          ~bad_count:(if count < 0 then Some Errno.EFAULT else None)
-          ~ret)
-  | Syscall.Preadv (fd, lens, offset) ->
-    with_fd fd (fun d ->
-        pread d ~offset ~count:(List.fold_left ( + ) 0 lens)
-          ~bad_count:(if negative_len lens then Some Errno.EINVAL else None)
-          ~ret)
+        sock_recv k th d ~count:(msgs * each) ~bad_count:Errno.EFAULT ~ret)
   | Syscall.Select { readfds; writefds; timeout_ns }
   | Syscall.Pselect6 { readfds; writefds; timeout_ns } ->
     let fds =
@@ -938,15 +909,17 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Sync | Syscall.Syncfs _ | Syscall.Fsync _ | Syscall.Fdatasync _ ->
     ret (Syscall.Ok_int 0)
   (* ---- write family ---- *)
-  | Syscall.Write (fd, data) | Syscall.Sendto (fd, data)
-  | Syscall.Sendmsg (fd, data) ->
-    with_fd fd (fun d -> do_write k th d ~data ~ret)
-  | Syscall.Writev (fd, chunks) | Syscall.Sendmmsg (fd, chunks) ->
+  | Syscall.Write (fd, data) -> with_fd fd (fun d -> do_write k th d ~data ~ret)
+  | Syscall.Writev (fd, chunks) ->
     with_fd fd (fun d -> do_write k th d ~data:(String.concat "" chunks) ~ret)
-  | Syscall.Pwrite64 (fd, data, offset) ->
-    with_fd fd (fun d -> pwrite k d ~offset ~data ~ret)
-  | Syscall.Pwritev (fd, chunks, offset) ->
-    with_fd fd (fun d -> pwrite k d ~offset ~data:(String.concat "" chunks) ~ret)
+  | Syscall.Pwrite64 (fd, data, pos) ->
+    with_fd fd (fun d -> do_write k th ~pos d ~data ~ret)
+  | Syscall.Pwritev (fd, chunks, pos) ->
+    with_fd fd (fun d -> do_write k th ~pos d ~data:(String.concat "" chunks) ~ret)
+  | Syscall.Sendto (fd, data) | Syscall.Sendmsg (fd, data) ->
+    with_fd fd (fun d -> sock_send k th d ~data ~ret)
+  | Syscall.Sendmmsg (fd, chunks) ->
+    with_fd fd (fun d -> sock_send k th d ~data:(String.concat "" chunks) ~ret)
   | Syscall.Sendfile { out_fd; in_fd; count } ->
     (* Linux checks [in_fd], the count and [out_fd] before it moves a byte,
        then moves [in_fd]'s offset by what [out_fd] took: nothing on an
@@ -1277,25 +1250,17 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
                      ~append:flags.append (Proc.Regular node))))
         | Vfs.Symlink _ -> ret (err Errno.ELOOP))
     end
-  | Syscall.Creat path -> (
-    match Vfs.create_file k.K.vfs path with
-    | Ok node ->
-      ignore (Vfs.truncate node ~size:0 ~now_ns:(K.now k));
-      ret
-        (Syscall.Ok_int
-           (install_fd
-              (Proc.make_desc ~can_read:false ~can_write:true
-                 (Proc.Regular node))))
-    | Error e -> ret (err e))
+  | Syscall.Creat path ->
+    exec k th
+      (Syscall.Open
+         (path, { Syscall.o_rdwr with read = false; create = true; trunc = true }))
+      ~ret
   | Syscall.Close fd ->
     with_fd fd (fun d ->
         Fdtable.remove p.fds fd;
         release_desc k d;
         ret (Syscall.Ok_int 0))
-  | Syscall.Dup fd ->
-    with_fd fd (fun d ->
-        d.refs <- d.refs + 1;
-        ret (Syscall.Ok_int (install_fd d)))
+  | Syscall.Dup fd -> exec k th (Syscall.Fcntl (fd, Syscall.F_dupfd 0)) ~ret
   (* Linux rejects dup3(fd, fd) before it looks at fd *)
   | Syscall.Dup3 (fd, newfd) when fd = newfd -> ret (err Errno.EINVAL)
   | Syscall.Dup2 (fd, newfd) | Syscall.Dup3 (fd, newfd) ->
@@ -1540,7 +1505,7 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
   | Syscall.Flock (fd, op) ->
     with_fd fd (fun d ->
         match d.kind with
-        | Proc.Regular node -> (
+        | Proc.Regular node | Proc.Directory node -> (
           let ino = node.Vfs.ino in
           match op with
           | Syscall.Lock_un ->
@@ -1560,7 +1525,10 @@ let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> un
             in
             park_or_eagain k th d ~on:Waitq.global ~what:"flock" ~poll:attempt
               ~on_ready:ret ~ret)
-        | _ -> ret (err Errno.EBADF))
+        (* Linux locks any file. The other kinds cannot be shared between
+           processes here (no fork, no descriptor passing), so no lock on
+           them can conflict. *)
+        | _ -> ret (Syscall.Ok_int 0))
   (* ---- hard and symbolic links ---- *)
   | Syscall.Link (target, path) | Syscall.Linkat (target, path) -> (
     match Vfs.resolve k.K.vfs target with

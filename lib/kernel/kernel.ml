@@ -22,16 +22,9 @@ let create ?cost ?seed ?net_latency ?sock_buf () =
   k.K.sched.Sched.on_thread_exit <-
     (fun th ->
       let p = th.Proc.proc in
+      (* the last thread out ends the process *)
       if p.alive && Vec.for_all (fun (t : Proc.thread) -> t.tstate = Proc.Dead) p.threads
-      then begin
-        p.alive <- false;
-        (* a fully-exited process gives back its descriptors before the
-           exit waiters run: listeners unbind, peers observe EOF *)
-        Dispatch.release_all_fds k p;
-        let waiters = p.exit_waiters in
-        p.exit_waiters <- [];
-        List.iter (fun f -> f p.exit_code) waiters
-      end;
+      then Dispatch.kill_process k p ~code:p.exit_code;
       (* user-space joins poll thread liveness: wake parked waiters *)
       Sched.kick k.K.sched);
   k
@@ -70,9 +63,7 @@ let make_process (k : t) ?replica_info ?(parent = 1) ~name ~vm_seed () =
       entry_table = [||];
       ipmon_registered = None;
       ipmon_staged = None;
-      alarm_deadline = None;
-      itimer = None;
-      itimer_next = None;
+      real_timer = { Proc.spec = None; armed_at = Vtime.zero; expirations = 0 };
       replica_info;
       exit_waiters = [];
     }

@@ -13,10 +13,12 @@ module IntSet = Set.Make (Int)
 (* ------------------------------------------------------------------ *)
 (* File descriptors *)
 
-type timerfd_state = {
+(* A process's real timer or a timerfd: armed at [armed_at] to expire
+   [spec.value_ns] later, then every [spec.interval_ns]; [None] disarmed. *)
+type timer = {
   mutable spec : Syscall.itimer_spec option;
   mutable armed_at : Vtime.t;
-  mutable expirations : int; (* unread expiration count *)
+  mutable expirations : int; (* expirations a timerfd read consumed *)
 }
 
 type eventfd_state = { mutable count : int }
@@ -28,7 +30,7 @@ type desc_kind =
   | Listener of Net.listener
   | Stream of Net.stream
   | Epoll_fd of Epoll.t
-  | Timer_fd of timerfd_state
+  | Timer_fd of timer
   | Event_fd of eventfd_state
   | Dev_null
   | Proc_maps of { mutable content : string }
@@ -118,9 +120,7 @@ type process = {
   mutable ipmon_staged : ipmon_registration option;
       (* prepared by IP-MON before it issues ipmon_register (the invoke
          closure cannot travel through the syscall); consumed by that call *)
-  mutable alarm_deadline : Vtime.t option;
-  mutable itimer : Syscall.itimer_spec option;
-  mutable itimer_next : Vtime.t option;
+  real_timer : timer; (* ITIMER_REAL, which alarm arms too *)
   mutable replica_info : replica_info option;
       (* set by the MVEE when this process is a managed replica *)
   mutable exit_waiters : (int -> unit) list;

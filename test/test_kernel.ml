@@ -444,6 +444,37 @@ let test_wait4 () =
   Kernel.run k;
   Alcotest.(check int) "reaped child pid" child.Proc.pid !waited
 
+(* exit_group from a thread whose sibling is parked in accept ends the
+   process once, with the group's code, and releases its descriptors: the
+   listener unbinds, so a later connect is refused. *)
+let test_exit_group_one_death () =
+  let k = Kernel.create () in
+  let codes = ref [] in
+  let listener = ref (-1) in
+  let accept () = ignore (sys (Syscall.Accept !listener)) in
+  let p =
+    Kernel.spawn_process k ~name:"group" ~vm_seed:4 ~entries:[| accept |] (fun () ->
+        listener :=
+          expect_int "socket" (sys (Syscall.Socket (Syscall.Af_inet, Syscall.Sock_stream)));
+        ignore (expect_int "bind" (sys (Syscall.Bind (!listener, 7320))));
+        ignore (expect_int "listen" (sys (Syscall.Listen (!listener, 4))));
+        ignore (expect_int "clone" (sys (Syscall.Clone 0)));
+        Sched.compute (Vtime.ms 1);
+        ignore (sys (Syscall.Exit_group 7)))
+  in
+  Kernel.on_process_exit p (fun code -> codes := code :: !codes);
+  let refused = ref Syscall.Ok_unit in
+  ignore
+    (Kernel.spawn_process k ~name:"client" ~vm_seed:5 ~start_clock:(Vtime.ms 5)
+       (fun () ->
+         let s =
+           expect_int "socket" (sys (Syscall.Socket (Syscall.Af_inet, Syscall.Sock_stream)))
+         in
+         refused := sys (Syscall.Connect (s, 7320))));
+  Kernel.run k;
+  Alcotest.(check (list int)) "one death, with the group's code" [ 7 ] !codes;
+  check_bool "listener unbound" true (!refused = Syscall.Error Errno.ECONNREFUSED)
+
 (* ------------------------------------------------------------------ *)
 (* Wait queues *)
 
@@ -655,5 +686,6 @@ let () =
         ] );
       ( "memory",
         [ tc "shm words shared" test_shm_share_words; tc "/proc/self/maps" test_proc_maps ] );
-      ("processes", [ tc "wait4" test_wait4 ]);
+      ( "processes",
+        [ tc "wait4" test_wait4; tc "exit_group is one death" test_exit_group_one_death ] );
     ]

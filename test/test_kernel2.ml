@@ -90,6 +90,26 @@ let test_setitimer_interval () =
       ignore (sys (Syscall.Setitimer { Syscall.value_ns = 0; interval_ns = 0 }));
       Alcotest.(check int) "both sleeps interrupted" 2 !hits)
 
+(* One real timer: alarm re-arms what setitimer armed, so the periodic
+   timer stops and only the alarm's SIGALRM arrives. *)
+let test_alarm_replaces_setitimer () =
+  run_in_kernel (fun _ ->
+      ignore (sys (Syscall.Rt_sigaction (Sigdefs.sigalrm, Syscall.Sig_handler 3)));
+      ignore
+        (sys
+           (Syscall.Setitimer
+              { Syscall.value_ns = Vtime.ms 100; interval_ns = Vtime.ms 100 }));
+      Alcotest.(check int) "alarm answers the 0.1 s left, rounded up" 1
+        (expect_int "alarm" (sys (Syscall.Alarm 1)));
+      let delivered = ref 0 in
+      for _ = 1 to 6 do
+        ignore (sys (Syscall.Nanosleep (Vtime.ms 500)));
+        let pending = (Sched.self ()).Proc.pending_delivery in
+        delivered := !delivered + Queue.length pending;
+        Queue.clear pending
+      done;
+      Alcotest.(check int) "one SIGALRM in 3 s" 1 !delivered)
+
 (* ---- vectored and positional I/O ---- *)
 
 let test_writev_readv () =
@@ -1165,6 +1185,7 @@ let () =
           tc "timerfd blocking read + interval" `Quick test_timerfd;
           tc "timerfd_gettime" `Quick test_timerfd_gettime;
           tc "setitimer interval" `Quick test_setitimer_interval;
+          tc "alarm replaces setitimer" `Quick test_alarm_replaces_setitimer;
         ] );
       ( "vectored-io",
         [
