@@ -384,10 +384,16 @@ let advance pos (d : Proc.desc) s =
 let is_socket (d : Proc.desc) =
   match d.kind with Proc.Stream _ | Proc.Listener _ -> true | _ -> false
 
-(* The socket receive, which the recv calls and a socket's read share. The
-   recv calls take sockets only (ENOTSOCK). A listener, and a socket that
-   never connected, answer ENOTCONN, also to an empty receive. *)
-let sock_recv k (th : Proc.thread) (d : Proc.desc) ~count ~bad_count ~ret =
+(* Hands read bytes back, charged as the copy to user space. *)
+let copy_out k (th : Proc.thread) ~ret s =
+  charge th (Cost_model.local_copy_ns k.K.cost ~bytes:(String.length s));
+  ret (Syscall.Ok_data s)
+
+(* The socket receive, which the recv calls and a socket's read share;
+   [on_data] takes the bytes. The recv calls take sockets only (ENOTSOCK).
+   A listener, and a socket that never connected, answer ENOTCONN, also to
+   an empty receive. *)
+let sock_recv k (th : Proc.thread) (d : Proc.desc) ~count ~bad_count ~on_data ~ret =
   if not (is_socket d) then ret (err Errno.ENOTSOCK)
   else if count < 0 then ret (err bad_count)
   else
@@ -409,11 +415,7 @@ let sock_recv k (th : Proc.thread) (d : Proc.desc) ~count ~bad_count ~ret =
         else None
       in
       park_or_eagain k th d ~on:(Net.waitq s) ~what:"read(socket)"
-        ~poll:attempt
-        ~on_ready:(fun s ->
-          charge th (Cost_model.local_copy_ns k.K.cost ~bytes:(String.length s));
-          ret (Syscall.Ok_data s))
-        ~ret
+        ~poll:attempt ~on_ready:on_data ~ret
     | _ -> ret (err Errno.ENOTCONN)
 
 (* The one read of every descriptor kind, at [pos] for pread64 and preadv.
@@ -425,9 +427,7 @@ let sock_recv k (th : Proc.thread) (d : Proc.desc) ~count ~bad_count ~ret =
 let do_read k (th : Proc.thread) ?pos (d : Proc.desc) ~count ~bad_count
     ~(ret : Syscall.result -> unit) =
   let data_done s =
-    if Option.is_none pos then
-      charge th (Cost_model.local_copy_ns k.K.cost ~bytes:(String.length s));
-    ret (Syscall.Ok_data s)
+    if Option.is_none pos then copy_out k th ~ret s else ret (Syscall.Ok_data s)
   in
   if Option.is_some pos && not (positional ~write:false d) then
     ret (err Errno.ESPIPE)
@@ -460,7 +460,8 @@ let do_read k (th : Proc.thread) ?pos (d : Proc.desc) ~count ~bad_count
       in
       park_or_eagain k th d ~on:Waitq.global ~what:"read(pipe)" ~poll:attempt
         ~on_ready:data_done ~ret
-    | Proc.Stream _ | Proc.Listener _ -> sock_recv k th d ~count ~bad_count ~ret
+    | Proc.Stream _ | Proc.Listener _ ->
+      sock_recv k th d ~count ~bad_count ~on_data:data_done ~ret
     | Proc.Timer_fd _ | Proc.Event_fd _ when count < 8 ->
       (* the 8-byte counter does not fit: EINVAL, even before blocking *)
       ret (err Errno.EINVAL)
@@ -633,8 +634,11 @@ let do_write k (th : Proc.thread) ?pos (d : Proc.desc) ~data
       ret (err Errno.EBADF)
     | Proc.Replicated_handle _ -> ret (err Errno.EREMOTEIO)
 
-(* The send calls take sockets only, as the recv calls do. *)
-let sock_send k th d ~data ~ret =
+(* The recv and send calls, on sockets only. *)
+let recv k th d ~count ~bad_count ~ret =
+  sock_recv k th d ~count ~bad_count ~on_data:(copy_out k th ~ret) ~ret
+
+let send k th d ~data ~ret =
   if is_socket d then do_write k th d ~data ~ret else ret (err Errno.ENOTSOCK)
 
 (* Builds the stat result for a node-backed or anonymous descriptor. *)
@@ -890,12 +894,11 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
     (* Linux clamps recvfrom's length to MAX_RW_COUNT before checking the
        buffer, so a negative one reads what is queued *)
     let count = if count < 0 then max_int else count in
-    with_fd fd (fun d -> sock_recv k th d ~count ~bad_count:Errno.EFAULT ~ret)
+    with_fd fd (fun d -> recv k th d ~count ~bad_count:Errno.EFAULT ~ret)
   | Syscall.Recvmsg (fd, count) ->
-    with_fd fd (fun d -> sock_recv k th d ~count ~bad_count:Errno.EINVAL ~ret)
+    with_fd fd (fun d -> recv k th d ~count ~bad_count:Errno.EINVAL ~ret)
   | Syscall.Recvmmsg (fd, msgs, each) ->
-    with_fd fd (fun d ->
-        sock_recv k th d ~count:(msgs * each) ~bad_count:Errno.EFAULT ~ret)
+    with_fd fd (fun d -> recv k th d ~count:(msgs * each) ~bad_count:Errno.EFAULT ~ret)
   | Syscall.Select { readfds; writefds; timeout_ns }
   | Syscall.Pselect6 { readfds; writefds; timeout_ns } ->
     let fds =
@@ -917,9 +920,9 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
   | Syscall.Pwritev (fd, chunks, pos) ->
     with_fd fd (fun d -> do_write k th ~pos d ~data:(String.concat "" chunks) ~ret)
   | Syscall.Sendto (fd, data) | Syscall.Sendmsg (fd, data) ->
-    with_fd fd (fun d -> sock_send k th d ~data ~ret)
+    with_fd fd (fun d -> send k th d ~data ~ret)
   | Syscall.Sendmmsg (fd, chunks) ->
-    with_fd fd (fun d -> sock_send k th d ~data:(String.concat "" chunks) ~ret)
+    with_fd fd (fun d -> send k th d ~data:(String.concat "" chunks) ~ret)
   | Syscall.Sendfile { out_fd; in_fd; count } ->
     (* Linux checks [in_fd], the count and [out_fd] before it moves a byte,
        then moves [in_fd]'s offset by what [out_fd] took: nothing on an
