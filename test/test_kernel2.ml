@@ -1020,6 +1020,27 @@ let test_read_never_connected () =
         (expect_int "fcntl" (sys (Syscall.Fcntl (s, Syscall.F_setfl { nonblock = true }))));
       expect_err "nonblocking read" Errno.ENOTCONN (sys (Syscall.Read (s, 8))))
 
+(* A write to a socket that is not connected, a listener included, answers
+   EPIPE and raises SIGPIPE, also when it is empty (Linux's tcp_sendmsg). *)
+let test_write_unconnected_sigpipe () =
+  run_in_kernel (fun _ ->
+      ignore (sys (Syscall.Rt_sigaction (Sigdefs.sigpipe, Syscall.Sig_handler 4)));
+      let l = socket () in
+      ignore (expect_int "bind" (sys (Syscall.Bind (l, 7330))));
+      ignore (expect_int "listen" (sys (Syscall.Listen (l, 4))));
+      List.iter
+        (fun (what, fd, data) ->
+          expect_err what Errno.EPIPE (sys (Syscall.Write (fd, data)));
+          let pending = (Sched.self ()).Proc.pending_delivery in
+          Alcotest.(check (list int))
+            (what ^ " raises SIGPIPE") [ Sigdefs.sigpipe ]
+            (List.of_seq (Queue.to_seq pending));
+          Queue.clear pending)
+        [
+          ("write to a listener", l, "x");
+          ("empty write, never connected", socket (), "");
+        ])
+
 let test_shutdown_never_connected () =
   run_in_kernel (fun _ ->
       let s = socket () in
@@ -1286,6 +1307,8 @@ let () =
             test_read_never_connected;
           tc "shutdown of a socket that never connected" `Quick
             test_shutdown_never_connected;
+          tc "writes to a socket that is not connected" `Quick
+            test_write_unconnected_sigpipe;
           tc "FIONREAD on a pipe's write end" `Quick
             test_fionread_pipe_write_end;
           tc "eventfd and timerfd reads shorter than 8 bytes" `Quick
