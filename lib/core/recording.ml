@@ -106,19 +106,29 @@ let read_header r =
   let shm_key = Syswire.R.uint r in
   { backend; nreplicas; seed; level; on_failure; faults; workload; shm_key }
 
-let to_string t =
-  let w = Syswire.W.create ~initial:4096 () in
+(* Every byte the trailing checksum covers. *)
+let write_body t w =
   String.iter (fun c -> Syswire.W.u8 w (Char.code c)) magic;
   Syswire.W.u8 w version;
   write_header w t.header;
   Syswire.W.uint w (Array.length t.events);
   Array.iter (write_event w) t.events;
-  (match t.verdict with
+  match t.verdict with
   | None -> Syswire.W.bool w false
   | Some (cls, rendered) ->
     Syswire.W.bool w true;
     Syswire.W.str w cls;
-    Syswire.W.str w rendered);
+    Syswire.W.str w rendered
+
+(* The checksum field: a 16-byte MD5 behind its one-byte length. *)
+let checksum_len = 17
+
+(* Counted first, so the bytes are written once, into a buffer of exactly
+   their size, which [contents] hands over without a copy. *)
+let to_string t =
+  let size = Syswire.W.measure (write_body t) + checksum_len in
+  let w = Syswire.W.create ~initial:size () in
+  write_body t w;
   (* checksum over every byte written so far: any bit flip that still
      decodes structurally is caught here *)
   Syswire.W.str w (Syswire.W.digest w);
@@ -189,6 +199,7 @@ let with_workload t workload = { t with header = { t.header with workload } }
 (* Digests *)
 
 let stream_digest t =
-  let w = Syswire.W.create ~initial:4096 () in
-  Array.iter (write_event w) t.events;
+  let write_events w = Array.iter (write_event w) t.events in
+  let w = Syswire.W.create ~initial:(Syswire.W.measure write_events) () in
+  write_events w;
   Digest.to_hex (Syswire.W.digest w)

@@ -418,23 +418,32 @@ let sock_recv k (th : Proc.thread) (d : Proc.desc) ~count ~bad_count ~on_data ~r
         ~poll:attempt ~on_ready:on_data ~ret
     | _ -> ret (err Errno.ENOTCONN)
 
-(* The one read of every descriptor kind, at [pos] for pread64 and preadv.
-   Linux's order: ESPIPE for a kind without positional I/O, the access
-   mode (EBADF), a negative count, which [bad_count] answers (EFAULT for a
-   size_t past the address space, EINVAL for an iovec length), then the
-   kind. Positional reads are charged no copy (DESIGN §7). Blocks
-   according to [d.nonblock]. *)
-let do_read k (th : Proc.thread) ?pos (d : Proc.desc) ~count ~bad_count
+(* The one read of every descriptor kind, at [pos] for pread64 and preadv;
+   [vectored] for readv and preadv. Linux's order: ESPIPE for a kind
+   without positional I/O, the access mode (EBADF), a negative count
+   (EINVAL for an iovec length, EFAULT for a size_t past the address
+   space), then the kind, where vfs_readv answers an empty vector with 0
+   from every kind that has a read at all. Positional reads are charged no
+   copy (DESIGN §7). Blocks according to [d.nonblock]. *)
+let do_read k (th : Proc.thread) ?pos (d : Proc.desc) ~count ~vectored
     ~(ret : Syscall.result -> unit) =
   let data_done s =
     if Option.is_none pos then copy_out k th ~ret s else ret (Syscall.Ok_data s)
   in
+  let bad_count = if vectored then Errno.EINVAL else Errno.EFAULT in
   if Option.is_some pos && not (positional ~write:false d) then
     ret (err Errno.ESPIPE)
   else if not d.can_read then ret (err Errno.EBADF)
   else if count < 0 then ret (err bad_count)
   else
     match d.kind with
+    | Proc.Epoll_fd _ -> ret (err Errno.EINVAL)
+    | Proc.Replicated_handle _ ->
+      (* A slave replica's stub descriptor reached the kernel: under a
+         correctly-functioning MVEE this never happens, because slave I/O
+         is aborted and satisfied from replicated results. *)
+      ret (err Errno.EREMOTEIO)
+    | _ when vectored && count = 0 -> data_done ""
     | Proc.Regular node -> (
       match Vfs.read_at node ~offset:(at_offset pos d) ~count with
       | Ok s ->
@@ -490,12 +499,6 @@ let do_read k (th : Proc.thread) ?pos (d : Proc.desc) ~count ~bad_count
       in
       park_or_eagain k th d ~on:Waitq.global ~what:"read(eventfd)"
         ~poll:attempt ~on_ready:ret ~ret
-    | Proc.Epoll_fd _ -> ret (err Errno.EINVAL)
-    | Proc.Replicated_handle _ ->
-      (* A slave replica's stub descriptor reached the kernel: under a
-         correctly-functioning MVEE this never happens, because slave I/O
-         is aborted and satisfied from replicated results. *)
-      ret (err Errno.EREMOTEIO)
 
 (* The one write of every descriptor kind, at [pos] for pwrite64 and
    pwritev, with [do_read]'s order and charges. *)
@@ -630,8 +633,9 @@ let do_write k (th : Proc.thread) ?pos (d : Proc.desc) ~data
         park_or_eagain k th d ~on:Waitq.global ~what:"write(eventfd)"
           ~poll:attempt ~on_ready:ret ~ret
       end
-    | Proc.Epoll_fd _ | Proc.Timer_fd _ | Proc.Directory _ | Proc.Proc_maps _ ->
-      ret (err Errno.EBADF)
+    (* no write operation: EINVAL, as vfs_write answers a file without one *)
+    | Proc.Epoll_fd _ | Proc.Timer_fd _ -> ret (err Errno.EINVAL)
+    | Proc.Directory _ | Proc.Proc_maps _ -> ret (err Errno.EBADF)
     | Proc.Replicated_handle _ -> ret (err Errno.EREMOTEIO)
 
 (* The recv and send calls, on sockets only. *)
@@ -658,8 +662,11 @@ let stat_of_desc (d : Proc.desc) =
     Syscall.Ok_stat { st_ino = 0; st_size = 0; st_kind = `Fifo; st_mtime_ns = 0 }
   | Proc.Listener _ | Proc.Stream _ ->
     Syscall.Ok_stat { st_ino = 0; st_size = 0; st_kind = `Sock; st_mtime_ns = 0 }
+  | Proc.Proc_maps _ ->
+    (* a proc file is a regular file of size 0 *)
+    Syscall.Ok_stat { st_ino = 0; st_size = 0; st_kind = `Reg; st_mtime_ns = 0 }
   | Proc.Epoll_fd _ | Proc.Timer_fd _ | Proc.Event_fd _ | Proc.Dev_null
-  | Proc.Proc_maps _ | Proc.Replicated_handle _ ->
+  | Proc.Replicated_handle _ ->
     Syscall.Ok_stat
       { st_ino = 0; st_size = 0; st_kind = `Special; st_mtime_ns = 0 }
 
@@ -766,7 +773,16 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
           match d.kind with
           | Proc.Pipe pi -> ret (Syscall.Ok_int (Pipe.bytes_available pi))
           | Proc.Stream s -> ret (Syscall.Ok_int (Net.incoming_length s))
-          | _ -> ret (Syscall.Ok_int 0))
+          (* do_vfs_ioctl answers a regular file's size less the offset,
+             negative past the end; a proc file's size is 0 *)
+          | Proc.Regular node -> ret (Syscall.Ok_int (Vfs.file_size node - d.offset))
+          | Proc.Proc_maps _ -> ret (Syscall.Ok_int (-d.offset))
+          (* tcp_ioctl refuses a listener; epoll's ioctl knows only its
+             busy-poll commands *)
+          | Proc.Listener _ | Proc.Epoll_fd _ -> ret (err Errno.EINVAL)
+          | Proc.Directory _ | Proc.Dev_null | Proc.Timer_fd _ | Proc.Event_fd _ ->
+            ret (err Errno.ENOTTY)
+          | Proc.Replicated_handle _ -> ret (Syscall.Ok_int 0))
         | Syscall.Fionbio v ->
           d.nonblock <- v;
           ret (Syscall.Ok_int 0)
@@ -881,15 +897,14 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
     when offset < 0 ->
     ret (err Errno.EINVAL)
   | Syscall.Read (fd, count) ->
-    with_fd fd (fun d -> do_read k th d ~count ~bad_count:Errno.EFAULT ~ret)
+    with_fd fd (fun d -> do_read k th d ~count ~vectored:false ~ret)
   | Syscall.Readv (fd, lens) ->
-    with_fd fd (fun d ->
-        do_read k th d ~count:(iov_count lens) ~bad_count:Errno.EINVAL ~ret)
+    with_fd fd (fun d -> do_read k th d ~count:(iov_count lens) ~vectored:true ~ret)
   | Syscall.Pread64 (fd, count, pos) ->
-    with_fd fd (fun d -> do_read k th ~pos d ~count ~bad_count:Errno.EFAULT ~ret)
+    with_fd fd (fun d -> do_read k th ~pos d ~count ~vectored:false ~ret)
   | Syscall.Preadv (fd, lens, pos) ->
     with_fd fd (fun d ->
-        do_read k th ~pos d ~count:(iov_count lens) ~bad_count:Errno.EINVAL ~ret)
+        do_read k th ~pos d ~count:(iov_count lens) ~vectored:true ~ret)
   | Syscall.Recvfrom (fd, count) ->
     (* Linux clamps recvfrom's length to MAX_RW_COUNT before checking the
        buffer, so a negative one reads what is queued *)
@@ -1059,7 +1074,8 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
           in
           park_or_eagain k th d ~on:l.Net.wq ~what:"accept" ~poll:attempt
             ~on_ready:deliver ~ret
-        | _ -> ret (err Errno.EINVAL))
+        | Proc.Stream _ -> ret (err Errno.EINVAL)
+        | _ -> ret (err Errno.ENOTSOCK))
   | Syscall.Connect (fd, port) ->
     with_fd fd (fun d ->
         match d.kind with

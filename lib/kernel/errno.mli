@@ -51,5 +51,6 @@ type t =
   | EREMOTEIO
   | EKEYREJECTED (* used by IK-B when an authorization token fails to verify *)
   | EFBIG
+  | ENOTTY
 
 val to_string : t -> string

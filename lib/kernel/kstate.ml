@@ -83,7 +83,7 @@ let create ?(cost = Cost_model.default) ?(seed = 42)
 let now k = Sched.now k.sched
 
 let charge (th : Proc.thread) ns =
-  th.clock <- Vtime.add th.clock (Vtime.ns (max 0 ns))
+  th.clock <- Vtime.add th.clock (Vtime.ns (Int.max 0 ns))
 
 let fresh_pid k =
   let pid = k.next_pid in

@@ -256,7 +256,7 @@ let set_rcvbuf stream v =
 let send_space stream =
   match stream.peer with
   | None -> 0
-  | Some peer -> max 0 (rcvbuf peer - buffered peer)
+  | Some peer -> Int.max 0 (rcvbuf peer - buffered peer)
 
 (* Sender side: reserve space in the peer's receive buffer for up to [len]
    bytes and account the in-flight bytes; the kernel commits them later.
@@ -270,8 +270,8 @@ let send_start stream len =
   | None -> Error Errno.EPIPE
   | Some _ when wr_shut stream -> Error Errno.EPIPE
   | Some peer ->
-    let space = max 0 (rcvbuf peer - buffered peer) in
-    let accepted = min len (min space (sndbuf stream)) in
+    let space = Int.max 0 (rcvbuf peer - buffered peer) in
+    let accepted = Int.min len (Int.min space (sndbuf stream)) in
     set_in_flight peer (in_flight peer + accepted);
     let b = buffered peer in
     if b > buffered_hwm peer then set_hwm peer b;

@@ -350,11 +350,13 @@ let all =
     Munlock; Setrlimit; Prlimit64; Sched_setaffinity; Setsid;
   ]
 
-let compare = Stdlib.compare
-
 (* All constructors are constant, so values are small consecutive integers;
    [index] exposes that for dense per-syscall counter arrays. *)
 external index : t -> int = "%identity"
+
+(* The order of the constructors, as [Stdlib.compare] gives it, compared
+   as ints rather than through the polymorphic C primitive. *)
+let compare a b = Int.compare (index a) (index b)
 
 let slots = 256 (* > number of constructors; sizes index-keyed arrays *)
 

@@ -25,12 +25,19 @@ let corrupt msg = fail (Corrupt msg)
 
 module W = struct
   (* A growable byte buffer of our own rather than a [Buffer.t], so the
-     bytes written so far can be hashed in place ([digest]) instead of
-     being copied out first. *)
-  type t = { mutable buf : Bytes.t; mutable len : int }
+     bytes written so far can be hashed in place ([digest]) and a full
+     buffer handed over without a copy ([contents]). A writer made by
+     [measure] stores nothing: it runs the same writers only to count the
+     bytes, so the real pass can write into a buffer of exactly that size. *)
+  type t = { mutable buf : Bytes.t; mutable len : int; store : bool }
 
   let create ?(initial = 256) () =
-    { buf = Bytes.create (max 1 initial); len = 0 }
+    { buf = Bytes.create (max 1 initial); len = 0; store = true }
+
+  let measure write =
+    let t = { buf = Bytes.empty; len = 0; store = false } in
+    write t;
+    t.len
 
   (* Makes room for [n] more bytes, doubling the buffer as [Buffer] does. *)
   let reserve t n =
@@ -46,8 +53,10 @@ module W = struct
     end
 
   let add_char t c =
-    if t.len = Bytes.length t.buf then reserve t 1;
-    Bytes.unsafe_set t.buf t.len c;
+    if t.store then begin
+      if t.len = Bytes.length t.buf then reserve t 1;
+      Bytes.unsafe_set t.buf t.len c
+    end;
     t.len <- t.len + 1
 
   let u8 t n = add_char t (Char.chr (n land 0xff))
@@ -55,40 +64,49 @@ module W = struct
   (* LEB128 on a non-negative native int. *)
   let uint t n =
     if n < 0 then invalid_arg "Syswire.W.uint: negative";
-    let rec go n =
-      if n < 0x80 then add_char t (Char.chr n)
-      else begin
-        add_char t (Char.chr (0x80 lor (n land 0x7f)));
-        go (n lsr 7)
-      end
-    in
-    go n
+    let n = ref n in
+    while !n >= 0x80 do
+      add_char t (Char.unsafe_chr (0x80 lor (!n land 0x7f)));
+      n := !n lsr 7
+    done;
+    add_char t (Char.unsafe_chr !n)
 
   (* Zigzag + LEB128 over the full 64-bit range. *)
   let i64 t v =
-    let zz = Int64.logxor (Int64.shift_left v 1) (Int64.shift_right v 63) in
-    let rec go zz =
-      if Int64.equal (Int64.logand zz (Int64.lognot 0x7fL)) 0L then
-        add_char t (Char.chr (Int64.to_int zz land 0x7f))
-      else begin
-        add_char t (Char.chr (0x80 lor (Int64.to_int zz land 0x7f)));
-        go (Int64.shift_right_logical zz 7)
-      end
-    in
-    go zz
+    let zz = ref (Int64.logxor (Int64.shift_left v 1) (Int64.shift_right v 63)) in
+    while Int64.logand !zz (Int64.lognot 0x7fL) <> 0L do
+      add_char t (Char.unsafe_chr (0x80 lor (Int64.to_int !zz land 0x7f)));
+      zz := Int64.shift_right_logical !zz 7
+    done;
+    add_char t (Char.unsafe_chr (Int64.to_int !zz))
 
-  let int t n = i64 t (Int64.of_int n)
+  (* Below 2^61 in magnitude an int's zigzag is a non-negative int, so
+     [uint] writes [i64]'s bytes without boxing an int64 per byte. *)
+  let int t n =
+    if n >= -0x2000_0000_0000_0000 && n < 0x2000_0000_0000_0000 then
+      uint t ((n lsl 1) lxor (n asr 62))
+    else i64 t (Int64.of_int n)
+
   let bool t b = u8 t (if b then 1 else 0)
 
   let str t s =
     let n = String.length s in
     uint t n;
-    reserve t n;
-    Bytes.blit_string s 0 t.buf t.len n;
+    if t.store then begin
+      reserve t n;
+      Bytes.blit_string s 0 t.buf t.len n
+    end;
     t.len <- t.len + n
 
   let length t = t.len
-  let contents t = Bytes.sub_string t.buf 0 t.len
+
+  (* Every write appends at least one byte, and a full buffer can only
+     take it by growing into a fresh one, so a full buffer is handed over
+     as it is: its bytes never change afterwards. *)
+  let contents t =
+    if t.len = Bytes.length t.buf then Bytes.unsafe_to_string t.buf
+    else Bytes.sub_string t.buf 0 t.len
+
   let digest t = Digest.subbytes t.buf 0 t.len
 end
 
@@ -306,6 +324,7 @@ let errno_table : Errno.t array =
     ENETUNREACH; ECONNABORTED; ECONNRESET; ENOBUFS; EISCONN; ENOTCONN;
     ETIMEDOUT; ECONNREFUSED; EALREADY; EINPROGRESS; ECHILD; EDEADLK;
     ENAMETOOLONG; EIDRM; ETIME; EREMOTEIO; EKEYREJECTED; EFBIG;
+    ENOTTY;
   |]
 
 let errno_index : (Errno.t, int) Hashtbl.t =

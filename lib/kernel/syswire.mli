@@ -22,6 +22,12 @@ module W : sig
   type t
 
   val create : ?initial:int -> unit -> t
+
+  val measure : (t -> unit) -> int
+  (** [measure write] is the number of bytes [write] appends, counted by
+      running it on a writer that stores none, so that
+      [create ~initial:(measure write) ()] fits [write]'s output exactly. *)
+
   val u8 : t -> int -> unit
   val uint : t -> int -> unit  (** LEB128; the value must be [>= 0] *)
 
@@ -35,7 +41,9 @@ module W : sig
   val length : t -> int
 
   val contents : t -> string
-  (** A copy of the bytes written so far. *)
+  (** The bytes written so far: the buffer itself when they fill it (a
+      later write grows into a fresh buffer, so the string never
+      changes), a copy otherwise. *)
 
   val digest : t -> Digest.t
   (** MD5 of the bytes written so far, hashed in place: equal to

@@ -84,20 +84,28 @@ type worker_ctx = {
   sock_b : int;
 }
 
-let run_op (env : Mvee.env) ctx rng op =
+(* The bytes an op writes. A program writes from a buffer it keeps, so
+   each replica builds an op's payload once and every call of the op
+   passes the same string. *)
+let payload = function
+  | Op_write_file n -> String.make n 'w'
+  | Op_pipe_rw n -> String.make n 'p'
+  | Op_sock_rw n -> String.make n 's'
+  | _ -> ""
+
+let run_op (env : Mvee.env) ctx rng op data =
   match op with
   | Op_gettime -> ignore (Api.gettimeofday ())
   | Op_getpid -> ignore (Api.getpid ())
   | Op_yield -> Api.sched_yield ()
   | Op_stat -> ignore (Api.fstat ctx.data_fd)
   | Op_read_file n -> ignore (Api.pread ctx.data_fd n (Rng.int rng 4096))
-  | Op_write_file n ->
-    ignore (Api.pwrite ctx.data_fd (String.make n 'w') (Rng.int rng 4096))
+  | Op_write_file _ -> ignore (Api.pwrite ctx.data_fd data (Rng.int rng 4096))
   | Op_pipe_rw n ->
-    ignore (Api.write ctx.pipe_w (String.make n 'p'));
+    ignore (Api.write ctx.pipe_w data);
     ignore (Api.read ctx.pipe_r n)
   | Op_sock_rw n ->
-    ignore (Api.send ctx.sock_a (String.make n 's'));
+    ignore (Api.send ctx.sock_a data);
     ignore (Api.recv ctx.sock_b n)
   | Op_poll_sock ->
     ignore
@@ -127,6 +135,7 @@ let body t (env : Mvee.env) =
   in
   let weights = Array.of_list (List.map fst t.mix) in
   let ops = Array.of_list (List.map snd t.mix) in
+  let payloads = Array.map payload ops in
   let done_count = ref 0 in
   let worker rank ctx () =
     (* identical RNG stream in every replica: keyed by profile + rank
@@ -136,7 +145,8 @@ let body t (env : Mvee.env) =
     let rng = Rng.make (Rng.stable_seed t.name rank) in
     let issued = ref 0 in
     while !issued < t.total_calls_per_thread do
-      let op = ops.(Rng.weighted rng weights) in
+      let i = Rng.weighted rng weights in
+      let op = ops.(i) in
       let ncalls = max 1 (op_calls op) in
       let slice = compute_slice_ns t ncalls in
       let jittered =
@@ -146,7 +156,7 @@ let body t (env : Mvee.env) =
         int_of_float (float_of_int slice *. f *. pressure)
       in
       Api.compute jittered;
-      run_op env ctx rng op;
+      run_op env ctx rng op payloads.(i);
       issued := !issued + op_calls op + (if op_calls op = 0 then 1 else 0)
     done;
     incr done_count

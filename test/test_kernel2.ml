@@ -1196,6 +1196,112 @@ let test_lseek_proc_maps () =
       Alcotest.(check int) "SEEK_CUR 5" 15
         (expect_int "lseek" (lseek fd 5 Syscall.Seek_cur)))
 
+(* FIONREAD on a regular file answers its size less the offset, negative
+   past the end, and /proc/self/maps, whose size is 0, minus the offset;
+   kinds without the ioctl answer ENOTTY, and a listener or an epoll fd
+   EINVAL (Linux's do_vfs_ioctl, tcp_ioctl and epoll's ioctl). *)
+let test_fionread_kinds () =
+  run_in_kernel (fun _ ->
+      ignore (sys (Syscall.Mkdir "/tmp/fionread-dir"));
+      let f = open_file "/tmp/fionread-file" in
+      ignore (expect_int "lseek" (lseek f 2 Syscall.Seek_set));
+      Alcotest.(check int) "FIONREAD(file) at 2 of 5" 3 (fionread f);
+      ignore (expect_int "lseek" (lseek f 8 Syscall.Seek_set));
+      Alcotest.(check int) "FIONREAD(file) at 8 of 5" (-3) (fionread f);
+      (* a process maps something before it can read its maps *)
+      ignore
+        (sys
+           (Syscall.Mmap
+              { len = 4096; prot = { Syscall.pr = true; pw = true; px = false };
+                kind = Syscall.Map_anon }));
+      let maps = open_mode "/proc/self/maps" Syscall.o_rdonly in
+      Alcotest.(check int) "FIONREAD(maps) at 0" 0 (fionread maps);
+      Alcotest.(check int) "read(maps, 8)" 8
+        (String.length (expect_data "read(maps)" (sys (Syscall.Read (maps, 8)))));
+      Alcotest.(check int) "FIONREAD(maps) after 8 bytes" (-8) (fionread maps);
+      let l = socket () in
+      ignore (expect_int "bind" (sys (Syscall.Bind (l, 7340))));
+      ignore (expect_int "listen" (sys (Syscall.Listen (l, 4))));
+      List.iter
+        (fun (what, e, fd) ->
+          expect_err what e (sys (Syscall.Ioctl (fd, Syscall.Fionread))))
+        [
+          ("FIONREAD(dir)", Errno.ENOTTY, open_mode "/tmp/fionread-dir" Syscall.o_rdonly);
+          ("FIONREAD(/dev/null)", Errno.ENOTTY, open_mode "/dev/null" Syscall.o_rdwr);
+          ( "FIONREAD(timerfd)", Errno.ENOTTY,
+            expect_int "timerfd_create" (sys Syscall.Timerfd_create) );
+          ( "FIONREAD(eventfd)", Errno.ENOTTY,
+            expect_int "eventfd" (sys (Syscall.Eventfd 0)) );
+          ("FIONREAD(listener)", Errno.EINVAL, l);
+          ("FIONREAD(epoll)", Errno.EINVAL, epoll ());
+        ])
+
+(* accept on a descriptor that is not a socket is ENOTSOCK; a socket that
+   is not listening stays EINVAL. *)
+let test_accept_not_socket () =
+  run_in_kernel (fun _ ->
+      let r, w = expect_pair "pipe" (sys Syscall.Pipe) in
+      List.iter
+        (fun (what, fd) -> expect_err what Errno.ENOTSOCK (sys (Syscall.Accept fd)))
+        [
+          ("accept(file)", open_file "/tmp/accept-file");
+          ("accept(pipe read end)", r);
+          ("accept(pipe write end)", w);
+          ("accept(epoll)", epoll ());
+          ("accept(eventfd)", expect_int "eventfd" (sys (Syscall.Eventfd 0)));
+        ];
+      let a, _ =
+        expect_pair "socketpair"
+          (sys (Syscall.Socketpair (Syscall.Af_unix, Syscall.Sock_stream)))
+      in
+      expect_err "accept(socketpair)" Errno.EINVAL (sys (Syscall.Accept a));
+      expect_err "accept(unconnected socket)" Errno.EINVAL
+        (sys (Syscall.Accept (socket ()))))
+
+(* An epoll fd and a timerfd have no write operation: EINVAL for every
+   write, an empty one too. *)
+let test_write_no_write_op () =
+  run_in_kernel (fun _ ->
+      let tfd = expect_int "timerfd_create" (sys Syscall.Timerfd_create) in
+      List.iter
+        (fun (what, fd) ->
+          expect_err (what ^ ", 8 bytes") Errno.EINVAL (sys (Syscall.Write (fd, u64 1L)));
+          expect_err (what ^ ", empty") Errno.EINVAL (sys (Syscall.Write (fd, "")));
+          expect_err (what ^ ", writev") Errno.EINVAL
+            (sys (Syscall.Writev (fd, [ "ab"; "c" ]))))
+        [ ("write(epoll)", epoll ()); ("write(timerfd)", tfd) ])
+
+(* readv and preadv of an empty vector answer 0 from every kind with a
+   read, before the kind's own checks: a directory's EISDIR, a counter's
+   8-byte minimum, an empty counter's wait. An epoll fd has no read. *)
+let test_readv_empty () =
+  run_in_kernel (fun _ ->
+      ignore (sys (Syscall.Mkdir "/tmp/readv-dir"));
+      let dir = open_mode "/tmp/readv-dir" Syscall.o_rdonly in
+      List.iter
+        (fun (what, fd) ->
+          Alcotest.(check string) what ""
+            (expect_data what (sys (Syscall.Readv (fd, [ 0; 0 ])))))
+        [
+          ("readv(dir)", dir);
+          ("readv(timerfd)", expect_int "timerfd_create" (sys Syscall.Timerfd_create));
+          ("readv(eventfd), counter 0", expect_int "eventfd" (sys (Syscall.Eventfd 0)));
+        ];
+      Alcotest.(check string) "preadv(dir)" ""
+        (expect_data "preadv(dir)" (sys (Syscall.Preadv (dir, [ 0 ], 0))));
+      expect_err "read(dir, 0)" Errno.EISDIR (sys (Syscall.Read (dir, 0)));
+      expect_err "readv(epoll)" Errno.EINVAL (sys (Syscall.Readv (epoll (), [ 0 ]))))
+
+(* /proc/self/maps is a regular file of size 0, as proc files are. *)
+let test_fstat_proc_maps () =
+  run_in_kernel (fun _ ->
+      let fd = open_mode "/proc/self/maps" Syscall.o_rdonly in
+      match sys (Syscall.Fstat fd) with
+      | Syscall.Ok_stat s ->
+        Alcotest.(check bool) "regular file" true (s.Syscall.st_kind = `Reg);
+        Alcotest.(check int) "size" 0 s.Syscall.st_size
+      | r -> Alcotest.failf "fstat(maps): %a" Syscall.pp_result r)
+
 let tc = Alcotest.test_case
 
 let () =
@@ -1319,6 +1425,14 @@ let () =
           tc "lseek on /proc/self/maps" `Quick test_lseek_proc_maps;
           tc "writes to a socket that is not connected" `Quick
             test_write_unconnected_sigpipe;
+          tc "FIONREAD on files and kinds without it" `Quick
+            test_fionread_kinds;
+          tc "accept on a descriptor that is not a socket" `Quick
+            test_accept_not_socket;
+          tc "writes to an epoll fd or a timerfd" `Quick
+            test_write_no_write_op;
+          tc "readv of an empty vector" `Quick test_readv_empty;
+          tc "fstat of /proc/self/maps" `Quick test_fstat_proc_maps;
         ] );
       ( "vm",
         [

@@ -386,6 +386,93 @@ let prop_equal_iff_bytes_equal =
       = String.equal (Recording.to_string a) (Recording.to_string b))
 
 (* ------------------------------------------------------------------ *)
+(* Exact-size encoding *)
+
+(* [W.measure] counts the bytes a growing writer ends up holding, and a
+   writer made to that size holds the same bytes. *)
+let measure_agrees write =
+  let grown = Syswire.W.create ~initial:1 () in
+  write grown;
+  let n = Syswire.W.measure write in
+  let exact = Syswire.W.create ~initial:n () in
+  write exact;
+  n = Syswire.W.length grown
+  && String.equal (Syswire.W.contents exact) (Syswire.W.contents grown)
+
+let prop_call_measure =
+  QCheck2.Test.make ~name:"call: counted size = written size" ~count:2000
+    gen_call (fun call -> measure_agrees (fun w -> Syswire.write_call w call))
+
+let prop_result_measure =
+  QCheck2.Test.make ~name:"result: counted size = written size" ~count:2000
+    gen_result (fun result ->
+      measure_agrees (fun w -> Syswire.write_result w result))
+
+(* [W.int] takes [W.uint]'s path below 2^61 in magnitude; its bytes must
+   be [W.i64]'s on both sides of that bound. *)
+let prop_int_is_i64 =
+  let bound = 1 lsl 61 in
+  QCheck2.Test.make ~name:"int writes i64's bytes" ~count:2000
+    QCheck2.Gen.(
+      oneof
+        [
+          int;
+          small_signed_int;
+          oneofl [ bound - 1; bound; -bound; -bound - 1; max_int; min_int ];
+        ])
+    (fun n ->
+      let bytes write =
+        let w = Syswire.W.create () in
+        write w;
+        Syswire.W.contents w
+      in
+      String.equal
+        (bytes (fun w -> Syswire.W.int w n))
+        (bytes (fun w -> Syswire.W.i64 w (Int64.of_int n))))
+
+(* Encoding writes each byte once, into a buffer of exactly its size: the
+   major heap takes about one copy of the output, where a doubling buffer
+   copied out at the end takes three to five. *)
+let test_encode_allocates_one_copy () =
+  let payload = String.make 4096 'x' in
+  let call = Syscall.Write (3, payload) in
+  let t =
+    {
+      Recording.header =
+        {
+          Recording.backend = "remon";
+          nreplicas = 2;
+          seed = 1;
+          level = "SOCKET_RW_LEVEL";
+          on_failure = "kill-group";
+          faults = "";
+          workload = "";
+          shm_key = 0;
+        };
+      events =
+        Array.init 1100 (fun rank ->
+            Recording.Call { rank = rank mod 4; call; result = Syscall.Ok_int 4096 });
+      verdict = None;
+    }
+  in
+  let major_words f =
+    let _, _, before = Gc.counters () in
+    let r = f () in
+    let _, _, after = Gc.counters () in
+    (r, after -. before)
+  in
+  let words bytes = float_of_int (bytes / (Sys.word_size / 8)) in
+  let s, encode = major_words (fun () -> Recording.to_string t) in
+  Alcotest.(check bool) "at least 4 MB of payload" true (String.length s >= 4 lsl 20);
+  if encode >= 1.25 *. words (String.length s) then
+    Alcotest.failf "to_string: %.0f major words for a %d-byte output" encode
+      (String.length s);
+  let _, digest = major_words (fun () -> Recording.stream_digest t) in
+  if digest >= 1.25 *. words (String.length s) then
+    Alcotest.failf "stream_digest: %.0f major words for a %d-byte recording" digest
+      (String.length s)
+
+(* ------------------------------------------------------------------ *)
 (* Totality on malformed input: typed error, never an exception *)
 
 let decodes_with_typed_error s =
@@ -547,6 +634,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_result_roundtrip;
           QCheck_alcotest.to_alcotest prop_recording_roundtrip;
           QCheck_alcotest.to_alcotest prop_equal_iff_bytes_equal;
+        ] );
+      ( "measure",
+        [
+          QCheck_alcotest.to_alcotest prop_call_measure;
+          QCheck_alcotest.to_alcotest prop_result_measure;
+          QCheck_alcotest.to_alcotest prop_int_is_i64;
+          Alcotest.test_case "encoding allocates one copy" `Quick
+            test_encode_allocates_one_copy;
         ] );
       ( "malformed",
         [
