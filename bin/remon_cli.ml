@@ -108,15 +108,6 @@ let config_of backend nreplicas policy seed faults on_failure =
 
 module Obs = Remon_obs.Obs
 
-(* Traces are test oracles: the write must be atomic so a concurrent
-   reader (or an interrupted run) never sees a torn file. *)
-let write_file_atomic path data =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc data;
-  close_out oc;
-  Sys.rename tmp path
-
 let print_metrics rows =
   Printf.printf "\nmetrics:\n";
   List.iter (fun (k, v) -> Printf.printf "  %-44s %s\n" k v) rows
@@ -125,7 +116,7 @@ let print_metrics rows =
 let finalize_obs ~trace_file ~metrics o =
   (match trace_file with
   | Some path ->
-    write_file_atomic path (Obs.export_string o);
+    Remon_util.Atomic_file.write path (Obs.export_string o);
     Printf.printf "\ntrace written      : %s (%d events)\n" path
       (Remon_util.Vec.length o.Obs.trace.Remon_obs.Trace.events)
   | None -> ());
@@ -181,7 +172,7 @@ let run_repeated workload config latency ~repeat ~domains ~trace_file ~metrics =
                 (match o.Mvee.verdict with
                 | None -> "clean"
                 | Some v -> Divergence.to_string v)
-            with Runner.Mvee_terminated v ->
+            with Runner.Mvee_terminated (v, _) ->
               Printf.sprintf "seed %-6d terminated: %s" seed (Divergence.to_string v)
           in
           (row, obs))
@@ -207,7 +198,7 @@ let run_repeated workload config latency ~repeat ~domains ~trace_file ~metrics =
                    -. 1.))
                 under.Runner.responses
                 (Latency.summary_to_string under.Runner.latency)
-            with Runner.Mvee_terminated v ->
+            with Runner.Mvee_terminated (v, _) ->
               Printf.sprintf "seed %-6d terminated: %s" seed (Divergence.to_string v)
           in
           (row, obs))
@@ -223,9 +214,9 @@ let run_repeated workload config latency ~repeat ~domains ~trace_file ~metrics =
 
 (* Publish the recording a run captured ([--record FILE]); the workload
    name is patched in so `remon replay` can resolve the body again. *)
-let dump_recording ~record ~workload_name (outcome : Mvee.outcome option) =
-  match (record, outcome) with
-  | Some path, Some { Mvee.recording = Some r; _ } ->
+let dump_recording ~record ~workload_name (outcome : Mvee.outcome) =
+  match (record, outcome.Mvee.recording) with
+  | Some path, Some r ->
     let r = Recording.with_workload r workload_name in
     Recording.to_file r path;
     Printf.printf "recording written  : %s (%d events, digest %s)\n" path
@@ -307,7 +298,7 @@ let run_workload name backend nreplicas policy latency seed faults on_failure
           o.Mvee.quarantines o.Mvee.respawns o.Mvee.watchdog_retries;
         Printf.printf "degraded time      : %s\n" (Vtime.to_string o.Mvee.degraded_ns)
       end;
-      dump_recording ~record ~workload_name:name (Some o);
+      dump_recording ~record ~workload_name:name o;
       (match obs with Some o -> finalize_obs ~trace_file ~metrics o | None -> ())
     | Registry.Server_workload (server, client) ->
       let native =
@@ -331,17 +322,16 @@ let run_workload name backend nreplicas policy latency seed faults on_failure
         (Latency.summary_to_string under.Runner.latency);
       Printf.printf "  (native          : %s)\n"
         (Latency.summary_to_string native.Runner.latency);
-      dump_recording ~record ~workload_name:name
-        (Some under.Runner.server_outcome);
+      dump_recording ~record ~workload_name:name under.Runner.server_outcome;
       (match obs with Some o -> finalize_obs ~trace_file ~metrics o | None -> ())
-    with Runner.Mvee_terminated v ->
+    with Runner.Mvee_terminated (v, outcome) ->
       (* a fatal verdict (e.g. under --faults with the kill-group policy)
          is a legitimate outcome, not a crash — dump what was collected
          before exiting, it is exactly what a failure wants looked at.
          The recording especially: it reproduces this very verdict. *)
       print_route_lines ();
       Printf.printf "mvee terminated    : %s\n" (Divergence.to_string v);
-      dump_recording ~record ~workload_name:name !Runner.last_outcome;
+      dump_recording ~record ~workload_name:name outcome;
       (match obs with Some o -> finalize_obs ~trace_file ~metrics o | None -> ());
       exit 1)
 

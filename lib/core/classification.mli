@@ -35,10 +35,6 @@ type entry =
 
 val classify : Sysno.t -> entry
 
-type fd_sensitivity = Read_family | Write_family | Not_fd_sensitive
-
-val fd_sensitivity : Sysno.t -> fd_sensitivity
-
 val required_level : Sysno.t -> on_socket:bool -> level option
 (** Minimum level at which the call may run unmonitored, given whether the
     descriptor it touches is a socket. [None]: always monitored. *)

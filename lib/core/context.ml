@@ -74,27 +74,16 @@ type group = {
 let mvee_shm_key_base = 0x5EC0DE00
 
 (* Every verdict funnels through here (first one wins), so this is also
-   the single emission point for divergence events in the trace. [key] is
-   the precomputed metric key ("<cat>.<name>"): the concatenation happens
-   once at module init, not per event. *)
-let obs_instant ?ts g ~cat ~name ~key args =
-  match Kernel.obs g.kernel with
-  | None -> ()
-  | Some o ->
-    let ts = match ts with Some t -> t | None -> Kernel.now g.kernel in
-    Remon_obs.Trace.instant o.Remon_obs.Obs.trace ~ts ~cat ~name ~pid:0 ~tid:0
-      args;
-    Remon_obs.Metrics.incr o.Remon_obs.Obs.metrics key
-
-let key_divergence_verdict = "divergence.verdict"
-let key_recovery_quarantine = "recovery.quarantine"
-let key_recovery_rejoin = "recovery.rejoin"
-
+   the single emission point for divergence events in the trace. *)
 let set_divergence g v =
   if g.divergence = None then begin
     g.divergence <- Some v;
-    obs_instant g ~cat:"divergence" ~name:"verdict" ~key:key_divergence_verdict
-      [ ("verdict", Remon_obs.Trace.Str (Divergence.to_string v)) ]
+    match Kernel.obs g.kernel with
+    | None -> ()
+    | Some o ->
+      Remon_obs.Obs.instant o ~ts:(Kernel.now g.kernel) ~cat:"divergence"
+        ~name:"verdict" ~pid:0 ~tid:0
+        [ ("verdict", Remon_obs.Trace.Str (Divergence.to_string v)) ]
   end
 
 let replica_variant (p : Proc.process) =
@@ -123,9 +112,12 @@ let quarantine g ~variant =
   if variant > 0 && not g.quarantined.(variant) then begin
     g.quarantined.(variant) <- true;
     g.quarantines <- g.quarantines + 1;
-    obs_instant g ~cat:"recovery" ~name:"quarantine"
-      ~key:key_recovery_quarantine
-      [ ("variant", Remon_obs.Trace.Int variant) ];
+    (match Kernel.obs g.kernel with
+    | None -> ()
+    | Some o ->
+      Remon_obs.Obs.instant o ~ts:(Kernel.now g.kernel) ~cat:"recovery"
+        ~name:"quarantine" ~pid:0 ~tid:0
+        [ ("variant", Remon_obs.Trace.Int variant) ]);
     if g.degraded_since = None then
       g.degraded_since <- Some (Kernel.now g.kernel)
   end
@@ -150,9 +142,12 @@ let rejoin g ~variant =
       | Some t when Vtime.(t <= Kernel.now g.kernel) -> t
       | _ -> Kernel.now g.kernel
     in
-    obs_instant ~ts:close_at g ~cat:"recovery" ~name:"rejoin"
-      ~key:key_recovery_rejoin
-      [ ("variant", Remon_obs.Trace.Int variant) ];
+    (match Kernel.obs g.kernel with
+    | None -> ()
+    | Some o ->
+      Remon_obs.Obs.instant o ~ts:close_at ~cat:"recovery" ~name:"rejoin"
+        ~pid:0 ~tid:0
+        [ ("variant", Remon_obs.Trace.Int variant) ]);
     if active_count g = g.nreplicas then begin
       (match g.degraded_since with
       | Some t0 when Vtime.(close_at > t0) ->

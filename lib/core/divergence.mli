@@ -21,7 +21,6 @@ type t =
   | Token_violation of { variant : int; call : string }
   | Shared_memory_rejected of { variant : int }
 
-val detector_to_string : detector -> string
 val to_string : t -> string
 
 val class_of : t -> string

@@ -14,9 +14,6 @@ type config = {
 
 val default : config
 
-val dcl_code_base : int -> int64
-(** The reserved, pairwise-disjoint code window for a variant. *)
-
 val apply : config -> Proc.process -> variant:int -> (int64 * int64, Errno.t) result
 (** Lays out code, heap and stack; returns (code base, heap base). *)
 

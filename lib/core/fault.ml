@@ -110,40 +110,36 @@ let decide t (th : Proc.thread) (call : Syscall.call) =
     in
     find 0
 
-(* RB tamper hook: fires RB specs on the n-th appended record. *)
-let obs_rb_fault t ~name (e : Replication_buffer.entry) =
-  match t.kernel with
-  | None -> ()
-  | Some kernel -> (
-    match Kernel.obs kernel with
-    | None -> ()
-    | Some o ->
-      Remon_obs.Trace.instant o.Remon_obs.Obs.trace ~ts:(Kernel.now kernel)
-        ~cat:"fault" ~name ~pid:0 ~tid:0
-        [ ("seq", Remon_obs.Trace.Int e.Replication_buffer.seq) ];
-      Remon_obs.Metrics.incr o.Remon_obs.Obs.metrics
-        (match name with
-        | "droprb" -> "fault.droprb"
-        | "corruptrb" -> "fault.corruptrb"
-        | n -> "fault." ^ n))
-
+(* RB tamper hook: fires RB specs on the n-th appended record, each traced
+   as a [fault] instant that counts [fault.<kind>]. *)
 let rb_tamper t (e : Replication_buffer.entry) =
   t.rb_records_seen <- t.rb_records_seen + 1;
   Array.iteri
     (fun i s ->
       if (not t.fired.(i)) && s.at = t.rb_records_seen then
         match s.kind with
-        | Drop_rb ->
+        | Drop_rb | Corrupt_rb -> (
           t.fired.(i) <- true;
           t.injected <- t.injected + 1;
-          e.Replication_buffer.call <- None;
-          obs_rb_fault t ~name:"droprb" e
-        | Corrupt_rb ->
-          t.fired.(i) <- true;
-          t.injected <- t.injected + 1;
-          e.Replication_buffer.call <-
-            Option.map (corrupt_call t.rng) e.Replication_buffer.call;
-          obs_rb_fault t ~name:"corruptrb" e
+          let name =
+            match s.kind with
+            | Drop_rb ->
+              e.Replication_buffer.call <- None;
+              "droprb"
+            | _ ->
+              e.Replication_buffer.call <-
+                Option.map (corrupt_call t.rng) e.Replication_buffer.call;
+              "corruptrb"
+          in
+          match t.kernel with
+          | None -> ()
+          | Some kernel -> (
+            match Kernel.obs kernel with
+            | None -> ()
+            | Some o ->
+              Remon_obs.Obs.instant o ~ts:(Kernel.now kernel) ~cat:"fault"
+                ~name ~pid:0 ~tid:0
+                [ ("seq", Remon_obs.Trace.Int e.Replication_buffer.seq) ]))
         | Crash _ | Corrupt_args | Delay _ | Sock_err _ -> ())
     t.plan
 

@@ -14,8 +14,6 @@ type t = {
 
 type Shm.payload += File_map_payload of t
 
-val max_fds : int (** 4096: a page of one-byte records *)
-
 val create : unit -> t
 val set : t -> fd:int -> cls:Proc.fd_class -> nonblocking:bool -> unit
 val clear : t -> fd:int -> unit

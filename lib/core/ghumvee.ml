@@ -102,25 +102,6 @@ let variant_of (p : Proc.process) =
 
 let store t = t.g.Context.rb.Replication_buffer.sync_log
 
-(* Monitor-context trace events (pid/tid 0): rendezvous lifecycle and the
-   watchdog. Each site matches on the sink itself, so nothing runs and no
-   argument list is built when it's off. Metric keys for the fixed event
-   vocabulary are interned at module init: the per-rendezvous tallies do
-   not concatenate strings. *)
-let rendezvous_key = function
-  | "collect" -> "rendezvous.collect"
-  | "release" -> "rendezvous.release"
-  | "args_mismatch" -> "rendezvous.args_mismatch"
-  | "watchdog_retry" -> "rendezvous.watchdog_retry"
-  | "watchdog_timeout" -> "rendezvous.watchdog_timeout"
-  | "respawn_replay" -> "rendezvous.respawn_replay"
-  | n -> "rendezvous." ^ n
-
-let obs_instant o ~ts ~name args =
-  Remon_obs.Trace.instant o.Remon_obs.Obs.trace ~ts ~cat:"rendezvous" ~name
-    ~pid:0 ~tid:0 args;
-  Remon_obs.Metrics.incr o.Remon_obs.Obs.metrics (rendezvous_key name)
-
 (* Charges the monitor's serialized processing time starting no earlier
    than [earliest], and returns the completion instant. *)
 let monitor_work t ~earliest ~work_ns =
@@ -261,7 +242,8 @@ let rec process_rendezvous t rank (arrivals : arrival list) =
   (match Kernel.obs t.kernel with
   | None -> ()
   | Some o ->
-    obs_instant o ~ts:done_at ~name:"release"
+    Remon_obs.Obs.instant o ~ts:done_at ~cat:"rendezvous"
+      ~name:"release" ~pid:0 ~tid:0
       [
         ("rank", Remon_obs.Trace.Int rank);
         ("arrivals", Remon_obs.Trace.Int narrivals);
@@ -289,7 +271,8 @@ let rec process_rendezvous t rank (arrivals : arrival list) =
     (match Kernel.obs t.kernel with
     | None -> ()
     | Some o ->
-      obs_instant o ~ts:done_at ~name:"args_mismatch"
+      Remon_obs.Obs.instant o ~ts:done_at ~cat:"rendezvous"
+        ~name:"args_mismatch" ~pid:0 ~tid:0
         [
           ("rank", Remon_obs.Trace.Int rank);
           ("variant", Remon_obs.Trace.Int bad.variant);
@@ -408,7 +391,8 @@ let rec arm_watchdog t rank ~attempt =
             (match Kernel.obs t.kernel with
             | None -> ()
             | Some o ->
-              obs_instant o ~ts:(Kernel.now t.kernel) ~name:"watchdog_retry"
+              Remon_obs.Obs.instant o ~ts:(Kernel.now t.kernel)
+                ~cat:"rendezvous" ~name:"watchdog_retry" ~pid:0 ~tid:0
                 [
                   ("rank", Remon_obs.Trace.Int rank);
                   ("attempt", Remon_obs.Trace.Int attempt);
@@ -419,7 +403,8 @@ let rec arm_watchdog t rank ~attempt =
             (match Kernel.obs t.kernel with
             | None -> ()
             | Some o ->
-              obs_instant o ~ts:(Kernel.now t.kernel) ~name:"watchdog_timeout"
+              Remon_obs.Obs.instant o ~ts:(Kernel.now t.kernel)
+                ~cat:"rendezvous" ~name:"watchdog_timeout" ~pid:0 ~tid:0
                 [ ("rank", Remon_obs.Trace.Int rank) ]);
             let present = List.map (fun a -> a.variant) c.arrivals in
             let missing =
@@ -468,7 +453,8 @@ let rec handle_entry t (th : Proc.thread) (call : Syscall.call) =
       (match Kernel.obs t.kernel with
       | None -> ()
       | Some o ->
-        obs_instant o ~ts:th.Proc.clock ~name:"collect"
+        Remon_obs.Obs.instant o ~ts:th.Proc.clock ~cat:"rendezvous"
+          ~name:"collect" ~pid:0 ~tid:0
           [
             ("rank", Remon_obs.Trace.Int rank);
             ("variant", Remon_obs.Trace.Int variant);
@@ -607,7 +593,8 @@ let begin_replay t ~variant =
   (match Kernel.obs t.kernel with
   | None -> ()
   | Some o ->
-    obs_instant o ~ts:(Kernel.now t.kernel) ~name:"respawn_replay"
+    Remon_obs.Obs.instant o ~ts:(Kernel.now t.kernel) ~cat:"rendezvous"
+      ~name:"respawn_replay" ~pid:0 ~tid:0
       [ ("variant", Remon_obs.Trace.Int variant) ]);
   Hashtbl.replace t.replaying variant (Hashtbl.create 4);
   Ikb.set_replaying t.g.Context.ikb ~variant true

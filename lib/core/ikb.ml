@@ -63,22 +63,6 @@ let create ~kernel ~policy ~seed =
     replaying = Hashtbl.create 4;
   }
 
-(* Token-lifecycle observability: grants/revocations are metrics only (one
-   per fast-path call — instants would dwarf the trace); rejections are
-   rare and security-relevant, so they also get an instant event. *)
-let obs_metric t name =
-  match Kernel.obs t.kernel with
-  | None -> ()
-  | Some o -> Remon_obs.Metrics.incr o.Remon_obs.Obs.metrics name
-
-let obs_rejected t (th : Proc.thread) =
-  match Kernel.obs t.kernel with
-  | None -> ()
-  | Some o ->
-    Remon_obs.Metrics.incr o.Remon_obs.Obs.metrics "ikb.tokens_rejected";
-    Remon_obs.Trace.instant o.Remon_obs.Obs.trace ~ts:th.Proc.clock ~cat:"ikb"
-      ~name:"token_rejected" ~pid:th.Proc.proc.Proc.pid ~tid:th.Proc.tid []
-
 let fresh_token t =
   (* 64 random bits; zero is reserved as "no token" *)
   let rec draw () =
@@ -87,12 +71,27 @@ let fresh_token t =
   in
   draw ()
 
+(* Token-lifecycle observability: grants and revocations are counts only
+   (one per fast-path call — instants would dwarf the trace); rejections
+   are rare and security-relevant, so they also get an instant event. *)
 let revoke t (th : Proc.thread) =
   match Hashtbl.find_opt t.tokens th.tid with
-  | Some tr when tr.live ->
+  | Some tr when tr.live -> (
     tr.live <- false;
-    obs_metric t "ikb.revocations"
+    match Kernel.obs t.kernel with
+    | None -> ()
+    | Some o -> Remon_obs.Obs.count o ~cat:"ikb" ~name:"revocations")
   | _ -> ()
+
+(* A single-use token for [call], which routes it to IP-MON. *)
+let grant t (th : Proc.thread) call ~temporal =
+  let value = fresh_token t in
+  Hashtbl.replace t.tokens th.tid
+    { value; granted_for = call; live = true; temporal };
+  (match Kernel.obs t.kernel with
+  | None -> ()
+  | Some o -> Remon_obs.Obs.count o ~cat:"ikb" ~name:"tokens_granted");
+  Proc.Route_ipmon value
 
 (* Authoritative descriptor lookup: the broker runs in the kernel and uses
    the master replica's table (slave tables hold replicated stubs). *)
@@ -155,14 +154,9 @@ let classify t (th : Proc.thread) (call : Syscall.call) : Proc.route =
           | Some rb -> rb.Replication_buffer.signals_pending
           | None -> false
         in
-        if t.route_all then begin
+        if t.route_all then
           (* VARAN: everything goes to the in-process agents *)
-          let value = fresh_token t in
-          Hashtbl.replace t.tokens th.tid
-            { value; granted_for = call; live = true; temporal = false };
-          obs_metric t "ikb.tokens_granted";
-          Proc.Route_ipmon value
-        end
+          grant t th call ~temporal:false
         else if signal_pending then default ()
         else if not (Sysno.Set.mem no reg.Proc.unmonitored) then default ()
         else if forced_monitored t th call then default ()
@@ -188,13 +182,8 @@ let classify t (th : Proc.thread) (call : Syscall.call) : Proc.route =
                 Hashtbl.replace t.temporal_decisions key d;
                 d)
           in
-          if spatially_ok || temporally_ok then begin
-            let value = fresh_token t in
-            Hashtbl.replace t.tokens th.tid
-              { value; granted_for = call; live = true; temporal = temporally_ok };
-            obs_metric t "ikb.tokens_granted";
-            Proc.Route_ipmon value
-          end
+          if spatially_ok || temporally_ok then
+            grant t th call ~temporal:temporally_ok
           else default ()
         end)
 
@@ -208,12 +197,15 @@ let verify t (th : Proc.thread) ~token ~(call : Syscall.call) =
          && th.Proc.in_ipmon ->
     tr.live <- false;
     true
-  | Some tr ->
-    if tr.live then revoke t th;
-    obs_rejected t th;
-    false
-  | None ->
-    obs_rejected t th;
+  | _ ->
+    revoke t th;
+    (match Kernel.obs t.kernel with
+    | None -> ()
+    | Some o ->
+      Remon_obs.Trace.instant o.Remon_obs.Obs.trace ~ts:th.Proc.clock
+        ~cat:"ikb" ~name:"token_rejected" ~pid:th.Proc.proc.Proc.pid
+        ~tid:th.Proc.tid [];
+      Remon_obs.Obs.count o ~cat:"ikb" ~name:"tokens_rejected");
     false
 
 (* Outstanding-token check used by IP-MON's fallback: destroying the token

@@ -33,8 +33,6 @@ type t = {
 }
 
 val create : kernel:Kernel.t -> policy:Policy.t -> seed:int -> t
-val fresh_token : t -> int64
-val revoke : t -> Proc.thread -> unit
 
 val classify : t -> Proc.thread -> Syscall.call -> Proc.route
 (** The interceptor: one routing decision per syscall entry. Each replica

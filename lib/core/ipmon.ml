@@ -33,19 +33,6 @@ let err e = Syscall.Error e
 
 let charge = Kstate.charge
 
-(* Replica-context IP-MON events (fallbacks, overflow stalls); the
-   per-record append/consume traffic is emitted by [Replication_buffer].
-   Metric keys are precomputed at module init, and the event payloads are
-   only built once a sink is known to be attached, so the disabled-tracing
-   path allocates nothing. *)
-let key_fallback = "ipmon.fallback"
-let key_overflow_wait = "ipmon.overflow_wait"
-
-let obs_emit (o : Remon_obs.Obs.t) (th : Proc.thread) ~name ~key args =
-  Remon_obs.Metrics.incr o.Remon_obs.Obs.metrics key;
-  Remon_obs.Trace.instant o.Remon_obs.Obs.trace ~ts:th.Proc.clock ~cat:"ipmon"
-    ~name ~pid:th.Proc.proc.Proc.pid ~tid:th.Proc.tid args
-
 (* ------------------------------------------------------------------ *)
 (* Phase 1: MAYBE_CHECKED *)
 
@@ -130,7 +117,8 @@ and do_fallback inst th ~call ~return =
   (match Kernel.obs k with
   | None -> ()
   | Some o ->
-    obs_emit o th ~name:"fallback" ~key:key_fallback
+    Remon_obs.Obs.instant o ~ts:th.Proc.clock ~cat:"ipmon" ~name:"fallback"
+      ~pid:th.Proc.proc.Proc.pid ~tid:th.Proc.tid
       [ ("call", Remon_obs.Trace.Str (Syscall.to_string call)) ]);
   Ikb.destroy_token g.Context.ikb th;
   charge th (Kernel.cost k).Cost_model.ipmon_restart_ns;
@@ -217,7 +205,8 @@ and master_path_slow inst th ~token ~call ~return ~bytes =
     (match Kernel.obs k with
     | None -> ()
     | Some o ->
-      obs_emit o th ~name:"overflow_wait" ~key:key_overflow_wait
+      Remon_obs.Obs.instant o ~ts:th.Proc.clock ~cat:"ipmon"
+        ~name:"overflow_wait" ~pid:th.Proc.proc.Proc.pid ~tid:th.Proc.tid
         [ ("used_bytes", Remon_obs.Trace.Int g.Context.rb.Rb.used_bytes) ]);
     charge th (Cost_model.ptrace_stop_ns cost);
     Kernel.wait_until k th ~what:"rb overflow: waiting for slaves to drain"

@@ -31,10 +31,6 @@ val level_of_string : string -> t option
 (** Inverse of {!level_to_string}; also accepts the short level names
     ([socket_rw], ...) and ["all"]. *)
 
-val op_type_allowed : Syscall.call -> bool
-(** Table 1's "depending on op type" column: benign fcntl/ioctl subtypes
-    only (e.g. F_DUPFD allocates an fd and is never exempt). *)
-
 val spatial_allows : t -> Syscall.call -> on_socket:bool -> bool
 (** Does the spatial policy exempt this call from cross-process
     monitoring? *)

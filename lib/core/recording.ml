@@ -166,21 +166,7 @@ let of_string s =
     Ok { header; events; verdict }
   with Syswire.Fail e -> Error e
 
-let to_file t path =
-  let s = to_string t in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  try
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc s;
-        close_out oc);
-    Sys.rename tmp path
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    (try Sys.remove tmp with Sys_error _ -> ());
-    Printexc.raise_with_backtrace e bt
+let to_file t path = Remon_util.Atomic_file.write path (to_string t)
 
 let of_file path =
   match

@@ -67,8 +67,7 @@ val of_string : string -> (t, Syswire.error) result
     bytes, checksum mismatch — yields [Error], never an exception. *)
 
 val to_file : t -> string -> unit
-(** Atomic (tmp + rename) write. On failure the tmp file is removed and
-    the exception re-raised. *)
+(** Atomic write ({!Remon_util.Atomic_file.write}). *)
 
 val of_file : string -> (t, Syswire.error) result
 

@@ -97,13 +97,6 @@ let bisect ?(context = 3) ~(recorded : Recording.t) ~(replayed : Recording.t)
 (* ------------------------------------------------------------------ *)
 (* Replay *)
 
-let obs_instant obs ~ts ~name args =
-  match obs with
-  | None -> ()
-  | Some o ->
-    Remon_obs.Trace.instant o.Remon_obs.Obs.trace ~ts ~cat:"replay" ~name
-      ~pid:0 ~tid:0 args
-
 let replay ?backend ?context ?obs (recorded : Recording.t) ~body =
   match config_of_header ?backend recorded.Recording.header with
   | Error _ as e -> e
@@ -113,13 +106,19 @@ let replay ?backend ?context ?obs (recorded : Recording.t) ~body =
     let kernel =
       Kernel.create ~seed:config.Mvee.seed ~net_latency:(Vtime.us 50) ()
     in
-    (match obs with Some o -> Kernel.set_obs kernel o | None -> ());
-    obs_instant obs ~ts:Vtime.zero ~name:"replay.begin"
-      [
-        ( "backend",
-          Remon_obs.Trace.Str (Mvee.backend_to_string config.Mvee.backend) );
-        ("events", Remon_obs.Trace.Int (Array.length recorded.Recording.events));
-      ];
+    (* the replay's own instants count nothing *)
+    (match obs with
+    | None -> ()
+    | Some o ->
+      Kernel.set_obs kernel o;
+      Remon_obs.Trace.instant o.Remon_obs.Obs.trace ~ts:Vtime.zero
+        ~cat:"replay" ~name:"replay.begin" ~pid:0 ~tid:0
+        [
+          ( "backend",
+            Remon_obs.Trace.Str (Mvee.backend_to_string config.Mvee.backend) );
+          ( "events",
+            Remon_obs.Trace.Int (Array.length recorded.Recording.events) );
+        ]);
     let h = Mvee.launch kernel config ~name:"replay" ~body in
     Kernel.run kernel;
     let outcome = Mvee.finish h in
@@ -134,13 +133,17 @@ let replay ?backend ?context ?obs (recorded : Recording.t) ~body =
     in
     let verdict_class_agrees = class_of recorded = class_of replayed in
     let divergence = bisect ?context ~recorded ~replayed () in
-    obs_instant obs ~ts:(Kernel.now kernel) ~name:"replay.end"
-      [
-        ("identical", Remon_obs.Trace.Int (if identical then 1 else 0));
-        ( "first_divergent",
-          Remon_obs.Trace.Int
-            (match divergence with
-            | Some d -> d.Divergence.first_rank
-            | None -> -1) );
-      ];
+    (match obs with
+    | None -> ()
+    | Some o ->
+      Remon_obs.Trace.instant o.Remon_obs.Obs.trace ~ts:(Kernel.now kernel)
+        ~cat:"replay" ~name:"replay.end" ~pid:0 ~tid:0
+        [
+          ("identical", Remon_obs.Trace.Int (if identical then 1 else 0));
+          ( "first_divergent",
+            Remon_obs.Trace.Int
+              (match divergence with
+              | Some d -> d.Divergence.first_rank
+              | None -> -1) );
+        ]);
     Ok { recorded; replayed; identical; verdict_class_agrees; divergence }

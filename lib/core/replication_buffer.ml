@@ -88,23 +88,10 @@ let create ~size_bytes ~nreplicas =
 let default_size = 16 * 1024 * 1024 (* the paper's 16 MiB *)
 
 (* RB events belong to the monitor context, not any replica: pid/tid 0.
-   Occupancy rides along as a high-water-mark metric on every event.
+   Occupancy rides along as a high-water-mark metric on every event, and
+   as this Perfetto-graphable counter track after a reset or an append.
    Each site matches on the sink itself, so no argument list is built
-   when it's off. Metric keys for the fixed event vocabulary are interned
-   at module init: the per-record tallies do not concatenate strings. *)
-let rb_key = function
-  | "append" -> "rb.append"
-  | "consume" -> "rb.consume"
-  | "reset" -> "rb.reset"
-  | n -> "rb." ^ n
-
-let obs_event t (o, now) ~name args =
-  Remon_obs.Trace.instant o.Remon_obs.Obs.trace ~ts:(now ()) ~cat:"rb" ~name
-    ~pid:0 ~tid:0 args;
-  Remon_obs.Metrics.incr o.Remon_obs.Obs.metrics (rb_key name);
-  Remon_obs.Metrics.hwm o.Remon_obs.Obs.metrics "rb.used_bytes" t.used_bytes
-
-(* Perfetto-graphable occupancy track. *)
+   when it's off. *)
 let obs_occupancy t =
   match t.obs with
   | None -> ()
@@ -157,9 +144,10 @@ let reset t =
   t.resets <- t.resets + 1;
   (match t.obs with
   | None -> ()
-  | Some sink ->
-    obs_event t sink ~name:"reset"
-      [ ("generation", Remon_obs.Trace.Int t.generation) ]);
+  | Some (o, now) ->
+    Remon_obs.Obs.instant o ~ts:(now ()) ~cat:"rb" ~name:"reset" ~pid:0 ~tid:0
+      [ ("generation", Remon_obs.Trace.Int t.generation) ];
+    Remon_obs.Metrics.hwm o.Remon_obs.Obs.metrics "rb.used_bytes" t.used_bytes);
   obs_occupancy t
 
 (* Master side: append the record for its next call on [rank]'s stream. *)
@@ -183,13 +171,15 @@ let master_append t ~rank ~call ~expect_block ~forwarded =
   t.total_records <- t.total_records + 1;
   (match t.obs with
   | None -> ()
-  | Some sink ->
-    obs_event t sink ~name:"append"
+  | Some (o, now) ->
+    Remon_obs.Obs.instant o ~ts:(now ()) ~cat:"rb" ~name:"append" ~pid:0
+      ~tid:0
       [
         ("rank", Remon_obs.Trace.Int rank);
         ("seq", Remon_obs.Trace.Int e.seq);
         ("bytes", Remon_obs.Trace.Int bytes);
-      ]);
+      ];
+    Remon_obs.Metrics.hwm o.Remon_obs.Obs.metrics "rb.used_bytes" t.used_bytes);
   obs_occupancy t;
   (match t.tamper with Some f -> f e | None -> ());
   e
@@ -226,13 +216,15 @@ let slave_advance t ~rank ~variant =
   s.slave_next.(variant) <- seq + 1;
   (match t.obs with
   | None -> ()
-  | Some sink ->
-    obs_event t sink ~name:"consume"
+  | Some (o, now) ->
+    Remon_obs.Obs.instant o ~ts:(now ()) ~cat:"rb" ~name:"consume" ~pid:0
+      ~tid:0
       [
         ("rank", Remon_obs.Trace.Int rank);
         ("variant", Remon_obs.Trace.Int variant);
         ("seq", Remon_obs.Trace.Int seq);
-      ]);
+      ];
+    Remon_obs.Metrics.hwm o.Remon_obs.Obs.metrics "rb.used_bytes" t.used_bytes);
   (* Drop the record once every active slave has moved past it: lookups
      only ever target [slave_next] positions, so a record behind all of
      them is unreachable and would otherwise pin the simulator's memory

@@ -54,7 +54,6 @@ type t = {
 type Shm.payload += Rb_payload of t
 (** How the buffer travels inside its System V segment. *)
 
-val header_bytes : int
 val default_size : int (** the paper's 16 MiB *)
 
 val create : size_bytes:int -> nreplicas:int -> t

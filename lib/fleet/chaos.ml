@@ -63,7 +63,6 @@ type report = {
   availability : float; (* succeeded / attempted *)
   connect_retries : int;
   client_latency : Latency.summary; (* scheduled-arrival to response *)
-  lb_latency : Latency.summary; (* pick-to-response inside the LB *)
   lb_proxied : int;
   failovers : int;
   lb_errors : int;
@@ -278,7 +277,6 @@ let run_scenario ?obs cfg : report =
     availability;
     connect_retries = traffic.retries;
     client_latency = Latency.summary traffic.latency;
-    lb_latency = Latency.summary lb.Lb.latency;
     lb_proxied = lb.Lb.proxied;
     failovers = lb.Lb.failovers;
     lb_errors = lb.Lb.lb_errors;

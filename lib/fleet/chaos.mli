@@ -40,7 +40,6 @@ type report = {
   availability : float;  (** succeeded / attempted *)
   connect_retries : int;
   client_latency : Latency.summary;  (** scheduled-arrival to response *)
-  lb_latency : Latency.summary;
   lb_proxied : int;
   failovers : int;
   lb_errors : int;
@@ -58,8 +57,6 @@ type report = {
       (** reproducer recordings written to [cfg.record_dir] *)
   metrics : (string * string) list;  (** [[]] when [trace] is off *)
 }
-
-val verdict_class : Divergence.t -> string
 
 val run_scenario : ?obs:Remon_obs.Obs.t -> cfg -> report
 (** One deterministic simulation: fresh kernel, fleet + LB + traffic,

@@ -26,11 +26,6 @@ type recovery =
 
 type instance_state = Serving | Down | Restarting
 
-let instance_state_to_string = function
-  | Serving -> "serving"
-  | Down -> "down"
-  | Restarting -> "restarting"
-
 type instance = {
   idx : int;
   port : int;
@@ -53,19 +48,6 @@ type t = {
   mutable fleet_respawns : int;
   mutable closed : bool; (* scenario over: stop reacting to exits *)
 }
-
-let obs_instant t ~name args =
-  match Kernel.obs t.kernel with
-  | None -> ()
-  | Some o ->
-    Remon_obs.Trace.instant o.Remon_obs.Obs.trace ~ts:(Kernel.now t.kernel)
-      ~cat:"fleet" ~name ~pid:0 ~tid:0 args;
-    Remon_obs.Metrics.incr o.Remon_obs.Obs.metrics
-      (match name with
-      | "instance_down" -> "fleet.instance_down"
-      | "instance_respawn" -> "fleet.instance_respawn"
-      | "rolling_step" -> "fleet.rolling_step"
-      | n -> "fleet." ^ n)
 
 (* Per-generation config: a distinct seed (diversity layouts, RNG streams)
    and a fresh fault plan, so a respawned generation is not fated to die at
@@ -118,11 +100,15 @@ and watch_instance t inst handle =
       then begin
         inst.state <- Down;
         t.instance_failures <- t.instance_failures + 1;
-        obs_instant t ~name:"instance_down"
-          [
-            ("instance", Remon_obs.Trace.Int inst.idx);
-            ("generation", Remon_obs.Trace.Int generation);
-          ];
+        (match Kernel.obs t.kernel with
+        | None -> ()
+        | Some o ->
+          Remon_obs.Obs.instant o ~ts:(Kernel.now t.kernel) ~cat:"fleet"
+            ~name:"instance_down" ~pid:0 ~tid:0
+            [
+              ("instance", Remon_obs.Trace.Int inst.idx);
+              ("generation", Remon_obs.Trace.Int generation);
+            ]);
         match t.recovery with
         | No_fleet_recovery -> ()
         | Fleet_respawn { max_respawns; backoff_ns } ->
@@ -137,11 +123,15 @@ and watch_instance t inst handle =
                 if (not t.closed) && inst.state = Down then begin
                   t.fleet_respawns <- t.fleet_respawns + 1;
                   inst.generation <- inst.generation + 1;
-                  obs_instant t ~name:"instance_respawn"
-                    [
-                      ("instance", Remon_obs.Trace.Int inst.idx);
-                      ("generation", Remon_obs.Trace.Int inst.generation);
-                    ];
+                  (match Kernel.obs t.kernel with
+                  | None -> ()
+                  | Some o ->
+                    Remon_obs.Obs.instant o ~ts:(Kernel.now t.kernel)
+                      ~cat:"fleet" ~name:"instance_respawn" ~pid:0 ~tid:0
+                      [
+                        ("instance", Remon_obs.Trace.Int inst.idx);
+                        ("generation", Remon_obs.Trace.Int inst.generation);
+                      ]);
                   launch_instance t inst
                 end)
           end
@@ -196,9 +186,11 @@ let restart_instance t inst =
   inst.generation <- inst.generation + 1;
   launch_instance t inst
 
-(* Spawned by the operator processes: [pause_ns] is the poll interval for
-   the drain / readiness waits. *)
-let rolling_operator t ~(lb : Lb.t) ~next ~pause_ns () =
+(* The operators' poll interval for the drain / readiness waits. *)
+let pause_ns = 200_000
+
+(* Spawned by the operator processes. *)
+let rolling_operator t ~(lb : Lb.t) ~next () =
   let n = Array.length t.instances in
   let rec step () =
     if (not t.closed) && !next < n then begin
@@ -235,24 +227,28 @@ let rolling_operator t ~(lb : Lb.t) ~next ~pause_ns () =
         wait_ready 10_000
       end;
       Lb.readmit lb b;
-      obs_instant t ~name:"rolling_step"
-        [ ("instance", Remon_obs.Trace.Int inst.idx) ];
+      (match Kernel.obs t.kernel with
+      | None -> ()
+      | Some o ->
+        Remon_obs.Obs.instant o ~ts:(Kernel.now t.kernel) ~cat:"fleet"
+          ~name:"rolling_step" ~pid:0 ~tid:0
+          [ ("instance", Remon_obs.Trace.Int inst.idx) ]);
       step ()
     end
   in
   step ()
 
 (* Restart the whole fleet, [max_unavailable] instances at a time. The
-   operators are simulation processes; call before [Kernel.run]. *)
-let rolling_restart t ~lb ?(max_unavailable = 1) ?(pause_ns = 200_000)
-    ?(start_at = Vtime.ms 2) () =
+   operators are simulation processes, started 2 ms in; call before
+   [Kernel.run]. *)
+let rolling_restart t ~lb ?(max_unavailable = 1) () =
   let next = ref 0 in
   for w = 1 to max 1 max_unavailable do
     ignore
       (Kernel.spawn_process t.kernel
          ~name:(Printf.sprintf "operator-%d" w)
-         ~vm_seed:(0x0b + w) ~start_clock:start_at
-         (rolling_operator t ~lb ~next ~pause_ns))
+         ~vm_seed:(0x0b + w) ~start_clock:(Vtime.ms 2)
+         (rolling_operator t ~lb ~next))
   done
 
 (* ------------------------------------------------------------------ *)

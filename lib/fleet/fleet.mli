@@ -17,8 +17,6 @@ type recovery =
 
 type instance_state = Serving | Down | Restarting
 
-val instance_state_to_string : instance_state -> string
-
 type instance = {
   idx : int;
   port : int;  (** stable across generations *)
@@ -61,16 +59,10 @@ val ports : t -> int list
 val close : t -> unit
 (** Scenario over: stop reacting to instance exits. *)
 
-val restart_instance : t -> instance -> unit
-(** Graceful stop (exit 0, no verdict) + relaunch of the next generation
-    on the same port. *)
-
 val rolling_restart :
   t ->
   lb:Lb.t ->
   ?max_unavailable:int ->
-  ?pause_ns:int ->
-  ?start_at:Vtime.t ->
   unit ->
   unit
 (** Spawn operator processes that restart the whole fleet, at most

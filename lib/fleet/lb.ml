@@ -21,11 +21,6 @@ type policy = Round_robin | Least_conns
 
 type state = Up | Draining | Ejected
 
-let state_to_string = function
-  | Up -> "up"
-  | Draining -> "draining"
-  | Ejected -> "ejected"
-
 type backend = {
   id : int;
   port : int;
@@ -73,21 +68,7 @@ type t = {
   mutable lb_errors : int; (* requests dropped: no responsive backend *)
   mutable ejections : int;
   mutable readmissions : int;
-  latency : Latency.t; (* pick-to-response proxy latency *)
 }
-
-let obs_instant lb ~name args =
-  match Kernel.obs lb.kernel with
-  | None -> ()
-  | Some o ->
-    Remon_obs.Trace.instant o.Remon_obs.Obs.trace ~ts:(Kernel.now lb.kernel)
-      ~cat:"fleet" ~name ~pid:0 ~tid:0 args;
-    Remon_obs.Metrics.incr o.Remon_obs.Obs.metrics
-      (match name with
-      | "eject" -> "fleet.eject"
-      | "readmit" -> "fleet.readmit"
-      | "drain" -> "fleet.drain"
-      | n -> "fleet." ^ n)
 
 let backend_for lb ~port =
   match Array.find_opt (fun b -> b.port = port) lb.backends with
@@ -136,7 +117,11 @@ let probe_failure lb b =
   if b.state = Up && b.consec_failures >= lb.config.unhealthy_threshold then begin
     b.state <- Ejected;
     lb.ejections <- lb.ejections + 1;
-    obs_instant lb ~name:"eject" [ ("backend", Remon_obs.Trace.Int b.id) ]
+    match Kernel.obs lb.kernel with
+    | None -> ()
+    | Some o ->
+      Remon_obs.Obs.instant o ~ts:(Kernel.now lb.kernel) ~cat:"fleet"
+        ~name:"eject" ~pid:0 ~tid:0 [ ("backend", Remon_obs.Trace.Int b.id) ]
   end
 
 let probe_success lb b =
@@ -146,7 +131,11 @@ let probe_success lb b =
   then begin
     b.state <- Up;
     lb.readmissions <- lb.readmissions + 1;
-    obs_instant lb ~name:"readmit" [ ("backend", Remon_obs.Trace.Int b.id) ]
+    match Kernel.obs lb.kernel with
+    | None -> ()
+    | Some o ->
+      Remon_obs.Obs.instant o ~ts:(Kernel.now lb.kernel) ~cat:"fleet"
+        ~name:"readmit" ~pid:0 ~tid:0 [ ("backend", Remon_obs.Trace.Int b.id) ]
   end
 
 (* One L4 probe: a bare TCP connect, closed immediately. ECONNREFUSED (the
@@ -259,11 +248,9 @@ let serve_conn lb client_fd () =
     | req when String.length req < lb.config.request_bytes ->
       () (* client closed (or died) between requests *)
     | req -> (
-      let t0 = Sched.vnow () in
       match attempt req ~tried:[] lb.config.failover_budget with
       | Some resp -> (
         lb.proxied <- lb.proxied + 1;
-        Latency.record lb.latency (Vtime.sub (Sched.vnow ()) t0);
         match Api.send client_fd resp with
         | exception Api.Sys_error _ -> ()
         | _ -> request_loop ())
@@ -322,7 +309,6 @@ let launch kernel config ~backend_ports ~deadline =
       lb_errors = 0;
       ejections = 0;
       readmissions = 0;
-      latency = Latency.create ();
     }
   in
   ignore (Kernel.spawn_process kernel ~name:"lb" ~vm_seed:0x1b (body lb));
@@ -333,7 +319,11 @@ let launch kernel config ~backend_ports ~deadline =
 let set_draining lb b =
   if b.state <> Draining then begin
     b.state <- Draining;
-    obs_instant lb ~name:"drain" [ ("backend", Remon_obs.Trace.Int b.id) ]
+    match Kernel.obs lb.kernel with
+    | None -> ()
+    | Some o ->
+      Remon_obs.Obs.instant o ~ts:(Kernel.now lb.kernel) ~cat:"fleet"
+        ~name:"drain" ~pid:0 ~tid:0 [ ("backend", Remon_obs.Trace.Int b.id) ]
   end
 
 let readmit lb b =
@@ -341,7 +331,11 @@ let readmit lb b =
   b.consec_successes <- 0;
   if b.state <> Up then begin
     b.state <- Up;
-    obs_instant lb ~name:"readmit" [ ("backend", Remon_obs.Trace.Int b.id) ]
+    match Kernel.obs lb.kernel with
+    | None -> ()
+    | Some o ->
+      Remon_obs.Obs.instant o ~ts:(Kernel.now lb.kernel) ~cat:"fleet"
+        ~name:"readmit" ~pid:0 ~tid:0 [ ("backend", Remon_obs.Trace.Int b.id) ]
   end
 
 (* Prober/LB counters folded into the metrics summary at scenario end. *)

@@ -8,7 +8,6 @@
 
 open Remon_kernel
 open Remon_sim
-open Remon_workloads
 
 type policy = Round_robin | Least_conns
 
@@ -16,8 +15,6 @@ type state =
   | Up
   | Draining  (** operator-held: no new picks, health state frozen *)
   | Ejected  (** failed the probe hysteresis; routed around *)
-
-val state_to_string : state -> string
 
 type backend = {
   id : int;
@@ -58,7 +55,6 @@ type t = {
   mutable lb_errors : int;  (** requests dropped: no responsive backend *)
   mutable ejections : int;
   mutable readmissions : int;
-  latency : Latency.t;  (** pick-to-response proxy latency *)
 }
 
 val launch :

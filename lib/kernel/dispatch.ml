@@ -1603,32 +1603,30 @@ let variant_of (th : Proc.thread) =
   | Some ri -> ri.Proc.variant_index
   | None -> -1
 
-let obs_instant k (th : Proc.thread) ~cat ~name args =
-  match k.K.obs with
-  | None -> ()
-  | Some o ->
-    Tr.instant o.Ob.trace ~ts:th.Proc.clock ~cat ~name
-      ~pid:th.Proc.proc.Proc.pid ~tid:th.Proc.tid
-      (("variant", Tr.Int (variant_of th))
-      :: ("index", Tr.Int th.Proc.syscall_index)
-      :: args)
+(* ------------------------------------------------------------------ *)
+(* Routing pipeline *)
 
-(* A ptrace stop is one monitor round-trip: record the instant and bump
-   the round-trip tally. *)
-let obs_ptrace_stop k (th : Proc.thread) ~kind =
-  match k.K.obs with
+(* A ptrace stop is one monitor round trip: two context switches and the
+   stop's cost. It is traced as a [ptrace] instant [name], and every stop
+   kind counts the one [ptrace.round_trips] tally. The thread then waits
+   for its tracer's [resume]. *)
+let ptrace_stop k (th : Proc.thread) (tracer : Proc.tracer) ~name reason
+    ~resume =
+  k.K.stats.ptrace_stops <- k.K.stats.ptrace_stops + 1;
+  k.K.stats.context_switches <- k.K.stats.context_switches + 2;
+  charge th (Cost_model.ptrace_stop_ns k.K.cost);
+  (match k.K.obs with
   | None -> ()
   | Some o ->
-    Remon_obs.Metrics.incr o.Ob.metrics "ptrace.round_trips";
-    Tr.instant o.Ob.trace ~ts:th.Proc.clock ~cat:"ptrace" ~name:kind
+    Tr.instant o.Ob.trace ~ts:th.Proc.clock ~cat:"ptrace" ~name
       ~pid:th.Proc.proc.Proc.pid ~tid:th.Proc.tid
       [
         ("variant", Tr.Int (variant_of th));
         ("index", Tr.Int th.Proc.syscall_index);
-      ]
-
-(* ------------------------------------------------------------------ *)
-(* Routing pipeline *)
+      ];
+    Ob.count o ~cat:"ptrace" ~name:"round_trips");
+  th.tstate <- Proc.Trace_stopped { reason; resume };
+  tracer.on_stop th reason
 
 (* Final stage: deliver pending signals at the syscall boundary, then hand
    the result back to user code. Mirrors the kernel's return-to-user path,
@@ -1642,30 +1640,20 @@ let rec finish k (th : Proc.thread) (result : Syscall.result) ~return =
     | Some sg -> (
       match p.tracer with
       | Some tracer when not (Sigdefs.synchronous sg) ->
-        k.K.stats.ptrace_stops <- k.K.stats.ptrace_stops + 1;
-        k.K.stats.context_switches <- k.K.stats.context_switches + 2;
-        charge th (Cost_model.ptrace_stop_ns k.K.cost);
-        obs_ptrace_stop k th ~kind:"signal_delivery_stop";
-        th.tstate <-
-          Proc.Trace_stopped
-            {
-              reason = Proc.Signal_delivery_stop sg;
-              resume =
-                (fun action ->
-                  th.tstate <- Proc.Ready;
-                  match action with
-                  | Proc.Resume_deliver ->
-                    if deliver_signal k th sg then finish k th result ~return
-                  | Proc.Resume_suppress ->
-                    (* the tracer takes ownership of the signal *)
-                    remove_pending p sg;
-                    finish k th result ~return
-                  | Proc.Resume_kill -> kill_process k p ~code:137
-                  | Proc.Resume_continue | Proc.Resume_rewrite _
-                  | Proc.Resume_skip _ | Proc.Resume_set_result _ ->
-                    if deliver_signal k th sg then finish k th result ~return);
-            };
-        tracer.on_stop th (Proc.Signal_delivery_stop sg)
+        ptrace_stop k th tracer ~name:"signal_delivery_stop"
+          (Proc.Signal_delivery_stop sg) ~resume:(fun action ->
+            th.tstate <- Proc.Ready;
+            match action with
+            | Proc.Resume_deliver ->
+              if deliver_signal k th sg then finish k th result ~return
+            | Proc.Resume_suppress ->
+              (* the tracer takes ownership of the signal *)
+              remove_pending p sg;
+              finish k th result ~return
+            | Proc.Resume_kill -> kill_process k p ~code:137
+            | Proc.Resume_continue | Proc.Resume_rewrite _ | Proc.Resume_skip _
+            | Proc.Resume_set_result _ ->
+              if deliver_signal k th sg then finish k th result ~return)
       | _ ->
         if deliver_signal k th sg then finish k th result ~return)
 
@@ -1674,26 +1662,16 @@ let exit_phase k (th : Proc.thread) call result ~return =
   let p = proc_of th in
   match p.tracer with
   | Some tracer ->
-    k.K.stats.ptrace_stops <- k.K.stats.ptrace_stops + 1;
-    k.K.stats.context_switches <- k.K.stats.context_switches + 2;
-    charge th (Cost_model.ptrace_stop_ns k.K.cost);
-    obs_ptrace_stop k th ~kind:"syscall_exit_stop";
-    th.tstate <-
-      Proc.Trace_stopped
-        {
-          reason = Proc.Syscall_exit_stop (call, result);
-          resume =
-            (fun action ->
-              th.tstate <- Proc.Ready;
-              match action with
-              | Proc.Resume_continue -> finish k th result ~return
-              | Proc.Resume_set_result r -> finish k th r ~return
-              | Proc.Resume_kill -> kill_process k p ~code:137
-              | Proc.Resume_rewrite _ | Proc.Resume_skip _
-              | Proc.Resume_deliver | Proc.Resume_suppress ->
-                finish k th result ~return);
-        };
-    tracer.on_stop th (Proc.Syscall_exit_stop (call, result))
+    ptrace_stop k th tracer ~name:"syscall_exit_stop"
+      (Proc.Syscall_exit_stop (call, result)) ~resume:(fun action ->
+        th.tstate <- Proc.Ready;
+        match action with
+        | Proc.Resume_continue -> finish k th result ~return
+        | Proc.Resume_set_result r -> finish k th r ~return
+        | Proc.Resume_kill -> kill_process k p ~code:137
+        | Proc.Resume_rewrite _ | Proc.Resume_skip _ | Proc.Resume_deliver
+        | Proc.Resume_suppress ->
+          finish k th result ~return)
   | None -> finish k th result ~return
 
 (* Syscall-entry ptrace stop: report to the CP monitor and act on its
@@ -1706,31 +1684,20 @@ let monitor_path k (th : Proc.thread) call ~return =
     exec k th call ~ret:(fun r -> finish k th r ~return)
   | Some tracer ->
     k.K.stats.monitored <- k.K.stats.monitored + 1;
-    k.K.stats.ptrace_stops <- k.K.stats.ptrace_stops + 1;
-    k.K.stats.context_switches <- k.K.stats.context_switches + 2;
-    charge th (Cost_model.ptrace_stop_ns k.K.cost);
-    obs_ptrace_stop k th ~kind:"syscall_entry_stop";
-    th.tstate <-
-      Proc.Trace_stopped
-        {
-          reason = Proc.Syscall_entry_stop call;
-          resume =
-            (fun action ->
-              th.tstate <- Proc.Ready;
-              match action with
-              | Proc.Resume_continue | Proc.Resume_deliver
-              | Proc.Resume_suppress ->
-                exec k th call ~ret:(fun r -> exit_phase k th call r ~return)
-              | Proc.Resume_rewrite call' ->
-                exec k th call' ~ret:(fun r -> exit_phase k th call' r ~return)
-              | Proc.Resume_skip r ->
-                (* call aborted by the monitor; go straight to exit stop so
-                   the monitor can inject replicated results *)
-                exit_phase k th call r ~return
-              | Proc.Resume_kill -> kill_process k p ~code:137
-              | Proc.Resume_set_result r -> exit_phase k th call r ~return);
-        };
-    tracer.on_stop th (Proc.Syscall_entry_stop call)
+    ptrace_stop k th tracer ~name:"syscall_entry_stop"
+      (Proc.Syscall_entry_stop call) ~resume:(fun action ->
+        th.tstate <- Proc.Ready;
+        match action with
+        | Proc.Resume_continue | Proc.Resume_deliver | Proc.Resume_suppress ->
+          exec k th call ~ret:(fun r -> exit_phase k th call r ~return)
+        | Proc.Resume_rewrite call' ->
+          exec k th call' ~ret:(fun r -> exit_phase k th call' r ~return)
+        | Proc.Resume_skip r ->
+          (* call aborted by the monitor; go straight to exit stop so the
+             monitor can inject replicated results *)
+          exit_phase k th call r ~return
+        | Proc.Resume_kill -> kill_process k p ~code:137
+        | Proc.Resume_set_result r -> exit_phase k th call r ~return)
 
 (* Raw, stop-free execution used by IP-MON once IK-B's verifier has
    accepted the authorization token (steps 3-4 of Figure 2). *)
@@ -1738,84 +1705,51 @@ let execute_raw k th call ~(ret : Syscall.result -> unit) =
   charge th k.K.cost.ipmon_restart_ns;
   exec k th call ~ret
 
-(* The route trace: a routing instant plus a per-route tally in the
-   structured sink, when one is attached. Metric keys for the fixed route
-   vocabulary are interned at module init so the per-call tally does not
-   concatenate strings. *)
-let route_key = function
-  | "plain" -> "route.plain"
-  | "monitored" -> "route.monitored"
-  | "ipmon" -> "route.ipmon"
-  | "fault:rewrite" -> "route.fault:rewrite"
-  | "fault:result" -> "route.fault:result"
-  | "fault:crash" -> "route.fault:crash"
-  | "fault:delay" -> "route.fault:delay"
-  | r -> "route." ^ r
-
-let trace_route k (th : Proc.thread) call route =
-  match k.K.obs with
+(* IK-B's routing decision for one call (Figure 2, step 2), then the
+   route it picks. A replica asks its group's interceptor, which rides on
+   its [replica_info]; any other process runs plain, or monitored while
+   traced. A grant to a replica without an IP-MON registration (a broker
+   misconfiguration) falls back to the monitored path. The route taken is
+   traced as a [route] instant, which counts [route.<name>]. The caller
+   supplies the continuations: [return] for the monitored path, and
+   [done_] / [ipmon_done], which finish a plain or an IP-MON call with
+   [return]. Routing itself allocates nothing. *)
+let route k (th : Proc.thread) call ~return ~done_ ~ipmon_done =
+  let p = proc_of th in
+  let decision =
+    match p.replica_info with
+    | Some { Proc.classify = Some classify; _ } -> classify th call
+    | Some { Proc.classify = None; _ } | None -> (
+      match p.tracer with
+      | None -> Proc.Route_plain
+      | Some _ -> Proc.Route_monitor)
+  in
+  (match k.K.obs with
   | None -> ()
   | Some o ->
-    Remon_obs.Metrics.incr o.Ob.metrics (route_key route);
-    Tr.instant o.Ob.trace ~ts:th.Proc.clock ~cat:"route" ~name:route
-      ~pid:th.Proc.proc.Proc.pid ~tid:th.Proc.tid
+    let name =
+      match (decision, p.ipmon_registered) with
+      | Proc.Route_plain, _ -> "plain"
+      | Proc.Route_ipmon _, Some _ -> "ipmon"
+      | (Proc.Route_monitor | Proc.Route_ipmon _), _ -> "monitored"
+    in
+    Ob.instant o ~ts:th.Proc.clock ~cat:"route" ~name ~pid:p.Proc.pid
+      ~tid:th.Proc.tid
       [
         ("call", Tr.Str (Syscall.to_string call));
         ("variant", Tr.Int (variant_of th));
         ("index", Tr.Int th.Proc.syscall_index);
-      ]
-
-(* The three routes of Figure 2. Top-level functions rather than closures
-   inside [route], so routing itself allocates nothing. *)
-let route_plain k th call ~done_ =
-  trace_route k th call "plain";
-  exec k th call ~ret:done_
-
-let route_monitored k th call ~return =
-  trace_route k th call "monitored";
-  monitor_path k th call ~return
-
-let route_ipmon k (th : Proc.thread) (reg : Proc.ipmon_registration) ~token
-    call ~ipmon_done =
-  k.K.stats.ipmon_fastpath <- k.K.stats.ipmon_fastpath + 1;
-  k.K.stats.tokens_granted <- k.K.stats.tokens_granted + 1;
-  trace_route k th call "ipmon";
-  charge th k.K.cost.ipmon_forward_ns;
-  th.in_ipmon <- true;
-  reg.Proc.invoke th ~token ~call ~return:ipmon_done
-
-(* IK-B's routing decision for one call (Figure 2, step 2). A replica asks
-   its group's interceptor, which rides on its [replica_info]; any other
-   process runs plain, or monitored while traced. The caller supplies the
-   continuations: [return] for the monitored path, and [done_] /
-   [ipmon_done], which finish a plain or an IP-MON call with [return]. *)
-let route k (th : Proc.thread) call ~return ~done_ ~ipmon_done =
-  let p = proc_of th in
-  match p.replica_info with
-  | Some { Proc.classify = Some classify; _ } -> (
-    match classify th call with
-    | Proc.Route_plain -> route_plain k th call ~done_
-    | Proc.Route_monitor -> route_monitored k th call ~return
-    | Proc.Route_ipmon token -> (
-      match p.ipmon_registered with
-      | Some reg -> route_ipmon k th reg ~token call ~ipmon_done
-      | None ->
-        (* broker misconfiguration: fall back to the monitored path *)
-        route_monitored k th call ~return))
-  | Some { Proc.classify = None; _ } | None -> (
-    match p.tracer with
-    | None -> route_plain k th call ~done_
-    | Some _ -> route_monitored k th call ~return)
-
-(* Per-syscall latency-metric keys ("syscall.<name>"), interned at module
-   init and indexed by [Sysno.index]: the per-call histogram update does
-   not concatenate strings. *)
-let syscall_metric_keys =
-  let a = Array.make Sysno.slots "syscall.?" in
-  List.iter
-    (fun no -> a.(Sysno.index no) <- "syscall." ^ Sysno.to_string no)
-    Sysno.all;
-  a
+      ]);
+  match (decision, p.ipmon_registered) with
+  | Proc.Route_plain, _ -> exec k th call ~ret:done_
+  | Proc.Route_ipmon token, Some reg ->
+    k.K.stats.ipmon_fastpath <- k.K.stats.ipmon_fastpath + 1;
+    k.K.stats.tokens_granted <- k.K.stats.tokens_granted + 1;
+    charge th k.K.cost.ipmon_forward_ns;
+    th.in_ipmon <- true;
+    reg.Proc.invoke th ~token ~call ~return:ipmon_done
+  | (Proc.Route_monitor | Proc.Route_ipmon _), _ ->
+    monitor_path k th call ~return
 
 (* Top-level syscall entry: Figure 2's step 1. *)
 let handle k (th : Proc.thread) call ~return =
@@ -1865,8 +1799,7 @@ let handle k (th : Proc.thread) call ~return =
           fun r ->
             Tr.span_end o.Ob.trace ~ts:th.Proc.clock ~cat:"syscall" ~name ~pid
               ~tid [];
-            Remon_obs.Metrics.observe_ns o.Ob.metrics
-              syscall_metric_keys.(Sysno.index (Syscall.number call))
+            Ob.observe_ns o ~cat:"syscall" ~name
               (Vtime.sub th.Proc.clock entry_clock);
             return r
       in
@@ -1875,29 +1808,47 @@ let handle k (th : Proc.thread) call ~return =
         th.in_ipmon <- false;
         finish k th r ~return
       in
-      match (match hook with Some f -> f th call | None -> Proc.Fault_none) with
+      let fault =
+        match hook with Some f -> f th call | None -> Proc.Fault_none
+      in
+      (* An injected fault is traced as its route, "fault:<kind>" (which
+         counts), then as an uncounted [fault] instant with what it
+         injected. *)
+      (match obs with
+      | None -> ()
+      | Some o -> (
+        let traced =
+          match fault with
+          | Proc.Fault_none -> None
+          | Proc.Fault_rewrite c ->
+            Some ("rewrite", c, ("call", Tr.Str (Syscall.to_string c)))
+          | Proc.Fault_result _ ->
+            Some ("result", call, ("call", Tr.Str (Syscall.to_string call)))
+          | Proc.Fault_crash sg -> Some ("crash", call, ("signal", Tr.Int sg))
+          | Proc.Fault_delay ns -> Some ("delay", call, ("ns", Tr.Int ns))
+        in
+        match traced with
+        | None -> ()
+        | Some (kind, c, arg) ->
+          let ts = th.Proc.clock and pid = p.Proc.pid and tid = th.Proc.tid in
+          let variant = ("variant", Tr.Int (variant_of th))
+          and index = ("index", Tr.Int th.Proc.syscall_index) in
+          Ob.instant o ~ts ~cat:"route" ~name:("fault:" ^ kind) ~pid ~tid
+            [ ("call", Tr.Str (Syscall.to_string c)); variant; index ];
+          Tr.instant o.Ob.trace ~ts ~cat:"fault" ~name:kind ~pid ~tid
+            [ variant; index; arg ]));
+      match fault with
       | Proc.Fault_none -> route k th call ~return ~done_ ~ipmon_done
       | Proc.Fault_rewrite call' ->
         (* the corrupted capture flows through the normal routing/detection
            paths; the monitors see it as an argument divergence *)
-        trace_route k th call' "fault:rewrite";
-        obs_instant k th ~cat:"fault" ~name:"rewrite"
-          [ ("call", Tr.Str (Syscall.to_string call')) ];
         route k th call' ~return ~done_ ~ipmon_done
       | Proc.Fault_result r ->
         (* transient kernel-level failure (e.g. ECONNRESET): complete now *)
-        trace_route k th call "fault:result";
-        obs_instant k th ~cat:"fault" ~name:"result"
-          [ ("call", Tr.Str (Syscall.to_string call)) ];
         finish k th r ~return
-      | Proc.Fault_crash sg ->
-        trace_route k th call "fault:crash";
-        obs_instant k th ~cat:"fault" ~name:"crash" [ ("signal", Tr.Int sg) ];
-        kill_process k p ~code:(128 + sg)
+      | Proc.Fault_crash sg -> kill_process k p ~code:(128 + sg)
       | Proc.Fault_delay ns ->
         (* stall the arrival: the rendezvous watchdog can observe it *)
-        trace_route k th call "fault:delay";
-        obs_instant k th ~cat:"fault" ~name:"delay" [ ("ns", Tr.Int ns) ];
         block k th ~on:Waitq.none ~what:"fault: injected stall" ~timeout_ns:ns
           ~intr:false
           ~poll:(fun () -> (None : unit option))

@@ -65,7 +65,6 @@ val send_waitq : stream -> Waitq.t
 val local_port : stream -> int
 val set_local_port : stream -> int -> unit
 val peer_port : stream -> int
-val set_peer_port : stream -> int -> unit
 
 val peer : stream -> stream option
 (** [None] once the peer endpoint closed. *)
@@ -105,9 +104,6 @@ val set_tag : stream -> int -> unit
 val listen : t -> port:int -> backlog:int -> (listener, Errno.t) result
 val find_listener : t -> port:int -> listener option
 val close_listener : t -> listener -> unit
-
-val backlog_full : listener -> bool
-(** True when the pending-accept queue has reached the listener backlog. *)
 
 val try_enqueue : listener -> stream -> bool
 (** Enqueue a server endpoint for accept; false when the listener is

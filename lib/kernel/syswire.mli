@@ -70,6 +70,3 @@ val read_call : R.t -> Syscall.call
 
 val write_result : W.t -> Syscall.result -> unit
 val read_result : R.t -> Syscall.result
-
-val write_errno : W.t -> Errno.t -> unit
-val read_errno : R.t -> Errno.t

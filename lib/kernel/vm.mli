@@ -31,9 +31,7 @@ type t = {
   page_size : int;
 }
 
-val page_size : int
 val create : rng:Rng.t -> t
-val region_end : region -> int64
 
 val map :
   t -> len:int -> prot:Syscall.prot -> backing:backing -> tag:string ->

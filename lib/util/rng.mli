@@ -9,19 +9,12 @@ type t
 val make : int -> t
 (** [make seed] creates a generator from an integer seed. *)
 
-val fnv1a64 : string -> int64
-(** FNV-1a hash of the string's bytes. Stable across OCaml versions and
-    platforms, unlike [Hashtbl.hash] — use this (plus {!stable_seed}) to
-    derive RNG seeds from names. *)
-
-val splitmix64 : int64 -> int64
-(** One stateless SplitMix64 finalization round (bijective mixer). *)
-
 val stable_seed : string -> int -> int
 (** [stable_seed name rank] derives a non-negative seed from a component
     name and a small integer rank: FNV-1a over the name bytes, rank folded
-    in through {!splitmix64}. Stable across OCaml versions, so recorded
-    runs replay byte-identically after a compiler upgrade. *)
+    in through a SplitMix64 round. Stable across OCaml versions and
+    platforms, unlike [Hashtbl.hash], so recorded runs replay
+    byte-identically after a compiler upgrade. *)
 
 val split : t -> t
 (** [split t] returns an independent child generator, advancing [t]. *)

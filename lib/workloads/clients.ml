@@ -73,7 +73,9 @@ let worker (server : Servers.spec) spec meas ~obs ~requests () =
       meas.transport_errors <- meas.transport_errors + in_this_conn;
       let dt = Vtime.sub (Sched.vnow ()) conn_t0 in
       Latency.record meas.latency dt;
-      Remon_obs.Obs.observe_ns obs "client.request" dt;
+      (match obs with
+      | None -> ()
+      | Some o -> Remon_obs.Obs.observe_ns o ~cat:"client" ~name:"request" dt);
       remaining := !remaining - in_this_conn
     | () ->
       let done_in_conn = ref 0 in
@@ -90,7 +92,10 @@ let worker (server : Servers.spec) spec meas ~obs ~requests () =
            if String.length resp = server.Servers.response_bytes then begin
              meas.responses <- meas.responses + 1;
              Latency.record meas.latency dt;
-             Remon_obs.Obs.observe_ns obs "client.request" dt
+             match obs with
+             | None -> ()
+             | Some o ->
+               Remon_obs.Obs.observe_ns o ~cat:"client" ~name:"request" dt
            end
            else meas.transport_errors <- meas.transport_errors + 1
          done

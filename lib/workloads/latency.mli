@@ -7,8 +7,6 @@ open Remon_sim
 
 type t
 
-val default_cap : int
-
 val create : ?cap:int -> unit -> t
 val record : t -> Vtime.t -> unit
 

@@ -18,9 +18,6 @@ type op =
   | Op_lock (** user-space lock/unlock: exercises the rr agent, no syscall *)
   | Op_open_close (** always monitored: fd lifecycle *)
 
-val op_calls : op -> int
-(** Syscalls one op issues (0 for [Op_lock]). *)
-
 type t = {
   name : string;
   threads : int;
@@ -62,11 +59,7 @@ val mix_unpack : (float * op) list
 
 (** {1 Calibration} *)
 
-val c_cp_seconds : float
-(** Measured per-call cost of CP monitoring in this simulator. *)
-
 val monitored_fraction : (float * op) list -> float
-val residual_ratio : (float * op) list -> float
 
 val fit : paper_no:float -> paper_ip:float -> mix:(float * op) list -> float * float
 (** Solves (density, memory pressure) from a benchmark's two published

@@ -5,7 +5,7 @@ open Remon_kernel
 open Remon_core
 open Remon_sim
 
-exception Mvee_terminated of Divergence.t
+exception Mvee_terminated of Divergence.t * Mvee.outcome
 
 type run_result = {
   duration : Vtime.t;
@@ -18,13 +18,6 @@ type run_result = {
    sweep domains re-writing a name produce byte-identical content. *)
 let trace_dir : string option ref = ref None
 
-(* The most recent run's outcome, stashed before the verdict check so a
-   caller that catches [Mvee_terminated] can still reach the outcome —
-   in particular [outcome.recording], which IS the reproducer of the very
-   failure that raised. Domain-local discipline: only meaningful for
-   single-run callers (the CLI), not for Pool.map sweeps. *)
-let last_outcome : Mvee.outcome option ref = ref None
-
 let dump_trace ~dir ~name (config : Mvee.config) o =
   let sanitized =
     String.map (fun c -> if c = '/' || c = ' ' then '_' else c) name
@@ -35,13 +28,7 @@ let dump_trace ~dir ~name (config : Mvee.config) o =
          (Mvee.backend_to_string config.Mvee.backend)
          config.Mvee.nreplicas config.Mvee.seed)
   in
-  (* atomic publish; the tmp name carries the domain id so concurrent
-     writers of the same path never interleave into one tmp file *)
-  let tmp = Printf.sprintf "%s.%d.tmp" path (Domain.self () :> int) in
-  let oc = open_out_bin tmp in
-  output_string oc (Remon_obs.Obs.export_string o);
-  close_out oc;
-  Sys.rename tmp path
+  Remon_util.Atomic_file.write path (Remon_obs.Obs.export_string o)
 
 let run_body ?cost ?(net_latency = Vtime.us 50) ?(check_verdict = true) ?obs
     (config : Mvee.config) ~name ~(body : Mvee.env -> unit) : run_result =
@@ -55,12 +42,11 @@ let run_body ?cost ?(net_latency = Vtime.us 50) ?(check_verdict = true) ?obs
   let h = Mvee.launch kernel config ~name ~body in
   Kernel.run kernel;
   let outcome = Mvee.finish h in
-  last_outcome := Some outcome;
   (match (obs, !trace_dir) with
   | Some o, Some dir -> dump_trace ~dir ~name config o
   | _ -> ());
   (match outcome.Mvee.verdict with
-  | Some v when check_verdict -> raise (Mvee_terminated v)
+  | Some v when check_verdict -> raise (Mvee_terminated (v, outcome))
   | _ -> ());
   { duration = outcome.Mvee.duration; outcome }
 
@@ -123,8 +109,8 @@ type server_run = {
 }
 
 let run_server_bench ?(latency = Vtime.us 100) ?sock_buf ?obs
-    ?(check_responses = true) ~(server : Servers.spec)
-    ~(client : Clients.spec) (config : Mvee.config) : server_run =
+    ~(server : Servers.spec) ~(client : Clients.spec) (config : Mvee.config) :
+    server_run =
   let obs =
     match (obs, !trace_dir) with
     | None, Some _ -> Some (Remon_obs.Obs.create ())
@@ -142,15 +128,13 @@ let run_server_bench ?(latency = Vtime.us 100) ?sock_buf ?obs
   let meas = Clients.launch kernel server client in
   Kernel.run kernel;
   let outcome = Mvee.finish h in
-  last_outcome := Some outcome;
   (match (obs, !trace_dir) with
   | Some o, Some dir -> dump_trace ~dir ~name:server.Servers.name config o
   | _ -> ());
   (match outcome.Mvee.verdict with
-  | Some v -> raise (Mvee_terminated v)
+  | Some v -> raise (Mvee_terminated (v, outcome))
   | None -> ());
-  if check_responses && meas.Clients.responses < client.Clients.total_requests
-  then
+  if meas.Clients.responses < client.Clients.total_requests then
     failwith
       (Printf.sprintf "server bench %s: only %d/%d responses" server.Servers.name
          meas.Clients.responses client.Clients.total_requests);

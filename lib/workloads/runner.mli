@@ -4,8 +4,10 @@
 open Remon_core
 open Remon_sim
 
-exception Mvee_terminated of Divergence.t
-(** Raised when a run that should have been benign was killed. *)
+exception Mvee_terminated of Divergence.t * Mvee.outcome
+(** Raised when a run that should have been benign was killed. It carries
+    the run's outcome, so a caller that catches it still reaches
+    [outcome.recording]: the reproducer of the very failure that raised. *)
 
 type run_result = { duration : Vtime.t; outcome : Mvee.outcome }
 
@@ -13,12 +15,6 @@ val trace_dir : string option ref
 (** When set (the bench harness's [--trace DIR] flag), every run dumps its
     structured trace into the directory as
     [NAME-BACKEND-nN-seedS.json] (atomic tmp+rename publish). *)
-
-val last_outcome : Mvee.outcome option ref
-(** The most recent run's outcome, stashed before the verdict check so a
-    caller that catches {!Mvee_terminated} can still reach
-    [outcome.recording] — the reproducer of the failure that raised.
-    Single-run callers only (not [Pool.map] sweeps). *)
 
 val run_body :
   ?cost:Cost_model.t ->
@@ -64,16 +60,13 @@ val run_server_bench :
   ?latency:Vtime.t ->
   ?sock_buf:int ->
   ?obs:Remon_obs.Obs.t ->
-  ?check_responses:bool ->
   server:Servers.spec ->
   client:Clients.spec ->
   Mvee.config ->
   server_run
 (** Launches the (replicated) server and the client fleet over a link of
-    the given latency; fails if any request goes unanswered (unless
-    [~check_responses:false], for saturation sweeps where refused
-    connections are part of the measurement). [?sock_buf] sets the
-    kernel's default socket buffer cap. *)
+    the given latency; fails if any request goes unanswered. [?sock_buf]
+    sets the kernel's default socket buffer cap. *)
 
 val server_overhead :
   ?latency:Vtime.t ->
