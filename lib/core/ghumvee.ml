@@ -53,13 +53,14 @@ type rstate =
 type t = {
   g : Context.group;
   kernel : Kernel.t;
-  rendezvous : (int, rstate) Hashtbl.t; (* thread rank -> state *)
+  mutable rendezvous : rstate array; (* per thread rank, grown on first use *)
   mutable busy_until : Vtime.t;
   deferred_signals : int Queue.t;
   watchdog_ns : Vtime.t;
   max_watchdog_retries : int;
-  replaying : (int, (int, Record_log.cursor) Hashtbl.t) Hashtbl.t;
-      (* respawned variant -> per-rank replay cursor into the stream store *)
+  replaying : (int, Record_log.cursor) Hashtbl.t option array;
+      (* per variant: while respawned, its per-rank replay cursors into the
+         stream store *)
   waiting_replay : (int * int, arrival) Hashtbl.t;
       (* (rank, variant) -> replaying arrival parked at the journal head *)
   mutable exits_seen : (int * int) list; (* variant, exit code *)
@@ -72,12 +73,12 @@ let create (g : Context.group) ?(watchdog_ns = Vtime.s 10)
   {
     g;
     kernel = g.Context.kernel;
-    rendezvous = Hashtbl.create 8;
+    rendezvous = Array.make 8 Idle;
     busy_until = Vtime.zero;
     deferred_signals = Queue.create ();
     watchdog_ns;
     max_watchdog_retries = watchdog_retries;
-    replaying = Hashtbl.create 4;
+    replaying = Array.make g.Context.nreplicas None;
     waiting_replay = Hashtbl.create 4;
     exits_seen = [];
     shutting_down = false;
@@ -85,9 +86,15 @@ let create (g : Context.group) ?(watchdog_ns = Vtime.s 10)
   }
 
 let rank_state t rank =
-  match Hashtbl.find_opt t.rendezvous rank with Some s -> s | None -> Idle
+  if rank < Array.length t.rendezvous then t.rendezvous.(rank) else Idle
 
-let set_state t rank st = Hashtbl.replace t.rendezvous rank st
+let set_state t rank st =
+  let n = Array.length t.rendezvous in
+  if rank >= n then
+    t.rendezvous <-
+      Array.init (max (rank + 1) (2 * n)) (fun r ->
+          if r < n then t.rendezvous.(r) else Idle);
+  t.rendezvous.(rank) <- st
 
 (* The collecting rendezvous on [rank] is over (complete or emptied by a
    purge): disarm its watchdog. *)
@@ -99,6 +106,12 @@ let variant_of (p : Proc.process) =
   match p.Proc.replica_info with
   | Some { Proc.variant_index; _ } -> variant_index
   | None -> -1
+
+(* The replay cursors of [variant] while it is respawned and replaying. *)
+let replay_cursors t variant =
+  if variant >= 0 then t.replaying.(variant) else None
+
+let is_replaying t ~variant = replay_cursors t variant <> None
 
 let store t = t.g.Context.rb.Replication_buffer.sync_log
 
@@ -327,40 +340,40 @@ let rec process_rendezvous t rank (arrivals : arrival list) =
    surviving replicas are not stranded waiting for it. Called by the
    recovery handler right after the variant's process is killed. *)
 let purge_variant t ~variant =
-  Hashtbl.remove t.replaying variant;
+  t.replaying.(variant) <- None;
   let stale =
     Hashtbl.fold
       (fun ((_, v) as key) _ acc -> if v = variant then key :: acc else acc)
       t.waiting_replay []
   in
   List.iter (Hashtbl.remove t.waiting_replay) stale;
-  let ranks = Hashtbl.fold (fun r _ acc -> r :: acc) t.rendezvous [] in
-  List.iter
-    (fun rank ->
-      match rank_state t rank with
-      | Idle -> ()
-      | Collecting { arrivals; watchdog; _ } -> (
-        let arrivals = List.filter (fun a -> a.variant <> variant) arrivals in
-        match arrivals with
-        | [] -> end_collecting t rank watchdog
-        | _ ->
-          let count = List.length arrivals in
-          if count >= Context.active_count t.g then begin
-            end_collecting t rank watchdog;
-            process_rendezvous t rank arrivals
-          end
-          else set_state t rank (Collecting { arrivals; count; watchdog }))
-      | Master_running { slaves; _ } ->
-        let slaves = List.filter (fun a -> a.variant <> variant) slaves in
-        set_state t rank
-          (Master_running { slaves; nslaves = List.length slaves })
-      | Await_slave_exits st ->
-        st.remaining <- st.remaining - 1;
-        if st.remaining <= 0 then set_state t rank Idle
-      | All_running st ->
-        st.remaining <- st.remaining - 1;
-        if st.remaining <= 0 then set_state t rank Idle)
-    ranks
+  (* ranks in ascending order; a rank that a re-run rendezvous below
+     brings into use is not visited *)
+  for rank = 0 to Array.length t.rendezvous - 1 do
+    match rank_state t rank with
+    | Idle -> ()
+    | Collecting { arrivals; watchdog; _ } -> (
+      let arrivals = List.filter (fun a -> a.variant <> variant) arrivals in
+      match arrivals with
+      | [] -> end_collecting t rank watchdog
+      | _ ->
+        let count = List.length arrivals in
+        if count >= Context.active_count t.g then begin
+          end_collecting t rank watchdog;
+          process_rendezvous t rank arrivals
+        end
+        else set_state t rank (Collecting { arrivals; count; watchdog }))
+    | Master_running { slaves; _ } ->
+      let slaves = List.filter (fun a -> a.variant <> variant) slaves in
+      set_state t rank
+        (Master_running { slaves; nslaves = List.length slaves })
+    | Await_slave_exits st ->
+      st.remaining <- st.remaining - 1;
+      if st.remaining <= 0 then set_state t rank Idle
+    | All_running st ->
+      st.remaining <- st.remaining - 1;
+      if st.remaining <= 0 then set_state t rank Idle
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Stop-event handlers *)
@@ -433,7 +446,7 @@ let rec arm_watchdog t rank ~attempt =
 
 (* A respawned variant finished its journal replay: splice it back in. *)
 let rejoin_variant t ~variant =
-  Hashtbl.remove t.replaying variant;
+  t.replaying.(variant) <- None;
   Ikb.set_replaying t.g.Context.ikb ~variant false;
   Replication_buffer.reactivate t.g.Context.rb ~variant;
   Context.rejoin t.g ~variant
@@ -443,7 +456,7 @@ let rec handle_entry t (th : Proc.thread) (call : Syscall.call) =
   else begin
     let rank = th.Proc.rank in
     let variant = variant_of th.Proc.proc in
-    match Hashtbl.find_opt t.replaying variant with
+    match replay_cursors t variant with
     | Some cursors -> replay_entry t th call ~variant ~cursors
     | None ->
       (* replaying variants parked at the journal head rejoin at the
@@ -511,7 +524,7 @@ and replay_entry t (th : Proc.thread) (call : Syscall.call) ~variant ~cursors
     if not (Callinfo.equal_normalized call jcall) then begin
       (* the replay diverged from the journal: the respawn failed; the
          replica dies and stays quarantined *)
-      Hashtbl.remove t.replaying variant;
+      t.replaying.(variant) <- None;
       Ikb.set_replaying t.g.Context.ikb ~variant false;
       Kernel.kill_process t.kernel th.Proc.proc ~code:134
     end
@@ -557,7 +570,7 @@ and feed_waiting t ~rank =
   in
   List.iter
     (fun (a : arrival) ->
-      if Hashtbl.mem t.replaying a.variant then begin
+      if is_replaying t ~variant:a.variant then begin
         Hashtbl.remove t.waiting_replay (rank, a.variant);
         handle_entry t a.th a.call
       end)
@@ -567,25 +580,24 @@ and feed_waiting t ~rank =
    drained the journal are synchronized with it — rejoin them first so the
    rendezvous counts them. *)
 and flush_waiting_rejoin t ~rank =
-  let parked =
-    Hashtbl.fold
-      (fun (r, _) a acc -> if r = rank then a :: acc else acc)
-      t.waiting_replay []
-  in
-  List.iter
-    (fun (a : arrival) ->
-      if Hashtbl.mem t.replaying a.variant then begin
-        Hashtbl.remove t.waiting_replay (rank, a.variant);
-        rejoin_variant t ~variant:a.variant;
-        handle_entry t a.th a.call
-      end)
-    parked
+  if Hashtbl.length t.waiting_replay > 0 then
+    let parked =
+      Hashtbl.fold
+        (fun (r, _) a acc -> if r = rank then a :: acc else acc)
+        t.waiting_replay []
+    in
+    List.iter
+      (fun (a : arrival) ->
+        if is_replaying t ~variant:a.variant then begin
+          Hashtbl.remove t.waiting_replay (rank, a.variant);
+          rejoin_variant t ~variant:a.variant;
+          handle_entry t a.th a.call
+        end)
+      parked
 
 (* Install the journal feed; idempotent, called when Respawn is armed. *)
 let enable_replay_feed t =
   Record_log.set_on_call (store t) (fun ~rank -> feed_waiting t ~rank)
-
-let is_replaying t ~variant = Hashtbl.mem t.replaying variant
 
 (* A respawned variant starts replaying the journal from the beginning. *)
 let begin_replay t ~variant =
@@ -596,7 +608,7 @@ let begin_replay t ~variant =
     Remon_obs.Obs.instant o ~ts:(Kernel.now t.kernel) ~cat:"rendezvous"
       ~name:"respawn_replay" ~pid:0 ~tid:0
       [ ("variant", Remon_obs.Trace.Int variant) ]);
-  Hashtbl.replace t.replaying variant (Hashtbl.create 4);
+  t.replaying.(variant) <- Some (Hashtbl.create 4);
   Ikb.set_replaying t.g.Context.ikb ~variant true
 
 let handle_exit t (th : Proc.thread) (call : Syscall.call)
@@ -605,11 +617,11 @@ let handle_exit t (th : Proc.thread) (call : Syscall.call)
   else begin
     let rank = th.Proc.rank in
     let variant = variant_of th.Proc.proc in
-    if Hashtbl.mem t.replaying variant || Context.is_quarantined t.g variant
-    then begin
+    let replaying = is_replaying t ~variant in
+    if replaying || Context.is_quarantined t.g variant then begin
       (* replayed All_calls run to completion outside any rendezvous; the
          exit stop is ptrace-free for the in-process follower too *)
-      if Hashtbl.mem t.replaying variant then
+      if replaying then
         th.Proc.clock <-
           Vtime.sub th.Proc.clock
             (Vtime.ns (Cost_model.ptrace_stop_ns (Kernel.cost t.kernel)));
@@ -694,7 +706,7 @@ let handle_death t (th : Proc.thread) code =
      exits don't take part in the exit-code agreement check *)
   if
     not
-      (Context.is_quarantined t.g variant || Hashtbl.mem t.replaying variant)
+      (Context.is_quarantined t.g variant || is_replaying t ~variant)
   then begin
     t.exits_seen <- (variant, code) :: t.exits_seen;
     if not t.shutting_down then begin

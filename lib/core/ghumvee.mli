@@ -31,7 +31,7 @@ type rstate =
 type t = {
   g : Context.group;
   kernel : Kernel.t;
-  rendezvous : (int, rstate) Hashtbl.t; (** per thread rank *)
+  mutable rendezvous : rstate array; (** per thread rank *)
   mutable busy_until : Vtime.t;
       (** monitor serialization: concurrent stops queue behind it *)
   deferred_signals : int Queue.t;
@@ -39,8 +39,9 @@ type t = {
   max_watchdog_retries : int;
       (** stalled rendezvous grace periods (each doubling the delay) before
           the watchdog escalates *)
-  replaying : (int, (int, Record_log.cursor) Hashtbl.t) Hashtbl.t;
-      (** respawned variant -> per-rank replay cursor into the stream store *)
+  replaying : (int, Record_log.cursor) Hashtbl.t option array;
+      (** per variant: while respawned, its per-rank replay cursors into the
+          stream store *)
   waiting_replay : (int * int, arrival) Hashtbl.t;
       (** (rank, variant) -> replaying arrival parked at the journal head *)
   mutable exits_seen : (int * int) list;

@@ -18,18 +18,10 @@ open Remon_kernel
 open Remon_util
 module K = Kstate
 
-type token_record = {
-  value : int64;
-  granted_for : Syscall.call;
-  mutable live : bool;
-  temporal : bool; (* granted by temporal (not spatial) exemption *)
-}
-
 type t = {
   kernel : Kernel.t;
   mutable policy : Policy.t;
-  rng : Rng.t; (* token generator *)
-  tokens : (int, token_record) Hashtbl.t; (* tid -> outstanding token *)
+  rng : Rng.t; (* token generator; each thread's token is [Proc.ikb_token] *)
   temporal_state : Policy.temporal_state;
   temporal_decisions : (int * int, bool) Hashtbl.t;
       (* (thread rank, syscall index) -> exemption decision. The stochastic
@@ -44,23 +36,23 @@ type t = {
   mutable master_proc : Proc.process option;
       (* the broker lives in the kernel: descriptor classification uses the
          authoritative (master) fd table, since slave tables hold stubs *)
-  replaying : (int, unit) Hashtbl.t;
-      (* variants resynchronizing from the journal: every call they make is
-         forced onto the monitored path so GHUMVEE can replay-verify it *)
+  replaying : bool array;
+      (* per variant: resynchronizing from the journal, so every call it
+         makes is forced onto the monitored path for GHUMVEE to
+         replay-verify *)
 }
 
-let create ~kernel ~policy ~seed =
+let create ~kernel ~policy ~seed ~nreplicas =
   {
     kernel;
     policy;
     rng = Rng.make seed;
-    tokens = Hashtbl.create 32;
     temporal_state = Policy.make_temporal_state ~seed:(seed lxor 0x5bd1e995);
     temporal_decisions = Hashtbl.create 64;
     rb = None;
     route_all = false;
     master_proc = None;
-    replaying = Hashtbl.create 4;
+    replaying = Array.make nreplicas false;
   }
 
 let fresh_token t =
@@ -75,8 +67,8 @@ let fresh_token t =
    (one per fast-path call — instants would dwarf the trace); rejections
    are rare and security-relevant, so they also get an instant event. *)
 let revoke t (th : Proc.thread) =
-  match Hashtbl.find_opt t.tokens th.tid with
-  | Some tr when tr.live -> (
+  match th.Proc.ikb_token with
+  | Some tr when tr.Proc.live -> (
     tr.live <- false;
     match Kernel.obs t.kernel with
     | None -> ()
@@ -86,8 +78,15 @@ let revoke t (th : Proc.thread) =
 (* A single-use token for [call], which routes it to IP-MON. *)
 let grant t (th : Proc.thread) call ~temporal =
   let value = fresh_token t in
-  Hashtbl.replace t.tokens th.tid
-    { value; granted_for = call; live = true; temporal };
+  (match th.Proc.ikb_token with
+  | Some tr ->
+    tr.Proc.value <- value;
+    tr.granted_for <- call;
+    tr.live <- true;
+    tr.temporal <- temporal
+  | None ->
+    th.Proc.ikb_token <-
+      Some { Proc.value; granted_for = call; live = true; temporal });
   (match Kernel.obs t.kernel with
   | None -> ()
   | Some o -> Remon_obs.Obs.count o ~cat:"ikb" ~name:"tokens_granted");
@@ -130,8 +129,8 @@ let classify t (th : Proc.thread) (call : Syscall.call) : Proc.route =
   (* a live token means the previous forwarded call never came back through
      IP-MON: revoke it and force this call onto the monitored path *)
   let had_live_token =
-    match Hashtbl.find_opt t.tokens th.tid with
-    | Some tr when tr.live ->
+    match th.Proc.ikb_token with
+    | Some tr when tr.Proc.live ->
       revoke t th;
       true
     | _ -> false
@@ -140,7 +139,7 @@ let classify t (th : Proc.thread) (call : Syscall.call) : Proc.route =
   else
     match p.Proc.replica_info with
     | None -> default () (* not a managed replica: IK-B stays out of the way *)
-    | Some { Proc.variant_index = v; _ } when Hashtbl.mem t.replaying v ->
+    | Some { Proc.variant_index = v; _ } when t.replaying.(v) ->
       default () (* resynchronizing: force the monitored (replay) path *)
     | Some _ -> (
       match p.Proc.ipmon_registered with
@@ -158,7 +157,7 @@ let classify t (th : Proc.thread) (call : Syscall.call) : Proc.route =
           (* VARAN: everything goes to the in-process agents *)
           grant t th call ~temporal:false
         else if signal_pending then default ()
-        else if not (Sysno.Set.mem no reg.Proc.unmonitored) then default ()
+        else if not (Sysno.mask_mem reg.Proc.unmonitored no) then default ()
         else if forced_monitored t th call then default ()
         else begin
           let spatially_ok =
@@ -189,9 +188,9 @@ let classify t (th : Proc.thread) (call : Syscall.call) : Proc.route =
 
 (* The verifier: may this (token, call) complete unmonitored? Single shot. *)
 let verify t (th : Proc.thread) ~token ~(call : Syscall.call) =
-  match Hashtbl.find_opt t.tokens th.tid with
+  match th.Proc.ikb_token with
   | Some tr
-    when tr.live
+    when tr.Proc.live
          && Int64.equal tr.value token
          && Syscall.equal_call tr.granted_for call
          && th.Proc.in_ipmon ->
@@ -214,20 +213,18 @@ let destroy_token t th = revoke t th
 
 (* Silent invalidation for calls IP-MON aborts without restarting (slave
    replicas of a master-executed call): the token was legitimately unused. *)
-let consume_token t (th : Proc.thread) =
-  match Hashtbl.find_opt t.tokens th.tid with
-  | Some tr -> tr.live <- false
+let consume_token (th : Proc.thread) =
+  match th.Proc.ikb_token with
+  | Some tr -> tr.Proc.live <- false
   | None -> ()
 
 (* Respawn support: while a variant replays the journal, the broker routes
    all of its calls monitored (see [classify]). *)
-let set_replaying t ~variant flag =
-  if flag then Hashtbl.replace t.replaying variant ()
-  else Hashtbl.remove t.replaying variant
+let set_replaying t ~variant flag = t.replaying.(variant) <- flag
 
-let was_temporal_grant t (th : Proc.thread) ~token =
-  match Hashtbl.find_opt t.tokens th.tid with
-  | Some tr when Int64.equal tr.value token -> tr.temporal
+let was_temporal_grant (th : Proc.thread) ~token =
+  match th.Proc.ikb_token with
+  | Some tr when Int64.equal tr.Proc.value token -> tr.temporal
   | _ -> false
 
 (* GHUMVEE feedback for the temporal policy: a monitored call was approved. *)

@@ -9,18 +9,10 @@
 open Remon_kernel
 open Remon_util
 
-type token_record = {
-  value : int64;
-  granted_for : Syscall.call;
-  mutable live : bool;
-  temporal : bool; (** granted by temporal (not spatial) exemption *)
-}
-
 type t = {
   kernel : Kernel.t;
   mutable policy : Policy.t;
-  rng : Rng.t;
-  tokens : (int, token_record) Hashtbl.t; (** tid -> outstanding token *)
+  rng : Rng.t; (** token generator; each thread's token is [Proc.ikb_token] *)
   temporal_state : Policy.temporal_state;
   temporal_decisions : (int * int, bool) Hashtbl.t;
       (** one stochastic draw per logical call, shared by all replicas *)
@@ -28,11 +20,12 @@ type t = {
   mutable route_all : bool; (** VARAN baseline: forward everything *)
   mutable master_proc : Proc.process option;
       (** authoritative fd table for classification (slaves hold stubs) *)
-  replaying : (int, unit) Hashtbl.t;
-      (** variants resynchronizing from the journal: forced monitored *)
+  replaying : bool array;
+      (** per variant: resynchronizing from the journal, forced monitored *)
 }
 
-val create : kernel:Kernel.t -> policy:Policy.t -> seed:int -> t
+val create :
+  kernel:Kernel.t -> policy:Policy.t -> seed:int -> nreplicas:int -> t
 
 val classify : t -> Proc.thread -> Syscall.call -> Proc.route
 (** The interceptor: one routing decision per syscall entry. Each replica
@@ -46,14 +39,14 @@ val verify : t -> Proc.thread -> token:int64 -> call:Syscall.call -> bool
 val destroy_token : t -> Proc.thread -> unit
 (** IP-MON's fallback: destroy before restarting as a monitored call. *)
 
-val consume_token : t -> Proc.thread -> unit
+val consume_token : Proc.thread -> unit
 (** Silent invalidation for calls IP-MON aborts without restarting. *)
 
 val set_replaying : t -> variant:int -> bool -> unit
 (** While on, every call from [variant] is routed monitored so GHUMVEE can
     replay-verify it against the journal. *)
 
-val was_temporal_grant : t -> Proc.thread -> token:int64 -> bool
+val was_temporal_grant : Proc.thread -> token:int64 -> bool
 val note_approval : t -> Sysno.t -> unit
 
 val execute :

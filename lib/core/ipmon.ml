@@ -42,7 +42,7 @@ let charge = Kstate.charge
 let maybe_checked inst (th : Proc.thread) ~token (call : Syscall.call) =
   let g = inst.group in
   if g.Context.ikb.Ikb.route_all then false (* VARAN: no policy filtering *)
-  else if Ikb.was_temporal_grant g.Context.ikb th ~token then false
+  else if Ikb.was_temporal_grant th ~token then false
   else begin
     match Callinfo.fd_of call with
     | Some fd
@@ -287,7 +287,7 @@ and slave_path inst th ~token ~call ~return =
             end
           | Callinfo.Master_call ->
             (* abort the original call; the one-time token goes unused *)
-            Ikb.consume_token g.Context.ikb th;
+            Ikb.consume_token th;
             let use_futex =
               match g.Context.mode.Context.slave_wait with
               | Context.Wait_auto -> entry.Rb.flags.Rb.expect_block
@@ -380,7 +380,7 @@ let init ?(calls = Classification.ipmon_supported) (g : Context.group) ~variant
   proc.Proc.ipmon_staged <-
     Some
       {
-        Proc.unmonitored = Sysno.Set.of_list calls;
+        Proc.unmonitored = Sysno.mask_of_list calls;
         rb_addr = inst.rb_addr;
         entry_addr = inst.entry_addr;
         invoke =

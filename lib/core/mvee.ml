@@ -188,7 +188,9 @@ let shm_key_counter = Atomic.make 0
 let make_group kernel (config : config) nreplicas =
   let shm_serial = Atomic.fetch_and_add shm_key_counter 1 + 1 in
   let mode = Option.value config.mode_override ~default:Context.default_mode in
-  let ikb = Ikb.create ~kernel ~policy:config.policy ~seed:config.seed in
+  let ikb =
+    Ikb.create ~kernel ~policy:config.policy ~seed:config.seed ~nreplicas
+  in
   if config.backend = Varan then ikb.Ikb.route_all <- true;
   let rb = Replication_buffer.create ~size_bytes:config.rb_size ~nreplicas in
   {

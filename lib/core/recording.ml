@@ -38,9 +38,10 @@ let equal_event a b =
   | Signal a, Signal b -> a.rank = b.rank && a.signo = b.signo
   | _ -> false
 
+let same_header_and_verdict a b = a.header = b.header && a.verdict = b.verdict
+
 let equal a b =
-  a.header = b.header
-  && a.verdict = b.verdict
+  same_header_and_verdict a b
   && Array.length a.events = Array.length b.events
   && Array.for_all2 equal_event a.events b.events
 

@@ -52,8 +52,11 @@ type t = { header : header; events : event array; verdict : (string * string) op
 
 val equal_event : event -> event -> bool
 
+val same_header_and_verdict : t -> t -> bool
+(** What {!equal} asks beyond equal events. *)
+
 val equal : t -> t -> bool
-(** Header, verdict and every event equal. The codec is a function and
+(** {!same_header_and_verdict} and every event equal. The codec is a function and
     round-trips, so [equal a b] iff [to_string a = to_string b]; compare
     values with this rather than encoding both. *)
 

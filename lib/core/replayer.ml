@@ -127,12 +127,16 @@ let replay ?backend ?context ?obs (recorded : Recording.t) ~body =
       | Some r -> Recording.with_workload r recorded.Recording.header.Recording.workload
       | None -> assert false (* config.record = true *)
     in
-    let identical = Recording.equal recorded replayed in
+    let divergence = bisect ?context ~recorded ~replayed () in
+    (* [Recording.equal], with the event comparison taken from [bisect]'s
+       single pass: it finds no fork exactly when the event arrays agree *)
+    let identical =
+      Recording.same_header_and_verdict recorded replayed && divergence = None
+    in
     let class_of (r : Recording.t) =
       match r.Recording.verdict with Some (cls, _) -> Some cls | None -> None
     in
     let verdict_class_agrees = class_of recorded = class_of replayed in
-    let divergence = bisect ?context ~recorded ~replayed () in
     (match obs with
     | None -> ()
     | Some o ->

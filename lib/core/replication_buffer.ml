@@ -23,15 +23,16 @@ type entry = {
   mutable result : Syscall.result option;
   mutable flags : flags;
   mutable waiters : int; (* slaves waiting on this record's condvar *)
-  mutable consumed : int; (* slaves that copied the result *)
 }
 
 (* One record stream per thread rank: replica threads are matched by rank,
    and each (master-thread, slave-thread) pair has its own stream, so
-   per-thread positions are single-writer. *)
+   per-thread positions are single-writer. The stream holds records
+   [low, master_next) in a ring indexed by [seq] modulo its power-of-two
+   length. *)
 type stream = {
-  rank : int;
-  entries : (int, entry) Hashtbl.t; (* seq -> record *)
+  mutable ring : entry array;
+  mutable low : int; (* oldest record still held *)
   mutable master_next : int;
   slave_next : int array; (* per variant; index 0 unused *)
 }
@@ -39,7 +40,7 @@ type stream = {
 type t = {
   size_bytes : int;
   nreplicas : int;
-  streams : (int, stream) Hashtbl.t;
+  mutable streams : stream array; (* per thread rank, grown on first use *)
   mutable used_bytes : int;
   mutable signals_pending : bool; (* set by GHUMVEE (Section 3.8) *)
   mutable generation : int; (* bumped at each reset *)
@@ -71,7 +72,7 @@ let create ~size_bytes ~nreplicas =
   {
     size_bytes;
     nreplicas;
-    streams = Hashtbl.create 8;
+    streams = [||];
     used_bytes = 0;
     signals_pending = false;
     generation = 0;
@@ -100,20 +101,41 @@ let obs_occupancy t =
       ~name:"rb.used_bytes" ~pid:0 ~tid:0
       [ ("used_bytes", Remon_obs.Trace.Int t.used_bytes) ]
 
+(* Fills ring slots that hold no record; never handed out, as lookups stay
+   inside [low, master_next). *)
+let no_entry =
+  {
+    seq = -1;
+    bytes = 0;
+    call = None;
+    result = None;
+    flags = { forwarded_to_monitor = false; expect_block = false };
+    waiters = 0;
+  }
+
 let stream t rank =
-  match Hashtbl.find_opt t.streams rank with
-  | Some s -> s
-  | None ->
-    let s =
-      {
-        rank;
-        entries = Hashtbl.create 64;
-        master_next = 0;
-        slave_next = Array.make t.nreplicas 0;
-      }
-    in
-    Hashtbl.replace t.streams rank s;
-    s
+  let n = Array.length t.streams in
+  if rank >= n then
+    t.streams <-
+      Array.init (max (rank + 1) (2 * n)) (fun r ->
+          if r < n then t.streams.(r)
+          else
+            {
+              ring = Array.make 64 no_entry;
+              low = 0;
+              master_next = 0;
+              slave_next = Array.make t.nreplicas 0;
+            });
+  t.streams.(rank)
+
+(* The position of the slowest active slave on [s]; the master's own when
+   no slave is active. *)
+let slowest t s =
+  let m = ref s.master_next in
+  for v = 1 to t.nreplicas - 1 do
+    if t.active.(v) && s.slave_next.(v) < !m then m := s.slave_next.(v)
+  done;
+  !m
 
 let record_bytes (call : Syscall.call) =
   header_bytes + Syscall.arg_bytes call
@@ -126,19 +148,16 @@ let fits_at_all t ~bytes = bytes <= t.size_bytes
 (* All active slaves have consumed every record: safe to reset. Quarantined
    variants no longer pull records and must not wedge the master. *)
 let fully_drained t =
-  Hashtbl.fold
-    (fun _ s acc ->
-      let ok = ref acc in
-      for v = 1 to t.nreplicas - 1 do
-        if t.active.(v) && s.slave_next.(v) < s.master_next then ok := false
-      done;
-      !ok)
-    t.streams true
+  Array.for_all (fun s -> slowest t s = s.master_next) t.streams
 
 (* GHUMVEE-arbitrated reset: clears all records and reclaims the space.
    Caller must have established that the buffer is drained. *)
 let reset t =
-  Hashtbl.iter (fun _ s -> Hashtbl.reset s.entries) t.streams;
+  Array.iter
+    (fun s ->
+      s.low <- s.master_next;
+      Array.fill s.ring 0 (Array.length s.ring) no_entry)
+    t.streams;
   t.used_bytes <- 0;
   t.generation <- t.generation + 1;
   t.resets <- t.resets + 1;
@@ -149,6 +168,33 @@ let reset t =
       [ ("generation", Remon_obs.Trace.Int t.generation) ];
     Remon_obs.Metrics.hwm o.Remon_obs.Obs.metrics "rb.used_bytes" t.used_bytes);
   obs_occupancy t
+
+(* Drop the records every active slave has moved past. Lookups only
+   target [slave_next] positions, and [reactivate] fast-forwards a
+   returning replica to the master, so such a record is unreachable;
+   clearing its slot lets it die young instead of pinning the simulator's
+   memory until the ring wraps. [used_bytes] is untouched: the record
+   still occupies simulated buffer space until GHUMVEE resets it. *)
+let release t s =
+  let slow = slowest t s in
+  let mask = Array.length s.ring - 1 in
+  while s.low < slow do
+    s.ring.(s.low land mask) <- no_entry;
+    s.low <- s.low + 1
+  done
+
+(* The ring is full. Records only a deactivated slave still held give up
+   their slots; the ring doubles when the active slaves need them all. *)
+let make_room t s =
+  release t s;
+  let len = Array.length s.ring in
+  if s.master_next - s.low = len then begin
+    let ring = Array.make (2 * len) no_entry in
+    for seq = s.low to s.master_next - 1 do
+      ring.(seq land ((2 * len) - 1)) <- s.ring.(seq land (len - 1))
+    done;
+    s.ring <- ring
+  end
 
 (* Master side: append the record for its next call on [rank]'s stream. *)
 let master_append t ~rank ~call ~expect_block ~forwarded =
@@ -162,11 +208,11 @@ let master_append t ~rank ~call ~expect_block ~forwarded =
       result = None;
       flags = { forwarded_to_monitor = forwarded; expect_block };
       waiters = 0;
-      consumed = 0;
     }
   in
-  Hashtbl.replace s.entries e.seq e;
-  s.master_next <- s.master_next + 1;
+  if e.seq - s.low = Array.length s.ring then make_room t s;
+  s.ring.(e.seq land (Array.length s.ring - 1)) <- e;
+  s.master_next <- e.seq + 1;
   t.used_bytes <- t.used_bytes + bytes;
   t.total_records <- t.total_records + 1;
   (match t.obs with
@@ -205,16 +251,17 @@ let master_publish t e result =
 (* Slave side: the record this variant must consume next on [rank]. *)
 let slave_lookup t ~rank ~variant =
   let s = stream t rank in
-  Hashtbl.find_opt s.entries s.slave_next.(variant)
+  let seq = s.slave_next.(variant) in
+  if seq >= s.low && seq < s.master_next then
+    Some s.ring.(seq land (Array.length s.ring - 1))
+  else None
 
 let slave_advance t ~rank ~variant =
   let s = stream t rank in
   let seq = s.slave_next.(variant) in
-  (match Hashtbl.find_opt s.entries seq with
-  | Some e -> e.consumed <- e.consumed + 1
-  | None -> ());
   s.slave_next.(variant) <- seq + 1;
-  (match t.obs with
+  release t s;
+  match t.obs with
   | None -> ()
   | Some (o, now) ->
     Remon_obs.Obs.instant o ~ts:(now ()) ~cat:"rb" ~name:"consume" ~pid:0
@@ -223,28 +270,13 @@ let slave_advance t ~rank ~variant =
         ("rank", Remon_obs.Trace.Int rank);
         ("variant", Remon_obs.Trace.Int variant);
         ("seq", Remon_obs.Trace.Int seq);
-      ];
-    Remon_obs.Metrics.hwm o.Remon_obs.Obs.metrics "rb.used_bytes" t.used_bytes);
-  (* Drop the record once every active slave has moved past it: lookups
-     only ever target [slave_next] positions, so a record behind all of
-     them is unreachable and would otherwise pin the simulator's memory
-     until the next buffer reset. [used_bytes] is untouched — the record
-     still occupies simulated buffer space until GHUMVEE resets it. *)
-  let drained = ref true in
-  for v = 1 to t.nreplicas - 1 do
-    if t.active.(v) && s.slave_next.(v) <= seq then drained := false
-  done;
-  if !drained then Hashtbl.remove s.entries seq
+      ]
 
 (* How many records the master is ahead of the slowest slave on [rank]'s
    stream; bounds the run-ahead window ablation. *)
 let lag t ~rank =
   let s = stream t rank in
-  let slowest = ref s.master_next in
-  for v = 1 to t.nreplicas - 1 do
-    if t.active.(v) && s.slave_next.(v) < !slowest then slowest := s.slave_next.(v)
-  done;
-  s.master_next - !slowest
+  s.master_next - slowest t s
 
 (* ------------------------------------------------------------------ *)
 (* Quarantine / rejoin support *)
@@ -258,5 +290,5 @@ let deactivate t ~variant = if variant > 0 then t.active.(variant) <- false
 let reactivate t ~variant =
   if variant > 0 then begin
     t.active.(variant) <- true;
-    Hashtbl.iter (fun _ s -> s.slave_next.(variant) <- s.master_next) t.streams
+    Array.iter (fun s -> s.slave_next.(variant) <- s.master_next) t.streams
   end

@@ -18,20 +18,15 @@ type entry = {
   mutable result : Syscall.result option;
   mutable flags : flags;
   mutable waiters : int; (** slaves on this record's condition variable *)
-  mutable consumed : int;
 }
 
-type stream = {
-  rank : int;
-  entries : (int, entry) Hashtbl.t;
-  mutable master_next : int;
-  slave_next : int array; (** per variant; index 0 unused *)
-}
+type stream
+(** One thread rank's records and the master's and slaves' positions. *)
 
 type t = {
   size_bytes : int;
   nreplicas : int;
-  streams : (int, stream) Hashtbl.t;
+  mutable streams : stream array; (** per thread rank *)
   mutable used_bytes : int;
   mutable signals_pending : bool; (** set by GHUMVEE (Section 3.8) *)
   mutable generation : int;
@@ -57,7 +52,6 @@ type Shm.payload += Rb_payload of t
 val default_size : int (** the paper's 16 MiB *)
 
 val create : size_bytes:int -> nreplicas:int -> t
-val stream : t -> int -> stream
 
 val record_bytes : Syscall.call -> int
 (** CALCSIZE: header + register args + maximum buffer payload. *)

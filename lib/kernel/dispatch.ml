@@ -1580,7 +1580,7 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
       (* The syscall's argument list is authoritative: GHUMVEE may have
          trimmed it by rewriting the call at the entry stop. *)
       let reg =
-        { reg with Proc.unmonitored = Sysno.Set.of_list calls; rb_addr; entry_addr }
+        { reg with Proc.unmonitored = Sysno.mask_of_list calls; rb_addr; entry_addr }
       in
       p.ipmon_registered <- Some reg;
       p.ipmon_staged <- None;

@@ -111,6 +111,7 @@ let add_thread k (p : Proc.process) ~start_clock =
       syscall_index = 0;
       pending_delivery = Queue.create ();
       in_ipmon = false;
+      ikb_token = None;
       resume_kind = 0;
       resume_k = Obj.repr 0;
       resume_r = Syscall.Ok_unit;

@@ -134,6 +134,10 @@ and thread = {
   mutable syscall_index : int; (* entries so far: rendezvous identity *)
   pending_delivery : int Queue.t; (* signals to run handlers for, set at syscall return *)
   mutable in_ipmon : bool; (* executing inside IP-MON's entry point *)
+  mutable ikb_token : ikb_token option;
+      (* IK-B's latest grant to this thread, kept on the thread as the
+         kernel keeps it per task: a respawned replica's threads start
+         with none *)
   (* Preallocated resume scratch, managed by [Sched]. A coroutine thread
      has at most one pending suspension at any instant, so the captured
      continuation and its resume value live here instead of inside
@@ -160,8 +164,15 @@ and tracer = {
          [Trace_stopped] until its [resume] closure is called *)
 }
 
+and ikb_token = {
+  mutable value : int64; (* never zero *)
+  mutable granted_for : Syscall.call;
+  mutable live : bool;
+  mutable temporal : bool; (* granted by temporal (not spatial) exemption *)
+}
+
 and ipmon_registration = {
-  unmonitored : Sysno.Set.t; (* the set IP-MON offered (possibly trimmed by GHUMVEE) *)
+  unmonitored : Sysno.mask; (* the set IP-MON offered (possibly trimmed by GHUMVEE) *)
   rb_addr : int64; (* where the RB is mapped in this replica *)
   entry_addr : int64; (* IP-MON's syscall entry point *)
   invoke :

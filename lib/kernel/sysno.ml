@@ -360,8 +360,13 @@ let compare a b = Int.compare (index a) (index b)
 
 let slots = 256 (* > number of constructors; sizes index-keyed arrays *)
 
-module Set = Set.Make (struct
-  type nonrec t = t
+(* One byte per [index]: membership is a load, with no tree walk and no
+   polymorphic compare, for tests made on every syscall entry. *)
+type mask = Bytes.t
 
-  let compare = compare
-end)
+let mask_of_list calls =
+  let m = Bytes.make slots '\000' in
+  List.iter (fun no -> Bytes.set m (index no) '\001') calls;
+  m
+
+let mask_mem m no = Bytes.unsafe_get m (index no) <> '\000'

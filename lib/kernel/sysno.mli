@@ -187,4 +187,8 @@ val index : t -> int
 val slots : int
 (** Strict upper bound on {!index}; sizes index-keyed arrays. *)
 
-module Set : Set.S with type elt = t
+type mask
+(** A set of calls as one flag per {!index}: constant-time membership. *)
+
+val mask_of_list : t list -> mask
+val mask_mem : mask -> t -> bool

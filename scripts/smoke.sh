@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Smoke checks of the simulator's determinism contract and its record/replay
-# surfaces: the gates the CI smoke job runs, runnable locally.
+# surfaces, and of the host-time sampler: the gates the CI smoke job runs,
+# runnable locally.
 #
 #   scripts/smoke.sh [OUTDIR]        # default OUTDIR: smoke-out
 #
@@ -147,6 +148,18 @@ echo "== scaling sweep: --domains 1 vs 4"
 "$bench" pdes quick --domains 1 2> /dev/null > pdes_d1.txt
 "$bench" pdes quick --domains 4 2> /dev/null > pdes_d4.txt
 cmp pdes_d1.txt pdes_d4.txt
+
+# The host-time sampler still loads, samples and resolves symbols: until
+# the simulator splits host time by layer itself, it is how a change shows
+# a layer's share falling. Two domains, so that samples land on two
+# threads at once on any runner.
+stage=hostprof
+echo "== hostprof: sample fig3 quick on 2 domains and resolve its frames"
+gcc -O2 -shared -fPIC -o hostprof.so "$root/scripts/hostprof/sampler.c" -ldl
+rm -f hostprof.out.*
+HOSTPROF_OUT=hostprof.out LD_PRELOAD=$PWD/hostprof.so "$bench" fig3 quick \
+  --domains 2 > /dev/null 2>&1
+python3 "$root/scripts/hostprof/report.py" hostprof.out.* > hostprof.txt
 
 stage=done
 echo "smoke: all checks passed; outputs in $out"

@@ -417,44 +417,101 @@ let test_rb_overflow_in_flight () =
       | Mvee.Native | Mvee.Ghumvee_only -> ())
     [ Mvee.Native; Mvee.Ghumvee_only; Mvee.Varan; Mvee.Remon ]
 
-(* IK-B token mechanics at the unit level. *)
-let test_token_single_use () =
+(* IK-B token mechanics at the unit level. Each token comes from IK-B's
+   own interceptor: a registered master replica whose unmonitored set
+   holds [call], under a policy that exempts it. *)
+let registered_thread kernel ~calls ~name =
+  let p = Kernel.make_process kernel ~name ~vm_seed:1 () in
+  p.Proc.replica_info <-
+    Some { Proc.variant_index = 0; classify = None; fault = None };
+  p.Proc.ipmon_registered <-
+    Some
+      {
+        Proc.unmonitored = Sysno.mask_of_list calls;
+        rb_addr = 0L;
+        entry_addr = 0L;
+        invoke = (fun _ ~token:_ ~call:_ ~return:_ -> ());
+      };
+  Kernel.add_thread kernel p ~start_clock:Vtime.zero
+
+let granted_token ~seed call =
   let kernel = Kernel.create () in
-  let ikb = Ikb.create ~kernel ~policy:(Policy.spatial Classification.Socket_rw_level) ~seed:5 in
-  let p = Kernel.make_process kernel ~name:"tok" ~vm_seed:1 () in
-  let th = Kernel.add_thread kernel p ~start_clock:Vtime.zero in
-  th.Proc.in_ipmon <- true;
+  let ikb =
+    Ikb.create ~kernel
+      ~policy:(Policy.spatial Classification.Socket_rw_level)
+      ~seed ~nreplicas:1
+  in
+  let th =
+    registered_thread kernel ~calls:[ Syscall.number call ] ~name:"tok"
+  in
+  match Ikb.classify ikb th call with
+  | Proc.Route_ipmon token -> (kernel, ikb, th, token)
+  | _ -> Alcotest.fail "IK-B granted no token"
+
+let test_token_single_use () =
   let call = Syscall.Gettimeofday in
-  Hashtbl.replace ikb.Ikb.tokens th.Proc.tid
-    { Ikb.value = 77L; granted_for = call; live = true; temporal = false };
+  let _, ikb, th, token = granted_token ~seed:5 call in
+  th.Proc.in_ipmon <- true;
   Alcotest.(check bool) "valid token accepted once" true
-    (Ikb.verify ikb th ~token:77L ~call);
+    (Ikb.verify ikb th ~token ~call);
   Alcotest.(check bool) "second use rejected (single-shot)" false
-    (Ikb.verify ikb th ~token:77L ~call)
+    (Ikb.verify ikb th ~token ~call)
 
 let test_token_wrong_call () =
-  let kernel = Kernel.create () in
-  let ikb = Ikb.create ~kernel ~policy:(Policy.spatial Classification.Socket_rw_level) ~seed:6 in
-  let p = Kernel.make_process kernel ~name:"tok2" ~vm_seed:1 () in
-  let th = Kernel.add_thread kernel p ~start_clock:Vtime.zero in
+  let _, ikb, th, token = granted_token ~seed:6 Syscall.Gettimeofday in
   th.Proc.in_ipmon <- true;
-  Hashtbl.replace ikb.Ikb.tokens th.Proc.tid
-    { Ikb.value = 88L; granted_for = Syscall.Gettimeofday; live = true; temporal = false };
   Alcotest.(check bool) "different call rejected" false
-    (Ikb.verify ikb th ~token:88L ~call:(Syscall.Read (0, 16)));
+    (Ikb.verify ikb th ~token ~call:(Syscall.Read (0, 16)));
   Alcotest.(check bool) "token revoked by the failed attempt" false
-    (Ikb.verify ikb th ~token:88L ~call:Syscall.Gettimeofday)
+    (Ikb.verify ikb th ~token ~call:Syscall.Gettimeofday)
 
 let test_token_requires_ipmon_context () =
-  let kernel = Kernel.create () in
-  let ikb = Ikb.create ~kernel ~policy:(Policy.spatial Classification.Socket_rw_level) ~seed:7 in
-  let p = Kernel.make_process kernel ~name:"tok3" ~vm_seed:1 () in
-  let th = Kernel.add_thread kernel p ~start_clock:Vtime.zero in
+  let _, ikb, th, token = granted_token ~seed:7 Syscall.Gettimeofday in
   th.Proc.in_ipmon <- false (* attacker jumped over IP-MON's entry point *);
-  Hashtbl.replace ikb.Ikb.tokens th.Proc.tid
-    { Ikb.value = 99L; granted_for = Syscall.Gettimeofday; live = true; temporal = false };
   Alcotest.(check bool) "call from outside IP-MON rejected" false
-    (Ikb.verify ikb th ~token:99L ~call:Syscall.Gettimeofday)
+    (Ikb.verify ikb th ~token ~call:Syscall.Gettimeofday)
+
+(* A respawned replica's thread has the dead one's variant and rank but
+   not its live token: the token neither verifies for it nor forces its
+   first call onto the monitored path. *)
+let test_token_not_inherited () =
+  let call = Syscall.Gettimeofday in
+  let kernel, ikb, th, token = granted_token ~seed:8 call in
+  let heir =
+    registered_thread kernel ~calls:[ Syscall.number call ] ~name:"heir"
+  in
+  Alcotest.(check int) "same rank" th.Proc.rank heir.Proc.rank;
+  heir.Proc.in_ipmon <- true;
+  Alcotest.(check bool) "predecessor's token rejected" false
+    (Ikb.verify ikb heir ~token ~call);
+  (match Ikb.classify ikb heir call with
+  | Proc.Route_ipmon t ->
+    Alcotest.(check bool) "fresh token" false (Int64.equal t token)
+  | _ -> Alcotest.fail "first call of the heir was not granted");
+  th.Proc.in_ipmon <- true;
+  Alcotest.(check bool) "predecessor's token still its own" true
+    (Ikb.verify ikb th ~token ~call)
+
+(* The unmonitored set IK-B tests on every entry answers as the list it was
+   built from, for every call. *)
+let prop_unmonitored_mask =
+  QCheck2.Test.make ~name:"unmonitored mask agrees with List.mem"
+    ~count:200
+    QCheck2.Gen.(
+      oneof
+        [
+          pure Classification.ipmon_supported;
+          pure Sysno.all;
+          pure [];
+          map
+            (fun keep -> List.filteri (fun i _ -> List.nth keep i) Sysno.all)
+            (list_repeat (List.length Sysno.all) bool);
+        ])
+    (fun calls ->
+      let mask = Sysno.mask_of_list calls in
+      List.for_all
+        (fun no -> Sysno.mask_mem mask no = List.mem no calls)
+        Sysno.all)
 
 (* Section 4 extension: IK-B periodically migrates the RB to fresh
    addresses; IP-MON keeps working because its pointer is register-held. *)
@@ -562,6 +619,9 @@ let () =
           tc "single use" `Quick test_token_single_use;
           tc "wrong call rejected + revoked" `Quick test_token_wrong_call;
           tc "requires IP-MON context" `Quick test_token_requires_ipmon_context;
+          tc "not inherited by a respawned thread" `Quick
+            test_token_not_inherited;
           QCheck_alcotest.to_alcotest prop_tokens_unique;
+          QCheck_alcotest.to_alcotest prop_unmonitored_mask;
         ] );
     ]

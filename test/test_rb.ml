@@ -120,6 +120,139 @@ let prop_rb_used_bytes =
         sizes;
       !ok)
 
+(* Model test: random operation sequences against a reference kept in
+   Hashtbls. Bursts of up to 90 appends or advances leave more than 64
+   records outstanding on a stream, so its ring wraps and grows. A lookup
+   by an active slave must return the very record appended at its
+   position; one by a deactivated slave may also find nothing. *)
+type rb_op =
+  | Append of int * int (* rank, records *)
+  | Publish of int
+  | Lookup of int * int (* rank, variant *)
+  | Advance of int * int * int (* rank, variant, records *)
+  | Deactivate of int
+  | Reactivate of int
+  | Reset
+
+let show_rb_op = function
+  | Append (r, n) -> Printf.sprintf "append r%d x%d" r n
+  | Publish r -> Printf.sprintf "publish r%d" r
+  | Lookup (r, v) -> Printf.sprintf "lookup r%d v%d" r v
+  | Advance (r, v, n) -> Printf.sprintf "advance r%d v%d x%d" r v n
+  | Deactivate v -> Printf.sprintf "deactivate v%d" v
+  | Reactivate v -> Printf.sprintf "reactivate v%d" v
+  | Reset -> "reset"
+
+let gen_rb_case =
+  let open QCheck2.Gen in
+  let* nreplicas = int_range 2 4 in
+  let* nranks = int_range 1 3 in
+  let rank = int_range 0 (nranks - 1) in
+  let slave = int_range 1 (nreplicas - 1) in
+  let op =
+    frequency
+      [
+        (4, map2 (fun r n -> Append (r, n)) rank (int_range 1 90));
+        (3, map (fun r -> Publish r) rank);
+        (6, map2 (fun r v -> Lookup (r, v)) rank slave);
+        (4, map3 (fun r v n -> Advance (r, v, n)) rank slave (int_range 1 90));
+        (1, map (fun v -> Deactivate v) slave);
+        (1, map (fun v -> Reactivate v) slave);
+        (1, pure Reset);
+      ]
+  in
+  let+ ops = list_size (int_range 1 120) op in
+  (nreplicas, nranks, ops)
+
+let print_rb_case (nreplicas, nranks, ops) =
+  Printf.sprintf "%d replicas, %d ranks: %s" nreplicas nranks
+    (String.concat "; " (List.map show_rb_op ops))
+
+let prop_rb_model =
+  QCheck2.Test.make ~name:"rb agrees with a hashtable reference" ~count:300
+    ~print:print_rb_case gen_rb_case (fun (nreplicas, nranks, ops) ->
+      let rb = Rb.create ~size_bytes:(1 lsl 30) ~nreplicas in
+      let appended = Hashtbl.create 256 in (* (rank, seq) -> record *)
+      let unpublished = Array.init nranks (fun _ -> Queue.create ()) in
+      let master_next = Array.make nranks 0 in
+      let cleared_below = Array.make nranks 0 in
+      let slave_next = Array.init nranks (fun _ -> Array.make nreplicas 0) in
+      let active = Array.make nreplicas true in
+      let slowest r =
+        let m = ref master_next.(r) in
+        for v = 1 to nreplicas - 1 do
+          if active.(v) && slave_next.(r).(v) < !m then m := slave_next.(r).(v)
+        done;
+        !m
+      in
+      let drained () =
+        List.for_all (fun r -> slowest r = master_next.(r)) (List.init nranks Fun.id)
+      in
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      let step = function
+        | Append (r, n) ->
+          for _ = 1 to n do
+            let seq = master_next.(r) in
+            let e =
+              Rb.master_append rb ~rank:r ~call:(Syscall.Read (r, seq))
+                ~expect_block:false ~forwarded:false
+            in
+            if e.Rb.seq <> seq then fail "rank %d: seq %d, want %d" r e.Rb.seq seq;
+            Hashtbl.replace appended (r, seq) e;
+            Queue.push e unpublished.(r);
+            master_next.(r) <- seq + 1
+          done
+        | Publish r -> (
+          match Queue.take_opt unpublished.(r) with
+          | Some e ->
+            if Rb.master_publish rb e (Syscall.Ok_int e.Rb.seq) then
+              fail "wake requested with no waiters"
+          | None -> ())
+        | Lookup (r, v) -> (
+          let seq = slave_next.(r).(v) in
+          let held = seq >= cleared_below.(r) && seq < master_next.(r) in
+          match Rb.slave_lookup rb ~rank:r ~variant:v with
+          | Some e when held && e == Hashtbl.find appended (r, seq) -> ()
+          | Some _ -> fail "rank %d variant %d seq %d: wrong record" r v seq
+          | None when held && active.(v) ->
+            fail "rank %d variant %d seq %d: record missing" r v seq
+          | None -> ())
+        | Advance (r, v, n) ->
+          for _ = 1 to n do
+            if slave_next.(r).(v) < master_next.(r) then begin
+              Rb.slave_advance rb ~rank:r ~variant:v;
+              slave_next.(r).(v) <- slave_next.(r).(v) + 1
+            end
+          done
+        | Deactivate v ->
+          Rb.deactivate rb ~variant:v;
+          active.(v) <- false
+        | Reactivate v ->
+          Rb.reactivate rb ~variant:v;
+          active.(v) <- true;
+          Array.iteri (fun r pos -> pos.(v) <- master_next.(r)) slave_next
+        | Reset ->
+          (* GHUMVEE resets only a drained buffer *)
+          if drained () then begin
+            Rb.reset rb;
+            Array.blit master_next 0 cleared_below 0 nranks;
+            Array.iter Queue.clear unpublished
+          end
+      in
+      List.iter
+        (fun op ->
+          step op;
+          for r = 0 to nranks - 1 do
+            let lag = Rb.lag rb ~rank:r in
+            if lag <> master_next.(r) - slowest r then
+              fail "after %s: rank %d lag %d, want %d" (show_rb_op op) r lag
+                (master_next.(r) - slowest r)
+          done;
+          if Rb.fully_drained rb <> drained () then
+            fail "after %s: fully_drained disagrees" (show_rb_op op))
+        ops;
+      true)
+
 (* ---- file map ---- *)
 
 let test_file_map_basic () =
@@ -236,6 +369,7 @@ let () =
           tc "per-rank streams independent" `Quick test_rb_streams_independent;
           QCheck_alcotest.to_alcotest prop_rb_fifo;
           QCheck_alcotest.to_alcotest prop_rb_used_bytes;
+          QCheck_alcotest.to_alcotest prop_rb_model;
         ] );
       ( "file-map",
         [

@@ -110,6 +110,32 @@ let test_cross_backend target () =
       "cross-backend replay never claims byte identity" false
       rep.Replayer.identical
 
+(* Identity covers the header and the verdict trailer as well as the
+   events: a replay whose events all agree is still not identical when
+   either differs, and reports no divergence. *)
+let test_identity_beyond_events () =
+  let body = mixed_body () in
+  let recorded = record (config ~backend:Mvee.Remon ()) body in
+  let no_fork (rep : Replayer.report) what =
+    Alcotest.(check string)
+      (what ^ ": events agree")
+      (Recording.stream_digest rep.Replayer.recorded)
+      (Recording.stream_digest rep.Replayer.replayed);
+    Alcotest.(check bool) (what ^ ": not identical") false rep.Replayer.identical;
+    Alcotest.(check bool) (what ^ ": no divergence") true
+      (rep.Replayer.divergence = None)
+  in
+  no_fork
+    (replay_exn
+       { recorded with Recording.verdict = Some ("divergence", "forged") }
+       ~body)
+    "verdict trailer";
+  (* a body that makes no call records the empty stream natively and
+     under VARAN *)
+  let idle (_ : Mvee.env) = () in
+  let recorded = record (config ~backend:Mvee.Native ()) idle in
+  no_fork (replay_exn ~backend:Mvee.Varan recorded ~body:idle) "header backend"
+
 (* ------------------------------------------------------------------ *)
 (* Bisection *)
 
@@ -335,7 +361,11 @@ let () =
               (Printf.sprintf "verdict agreement under %s"
                  (Mvee.backend_to_string b))
               `Quick (test_cross_backend b))
-          all_backends );
+          all_backends
+        @ [
+            Alcotest.test_case "events agree, header or verdict differs"
+              `Quick test_identity_beyond_events;
+          ] );
       ( "bisection",
         [
           Alcotest.test_case "pinpoints a tampered record" `Quick
