@@ -385,8 +385,8 @@ let run_cmd =
       & opt int (Remon_util.Pool.default_domains ())
       & info [ "domains" ] ~docv:"D"
           ~doc:
-            "Fan --repeat runs out over D domains (default: \
-             REMON_DOMAINS or the machine's core count minus one).")
+            "Fan --repeat runs out over D domains (default: the \
+             machine's core count minus one).")
   in
   let record_arg =
     Arg.(

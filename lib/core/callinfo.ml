@@ -119,13 +119,19 @@ let fds_created (call : Syscall.call) (result : Syscall.result) : int list =
     [ conn_fd ]
   | _ -> []
 
-let fds_closed (call : Syscall.call) (result : Syscall.result) : int list =
+(* Keeps a slave's fd numbering aligned with the master's: a stub
+   descriptor at each fd the master's [call] created, none at one it
+   closed. *)
+let mirror_fds (slave : Proc.process) call result =
+  List.iter
+    (fun fd -> Fdtable.set slave.fds fd (Proc.make_desc (Proc.Replicated_handle fd)))
+    (fds_created call result);
   match (call, result) with
-  | Syscall.Close fd, Syscall.Ok_int _ -> [ fd ]
-  | _ -> []
+  | Syscall.Close fd, Syscall.Ok_int _ -> Fdtable.remove slave.fds fd
+  | _ -> ()
 
 (* Calls that may create, close or retype a descriptor, or change its
-   blocking mode: every call [fds_created] or [fds_closed] can name, plus
+   blocking mode: every call [mirror_fds] can act on, plus
    connect/listen and the fcntl/ioctl mode switches. *)
 let changes_fds (call : Syscall.call) =
   match call with

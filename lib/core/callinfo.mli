@@ -15,11 +15,11 @@ type disposition =
 
 val disposition : Syscall.call -> disposition
 
-val fds_created : Syscall.call -> Syscall.result -> int list
-(** New descriptor numbers a successful call produced; slaves install
-    stub descriptors at the same numbers to stay aligned. *)
-
-val fds_closed : Syscall.call -> Syscall.result -> int list
+val mirror_fds : Proc.process -> Syscall.call -> Syscall.result -> unit
+(** Keeps a slave's descriptor numbering aligned with the master's after
+    the master's call returned the result: installs a stub descriptor at
+    each number the call created and frees each number it closed. Both
+    monitors apply it to every slave that does not run the call itself. *)
 
 val changes_fds : Syscall.call -> bool
 (** May the call create, close or retype a descriptor, or change its

@@ -47,6 +47,14 @@ let unregister t ~variant ~fd =
     Hashtbl.remove t.rev.(variant) ud
   | None -> ()
 
+(* One variant's epoll_ctl, mirrored into its registrations. *)
+let note_call t ~variant (call : Remon_kernel.Syscall.call) =
+  match call with
+  | Epoll_ctl { op = Epoll_add | Epoll_mod; fd; user_data; _ } ->
+    register t ~variant ~fd ~user_data
+  | Epoll_ctl { op = Epoll_del; fd; _ } -> unregister t ~variant ~fd
+  | _ -> ()
+
 let user_data_of t ~variant ~fd = Hashtbl.find_opt t.fwd.(variant) fd
 let fd_of t ~variant ~user_data = Hashtbl.find_opt t.rev.(variant) user_data
 

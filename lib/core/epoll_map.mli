@@ -15,6 +15,12 @@ type logical =
 val create : nreplicas:int -> t
 val register : t -> variant:int -> fd:int -> user_data:int64 -> unit
 val unregister : t -> variant:int -> fd:int -> unit
+
+val note_call : t -> variant:int -> Remon_kernel.Syscall.call -> unit
+(** Mirrors one variant's [epoll_ctl] into its registrations (an add or
+    mod registers, a del unregisters); other calls change nothing. Both
+    monitors call it for every replica's call. *)
+
 val user_data_of : t -> variant:int -> fd:int -> int64 option
 val fd_of : t -> variant:int -> user_data:int64 -> int option
 

@@ -177,15 +177,7 @@ let shm_verdict (call : Syscall.call) =
    descriptor stubs so fd numbering stays aligned. *)
 let translate_for_slave t ~(arrival : arrival) ~(call : Syscall.call)
     (result : Syscall.result) =
-  let slave_proc = arrival.th.Proc.proc in
-  List.iter
-    (fun fd ->
-      Fdtable.set slave_proc.Proc.fds fd
-        (Proc.make_desc (Proc.Replicated_handle fd)))
-    (Callinfo.fds_created call result);
-  List.iter
-    (fun fd -> Fdtable.remove slave_proc.Proc.fds fd)
-    (Callinfo.fds_closed call result);
+  Callinfo.mirror_fds arrival.th.Proc.proc call result;
   match result with
   | Syscall.Ok_epoll events ->
     let logical = Epoll_map.to_logical t.g.Context.epoll_map events in
@@ -302,13 +294,7 @@ let rec process_rendezvous t rank (arrivals : arrival list) =
     if not (Queue.is_empty t.deferred_signals) then inject_deferred t arrivals;
     (* epoll registrations carry per-variant pointers: record them *)
     List.iter
-      (fun a ->
-        match a.call with
-        | Syscall.Epoll_ctl { op = Syscall.Epoll_add | Syscall.Epoll_mod; fd; user_data; _ } ->
-          Epoll_map.register t.g.Context.epoll_map ~variant:a.variant ~fd ~user_data
-        | Syscall.Epoll_ctl { op = Syscall.Epoll_del; fd; _ } ->
-          Epoll_map.unregister t.g.Context.epoll_map ~variant:a.variant ~fd
-        | _ -> ())
+      (fun a -> Epoll_map.note_call t.g.Context.epoll_map ~variant:a.variant a.call)
       arrivals;
     (* shared-memory policy *)
     match shm_verdict call with

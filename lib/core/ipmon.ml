@@ -59,16 +59,7 @@ let maybe_checked inst (th : Proc.thread) ~token (call : Syscall.call) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* epoll shadow map maintenance (Section 3.9) *)
-
-let note_epoll inst (call : Syscall.call) =
-  match call with
-  | Syscall.Epoll_ctl { op = Syscall.Epoll_add | Syscall.Epoll_mod; fd; user_data; _ } ->
-    Epoll_map.register inst.group.Context.epoll_map ~variant:inst.variant ~fd
-      ~user_data
-  | Syscall.Epoll_ctl { op = Syscall.Epoll_del; fd; _ } ->
-    Epoll_map.unregister inst.group.Context.epoll_map ~variant:inst.variant ~fd
-  | _ -> ()
+(* epoll shadow map translation (Section 3.9) *)
 
 (* Master's raw result -> logical form stored in the RB (encoded into the
    RB's int64 slots; see Epoll_map.encode). *)
@@ -149,7 +140,7 @@ and master_proceed inst th ~token ~call ~return ~bytes =
     (cost.Cost_model.rb_write_fixed_ns
     + Cost_model.local_copy_ns cost ~bytes:(Syscall.arg_bytes call));
   (Kernel.stats k).Kstate.rb_bytes <- (Kernel.stats k).Kstate.rb_bytes + bytes;
-  note_epoll inst call;
+  Epoll_map.note_call g.Context.epoll_map ~variant:inst.variant call;
   let entry =
     Rb.master_append g.Context.rb ~rank:th.Proc.rank
       ~call:(Callinfo.normalize call) ~expect_block ~forwarded:false
@@ -270,7 +261,7 @@ and slave_path inst th ~token ~call ~return =
           end
         end
         else begin
-          note_epoll inst call;
+          Epoll_map.note_call g.Context.epoll_map ~variant call;
           match Callinfo.disposition call with
           | Callinfo.All_call ->
             (* process-local call: consume the record, execute locally
@@ -310,16 +301,8 @@ and slave_path inst th ~token ~call ~return =
                   + Cost_model.local_copy_ns cost
                       ~bytes:(Syscall.result_bytes logical));
                 let r = from_logical inst logical in
-                (* fd-allocating calls (VARAN handles these in-process):
-                   install stub descriptors so numbering stays aligned *)
-                List.iter
-                  (fun fd ->
-                    Fdtable.set inst.proc.Proc.fds fd
-                      (Proc.make_desc (Proc.Replicated_handle fd)))
-                  (Callinfo.fds_created call r);
-                List.iter
-                  (fun fd -> Fdtable.remove inst.proc.Proc.fds fd)
-                  (Callinfo.fds_closed call r);
+                (* fd-allocating calls (VARAN handles these in-process) *)
+                Callinfo.mirror_fds inst.proc call r;
                 Rb.slave_advance g.Context.rb ~rank ~variant;
                 Kernel.kick k (* unblock a master waiting on drain *);
                 return r)

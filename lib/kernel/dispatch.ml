@@ -8,7 +8,13 @@
                       +-(plain)-----> exec ----------------------------> finish
 
    Every stage is CPS: a stage either completes synchronously or parks the
-   thread with a retry thunk and completes later. *)
+   thread with a retry thunk and completes later. Only the thirty calls
+   that can park keep a continuation in [exec]: the read, recv, write and
+   send families, sendfile, select, poll, epoll_wait, accept, connect,
+   futex's wait, nanosleep, pause, wait4, flock, exit and exit_group.
+   Every other call is [answer]'s, which returns its result for [exec] to
+   hand on; inside [answer] an error leaves by raising [Fail], and only
+   [answer] catches it. *)
 
 open Remon_sim
 open Remon_util
@@ -193,6 +199,13 @@ let block k (th : Proc.thread) ~on ~what ?timeout_ns ?(intr = true)
             end)
       in
       b.Waitq.timeout <- Some handle)
+
+(* A wait that only its timeout (ETIMEDOUT), a signal (EINTR, when [intr])
+   or a forced completion ends; [complete] takes whichever comes first. *)
+let sleep k th ~what ?timeout_ns ?intr complete =
+  block k th ~on:Waitq.none ~what ?timeout_ns ?intr
+    ~poll:(fun () -> (None : unit option))
+    ~on_ready:ignore ~complete ()
 
 (* The blocking idiom of calls on a descriptor: where a blocking one parks
    on [on] until [poll] yields, a nonblocking one fails with EAGAIN. *)
@@ -697,43 +710,553 @@ let exit_current k (th : Proc.thread) ~code ~group =
   | None -> die ()
 
 (* ------------------------------------------------------------------ *)
-(* The big call-semantics match *)
+(* Calls that complete at once *)
 
-let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> unit) =
+(* How a call that completes at once fails: a helper raises [Fail] and
+   [answer] alone catches it and answers [Error]. The calls that can park
+   ([exec]) hand their errors to a continuation instead, so [Fail] is never
+   raised where a continuation has already run. *)
+exception Fail of Errno.t
+
+let fail e = raise_notrace (Fail e)
+
+(* The value of a kernel object's [result]; [zero] answers 0 for it. *)
+let ok = function Ok v -> v | Error e -> fail e
+let zero = function Ok _ -> Syscall.Ok_int 0 | Error e -> fail e
+
+(* The descriptor at [fd]: EBADF when it is closed. *)
+let desc (p : Proc.process) fd =
+  match Proc.desc_of_fd p fd with Some d -> d | None -> fail Errno.EBADF
+
+let install_fd (p : Proc.process) d = Fdtable.alloc p.fds ~from:0 d
+
+let xattr (node : Vfs.node) name =
+  match List.assoc_opt name node.xattrs with
+  | Some v -> Syscall.Ok_str v
+  | None -> err Errno.ENOENT
+
+(* The result of every call that completes at once, futex's wake among
+   them; the calls that can park are [exec]'s. *)
+let rec answer k (th : Proc.thread) (call : Syscall.call) : Syscall.result =
   let p = proc_of th in
-  let with_fd fd f =
-    match Proc.desc_of_fd p fd with
-    | None -> ret (err Errno.EBADF)
-    | Some d -> f d
-  in
-  let install_fd desc = Fdtable.alloc p.fds ~from:0 desc in
+  try
+    match call with
+    (* ---- identity / time ---- *)
+    | Syscall.Gettimeofday | Syscall.Time -> Syscall.Ok_int64 (wall_ns k)
+    | Syscall.Clock_gettime `Realtime -> Syscall.Ok_int64 (wall_ns k)
+    | Syscall.Clock_gettime `Monotonic -> Syscall.Ok_int64 (Int64.of_int (K.now k))
+    | Syscall.Getpid -> Syscall.Ok_int p.pid
+    | Syscall.Gettid -> Syscall.Ok_int th.tid
+    | Syscall.Getpgrp -> Syscall.Ok_int p.pid
+    | Syscall.Getppid -> Syscall.Ok_int p.parent_pid
+    | Syscall.Getgid | Syscall.Getegid -> Syscall.Ok_int 1000
+    | Syscall.Getuid | Syscall.Geteuid -> Syscall.Ok_int 1000
+    | Syscall.Getcwd -> Syscall.Ok_str p.cwd
+    | Syscall.Getpriority -> Syscall.Ok_int 20
+    | Syscall.Getrusage -> Syscall.Ok_int64 (Int64.of_int th.clock)
+    | Syscall.Times -> Syscall.Ok_int64 (Int64.of_int (K.now k))
+    | Syscall.Capget -> Syscall.Ok_int 0
+    | Syscall.Getitimer -> Syscall.Ok_itimer (timer_left p.real_timer (K.now k))
+    | Syscall.Sysinfo -> Syscall.Ok_int64 (Int64.of_int (K.now k))
+    | Syscall.Uname -> Syscall.Ok_str "Linux remon-sim 3.13.11 x86_64"
+    | Syscall.Sched_yield -> Syscall.Ok_int 0
+    (* ---- futex ---- *)
+    | Syscall.Futex (Syscall.Futex_wake { addr; count }) ->
+      charge th k.K.cost.futex_wake_ns;
+      let key = Vm.futex_key p.vm ~space_id:p.pid addr in
+      let q = K.futex_queue k key in
+      let n = ref 0 in
+      while !n < count && not (Queue.is_empty q) do
+        let w = Queue.pop q in
+        if (not w.K.cancelled) && not w.K.woken then begin
+          w.K.woken <- true;
+          incr n
+        end
+      done;
+      Sched.kick k.K.sched;
+      Syscall.Ok_int !n
+    (* ---- fd control ---- *)
+    | Syscall.Ioctl (fd, op) -> (
+      let d = desc p fd in
+      match op with
+      | Syscall.Fionread -> (
+        match d.kind with
+        | Proc.Pipe pi -> Syscall.Ok_int (Pipe.bytes_available pi)
+        | Proc.Stream s -> Syscall.Ok_int (Net.incoming_length s)
+        (* do_vfs_ioctl answers a regular file's size less the offset,
+           negative past the end; a proc file's size is 0 *)
+        | Proc.Regular node -> Syscall.Ok_int (Vfs.file_size node - d.offset)
+        | Proc.Proc_maps _ -> Syscall.Ok_int (-d.offset)
+        (* tcp_ioctl refuses a listener; epoll's ioctl knows only its
+           busy-poll commands *)
+        | Proc.Listener _ | Proc.Epoll_fd _ -> err Errno.EINVAL
+        | Proc.Directory _ | Proc.Dev_null | Proc.Timer_fd _ | Proc.Event_fd _ ->
+          err Errno.ENOTTY
+        | Proc.Replicated_handle _ -> Syscall.Ok_int 0)
+      | Syscall.Fionbio v ->
+        d.nonblock <- v;
+        Syscall.Ok_int 0
+      | Syscall.Tiocgwinsz -> Syscall.Ok_int ((24 lsl 16) lor 80))
+    | Syscall.Fcntl (fd, op) -> (
+      let d = desc p fd in
+      match op with
+      | Syscall.F_getfl -> Syscall.Ok_int (encode_flags d)
+      | Syscall.F_setfl { nonblock } ->
+        d.nonblock <- nonblock;
+        Syscall.Ok_int 0
+      | Syscall.F_dupfd from ->
+        if not (Fdtable.in_range from) then err Errno.EINVAL
+        else begin
+          d.refs <- d.refs + 1;
+          Syscall.Ok_int (Fdtable.alloc p.fds ~from d)
+        end)
+    (* ---- filesystem queries ---- *)
+    | Syscall.Access path | Syscall.Faccessat path ->
+      if Vfs.exists k.K.vfs path then Syscall.Ok_int 0 else err Errno.ENOENT
+    | Syscall.Lseek (fd, offset, whence) -> (
+      let d = desc p fd in
+      match d.kind with
+      | Proc.Regular _ | Proc.Proc_maps _ -> (
+        let base =
+          match (whence, d.kind) with
+          | Syscall.Seek_set, _ -> Some 0
+          | Syscall.Seek_cur, _ -> Some d.offset
+          | Syscall.Seek_end, Proc.Regular node -> Some (Vfs.file_size node)
+          | Syscall.Seek_end, _ -> None (* seq_lseek has no SEEK_END *)
+        in
+        match base with
+        | Some base when base + offset >= 0 ->
+          d.offset <- base + offset;
+          Syscall.Ok_int d.offset
+        | _ -> err Errno.EINVAL)
+      (* null_lseek and noop_llseek: 0, and the position never moves *)
+      | Proc.Dev_null | Proc.Event_fd _ | Proc.Timer_fd _ | Proc.Epoll_fd _ ->
+        Syscall.Ok_int 0
+      | Proc.Pipe _ | Proc.Stream _ | Proc.Listener _ -> err Errno.ESPIPE
+      | Proc.Directory _ | Proc.Replicated_handle _ -> err Errno.EINVAL)
+    | Syscall.Stat path | Syscall.Fstatat path ->
+      stat_of_node (ok (Vfs.resolve k.K.vfs path))
+    | Syscall.Lstat path -> stat_of_node (ok (Vfs.resolve_nofollow k.K.vfs path))
+    | Syscall.Fstat fd -> stat_of_desc (desc p fd)
+    | Syscall.Getdents fd | Syscall.Getdents64 fd -> (
+      let d = desc p fd in
+      match d.kind with
+      | Proc.Directory node ->
+        let names = ok (Vfs.list_dir node) in
+        if d.offset > 0 then Syscall.Ok_dents []
+        else begin
+          d.offset <- 1;
+          Syscall.Ok_dents names
+        end
+      | _ -> err Errno.ENOTDIR)
+    | Syscall.Readlink path | Syscall.Readlinkat path -> (
+      match ok (Vfs.resolve_nofollow k.K.vfs path) with
+      | { kind = Vfs.Symlink target; _ } -> Syscall.Ok_str target
+      | _ -> err Errno.EINVAL)
+    | Syscall.Getxattr (path, name) | Syscall.Lgetxattr (path, name) ->
+      xattr (ok (Vfs.resolve k.K.vfs path)) name
+    | Syscall.Fgetxattr (fd, name) -> (
+      match (desc p fd).kind with
+      | Proc.Regular node | Proc.Directory node -> xattr node name
+      | _ -> err Errno.EBADF)
+    (* ---- timers ---- *)
+    | Syscall.Alarm seconds ->
+      (* setitimer(ITIMER_REAL) in whole seconds. It answers the time that
+         was left as alarm_setitimer rounds it: to the nearest second, and
+         up to 1 below a second. *)
+      let left = (timer_left p.real_timer (K.now k)).value_ns in
+      arm_timer k p p.real_timer { value_ns = Vtime.s seconds; interval_ns = 0 };
+      Syscall.Ok_int (max (min left 1) ((left + 500_000_000) / 1_000_000_000))
+    | Syscall.Setitimer spec ->
+      arm_timer k p p.real_timer spec;
+      Syscall.Ok_int 0
+    | Syscall.Timerfd_create ->
+      let t = { Proc.spec = None; armed_at = Vtime.zero; expirations = 0 } in
+      Syscall.Ok_int (install_fd p (Proc.make_desc (Proc.Timer_fd t)))
+    | Syscall.Timerfd_gettime fd | Syscall.Timerfd_settime (fd, _) -> (
+      match ((desc p fd).kind, call) with
+      | Proc.Timer_fd t, Syscall.Timerfd_settime (_, spec) ->
+        arm_timer k p t spec;
+        Syscall.Ok_int 0
+      | Proc.Timer_fd t, _ -> Syscall.Ok_itimer (timer_left t (K.now k))
+      | _ -> err Errno.EINVAL)
+    | Syscall.Madvise _ | Syscall.Fadvise64 _ -> Syscall.Ok_int 0
+    (* ---- sync family ---- *)
+    | Syscall.Sync | Syscall.Syncfs _ | Syscall.Fsync _ | Syscall.Fdatasync _ ->
+      Syscall.Ok_int 0
+    (* ---- epoll ---- *)
+    | Syscall.Epoll_create ->
+      Syscall.Ok_int (install_fd p (Proc.make_desc (Proc.Epoll_fd (Epoll.create ()))))
+    | Syscall.Epoll_ctl { epfd; op; fd; events; user_data } -> (
+      (* Linux's order: both descriptors exist, the target can be polled
+         (files, directories, /dev/null and /proc/self/maps have no ->poll:
+         EPERM), and only then must [epfd] be an epoll other than the
+         target *)
+      let d = desc p epfd in
+      let target = desc p fd in
+      match (d.kind, target.kind) with
+      | _, (Proc.Regular _ | Proc.Directory _ | Proc.Dev_null | Proc.Proc_maps _) ->
+        err Errno.EPERM
+      | Proc.Epoll_fd ep, _ when d != target ->
+        zero (Epoll.ctl ep ~op ~fd ~events ~user_data)
+      | _ -> err Errno.EINVAL)
+    (* ---- sockets ---- *)
+    | Syscall.Socket (_, _) ->
+      let s = Net.fresh_stream k.K.net in
+      Syscall.Ok_int (install_fd p (Proc.make_desc (Proc.Stream s)))
+    | Syscall.Socketpair (_, _) ->
+      let a, b = Net.make_pair k.K.net ~client_port:0 ~server_port:0 in
+      Net.set_connected a;
+      Net.set_connected b;
+      Net.mark_local a;
+      Net.mark_local b;
+      let fd1 = install_fd p (Proc.make_desc (Proc.Stream a)) in
+      let fd2 = install_fd p (Proc.make_desc (Proc.Stream b)) in
+      Syscall.Ok_pair (fd1, fd2)
+    | Syscall.Bind (fd, port) -> (
+      match (desc p fd).kind with
+      | Proc.Stream s when Net.local_port s = 0 ->
+        Net.set_local_port s port;
+        Syscall.Ok_int 0
+      (* bound already: a second bind, a connected socket or a listener *)
+      | Proc.Stream _ | Proc.Listener _ -> err Errno.EINVAL
+      | _ -> err Errno.ENOTSOCK)
+    | Syscall.Listen (fd, backlog) -> (
+      let d = desc p fd in
+      match d.kind with
+      | Proc.Stream s ->
+        d.kind <- Proc.Listener (ok (Net.listen k.K.net ~port:(Net.local_port s) ~backlog));
+        Syscall.Ok_int 0
+      | Proc.Listener _ -> Syscall.Ok_int 0
+      | _ -> err Errno.ENOTSOCK)
+    | Syscall.Getsockname fd -> (
+      match (desc p fd).kind with
+      | Proc.Stream s -> Syscall.Ok_int (Net.local_port s)
+      | Proc.Listener l -> Syscall.Ok_int l.port
+      | _ -> err Errno.ENOTSOCK)
+    | Syscall.Getpeername fd -> (
+      match (desc p fd).kind with
+      | Proc.Stream s when Net.connected s -> Syscall.Ok_int (Net.peer_port s)
+      | Proc.Stream _ | Proc.Listener _ -> err Errno.ENOTCONN
+      | _ -> err Errno.ENOTSOCK)
+    | Syscall.Getsockopt (fd, opt) -> (
+      match (desc p fd).kind with
+      | Proc.Stream s ->
+        if opt = Net.so_sndbuf then Syscall.Ok_int (Net.sndbuf s)
+        else if opt = Net.so_rcvbuf then Syscall.Ok_int (Net.rcvbuf s)
+        else Syscall.Ok_int 0
+      | Proc.Listener _ -> Syscall.Ok_int 0
+      | _ -> err Errno.ENOTSOCK)
+    | Syscall.Setsockopt (fd, opt, value) -> (
+      match (desc p fd).kind with
+      | Proc.Stream s ->
+        if opt = Net.so_sndbuf then Net.set_sndbuf s value
+        else if opt = Net.so_rcvbuf then begin
+          Net.set_rcvbuf s value;
+          (* a larger buffer may unblock a parked sender *)
+          Sched.kick k.K.sched
+        end;
+        Syscall.Ok_int 0
+      | Proc.Listener _ -> Syscall.Ok_int 0
+      | _ -> err Errno.ENOTSOCK)
+    | Syscall.Shutdown (fd, how) -> (
+      let d = desc p fd in
+      match d.kind with
+      | Proc.Listener _ when how = Syscall.Shut_wr -> Syscall.Ok_int 0
+      | Proc.Listener l ->
+        (* Linux disconnects a listener shut for reading: it stops
+           listening, resets its backlog, and is left an unconnected socket
+           bound to its port. So accept answers EINVAL, woken accepters
+           too; connects are refused; a second shutdown is ENOTCONN; listen
+           starts over. The reset backlog's clients see their peer gone
+           (EOF, EPIPE), not ECONNRESET. *)
+        Net.close_listener k.K.net l;
+        Queue.iter (close_stream k) l.Net.pending;
+        Queue.clear l.Net.pending;
+        let s = Net.fresh_stream k.K.net in
+        Net.set_local_port s l.Net.port;
+        d.kind <- Proc.Stream s;
+        Waitq.wake l.Net.wq;
+        Sched.kick k.K.sched;
+        Syscall.Ok_int 0
+      | Proc.Stream s when Net.never_connected s -> err Errno.ENOTCONN
+      | Proc.Stream s ->
+        (match how with
+        | Syscall.Shut_rd -> Net.shutdown_rd s
+        | Syscall.Shut_wr -> Net.shutdown_wr s
+        | Syscall.Shut_rdwr ->
+          Net.shutdown_rd s;
+          Net.shutdown_wr s);
+        (match k.K.hostnet with
+        | Some h when Net.is_remote s -> Hostnet.poke h s
+        | _ -> ());
+        Sched.kick k.K.sched;
+        Syscall.Ok_int 0
+      | _ -> err Errno.ENOTSOCK)
+    (* ---- fd lifecycle ---- *)
+    | Syscall.Open (path, flags) | Syscall.Openat (path, flags) ->
+      if path = "/dev/null" then
+        Syscall.Ok_int
+          (install_fd p
+             (Proc.make_desc ~nonblock:flags.nonblock ~can_read:flags.read
+                ~can_write:flags.write Proc.Dev_null))
+      else if path = "/proc/self/maps" then
+        Syscall.Ok_int
+          (install_fd p
+             (Proc.make_desc ~can_read:true ~can_write:false
+                (Proc.Proc_maps { content = Vm.maps_text p.vm })))
+      else begin
+        let node =
+          ok
+            (if flags.create then Vfs.create_file k.K.vfs path
+             else Vfs.resolve k.K.vfs path)
+        in
+        match node.kind with
+        | Vfs.Dir _ ->
+          if flags.write then err Errno.EISDIR
+          else
+            Syscall.Ok_int
+              (install_fd p
+                 (Proc.make_desc ~can_read:true ~can_write:false
+                    (Proc.Directory node)))
+        | Vfs.Reg _ ->
+          if flags.trunc && flags.write then
+            ignore (Vfs.truncate node ~size:0 ~now_ns:(K.now k));
+          Syscall.Ok_int
+            (install_fd p
+               (Proc.make_desc ~nonblock:flags.nonblock ~can_read:flags.read
+                  ~can_write:flags.write ~append:flags.append (Proc.Regular node)))
+        | Vfs.Symlink _ -> err Errno.ELOOP
+      end
+    | Syscall.Creat path ->
+      answer k th
+        (Syscall.Open
+           (path, { Syscall.o_rdwr with read = false; create = true; trunc = true }))
+    | Syscall.Close fd ->
+      let d = desc p fd in
+      Fdtable.remove p.fds fd;
+      release_desc k d;
+      Syscall.Ok_int 0
+    | Syscall.Dup fd -> answer k th (Syscall.Fcntl (fd, Syscall.F_dupfd 0))
+    (* Linux rejects dup3(fd, fd) before it looks at fd *)
+    | Syscall.Dup3 (fd, newfd) when fd = newfd -> err Errno.EINVAL
+    | Syscall.Dup2 (fd, newfd) | Syscall.Dup3 (fd, newfd) ->
+      if not (Fdtable.in_range newfd) then err Errno.EBADF
+      else begin
+        let d = desc p fd in
+        if fd <> newfd then begin
+          (match Proc.desc_of_fd p newfd with
+          | Some old ->
+            Fdtable.remove p.fds newfd;
+            release_desc k old
+          | None -> ());
+          d.refs <- d.refs + 1;
+          Fdtable.set p.fds newfd d
+        end;
+        Syscall.Ok_int newfd
+      end
+    | Syscall.Pipe | Syscall.Pipe2 _ ->
+      let nonblock =
+        match call with Syscall.Pipe2 { nonblock } -> nonblock | _ -> false
+      in
+      let pi = Pipe.create () in
+      let rfd = install_fd p (Proc.make_desc ~nonblock ~can_write:false (Proc.Pipe pi)) in
+      let wfd = install_fd p (Proc.make_desc ~nonblock ~can_read:false (Proc.Pipe pi)) in
+      Syscall.Ok_pair (rfd, wfd)
+    | Syscall.Unlink path | Syscall.Unlinkat path -> zero (Vfs.unlink k.K.vfs path)
+    | Syscall.Rename (src, dst) | Syscall.Renameat (src, dst) ->
+      zero (Vfs.rename k.K.vfs ~src ~dst)
+    | Syscall.Mkdir path | Syscall.Mkdirat path -> zero (Vfs.mkdir k.K.vfs path)
+    | Syscall.Rmdir path -> zero (Vfs.rmdir k.K.vfs path)
+    | Syscall.Truncate (_, size) | Syscall.Ftruncate (_, size) when size < 0 ->
+      err Errno.EINVAL
+    | Syscall.Truncate (path, size) ->
+      zero (Vfs.truncate (ok (Vfs.resolve k.K.vfs path)) ~size ~now_ns:(K.now k))
+    | Syscall.Ftruncate (fd, size) -> (
+      match (desc p fd).kind with
+      | Proc.Regular node -> zero (Vfs.truncate node ~size ~now_ns:(K.now k))
+      | _ -> err Errno.EINVAL)
+    (* ---- memory ---- *)
+    | Syscall.Mmap { len; prot; kind } ->
+      let backing =
+        match kind with
+        | Syscall.Map_anon -> Vm.Anon
+        | Syscall.Map_shared_anon -> Vm.Shared_anon (K.fresh_share_group k)
+        | Syscall.Map_file fd -> (
+          match (desc p fd).kind with
+          | Proc.Regular node -> Vm.File_backed node
+          | _ -> fail Errno.EINVAL)
+      in
+      Syscall.Ok_int64 (ok (Vm.map p.vm ~len ~prot ~backing ~tag:"anon")).Vm.start
+    | Syscall.Munmap { addr; len } -> zero (Vm.unmap p.vm ~addr ~len)
+    | Syscall.Mprotect { addr; len; prot } -> zero (Vm.protect p.vm ~addr ~len ~prot)
+    | Syscall.Mremap { addr; old_len; new_len } -> (
+      match Vm.find_region p.vm addr with
+      | Some r when Int64.equal r.Vm.start addr && r.Vm.len = old_len ->
+        let prot = r.Vm.prot and backing = r.Vm.backing and tag = r.Vm.tag in
+        ok (Vm.unmap p.vm ~addr ~len:old_len);
+        Syscall.Ok_int64 (ok (Vm.map p.vm ~len:new_len ~prot ~backing ~tag)).Vm.start
+      | _ -> err Errno.EINVAL)
+    | Syscall.Brk n -> Syscall.Ok_int (Vm.set_brk p.vm n)
+    (* ---- shared memory ---- *)
+    | Syscall.Shmget { key; size; create } ->
+      Syscall.Ok_int (ok (Shm.get k.K.shm ~key ~size ~create)).Shm.shmid
+    | Syscall.Shmat { shmid; readonly } ->
+      let seg = ok (Shm.find k.K.shm shmid) in
+      let prot = { Syscall.pr = true; pw = not readonly; px = false } in
+      let r =
+        ok
+          (Vm.map p.vm ~len:seg.Shm.size ~prot ~backing:(Vm.Shm_seg seg)
+             ~tag:"sysv-shm")
+      in
+      Shm.attach seg;
+      Syscall.Ok_int64 r.Vm.start
+    | Syscall.Shmdt { addr } -> (
+      match Vm.find_region p.vm addr with
+      | Some { Vm.backing = Vm.Shm_seg seg; start; _ } when Int64.equal start addr ->
+        ok (Vm.unmap p.vm ~addr ~len:0);
+        Shm.detach k.K.shm seg;
+        Syscall.Ok_int 0
+      | _ -> err Errno.EINVAL)
+    | Syscall.Shmctl { shmid; rmid } ->
+      let seg = ok (Shm.find k.K.shm shmid) in
+      if rmid then Shm.remove k.K.shm seg;
+      Syscall.Ok_int 0
+    (* ---- process / thread lifecycle ---- *)
+    | Syscall.Clone entry_idx ->
+      if entry_idx < 0 || entry_idx >= Array.length p.entry_table then
+        err Errno.EINVAL
+      else begin
+        let nt = K.add_thread k p ~start_clock:th.clock in
+        Sched.spawn k.K.sched nt p.entry_table.(entry_idx);
+        Syscall.Ok_int nt.tid
+      end
+    | Syscall.Fork | Syscall.Execve _ ->
+      (* Documented limitation: one-shot continuations cannot be duplicated,
+         so multi-process programs model workers as threads or pre-spawned
+         processes instead. *)
+      err Errno.ENOSYS
+    | Syscall.Kill (pid, sg) | Syscall.Tgkill (pid, _, sg) -> (
+      match K.find_proc k pid with
+      | Some target ->
+        post_signal k target sg;
+        Syscall.Ok_int 0
+      | None -> err Errno.ESRCH)
+    (* ---- signals ---- *)
+    | Syscall.Rt_sigaction (sg, action) ->
+      if not (Sigdefs.catchable sg) then err Errno.EINVAL
+      else begin
+        Hashtbl.replace p.sig_actions sg action;
+        Syscall.Ok_int 0
+      end
+    | Syscall.Rt_sigprocmask (how, sigs) ->
+      let set = Proc.IntSet.of_list sigs in
+      (match how with
+      | Syscall.Sig_block -> p.sig_mask <- Proc.IntSet.union p.sig_mask set
+      | Syscall.Sig_unblock -> p.sig_mask <- Proc.IntSet.diff p.sig_mask set
+      | Syscall.Sig_setmask -> p.sig_mask <- set);
+      Sched.wake_process k.K.sched p;
+      Sched.kick k.K.sched;
+      Syscall.Ok_int 0
+    | Syscall.Rt_sigreturn -> Syscall.Ok_unit
+    | Syscall.Sigaltstack -> Syscall.Ok_int 0
+    (* ---- identity / limits / misc (extended surface) ---- *)
+    | Syscall.Getpgid | Syscall.Getsid -> Syscall.Ok_int p.pid
+    | Syscall.Setsid -> Syscall.Ok_int p.pid
+    | Syscall.Getrlimit _ -> Syscall.Ok_int64 Int64.max_int
+    | Syscall.Setrlimit _ | Syscall.Prlimit64 _ -> Syscall.Ok_int 0
+    | Syscall.Sched_getaffinity -> Syscall.Ok_int 0xFFFF
+    | Syscall.Sched_setaffinity _ -> Syscall.Ok_int 0
+    | Syscall.Clock_getres -> Syscall.Ok_int64 1L
+    | Syscall.Getrandom n ->
+      (* kernel entropy: replicas must receive identical bytes, which is
+         why the MVEE replicates this call's results verbatim *)
+      let buf = Bytes.create (if n < 0 then 4096 else min n 4096) in
+      for i = 0 to Bytes.length buf - 1 do
+        Bytes.set buf i (Char.chr (Remon_util.Rng.int k.K.rng 256))
+      done;
+      Syscall.Ok_data (Bytes.to_string buf)
+    | Syscall.Statfs _ | Syscall.Fstatfs _ ->
+      Syscall.Ok_int64 (Int64.of_int (64 * 1024 * 1024 * 1024))
+    | Syscall.Readahead _ | Syscall.Mincore _ | Syscall.Msync _ | Syscall.Mlock _
+    | Syscall.Munlock _ ->
+      Syscall.Ok_int 0
+    | Syscall.Umask _ -> Syscall.Ok_int 0o022
+    (* ---- file metadata writes ---- *)
+    | Syscall.Chmod (path, _) | Syscall.Chown (path, _, _) | Syscall.Utimensat path ->
+      let node = ok (Vfs.resolve k.K.vfs path) in
+      node.Vfs.mtime_ns <- K.now k;
+      Syscall.Ok_int 0
+    | Syscall.Fchmod (fd, _) -> (
+      match (desc p fd).kind with
+      | Proc.Regular node | Proc.Directory node ->
+        node.Vfs.mtime_ns <- K.now k;
+        Syscall.Ok_int 0
+      | _ -> err Errno.EBADF)
+    (* ---- hard and symbolic links ---- *)
+    | Syscall.Link (target, path) | Syscall.Linkat (target, path) -> (
+      let node = ok (Vfs.resolve k.K.vfs target) in
+      let parent, name = ok (Vfs.parent_and_name k.K.vfs path) in
+      match parent.Vfs.kind with
+      | Vfs.Dir entries ->
+        if Hashtbl.mem entries name then err Errno.EEXIST
+        else begin
+          Hashtbl.replace entries name node;
+          Syscall.Ok_int 0
+        end
+      | _ -> err Errno.ENOTDIR)
+    | Syscall.Symlink (target, path) | Syscall.Symlinkat (target, path) ->
+      zero (Vfs.symlink k.K.vfs ~target ~path)
+    (* ---- new fd factories ---- *)
+    | Syscall.Eventfd initial ->
+      let e = { Proc.count = max 0 initial } in
+      Syscall.Ok_int (install_fd p (Proc.make_desc (Proc.Event_fd e)))
+    (* ---- ReMon registration ---- *)
+    | Syscall.Ipmon_register { calls; rb_addr; entry_addr } -> (
+      match p.ipmon_staged with
+      | None -> err Errno.EINVAL
+      | Some reg ->
+        (* The syscall's argument list is authoritative: GHUMVEE may have
+           trimmed it by rewriting the call at the entry stop. *)
+        p.ipmon_registered <-
+          Some { reg with Proc.unmonitored = Sysno.mask_of_list calls; rb_addr; entry_addr };
+        p.ipmon_staged <- None;
+        Syscall.Ok_int 0)
+    (* ---- [exec]'s ---- *)
+    | Syscall.Nanosleep _ | Syscall.Pause
+    | Syscall.Futex (Syscall.Futex_wait _)
+    | Syscall.Read _ | Syscall.Readv _ | Syscall.Pread64 _ | Syscall.Preadv _
+    | Syscall.Recvfrom _ | Syscall.Recvmsg _ | Syscall.Recvmmsg _
+    | Syscall.Write _ | Syscall.Writev _ | Syscall.Pwrite64 _ | Syscall.Pwritev _
+    | Syscall.Sendto _ | Syscall.Sendmsg _ | Syscall.Sendmmsg _ | Syscall.Sendfile _
+    | Syscall.Select _ | Syscall.Pselect6 _ | Syscall.Poll _ | Syscall.Ppoll _
+    | Syscall.Epoll_wait _ | Syscall.Accept _ | Syscall.Accept4 _ | Syscall.Connect _
+    | Syscall.Wait4 _ | Syscall.Flock _ | Syscall.Exit _ | Syscall.Exit_group _ ->
+      invalid_arg "Dispatch.answer: a call that can park"
+  with Fail e -> err e
+
+(* ------------------------------------------------------------------ *)
+(* Calls that can park *)
+
+(* [f] of the descriptor at [fd]; EBADF to [ret] when it is closed. *)
+let with_fd (p : Proc.process) fd ~ret f =
+  match Proc.desc_of_fd p fd with None -> ret (err Errno.EBADF) | Some d -> f d
+
+(* A socket's port: the bound one, or a fresh ephemeral one. *)
+let client_port k s =
+  if Net.local_port s <> 0 then Net.local_port s else Net.ephemeral_port k.K.net
+
+(* Runs [call] and hands its result to [ret]. The thirty calls that can
+   park each have an arm here, with their continuations; every other call
+   is [answer]'s. *)
+let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> unit) =
+  let p = proc_of th in
   match call with
-  (* ---- identity / time ---- *)
-  | Syscall.Gettimeofday | Syscall.Time -> ret (Syscall.Ok_int64 (wall_ns k))
-  | Syscall.Clock_gettime `Realtime -> ret (Syscall.Ok_int64 (wall_ns k))
-  | Syscall.Clock_gettime `Monotonic -> ret (Syscall.Ok_int64 (Int64.of_int (K.now k)))
-  | Syscall.Getpid -> ret (Syscall.Ok_int p.pid)
-  | Syscall.Gettid -> ret (Syscall.Ok_int th.tid)
-  | Syscall.Getpgrp -> ret (Syscall.Ok_int p.pid)
-  | Syscall.Getppid -> ret (Syscall.Ok_int p.parent_pid)
-  | Syscall.Getgid | Syscall.Getegid -> ret (Syscall.Ok_int 1000)
-  | Syscall.Getuid | Syscall.Geteuid -> ret (Syscall.Ok_int 1000)
-  | Syscall.Getcwd -> ret (Syscall.Ok_str p.cwd)
-  | Syscall.Getpriority -> ret (Syscall.Ok_int 20)
-  | Syscall.Getrusage -> ret (Syscall.Ok_int64 (Int64.of_int th.clock))
-  | Syscall.Times -> ret (Syscall.Ok_int64 (Int64.of_int (K.now k)))
-  | Syscall.Capget -> ret (Syscall.Ok_int 0)
-  | Syscall.Getitimer -> ret (Syscall.Ok_itimer (timer_left p.real_timer (K.now k)))
-  | Syscall.Sysinfo -> ret (Syscall.Ok_int64 (Int64.of_int (K.now k)))
-  | Syscall.Uname -> ret (Syscall.Ok_str "Linux remon-sim 3.13.11 x86_64")
-  | Syscall.Sched_yield -> ret (Syscall.Ok_int 0)
   | Syscall.Nanosleep ns ->
-    block k th ~on:Waitq.none ~what:"nanosleep" ~timeout_ns:ns
-      ~poll:(fun () -> None)
-      ~on_ready:(fun (r : Syscall.result) -> ret r)
-      ~complete:(fun r ->
-        if r = err Errno.ETIMEDOUT then ret Syscall.Ok_unit else ret r)
-      ()
+    sleep k th ~what:"nanosleep" ~timeout_ns:ns (function
+      | Syscall.Error Errno.ETIMEDOUT -> ret Syscall.Ok_unit
+      | r -> ret r)
+  | Syscall.Pause -> sleep k th ~what:"pause" ret
   (* ---- futex ---- *)
   | Syscall.Futex (Syscall.Futex_wait { addr; expected; timeout_ns }) ->
     charge th k.K.cost.futex_wait_ns;
@@ -751,145 +1274,6 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
           ret r)
         ()
     end
-  | Syscall.Futex (Syscall.Futex_wake { addr; count }) ->
-    charge th k.K.cost.futex_wake_ns;
-    let key = Vm.futex_key p.vm ~space_id:p.pid addr in
-    let q = K.futex_queue k key in
-    let n = ref 0 in
-    while !n < count && not (Queue.is_empty q) do
-      let w = Queue.pop q in
-      if (not w.K.cancelled) && not w.K.woken then begin
-        w.K.woken <- true;
-        incr n
-      end
-    done;
-    Sched.kick k.K.sched;
-    ret (Syscall.Ok_int !n)
-  (* ---- fd control ---- *)
-  | Syscall.Ioctl (fd, op) ->
-    with_fd fd (fun d ->
-        match op with
-        | Syscall.Fionread -> (
-          match d.kind with
-          | Proc.Pipe pi -> ret (Syscall.Ok_int (Pipe.bytes_available pi))
-          | Proc.Stream s -> ret (Syscall.Ok_int (Net.incoming_length s))
-          (* do_vfs_ioctl answers a regular file's size less the offset,
-             negative past the end; a proc file's size is 0 *)
-          | Proc.Regular node -> ret (Syscall.Ok_int (Vfs.file_size node - d.offset))
-          | Proc.Proc_maps _ -> ret (Syscall.Ok_int (-d.offset))
-          (* tcp_ioctl refuses a listener; epoll's ioctl knows only its
-             busy-poll commands *)
-          | Proc.Listener _ | Proc.Epoll_fd _ -> ret (err Errno.EINVAL)
-          | Proc.Directory _ | Proc.Dev_null | Proc.Timer_fd _ | Proc.Event_fd _ ->
-            ret (err Errno.ENOTTY)
-          | Proc.Replicated_handle _ -> ret (Syscall.Ok_int 0))
-        | Syscall.Fionbio v ->
-          d.nonblock <- v;
-          ret (Syscall.Ok_int 0)
-        | Syscall.Tiocgwinsz -> ret (Syscall.Ok_int ((24 lsl 16) lor 80)))
-  | Syscall.Fcntl (fd, op) ->
-    with_fd fd (fun d ->
-        match op with
-        | Syscall.F_getfl -> ret (Syscall.Ok_int (encode_flags d))
-        | Syscall.F_setfl { nonblock } ->
-          d.nonblock <- nonblock;
-          ret (Syscall.Ok_int 0)
-        | Syscall.F_dupfd from ->
-          if not (Fdtable.in_range from) then ret (err Errno.EINVAL)
-          else begin
-            d.refs <- d.refs + 1;
-            ret (Syscall.Ok_int (Fdtable.alloc p.fds ~from d))
-          end)
-  (* ---- filesystem queries ---- *)
-  | Syscall.Access path | Syscall.Faccessat path ->
-    if Vfs.exists k.K.vfs path then ret (Syscall.Ok_int 0)
-    else ret (err Errno.ENOENT)
-  | Syscall.Lseek (fd, offset, whence) ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Regular _ | Proc.Proc_maps _ -> (
-          let base =
-            match (whence, d.kind) with
-            | Syscall.Seek_set, _ -> Some 0
-            | Syscall.Seek_cur, _ -> Some d.offset
-            | Syscall.Seek_end, Proc.Regular node -> Some (Vfs.file_size node)
-            | Syscall.Seek_end, _ -> None (* seq_lseek has no SEEK_END *)
-          in
-          match base with
-          | Some base when base + offset >= 0 ->
-            d.offset <- base + offset;
-            ret (Syscall.Ok_int d.offset)
-          | _ -> ret (err Errno.EINVAL))
-        (* null_lseek and noop_llseek: 0, and the position never moves *)
-        | Proc.Dev_null | Proc.Event_fd _ | Proc.Timer_fd _ | Proc.Epoll_fd _ ->
-          ret (Syscall.Ok_int 0)
-        | Proc.Pipe _ | Proc.Stream _ | Proc.Listener _ -> ret (err Errno.ESPIPE)
-        | Proc.Directory _ | Proc.Replicated_handle _ -> ret (err Errno.EINVAL))
-  | Syscall.Stat path | Syscall.Fstatat path -> (
-    match Vfs.resolve k.K.vfs path with
-    | Ok node -> ret (stat_of_node node)
-    | Error e -> ret (err e))
-  | Syscall.Lstat path -> (
-    match Vfs.resolve_nofollow k.K.vfs path with
-    | Ok node -> ret (stat_of_node node)
-    | Error e -> ret (err e))
-  | Syscall.Fstat fd -> with_fd fd (fun d -> ret (stat_of_desc d))
-  | Syscall.Getdents fd | Syscall.Getdents64 fd ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Directory node -> (
-          match Vfs.list_dir node with
-          | Ok names ->
-            if d.offset > 0 then ret (Syscall.Ok_dents [])
-            else begin
-              d.offset <- 1;
-              ret (Syscall.Ok_dents names)
-            end
-          | Error e -> ret (err e))
-        | _ -> ret (err Errno.ENOTDIR))
-  | Syscall.Readlink path | Syscall.Readlinkat path -> (
-    match Vfs.resolve_nofollow k.K.vfs path with
-    | Ok { kind = Vfs.Symlink target; _ } -> ret (Syscall.Ok_str target)
-    | Ok _ -> ret (err Errno.EINVAL)
-    | Error e -> ret (err e))
-  | Syscall.Getxattr (path, name) | Syscall.Lgetxattr (path, name) -> (
-    match Vfs.resolve k.K.vfs path with
-    | Ok node -> (
-      match List.assoc_opt name node.xattrs with
-      | Some v -> ret (Syscall.Ok_str v)
-      | None -> ret (err Errno.ENOENT))
-    | Error e -> ret (err e))
-  | Syscall.Fgetxattr (fd, name) ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Regular node | Proc.Directory node -> (
-          match List.assoc_opt name node.xattrs with
-          | Some v -> ret (Syscall.Ok_str v)
-          | None -> ret (err Errno.ENOENT))
-        | _ -> ret (err Errno.EBADF))
-  (* ---- timers ---- *)
-  | Syscall.Alarm seconds ->
-    (* setitimer(ITIMER_REAL) in whole seconds. It answers the time that
-       was left as alarm_setitimer rounds it: to the nearest second, and
-       up to 1 below a second. *)
-    let left = (timer_left p.real_timer (K.now k)).value_ns in
-    arm_timer k p p.real_timer { value_ns = Vtime.s seconds; interval_ns = 0 };
-    ret (Syscall.Ok_int (max (min left 1) ((left + 500_000_000) / 1_000_000_000)))
-  | Syscall.Setitimer spec ->
-    arm_timer k p p.real_timer spec;
-    ret (Syscall.Ok_int 0)
-  | Syscall.Timerfd_create ->
-    let t = { Proc.spec = None; armed_at = Vtime.zero; expirations = 0 } in
-    ret (Syscall.Ok_int (install_fd (Proc.make_desc (Proc.Timer_fd t))))
-  | Syscall.Timerfd_gettime fd | Syscall.Timerfd_settime (fd, _) ->
-    with_fd fd (fun d ->
-        match (d.kind, call) with
-        | Proc.Timer_fd t, Syscall.Timerfd_settime (_, spec) ->
-          arm_timer k p t spec;
-          ret (Syscall.Ok_int 0)
-        | Proc.Timer_fd t, _ -> ret (Syscall.Ok_itimer (timer_left t (K.now k)))
-        | _ -> ret (err Errno.EINVAL))
-  | Syscall.Madvise _ | Syscall.Fadvise64 _ -> ret (Syscall.Ok_int 0)
   (* ---- read family ---- *)
   (* Linux rejects a negative file offset before it looks at the fd *)
   | Syscall.Pread64 (_, _, offset) | Syscall.Preadv (_, _, offset)
@@ -897,23 +1281,25 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
     when offset < 0 ->
     ret (err Errno.EINVAL)
   | Syscall.Read (fd, count) ->
-    with_fd fd (fun d -> do_read k th d ~count ~vectored:false ~ret)
+    with_fd p fd ~ret (fun d -> do_read k th d ~count ~vectored:false ~ret)
   | Syscall.Readv (fd, lens) ->
-    with_fd fd (fun d -> do_read k th d ~count:(iov_count lens) ~vectored:true ~ret)
+    with_fd p fd ~ret (fun d ->
+        do_read k th d ~count:(iov_count lens) ~vectored:true ~ret)
   | Syscall.Pread64 (fd, count, pos) ->
-    with_fd fd (fun d -> do_read k th ~pos d ~count ~vectored:false ~ret)
+    with_fd p fd ~ret (fun d -> do_read k th ~pos d ~count ~vectored:false ~ret)
   | Syscall.Preadv (fd, lens, pos) ->
-    with_fd fd (fun d ->
+    with_fd p fd ~ret (fun d ->
         do_read k th ~pos d ~count:(iov_count lens) ~vectored:true ~ret)
   | Syscall.Recvfrom (fd, count) ->
     (* Linux clamps recvfrom's length to MAX_RW_COUNT before checking the
        buffer, so a negative one reads what is queued *)
     let count = if count < 0 then max_int else count in
-    with_fd fd (fun d -> recv k th d ~count ~bad_count:Errno.EFAULT ~ret)
+    with_fd p fd ~ret (fun d -> recv k th d ~count ~bad_count:Errno.EFAULT ~ret)
   | Syscall.Recvmsg (fd, count) ->
-    with_fd fd (fun d -> recv k th d ~count ~bad_count:Errno.EINVAL ~ret)
+    with_fd p fd ~ret (fun d -> recv k th d ~count ~bad_count:Errno.EINVAL ~ret)
   | Syscall.Recvmmsg (fd, msgs, each) ->
-    with_fd fd (fun d -> recv k th d ~count:(msgs * each) ~bad_count:Errno.EFAULT ~ret)
+    with_fd p fd ~ret (fun d ->
+        recv k th d ~count:(msgs * each) ~bad_count:Errno.EFAULT ~ret)
   | Syscall.Select { readfds; writefds; timeout_ns }
   | Syscall.Pselect6 { readfds; writefds; timeout_ns } ->
     let fds =
@@ -923,31 +1309,29 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
     poll_fds k th ~what:"select" fds ~timeout_ns ~ret
   | Syscall.Poll { fds; timeout_ns } | Syscall.Ppoll { fds; timeout_ns } ->
     poll_fds k th ~what:"poll" fds ~timeout_ns ~ret
-  (* ---- sync family ---- *)
-  | Syscall.Sync | Syscall.Syncfs _ | Syscall.Fsync _ | Syscall.Fdatasync _ ->
-    ret (Syscall.Ok_int 0)
   (* ---- write family ---- *)
-  | Syscall.Write (fd, data) -> with_fd fd (fun d -> do_write k th d ~data ~ret)
+  | Syscall.Write (fd, data) -> with_fd p fd ~ret (fun d -> do_write k th d ~data ~ret)
   | Syscall.Writev (fd, chunks) ->
-    with_fd fd (fun d -> do_write k th d ~data:(String.concat "" chunks) ~ret)
+    with_fd p fd ~ret (fun d -> do_write k th d ~data:(String.concat "" chunks) ~ret)
   | Syscall.Pwrite64 (fd, data, pos) ->
-    with_fd fd (fun d -> do_write k th ~pos d ~data ~ret)
+    with_fd p fd ~ret (fun d -> do_write k th ~pos d ~data ~ret)
   | Syscall.Pwritev (fd, chunks, pos) ->
-    with_fd fd (fun d -> do_write k th ~pos d ~data:(String.concat "" chunks) ~ret)
+    with_fd p fd ~ret (fun d ->
+        do_write k th ~pos d ~data:(String.concat "" chunks) ~ret)
   | Syscall.Sendto (fd, data) | Syscall.Sendmsg (fd, data) ->
-    with_fd fd (fun d -> send k th d ~data ~ret)
+    with_fd p fd ~ret (fun d -> send k th d ~data ~ret)
   | Syscall.Sendmmsg (fd, chunks) ->
-    with_fd fd (fun d -> send k th d ~data:(String.concat "" chunks) ~ret)
+    with_fd p fd ~ret (fun d -> send k th d ~data:(String.concat "" chunks) ~ret)
   | Syscall.Sendfile { out_fd; in_fd; count } ->
     (* Linux checks [in_fd], the count and [out_fd] before it moves a byte,
        then moves [in_fd]'s offset by what [out_fd] took: nothing on an
        error, the accepted prefix on a short write, and only once a write
        that parks completes. *)
-    with_fd in_fd (fun din ->
+    with_fd p in_fd ~ret (fun din ->
         if not din.can_read then ret (err Errno.EBADF)
         else if count < 0 then ret (err Errno.EINVAL)
         else
-          with_fd out_fd (fun dout ->
+          with_fd p out_fd ~ret (fun dout ->
               match din.kind with
               | Proc.Regular node -> (
                 let start = din.offset in
@@ -960,28 +1344,8 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
                       ret r)
                 | Error e -> ret (err e))
               | _ -> ret (err Errno.EINVAL)))
-  (* ---- epoll ---- *)
-  | Syscall.Epoll_create ->
-    ret (Syscall.Ok_int (install_fd (Proc.make_desc (Proc.Epoll_fd (Epoll.create ())))))
-  | Syscall.Epoll_ctl { epfd; op; fd; events; user_data } ->
-    (* Linux's order: both descriptors exist, the target can be polled
-       (files, directories, /dev/null and /proc/self/maps have no ->poll:
-       EPERM), and only then must [epfd] be an epoll other than the
-       target *)
-    with_fd epfd (fun d ->
-        with_fd fd (fun target ->
-            match (d.kind, target.kind) with
-            | ( _,
-                ( Proc.Regular _ | Proc.Directory _ | Proc.Dev_null
-                | Proc.Proc_maps _ ) ) ->
-              ret (err Errno.EPERM)
-            | Proc.Epoll_fd ep, _ when d != target -> (
-              match Epoll.ctl ep ~op ~fd ~events ~user_data with
-              | Ok () -> ret (Syscall.Ok_int 0)
-              | Error e -> ret (err e))
-            | _ -> ret (err Errno.EINVAL)))
   | Syscall.Epoll_wait { epfd; max_events; timeout_ns } ->
-    with_fd epfd (fun d ->
+    with_fd p epfd ~ret (fun d ->
         match d.kind with
         | Proc.Epoll_fd _ when max_events <= 0 -> ret (err Errno.EINVAL)
         | Proc.Epoll_fd ep ->
@@ -1012,45 +1376,11 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
             ~ready:(fun l -> Syscall.Ok_epoll l) ~ret
         | _ -> ret (err Errno.EINVAL))
   (* ---- sockets ---- *)
-  | Syscall.Socket (_, _) ->
-    let s = Net.fresh_stream k.K.net in
-    ret (Syscall.Ok_int (install_fd (Proc.make_desc (Proc.Stream s))))
-  | Syscall.Socketpair (_, _) ->
-    let a, b = Net.make_pair k.K.net ~client_port:0 ~server_port:0 in
-    Net.set_connected a;
-    Net.set_connected b;
-    Net.mark_local a;
-    Net.mark_local b;
-    let fd1 = install_fd (Proc.make_desc (Proc.Stream a)) in
-    let fd2 = install_fd (Proc.make_desc (Proc.Stream b)) in
-    ret (Syscall.Ok_pair (fd1, fd2))
-  | Syscall.Bind (fd, port) ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Stream s when Net.local_port s = 0 ->
-          Net.set_local_port s port;
-          ret (Syscall.Ok_int 0)
-        (* bound already: a second bind, a connected socket or a listener *)
-        | Proc.Stream _ | Proc.Listener _ -> ret (err Errno.EINVAL)
-        | _ -> ret (err Errno.ENOTSOCK))
-  | Syscall.Listen (fd, backlog) ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Stream s -> (
-          match Net.listen k.K.net ~port:(Net.local_port s) ~backlog with
-          | Ok l ->
-            d.kind <- Proc.Listener l;
-            ret (Syscall.Ok_int 0)
-          | Error e -> ret (err e))
-        | Proc.Listener _ -> ret (Syscall.Ok_int 0)
-        | _ -> ret (err Errno.ENOTSOCK))
   | Syscall.Accept fd | Syscall.Accept4 { fd; _ } ->
-    let nonblock_result =
-      match call with
-      | Syscall.Accept4 { nonblock; _ } -> nonblock
-      | _ -> false
+    let nonblock =
+      match call with Syscall.Accept4 { nonblock; _ } -> nonblock | _ -> false
     in
-    with_fd fd (fun d ->
+    with_fd p fd ~ret (fun d ->
         match d.kind with
         | Proc.Listener l ->
           (* [Some None]: a shutdown took the descriptor out of listening *)
@@ -1065,10 +1395,7 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
             | None -> ret (err Errno.EINVAL)
             | Some s ->
               Net.set_connected s;
-              let desc =
-                Proc.make_desc ~nonblock:nonblock_result (Proc.Stream s)
-              in
-              let conn_fd = install_fd desc in
+              let conn_fd = install_fd p (Proc.make_desc ~nonblock (Proc.Stream s)) in
               Sched.kick k.K.sched;
               ret (Syscall.Ok_accept { conn_fd; peer_port = Net.peer_port s })
           in
@@ -1077,7 +1404,7 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
         | Proc.Stream _ -> ret (err Errno.EINVAL)
         | _ -> ret (err Errno.ENOTSOCK))
   | Syscall.Connect (fd, port) ->
-    with_fd fd (fun d ->
+    with_fd p fd ~ret (fun d ->
         match d.kind with
         | Proc.Stream placeholder -> (
           match Net.find_listener k.K.net ~port with
@@ -1088,11 +1415,7 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
                  the SYN handshake over the inter-host link, and whether a
                  listener exists there is resolved at SYN-arrival virtual
                  time (deterministically, like the local backlog check) *)
-              let local_port =
-                if Net.local_port placeholder <> 0 then
-                  Net.local_port placeholder
-                else Net.ephemeral_port k.K.net
-              in
+              let local_port = client_port k placeholder in
               let client, progress = Hostnet.connect h ~local_port ~port in
               d.kind <- Proc.Stream client;
               if d.nonblock then ret (err Errno.EINPROGRESS)
@@ -1109,22 +1432,14 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
                   ~complete:ret ()
             | _ ->
               (* RST arrives one round trip later *)
-              block k th ~on:Waitq.none ~what:"connect(refused)"
-                ~timeout_ns:(Vtime.scale k.K.net.Net.latency 2.)
-                ~poll:(fun () -> None)
-                ~on_ready:(fun (r : Syscall.result) -> ret r)
-                ~complete:(fun r ->
-                  if r = err Errno.ETIMEDOUT then ret (err Errno.ECONNREFUSED)
-                  else ret r)
-                ())
+              sleep k th ~what:"connect(refused)"
+                ~timeout_ns:(Vtime.scale k.K.net.Net.latency 2.) (function
+                | Syscall.Error Errno.ETIMEDOUT -> ret (err Errno.ECONNREFUSED)
+                | r -> ret r))
           | Some l ->
-            let client_port =
-              if Net.local_port placeholder <> 0 then
-                Net.local_port placeholder
-              else Net.ephemeral_port k.K.net
-            in
             let client, server =
-              Net.make_pair k.K.net ~client_port ~server_port:port
+              Net.make_pair k.K.net ~client_port:(client_port k placeholder)
+                ~server_port:port
             in
             Net.set_connected client;
             d.kind <- Proc.Stream client;
@@ -1145,289 +1460,13 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
                 Sched.kick k.K.sched);
             if d.nonblock then ret (err Errno.EINPROGRESS)
             else
-              block k th ~on:Waitq.none ~what:"connect"
-                ~timeout_ns:(Vtime.scale latency 2.)
-                ~poll:(fun () -> None)
-                ~on_ready:(fun (r : Syscall.result) -> ret r)
-                ~complete:(fun r ->
-                  if r = err Errno.ETIMEDOUT then
-                    if !refused then ret (err Errno.ECONNREFUSED)
-                    else ret (Syscall.Ok_int 0)
-                  else ret r)
-                ())
+              sleep k th ~what:"connect" ~timeout_ns:(Vtime.scale latency 2.)
+                (function
+                | Syscall.Error Errno.ETIMEDOUT ->
+                  ret (if !refused then err Errno.ECONNREFUSED else Syscall.Ok_int 0)
+                | r -> ret r))
         | _ -> ret (err Errno.ENOTSOCK))
-  | Syscall.Getsockname fd ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Stream s -> ret (Syscall.Ok_int (Net.local_port s))
-        | Proc.Listener l -> ret (Syscall.Ok_int l.port)
-        | _ -> ret (err Errno.ENOTSOCK))
-  | Syscall.Getpeername fd ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Stream s when Net.connected s ->
-          ret (Syscall.Ok_int (Net.peer_port s))
-        | Proc.Stream _ | Proc.Listener _ -> ret (err Errno.ENOTCONN)
-        | _ -> ret (err Errno.ENOTSOCK))
-  | Syscall.Getsockopt (fd, opt) ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Stream s ->
-          if opt = Net.so_sndbuf then ret (Syscall.Ok_int (Net.sndbuf s))
-          else if opt = Net.so_rcvbuf then ret (Syscall.Ok_int (Net.rcvbuf s))
-          else ret (Syscall.Ok_int 0)
-        | Proc.Listener _ -> ret (Syscall.Ok_int 0)
-        | _ -> ret (err Errno.ENOTSOCK))
-  | Syscall.Setsockopt (fd, opt, value) ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Stream s ->
-          if opt = Net.so_sndbuf then Net.set_sndbuf s value
-          else if opt = Net.so_rcvbuf then begin
-            Net.set_rcvbuf s value;
-            (* a larger buffer may unblock a parked sender *)
-            Sched.kick k.K.sched
-          end;
-          ret (Syscall.Ok_int 0)
-        | Proc.Listener _ -> ret (Syscall.Ok_int 0)
-        | _ -> ret (err Errno.ENOTSOCK))
-  | Syscall.Shutdown (fd, how) ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Listener _ when how = Syscall.Shut_wr -> ret (Syscall.Ok_int 0)
-        | Proc.Listener l ->
-          (* Linux disconnects a listener shut for reading: it stops
-             listening, resets its backlog, and is left an unconnected
-             socket bound to its port. So accept answers EINVAL, woken
-             accepters too; connects are refused; a second shutdown is
-             ENOTCONN; listen starts over. The reset backlog's clients see
-             their peer gone (EOF, EPIPE), not ECONNRESET. *)
-          Net.close_listener k.K.net l;
-          Queue.iter (close_stream k) l.Net.pending;
-          Queue.clear l.Net.pending;
-          let s = Net.fresh_stream k.K.net in
-          Net.set_local_port s l.Net.port;
-          d.kind <- Proc.Stream s;
-          Waitq.wake l.Net.wq;
-          Sched.kick k.K.sched;
-          ret (Syscall.Ok_int 0)
-        | Proc.Stream s when Net.never_connected s -> ret (err Errno.ENOTCONN)
-        | Proc.Stream s ->
-          (match how with
-          | Syscall.Shut_rd -> Net.shutdown_rd s
-          | Syscall.Shut_wr -> Net.shutdown_wr s
-          | Syscall.Shut_rdwr ->
-            Net.shutdown_rd s;
-            Net.shutdown_wr s);
-          (match k.K.hostnet with
-          | Some h when Net.is_remote s -> Hostnet.poke h s
-          | _ -> ());
-          Sched.kick k.K.sched;
-          ret (Syscall.Ok_int 0)
-        | _ -> ret (err Errno.ENOTSOCK))
-  (* ---- fd lifecycle ---- *)
-  | Syscall.Open (path, flags) | Syscall.Openat (path, flags) ->
-    if path = "/dev/null" then
-      ret
-        (Syscall.Ok_int
-           (install_fd
-              (Proc.make_desc ~nonblock:flags.nonblock ~can_read:flags.read
-                 ~can_write:flags.write (Proc.Dev_null))))
-    else if path = "/proc/self/maps" then begin
-      let content = Vm.maps_text p.vm in
-      ret
-        (Syscall.Ok_int
-           (install_fd
-              (Proc.make_desc ~can_read:true ~can_write:false
-                 (Proc.Proc_maps { content }))))
-    end
-    else begin
-      let node =
-        if flags.create then Vfs.create_file k.K.vfs path
-        else Vfs.resolve k.K.vfs path
-      in
-      match node with
-      | Error e -> ret (err e)
-      | Ok node -> (
-        match node.kind with
-        | Vfs.Dir _ ->
-          if flags.write then ret (err Errno.EISDIR)
-          else
-            ret
-              (Syscall.Ok_int
-                 (install_fd
-                    (Proc.make_desc ~can_read:true ~can_write:false
-                       (Proc.Directory node))))
-        | Vfs.Reg _ ->
-          if flags.trunc && flags.write then
-            ignore (Vfs.truncate node ~size:0 ~now_ns:(K.now k));
-          ret
-            (Syscall.Ok_int
-               (install_fd
-                  (Proc.make_desc ~nonblock:flags.nonblock
-                     ~can_read:flags.read ~can_write:flags.write
-                     ~append:flags.append (Proc.Regular node))))
-        | Vfs.Symlink _ -> ret (err Errno.ELOOP))
-    end
-  | Syscall.Creat path ->
-    exec k th
-      (Syscall.Open
-         (path, { Syscall.o_rdwr with read = false; create = true; trunc = true }))
-      ~ret
-  | Syscall.Close fd ->
-    with_fd fd (fun d ->
-        Fdtable.remove p.fds fd;
-        release_desc k d;
-        ret (Syscall.Ok_int 0))
-  | Syscall.Dup fd -> exec k th (Syscall.Fcntl (fd, Syscall.F_dupfd 0)) ~ret
-  (* Linux rejects dup3(fd, fd) before it looks at fd *)
-  | Syscall.Dup3 (fd, newfd) when fd = newfd -> ret (err Errno.EINVAL)
-  | Syscall.Dup2 (fd, newfd) | Syscall.Dup3 (fd, newfd) ->
-    if not (Fdtable.in_range newfd) then ret (err Errno.EBADF)
-    else
-      with_fd fd (fun d ->
-          if fd = newfd then ret (Syscall.Ok_int newfd)
-          else begin
-            (match Proc.desc_of_fd p newfd with
-            | Some old ->
-              Fdtable.remove p.fds newfd;
-              release_desc k old
-            | None -> ());
-            d.refs <- d.refs + 1;
-            Fdtable.set p.fds newfd d;
-            ret (Syscall.Ok_int newfd)
-          end)
-  | Syscall.Pipe | Syscall.Pipe2 _ ->
-    let nonblock =
-      match call with Syscall.Pipe2 { nonblock } -> nonblock | _ -> false
-    in
-    let pi = Pipe.create () in
-    let rfd =
-      install_fd (Proc.make_desc ~nonblock ~can_write:false (Proc.Pipe pi))
-    in
-    let wfd =
-      install_fd (Proc.make_desc ~nonblock ~can_read:false (Proc.Pipe pi))
-    in
-    ret (Syscall.Ok_pair (rfd, wfd))
-  | Syscall.Unlink path | Syscall.Unlinkat path -> (
-    match Vfs.unlink k.K.vfs path with
-    | Ok () -> ret (Syscall.Ok_int 0)
-    | Error e -> ret (err e))
-  | Syscall.Rename (src, dst) | Syscall.Renameat (src, dst) -> (
-    match Vfs.rename k.K.vfs ~src ~dst with
-    | Ok () -> ret (Syscall.Ok_int 0)
-    | Error e -> ret (err e))
-  | Syscall.Mkdir path | Syscall.Mkdirat path -> (
-    match Vfs.mkdir k.K.vfs path with
-    | Ok _ -> ret (Syscall.Ok_int 0)
-    | Error e -> ret (err e))
-  | Syscall.Rmdir path -> (
-    match Vfs.rmdir k.K.vfs path with
-    | Ok () -> ret (Syscall.Ok_int 0)
-    | Error e -> ret (err e))
-  | Syscall.Truncate (_, size) | Syscall.Ftruncate (_, size) when size < 0 ->
-    ret (err Errno.EINVAL)
-  | Syscall.Truncate (path, size) -> (
-    match Vfs.resolve k.K.vfs path with
-    | Ok node -> (
-      match Vfs.truncate node ~size ~now_ns:(K.now k) with
-      | Ok () -> ret (Syscall.Ok_int 0)
-      | Error e -> ret (err e))
-    | Error e -> ret (err e))
-  | Syscall.Ftruncate (fd, size) ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Regular node -> (
-          match Vfs.truncate node ~size ~now_ns:(K.now k) with
-          | Ok () -> ret (Syscall.Ok_int 0)
-          | Error e -> ret (err e))
-        | _ -> ret (err Errno.EINVAL))
-  (* ---- memory ---- *)
-  | Syscall.Mmap { len; prot; kind } -> (
-    let backing =
-      match kind with
-      | Syscall.Map_anon -> Ok Vm.Anon
-      | Syscall.Map_shared_anon -> Ok (Vm.Shared_anon (K.fresh_share_group k))
-      | Syscall.Map_file fd -> (
-        match Proc.desc_of_fd p fd with
-        | Some { kind = Proc.Regular node; _ } -> Ok (Vm.File_backed node)
-        | Some _ -> Error Errno.EINVAL
-        | None -> Error Errno.EBADF)
-    in
-    match backing with
-    | Error e -> ret (err e)
-    | Ok backing -> (
-      match Vm.map p.vm ~len ~prot ~backing ~tag:"anon" with
-      | Ok r -> ret (Syscall.Ok_int64 r.Vm.start)
-      | Error e -> ret (err e)))
-  | Syscall.Munmap { addr; len } -> (
-    match Vm.unmap p.vm ~addr ~len with
-    | Ok () -> ret (Syscall.Ok_int 0)
-    | Error e -> ret (err e))
-  | Syscall.Mprotect { addr; len; prot } -> (
-    match Vm.protect p.vm ~addr ~len ~prot with
-    | Ok () -> ret (Syscall.Ok_int 0)
-    | Error e -> ret (err e))
-  | Syscall.Mremap { addr; old_len; new_len } -> (
-    match Vm.find_region p.vm addr with
-    | Some r when Int64.equal r.Vm.start addr && r.Vm.len = old_len -> (
-      let prot = r.Vm.prot and backing = r.Vm.backing and tag = r.Vm.tag in
-      match Vm.unmap p.vm ~addr ~len:old_len with
-      | Error e -> ret (err e)
-      | Ok () -> (
-        match Vm.map p.vm ~len:new_len ~prot ~backing ~tag with
-        | Ok r' -> ret (Syscall.Ok_int64 r'.Vm.start)
-        | Error e -> ret (err e)))
-    | _ -> ret (err Errno.EINVAL))
-  | Syscall.Brk n -> ret (Syscall.Ok_int (Vm.set_brk p.vm n))
-  (* ---- shared memory ---- *)
-  | Syscall.Shmget { key; size; create } -> (
-    match Shm.get k.K.shm ~key ~size ~create with
-    | Ok seg -> ret (Syscall.Ok_int seg.Shm.shmid)
-    | Error e -> ret (err e))
-  | Syscall.Shmat { shmid; readonly } -> (
-    match Shm.find k.K.shm shmid with
-    | Error e -> ret (err e)
-    | Ok seg -> (
-      let prot = { Syscall.pr = true; pw = not readonly; px = false } in
-      match
-        Vm.map p.vm ~len:seg.Shm.size ~prot ~backing:(Vm.Shm_seg seg)
-          ~tag:"sysv-shm"
-      with
-      | Ok r ->
-        Shm.attach seg;
-        ret (Syscall.Ok_int64 r.Vm.start)
-      | Error e -> ret (err e)))
-  | Syscall.Shmdt { addr } -> (
-    match Vm.find_region p.vm addr with
-    | Some { Vm.backing = Vm.Shm_seg seg; start; _ } when Int64.equal start addr
-      -> (
-      match Vm.unmap p.vm ~addr ~len:0 with
-      | Ok () ->
-        Shm.detach k.K.shm seg;
-        ret (Syscall.Ok_int 0)
-      | Error e -> ret (err e))
-    | _ -> ret (err Errno.EINVAL))
-  | Syscall.Shmctl { shmid; rmid } -> (
-    match Shm.find k.K.shm shmid with
-    | Error e -> ret (err e)
-    | Ok seg ->
-      if rmid then Shm.remove k.K.shm seg;
-      ret (Syscall.Ok_int 0))
   (* ---- process / thread lifecycle ---- *)
-  | Syscall.Clone entry_idx ->
-    if entry_idx < 0 || entry_idx >= Array.length p.entry_table then
-      ret (err Errno.EINVAL)
-    else begin
-      let nt = K.add_thread k p ~start_clock:th.clock in
-      Sched.spawn k.K.sched nt p.entry_table.(entry_idx);
-      ret (Syscall.Ok_int nt.tid)
-    end
-  | Syscall.Fork | Syscall.Execve _ ->
-    (* Documented limitation: one-shot continuations cannot be duplicated,
-       so multi-process programs model workers as threads or pre-spawned
-       processes instead. *)
-    ret (err Errno.ENOSYS)
   | Syscall.Exit code -> exit_current k th ~code ~group:false
   | Syscall.Exit_group code -> exit_current k th ~code ~group:true
   | Syscall.Wait4 pid ->
@@ -1455,74 +1494,9 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
           child.Proc.reaped <- true;
           ret (Syscall.Ok_int child.Proc.pid))
         ~complete:ret ()
-  | Syscall.Kill (pid, sg) | Syscall.Tgkill (pid, _, sg) -> (
-    match K.find_proc k pid with
-    | Some target ->
-      post_signal k target sg;
-      ret (Syscall.Ok_int 0)
-    | None -> ret (err Errno.ESRCH))
-  (* ---- signals ---- *)
-  | Syscall.Rt_sigaction (sg, action) ->
-    if not (Sigdefs.catchable sg) then ret (err Errno.EINVAL)
-    else begin
-      Hashtbl.replace p.sig_actions sg action;
-      ret (Syscall.Ok_int 0)
-    end
-  | Syscall.Rt_sigprocmask (how, sigs) ->
-    let set = Proc.IntSet.of_list sigs in
-    (match how with
-    | Syscall.Sig_block -> p.sig_mask <- Proc.IntSet.union p.sig_mask set
-    | Syscall.Sig_unblock -> p.sig_mask <- Proc.IntSet.diff p.sig_mask set
-    | Syscall.Sig_setmask -> p.sig_mask <- set);
-    Sched.wake_process k.K.sched p;
-    Sched.kick k.K.sched;
-    ret (Syscall.Ok_int 0)
-  | Syscall.Rt_sigreturn -> ret Syscall.Ok_unit
-  | Syscall.Sigaltstack -> ret (Syscall.Ok_int 0)
-  | Syscall.Pause ->
-    block k th ~on:Waitq.none ~what:"pause"
-      ~poll:(fun () -> None)
-      ~on_ready:(fun (r : Syscall.result) -> ret r)
-      ~complete:ret ()
-  (* ---- identity / limits / misc (extended surface) ---- *)
-  | Syscall.Getpgid | Syscall.Getsid -> ret (Syscall.Ok_int p.pid)
-  | Syscall.Setsid -> ret (Syscall.Ok_int p.pid)
-  | Syscall.Getrlimit _ -> ret (Syscall.Ok_int64 Int64.max_int)
-  | Syscall.Setrlimit _ | Syscall.Prlimit64 _ -> ret (Syscall.Ok_int 0)
-  | Syscall.Sched_getaffinity -> ret (Syscall.Ok_int 0xFFFF)
-  | Syscall.Sched_setaffinity _ -> ret (Syscall.Ok_int 0)
-  | Syscall.Clock_getres -> ret (Syscall.Ok_int64 1L)
-  | Syscall.Getrandom n ->
-    (* kernel entropy: replicas must receive identical bytes, which is why
-       the MVEE replicates this call's results verbatim *)
-    let buf = Bytes.create (if n < 0 then 4096 else min n 4096) in
-    for i = 0 to Bytes.length buf - 1 do
-      Bytes.set buf i (Char.chr (Remon_util.Rng.int k.K.rng 256))
-    done;
-    ret (Syscall.Ok_data (Bytes.to_string buf))
-  | Syscall.Statfs _ | Syscall.Fstatfs _ ->
-    ret (Syscall.Ok_int64 (Int64.of_int (64 * 1024 * 1024 * 1024)))
-  | Syscall.Readahead _ | Syscall.Mincore _ | Syscall.Msync _
-  | Syscall.Mlock _ | Syscall.Munlock _ ->
-    ret (Syscall.Ok_int 0)
-  | Syscall.Umask _ -> ret (Syscall.Ok_int 0o022)
-  (* ---- file metadata writes ---- *)
-  | Syscall.Chmod (path, _) | Syscall.Chown (path, _, _) | Syscall.Utimensat path -> (
-    match Vfs.resolve k.K.vfs path with
-    | Ok node ->
-      node.Vfs.mtime_ns <- K.now k;
-      ret (Syscall.Ok_int 0)
-    | Error e -> ret (err e))
-  | Syscall.Fchmod (fd, _) ->
-    with_fd fd (fun d ->
-        match d.kind with
-        | Proc.Regular node | Proc.Directory node ->
-          node.Vfs.mtime_ns <- K.now k;
-          ret (Syscall.Ok_int 0)
-        | _ -> ret (err Errno.EBADF))
   (* ---- advisory file locks ---- *)
   | Syscall.Flock (fd, op) ->
-    with_fd fd (fun d ->
+    with_fd p fd ~ret (fun d ->
         match d.kind with
         | Proc.Regular node | Proc.Directory node -> (
           let ino = node.Vfs.ino in
@@ -1548,43 +1522,7 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -
            processes here (no fork, no descriptor passing), so no lock on
            them can conflict. *)
         | _ -> ret (Syscall.Ok_int 0))
-  (* ---- hard and symbolic links ---- *)
-  | Syscall.Link (target, path) | Syscall.Linkat (target, path) -> (
-    match Vfs.resolve k.K.vfs target with
-    | Error e -> ret (err e)
-    | Ok node -> (
-      match Vfs.parent_and_name k.K.vfs path with
-      | Error e -> ret (err e)
-      | Ok (parent, name) -> (
-        match parent.Vfs.kind with
-        | Vfs.Dir entries ->
-          if Hashtbl.mem entries name then ret (err Errno.EEXIST)
-          else begin
-            Hashtbl.replace entries name node;
-            ret (Syscall.Ok_int 0)
-          end
-        | _ -> ret (err Errno.ENOTDIR))))
-  | Syscall.Symlink (target, path) | Syscall.Symlinkat (target, path) -> (
-    match Vfs.symlink k.K.vfs ~target ~path with
-    | Ok _ -> ret (Syscall.Ok_int 0)
-    | Error e -> ret (err e))
-  (* ---- new fd factories ---- *)
-  | Syscall.Eventfd initial ->
-    let e = { Proc.count = max 0 initial } in
-    ret (Syscall.Ok_int (install_fd (Proc.make_desc (Proc.Event_fd e))))
-  (* ---- ReMon registration ---- *)
-  | Syscall.Ipmon_register { calls; rb_addr; entry_addr } -> (
-    match p.ipmon_staged with
-    | None -> ret (err Errno.EINVAL)
-    | Some reg ->
-      (* The syscall's argument list is authoritative: GHUMVEE may have
-         trimmed it by rewriting the call at the entry stop. *)
-      let reg =
-        { reg with Proc.unmonitored = Sysno.mask_of_list calls; rb_addr; entry_addr }
-      in
-      p.ipmon_registered <- Some reg;
-      p.ipmon_staged <- None;
-      ret (Syscall.Ok_int 0))
+  | _ -> ret (answer k th call)
 
 (* ------------------------------------------------------------------ *)
 (* Structured observability emission (lib/obs).
@@ -1849,13 +1787,8 @@ let handle k (th : Proc.thread) call ~return =
       | Proc.Fault_crash sg -> kill_process k p ~code:(128 + sg)
       | Proc.Fault_delay ns ->
         (* stall the arrival: the rendezvous watchdog can observe it *)
-        block k th ~on:Waitq.none ~what:"fault: injected stall" ~timeout_ns:ns
-          ~intr:false
-          ~poll:(fun () -> (None : unit option))
-          ~on_ready:(fun () -> ())
-          ~complete:(fun (_ : Syscall.result) ->
-            route k th call ~return ~done_ ~ipmon_done)
-          ())
+        sleep k th ~what:"fault: injected stall" ~timeout_ns:ns ~intr:false
+          (fun _ -> route k th call ~return ~done_ ~ipmon_done))
   end
 
 (* ------------------------------------------------------------------ *)

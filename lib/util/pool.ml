@@ -12,22 +12,7 @@
    atomics), so a single-domain run is not merely equivalent to the old
    sequential harness — it *is* the old sequential harness. *)
 
-(* A malformed or non-positive REMON_DOMAINS is a configuration error:
-   silently falling back to the core count would mask a misconfigured CI
-   or bench invocation (the run would still "work", just not the way the
-   operator asked), so fail fast instead. *)
-let default_domains () =
-  match Sys.getenv_opt "REMON_DOMAINS" with
-  | None -> max 1 (Domain.recommended_domain_count () - 1)
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None ->
-      invalid_arg
-        (Printf.sprintf
-           "REMON_DOMAINS=%S: expected a positive integer (number of worker \
-            domains)"
-           s))
+let default_domains () = max 1 (Domain.recommended_domain_count () - 1)
 
 (* Parallel body: [n] workers total (n-1 spawned domains plus the calling
    domain) race down an atomic job index. Per-job exceptions are captured

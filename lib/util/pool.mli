@@ -5,12 +5,8 @@
     and reassembles the results in submission order. *)
 
 val default_domains : unit -> int
-(** Worker count used when [map] gets no [?domains]: the [REMON_DOMAINS]
-    environment variable when set, otherwise
-    [Domain.recommended_domain_count () - 1], floored at 1. A set but
-    malformed or non-positive [REMON_DOMAINS] raises [Invalid_argument]
-    instead of silently falling back — a misconfigured CI or bench run
-    should fail loudly, not quietly change its parallelism. *)
+(** Worker count used when [map] gets no [?domains]:
+    [Domain.recommended_domain_count () - 1], floored at 1. *)
 
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~domains f jobs] applies [f] to every job and returns the results

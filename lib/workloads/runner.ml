@@ -108,7 +108,7 @@ type server_run = {
   server_outcome : Mvee.outcome;
 }
 
-let run_server_bench ?(latency = Vtime.us 100) ?sock_buf ?obs
+let run_server_bench ?(latency = Vtime.us 100) ?obs
     ~(server : Servers.spec) ~(client : Clients.spec) (config : Mvee.config) :
     server_run =
   let obs =
@@ -116,9 +116,7 @@ let run_server_bench ?(latency = Vtime.us 100) ?sock_buf ?obs
     | None, Some _ -> Some (Remon_obs.Obs.create ())
     | _ -> obs
   in
-  let kernel =
-    Kernel.create ~seed:config.Mvee.seed ~net_latency:latency ?sock_buf ()
-  in
+  let kernel = Kernel.create ~seed:config.Mvee.seed ~net_latency:latency () in
   (match obs with Some o -> Kernel.set_obs kernel o | None -> ());
   let stats = Servers.make_stats () in
   let h =

@@ -58,15 +58,13 @@ type server_run = {
 
 val run_server_bench :
   ?latency:Vtime.t ->
-  ?sock_buf:int ->
   ?obs:Remon_obs.Obs.t ->
   server:Servers.spec ->
   client:Clients.spec ->
   Mvee.config ->
   server_run
 (** Launches the (replicated) server and the client fleet over a link of
-    the given latency; fails if any request goes unanswered. [?sock_buf]
-    sets the kernel's default socket buffer cap. *)
+    the given latency; fails if any request goes unanswered. *)
 
 val server_overhead :
   ?latency:Vtime.t ->

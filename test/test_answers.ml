@@ -10,30 +10,7 @@
 
 open Remon_kernel
 open Remon_sim
-
-let sys = Sched.syscall
-
-(* Runs [body] as the only process of a fresh kernel; [None] when it was
-   still parked once nothing else could run. *)
-let run body =
-  let k = Kernel.create () in
-  let out = ref None in
-  ignore
-    (Kernel.spawn_process k ~name:"answers" ~vm_seed:1 (fun () ->
-         (* a write to a closed pipe or socket answers, not kills *)
-         ignore (sys (Syscall.Rt_sigaction (Sigdefs.sigpipe, Syscall.Sig_ignore)));
-         ignore (sys (Syscall.Rt_sigaction (Sigdefs.sigalrm, Syscall.Sig_ignore)));
-         out := Some (body ())));
-  Kernel.run k;
-  !out
-
-let fd_of = function
-  | Syscall.Ok_int fd -> fd
-  | r -> failwith (Format.asprintf "setup: %a" Syscall.pp_result r)
-
-let pair_of = function
-  | Syscall.Ok_pair (a, b) -> (a, b)
-  | r -> failwith (Format.asprintf "setup: %a" Syscall.pp_result r)
+open Kinds
 
 let stat_kind = function
   | `Reg -> "reg"
@@ -53,54 +30,6 @@ let answer = function
   | Syscall.Ok_accept _ -> "accepted"
   | Syscall.Error e -> Errno.to_string e
   | r -> Format.asprintf "%a" Syscall.pp_result r
-
-let listen_port = 7400
-
-let tcp_socket () = fd_of (sys (Syscall.Socket (Syscall.Af_inet, Syscall.Sock_stream)))
-
-(* Each kind's fresh descriptor, made by the calls a program would use. *)
-let kinds =
-  [
-    ( "file",
-      fun () ->
-        let fd =
-          fd_of
-            (sys (Syscall.Open ("/tmp/answers", { Syscall.o_rdwr with create = true })))
-        in
-        ignore (sys (Syscall.Write (fd, "hello, world\n")));
-        ignore (sys (Syscall.Lseek (fd, 0, Syscall.Seek_set)));
-        fd );
-    ( "dir",
-      fun () ->
-        ignore (sys (Syscall.Mkdir "/tmp/answers.d"));
-        fd_of (sys (Syscall.Open ("/tmp/answers.d", Syscall.o_rdonly))) );
-    ("null", fun () -> fd_of (sys (Syscall.Open ("/dev/null", Syscall.o_rdwr))));
-    ( "maps",
-      fun () ->
-        (* a process maps something before it can read its maps *)
-        ignore
-          (sys
-             (Syscall.Mmap
-                { len = 4096; prot = { Syscall.pr = true; pw = true; px = false };
-                  kind = Syscall.Map_anon }));
-        fd_of (sys (Syscall.Open ("/proc/self/maps", Syscall.o_rdonly))) );
-    ("pipe-r", fun () -> fst (pair_of (sys Syscall.Pipe)));
-    ("pipe-w", fun () -> snd (pair_of (sys Syscall.Pipe)));
-    ( "socketpair",
-      fun () ->
-        fst (pair_of (sys (Syscall.Socketpair (Syscall.Af_unix, Syscall.Sock_stream))))
-    );
-    ("socket", tcp_socket);
-    ( "listener",
-      fun () ->
-        let fd = tcp_socket () in
-        ignore (sys (Syscall.Bind (fd, listen_port)));
-        ignore (sys (Syscall.Listen (fd, 8)));
-        fd );
-    ("epoll", fun () -> fd_of (sys Syscall.Epoll_create));
-    ("timerfd", fun () -> fd_of (sys Syscall.Timerfd_create));
-    ("eventfd", fun () -> fd_of (sys (Syscall.Eventfd 0)));
-  ]
 
 (* Eight bytes that an eventfd takes as the u64 1. *)
 let eight = "\001\000\000\000\000\000\000\000"
