@@ -9,8 +9,9 @@
 open Remon_kernel
 
 type t = {
-  classes : Proc.fd_class option array; (* indexed by fd; None = closed *)
-  nonblocking : bool array;
+  bytes : Bytes.t;
+      (* one byte per fd: 0 when closed, else 1 + the index of its class
+         in [classes], plus [nonblocking] when the fd is non-blocking *)
   mutable high_water : int;
       (* highest fd ever populated; bounds the clear in [sync_from_process]
          so a full-table refresh costs O(live fds), not O(max_fds) *)
@@ -19,33 +20,35 @@ type t = {
 type Shm.payload += File_map_payload of t
 
 let max_fds = 4096 (* one page of one-byte records *)
-
-let create () =
-  {
-    classes = Array.make max_fds None;
-    nonblocking = Array.make max_fds false;
-    high_water = -1;
-  }
-
+let classes = Proc.[| Fd_regular; Fd_pipe; Fd_socket; Fd_pollfd; Fd_special |]
+let nonblocking = 0x80
+let create () = { bytes = Bytes.make max_fds '\000'; high_water = -1 }
 let in_range fd = fd >= 0 && fd < max_fds
+let byte t fd = if in_range fd then Char.code (Bytes.get t.bytes fd) else 0
 
-let set t ~fd ~cls ~nonblocking =
+let set t ~fd ~cls ~nonblocking:nb =
   if in_range fd then begin
     if fd > t.high_water then t.high_water <- fd;
-    t.classes.(fd) <- Some cls;
-    t.nonblocking.(fd) <- nonblocking
+    let code =
+      match cls with
+      | Proc.Fd_regular -> 1
+      | Proc.Fd_pipe -> 2
+      | Proc.Fd_socket -> 3
+      | Proc.Fd_pollfd -> 4
+      | Proc.Fd_special -> 5
+    in
+    Bytes.set t.bytes fd (Char.chr (if nb then code lor nonblocking else code))
   end
 
-let clear t ~fd =
-  if in_range fd then begin
-    t.classes.(fd) <- None;
-    t.nonblocking.(fd) <- false
-  end
+let clear t ~fd = if in_range fd then Bytes.set t.bytes fd '\000'
 
+(* A closed fd keeps no mode: [set] gives it one when it opens. *)
 let set_nonblocking t ~fd v =
-  if in_range fd then t.nonblocking.(fd) <- v
+  let b = byte t fd land lnot nonblocking in
+  if b <> 0 then Bytes.set t.bytes fd (Char.chr (if v then b lor nonblocking else b))
 
-let class_of t ~fd = if in_range fd then t.classes.(fd) else None
+let class_of t ~fd =
+  match byte t fd land lnot nonblocking with 0 -> None | code -> Some classes.(code - 1)
 
 let is_socket t ~fd =
   match class_of t ~fd with Some Proc.Fd_socket -> true | _ -> false
@@ -53,25 +56,15 @@ let is_socket t ~fd =
 (* Non-blocking descriptors always return immediately; blocking ones may
    block the call (MAYBE_BLOCKING in Listing 1). *)
 let may_block t ~fd =
-  if in_range fd then
-    match t.classes.(fd) with
-    | None -> false
-    | Some _ -> not t.nonblocking.(fd)
-  else false
+  let b = byte t fd in
+  b <> 0 && b land nonblocking = 0
 
 (* Refreshes the map from the master replica's actual fd table; called by
    GHUMVEE after it arbitrates fd-lifecycle calls. *)
 let sync_from_process t (p : Proc.process) =
-  if t.high_water >= 0 then begin
-    Array.fill t.classes 0 (t.high_water + 1) None;
-    Array.fill t.nonblocking 0 (t.high_water + 1) false
-  end;
+  Bytes.fill t.bytes 0 (t.high_water + 1) '\000';
   t.high_water <- -1;
   Fdtable.iter
     (fun fd (d : Proc.desc) ->
-      if in_range fd then begin
-        if fd > t.high_water then t.high_water <- fd;
-        t.classes.(fd) <- Some (Proc.classify_desc d);
-        t.nonblocking.(fd) <- d.nonblock
-      end)
+      set t ~fd ~cls:(Proc.classify_desc d) ~nonblocking:d.nonblock)
     p.fds

@@ -5,12 +5,7 @@
 
 open Remon_kernel
 
-type t = {
-  classes : Proc.fd_class option array;
-  nonblocking : bool array;
-  mutable high_water : int;
-      (** highest fd ever populated; bounds full-table refreshes *)
-}
+type t
 
 type Shm.payload += File_map_payload of t
 

@@ -57,7 +57,6 @@ type t = {
   mutable busy_until : Vtime.t;
   deferred_signals : int Queue.t;
   watchdog_ns : Vtime.t;
-  max_watchdog_retries : int;
   replaying : (int, Record_log.cursor) Hashtbl.t option array;
       (* per variant: while respawned, its per-rank replay cursors into the
          stream store *)
@@ -68,8 +67,11 @@ type t = {
   mutable rendezvous_count : int;
 }
 
-let create (g : Context.group) ?(watchdog_ns = Vtime.s 10)
-    ?(watchdog_retries = 2) () =
+(* Stalled-rendezvous grace periods, each doubling the delay, before the
+   watchdog escalates. *)
+let watchdog_retries = 2
+
+let create (g : Context.group) ~watchdog_ns =
   {
     g;
     kernel = g.Context.kernel;
@@ -77,7 +79,6 @@ let create (g : Context.group) ?(watchdog_ns = Vtime.s 10)
     busy_until = Vtime.zero;
     deferred_signals = Queue.create ();
     watchdog_ns;
-    max_watchdog_retries = watchdog_retries;
     replaying = Array.make g.Context.nreplicas None;
     waiting_replay = Hashtbl.create 4;
     exits_seen = [];
@@ -367,7 +368,7 @@ let purge_variant t ~variant =
 (* Armed when a rendezvous starts collecting and kept with it until it
    completes or a purge empties it, whatever the replica count. Bounded
    retry with doubled delay: a stalled arrival (e.g. an injected
-   rendezvous delay) gets [max_watchdog_retries] grace periods before the
+   rendezvous delay) gets [watchdog_retries] grace periods before the
    monitor escalates. Escalation quarantines the missing slaves when the
    policy allows; a missing master (or a declined policy) kills the group.
    Once every replica has exited there is nothing left to stall: a
@@ -385,7 +386,7 @@ let rec arm_watchdog t rank ~attempt =
       then begin
         match rank_state t rank with
         | Collecting c ->
-          if attempt < t.max_watchdog_retries then begin
+          if attempt < watchdog_retries then begin
             t.g.Context.watchdog_retries <- t.g.Context.watchdog_retries + 1;
             (match Kernel.obs t.kernel with
             | None -> ()

@@ -36,9 +36,8 @@ type t = {
       (** monitor serialization: concurrent stops queue behind it *)
   deferred_signals : int Queue.t;
   watchdog_ns : Vtime.t;
-  max_watchdog_retries : int;
-      (** stalled rendezvous grace periods (each doubling the delay) before
-          the watchdog escalates *)
+      (** the first rendezvous-stall timeout; two grace periods, each
+          doubling it, pass before the watchdog escalates *)
   replaying : (int, Record_log.cursor) Hashtbl.t option array;
       (** per variant: while respawned, its per-rank replay cursors into the
           stream store *)
@@ -49,8 +48,7 @@ type t = {
   mutable rendezvous_count : int;
 }
 
-val create :
-  Context.group -> ?watchdog_ns:Vtime.t -> ?watchdog_retries:int -> unit -> t
+val create : Context.group -> watchdog_ns:Vtime.t -> t
 
 val attach : t -> Proc.process -> unit
 (** ptrace-attach to a replica and watch for abnormal death. *)

@@ -234,15 +234,14 @@ let note_approval t (no : Sysno.t) =
   | Some cfg ->
     Policy.record_approval t.temporal_state ~now:(Kernel.now t.kernel) no ~cfg
 
-(* Executes [call] through the verifier, or reports a violation and runs the
-   fallback. Used by IP-MON (legitimate) and by attack scenarios (forged
-   tokens), which must end up on the monitored path. *)
-let execute t (th : Proc.thread) ~token call ~(ret : Syscall.result -> unit)
-    ~(fallback : unit -> unit) =
+(* Executes [call] through the verifier: its result, or [None] when the
+   token is rejected (a violation, counted), after which the caller takes
+   the fallback. IP-MON inlines it; the forged-token attack calls it. *)
+let execute t (th : Proc.thread) ~token call =
   Kstate.charge th (Kernel.cost t.kernel).Remon_sim.Cost_model.token_check_ns;
-  if verify t th ~token ~call then Kernel.execute_raw t.kernel th call ~ret
+  if verify t th ~token ~call then Some (Kernel.execute_raw t.kernel th call)
   else begin
     (Kernel.stats t.kernel).K.tokens_rejected <-
       (Kernel.stats t.kernel).K.tokens_rejected + 1;
-    fallback ()
+    None
   end

@@ -49,12 +49,6 @@ val set_replaying : t -> variant:int -> bool -> unit
 val was_temporal_grant : Proc.thread -> token:int64 -> bool
 val note_approval : t -> Sysno.t -> unit
 
-val execute :
-  t ->
-  Proc.thread ->
-  token:int64 ->
-  Syscall.call ->
-  ret:(Syscall.result -> unit) ->
-  fallback:(unit -> unit) ->
-  unit
-(** Complete a forwarded call through the verifier, or run [fallback]. *)
+val execute : t -> Proc.thread -> token:int64 -> Syscall.call -> Syscall.result option
+(** Complete a forwarded call through the verifier: its result, or [None]
+    when the token is rejected and the caller must take the fallback. *)

@@ -84,24 +84,22 @@ let from_logical inst (result : Syscall.result) =
 (* ------------------------------------------------------------------ *)
 (* The entry point IK-B forwards to (Figure 2, steps 2-4) *)
 
-let rec invoke inst (th : Proc.thread) ~token ~(call : Syscall.call)
-    ~(return : Syscall.result -> unit) =
+(* Runs on the calling thread's fiber and answers the call's result; the
+   waits on the replication buffer suspend the fiber. *)
+let rec invoke inst (th : Proc.thread) ~token ~(call : Syscall.call) =
   let g = inst.group in
-  if g.Context.shutdown then do_fallback inst th ~call ~return
-  else if maybe_checked inst th ~token call then do_fallback inst th ~call ~return
+  if g.Context.shutdown then do_fallback inst th ~call
+  else if maybe_checked inst th ~token call then do_fallback inst th ~call
   else begin
     (* CALCSIZE *)
     let bytes = Rb.record_bytes call in
-    if not (Rb.fits_at_all g.Context.rb ~bytes) then
-      do_fallback inst th ~call ~return
-    else if inst.variant = 0 then master_path inst th ~token ~call ~return ~bytes
-    else slave_path inst th ~token ~call ~return
+    if not (Rb.fits_at_all g.Context.rb ~bytes) then do_fallback inst th ~call
+    else if inst.variant = 0 then master_path inst th ~token ~call ~bytes
+    else slave_path inst th ~token ~call
   end
 
-(* Step 4': destroy the token, restart the call as a monitored call. A
-   toplevel function (not a per-call closure) so the fast path allocates
-   nothing preparing for a fallback that almost never happens. *)
-and do_fallback inst th ~call ~return =
+(* Step 4': destroy the token, restart the call as a monitored call. *)
+and do_fallback inst th ~call =
   let g = inst.group in
   let k = g.Context.kernel in
   g.Context.ipmon_fallbacks <- g.Context.ipmon_fallbacks + 1;
@@ -113,24 +111,43 @@ and do_fallback inst th ~call ~return =
       [ ("call", Remon_obs.Trace.Str (Syscall.to_string call)) ]);
   Ikb.destroy_token g.Context.ikb th;
   charge th (Kernel.cost k).Cost_model.ipmon_restart_ns;
-  Kernel.monitor_path k th call ~return
+  Kernel.monitor_path k th call
 
 and master_window_ok g (th : Proc.thread) =
   match g.Context.mode.Context.runahead_window with
   | None -> true
   | Some w -> Rb.lag g.Context.rb ~rank:th.Proc.rank < w
 
-(* Master fast path, one publish per record (Section 3.7). The common case —
-   no overflow, open run-ahead window — runs straight through with no
-   intermediate closures; the stall machinery lives in [master_path_slow]. *)
-and master_path inst th ~token ~call ~return ~bytes =
+(* Master path, one publish per record (Section 3.7). It stalls only on a
+   full linear buffer, until the slaves drain it, and on a full run-ahead
+   window. *)
+and master_path inst th ~token ~call ~bytes =
   let g = inst.group in
-  if
-    (not (Rb.would_overflow g.Context.rb ~bytes)) && master_window_ok g th
-  then master_proceed inst th ~token ~call ~return ~bytes
-  else master_path_slow inst th ~token ~call ~return ~bytes
+  let k = g.Context.kernel in
+  if Rb.would_overflow g.Context.rb ~bytes then begin
+    (* Linear-buffer overflow: signal GHUMVEE, wait for the slaves to
+       drain, reset (Section 3.2). The signalling syscall costs the master
+       a ptrace round trip. *)
+    (match Kernel.obs k with
+    | None -> ()
+    | Some o ->
+      Remon_obs.Obs.instant o ~ts:th.Proc.clock ~cat:"ipmon"
+        ~name:"overflow_wait" ~pid:th.Proc.proc.Proc.pid ~tid:th.Proc.tid
+        [ ("used_bytes", Remon_obs.Trace.Int g.Context.rb.Rb.used_bytes) ]);
+    charge th (Cost_model.ptrace_stop_ns (Kernel.cost k));
+    Kernel.wait_until k th ~what:"rb overflow: waiting for slaves to drain"
+      ~poll:(fun () -> if Rb.fully_drained g.Context.rb then Some () else None);
+    Rb.reset g.Context.rb;
+    Kernel.kick k
+  end;
+  if not (master_window_ok g th) then
+    (* bounded run-ahead: the master stalls until the slowest slave
+       catches up to within the window *)
+    Kernel.wait_until k th ~what:"ipmon master: run-ahead window full"
+      ~poll:(fun () -> if master_window_ok g th then Some () else None);
+  master_proceed inst th ~token ~call ~bytes
 
-and master_proceed inst th ~token ~call ~return ~bytes =
+and master_proceed inst th ~token ~call ~bytes =
   let g = inst.group in
   let k = g.Context.kernel in
   let cost = Kernel.cost k in
@@ -148,165 +165,126 @@ and master_proceed inst th ~token ~call ~return ~bytes =
   Kernel.kick k (* slaves may be waiting for this record *);
   (* inlined [Ikb.execute]: verify the one-time token, then run stop-free *)
   charge th cost.Cost_model.token_check_ns;
-  if Ikb.verify g.Context.ikb th ~token ~call then
-    Kernel.execute_raw k th call ~ret:(fun r ->
-        (* POSTCALL: replicate results *)
-        let logical = to_logical inst r in
-        charge th
-          (cost.Cost_model.rb_write_fixed_ns
-          + Cost_model.local_copy_ns cost ~bytes:(Syscall.result_bytes r));
-        let need_wake = Rb.master_publish g.Context.rb entry logical in
-        (* fast-path calls land in the master-stream store too (no-op
-           unless capture is on) *)
-        Record_log.note_call g.Context.rb.Rb.sync_log ~rank:th.Proc.rank
-          ~call:(Callinfo.normalize call) ~result:r;
-        (* slaves pulling the record bounce its cache lines back and forth *)
-        charge th
-          ((g.Context.nreplicas - 1) * cost.Cost_model.cacheline_bounce_ns);
-        (* per-record condvars (Section 3.7): skip the wake when nobody
-           waits; the ablation mode wakes unconditionally *)
-        if need_wake || not g.Context.mode.Context.per_call_condvar then
-          charge th cost.Cost_model.futex_wake_ns;
-        Kernel.kick k;
-        return r)
+  if Ikb.verify g.Context.ikb th ~token ~call then begin
+    let r = Kernel.execute_raw k th call in
+    (* POSTCALL: replicate results *)
+    let logical = to_logical inst r in
+    charge th
+      (cost.Cost_model.rb_write_fixed_ns
+      + Cost_model.local_copy_ns cost ~bytes:(Syscall.result_bytes r));
+    let need_wake = Rb.master_publish g.Context.rb entry logical in
+    (* fast-path calls land in the master-stream store too (no-op unless
+       capture is on) *)
+    Record_log.note_call g.Context.rb.Rb.sync_log ~rank:th.Proc.rank
+      ~call:(Callinfo.normalize call) ~result:r;
+    (* slaves pulling the record bounce its cache lines back and forth *)
+    charge th ((g.Context.nreplicas - 1) * cost.Cost_model.cacheline_bounce_ns);
+    (* per-record condvars (Section 3.7): skip the wake when nobody waits;
+       the ablation mode wakes unconditionally *)
+    if need_wake || not g.Context.mode.Context.per_call_condvar then
+      charge th cost.Cost_model.futex_wake_ns;
+    Kernel.kick k;
+    r
+  end
   else begin
     (Kernel.stats k).Kstate.tokens_rejected <-
       (Kernel.stats k).Kstate.tokens_rejected + 1;
-    do_fallback inst th ~call ~return
+    do_fallback inst th ~call
   end
 
-and master_path_slow inst th ~token ~call ~return ~bytes =
-  let g = inst.group in
-  let k = g.Context.kernel in
-  let cost = Kernel.cost k in
-  let proceed () = master_proceed inst th ~token ~call ~return ~bytes in
-  let proceed_windowed () =
-    if master_window_ok g th then proceed ()
-    else
-      (* bounded run-ahead: the master stalls until the slowest slave
-         catches up to within the window *)
-      Kernel.wait_until k th ~what:"ipmon master: run-ahead window full"
-        ~poll:(fun () -> if master_window_ok g th then Some () else None)
-        ~on_ready:(fun () -> proceed ())
-  in
-  if Rb.would_overflow g.Context.rb ~bytes then begin
-    (* Linear-buffer overflow: signal GHUMVEE, wait for the slaves to
-       drain, reset (Section 3.2). The signalling syscall costs the master
-       a ptrace round trip. *)
-    (match Kernel.obs k with
-    | None -> ()
-    | Some o ->
-      Remon_obs.Obs.instant o ~ts:th.Proc.clock ~cat:"ipmon"
-        ~name:"overflow_wait" ~pid:th.Proc.proc.Proc.pid ~tid:th.Proc.tid
-        [ ("used_bytes", Remon_obs.Trace.Int g.Context.rb.Rb.used_bytes) ]);
-    charge th (Cost_model.ptrace_stop_ns cost);
-    Kernel.wait_until k th ~what:"rb overflow: waiting for slaves to drain"
-      ~poll:(fun () -> if Rb.fully_drained g.Context.rb then Some () else None)
-      ~on_ready:(fun () ->
-        Rb.reset g.Context.rb;
-        Kernel.kick k;
-        proceed_windowed ())
-  end
-  else proceed_windowed ()
-
-and slave_path inst th ~token ~call ~return =
+and slave_path inst th ~token ~call =
   let g = inst.group in
   let k = g.Context.kernel in
   let cost = Kernel.cost k in
   let rank = th.Proc.rank in
   let variant = inst.variant in
   (* wait for the master's record for this call *)
-  Kernel.wait_until k th ~what:"ipmon slave: waiting for master record"
-    ~poll:(fun () -> Rb.slave_lookup g.Context.rb ~rank ~variant)
-    ~on_ready:(fun (entry : Rb.entry) ->
-      charge th
-        (cost.Cost_model.rb_read_fixed_ns
-        + Cost_model.compare_ns cost ~bytes:(Syscall.arg_bytes call));
-      match entry.Rb.call with
-      | None ->
-        (* the record carries no payload (lost/dropped): nothing to verify
-           against — consume the slot and bounce to the monitored path,
-           where GHUMVEE's watchdog catches a master that never shows up *)
+  let entry =
+    Kernel.wait_until k th ~what:"ipmon slave: waiting for master record"
+      ~poll:(fun () -> Rb.slave_lookup g.Context.rb ~rank ~variant)
+  in
+  charge th
+    (cost.Cost_model.rb_read_fixed_ns
+    + Cost_model.compare_ns cost ~bytes:(Syscall.arg_bytes call));
+  match entry.Rb.call with
+  | None ->
+    (* the record carries no payload (lost/dropped): nothing to verify
+       against — consume the slot and bounce to the monitored path, where
+       GHUMVEE's watchdog catches a master that never shows up *)
+    Rb.slave_advance g.Context.rb ~rank ~variant;
+    do_fallback inst th ~call
+  | Some _ when entry.Rb.flags.Rb.forwarded_to_monitor ->
+    (* master bounced this call to GHUMVEE; follow it *)
+    Rb.slave_advance g.Context.rb ~rank ~variant;
+    do_fallback inst th ~call
+  | Some recorded ->
+    if not (Syscall.equal_call (Callinfo.normalize call) recorded) then begin
+      (* PRECALL sanity check failed: argument divergence. *)
+      let verdict =
+        Divergence.Args_mismatch
+          {
+            rank;
+            index = th.Proc.syscall_index;
+            expected = Divergence.render_call recorded;
+            got = Divergence.render_call call;
+            variant;
+            detector = Divergence.By_ipmon;
+          }
+      in
+      (* Unless the recovery policy quarantines (and kills) this replica,
+         whose call then dies with it, crash intentionally so GHUMVEE
+         observes it via ptrace and shuts the MVEE down (Section 3.3). *)
+      if not (Context.replica_fault g ~variant verdict) then begin
+        Context.set_divergence g verdict;
+        Kernel.post_signal k inst.proc Sigdefs.sigsegv
+      end;
+      err Errno.EINTR
+    end
+    else begin
+      Epoll_map.note_call g.Context.epoll_map ~variant call;
+      match Callinfo.disposition call with
+      | Callinfo.All_call ->
+        (* process-local call: consume the record, execute locally
+           (inlined [Ikb.execute]) *)
         Rb.slave_advance g.Context.rb ~rank ~variant;
-        do_fallback inst th ~call ~return
-      | Some recorded when entry.Rb.flags.Rb.forwarded_to_monitor ->
-        (* master bounced this call to GHUMVEE; follow it *)
-        ignore recorded;
-        Rb.slave_advance g.Context.rb ~rank ~variant;
-        do_fallback inst th ~call ~return
-      | Some recorded ->
-        if not (Syscall.equal_call (Callinfo.normalize call) recorded) then begin
-          (* PRECALL sanity check failed: argument divergence. *)
-          let verdict =
-            Divergence.Args_mismatch
-              {
-                rank;
-                index = th.Proc.syscall_index;
-                expected = Divergence.render_call recorded;
-                got = Divergence.render_call call;
-                variant;
-                detector = Divergence.By_ipmon;
-              }
-          in
-          if Context.replica_fault g ~variant verdict then
-            (* the recovery policy quarantined (and killed) this replica:
-               the continuation dies with it *)
-            ()
-          else begin
-            (* default: crash intentionally so GHUMVEE observes it via
-               ptrace and shuts the MVEE down (Section 3.3) *)
-            Context.set_divergence g verdict;
-            Kernel.post_signal k inst.proc Sigdefs.sigsegv;
-            return (err Errno.EINTR)
-          end
-        end
+        Kernel.kick k;
+        charge th cost.Cost_model.token_check_ns;
+        if Ikb.verify g.Context.ikb th ~token ~call then Kernel.execute_raw k th call
         else begin
-          Epoll_map.note_call g.Context.epoll_map ~variant call;
-          match Callinfo.disposition call with
-          | Callinfo.All_call ->
-            (* process-local call: consume the record, execute locally
-               (inlined [Ikb.execute]) *)
-            Rb.slave_advance g.Context.rb ~rank ~variant;
-            Kernel.kick k;
-            charge th cost.Cost_model.token_check_ns;
-            if Ikb.verify g.Context.ikb th ~token ~call then
-              Kernel.execute_raw k th call ~ret:return
-            else begin
-              (Kernel.stats k).Kstate.tokens_rejected <-
-                (Kernel.stats k).Kstate.tokens_rejected + 1;
-              do_fallback inst th ~call ~return
-            end
-          | Callinfo.Master_call ->
-            (* abort the original call; the one-time token goes unused *)
-            Ikb.consume_token th;
-            let use_futex =
-              match g.Context.mode.Context.slave_wait with
-              | Context.Wait_auto -> entry.Rb.flags.Rb.expect_block
-              | Context.Wait_spin_only -> false
-              | Context.Wait_futex_only -> true
-            in
-            let wait_cost =
-              if use_futex then
-                (* optimized per-record condition variable (Section 3.7) *)
-                cost.Cost_model.futex_wait_ns
-              else (* spin-read loop *) 2 * cost.Cost_model.spin_poll_ns
-            in
-            entry.Rb.waiters <- entry.Rb.waiters + 1;
-            Kernel.wait_until k th ~what:"ipmon slave: waiting for results"
-              ~poll:(fun () -> entry.Rb.result)
-              ~on_ready:(fun logical ->
-                entry.Rb.waiters <- entry.Rb.waiters - 1;
-                charge th
-                  (wait_cost
-                  + Cost_model.local_copy_ns cost
-                      ~bytes:(Syscall.result_bytes logical));
-                let r = from_logical inst logical in
-                (* fd-allocating calls (VARAN handles these in-process) *)
-                Callinfo.mirror_fds inst.proc call r;
-                Rb.slave_advance g.Context.rb ~rank ~variant;
-                Kernel.kick k (* unblock a master waiting on drain *);
-                return r)
-        end)
+          (Kernel.stats k).Kstate.tokens_rejected <-
+            (Kernel.stats k).Kstate.tokens_rejected + 1;
+          do_fallback inst th ~call
+        end
+      | Callinfo.Master_call ->
+        (* abort the original call; the one-time token goes unused *)
+        Ikb.consume_token th;
+        let use_futex =
+          match g.Context.mode.Context.slave_wait with
+          | Context.Wait_auto -> entry.Rb.flags.Rb.expect_block
+          | Context.Wait_spin_only -> false
+          | Context.Wait_futex_only -> true
+        in
+        let wait_cost =
+          if use_futex then
+            (* optimized per-record condition variable (Section 3.7) *)
+            cost.Cost_model.futex_wait_ns
+          else (* spin-read loop *) 2 * cost.Cost_model.spin_poll_ns
+        in
+        entry.Rb.waiters <- entry.Rb.waiters + 1;
+        let logical =
+          Kernel.wait_until k th ~what:"ipmon slave: waiting for results"
+            ~poll:(fun () -> entry.Rb.result)
+        in
+        entry.Rb.waiters <- entry.Rb.waiters - 1;
+        charge th
+          (wait_cost + Cost_model.local_copy_ns cost ~bytes:(Syscall.result_bytes logical));
+        let r = from_logical inst logical in
+        (* fd-allocating calls (VARAN handles these in-process) *)
+        Callinfo.mirror_fds inst.proc call r;
+        Rb.slave_advance g.Context.rb ~rank ~variant;
+        Kernel.kick k (* unblock a master waiting on drain *);
+        r
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Initialization (Section 3.5): runs inside the replica, in program
@@ -366,8 +344,7 @@ let init ?(calls = Classification.ipmon_supported) (g : Context.group) ~variant
         Proc.unmonitored = Sysno.mask_of_list calls;
         rb_addr = inst.rb_addr;
         entry_addr = inst.entry_addr;
-        invoke =
-          (fun th ~token ~call ~return -> invoke inst th ~token ~call ~return);
+        invoke = (fun th ~token ~call -> invoke inst th ~token ~call);
       };
   (match
      Sched.syscall

@@ -15,14 +15,9 @@ type instance = {
 }
 
 val invoke :
-  instance ->
-  Proc.thread ->
-  token:int64 ->
-  call:Syscall.call ->
-  return:(Syscall.result -> unit) ->
-  unit
-(** The syscall entry point IK-B forwards to (Figure 2, steps 2-4).
-    Installed into the kernel by {!init}. *)
+  instance -> Proc.thread -> token:int64 -> call:Syscall.call -> Syscall.result
+(** The syscall entry point IK-B forwards to (Figure 2, steps 2-4), run on
+    the calling thread's fiber. Installed into the kernel by {!init}. *)
 
 val init : ?calls:Sysno.t list -> Context.group -> variant:int -> instance
 (** Runs inside the replica (program context) before the application's

@@ -44,9 +44,6 @@ type config = {
   rb_size : int;
   seed : int;
   watchdog_ns : Vtime.t;
-  watchdog_retries : int;
-      (* stalled-rendezvous grace periods (each doubling the delay) before
-         the watchdog escalates *)
   mode_override : Context.mode option;
       (* ablations; None = Context.default_mode *)
   rb_migration_interval : Vtime.t option;
@@ -94,7 +91,6 @@ let default_config =
     rb_size = Replication_buffer.default_size;
     seed = 42;
     watchdog_ns = Vtime.s 30;
-    watchdog_retries = 2;
     mode_override = None;
     rb_migration_interval = None;
     on_failure = Kill_group;
@@ -276,9 +272,7 @@ let launch (kernel : Kernel.t) (config : config) ~name
   let ghumvee =
     match config.backend with
     | Ghumvee_only | Remon ->
-      Some
-        (Ghumvee.create group ~watchdog_ns:config.watchdog_ns
-           ~watchdog_retries:config.watchdog_retries ())
+      Some (Ghumvee.create group ~watchdog_ns:config.watchdog_ns)
     | Native | Varan -> None
   in
   let agent =

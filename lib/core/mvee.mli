@@ -34,9 +34,6 @@ type config = {
   rb_size : int;
   seed : int;
   watchdog_ns : Vtime.t; (** rendezvous-stall detection *)
-  watchdog_retries : int;
-      (** stalled-rendezvous grace periods (each doubling the delay)
-          before the watchdog escalates *)
   mode_override : Context.mode option;
       (** ablations; [None] = {!Context.default_mode} *)
   rb_migration_interval : Vtime.t option;

@@ -7,14 +7,13 @@
                       +-(monitored)-> entry stop -> exec -> exit stop -> finish
                       +-(plain)-----> exec ----------------------------> finish
 
-   Every stage is CPS: a stage either completes synchronously or parks the
-   thread with a retry thunk and completes later. Only the thirty calls
-   that can park keep a continuation in [exec]: the read, recv, write and
-   send families, sendfile, select, poll, epoll_wait, accept, connect,
-   futex's wait, nanosleep, pause, wait4, flock, exit and exit_group.
-   Every other call is [answer]'s, which returns its result for [exec] to
-   hand on; inside [answer] an error leaves by raising [Fail], and only
-   [answer] catches it. *)
+   All of it is ordinary code on the calling thread's fiber, and each
+   stage returns its result. Where a call waits ([block]) or stops for
+   its tracer ([ptrace_stop]), the fiber suspends, and whatever ends the
+   wait or the stop continues it there. [exec] answers every call through
+   one match; an error leaves any helper by raising [Fail], which only
+   [exec] catches. A thread that dies mid-call is never continued: the
+   stage that finds it dead ends its fiber ([Sched.drop]). *)
 
 open Remon_sim
 open Remon_util
@@ -141,96 +140,94 @@ let events_intersect (want : Syscall.poll_events) (have : Syscall.poll_events) =
 (* ------------------------------------------------------------------ *)
 (* Blocking *)
 
-(* Parks [th] on the wait queue [on] (see [Sched.park]) until [poll] yields
-   a value, a timeout fires, a signal arrives (when [intr]), or someone
-   force-completes the call. Exactly one of [on_ready]/[complete] is
-   eventually invoked. A [poll] that yields [None] must have no effect,
-   and whatever can make it yield must wake [on]. *)
+(* Parks [th] on the wait queue [on] (see [Sched.park]) and suspends its
+   fiber until [poll] yields a value ([Ok]), or the wait ends otherwise
+   ([Error]): ETIMEDOUT when the timeout fires, EINTR when a signal
+   arrives (if [intr]), or the result of a forced completion. Whatever
+   ends the wait continues the fiber at once. A [poll] that yields [None]
+   must have no effect, and whatever can make it yield must wake [on]. A
+   deadline past [Vtime]'s range arms no timer. *)
 let block k (th : Proc.thread) ~on ~what ?timeout_ns ?(intr = true)
-    ~(poll : unit -> 'a option) ~(on_ready : 'a -> unit)
-    ~(complete : Syscall.result -> unit) () =
+    ~(poll : unit -> 'a option) () : ('a, Syscall.result) result =
   match poll () with
-  | Some v -> on_ready v
+  | Some v -> Ok v
   | None ->
     let b = Sched.park k.K.sched th ~on ~what ~retry:(fun () -> false) in
+    let outcome = ref (Error (err Errno.EINTR)) in
     (* Ends the wait, exactly once: the entry is [Done] from here on. *)
-    let settle () =
+    let settle r =
       Sched.unpark b;
       (match b.Waitq.timeout with Some h -> Sched.cancel k.K.sched h | None -> ());
-      th.Proc.clock <- Vtime.max th.Proc.clock (K.now k)
+      th.Proc.clock <- Vtime.max th.Proc.clock (K.now k);
+      outcome := r;
+      Sched.wake th
     in
     b.Waitq.interrupt <-
-      (fun result ->
-        if b.Waitq.state <> Waitq.Done then begin
-          settle ();
-          complete result
-        end);
+      (fun result -> if b.Waitq.state <> Waitq.Done then settle (Error result));
     b.Waitq.retry <-
       (fun () ->
         match th.Proc.tstate with
         | Proc.Dead -> true
         | _ ->
           if intr && next_deliverable (proc_of th) <> None then begin
-            settle ();
-            complete (err Errno.EINTR);
+            settle (Error (err Errno.EINTR));
             true
           end
           else begin
             match poll () with
             | Some v ->
-              settle ();
-              on_ready v;
+              settle (Ok v);
               true
             | None -> false
           end);
     (match timeout_ns with
-    | None -> ()
-    | Some ns ->
+    | Some ns when ns < Vtime.infinity - K.now k ->
       let handle =
         Sched.schedule_at k.K.sched
           ~time:(Vtime.add (K.now k) ns)
           (fun () ->
             if b.Waitq.state <> Waitq.Done then begin
               match th.Proc.tstate with
-              | Proc.Blocked b' when b' == b ->
-                settle ();
-                complete (err Errno.ETIMEDOUT)
+              | Proc.Blocked b' when b' == b -> settle (Error (err Errno.ETIMEDOUT))
               | _ -> ()
             end)
       in
-      b.Waitq.timeout <- Some handle)
+      b.Waitq.timeout <- Some handle
+    | _ -> ());
+    Sched.suspend ();
+    !outcome
+
+(* The result of a wait whose [poll] yields the call's result. *)
+let answer_of = function Ok r | Error r -> r
 
 (* A wait that only its timeout (ETIMEDOUT), a signal (EINTR, when [intr])
-   or a forced completion ends; [complete] takes whichever comes first. *)
-let sleep k th ~what ?timeout_ns ?intr complete =
-  block k th ~on:Waitq.none ~what ?timeout_ns ?intr
-    ~poll:(fun () -> (None : unit option))
-    ~on_ready:ignore ~complete ()
+   or a forced completion ends: whichever comes first. *)
+let sleep k th ~what ?timeout_ns ?intr () =
+  answer_of
+    (block k th ~on:Waitq.none ~what ?timeout_ns ?intr
+       ~poll:(fun () -> (None : Syscall.result option))
+       ())
 
 (* The blocking idiom of calls on a descriptor: where a blocking one parks
    on [on] until [poll] yields, a nonblocking one fails with EAGAIN. *)
-let park_or_eagain k th (d : Proc.desc) ~on ~what ~poll ~on_ready ~ret =
+let park_or_eagain k th (d : Proc.desc) ~on ~what ~poll =
   if d.nonblock then
-    match poll () with Some v -> on_ready v | None -> ret (err Errno.EAGAIN)
-  else block k th ~on ~what ~poll ~on_ready ~complete:ret ()
+    match poll () with Some v -> Ok v | None -> Error (err Errno.EAGAIN)
+  else block k th ~on ~what ~poll ()
 
 (* Readiness waits (select, poll, epoll_wait): [poll] yields [None] while
    nothing is ready. A zero timeout polls once; an expired one reports an
    empty ready set. *)
-let wait_ready k th ~what ~timeout_ns ~poll ~(ready : 'a list -> Syscall.result)
-    ~ret =
-  if timeout_ns = Some 0 then
-    ret (ready (match poll () with Some l -> l | None -> []))
+let wait_ready k th ~what ~timeout_ns ~poll ~(ready : 'a list -> Syscall.result) =
+  if timeout_ns = Some 0 then ready (match poll () with Some l -> l | None -> [])
   else
-    block k th ~on:Waitq.global ~what ?timeout_ns ~poll
-      ~on_ready:(fun l -> ret (ready l))
-      ~complete:(fun r ->
-        if r = err Errno.ETIMEDOUT then ret (ready []) else ret r)
-      ()
+    match block k th ~on:Waitq.global ~what ?timeout_ns ~poll () with
+    | Ok l -> ready l
+    | Error r -> if r = err Errno.ETIMEDOUT then ready [] else r
 
 (* select/poll over [fds]: (fd, wanted events) pairs. A closed fd reports
    POLLERR. *)
-let poll_fds k (th : Proc.thread) ~what fds ~timeout_ns ~ret =
+let poll_fds k (th : Proc.thread) ~what fds ~timeout_ns =
   let p = proc_of th in
   let poll () =
     let ready =
@@ -246,7 +243,6 @@ let poll_fds k (th : Proc.thread) ~what fds ~timeout_ns ~ret =
     match ready with [] -> None | ready -> Some ready
   in
   wait_ready k th ~what ~timeout_ns ~poll ~ready:(fun l -> Syscall.Ok_poll l)
-    ~ret
 
 (* ------------------------------------------------------------------ *)
 (* Descriptor release *)
@@ -398,20 +394,23 @@ let is_socket (d : Proc.desc) =
   match d.kind with Proc.Stream _ | Proc.Listener _ -> true | _ -> false
 
 (* Hands read bytes back, charged as the copy to user space. *)
-let copy_out k (th : Proc.thread) ~ret s =
+let copy_out k (th : Proc.thread) s =
   charge th (Cost_model.local_copy_ns k.K.cost ~bytes:(String.length s));
-  ret (Syscall.Ok_data s)
+  Syscall.Ok_data s
 
-(* The socket receive, which the recv calls and a socket's read share;
-   [on_data] takes the bytes. The recv calls take sockets only (ENOTSOCK).
-   A listener, and a socket that never connected, answer ENOTCONN, also to
-   an empty receive. *)
-let sock_recv k (th : Proc.thread) (d : Proc.desc) ~count ~bad_count ~on_data ~ret =
-  if not (is_socket d) then ret (err Errno.ENOTSOCK)
-  else if count < 0 then ret (err bad_count)
+(* A read's bytes: copied out, except for a positional read (DESIGN §7). *)
+let read_done k th pos s =
+  if Option.is_none pos then copy_out k th s else Syscall.Ok_data s
+
+(* The socket receive, which the recv calls and a socket's read share.
+   The recv calls take sockets only (ENOTSOCK). A listener, and a socket
+   that never connected, answer ENOTCONN, also to an empty receive. *)
+let recv k (th : Proc.thread) (d : Proc.desc) ~count ~bad_count =
+  if not (is_socket d) then err Errno.ENOTSOCK
+  else if count < 0 then err bad_count
   else
     match d.kind with
-    | Proc.Stream s when not (Net.never_connected s) ->
+    | Proc.Stream s when not (Net.never_connected s) -> (
       let attempt () =
         if Net.incoming_length s > 0 then begin
           let data = Net.recv s count in
@@ -427,9 +426,12 @@ let sock_recv k (th : Proc.thread) (d : Proc.desc) ~count ~bad_count ~on_data ~r
         else if stream_eof s then Some ""
         else None
       in
-      park_or_eagain k th d ~on:(Net.waitq s) ~what:"read(socket)"
-        ~poll:attempt ~on_ready:on_data ~ret
-    | _ -> ret (err Errno.ENOTCONN)
+      match
+        park_or_eagain k th d ~on:(Net.waitq s) ~what:"read(socket)" ~poll:attempt
+      with
+      | Ok data -> copy_out k th data
+      | Error r -> r)
+    | _ -> err Errno.ENOTCONN
 
 (* The one read of every descriptor kind, at [pos] for pread64 and preadv;
    [vectored] for readv and preadv. Linux's order: ESPIPE for a kind
@@ -438,39 +440,35 @@ let sock_recv k (th : Proc.thread) (d : Proc.desc) ~count ~bad_count ~on_data ~r
    space), then the kind, where vfs_readv answers an empty vector with 0
    from every kind that has a read at all. Positional reads are charged no
    copy (DESIGN §7). Blocks according to [d.nonblock]. *)
-let do_read k (th : Proc.thread) ?pos (d : Proc.desc) ~count ~vectored
-    ~(ret : Syscall.result -> unit) =
-  let data_done s =
-    if Option.is_none pos then copy_out k th ~ret s else ret (Syscall.Ok_data s)
-  in
+let do_read k (th : Proc.thread) ?pos (d : Proc.desc) ~count ~vectored =
   let bad_count = if vectored then Errno.EINVAL else Errno.EFAULT in
-  if Option.is_some pos && not (positional ~write:false d) then
-    ret (err Errno.ESPIPE)
-  else if not d.can_read then ret (err Errno.EBADF)
-  else if count < 0 then ret (err bad_count)
+  if Option.is_some pos && not (positional ~write:false d) then err Errno.ESPIPE
+  else if not d.can_read then err Errno.EBADF
+  else if count < 0 then err bad_count
   else
     match d.kind with
-    | Proc.Epoll_fd _ -> ret (err Errno.EINVAL)
+    | Proc.Epoll_fd _ -> err Errno.EINVAL
     | Proc.Replicated_handle _ ->
       (* A slave replica's stub descriptor reached the kernel: under a
          correctly-functioning MVEE this never happens, because slave I/O
          is aborted and satisfied from replicated results. *)
-      ret (err Errno.EREMOTEIO)
-    | _ when vectored && count = 0 -> data_done ""
+      err Errno.EREMOTEIO
+    | _ when vectored && count = 0 -> read_done k th pos ""
     | Proc.Regular node -> (
       match Vfs.read_at node ~offset:(at_offset pos d) ~count with
       | Ok s ->
         advance pos d s;
-        data_done s
-      | Error e -> ret (err e))
-    | Proc.Directory _ -> ret (err Errno.EISDIR)
-    | Proc.Dev_null -> data_done ""
+        read_done k th pos s
+      | Error e -> err e)
+    | Proc.Directory _ -> err Errno.EISDIR
+    | Proc.Dev_null -> read_done k th pos ""
     | Proc.Proc_maps pm ->
       let s = maps_at pm.content ~offset:(at_offset pos d) ~count in
       advance pos d s;
-      data_done s
+      read_done k th pos s
     (* pipe_read and sock_read_iter return 0 for an empty read at once *)
-    | Proc.Pipe _ | Proc.Stream _ | Proc.Listener _ when count = 0 -> data_done ""
+    | Proc.Pipe _ | Proc.Stream _ | Proc.Listener _ when count = 0 ->
+      read_done k th pos ""
     | Proc.Pipe pi ->
       let attempt () =
         if Pipe.bytes_available pi > 0 then begin
@@ -480,13 +478,14 @@ let do_read k (th : Proc.thread) ?pos (d : Proc.desc) ~count ~vectored
         else if Pipe.write_closed pi then Some ""
         else None
       in
-      park_or_eagain k th d ~on:Waitq.global ~what:"read(pipe)" ~poll:attempt
-        ~on_ready:data_done ~ret
-    | Proc.Stream _ | Proc.Listener _ ->
-      sock_recv k th d ~count ~bad_count ~on_data:data_done ~ret
+      (match park_or_eagain k th d ~on:Waitq.global ~what:"read(pipe)" ~poll:attempt with
+      | Ok s -> read_done k th pos s
+      | Error r -> r)
+    (* a socket has no positional read, so its bytes are copied out *)
+    | Proc.Stream _ | Proc.Listener _ -> recv k th d ~count ~bad_count
     | Proc.Timer_fd _ | Proc.Event_fd _ when count < 8 ->
       (* the 8-byte counter does not fit: EINVAL, even before blocking *)
-      ret (err Errno.EINVAL)
+      err Errno.EINVAL
     | Proc.Timer_fd tf ->
       let attempt () =
         let avail = timer_available tf (K.now k) in
@@ -496,8 +495,8 @@ let do_read k (th : Proc.thread) ?pos (d : Proc.desc) ~count ~vectored
         end
         else None
       in
-      park_or_eagain k th d ~on:Waitq.global ~what:"read(timerfd)"
-        ~poll:attempt ~on_ready:ret ~ret
+      answer_of
+        (park_or_eagain k th d ~on:Waitq.global ~what:"read(timerfd)" ~poll:attempt)
     | Proc.Event_fd e ->
       (* eventfd semantics: read returns the counter and resets it,
          blocking while it is zero *)
@@ -510,19 +509,17 @@ let do_read k (th : Proc.thread) ?pos (d : Proc.desc) ~count ~vectored
         end
         else None
       in
-      park_or_eagain k th d ~on:Waitq.global ~what:"read(eventfd)"
-        ~poll:attempt ~on_ready:ret ~ret
+      answer_of
+        (park_or_eagain k th d ~on:Waitq.global ~what:"read(eventfd)" ~poll:attempt)
 
 (* The one write of every descriptor kind, at [pos] for pwrite64 and
    pwritev, with [do_read]'s order and charges. *)
-let do_write k (th : Proc.thread) ?pos (d : Proc.desc) ~data
-    ~(ret : Syscall.result -> unit) =
+let do_write k (th : Proc.thread) ?pos (d : Proc.desc) ~data =
   let p = proc_of th in
   let len = String.length data in
   if Option.is_none pos then charge th (Cost_model.local_copy_ns k.K.cost ~bytes:len);
-  if Option.is_some pos && not (positional ~write:true d) then
-    ret (err Errno.ESPIPE)
-  else if not d.can_write then ret (err Errno.EBADF)
+  if Option.is_some pos && not (positional ~write:true d) then err Errno.ESPIPE
+  else if not d.can_write then err Errno.EBADF
   else
     match d.kind with
     | Proc.Regular node ->
@@ -537,17 +534,17 @@ let do_write k (th : Proc.thread) ?pos (d : Proc.desc) ~data
           d.offset <- offset + n;
           Sched.kick k.K.sched
         end;
-        ret (Syscall.Ok_int n)
-      | Error e -> ret (err e))
-    | Proc.Dev_null -> ret (Syscall.Ok_int len)
+        Syscall.Ok_int n
+      | Error e -> err e)
+    | Proc.Dev_null -> Syscall.Ok_int len
     | Proc.Pipe _ when len = 0 ->
       (* a null write succeeds before Linux looks for readers: no EPIPE,
          no SIGPIPE, and it never blocks *)
-      ret (Syscall.Ok_int 0)
+      Syscall.Ok_int 0
     | Proc.Pipe pi ->
       if Pipe.read_closed pi then begin
         post_signal k p Sigdefs.sigpipe;
-        ret (err Errno.EPIPE)
+        err Errno.EPIPE
       end
       else begin
         let attempt () =
@@ -560,8 +557,8 @@ let do_write k (th : Proc.thread) ?pos (d : Proc.desc) ~data
             end
             else None
         in
-        park_or_eagain k th d ~on:Waitq.global ~what:"write(pipe)"
-          ~poll:attempt ~on_ready:ret ~ret
+        answer_of
+          (park_or_eagain k th d ~on:Waitq.global ~what:"write(pipe)" ~poll:attempt)
       end
     | Proc.Stream s when not (Net.never_connected s) ->
       (* Bounded socket buffers: each send accepts at most the peer's free
@@ -592,27 +589,30 @@ let do_write k (th : Proc.thread) ?pos (d : Proc.desc) ~data
          or full buffer past that point reports a partial write. A write
          the peer accepts whole commits [data] itself: no host copy. *)
       let rec push offset =
-        if offset >= len then ret (Syscall.Ok_int len)
+        if offset >= len then Syscall.Ok_int len
         else
           match Net.send_start s (len - offset) with
           | Error e ->
-            if offset > 0 then ret (Syscall.Ok_int offset)
+            if offset > 0 then Syscall.Ok_int offset
             else begin
               if e = Errno.EPIPE then post_signal k p Sigdefs.sigpipe;
-              ret (err e)
+              err e
             end
           | Ok (0, _) ->
             if d.nonblock then
-              if offset > 0 then ret (Syscall.Ok_int offset)
-              else ret (err Errno.EAGAIN)
-            else
-              block k th ~on:(Net.send_waitq s) ~what:"write(socket)"
-                ~poll:(fun () ->
-                  if Net.peer_gone s || Net.wr_shut s then Some ()
-                  else if Net.send_space s > 0 then Some ()
-                  else None)
-                ~on_ready:(fun () -> push offset)
-                ~complete:ret ()
+              if offset > 0 then Syscall.Ok_int offset else err Errno.EAGAIN
+            else begin
+              match
+                block k th ~on:(Net.send_waitq s) ~what:"write(socket)"
+                  ~poll:(fun () ->
+                    if Net.peer_gone s || Net.wr_shut s then Some ()
+                    else if Net.send_space s > 0 then Some ()
+                    else None)
+                  ()
+              with
+              | Ok () -> push offset
+              | Error r -> r
+            end
           | Ok (n, peer) ->
             deliver (if n = len then data else String.sub data offset n) peer;
             push (offset + n)
@@ -622,17 +622,17 @@ let do_write k (th : Proc.thread) ?pos (d : Proc.desc) ~data
       (* not connected: tcp_sendmsg answers EPIPE and raises SIGPIPE, also
          for an empty write *)
       post_signal k p Sigdefs.sigpipe;
-      ret (err Errno.EPIPE)
+      err Errno.EPIPE
     | Proc.Event_fd _ when len <> 8 ->
       (* Linux takes exactly the 8-byte counter; any other size is EINVAL *)
-      ret (err Errno.EINVAL)
+      err Errno.EINVAL
     | Proc.Event_fd e ->
       (* adds the u64 the buffer carries; ULLONG_MAX is EINVAL, and an add
          that would overflow the counter waits for a read. The counter is
          an OCaml int here, so max_int stands in for ULLONG_MAX, and a
          value that does not fit below it never goes through. *)
       let raw = String.get_int64_le data 0 in
-      if raw = -1L then ret (err Errno.EINVAL)
+      if raw = -1L then err Errno.EINVAL
       else begin
         let v = Int64.to_int raw in
         let attempt () =
@@ -643,20 +643,17 @@ let do_write k (th : Proc.thread) ?pos (d : Proc.desc) ~data
           end
           else None
         in
-        park_or_eagain k th d ~on:Waitq.global ~what:"write(eventfd)"
-          ~poll:attempt ~on_ready:ret ~ret
+        answer_of
+          (park_or_eagain k th d ~on:Waitq.global ~what:"write(eventfd)" ~poll:attempt)
       end
     (* no write operation: EINVAL, as vfs_write answers a file without one *)
-    | Proc.Epoll_fd _ | Proc.Timer_fd _ -> ret (err Errno.EINVAL)
-    | Proc.Directory _ | Proc.Proc_maps _ -> ret (err Errno.EBADF)
-    | Proc.Replicated_handle _ -> ret (err Errno.EREMOTEIO)
+    | Proc.Epoll_fd _ | Proc.Timer_fd _ -> err Errno.EINVAL
+    | Proc.Directory _ | Proc.Proc_maps _ -> err Errno.EBADF
+    | Proc.Replicated_handle _ -> err Errno.EREMOTEIO
 
-(* The recv and send calls, on sockets only. *)
-let recv k th d ~count ~bad_count ~ret =
-  sock_recv k th d ~count ~bad_count ~on_data:(copy_out k th ~ret) ~ret
-
-let send k th d ~data ~ret =
-  if is_socket d then do_write k th d ~data ~ret else ret (err Errno.ENOTSOCK)
+(* The send calls, on sockets only. *)
+let send k th d ~data =
+  if is_socket d then do_write k th d ~data else err Errno.ENOTSOCK
 
 (* Builds the stat result for a node-backed or anonymous descriptor. *)
 let stat_of_node (node : Vfs.node) =
@@ -686,36 +683,29 @@ let stat_of_desc (d : Proc.desc) =
 (* ------------------------------------------------------------------ *)
 (* Thread termination *)
 
-(* Ends the calling thread. The thread's continuation is never resumed, so
-   this function must be the last thing the dispatcher does for it. *)
+(* Ends the calling thread, after its exit stop when traced: its fiber is
+   never continued. *)
 let exit_current k (th : Proc.thread) ~code ~group =
   let p = proc_of th in
-  let die () =
-    if group then kill_process k p ~code
-    else begin
-      (* the last thread's code is the process's *)
-      if Vec.for_all (fun (t : Proc.thread) -> t == th || t.tstate = Proc.Dead) p.threads
-      then p.exit_code <- code;
-      th.tstate <- Proc.Dead;
-      k.K.sched.Sched.on_thread_exit th
-    end
-  in
-  match p.tracer with
-  | Some tracer ->
+  if p.tracer <> None then begin
     k.K.stats.ptrace_stops <- k.K.stats.ptrace_stops + 1;
-    th.tstate <-
-      Proc.Trace_stopped
-        { reason = Proc.Exit_stop code; resume = (fun _ -> die ()) };
-    tracer.on_stop th (Proc.Exit_stop code)
-  | None -> die ()
+    ignore (Sched.stop (Proc.Exit_stop code))
+  end;
+  if group then kill_process k p ~code
+  else begin
+    (* the last thread's code is the process's *)
+    if Vec.for_all (fun (t : Proc.thread) -> t == th || t.tstate = Proc.Dead) p.threads
+    then p.exit_code <- code;
+    th.tstate <- Proc.Dead;
+    k.K.sched.Sched.on_thread_exit th
+  end;
+  Sched.drop ()
 
 (* ------------------------------------------------------------------ *)
-(* Calls that complete at once *)
+(* Executing a call *)
 
-(* How a call that completes at once fails: a helper raises [Fail] and
-   [answer] alone catches it and answers [Error]. The calls that can park
-   ([exec]) hand their errors to a continuation instead, so [Fail] is never
-   raised where a continuation has already run. *)
+(* How a call fails from anywhere inside [exec]: a helper raises [Fail],
+   and [exec] alone catches it and answers [Error]. *)
 exception Fail of Errno.t
 
 let fail e = raise_notrace (Fail e)
@@ -735,9 +725,13 @@ let xattr (node : Vfs.node) name =
   | Some v -> Syscall.Ok_str v
   | None -> err Errno.ENOENT
 
-(* The result of every call that completes at once, futex's wake among
-   them; the calls that can park are [exec]'s. *)
-let rec answer k (th : Proc.thread) (call : Syscall.call) : Syscall.result =
+(* A socket's port: the bound one, or a fresh ephemeral one. *)
+let client_port k s =
+  if Net.local_port s <> 0 then Net.local_port s else Net.ephemeral_port k.K.net
+
+(* Runs [call] on the calling thread's fiber and answers its result; a
+   call that waits suspends the fiber until the wait ends. *)
+let rec exec k (th : Proc.thread) (call : Syscall.call) : Syscall.result =
   let p = proc_of th in
   try
     match call with
@@ -1029,7 +1023,7 @@ let rec answer k (th : Proc.thread) (call : Syscall.call) : Syscall.result =
         | Vfs.Symlink _ -> err Errno.ELOOP
       end
     | Syscall.Creat path ->
-      answer k th
+      exec k th
         (Syscall.Open
            (path, { Syscall.o_rdwr with read = false; create = true; trunc = true }))
     | Syscall.Close fd ->
@@ -1037,7 +1031,7 @@ let rec answer k (th : Proc.thread) (call : Syscall.call) : Syscall.result =
       Fdtable.remove p.fds fd;
       release_desc k d;
       Syscall.Ok_int 0
-    | Syscall.Dup fd -> answer k th (Syscall.Fcntl (fd, Syscall.F_dupfd 0))
+    | Syscall.Dup fd -> exec k th (Syscall.Fcntl (fd, Syscall.F_dupfd 0))
     (* Linux rejects dup3(fd, fd) before it looks at fd *)
     | Syscall.Dup3 (fd, newfd) when fd = newfd -> err Errno.EINVAL
     | Syscall.Dup2 (fd, newfd) | Syscall.Dup3 (fd, newfd) ->
@@ -1222,307 +1216,259 @@ let rec answer k (th : Proc.thread) (call : Syscall.call) : Syscall.result =
           Some { reg with Proc.unmonitored = Sysno.mask_of_list calls; rb_addr; entry_addr };
         p.ipmon_staged <- None;
         Syscall.Ok_int 0)
-    (* ---- [exec]'s ---- *)
-    | Syscall.Nanosleep _ | Syscall.Pause
-    | Syscall.Futex (Syscall.Futex_wait _)
-    | Syscall.Read _ | Syscall.Readv _ | Syscall.Pread64 _ | Syscall.Preadv _
-    | Syscall.Recvfrom _ | Syscall.Recvmsg _ | Syscall.Recvmmsg _
-    | Syscall.Write _ | Syscall.Writev _ | Syscall.Pwrite64 _ | Syscall.Pwritev _
-    | Syscall.Sendto _ | Syscall.Sendmsg _ | Syscall.Sendmmsg _ | Syscall.Sendfile _
-    | Syscall.Select _ | Syscall.Pselect6 _ | Syscall.Poll _ | Syscall.Ppoll _
-    | Syscall.Epoll_wait _ | Syscall.Accept _ | Syscall.Accept4 _ | Syscall.Connect _
-    | Syscall.Wait4 _ | Syscall.Flock _ | Syscall.Exit _ | Syscall.Exit_group _ ->
-      invalid_arg "Dispatch.answer: a call that can park"
-  with Fail e -> err e
-
-(* ------------------------------------------------------------------ *)
-(* Calls that can park *)
-
-(* [f] of the descriptor at [fd]; EBADF to [ret] when it is closed. *)
-let with_fd (p : Proc.process) fd ~ret f =
-  match Proc.desc_of_fd p fd with None -> ret (err Errno.EBADF) | Some d -> f d
-
-(* A socket's port: the bound one, or a fresh ephemeral one. *)
-let client_port k s =
-  if Net.local_port s <> 0 then Net.local_port s else Net.ephemeral_port k.K.net
-
-(* Runs [call] and hands its result to [ret]. The thirty calls that can
-   park each have an arm here, with their continuations; every other call
-   is [answer]'s. *)
-let exec k (th : Proc.thread) (call : Syscall.call) ~(ret : Syscall.result -> unit) =
-  let p = proc_of th in
-  match call with
-  | Syscall.Nanosleep ns ->
-    sleep k th ~what:"nanosleep" ~timeout_ns:ns (function
-      | Syscall.Error Errno.ETIMEDOUT -> ret Syscall.Ok_unit
-      | r -> ret r)
-  | Syscall.Pause -> sleep k th ~what:"pause" ret
-  (* ---- futex ---- *)
-  | Syscall.Futex (Syscall.Futex_wait { addr; expected; timeout_ns }) ->
-    charge th k.K.cost.futex_wait_ns;
-    if Vm.read_word p.vm addr <> expected then ret (err Errno.EAGAIN)
-    else begin
+    (* ---- sleeps and futex waits ---- *)
+    | Syscall.Nanosleep ns ->
+      (* Linux's timespec64_valid: a negative time is EINVAL *)
+      if ns < 0 then fail Errno.EINVAL;
+      (match sleep k th ~what:"nanosleep" ~timeout_ns:ns () with
+      | Syscall.Error Errno.ETIMEDOUT -> Syscall.Ok_unit
+      | r -> r)
+    | Syscall.Pause -> sleep k th ~what:"pause" ()
+    | Syscall.Futex (Syscall.Futex_wait { addr; expected; timeout_ns }) -> (
+      (match timeout_ns with Some ns when ns < 0 -> fail Errno.EINVAL | _ -> ());
+      charge th k.K.cost.futex_wait_ns;
+      if Vm.read_word p.vm addr <> expected then fail Errno.EAGAIN;
       let key = Vm.futex_key p.vm ~space_id:p.pid addr in
-      let q = K.futex_queue k key in
       let w = { K.ft = th; woken = false; cancelled = false } in
-      Queue.push w q;
-      block k th ~on:Waitq.global ~what:"futex_wait" ?timeout_ns
-        ~poll:(fun () -> if w.K.woken then Some () else None)
-        ~on_ready:(fun () -> ret (Syscall.Ok_int 0))
-        ~complete:(fun r ->
-          w.K.cancelled <- true;
-          ret r)
-        ()
-    end
-  (* ---- read family ---- *)
-  (* Linux rejects a negative file offset before it looks at the fd *)
-  | Syscall.Pread64 (_, _, offset) | Syscall.Preadv (_, _, offset)
-  | Syscall.Pwrite64 (_, _, offset) | Syscall.Pwritev (_, _, offset)
-    when offset < 0 ->
-    ret (err Errno.EINVAL)
-  | Syscall.Read (fd, count) ->
-    with_fd p fd ~ret (fun d -> do_read k th d ~count ~vectored:false ~ret)
-  | Syscall.Readv (fd, lens) ->
-    with_fd p fd ~ret (fun d ->
-        do_read k th d ~count:(iov_count lens) ~vectored:true ~ret)
-  | Syscall.Pread64 (fd, count, pos) ->
-    with_fd p fd ~ret (fun d -> do_read k th ~pos d ~count ~vectored:false ~ret)
-  | Syscall.Preadv (fd, lens, pos) ->
-    with_fd p fd ~ret (fun d ->
-        do_read k th ~pos d ~count:(iov_count lens) ~vectored:true ~ret)
-  | Syscall.Recvfrom (fd, count) ->
-    (* Linux clamps recvfrom's length to MAX_RW_COUNT before checking the
-       buffer, so a negative one reads what is queued *)
-    let count = if count < 0 then max_int else count in
-    with_fd p fd ~ret (fun d -> recv k th d ~count ~bad_count:Errno.EFAULT ~ret)
-  | Syscall.Recvmsg (fd, count) ->
-    with_fd p fd ~ret (fun d -> recv k th d ~count ~bad_count:Errno.EINVAL ~ret)
-  | Syscall.Recvmmsg (fd, msgs, each) ->
-    with_fd p fd ~ret (fun d ->
-        recv k th d ~count:(msgs * each) ~bad_count:Errno.EFAULT ~ret)
-  | Syscall.Select { readfds; writefds; timeout_ns }
-  | Syscall.Pselect6 { readfds; writefds; timeout_ns } ->
-    let fds =
-      List.map (fun fd -> (fd, Syscall.ev_in)) readfds
-      @ List.map (fun fd -> (fd, Syscall.ev_out)) writefds
-    in
-    poll_fds k th ~what:"select" fds ~timeout_ns ~ret
-  | Syscall.Poll { fds; timeout_ns } | Syscall.Ppoll { fds; timeout_ns } ->
-    poll_fds k th ~what:"poll" fds ~timeout_ns ~ret
-  (* ---- write family ---- *)
-  | Syscall.Write (fd, data) -> with_fd p fd ~ret (fun d -> do_write k th d ~data ~ret)
-  | Syscall.Writev (fd, chunks) ->
-    with_fd p fd ~ret (fun d -> do_write k th d ~data:(String.concat "" chunks) ~ret)
-  | Syscall.Pwrite64 (fd, data, pos) ->
-    with_fd p fd ~ret (fun d -> do_write k th ~pos d ~data ~ret)
-  | Syscall.Pwritev (fd, chunks, pos) ->
-    with_fd p fd ~ret (fun d ->
-        do_write k th ~pos d ~data:(String.concat "" chunks) ~ret)
-  | Syscall.Sendto (fd, data) | Syscall.Sendmsg (fd, data) ->
-    with_fd p fd ~ret (fun d -> send k th d ~data ~ret)
-  | Syscall.Sendmmsg (fd, chunks) ->
-    with_fd p fd ~ret (fun d -> send k th d ~data:(String.concat "" chunks) ~ret)
-  | Syscall.Sendfile { out_fd; in_fd; count } ->
-    (* Linux checks [in_fd], the count and [out_fd] before it moves a byte,
-       then moves [in_fd]'s offset by what [out_fd] took: nothing on an
-       error, the accepted prefix on a short write, and only once a write
-       that parks completes. *)
-    with_fd p in_fd ~ret (fun din ->
-        if not din.can_read then ret (err Errno.EBADF)
-        else if count < 0 then ret (err Errno.EINVAL)
-        else
-          with_fd p out_fd ~ret (fun dout ->
-              match din.kind with
-              | Proc.Regular node -> (
-                let start = din.offset in
-                match Vfs.read_at node ~offset:start ~count with
-                | Ok data ->
-                  do_write k th dout ~data ~ret:(fun r ->
-                      (match r with
-                      | Syscall.Ok_int n -> din.offset <- start + n
-                      | _ -> ());
-                      ret r)
-                | Error e -> ret (err e))
-              | _ -> ret (err Errno.EINVAL)))
-  | Syscall.Epoll_wait { epfd; max_events; timeout_ns } ->
-    with_fd p epfd ~ret (fun d ->
-        match d.kind with
-        | Proc.Epoll_fd _ when max_events <= 0 -> ret (err Errno.EINVAL)
-        | Proc.Epoll_fd ep ->
-          let attempt () =
-            let ready =
-              List.filter_map
-                (fun (fd, (entry : Epoll.entry)) ->
-                  match Proc.desc_of_fd p fd with
-                  | None -> None (* stale interest entry: fd closed *)
-                  | Some watched ->
-                    let have = poll_desc k watched in
-                    if events_intersect entry.events have then
-                      Some (entry.user_data, have)
-                    else None)
-                (Epoll.interest_list ep)
+      Queue.push w (K.futex_queue k key);
+      match
+        block k th ~on:Waitq.global ~what:"futex_wait" ?timeout_ns
+          ~poll:(fun () -> if w.K.woken then Some () else None)
+          ()
+      with
+      | Ok () -> Syscall.Ok_int 0
+      | Error r ->
+        w.K.cancelled <- true;
+        r)
+    (* ---- read family ---- *)
+    (* Linux rejects a negative file offset before it looks at the fd *)
+    | Syscall.Pread64 (_, _, offset) | Syscall.Preadv (_, _, offset)
+    | Syscall.Pwrite64 (_, _, offset) | Syscall.Pwritev (_, _, offset)
+      when offset < 0 ->
+      err Errno.EINVAL
+    | Syscall.Read (fd, count) -> do_read k th (desc p fd) ~count ~vectored:false
+    | Syscall.Readv (fd, lens) ->
+      do_read k th (desc p fd) ~count:(iov_count lens) ~vectored:true
+    | Syscall.Pread64 (fd, count, pos) ->
+      do_read k th ~pos (desc p fd) ~count ~vectored:false
+    | Syscall.Preadv (fd, lens, pos) ->
+      do_read k th ~pos (desc p fd) ~count:(iov_count lens) ~vectored:true
+    | Syscall.Recvfrom (fd, count) ->
+      (* Linux clamps recvfrom's length to MAX_RW_COUNT before checking the
+         buffer, so a negative one reads what is queued *)
+      let count = if count < 0 then max_int else count in
+      recv k th (desc p fd) ~count ~bad_count:Errno.EFAULT
+    | Syscall.Recvmsg (fd, count) -> recv k th (desc p fd) ~count ~bad_count:Errno.EINVAL
+    | Syscall.Recvmmsg (fd, msgs, each) ->
+      recv k th (desc p fd) ~count:(msgs * each) ~bad_count:Errno.EFAULT
+    | Syscall.Select { readfds; writefds; timeout_ns }
+    | Syscall.Pselect6 { readfds; writefds; timeout_ns } ->
+      let fds =
+        List.map (fun fd -> (fd, Syscall.ev_in)) readfds
+        @ List.map (fun fd -> (fd, Syscall.ev_out)) writefds
+      in
+      poll_fds k th ~what:"select" fds ~timeout_ns
+    | Syscall.Poll { fds; timeout_ns } | Syscall.Ppoll { fds; timeout_ns } ->
+      poll_fds k th ~what:"poll" fds ~timeout_ns
+    (* ---- write family ---- *)
+    | Syscall.Write (fd, data) -> do_write k th (desc p fd) ~data
+    | Syscall.Writev (fd, chunks) -> do_write k th (desc p fd) ~data:(String.concat "" chunks)
+    | Syscall.Pwrite64 (fd, data, pos) -> do_write k th ~pos (desc p fd) ~data
+    | Syscall.Pwritev (fd, chunks, pos) ->
+      do_write k th ~pos (desc p fd) ~data:(String.concat "" chunks)
+    | Syscall.Sendto (fd, data) | Syscall.Sendmsg (fd, data) -> send k th (desc p fd) ~data
+    | Syscall.Sendmmsg (fd, chunks) -> send k th (desc p fd) ~data:(String.concat "" chunks)
+    | Syscall.Sendfile { out_fd; in_fd; count } -> (
+      (* Linux checks [in_fd], the count and [out_fd] before it moves a byte,
+         then moves [in_fd]'s offset by what [out_fd] took: nothing on an
+         error, the accepted prefix on a short write, and only once a write
+         that parks completes. *)
+      let din = desc p in_fd in
+      if not din.can_read then fail Errno.EBADF;
+      if count < 0 then fail Errno.EINVAL;
+      let dout = desc p out_fd in
+      match din.kind with
+      | Proc.Regular node ->
+        let start = din.offset in
+        let r = do_write k th dout ~data:(ok (Vfs.read_at node ~offset:start ~count)) in
+        (match r with Syscall.Ok_int n -> din.offset <- start + n | _ -> ());
+        r
+      | _ -> err Errno.EINVAL)
+    | Syscall.Epoll_wait { epfd; max_events; timeout_ns } -> (
+      match (desc p epfd).kind with
+      | Proc.Epoll_fd _ when max_events <= 0 -> err Errno.EINVAL
+      | Proc.Epoll_fd ep ->
+        let attempt () =
+          let ready =
+            List.filter_map
+              (fun (fd, (entry : Epoll.entry)) ->
+                match Proc.desc_of_fd p fd with
+                | None -> None (* stale interest entry: fd closed *)
+                | Some watched ->
+                  let have = poll_desc k watched in
+                  if events_intersect entry.events have then
+                    Some (entry.user_data, have)
+                  else None)
+              (Epoll.interest_list ep)
+          in
+          match ready with
+          | [] -> None
+          | _ ->
+            let rec take n = function
+              | [] -> []
+              | _ when n = 0 -> []
+              | x :: tl -> x :: take (n - 1) tl
             in
-            match ready with
-            | [] -> None
-            | _ ->
-              let rec take n = function
-                | [] -> []
-                | _ when n = 0 -> []
-                | x :: tl -> x :: take (n - 1) tl
-              in
-              Some (take max_events ready)
-          in
-          wait_ready k th ~what:"epoll_wait" ~timeout_ns ~poll:attempt
-            ~ready:(fun l -> Syscall.Ok_epoll l) ~ret
-        | _ -> ret (err Errno.EINVAL))
-  (* ---- sockets ---- *)
-  | Syscall.Accept fd | Syscall.Accept4 { fd; _ } ->
-    let nonblock =
-      match call with Syscall.Accept4 { nonblock; _ } -> nonblock | _ -> false
-    in
-    with_fd p fd ~ret (fun d ->
-        match d.kind with
-        | Proc.Listener l ->
-          (* [Some None]: a shutdown took the descriptor out of listening *)
-          let attempt () =
-            match d.kind with
-            | Proc.Listener l' when l' == l ->
-              if Queue.is_empty l.pending then None
-              else Some (Some (Queue.pop l.pending))
-            | _ -> Some None
-          in
-          let deliver = function
-            | None -> ret (err Errno.EINVAL)
-            | Some s ->
-              Net.set_connected s;
-              let conn_fd = install_fd p (Proc.make_desc ~nonblock (Proc.Stream s)) in
-              Sched.kick k.K.sched;
-              ret (Syscall.Ok_accept { conn_fd; peer_port = Net.peer_port s })
-          in
-          park_or_eagain k th d ~on:l.Net.wq ~what:"accept" ~poll:attempt
-            ~on_ready:deliver ~ret
-        | Proc.Stream _ -> ret (err Errno.EINVAL)
-        | _ -> ret (err Errno.ENOTSOCK))
-  | Syscall.Connect (fd, port) ->
-    with_fd p fd ~ret (fun d ->
-        match d.kind with
-        | Proc.Stream placeholder -> (
-          match Net.find_listener k.K.net ~port with
-          | None -> (
-            match k.K.hostnet with
-            | Some h when Hostnet.has_port h port ->
-              (* port statically routed to another host: the gateway runs
-                 the SYN handshake over the inter-host link, and whether a
-                 listener exists there is resolved at SYN-arrival virtual
-                 time (deterministically, like the local backlog check) *)
-              let local_port = client_port k placeholder in
-              let client, progress = Hostnet.connect h ~local_port ~port in
-              d.kind <- Proc.Stream client;
-              if d.nonblock then ret (err Errno.EINPROGRESS)
-              else
+            Some (take max_events ready)
+        in
+        wait_ready k th ~what:"epoll_wait" ~timeout_ns ~poll:attempt
+          ~ready:(fun l -> Syscall.Ok_epoll l)
+      | _ -> err Errno.EINVAL)
+    | Syscall.Accept fd | Syscall.Accept4 { fd; _ } -> (
+      let nonblock =
+        match call with Syscall.Accept4 { nonblock; _ } -> nonblock | _ -> false
+      in
+      let d = desc p fd in
+      match d.kind with
+      | Proc.Listener l -> (
+        (* [Some None]: a shutdown took the descriptor out of listening *)
+        let attempt () =
+          match d.kind with
+          | Proc.Listener l' when l' == l ->
+            if Queue.is_empty l.pending then None
+            else Some (Some (Queue.pop l.pending))
+          | _ -> Some None
+        in
+        match park_or_eagain k th d ~on:l.Net.wq ~what:"accept" ~poll:attempt with
+        | Ok None -> err Errno.EINVAL
+        | Ok (Some s) ->
+          Net.set_connected s;
+          let conn_fd = install_fd p (Proc.make_desc ~nonblock (Proc.Stream s)) in
+          Sched.kick k.K.sched;
+          Syscall.Ok_accept { conn_fd; peer_port = Net.peer_port s }
+        | Error r -> r)
+      | Proc.Stream _ -> err Errno.EINVAL
+      | _ -> err Errno.ENOTSOCK)
+    | Syscall.Connect (fd, port) -> (
+      let d = desc p fd in
+      match d.kind with
+      | Proc.Stream placeholder -> (
+        match Net.find_listener k.K.net ~port with
+        | None -> (
+          match k.K.hostnet with
+          | Some h when Hostnet.has_port h port -> (
+            (* port statically routed to another host: the gateway runs
+               the SYN handshake over the inter-host link, and whether a
+               listener exists there is resolved at SYN-arrival virtual
+               time (deterministically, like the local backlog check) *)
+            let local_port = client_port k placeholder in
+            let client, progress = Hostnet.connect h ~local_port ~port in
+            d.kind <- Proc.Stream client;
+            if d.nonblock then err Errno.EINPROGRESS
+            else
+              match
                 block k th ~on:Waitq.global ~what:"connect(remote)"
                   ~poll:(fun () ->
                     match !progress with
                     | Hostnet.Connecting -> None
                     | (Hostnet.Connected | Hostnet.Refused) as st -> Some st)
-                  ~on_ready:(fun st ->
-                    match st with
-                    | Hostnet.Connected -> ret (Syscall.Ok_int 0)
-                    | _ -> ret (err Errno.ECONNREFUSED))
-                  ~complete:ret ()
-            | _ ->
-              (* RST arrives one round trip later *)
+                  ()
+              with
+              | Ok Hostnet.Connected -> Syscall.Ok_int 0
+              | Ok _ -> err Errno.ECONNREFUSED
+              | Error r -> r)
+          | _ -> (
+            (* RST arrives one round trip later *)
+            match
               sleep k th ~what:"connect(refused)"
-                ~timeout_ns:(Vtime.scale k.K.net.Net.latency 2.) (function
-                | Syscall.Error Errno.ETIMEDOUT -> ret (err Errno.ECONNREFUSED)
-                | r -> ret r))
-          | Some l ->
-            let client, server =
-              Net.make_pair k.K.net ~client_port:(client_port k placeholder)
-                ~server_port:port
-            in
-            Net.set_connected client;
-            d.kind <- Proc.Stream client;
-            let latency = k.K.net.Net.latency in
-            (* Backlog enforcement happens at SYN arrival: a full pending
-               queue refuses the connection, which the client observes one
-               round trip after connect (ECONNREFUSED when blocking,
-               POLLHUP on the in-progress socket when nonblocking). *)
-            let refused = ref false in
-            Sched.schedule k.K.sched
-              ~time:(Vtime.add (K.now k) latency)
-              (fun () ->
-                if not (Net.try_enqueue l server) then begin
-                  refused := true;
-                  Net.close_stream server;
-                  Net.close_stream client
-                end;
-                Sched.kick k.K.sched);
-            if d.nonblock then ret (err Errno.EINPROGRESS)
-            else
-              sleep k th ~what:"connect" ~timeout_ns:(Vtime.scale latency 2.)
-                (function
-                | Syscall.Error Errno.ETIMEDOUT ->
-                  ret (if !refused then err Errno.ECONNREFUSED else Syscall.Ok_int 0)
-                | r -> ret r))
-        | _ -> ret (err Errno.ENOTSOCK))
-  (* ---- process / thread lifecycle ---- *)
-  | Syscall.Exit code -> exit_current k th ~code ~group:false
-  | Syscall.Exit_group code -> exit_current k th ~code ~group:true
-  | Syscall.Wait4 pid ->
-    let find_dead () =
-      Hashtbl.fold
-        (fun _ (child : Proc.process) acc ->
-          if
-            acc = None && child.parent_pid = p.pid && (not child.alive)
-            && (not child.reaped)
-            && (pid = -1 || pid = child.pid)
-          then Some child
-          else acc)
-        k.K.procs None
-    in
-    let has_children () =
-      Hashtbl.fold
-        (fun _ (child : Proc.process) acc ->
-          acc || (child.parent_pid = p.pid && not child.reaped))
-        k.K.procs false
-    in
-    if not (has_children ()) then ret (err Errno.ECHILD)
-    else
-      block k th ~on:Waitq.global ~what:"wait4" ~poll:find_dead
-        ~on_ready:(fun child ->
-          child.Proc.reaped <- true;
-          ret (Syscall.Ok_int child.Proc.pid))
-        ~complete:ret ()
-  (* ---- advisory file locks ---- *)
-  | Syscall.Flock (fd, op) ->
-    with_fd p fd ~ret (fun d ->
-        match d.kind with
-        | Proc.Regular node | Proc.Directory node -> (
-          let ino = node.Vfs.ino in
-          match op with
-          | Syscall.Lock_un ->
-            (match Hashtbl.find_opt k.K.flocks ino with
-            | Some holder when holder = p.pid -> Hashtbl.remove k.K.flocks ino
-            | _ -> ());
-            Sched.kick k.K.sched;
-            ret (Syscall.Ok_int 0)
-          | Syscall.Lock_sh | Syscall.Lock_ex ->
-            let attempt () =
-              match Hashtbl.find_opt k.K.flocks ino with
-              | None ->
-                Hashtbl.replace k.K.flocks ino p.pid;
-                Some (Syscall.Ok_int 0)
-              | Some holder when holder = p.pid -> Some (Syscall.Ok_int 0)
-              | Some _ -> None
-            in
-            park_or_eagain k th d ~on:Waitq.global ~what:"flock" ~poll:attempt
-              ~on_ready:ret ~ret)
-        (* Linux locks any file. The other kinds cannot be shared between
-           processes here (no fork, no descriptor passing), so no lock on
-           them can conflict. *)
-        | _ -> ret (Syscall.Ok_int 0))
-  | _ -> ret (answer k th call)
+                ~timeout_ns:(Vtime.scale k.K.net.Net.latency 2.) ()
+            with
+            | Syscall.Error Errno.ETIMEDOUT -> err Errno.ECONNREFUSED
+            | r -> r))
+        | Some l -> (
+          let client, server =
+            Net.make_pair k.K.net ~client_port:(client_port k placeholder)
+              ~server_port:port
+          in
+          Net.set_connected client;
+          d.kind <- Proc.Stream client;
+          let latency = k.K.net.Net.latency in
+          (* Backlog enforcement happens at SYN arrival: a full pending
+             queue refuses the connection, which the client observes one
+             round trip after connect (ECONNREFUSED when blocking,
+             POLLHUP on the in-progress socket when nonblocking). *)
+          let refused = ref false in
+          Sched.schedule k.K.sched
+            ~time:(Vtime.add (K.now k) latency)
+            (fun () ->
+              if not (Net.try_enqueue l server) then begin
+                refused := true;
+                Net.close_stream server;
+                Net.close_stream client
+              end;
+              Sched.kick k.K.sched);
+          if d.nonblock then err Errno.EINPROGRESS
+          else
+            match sleep k th ~what:"connect" ~timeout_ns:(Vtime.scale latency 2.) () with
+            | Syscall.Error Errno.ETIMEDOUT ->
+              if !refused then err Errno.ECONNREFUSED else Syscall.Ok_int 0
+            | r -> r))
+      | _ -> err Errno.ENOTSOCK)
+    (* ---- process / thread lifecycle ---- *)
+    | Syscall.Exit code -> exit_current k th ~code ~group:false
+    | Syscall.Exit_group code -> exit_current k th ~code ~group:true
+    | Syscall.Wait4 pid -> (
+      let find_dead () =
+        Hashtbl.fold
+          (fun _ (child : Proc.process) acc ->
+            if
+              acc = None && child.parent_pid = p.pid && (not child.alive)
+              && (not child.reaped)
+              && (pid = -1 || pid = child.pid)
+            then Some child
+            else acc)
+          k.K.procs None
+      in
+      let has_children () =
+        Hashtbl.fold
+          (fun _ (child : Proc.process) acc ->
+            acc || (child.parent_pid = p.pid && not child.reaped))
+          k.K.procs false
+      in
+      if not (has_children ()) then fail Errno.ECHILD;
+      match block k th ~on:Waitq.global ~what:"wait4" ~poll:find_dead () with
+      | Ok child ->
+        child.Proc.reaped <- true;
+        Syscall.Ok_int child.Proc.pid
+      | Error r -> r)
+    (* ---- advisory file locks ---- *)
+    | Syscall.Flock (fd, op) -> (
+      let d = desc p fd in
+      match d.kind with
+      | Proc.Regular node | Proc.Directory node -> (
+        let ino = node.Vfs.ino in
+        match op with
+        | Syscall.Lock_un ->
+          (match Hashtbl.find_opt k.K.flocks ino with
+          | Some holder when holder = p.pid -> Hashtbl.remove k.K.flocks ino
+          | _ -> ());
+          Sched.kick k.K.sched;
+          Syscall.Ok_int 0
+        | Syscall.Lock_sh | Syscall.Lock_ex ->
+          let attempt () =
+            match Hashtbl.find_opt k.K.flocks ino with
+            | None ->
+              Hashtbl.replace k.K.flocks ino p.pid;
+              Some (Syscall.Ok_int 0)
+            | Some holder when holder = p.pid -> Some (Syscall.Ok_int 0)
+            | Some _ -> None
+          in
+          answer_of (park_or_eagain k th d ~on:Waitq.global ~what:"flock" ~poll:attempt))
+      (* Linux locks any file. The other kinds cannot be shared between
+         processes here (no fork, no descriptor passing), so no lock on
+         them can conflict. *)
+      | _ -> Syscall.Ok_int 0)
+  with Fail e -> err e
 
 (* ------------------------------------------------------------------ *)
 (* Structured observability emission (lib/obs).
@@ -1546,10 +1492,9 @@ let variant_of (th : Proc.thread) =
 
 (* A ptrace stop is one monitor round trip: two context switches and the
    stop's cost. It is traced as a [ptrace] instant [name], and every stop
-   kind counts the one [ptrace.round_trips] tally. The thread then waits
-   for its tracer's [resume]. *)
-let ptrace_stop k (th : Proc.thread) (tracer : Proc.tracer) ~name reason
-    ~resume =
+   kind counts the one [ptrace.round_trips] tally. The thread's fiber then
+   waits for its tracer's [resume], whose action this answers. *)
+let ptrace_stop k (th : Proc.thread) ~name reason =
   k.K.stats.ptrace_stops <- k.K.stats.ptrace_stops + 1;
   k.K.stats.context_switches <- k.K.stats.context_switches + 2;
   charge th (Cost_model.ptrace_stop_ns k.K.cost);
@@ -1563,96 +1508,86 @@ let ptrace_stop k (th : Proc.thread) (tracer : Proc.tracer) ~name reason
         ("index", Tr.Int th.Proc.syscall_index);
       ];
     Ob.count o ~cat:"ptrace" ~name:"round_trips");
-  th.tstate <- Proc.Trace_stopped { reason; resume };
-  tracer.on_stop th reason
+  Sched.stop reason
 
-(* Final stage: deliver pending signals at the syscall boundary, then hand
-   the result back to user code. Mirrors the kernel's return-to-user path,
-   including ptrace signal-delivery stops. *)
-let rec finish k (th : Proc.thread) (result : Syscall.result) ~return =
+(* Delivers pending signals at the syscall boundary, as the kernel's
+   return-to-user path does, including ptrace signal-delivery stops. A
+   thread that dies here is never continued. *)
+let rec deliver_pending k (th : Proc.thread) result =
   let p = proc_of th in
-  if th.tstate = Proc.Dead then ()
+  if th.tstate = Proc.Dead then Sched.drop ()
   else
     match next_deliverable p with
-    | None -> return result
+    | None -> result
     | Some sg -> (
-      match p.tracer with
-      | Some tracer when not (Sigdefs.synchronous sg) ->
-        ptrace_stop k th tracer ~name:"signal_delivery_stop"
-          (Proc.Signal_delivery_stop sg) ~resume:(fun action ->
-            th.tstate <- Proc.Ready;
-            match action with
-            | Proc.Resume_deliver ->
-              if deliver_signal k th sg then finish k th result ~return
-            | Proc.Resume_suppress ->
-              (* the tracer takes ownership of the signal *)
-              remove_pending p sg;
-              finish k th result ~return
-            | Proc.Resume_kill -> kill_process k p ~code:137
-            | Proc.Resume_continue | Proc.Resume_rewrite _ | Proc.Resume_skip _
-            | Proc.Resume_set_result _ ->
-              if deliver_signal k th sg then finish k th result ~return)
-      | _ ->
-        if deliver_signal k th sg then finish k th result ~return)
+      let action =
+        match p.tracer with
+        | Some _ when not (Sigdefs.synchronous sg) ->
+          ptrace_stop k th ~name:"signal_delivery_stop" (Proc.Signal_delivery_stop sg)
+        | _ -> Proc.Resume_deliver
+      in
+      match action with
+      | Proc.Resume_suppress ->
+        (* the tracer takes ownership of the signal *)
+        remove_pending p sg;
+        deliver_pending k th result
+      | Proc.Resume_kill ->
+        kill_process k p ~code:137;
+        Sched.drop ()
+      | Proc.Resume_deliver | Proc.Resume_continue | Proc.Resume_rewrite _
+      | Proc.Resume_skip _ | Proc.Resume_set_result _ ->
+        if deliver_signal k th sg then deliver_pending k th result else Sched.drop ())
 
 (* Syscall-exit ptrace stop (when the entry was stopped too). *)
-let exit_phase k (th : Proc.thread) call result ~return =
+let exit_phase k (th : Proc.thread) call result =
   let p = proc_of th in
   match p.tracer with
-  | Some tracer ->
-    ptrace_stop k th tracer ~name:"syscall_exit_stop"
-      (Proc.Syscall_exit_stop (call, result)) ~resume:(fun action ->
-        th.tstate <- Proc.Ready;
-        match action with
-        | Proc.Resume_continue -> finish k th result ~return
-        | Proc.Resume_set_result r -> finish k th r ~return
-        | Proc.Resume_kill -> kill_process k p ~code:137
-        | Proc.Resume_rewrite _ | Proc.Resume_skip _ | Proc.Resume_deliver
-        | Proc.Resume_suppress ->
-          finish k th result ~return)
-  | None -> finish k th result ~return
+  | None -> result
+  | Some _ -> (
+    match
+      ptrace_stop k th ~name:"syscall_exit_stop" (Proc.Syscall_exit_stop (call, result))
+    with
+    | Proc.Resume_set_result r -> r
+    | Proc.Resume_kill ->
+      kill_process k p ~code:137;
+      Sched.drop ()
+    | Proc.Resume_continue | Proc.Resume_rewrite _ | Proc.Resume_skip _
+    | Proc.Resume_deliver | Proc.Resume_suppress ->
+      result)
 
 (* Syscall-entry ptrace stop: report to the CP monitor and act on its
    decision. This is the path every monitored call takes. *)
-let monitor_path k (th : Proc.thread) call ~return =
+let monitor_path k (th : Proc.thread) call =
   let p = proc_of th in
   match p.tracer with
-  | None ->
-    (* no monitor attached: execute directly *)
-    exec k th call ~ret:(fun r -> finish k th r ~return)
-  | Some tracer ->
+  | None -> exec k th call (* no monitor attached: execute directly *)
+  | Some _ -> (
     k.K.stats.monitored <- k.K.stats.monitored + 1;
-    ptrace_stop k th tracer ~name:"syscall_entry_stop"
-      (Proc.Syscall_entry_stop call) ~resume:(fun action ->
-        th.tstate <- Proc.Ready;
-        match action with
-        | Proc.Resume_continue | Proc.Resume_deliver | Proc.Resume_suppress ->
-          exec k th call ~ret:(fun r -> exit_phase k th call r ~return)
-        | Proc.Resume_rewrite call' ->
-          exec k th call' ~ret:(fun r -> exit_phase k th call' r ~return)
-        | Proc.Resume_skip r ->
-          (* call aborted by the monitor; go straight to exit stop so the
-             monitor can inject replicated results *)
-          exit_phase k th call r ~return
-        | Proc.Resume_kill -> kill_process k p ~code:137
-        | Proc.Resume_set_result r -> exit_phase k th call r ~return)
+    match ptrace_stop k th ~name:"syscall_entry_stop" (Proc.Syscall_entry_stop call) with
+    | Proc.Resume_continue | Proc.Resume_deliver | Proc.Resume_suppress ->
+      exit_phase k th call (exec k th call)
+    | Proc.Resume_rewrite call' -> exit_phase k th call' (exec k th call')
+    | Proc.Resume_skip r | Proc.Resume_set_result r ->
+      (* a skip aborts the call; its exit stop lets the monitor inject the
+         replicated result *)
+      exit_phase k th call r
+    | Proc.Resume_kill ->
+      kill_process k p ~code:137;
+      Sched.drop ())
 
 (* Raw, stop-free execution used by IP-MON once IK-B's verifier has
    accepted the authorization token (steps 3-4 of Figure 2). *)
-let execute_raw k th call ~(ret : Syscall.result -> unit) =
+let execute_raw k th call =
   charge th k.K.cost.ipmon_restart_ns;
-  exec k th call ~ret
+  exec k th call
 
 (* IK-B's routing decision for one call (Figure 2, step 2), then the
    route it picks. A replica asks its group's interceptor, which rides on
    its [replica_info]; any other process runs plain, or monitored while
    traced. A grant to a replica without an IP-MON registration (a broker
    misconfiguration) falls back to the monitored path. The route taken is
-   traced as a [route] instant, which counts [route.<name>]. The caller
-   supplies the continuations: [return] for the monitored path, and
-   [done_] / [ipmon_done], which finish a plain or an IP-MON call with
-   [return]. Routing itself allocates nothing. *)
-let route k (th : Proc.thread) call ~return ~done_ ~ipmon_done =
+   traced as a [route] instant, which counts [route.<name>]. *)
+let route k (th : Proc.thread) call =
   let p = proc_of th in
   let decision =
     match p.replica_info with
@@ -1679,116 +1614,105 @@ let route k (th : Proc.thread) call ~return ~done_ ~ipmon_done =
         ("index", Tr.Int th.Proc.syscall_index);
       ]);
   match (decision, p.ipmon_registered) with
-  | Proc.Route_plain, _ -> exec k th call ~ret:done_
+  | Proc.Route_plain, _ -> exec k th call
   | Proc.Route_ipmon token, Some reg ->
     k.K.stats.ipmon_fastpath <- k.K.stats.ipmon_fastpath + 1;
     k.K.stats.tokens_granted <- k.K.stats.tokens_granted + 1;
     charge th k.K.cost.ipmon_forward_ns;
     th.in_ipmon <- true;
-    reg.Proc.invoke th ~token ~call ~return:ipmon_done
-  | (Proc.Route_monitor | Proc.Route_ipmon _), _ ->
-    monitor_path k th call ~return
+    reg.Proc.invoke th ~token ~call
+  | (Proc.Route_monitor | Proc.Route_ipmon _), _ -> monitor_path k th call
 
-(* Top-level syscall entry: Figure 2's step 1. *)
-let handle k (th : Proc.thread) call ~return =
+(* The return to user code: leaves IP-MON, delivers pending signals and
+   ends the syscall's span (named [name], begun at [entry_clock]). *)
+let finish k (th : Proc.thread) result ~name ~entry_clock =
+  th.in_ipmon <- false;
+  let result = deliver_pending k th result in
+  (match k.K.obs with
+  | None -> ()
+  | Some o ->
+    Tr.span_end o.Ob.trace ~ts:th.Proc.clock ~cat:"syscall" ~name
+      ~pid:th.Proc.proc.Proc.pid ~tid:th.Proc.tid [];
+    Ob.observe_ns o ~cat:"syscall" ~name (Vtime.sub th.Proc.clock entry_clock));
+  result
+
+(* Top-level syscall entry: Figure 2's step 1, on the calling thread's
+   fiber. With a sink attached the whole call becomes one B/E span (even
+   across blocking and monitor stops) and feeds the per-syscall latency
+   histogram; a replica killed mid-call leaves its span unclosed, which
+   trace viewers render as running to the end of the trace. *)
+let handle k (th : Proc.thread) call =
   let p = proc_of th in
-  if not p.alive || th.tstate = Proc.Dead then ()
+  if not p.alive || th.tstate = Proc.Dead then Sched.drop ()
   else begin
     th.syscall_index <- th.syscall_index + 1;
     k.K.stats.syscalls <- k.K.stats.syscalls + 1;
     charge th k.K.cost.syscall_trap_ns;
-    let hook =
-      match p.replica_info with Some ri -> ri.Proc.fault | None -> None
+    let entry_clock = th.Proc.clock in
+    let name =
+      match k.K.obs with
+      | None -> ""
+      | Some o ->
+        let name = Syscall.to_string call in
+        Tr.span_begin o.Ob.trace ~ts:entry_clock ~cat:"syscall" ~name ~pid:p.Proc.pid
+          ~tid:th.Proc.tid
+          [
+            ("variant", Tr.Int (variant_of th));
+            ("rank", Tr.Int th.Proc.rank);
+            ("index", Tr.Int th.Proc.syscall_index);
+          ];
+        name
     in
-    match (k.K.obs, hook) with
-    | None, None ->
-      (* No sink and no fault hook: completion goes through the thread's
-         preallocated finish functions, so the call builds no closure.
-         [return] is the thread's own [return_fn]: every trap arrives
-         through the scheduler's syscall handler. *)
-      if th.finish_fn == Proc.fn_unset then begin
-        th.finish_fn <- (fun r -> finish k th r ~return:th.return_fn);
-        th.ipmon_finish_fn <-
-          (fun r ->
-            th.in_ipmon <- false;
-            finish k th r ~return:th.return_fn)
-      end;
-      route k th call ~return:th.return_fn ~done_:th.finish_fn
-        ~ipmon_done:th.ipmon_finish_fn
-    | obs, hook -> (
-      (* With a sink attached the whole call becomes one B/E span (even
-         across blocking and monitor stops) and feeds the per-syscall
-         latency histogram. A replica killed mid-call leaves an unclosed
-         span, which trace viewers render as running-to-end-of-trace. *)
-      let return =
-        match obs with
-        | None -> return
-        | Some o ->
-          let name = Syscall.to_string call in
-          let pid = p.Proc.pid and tid = th.Proc.tid in
-          let entry_clock = th.Proc.clock in
-          Tr.span_begin o.Ob.trace ~ts:entry_clock ~cat:"syscall" ~name ~pid
-            ~tid
-            [
-              ("variant", Tr.Int (variant_of th));
-              ("rank", Tr.Int th.Proc.rank);
-              ("index", Tr.Int th.Proc.syscall_index);
-            ];
-          fun r ->
-            Tr.span_end o.Ob.trace ~ts:th.Proc.clock ~cat:"syscall" ~name ~pid
-              ~tid [];
-            Ob.observe_ns o ~cat:"syscall" ~name
-              (Vtime.sub th.Proc.clock entry_clock);
-            return r
+    let fault =
+      match p.replica_info with
+      | Some { Proc.fault = Some f; _ } -> f th call
+      | Some { Proc.fault = None; _ } | None -> Proc.Fault_none
+    in
+    (* An injected fault is traced as its route, "fault:<kind>" (which
+       counts), then as an uncounted [fault] instant with what it
+       injected. *)
+    (match k.K.obs with
+    | None -> ()
+    | Some o -> (
+      let traced =
+        match fault with
+        | Proc.Fault_none -> None
+        | Proc.Fault_rewrite c ->
+          Some ("rewrite", c, ("call", Tr.Str (Syscall.to_string c)))
+        | Proc.Fault_result _ ->
+          Some ("result", call, ("call", Tr.Str (Syscall.to_string call)))
+        | Proc.Fault_crash sg -> Some ("crash", call, ("signal", Tr.Int sg))
+        | Proc.Fault_delay ns -> Some ("delay", call, ("ns", Tr.Int ns))
       in
-      let done_ r = finish k th r ~return in
-      let ipmon_done r =
-        th.in_ipmon <- false;
-        finish k th r ~return
-      in
-      let fault =
-        match hook with Some f -> f th call | None -> Proc.Fault_none
-      in
-      (* An injected fault is traced as its route, "fault:<kind>" (which
-         counts), then as an uncounted [fault] instant with what it
-         injected. *)
-      (match obs with
+      match traced with
       | None -> ()
-      | Some o -> (
-        let traced =
-          match fault with
-          | Proc.Fault_none -> None
-          | Proc.Fault_rewrite c ->
-            Some ("rewrite", c, ("call", Tr.Str (Syscall.to_string c)))
-          | Proc.Fault_result _ ->
-            Some ("result", call, ("call", Tr.Str (Syscall.to_string call)))
-          | Proc.Fault_crash sg -> Some ("crash", call, ("signal", Tr.Int sg))
-          | Proc.Fault_delay ns -> Some ("delay", call, ("ns", Tr.Int ns))
-        in
-        match traced with
-        | None -> ()
-        | Some (kind, c, arg) ->
-          let ts = th.Proc.clock and pid = p.Proc.pid and tid = th.Proc.tid in
-          let variant = ("variant", Tr.Int (variant_of th))
-          and index = ("index", Tr.Int th.Proc.syscall_index) in
-          Ob.instant o ~ts ~cat:"route" ~name:("fault:" ^ kind) ~pid ~tid
-            [ ("call", Tr.Str (Syscall.to_string c)); variant; index ];
-          Tr.instant o.Ob.trace ~ts ~cat:"fault" ~name:kind ~pid ~tid
-            [ variant; index; arg ]));
+      | Some (kind, c, arg) ->
+        let ts = th.Proc.clock and pid = p.Proc.pid and tid = th.Proc.tid in
+        let variant = ("variant", Tr.Int (variant_of th))
+        and index = ("index", Tr.Int th.Proc.syscall_index) in
+        Ob.instant o ~ts ~cat:"route" ~name:("fault:" ^ kind) ~pid ~tid
+          [ ("call", Tr.Str (Syscall.to_string c)); variant; index ];
+        Tr.instant o.Ob.trace ~ts ~cat:"fault" ~name:kind ~pid ~tid
+          [ variant; index; arg ]));
+    let result =
       match fault with
-      | Proc.Fault_none -> route k th call ~return ~done_ ~ipmon_done
+      | Proc.Fault_none -> route k th call
       | Proc.Fault_rewrite call' ->
         (* the corrupted capture flows through the normal routing/detection
            paths; the monitors see it as an argument divergence *)
-        route k th call' ~return ~done_ ~ipmon_done
+        route k th call'
       | Proc.Fault_result r ->
         (* transient kernel-level failure (e.g. ECONNRESET): complete now *)
-        finish k th r ~return
-      | Proc.Fault_crash sg -> kill_process k p ~code:(128 + sg)
+        r
+      | Proc.Fault_crash sg ->
+        kill_process k p ~code:(128 + sg);
+        Sched.drop ()
       | Proc.Fault_delay ns ->
         (* stall the arrival: the rendezvous watchdog can observe it *)
-        sleep k th ~what:"fault: injected stall" ~timeout_ns:ns ~intr:false
-          (fun _ -> route k th call ~return ~done_ ~ipmon_done))
+        ignore (sleep k th ~what:"fault: injected stall" ~timeout_ns:ns ~intr:false ());
+        route k th call
+    in
+    finish k th result ~name ~entry_clock
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1808,5 +1732,4 @@ let interrupt_blocked k (th : Proc.thread) result =
 let inject_signal_now k (th : Proc.thread) sg =
   ignore (deliver_signal k th sg)
 
-let install k =
-  k.K.sched.Sched.syscall_handler <- (fun th call ~return -> handle k th call ~return)
+let install k = k.K.sched.Sched.syscall_handler <- (fun th call -> handle k th call)

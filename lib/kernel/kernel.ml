@@ -92,12 +92,7 @@ let on_process_exit (p : Proc.process) f =
 
 let attach_tracer (p : Proc.process) tracer = p.Proc.tracer <- Some tracer
 
-let resume (_k : t) (th : Proc.thread) (action : Proc.resume_action) =
-  match th.Proc.tstate with
-  | Proc.Trace_stopped { resume; _ } -> resume action
-  | Proc.Dead -> ()
-  | Proc.Ready | Proc.Blocked _ ->
-    invalid_arg "Kernel.resume: thread is not trace-stopped"
+let resume (_k : t) th action = Sched.resume th action
 
 let interrupt_blocked (k : t) th result = Dispatch.interrupt_blocked k th result
 let inject_signal_now (k : t) th sg = Dispatch.inject_signal_now k th sg
@@ -108,17 +103,17 @@ let kill_process (k : t) p ~code = Dispatch.kill_process k p ~code
 (* IP-MON hookup *)
 
 (* Raw execution used by IP-MON after token verification. *)
-let execute_raw (k : t) th call ~ret = Dispatch.execute_raw k th call ~ret
+let execute_raw (k : t) th call = Dispatch.execute_raw k th call
 
-(* Parks [th] until [poll] succeeds; for monitor-internal waits (IP-MON
-   slaves waiting on the replication buffer). A forced wake (GHUMVEE
-   aborting blocked calls to deliver a signal) does not satisfy the wait:
-   the thread parks again until [poll] does. *)
-let rec wait_until (k : t) th ~what ~(poll : unit -> 'a option)
-    ~(on_ready : 'a -> unit) =
-  Dispatch.block k th ~on:Waitq.global ~what ~intr:false ~poll ~on_ready
-    ~complete:(fun _ -> wait_until k th ~what ~poll ~on_ready)
-    ()
+(* Parks [th] until [poll] succeeds and answers its value; for
+   monitor-internal waits (IP-MON slaves waiting on the replication
+   buffer). A forced wake (GHUMVEE aborting blocked calls to deliver a
+   signal) does not satisfy the wait: the thread parks again until [poll]
+   does. *)
+let rec wait_until (k : t) th ~what ~poll =
+  match Dispatch.block k th ~on:Waitq.global ~what ~intr:false ~poll () with
+  | Ok v -> v
+  | Error _ -> wait_until k th ~what ~poll
 
 let kick (k : t) = Sched.kick k.K.sched
 
@@ -134,7 +129,7 @@ let run (k : t) = Sched.run k.K.sched
 (* Re-enters the monitored (ptrace) path for a call IP-MON declined to
    handle (Figure 2's step 4': token destroyed, call forwarded to the CP
    monitor). *)
-let monitor_path (k : t) th call ~return = Dispatch.monitor_path k th call ~return
+let monitor_path (k : t) th call = Dispatch.monitor_path k th call
 
 
 (* ------------------------------------------------------------------ *)

@@ -71,8 +71,9 @@ val on_process_exit : Proc.process -> (int -> unit) -> unit
 val attach_tracer : Proc.process -> Proc.tracer -> unit
 
 val resume : t -> Proc.thread -> Proc.resume_action -> unit
-(** Resume a trace-stopped thread. Raises [Invalid_argument] if the thread
-    is not stopped. *)
+(** Resume a trace-stopped thread: its fiber continues at once, also from
+    inside the tracer's own [on_stop]. Raises [Invalid_argument] if the
+    thread is not stopped. *)
 
 val interrupt_blocked : t -> Proc.thread -> Syscall.result -> bool
 (** Force-complete a blocked syscall (GHUMVEE's Section 3.8 abort).
@@ -87,26 +88,20 @@ val kill_process : t -> Proc.process -> code:int -> unit
 
 (** {1 IP-MON hookup} *)
 
-val execute_raw :
-  t -> Proc.thread -> Syscall.call -> ret:(Syscall.result -> unit) -> unit
-(** Stop-free execution used by IP-MON once the token verified. *)
+val execute_raw : t -> Proc.thread -> Syscall.call -> Syscall.result
+(** Stop-free execution used by IP-MON once the token verified, on the
+    calling thread's fiber. *)
 
-val monitor_path :
-  t -> Proc.thread -> Syscall.call -> return:(Syscall.result -> unit) -> unit
+val monitor_path : t -> Proc.thread -> Syscall.call -> Syscall.result
 (** Re-enter the monitored (ptrace) path for a call IP-MON declined
     (Figure 2, step 4'). *)
 
-val wait_until :
-  t ->
-  Proc.thread ->
-  what:string ->
-  poll:(unit -> 'a option) ->
-  on_ready:('a -> unit) ->
-  unit
-(** Park a thread until [poll] succeeds; for monitor-internal waits (IP-MON
-    slaves waiting on the replication buffer). These waits are retried by
-    every {!kick}. A forced wake ({!interrupt_blocked}) re-parks the thread
-    instead of completing the wait. *)
+val wait_until : t -> Proc.thread -> what:string -> poll:(unit -> 'a option) -> 'a
+(** Park a thread until [poll] succeeds, and answer its value; for
+    monitor-internal waits (IP-MON slaves waiting on the replication
+    buffer). These waits are retried by every {!kick}. A forced wake
+    ({!interrupt_blocked}) re-parks the thread instead of completing the
+    wait. *)
 
 val kick : t -> unit
 (** Schedules a retry sweep; call after mutating shared state that a

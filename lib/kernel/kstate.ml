@@ -112,13 +112,8 @@ let add_thread k (p : Proc.process) ~start_clock =
       pending_delivery = Queue.create ();
       in_ipmon = false;
       ikb_token = None;
-      resume_kind = 0;
-      resume_k = Obj.repr 0;
-      resume_r = Syscall.Ok_unit;
-      resume_thunk = (fun () -> ());
-      return_fn = (fun _ -> ());
-      finish_fn = Proc.fn_unset;
-      ipmon_finish_fn = Proc.fn_unset;
+      fiber = None;
+      resume_thunk = ignore;
     }
   in
   Vec.push p.Proc.threads th;

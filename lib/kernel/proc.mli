@@ -93,7 +93,11 @@ type fault_decision =
 type thread_state =
   | Ready (* a scheduled event will run or resume it *)
   | Blocked of Waitq.entry (* parked: on a wait queue, or on none *)
-  | Trace_stopped of { reason : stop_reason; resume : resume_action -> unit }
+  | Trace_stopped of {
+      reason : stop_reason;
+      resume : (resume_action, unit) Effect.Deep.continuation;
+          (* the stopped fiber, continued by [Kernel.resume] *)
+    }
   | Dead
 
 type process = {
@@ -138,30 +142,18 @@ and thread = {
       (* IK-B's latest grant to this thread, kept on the thread as the
          kernel keeps it per task: a respawned replica's threads start
          with none *)
-  (* Preallocated resume scratch, managed by [Sched]. A coroutine thread
-     has at most one pending suspension at any instant, so the captured
-     continuation and its resume value live here instead of inside
-     per-event closures; [resume_thunk] and [return_fn] are allocated once
-     at spawn. [resume_kind]: 0 idle, -1 suspended awaiting the syscall
-     return, 1 syscall result ready, 2 unit resume ready. *)
-  mutable resume_kind : int;
-  mutable resume_k : Obj.t;
-  mutable resume_r : Syscall.result;
+  mutable fiber : (unit, unit) Effect.Deep.continuation option;
+      (* the thread's suspended fiber while it waits or returns to user
+         code; managed by [Sched] *)
   mutable resume_thunk : unit -> unit;
-  mutable return_fn : Syscall.result -> unit;
-  mutable finish_fn : Syscall.result -> unit;
-      (* dispatch completion with [return_fn] as the continuation; installed
-         by the dispatcher on the thread's first syscall so the tracing-off
-         path needs no per-call closure *)
-  mutable ipmon_finish_fn : Syscall.result -> unit;
-      (* same, for calls returning from IP-MON (clears [in_ipmon]) *)
+      (* the return to user code at [clock], allocated once at spawn *)
 }
 
 and tracer = {
   tracer_name : string;
   mutable on_stop : thread -> stop_reason -> unit;
-      (* invoked when a traced thread stops; the thread stays
-         [Trace_stopped] until its [resume] closure is called *)
+      (* invoked when a traced thread stops, once its fiber is suspended;
+         the thread stays [Trace_stopped] until [Kernel.resume] *)
 }
 
 and ikb_token = {
@@ -175,8 +167,7 @@ and ipmon_registration = {
   unmonitored : Sysno.mask; (* the set IP-MON offered (possibly trimmed by GHUMVEE) *)
   rb_addr : int64; (* where the RB is mapped in this replica *)
   entry_addr : int64; (* IP-MON's syscall entry point *)
-  invoke :
-    thread -> token:int64 -> call:Syscall.call -> return:(Syscall.result -> unit) -> unit;
+  invoke : thread -> token:int64 -> call:Syscall.call -> Syscall.result;
       (* the IP-MON code itself, installed by the MVEE at registration *)
 }
 
@@ -188,10 +179,6 @@ and replica_info = {
   fault : (thread -> Syscall.call -> fault_decision) option;
       (* the group's fault-injection hook, consulted before routing *)
 }
-
-val fn_unset : Syscall.result -> unit
-(** Sentinel for [finish_fn]/[ipmon_finish_fn]: physical identity marks "not
-    yet installed"; calling it fails. *)
 
 val thread_name : thread -> string
 

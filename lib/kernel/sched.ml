@@ -1,10 +1,20 @@
 (* Discrete-event cooperative scheduler.
 
-   Simulated threads are OCaml 5 effect-handler coroutines. A thread
-   performs [Syscall_eff] and [Compute_eff] effects; the handler captures
-   the continuation and hands control to the kernel, which decides when (in
-   virtual time) the thread resumes. All replicas of a benchmark therefore
-   run "in parallel" on the simulated machine while the host execution stays
+   Every simulated thread is an OCaml 5 fiber, and its syscalls run on
+   it: [syscall] calls the installed kernel handler directly, finding the
+   running thread in a domain-local slot that is set while a fiber runs.
+   A fiber suspends in three ways, and whoever ends the suspension
+   continues it at that point:
+   - returning to user code, at the end of a syscall or a compute step,
+     schedules the thread's resume event at its clock (one event each);
+   - a wait ([suspend]) is continued by [wake] from what ends it: a
+     sweep's retry, a timeout, a forced completion;
+   - a ptrace stop ([stop]) suspends before the tracer's [on_stop] runs
+     and is continued by [resume], so a tracer may resume the stopped
+     thread from inside its own stop.
+   A thread that dies is never continued: a fiber whose thread died
+   mid-call ends in [drop]. All replicas of a benchmark therefore run "in
+   parallel" on the simulated machine while the host execution stays
    single-threaded and deterministic.
 
    Blocking model: a blocked thread parks one [Waitq.entry] holding a
@@ -24,33 +34,27 @@
    [Lost_wakeup].
 
    Hot-path discipline: a suspended thread has exactly one pending
-   continuation at any instant, so the continuation and its resume value
-   are stored in per-thread scratch fields ([Proc.resume_kind]/[resume_k]/
-   [resume_r]) and the scheduled event is the thread's preallocated
-   [resume_thunk] — resuming a syscall or compute step allocates nothing.
-   The run loop pops through [Event_queue.pop_into] (no tuple/option per
-   event), and plain [schedule] uses [Event_queue.add_] (no handle). *)
+   continuation, kept in [Proc.thread.fiber] (a stopped one in its
+   [Trace_stopped] state); its resume event is the thread's preallocated
+   [resume_thunk], and the handler answers the payload-free effects with
+   closures allocated once per thread. The run loop pops through
+   [Event_queue.pop_into] (no tuple/option per event), and plain
+   [schedule] uses [Event_queue.add_] (no handle). *)
 
 open Remon_sim
 
 type _ Effect.t +=
-  | Syscall_eff : Syscall.call -> Syscall.result Effect.t
-  | Compute_eff : Vtime.t -> unit Effect.t
-  | Now_eff : Vtime.t Effect.t
-  | Self_eff : Proc.thread Effect.t
-  | Wait_user_eff : (unit -> bool) -> unit Effect.t
-      (* user-space busy-wait on a memory condition (no syscall): used by
-         replication agents that synchronize through shared memory *)
+  | Suspend : unit Effect.t (* until [wake] *)
+  | Stop : Proc.stop_reason -> Proc.resume_action Effect.t (* until [resume] *)
+  | Drop : 'a Effect.t (* never continued *)
 
-exception Thread_killed
 exception Lost_wakeup of string
 
 type t = {
   events : (unit -> unit) Event_queue.t;
   slot : (unit -> unit) Event_queue.slot; (* run-loop landing pad *)
   mutable now : Vtime.t;
-  mutable syscall_handler :
-    Proc.thread -> Syscall.call -> return:(Syscall.result -> unit) -> unit;
+  mutable syscall_handler : Proc.thread -> Syscall.call -> Syscall.result;
   mutable on_thread_exit : Proc.thread -> unit;
   global : Waitq.t; (* catch-all queue, woken by every sweep *)
   runq : Waitq.runq; (* woken entries *)
@@ -125,7 +129,7 @@ let create () =
       slot = Event_queue.make_slot nop;
       now = Vtime.zero;
       syscall_handler =
-        (fun _ _ ~return:_ -> failwith "Sched: no syscall handler installed");
+        (fun _ _ -> failwith "Sched: no syscall handler installed");
       on_thread_exit = (fun _ -> ());
       global;
       runq;
@@ -164,51 +168,86 @@ let schedule_pre t ~time thunk =
   Event_queue.add_pre_ t.events ~time:(Vtime.max time t.now) thunk
 
 (* ------------------------------------------------------------------ *)
-(* Thread bodies *)
+(* Fibers *)
 
-let resume_value :
-    type a. t -> Proc.thread -> (a, unit) Effect.Deep.continuation -> a -> unit
-    =
- fun _t th k v ->
+(* The thread whose user code this domain runs, with its scheduler. User
+   code is entered only from the run loop, at a thread's first run and at
+   its resume events, which set the slot; a fiber continued inline (a
+   wait's end, a tracer's resume) runs kernel code, which never reads it.
+   The run loop restores it when it returns. *)
+type running = { sched : t; thread : Proc.thread }
+
+let running_thread : running option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let current () =
+  match Domain.DLS.get running_thread with
+  | Some r -> r
+  | None -> invalid_arg "Sched: no simulated thread is running"
+
+let suspend () = Effect.perform Suspend
+let stop reason = Effect.perform (Stop reason)
+let drop () = Effect.perform Drop
+
+let wake (th : Proc.thread) =
+  match th.Proc.fiber with
+  | Some k ->
+    th.Proc.fiber <- None;
+    Effect.Deep.continue k ()
+  | None -> failwith "Sched.wake: the thread is not suspended"
+
+let resume (th : Proc.thread) action =
   match th.Proc.tstate with
-  | Proc.Dead -> () (* killed while suspended: drop the continuation *)
+  | Proc.Trace_stopped { resume; _ } ->
+    th.Proc.tstate <- Proc.Ready;
+    Effect.Deep.continue resume action
+  | Proc.Dead -> ()
+  | Proc.Ready | Proc.Blocked _ ->
+    invalid_arg "Kernel.resume: thread is not trace-stopped"
+
+(* The body of every thread's preallocated [resume_thunk]: back to user
+   code, unless the thread died first. *)
+let resume_user me (th : Proc.thread) =
+  match th.Proc.tstate with
+  | Proc.Dead -> th.Proc.fiber <- None
   | _ ->
     th.Proc.tstate <- Proc.Ready;
-    Effect.Deep.continue k v
+    Domain.DLS.set running_thread me;
+    wake th
 
-(* The body of every thread's preallocated [resume_thunk]: resume from the
-   scratch slots. *)
-let do_resume t th =
-  let kind = th.Proc.resume_kind in
-  th.Proc.resume_kind <- 0;
-  if kind = 1 then begin
-    let k : (Syscall.result, unit) Effect.Deep.continuation =
-      Obj.obj th.Proc.resume_k
-    in
-    th.Proc.resume_k <- Obj.repr 0;
-    resume_value t th k th.Proc.resume_r
-  end
-  else if kind = 2 then begin
-    let k : (unit, unit) Effect.Deep.continuation = Obj.obj th.Proc.resume_k in
-    th.Proc.resume_k <- Obj.repr 0;
-    resume_value t th k ()
-  end
-  else failwith "Sched: resume with no pending continuation"
+(* Returns to user code at the thread's clock: one scheduled event. *)
+let return_at t (th : Proc.thread) =
+  schedule t ~time:th.Proc.clock th.Proc.resume_thunk;
+  suspend ()
 
-(* The body of every thread's preallocated [return_fn]. *)
-let syscall_return t th r =
-  if th.Proc.resume_kind <> -1 then
-    failwith "Sched: syscall return invoked twice";
-  th.Proc.resume_kind <- 1;
-  th.Proc.resume_r <- r;
-  schedule t ~time:th.Proc.clock th.Proc.resume_thunk
+let dropped = Some ignore
 
-(* Stash the continuation in the thread's scratch and schedule its
-   preallocated resume event. *)
-let schedule_unit_resume t th (k : (unit, unit) Effect.Deep.continuation) =
-  th.Proc.resume_k <- Obj.repr k;
-  th.Proc.resume_kind <- 2;
-  schedule t ~time:th.Proc.clock th.Proc.resume_thunk
+let run_thread_body t (th : Proc.thread) me (body : unit -> unit) =
+  let suspended =
+    Some (fun (k : (unit, unit) Effect.Deep.continuation) -> th.Proc.fiber <- Some k)
+  in
+  Domain.DLS.set running_thread me;
+  Effect.Deep.match_with body ()
+    {
+      retc =
+        (fun () ->
+          th.Proc.tstate <- Proc.Dead;
+          t.on_thread_exit th);
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with
+          | Suspend -> suspended
+          | Stop reason ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                th.Proc.tstate <- Proc.Trace_stopped { reason; resume = k };
+                match th.Proc.proc.Proc.tracer with
+                | Some tracer -> tracer.Proc.on_stop th reason
+                | None -> ())
+          | Drop -> dropped
+          | _ -> None);
+    }
 
 (* Parks [th] on the wait queue [on]: [Waitq.global] for the scheduler's
    catch-all queue, [Waitq.none] for a wait only a signal (see
@@ -229,69 +268,13 @@ let park t th ~(on : Waitq.t) ~what ~(retry : unit -> bool) =
   end;
   b
 
-let run_thread_body t (th : Proc.thread) (body : unit -> unit) =
-  let open Effect.Deep in
-  match_with body ()
-    {
-      retc =
-        (fun () ->
-          th.Proc.tstate <- Proc.Dead;
-          t.on_thread_exit th);
-      exnc =
-        (fun e ->
-          match e with
-          | Thread_killed ->
-            th.Proc.tstate <- Proc.Dead;
-            t.on_thread_exit th
-          | e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Syscall_eff call ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                th.Proc.resume_k <- Obj.repr k;
-                th.Proc.resume_kind <- -1;
-                t.syscall_handler th call ~return:th.Proc.return_fn)
-          | Compute_eff d ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                th.Proc.clock <- Vtime.add th.Proc.clock d;
-                schedule_unit_resume t th k)
-          | Now_eff -> Some (fun (k : (a, _) continuation) -> continue k th.Proc.clock)
-          | Self_eff -> Some (fun (k : (a, _) continuation) -> continue k th)
-          | Wait_user_eff cond ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                if cond () then continue k ()
-                else begin
-                  let b =
-                    park t th ~on:Waitq.global ~what:"user-space wait"
-                      ~retry:(fun () -> false)
-                  in
-                  b.Waitq.retry <-
-                    (fun () ->
-                      match th.Proc.tstate with
-                      | Proc.Dead -> true
-                      | _ ->
-                        if cond () then begin
-                          th.Proc.clock <- Vtime.max th.Proc.clock t.now;
-                          schedule_unit_resume t th k;
-                          true
-                        end
-                        else false)
-                end)
-          | _ -> None);
-    }
-
-let spawn t th body =
-  (* install the per-thread resume machinery exactly once *)
-  th.Proc.resume_thunk <- (fun () -> do_resume t th);
-  th.Proc.return_fn <- (fun r -> syscall_return t th r);
+let spawn t (th : Proc.thread) body =
+  let me = Some { sched = t; thread = th } in
+  th.Proc.resume_thunk <- (fun () -> resume_user me th);
   schedule t ~time:th.Proc.clock (fun () ->
       match th.Proc.tstate with
       | Proc.Dead -> () (* killed before it ever ran *)
-      | _ -> run_thread_body t th body)
+      | _ -> run_thread_body t th me body)
 
 (* ------------------------------------------------------------------ *)
 (* Blocking *)
@@ -319,6 +302,7 @@ exception Event_budget_exhausted
 (* Unbounded drain: the common case, kept free of any per-event bound
    check or peek. *)
 let run t =
+  let saved = Domain.DLS.get running_thread in
   let slot = t.slot in
   let running = ref true in
   while !running do
@@ -330,13 +314,15 @@ let run t =
       if Vtime.(time > t.now) then t.now <- time;
       (Event_queue.slot_payload slot) ()
     end
-  done
+  done;
+  Domain.DLS.set running_thread saved
 
 (* Conservative-parallel window: process everything strictly below
    [bound], leave the rest queued. The first out-of-bound event is
    *peeked*, not popped, so no future event is lost. An empty queue reads
    as [Vtime.infinity], which no bound exceeds. *)
 let run_before t ~bound =
+  let saved = Domain.DLS.get running_thread in
   let slot = t.slot in
   while
     Vtime.(Event_queue.min_time t.events < bound)
@@ -347,16 +333,42 @@ let run_before t ~bound =
     let time = Event_queue.slot_time slot in
     if Vtime.(time > t.now) then t.now <- time;
     (Event_queue.slot_payload slot) ()
-  done
+  done;
+  Domain.DLS.set running_thread saved
 
 (* Time of the next runnable event, [Vtime.infinity] on an empty queue:
    the E_i input of the shard synchronizer's lookahead fixed point. *)
 let next_event_time t = Event_queue.min_time t.events
 
-(* Effect-performing API for program bodies. *)
-let syscall call : Syscall.result = Effect.perform (Syscall_eff call)
-let compute d : unit = Effect.perform (Compute_eff d)
-let vnow () : Vtime.t = Effect.perform Now_eff
-let self () : Proc.thread = Effect.perform Self_eff
+(* The program-facing API, called on a thread's fiber. *)
+let syscall call : Syscall.result =
+  let { sched = t; thread = th } = current () in
+  let result = t.syscall_handler th call in
+  return_at t th;
+  result
 
-let wait_user cond : unit = Effect.perform (Wait_user_eff cond)
+let compute d =
+  let { sched = t; thread = th } = current () in
+  th.Proc.clock <- Vtime.add th.Proc.clock d;
+  return_at t th
+
+let vnow () = (current ()).thread.Proc.clock
+let self () = (current ()).thread
+
+(* A user-space wait resumes through its own event, like a compute step. *)
+let wait_user cond =
+  if not (cond ()) then begin
+    let { sched = t; thread = th } = current () in
+    ignore
+      (park t th ~on:Waitq.global ~what:"user-space wait" ~retry:(fun () ->
+           match th.Proc.tstate with
+           | Proc.Dead -> true
+           | _ ->
+             if cond () then begin
+               th.Proc.clock <- Vtime.max th.Proc.clock t.now;
+               schedule t ~time:th.Proc.clock th.Proc.resume_thunk;
+               true
+             end
+             else false));
+    suspend ()
+  end

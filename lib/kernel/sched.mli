@@ -1,22 +1,15 @@
-(** Discrete-event cooperative scheduler. Simulated threads are OCaml 5
-    effect-handler coroutines; the kernel decides when (in virtual time)
-    each one resumes. A blocked thread parks a retry thunk on the wait
-    queue of the object it waits for ({!Waitq}), or on the scheduler's
-    catch-all queue for a wait kind that has no wait queue yet. Each
-    {!kick} schedules a sweep that wakes the catch-all queue, then
-    retries, in park order, every entry woken since its last retry. *)
+(** Discrete-event cooperative scheduler. Every simulated thread is an
+    OCaml 5 fiber, and its syscalls run on it: the kernel handler is an
+    ordinary function of the running thread, and a thread's fiber
+    suspends only to wait ({!suspend}), in a ptrace stop ({!stop}) and on
+    its return to user code, which the scheduler resumes at the thread's
+    clock. A blocked thread parks a retry thunk on the wait queue of the
+    object it waits for ({!Waitq}), or on the scheduler's catch-all queue
+    for a wait kind that has no wait queue yet. Each {!kick} schedules a
+    sweep that wakes the catch-all queue, then retries, in park order,
+    every entry woken since its last retry. *)
 
 open Remon_sim
-
-type _ Effect.t +=
-  | Syscall_eff : Syscall.call -> Syscall.result Effect.t
-  | Compute_eff : Vtime.t -> unit Effect.t
-  | Now_eff : Vtime.t Effect.t
-  | Self_eff : Proc.thread Effect.t
-  | Wait_user_eff : (unit -> bool) -> unit Effect.t
-        (** user-space busy-wait on a memory condition (no syscall) *)
-
-exception Thread_killed
 
 exception Lost_wakeup of string
 (** Raised in checking mode (see {!set_wakeup_check}) when a parked entry
@@ -26,8 +19,8 @@ type t = {
   events : (unit -> unit) Event_queue.t;
   slot : (unit -> unit) Event_queue.slot;  (** run-loop landing pad *)
   mutable now : Vtime.t;
-  mutable syscall_handler :
-    Proc.thread -> Syscall.call -> return:(Syscall.result -> unit) -> unit;
+  mutable syscall_handler : Proc.thread -> Syscall.call -> Syscall.result;
+      (** the kernel, run on the calling thread's fiber *)
   mutable on_thread_exit : Proc.thread -> unit;
   global : Waitq.t;
       (** the catch-all queue, for kinds without a wait queue; every sweep
@@ -92,6 +85,32 @@ val set_wakeup_check : bool -> unit
 
 val spawn : t -> Proc.thread -> (unit -> unit) -> unit
 
+(** {1 Suspending a thread's fiber}
+
+    These run on the fiber of the thread they suspend, inside its
+    syscall; whoever ends the suspension continues the fiber at once, on
+    its own stack. *)
+
+val suspend : unit -> unit
+(** Suspends the running thread's fiber until {!wake}. *)
+
+val wake : Proc.thread -> unit
+(** Continues a fiber suspended in {!suspend}; returns when it suspends
+    again. *)
+
+val stop : Proc.stop_reason -> Proc.resume_action
+(** A ptrace stop: suspends the running fiber, records it in the thread's
+    [Trace_stopped] state, then runs its tracer's [on_stop]; answers the
+    action {!resume} gives, which may come from inside [on_stop]. *)
+
+val resume : Proc.thread -> Proc.resume_action -> unit
+(** Continues a trace-stopped thread (a no-op once it is dead). Raises
+    [Invalid_argument] if the thread is not stopped. *)
+
+val drop : unit -> 'a
+(** Ends the running fiber without continuing it: its thread died
+    mid-call. *)
+
 exception Event_budget_exhausted
 
 val run : t -> unit
@@ -105,7 +124,10 @@ val next_event_time : t -> Vtime.t
 (** Time of the earliest queued event, or [Vtime.infinity] when idle — the
     local component of the shard synchronizer's lookahead fixed point. *)
 
-(** {1 Effect-performing API for program bodies} *)
+(** {1 API for program bodies}
+
+    Called on a thread's fiber; each syscall's return and each compute
+    step resume through one scheduled event. *)
 
 val syscall : Syscall.call -> Syscall.result
 val compute : Vtime.t -> unit

@@ -552,8 +552,7 @@ let run_herd ?(shards = 1) ?(mode = World.Adaptive) (h : herd) : herd_result =
 (* Shapes a total connection budget into (cells, conns_per_cell): cells
    grow first (more hosts exercises the synchronizer), then connections
    per cell grow once the host count would get silly. *)
-let herd_of_connections ?(think_ns = 5_000_000) ?(rounds_per_conn = 1)
-    ~seed connections =
+let herd_of_connections ~seed connections =
   if connections <= 0 then
     invalid_arg "Topology.herd_of_connections: connections must be positive";
   let cells = max 1 (min 1000 (connections / 40)) in
@@ -562,9 +561,9 @@ let herd_of_connections ?(think_ns = 5_000_000) ?(rounds_per_conn = 1)
     h_seed = seed;
     cells;
     conns_per_cell;
-    rounds_per_conn;
+    rounds_per_conn = 1;
     payload = 64;
-    think_ns;
+    think_ns = 5_000_000;
     stagger_ns = 500_000;
     h_link_latency = Vtime.us 200;
   }

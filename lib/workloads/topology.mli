@@ -98,10 +98,10 @@ val run_herd : ?shards:int -> ?mode:World.mode -> herd -> herd_result
 (** Runs the herd to completion; {!herd_result.hr_digest} must be
     byte-identical at any shard count and in either lookahead mode. *)
 
-val herd_of_connections :
-  ?think_ns:int -> ?rounds_per_conn:int -> seed:int -> int -> herd
+val herd_of_connections : seed:int -> int -> herd
 (** Shapes a total connection budget into a herd: cells grow first (up to
-    1000, i.e. 2000 hosts), then connections per cell. *)
+    1000, i.e. 2000 hosts), then connections per cell; one echo round per
+    connection, 5 ms of think time. *)
 
 val stream_pair_cost_bytes : ?n:int -> unit -> int
 (** Live-heap bytes per connected stream pair, measured with a GC probe

@@ -1302,6 +1302,49 @@ let test_fstat_proc_maps () =
         Alcotest.(check int) "size" 0 s.Syscall.st_size
       | r -> Alcotest.failf "fstat(maps): %a" Syscall.pp_result r)
 
+(* Linux's timespec64_valid makes a negative nanosleep time EINVAL, and a
+   time past virtual time's range is a sleep that only a signal ends: here
+   SIGUSR1 from another process 1 ms in. *)
+let test_nanosleep_bad_times () =
+  run_in_kernel (fun k ->
+      expect_err "nanosleep -1" Errno.EINVAL (sys (Syscall.Nanosleep (-1)));
+      ignore (sys (Syscall.Rt_sigaction (Sigdefs.sigusr1, Syscall.Sig_handler 4)));
+      let pid = (Sched.self ()).Proc.proc.Proc.pid in
+      ignore
+        (Kernel.spawn_process k ~name:"killer" ~vm_seed:4 ~start_clock:(vnow ())
+           (fun () ->
+             Sched.compute (Vtime.ms 1);
+             ignore (sys (Syscall.Kill (pid, Sigdefs.sigusr1)))));
+      let t0 = vnow () in
+      expect_err "nanosleep max_int" Errno.EINTR (sys (Syscall.Nanosleep max_int));
+      Alcotest.(check bool) "slept until the signal" true
+        Vtime.(vnow () - t0 >= Vtime.ms 1))
+
+(* A negative FUTEX_WAIT timeout is EINVAL before the word is compared; a
+   timeout past virtual time's range waits for the wake 1 ms in. *)
+let test_futex_wait_bad_timeouts () =
+  run_in_kernel (fun _ ->
+      let self = Sched.self () in
+      let p = self.Proc.proc in
+      let addr = 0x7000_0000_3000L in
+      let wait ~expected timeout_ns =
+        sys (Syscall.Futex (Syscall.Futex_wait { addr; expected; timeout_ns }))
+      in
+      expect_err "timeout -1, word differs" Errno.EINVAL (wait ~expected:5 (Some (-1)));
+      expect_err "timeout -1" Errno.EINVAL (wait ~expected:0 (Some (-1)));
+      p.Proc.entry_table <-
+        [|
+          (fun () ->
+            Sched.compute (Vtime.ms 1);
+            ignore (sys (Syscall.Futex (Syscall.Futex_wake { addr; count = 1 }))));
+        |];
+      ignore (expect_int "clone" (sys (Syscall.Clone 0)));
+      let t0 = vnow () in
+      Alcotest.(check int) "timeout max_int: woken" 0
+        (expect_int "futex_wait" (wait ~expected:0 (Some max_int)));
+      Alcotest.(check bool) "waited for the wake" true
+        Vtime.(vnow () - t0 >= Vtime.ms 1))
+
 let tc = Alcotest.test_case
 
 let () =
@@ -1433,6 +1476,10 @@ let () =
             test_write_no_write_op;
           tc "readv of an empty vector" `Quick test_readv_empty;
           tc "fstat of /proc/self/maps" `Quick test_fstat_proc_maps;
+          tc "nanosleep with a negative or unreachable time" `Quick
+            test_nanosleep_bad_times;
+          tc "futex_wait with a negative or unreachable timeout" `Quick
+            test_futex_wait_bad_timeouts;
         ] );
       ( "vm",
         [

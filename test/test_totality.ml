@@ -6,13 +6,16 @@
    adversarial value: an integer slot -1, 0, 2^40 and max_int; a
    descriptor slot -1, a closed fd, 70 and a fresh descriptor of every kind
    in [Kinds.kinds]. The other slots keep their usual values. Each such call
-   is the last call of a fresh fixture process. Once [Kernel.run] returns,
-   the call has answered or is still parked; exit, exit_group and a signal
-   sent to the caller may end the process instead.
+   is the last but one call of a fresh fixture process. Once [Kernel.run]
+   returns, the call has answered or is still parked on a wait that has not
+   ended; exit, exit_group and a signal sent to the caller may end the
+   process instead. A call that
+   answered leaves its thread able to go on: while the process lives, the
+   thread's next call, getpid, answers its pid.
 
-   The last cases pin what a call that completes at once allocates:
-   [Dispatch.answer] returns its result, so such a call builds no
-   continuation of its own. *)
+   The last cases pin what a call that completes at once allocates: it runs
+   on its thread's fiber and [Dispatch.exec] returns its result, so such a
+   call builds no continuation of its own. *)
 
 open Remon_kernel
 open Syscall
@@ -308,11 +311,11 @@ let slots_of shape =
 (* The calls that may end the caller's process instead of answering. *)
 let may_end = function Exit _ | Exit_group _ | Kill _ | Tgkill _ -> true | _ -> false
 
-(* Runs [shape] with slot [slot] set to [value] as the last call of a fresh
+(* Runs [shape] with slot [slot] set to [value], then getpid, in a fresh
    fixture process: what went wrong, if anything. *)
 let run_case shape ~slot ~value =
   let k = Kernel.create () in
-  let call = ref None and answered = ref false in
+  let call = ref None and answered = ref false and after = ref None in
   let p =
     spawn k (fun () ->
         let next = ref (-1) in
@@ -331,13 +334,18 @@ let run_case shape ~slot ~value =
         let c = shape { int; fd; self = fd_of (sys Getpid) } in
         call := Some c;
         ignore (sys c);
-        answered := true)
+        answered := true;
+        after := Some (sys Getpid))
   in
   match Kernel.run k with
   | exception e -> Some ("raised " ^ Printexc.to_string e)
   | () -> (
     match (!answered, (Remon_util.Vec.get p.Proc.threads 0).Proc.tstate, !call) with
-    | true, _, _ | false, Proc.Blocked _, _ -> None
+    | true, _, _ when p.Proc.alive && !after <> Some (Ok_int p.Proc.pid) ->
+      Some "the thread's next call, getpid, did not answer its pid"
+    | true, _, _ -> None
+    (* a parked thread's wait is still open: one that ended continued it *)
+    | false, Proc.Blocked b, _ when b.Waitq.state <> Waitq.Done -> None
     | false, Proc.Dead, Some c when may_end c && not p.Proc.alive -> None
     | false, _, _ -> Some "neither answered nor parked")
 
