@@ -105,7 +105,7 @@ let run_matrix ?(quick = false) () =
    Stdout carries only deterministic quantities (digest identity, round
    and event counts) so it stays byte-identical for any --domains value;
    wall clocks, throughput and heap figures go to stderr and into the
-   "pdes_scale" section of BENCH_selfperf.json, which
+   "pdes_scale" section of BENCH_pdes_scale.json, which
    scripts/check_selfperf.py gates against the committed baseline. *)
 
 let connections_override : int option ref = ref None
@@ -210,47 +210,9 @@ let idle_heavy_ablation ~domains =
     wall_ad ad.Topology.hr_rounds wall_fx fx.Topology.hr_rounds speedup;
   (ad, fx, wall_ad, wall_fx, speedup)
 
-(* Text-level merge: replace or append the "pdes_scale" key of
-   BENCH_selfperf.json without disturbing whatever the selfperf
-   experiment wrote. The key is always written last, so merging is a
-   truncate-at-marker (or strip the closing brace) plus append. *)
-let merge_json ~path section =
-  let marker = ",\n  \"pdes_scale\":" in
-  let prefix =
-    if Sys.file_exists path then begin
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let body = really_input_string ic len in
-      close_in ic;
-      let cut =
-        let rec find i =
-          if i + String.length marker > String.length body then None
-          else if String.sub body i (String.length marker) = marker then
-            Some i
-          else find (i + 1)
-        in
-        find 0
-      in
-      match cut with
-      | Some i -> String.sub body 0 i
-      | None ->
-        let body = String.trim body in
-        if String.length body > 0 && body.[String.length body - 1] = '}' then
-          String.sub body 0 (String.length body - 1) |> String.trim
-        else body
-    end
-    else "{\n  \"schema\": \"remon-selfperf/1\""
-  in
-  let oc = open_out_bin path in
-  output_string oc prefix;
-  output_string oc marker;
-  output_string oc section;
-  output_string oc "\n}\n";
-  close_out oc
-
 let write_json ~quick ~domains rows pair_cost (ih_ad, ih_fx, ih_wall_ad, ih_wall_fx, ih_speedup) =
   let b = Buffer.create 2048 in
-  Buffer.add_string b " {\n";
+  Buffer.add_string b "{\n  \"schema\": \"remon-selfperf/1\",\n  \"pdes_scale\": {\n";
   Buffer.add_string b (Printf.sprintf "    \"quick\": %b,\n" quick);
   Buffer.add_string b (Printf.sprintf "    \"domains\": %d,\n" domains);
   Buffer.add_string b "    \"sweep\": [\n";
@@ -280,8 +242,10 @@ let write_json ~quick ~domains rows pair_cost (ih_ad, ih_fx, ih_wall_ad, ih_wall
         %.4f, \"speedup_vs_fixed\": %.2f}\n"
        ih_ad.Topology.hr_connections ih_ad.Topology.hr_rounds
        ih_fx.Topology.hr_rounds ih_wall_ad ih_wall_fx ih_speedup);
-  Buffer.add_string b "  }";
-  merge_json ~path:"BENCH_selfperf.json" (Buffer.contents b)
+  Buffer.add_string b "  }\n}\n";
+  let oc = open_out_bin "BENCH_pdes_scale.json" in
+  Buffer.output_buffer oc b;
+  close_out oc
 
 let run_scaling ~quick ~domains () =
   print_endline "=== Connection scaling (herd tier) ===\n";

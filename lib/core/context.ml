@@ -86,11 +86,6 @@ let set_divergence g v =
         [ ("verdict", Remon_obs.Trace.Str (Divergence.to_string v)) ]
   end
 
-let replica_variant (p : Proc.process) =
-  match p.Proc.replica_info with
-  | Some { Proc.variant_index; _ } -> Some variant_index
-  | None -> None
-
 (* ------------------------------------------------------------------ *)
 (* Recovery-policy state *)
 

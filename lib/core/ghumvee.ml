@@ -44,10 +44,9 @@ type rstate =
          completeness check is O(1) instead of a list walk per syscall;
          [watchdog] is the armed stall timer, cancelled when the
          rendezvous completes or a purge empties it *)
-  | Master_running of { slaves : arrival list; nslaves : int }
+  | Master_running of arrival list
       (* the master is executing; only the waiting slaves matter at its
-         exit stop, so they are pre-split (and pre-counted) here *)
-  | Await_slave_exits of { mutable remaining : int }
+         exit stop, so they are split off here *)
   | All_running of { mutable remaining : int }
 
 type t = {
@@ -55,8 +54,10 @@ type t = {
   kernel : Kernel.t;
   mutable rendezvous : rstate array; (* per thread rank, grown on first use *)
   mutable busy_until : Vtime.t;
+      (* monitor serialization: concurrent stops queue behind it *)
   deferred_signals : int Queue.t;
   watchdog_ns : Vtime.t;
+      (* the first rendezvous-stall timeout; see [watchdog_retries] *)
   replaying : (int, Record_log.cursor) Hashtbl.t option array;
       (* per variant: while respawned, its per-rank replay cursors into the
          stream store *)
@@ -123,6 +124,8 @@ let monitor_work t ~earliest ~work_ns =
   let done_at = Vtime.add t0 (Vtime.ns work_ns) in
   t.busy_until <- done_at;
   done_at
+
+let rendezvous_count t = t.rendezvous_count
 
 (* ------------------------------------------------------------------ *)
 (* Shutdown *)
@@ -304,21 +307,16 @@ let rec process_rendezvous t rank (arrivals : arrival list) =
       Record_log.note_call (store t) ~rank
         ~call:(Callinfo.normalize call) ~result:denial;
       set_state t rank Idle;
-      List.iter
-        (fun a -> Kernel.resume t.kernel a.th (Proc.Resume_skip denial))
-        arrivals
+      List.iter (fun a -> Kernel.resume a.th (Proc.Resume_skip denial)) arrivals
     | None -> (
       match Callinfo.disposition call with
       | Callinfo.All_call ->
         set_state t rank (All_running { remaining = narrivals });
-        List.iter
-          (fun a -> Kernel.resume t.kernel a.th Proc.Resume_continue)
-          arrivals
+        List.iter (fun a -> Kernel.resume a.th Proc.Resume_continue) arrivals
       | Callinfo.Master_call ->
         (* arrivals are sorted by variant, master first *)
-        set_state t rank
-          (Master_running { slaves = List.tl arrivals; nslaves = narrivals - 1 });
-        Kernel.resume t.kernel master_arrival.th Proc.Resume_continue))
+        set_state t rank (Master_running (List.tl arrivals));
+        Kernel.resume master_arrival.th Proc.Resume_continue))
 
 (* ------------------------------------------------------------------ *)
 (* Quarantine support *)
@@ -350,13 +348,9 @@ let purge_variant t ~variant =
           process_rendezvous t rank arrivals
         end
         else set_state t rank (Collecting { arrivals; count; watchdog }))
-    | Master_running { slaves; _ } ->
-      let slaves = List.filter (fun a -> a.variant <> variant) slaves in
+    | Master_running slaves ->
       set_state t rank
-        (Master_running { slaves; nslaves = List.length slaves })
-    | Await_slave_exits st ->
-      st.remaining <- st.remaining - 1;
-      if st.remaining <= 0 then set_state t rank Idle
+        (Master_running (List.filter (fun a -> a.variant <> variant) slaves))
     | All_running st ->
       st.remaining <- st.remaining - 1;
       if st.remaining <= 0 then set_state t rank Idle
@@ -449,7 +443,7 @@ let rec handle_entry t (th : Proc.thread) (call : Syscall.call) =
       (* replaying variants parked at the journal head rejoin at the
          master's next monitored entry: their parked call is this very
          rendezvous *)
-      if variant = 0 then flush_waiting_rejoin t ~rank;
+      if variant = 0 then release_waiting t ~rank ~rejoin:true;
       (match Kernel.obs t.kernel with
       | None -> ()
       | Some o ->
@@ -480,7 +474,7 @@ let rec handle_entry t (th : Proc.thread) (call : Syscall.call) =
           process_rendezvous t rank arrivals
         end
         else set_state t rank (Collecting { arrivals; count; watchdog })
-      | Master_running _ | Await_slave_exits _ | All_running _ ->
+      | Master_running _ | All_running _ ->
         (* a thread re-entered the kernel while its rank's previous call is
            still being processed: possible under attack; treat as sequence
            divergence *)
@@ -530,8 +524,8 @@ and replay_entry t (th : Proc.thread) (call : Syscall.call) ~variant ~cursors
         let r =
           translate_for_slave t ~arrival:{ variant; th; call } ~call jresult
         in
-        Kernel.resume t.kernel th (Proc.Resume_skip r)
-      | Callinfo.All_call -> Kernel.resume t.kernel th Proc.Resume_continue
+        Kernel.resume th (Proc.Resume_skip r)
+      | Callinfo.All_call -> Kernel.resume th Proc.Resume_continue
     end
   | None -> (
     (* caught up with everything the master has done; degraded time stops
@@ -547,26 +541,12 @@ and replay_entry t (th : Proc.thread) (call : Syscall.call) ~variant ~cursors
       (* park until the journal grows or the master reaches a rendezvous *)
       Hashtbl.replace t.waiting_replay (rank, variant) { variant; th; call })
 
-(* The store gained a call on [rank]: parked replaying arrivals can
-   consume it. Wired to [Record_log.set_on_call]. *)
-and feed_waiting t ~rank =
-  let parked =
-    Hashtbl.fold
-      (fun (r, _) a acc -> if r = rank then a :: acc else acc)
-      t.waiting_replay []
-  in
-  List.iter
-    (fun (a : arrival) ->
-      if is_replaying t ~variant:a.variant then begin
-        Hashtbl.remove t.waiting_replay (rank, a.variant);
-        handle_entry t a.th a.call
-      end)
-    parked
-
-(* The master reached a monitored entry on [rank]: parked arrivals that
-   drained the journal are synchronized with it — rejoin them first so the
-   rendezvous counts them. *)
-and flush_waiting_rejoin t ~rank =
+(* Re-enters the arrivals parked on [rank]. The store gained a call there
+   ([rejoin] false, wired to [Record_log.set_on_call]): they can consume
+   it. Or the master reached a monitored entry there ([rejoin] true): they
+   drained the journal and are synchronized with it, so they rejoin first
+   and the rendezvous counts them. *)
+and release_waiting t ~rank ~rejoin =
   if Hashtbl.length t.waiting_replay > 0 then
     let parked =
       Hashtbl.fold
@@ -577,14 +557,14 @@ and flush_waiting_rejoin t ~rank =
       (fun (a : arrival) ->
         if is_replaying t ~variant:a.variant then begin
           Hashtbl.remove t.waiting_replay (rank, a.variant);
-          rejoin_variant t ~variant:a.variant;
+          if rejoin then rejoin_variant t ~variant:a.variant;
           handle_entry t a.th a.call
         end)
       parked
 
 (* Install the journal feed; idempotent, called when Respawn is armed. *)
 let enable_replay_feed t =
-  Record_log.set_on_call (store t) (fun ~rank -> feed_waiting t ~rank)
+  Record_log.set_on_call (store t) (fun ~rank -> release_waiting t ~rank ~rejoin:false)
 
 (* A respawned variant starts replaying the journal from the beginning. *)
 let begin_replay t ~variant =
@@ -598,26 +578,23 @@ let begin_replay t ~variant =
   t.replaying.(variant) <- Some (Hashtbl.create 4);
   Ikb.set_replaying t.g.Context.ikb ~variant true
 
+(* The answer to an exit stop is not read: every one is resumed once its
+   bookkeeping is done. *)
 let handle_exit t (th : Proc.thread) (call : Syscall.call)
     (result : Syscall.result) =
-  if t.shutting_down then ()
-  else begin
+  if not t.shutting_down then begin
     let rank = th.Proc.rank in
     let variant = variant_of th.Proc.proc in
-    let replaying = is_replaying t ~variant in
-    if replaying || Context.is_quarantined t.g variant then begin
+    if is_replaying t ~variant then
       (* replayed All_calls run to completion outside any rendezvous; the
          exit stop is ptrace-free for the in-process follower too *)
-      if replaying then
-        th.Proc.clock <-
-          Vtime.sub th.Proc.clock
-            (Vtime.ns (Cost_model.ptrace_stop_ns (Kernel.cost t.kernel)));
-      Kernel.resume t.kernel th Proc.Resume_continue
-    end
-    else begin
+      th.Proc.clock <-
+        Vtime.sub th.Proc.clock
+          (Vtime.ns (Cost_model.ptrace_stop_ns (Kernel.cost t.kernel)))
+    else if not (Context.is_quarantined t.g variant) then begin
       let cost = Kernel.cost t.kernel in
       match rank_state t rank with
-      | Master_running { slaves; nslaves } when variant = 0 ->
+      | Master_running slaves when variant = 0 ->
         (* master finished: replicate results to the waiting slaves *)
         master_side_effects t ~call result;
         Record_log.note_call (store t) ~rank
@@ -628,11 +605,11 @@ let handle_exit t (th : Proc.thread) (call : Syscall.call)
             ~work_ns:(cost.Cost_model.monitor_work_ns + Cost_model.copy_ns cost ~bytes)
         in
         th.Proc.clock <- Vtime.max th.Proc.clock done_at;
-        (* transition the rank state *before* resuming anyone: the slaves'
-           skip-exit stops arrive synchronously and must find it *)
-        (match slaves with
-        | [] -> set_state t rank Idle
-        | _ -> set_state t rank (Await_slave_exits { remaining = nslaves }));
+        (* Each slave's exit stop runs, and is resumed, inside its own
+           [Kernel.resume] below, where it finds the rank [Idle] and passes.
+           So the rank is free before anyone is resumed, and no thread of
+           it can enter again until every slave's exit stop is over. *)
+        set_state t rank Idle;
         List.iter
           (fun a ->
             let r = translate_for_slave t ~arrival:a ~call:a.call result in
@@ -640,34 +617,26 @@ let handle_exit t (th : Proc.thread) (call : Syscall.call)
               Vtime.add
                 (Vtime.max a.th.Proc.clock done_at)
                 (Vtime.ns (Cost_model.copy_ns cost ~bytes));
-            Kernel.resume t.kernel a.th (Proc.Resume_skip r))
-          slaves;
-        Kernel.resume t.kernel th Proc.Resume_continue
-      | Await_slave_exits st ->
-        st.remaining <- st.remaining - 1;
-        if st.remaining = 0 then set_state t rank Idle;
-        Kernel.resume t.kernel th Proc.Resume_continue
+            Kernel.resume a.th (Proc.Resume_skip r))
+          slaves
       | All_running st ->
         if variant = 0 then
           Record_log.note_call (store t) ~rank
             ~call:(Callinfo.normalize call) ~result;
         st.remaining <- st.remaining - 1;
-        if st.remaining = 0 then set_state t rank Idle;
-        Kernel.resume t.kernel th Proc.Resume_continue
+        if st.remaining = 0 then set_state t rank Idle
       | Idle | Collecting _ | Master_running _ ->
-        (* exit stop with no rendezvous in flight (e.g. after a skip/fallback
-           path): just let it through *)
-        Kernel.resume t.kernel th Proc.Resume_continue
-    end
+        (* no rendezvous in flight: a slave's exit stop after its master's,
+           or an exit after a skip or fallback path *)
+        ()
+    end;
+    Kernel.resume th Proc.Resume_continue
   end
 
+(* The kernel stops only for asynchronous signals, and drops the signal
+   from pending after the stop: GHUMVEE keeps it for the next rendezvous. *)
 let handle_signal t (th : Proc.thread) sg =
-  if t.shutting_down then ()
-  else if Sigdefs.synchronous sg then begin
-    Record_log.note_signal (store t) ~rank:th.Proc.rank ~signo:sg;
-    Kernel.resume t.kernel th Proc.Resume_deliver
-  end
-  else begin
+  if not t.shutting_down then begin
     (* defer: take ownership and set the RB flag so replicas restart calls
        as monitored calls until the injection happens (Section 3.8) *)
     Queue.push sg t.deferred_signals;
@@ -684,7 +653,7 @@ let handle_signal t (th : Proc.thread) sg =
                    (Syscall.Error Errno.EINTR)))
           p.Proc.threads)
       t.g.Context.replicas;
-    Kernel.resume t.kernel th Proc.Resume_suppress
+    Kernel.resume th Proc.Resume_continue
   end
 
 let handle_death t (th : Proc.thread) code =
@@ -711,22 +680,16 @@ let handle_death t (th : Proc.thread) code =
       end
     end
   end;
-  Kernel.resume t.kernel th Proc.Resume_continue
+  Kernel.resume th Proc.Resume_continue
 
 (* ------------------------------------------------------------------ *)
 (* Attachment *)
 
-let tracer t =
-  {
-    Proc.tracer_name = "ghumvee";
-    on_stop =
-      (fun th reason ->
-        match reason with
-        | Proc.Syscall_entry_stop call -> handle_entry t th call
-        | Proc.Syscall_exit_stop (call, result) -> handle_exit t th call result
-        | Proc.Signal_delivery_stop sg -> handle_signal t th sg
-        | Proc.Exit_stop code -> handle_death t th code);
-  }
+let tracer t th = function
+  | Proc.Syscall_entry_stop call -> handle_entry t th call
+  | Proc.Syscall_exit_stop (call, result) -> handle_exit t th call result
+  | Proc.Signal_delivery_stop sg -> handle_signal t th sg
+  | Proc.Exit_stop code -> handle_death t th code
 
 let attach t (p : Proc.process) =
   Kernel.attach_tracer p (tracer t);

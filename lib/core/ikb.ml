@@ -124,7 +124,7 @@ let on_socket t (th : Proc.thread) call =
 let classify t (th : Proc.thread) (call : Syscall.call) : Proc.route =
   let p = th.proc in
   let default () =
-    if p.Proc.tracer <> None then Proc.Route_monitor else Proc.Route_plain
+    if Option.is_some p.Proc.tracer then Proc.Route_monitor else Proc.Route_plain
   in
   (* a live token means the previous forwarded call never came back through
      IP-MON: revoke it and force this call onto the monitored path *)
@@ -236,7 +236,8 @@ let note_approval t (no : Sysno.t) =
 
 (* Executes [call] through the verifier: its result, or [None] when the
    token is rejected (a violation, counted), after which the caller takes
-   the fallback. IP-MON inlines it; the forged-token attack calls it. *)
+   the fallback. IP-MON's master and slave paths and the forged-token
+   attack call it. *)
 let execute t (th : Proc.thread) ~token call =
   Kstate.charge th (Kernel.cost t.kernel).Remon_sim.Cost_model.token_check_ns;
   if verify t th ~token ~call then Some (Kernel.execute_raw t.kernel th call)

@@ -163,10 +163,9 @@ and master_proceed inst th ~token ~call ~bytes =
       ~call:(Callinfo.normalize call) ~expect_block ~forwarded:false
   in
   Kernel.kick k (* slaves may be waiting for this record *);
-  (* inlined [Ikb.execute]: verify the one-time token, then run stop-free *)
-  charge th cost.Cost_model.token_check_ns;
-  if Ikb.verify g.Context.ikb th ~token ~call then begin
-    let r = Kernel.execute_raw k th call in
+  match Ikb.execute g.Context.ikb th ~token call with
+  | None -> do_fallback inst th ~call
+  | Some r ->
     (* POSTCALL: replicate results *)
     let logical = to_logical inst r in
     charge th
@@ -185,12 +184,6 @@ and master_proceed inst th ~token ~call ~bytes =
       charge th cost.Cost_model.futex_wake_ns;
     Kernel.kick k;
     r
-  end
-  else begin
-    (Kernel.stats k).Kstate.tokens_rejected <-
-      (Kernel.stats k).Kstate.tokens_rejected + 1;
-    do_fallback inst th ~call
-  end
 
 and slave_path inst th ~token ~call =
   let g = inst.group in
@@ -244,17 +237,12 @@ and slave_path inst th ~token ~call =
       Epoll_map.note_call g.Context.epoll_map ~variant call;
       match Callinfo.disposition call with
       | Callinfo.All_call ->
-        (* process-local call: consume the record, execute locally
-           (inlined [Ikb.execute]) *)
+        (* process-local call: consume the record, execute locally *)
         Rb.slave_advance g.Context.rb ~rank ~variant;
         Kernel.kick k;
-        charge th cost.Cost_model.token_check_ns;
-        if Ikb.verify g.Context.ikb th ~token ~call then Kernel.execute_raw k th call
-        else begin
-          (Kernel.stats k).Kstate.tokens_rejected <-
-            (Kernel.stats k).Kstate.tokens_rejected + 1;
-          do_fallback inst th ~call
-        end
+        (match Ikb.execute g.Context.ikb th ~token call with
+        | Some r -> r
+        | None -> do_fallback inst th ~call)
       | Callinfo.Master_call ->
         (* abort the original call; the one-time token goes unused *)
         Ikb.consume_token th;
@@ -343,7 +331,6 @@ let init ?(calls = Classification.ipmon_supported) (g : Context.group) ~variant
       {
         Proc.unmonitored = Sysno.mask_of_list calls;
         rb_addr = inst.rb_addr;
-        entry_addr = inst.entry_addr;
         invoke = (fun th ~token ~call -> invoke inst th ~token ~call);
       };
   (match

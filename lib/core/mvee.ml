@@ -406,10 +406,9 @@ let launch (kernel : Kernel.t) (config : config) ~name
           ~variant;
         Ghumvee.begin_replay g ~variant;
         (* spawning and re-diversifying a fresh replica is monitor work *)
-        g.Ghumvee.busy_until <-
-          Vtime.add
-            (Vtime.max g.Ghumvee.busy_until (Kernel.now kernel))
-            (Vtime.ns (Kernel.cost kernel).Cost_model.respawn_spawn_ns);
+        ignore
+          (Ghumvee.monitor_work g ~earliest:(Kernel.now kernel)
+             ~work_ns:(Kernel.cost kernel).Cost_model.respawn_spawn_ns);
         let p =
           Kernel.spawn_process kernel ~replica_info:(replica_info variant)
             ~name:
@@ -596,7 +595,7 @@ let finish (h : handle) : outcome =
     monitored = st.Kstate.monitored;
     ipmon_fastpath = st.Kstate.ipmon_fastpath;
     ptrace_stops = st.Kstate.ptrace_stops;
-    rendezvous = (match h.ghumvee with Some g -> g.Ghumvee.rendezvous_count | None -> 0);
+    rendezvous = (match h.ghumvee with Some g -> Ghumvee.rendezvous_count g | None -> 0);
     ipmon_fallbacks = h.group.Context.ipmon_fallbacks;
     rb_resets = h.group.Context.rb.Replication_buffer.resets;
     rb_records = h.group.Context.rb.Replication_buffer.total_records;

@@ -7,6 +7,11 @@
                       +-(monitored)-> entry stop -> exec -> exit stop -> finish
                       +-(plain)-----> exec ----------------------------> finish
 
+   The tracer answers an entry stop with [Resume_continue] (run [exec]) or
+   [Resume_skip r] (answer [r] without running it). The exit stop, the
+   death stop and the signal-delivery stop, which hands an asynchronous
+   signal to the tracer for good, only stop the thread.
+
    All of it is ordinary code on the calling thread's fiber, and each
    stage returns its result. Where a call waits ([block]) or stops for
    its tracer ([ptrace_stop]), the fiber suspends, and whatever ends the
@@ -687,7 +692,7 @@ let stat_of_desc (d : Proc.desc) =
    never continued. *)
 let exit_current k (th : Proc.thread) ~code ~group =
   let p = proc_of th in
-  if p.tracer <> None then begin
+  if Option.is_some p.tracer then begin
     k.K.stats.ptrace_stops <- k.K.stats.ptrace_stops + 1;
     ignore (Sched.stop (Proc.Exit_stop code))
   end;
@@ -1206,14 +1211,14 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) : Syscall.result =
       let e = { Proc.count = max 0 initial } in
       Syscall.Ok_int (install_fd p (Proc.make_desc (Proc.Event_fd e)))
     (* ---- ReMon registration ---- *)
-    | Syscall.Ipmon_register { calls; rb_addr; entry_addr } -> (
+    | Syscall.Ipmon_register { calls; rb_addr; entry_addr = _ } -> (
       match p.ipmon_staged with
       | None -> err Errno.EINVAL
       | Some reg ->
-        (* The syscall's argument list is authoritative: GHUMVEE may have
-           trimmed it by rewriting the call at the entry stop. *)
+        (* the call's own argument list is authoritative over the staged
+           one; IK-B's verifier checks [in_ipmon], not the entry point *)
         p.ipmon_registered <-
-          Some { reg with Proc.unmonitored = Sysno.mask_of_list calls; rb_addr; entry_addr };
+          Some { reg with Proc.unmonitored = Sysno.mask_of_list calls; rb_addr };
         p.ipmon_staged <- None;
         Syscall.Ok_int 0)
     (* ---- sleeps and futex waits ---- *)
@@ -1229,7 +1234,7 @@ let rec exec k (th : Proc.thread) (call : Syscall.call) : Syscall.result =
       charge th k.K.cost.futex_wait_ns;
       if Vm.read_word p.vm addr <> expected then fail Errno.EAGAIN;
       let key = Vm.futex_key p.vm ~space_id:p.pid addr in
-      let w = { K.ft = th; woken = false; cancelled = false } in
+      let w = { K.woken = false; cancelled = false } in
       Queue.push w (K.futex_queue k key);
       match
         block k th ~on:Waitq.global ~what:"futex_wait" ?timeout_ns
@@ -1511,8 +1516,10 @@ let ptrace_stop k (th : Proc.thread) ~name reason =
   Sched.stop reason
 
 (* Delivers pending signals at the syscall boundary, as the kernel's
-   return-to-user path does, including ptrace signal-delivery stops. A
-   thread that dies here is never continued. *)
+   return-to-user path does. A traced process's asynchronous signal goes
+   to its tracer at a signal-delivery stop instead, and leaves pending
+   once the thread is resumed. A thread that dies here is never
+   continued. *)
 let rec deliver_pending k (th : Proc.thread) result =
   let p = proc_of th in
   if th.tstate = Proc.Dead then Sched.drop ()
@@ -1520,60 +1527,30 @@ let rec deliver_pending k (th : Proc.thread) result =
     match next_deliverable p with
     | None -> result
     | Some sg -> (
-      let action =
-        match p.tracer with
-        | Some _ when not (Sigdefs.synchronous sg) ->
-          ptrace_stop k th ~name:"signal_delivery_stop" (Proc.Signal_delivery_stop sg)
-        | _ -> Proc.Resume_deliver
-      in
-      match action with
-      | Proc.Resume_suppress ->
-        (* the tracer takes ownership of the signal *)
+      match p.tracer with
+      | Some _ when not (Sigdefs.synchronous sg) ->
+        ignore
+          (ptrace_stop k th ~name:"signal_delivery_stop" (Proc.Signal_delivery_stop sg));
         remove_pending p sg;
         deliver_pending k th result
-      | Proc.Resume_kill ->
-        kill_process k p ~code:137;
-        Sched.drop ()
-      | Proc.Resume_deliver | Proc.Resume_continue | Proc.Resume_rewrite _
-      | Proc.Resume_skip _ | Proc.Resume_set_result _ ->
-        if deliver_signal k th sg then deliver_pending k th result else Sched.drop ())
+      | _ -> if deliver_signal k th sg then deliver_pending k th result else Sched.drop ())
 
-(* Syscall-exit ptrace stop (when the entry was stopped too). *)
-let exit_phase k (th : Proc.thread) call result =
-  let p = proc_of th in
-  match p.tracer with
-  | None -> result
-  | Some _ -> (
-    match
-      ptrace_stop k th ~name:"syscall_exit_stop" (Proc.Syscall_exit_stop (call, result))
-    with
-    | Proc.Resume_set_result r -> r
-    | Proc.Resume_kill ->
-      kill_process k p ~code:137;
-      Sched.drop ()
-    | Proc.Resume_continue | Proc.Resume_rewrite _ | Proc.Resume_skip _
-    | Proc.Resume_deliver | Proc.Resume_suppress ->
-      result)
-
-(* Syscall-entry ptrace stop: report to the CP monitor and act on its
-   decision. This is the path every monitored call takes. *)
+(* Syscall-entry ptrace stop: report to the CP monitor, run the call or
+   take the result it injects, then stop again at the exit. This is the
+   path every monitored call takes. *)
 let monitor_path k (th : Proc.thread) call =
-  let p = proc_of th in
-  match p.tracer with
+  match (proc_of th).tracer with
   | None -> exec k th call (* no monitor attached: execute directly *)
-  | Some _ -> (
+  | Some _ ->
     k.K.stats.monitored <- k.K.stats.monitored + 1;
-    match ptrace_stop k th ~name:"syscall_entry_stop" (Proc.Syscall_entry_stop call) with
-    | Proc.Resume_continue | Proc.Resume_deliver | Proc.Resume_suppress ->
-      exit_phase k th call (exec k th call)
-    | Proc.Resume_rewrite call' -> exit_phase k th call' (exec k th call')
-    | Proc.Resume_skip r | Proc.Resume_set_result r ->
-      (* a skip aborts the call; its exit stop lets the monitor inject the
-         replicated result *)
-      exit_phase k th call r
-    | Proc.Resume_kill ->
-      kill_process k p ~code:137;
-      Sched.drop ())
+    let result =
+      match ptrace_stop k th ~name:"syscall_entry_stop" (Proc.Syscall_entry_stop call) with
+      | Proc.Resume_continue -> exec k th call
+      | Proc.Resume_skip r -> r
+    in
+    ignore
+      (ptrace_stop k th ~name:"syscall_exit_stop" (Proc.Syscall_exit_stop (call, result)));
+    result
 
 (* Raw, stop-free execution used by IP-MON once IK-B's verifier has
    accepted the authorization token (steps 3-4 of Figure 2). *)

@@ -41,12 +41,12 @@ let now (k : t) = K.now k
 (* ------------------------------------------------------------------ *)
 (* Process management *)
 
-let make_process (k : t) ?replica_info ?(parent = 1) ~name ~vm_seed () =
+let make_process (k : t) ?replica_info ~name ~vm_seed () =
   let pid = K.fresh_pid k in
   let p =
     {
       Proc.pid;
-      parent_pid = parent;
+      parent_pid = 1;
       name;
       fds = Fdtable.create ();
       vm = Vm.create ~rng:(Rng.make vm_seed);
@@ -92,7 +92,7 @@ let on_process_exit (p : Proc.process) f =
 
 let attach_tracer (p : Proc.process) tracer = p.Proc.tracer <- Some tracer
 
-let resume (_k : t) th action = Sched.resume th action
+let resume th action = Sched.resume th action
 
 let interrupt_blocked (k : t) th result = Dispatch.interrupt_blocked k th result
 let inject_signal_now (k : t) th sg = Dispatch.inject_signal_now k th sg

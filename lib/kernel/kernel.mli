@@ -39,7 +39,6 @@ val now : t -> Vtime.t
 val make_process :
   t ->
   ?replica_info:Proc.replica_info ->
-  ?parent:int ->
   name:string ->
   vm_seed:int ->
   unit ->
@@ -68,12 +67,15 @@ val on_process_exit : Proc.process -> (int -> unit) -> unit
 
 (** {1 Tracing (ptrace)} *)
 
-val attach_tracer : Proc.process -> Proc.tracer -> unit
+val attach_tracer : Proc.process -> (Proc.thread -> Proc.stop_reason -> unit) -> unit
+(** Makes the function the process's tracer: the kernel calls it at every
+    stop of the process's threads (see {!Proc.stop_reason}), and the
+    stopped thread waits for {!resume}. *)
 
-val resume : t -> Proc.thread -> Proc.resume_action -> unit
+val resume : Proc.thread -> Proc.resume_action -> unit
 (** Resume a trace-stopped thread: its fiber continues at once, also from
-    inside the tracer's own [on_stop]. Raises [Invalid_argument] if the
-    thread is not stopped. *)
+    inside the tracer's own call. Only an entry stop reads the action.
+    Raises [Invalid_argument] if the thread is not stopped. *)
 
 val interrupt_blocked : t -> Proc.thread -> Syscall.result -> bool
 (** Force-complete a blocked syscall (GHUMVEE's Section 3.8 abort).

@@ -31,7 +31,6 @@ let make_counters () =
 (* Futex wait queues, keyed by physical backing (shared segments give the
    same key in every attached process). *)
 type futex_waiter = {
-  ft : Proc.thread;
   mutable woken : bool;
   mutable cancelled : bool; (* timed out or killed; wake skips it *)
 }

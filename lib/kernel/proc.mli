@@ -52,6 +52,9 @@ type desc = {
 (* ------------------------------------------------------------------ *)
 (* ptrace *)
 
+(* A traced thread's stops. Only an entry stop reads the tracer's answer;
+   a signal-delivery stop hands the asynchronous signal to the tracer,
+   which keeps it: the kernel drops it from pending after the stop. *)
 type stop_reason =
   | Syscall_entry_stop of Syscall.call
   | Syscall_exit_stop of Syscall.call * Syscall.result
@@ -59,13 +62,8 @@ type stop_reason =
   | Exit_stop of int
 
 type resume_action =
-  | Resume_continue (* proceed; execute the (possibly rewritten) call *)
-  | Resume_rewrite of Syscall.call (* entry stop: replace the call, then execute *)
-  | Resume_skip of Syscall.result (* entry stop: do not execute; inject result *)
-  | Resume_set_result of Syscall.result (* exit stop: overwrite the result *)
-  | Resume_deliver (* signal stop: let the signal be delivered now *)
-  | Resume_suppress (* signal stop: tracer keeps the signal for later *)
-  | Resume_kill (* terminate the whole process group under trace *)
+  | Resume_continue (* execute the call *)
+  | Resume_skip of Syscall.result (* do not execute it; inject the result *)
 
 (* ------------------------------------------------------------------ *)
 (* Replica hooks *)
@@ -93,11 +91,8 @@ type fault_decision =
 type thread_state =
   | Ready (* a scheduled event will run or resume it *)
   | Blocked of Waitq.entry (* parked: on a wait queue, or on none *)
-  | Trace_stopped of {
-      reason : stop_reason;
-      resume : (resume_action, unit) Effect.Deep.continuation;
-          (* the stopped fiber, continued by [Kernel.resume] *)
-    }
+  | Trace_stopped of (resume_action, unit) Effect.Deep.continuation
+      (* the stopped fiber, continued by [Kernel.resume] *)
   | Dead
 
 type process = {
@@ -115,7 +110,9 @@ type process = {
   mutable alive : bool;
   mutable reaped : bool; (* consumed by a wait4 *)
   mutable exit_code : int;
-  mutable tracer : tracer option;
+  mutable tracer : (thread -> stop_reason -> unit) option;
+      (* invoked when a traced thread stops, once its fiber is suspended;
+         the thread stays [Trace_stopped] until [Kernel.resume] *)
   mutable entry_table : (unit -> unit) array;
       (* thread entry points for Clone; index = logical function identity *)
   mutable ipmon_registered : ipmon_registration option;
@@ -149,13 +146,6 @@ and thread = {
       (* the return to user code at [clock], allocated once at spawn *)
 }
 
-and tracer = {
-  tracer_name : string;
-  mutable on_stop : thread -> stop_reason -> unit;
-      (* invoked when a traced thread stops, once its fiber is suspended;
-         the thread stays [Trace_stopped] until [Kernel.resume] *)
-}
-
 and ikb_token = {
   mutable value : int64; (* never zero *)
   mutable granted_for : Syscall.call;
@@ -164,9 +154,8 @@ and ikb_token = {
 }
 
 and ipmon_registration = {
-  unmonitored : Sysno.mask; (* the set IP-MON offered (possibly trimmed by GHUMVEE) *)
+  unmonitored : Sysno.mask; (* the set the registering call names *)
   rb_addr : int64; (* where the RB is mapped in this replica *)
-  entry_addr : int64; (* IP-MON's syscall entry point *)
   invoke : thread -> token:int64 -> call:Syscall.call -> Syscall.result;
       (* the IP-MON code itself, installed by the MVEE at registration *)
 }

@@ -9,7 +9,7 @@
      schedules the thread's resume event at its clock (one event each);
    - a wait ([suspend]) is continued by [wake] from what ends it: a
      sweep's retry, a timeout, a forced completion;
-   - a ptrace stop ([stop]) suspends before the tracer's [on_stop] runs
+   - a ptrace stop ([stop]) suspends before the process's tracer runs
      and is continued by [resume], so a tracer may resume the stopped
      thread from inside its own stop.
    A thread that dies is never continued: a fiber whose thread died
@@ -197,9 +197,9 @@ let wake (th : Proc.thread) =
 
 let resume (th : Proc.thread) action =
   match th.Proc.tstate with
-  | Proc.Trace_stopped { resume; _ } ->
+  | Proc.Trace_stopped k ->
     th.Proc.tstate <- Proc.Ready;
-    Effect.Deep.continue resume action
+    Effect.Deep.continue k action
   | Proc.Dead -> ()
   | Proc.Ready | Proc.Blocked _ ->
     invalid_arg "Kernel.resume: thread is not trace-stopped"
@@ -241,9 +241,9 @@ let run_thread_body t (th : Proc.thread) me (body : unit -> unit) =
           | Stop reason ->
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
-                th.Proc.tstate <- Proc.Trace_stopped { reason; resume = k };
+                th.Proc.tstate <- Proc.Trace_stopped k;
                 match th.Proc.proc.Proc.tracer with
-                | Some tracer -> tracer.Proc.on_stop th reason
+                | Some tracer -> tracer th reason
                 | None -> ())
           | Drop -> dropped
           | _ -> None);

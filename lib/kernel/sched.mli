@@ -100,8 +100,8 @@ val wake : Proc.thread -> unit
 
 val stop : Proc.stop_reason -> Proc.resume_action
 (** A ptrace stop: suspends the running fiber, records it in the thread's
-    [Trace_stopped] state, then runs its tracer's [on_stop]; answers the
-    action {!resume} gives, which may come from inside [on_stop]. *)
+    [Trace_stopped] state, then calls the process's tracer; answers the
+    action {!resume} gives, which may come from inside the tracer. *)
 
 val resume : Proc.thread -> Proc.resume_action -> unit
 (** Continues a trace-stopped thread (a no-op once it is dead). Raises

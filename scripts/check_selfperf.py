@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Self-performance regression gate (CI).
 
-Compares a freshly generated BENCH_selfperf.json against the checked-in
-baseline and fails the build when the simulator itself regressed.
+Compares a freshly generated self-performance file against the checked-in
+baseline and fails the build when the simulator itself regressed. Each
+experiment writes its own file: `bench selfperf` writes BENCH_selfperf.json
+(the "sequential" section) and `bench pdes-scale` writes
+BENCH_pdes_scale.json (the "pdes_scale" section).
 
-Sections are gated independently, and only when present in BOTH files
-(the selfperf and pdes-scale experiments each write their own section;
-a CI job regenerates only the one it runs). Pass --require SECTION to
-fail when the fresh file is missing a section the job was supposed to
-produce.
+Sections are gated independently, and only when present in BOTH files.
+Pass --require SECTION to fail when either file lacks it, so a baseline
+that lost its section cannot turn the gate off.
 
 "sequential" (the selfperf experiment):
   * sequential events/s more than --max-slowdown (default 15%) below
@@ -167,7 +168,7 @@ def main():
                     help="absolute end-to-end bytes/connection cap")
     ap.add_argument("--require", action="append", default=[],
                     metavar="SECTION",
-                    help="fail if the fresh file lacks this section "
+                    help="fail if either file lacks this section "
                          "(sequential, pdes_scale); repeatable")
     args = ap.parse_args()
 
@@ -175,13 +176,12 @@ def main():
     failures = []
 
     for section in args.require:
-        if section not in fresh:
-            sys.exit(f"{args.fresh}: required section {section!r} missing")
+        for path, doc in ((args.baseline, base), (args.fresh, fresh)):
+            if section not in doc:
+                sys.exit(f"{path}: required section {section!r} missing")
 
     if "sequential" in base and "sequential" in fresh:
         gate_sequential(base, fresh, args, failures)
-    elif "sequential" in args.require:
-        pass  # absence already fatal above
     else:
         print("sequential section not in both files; skipping")
 

@@ -631,6 +631,122 @@ let test_waitq_oracle () =
     check_bool "report names the wait" true
       (String.length msg >= 9 && String.sub msg 0 9 = "forgotten")
 
+(* ------------------------------------------------------------------ *)
+(* The stop protocol, driven by a tracer of its own *)
+
+let stop_t =
+  Alcotest.testable
+    (fun fmt -> function
+      | Proc.Syscall_entry_stop c -> Format.fprintf fmt "entry %a" Syscall.pp_call c
+      | Proc.Syscall_exit_stop (c, r) ->
+        Format.fprintf fmt "exit %a = %a" Syscall.pp_call c Syscall.pp_result r
+      | Proc.Signal_delivery_stop sg -> Format.fprintf fmt "signal %d" sg
+      | Proc.Exit_stop code -> Format.fprintf fmt "death %d" code)
+    ( = )
+
+(* Runs [body] as the only process of a fresh kernel under a tracer that
+   records each stop and resumes it at once, from inside the tracer, with
+   [answer]'s action. Answers the stops in order; the kernel counts each
+   of them in [ptrace_stops]. *)
+let traced ?(answer = fun _ -> Proc.Resume_continue) body =
+  let k = Kernel.create () in
+  let stops = ref [] in
+  let p = Kernel.spawn_process k ~name:"traced" ~vm_seed:9 body in
+  Kernel.attach_tracer p (fun th reason ->
+      stops := reason :: !stops;
+      Kernel.resume th (answer reason));
+  Kernel.run k;
+  let stops = List.rev !stops in
+  check_int "ptrace_stops counts every stop" (List.length stops)
+    (Kernel.stats k).Kstate.ptrace_stops;
+  stops
+
+let test_stop_entry_then_exit () =
+  let pid = ref 0 in
+  let stops =
+    traced (fun () ->
+        pid := expect_int "getpid" (sys Syscall.Getpid);
+        expect_err "close" Errno.EBADF (sys (Syscall.Close 99)))
+  in
+  Alcotest.(check (list stop_t))
+    "one entry and one exit stop per call, with the call and its result"
+    [
+      Proc.Syscall_entry_stop Syscall.Getpid;
+      Proc.Syscall_exit_stop (Syscall.Getpid, Syscall.Ok_int !pid);
+      Proc.Syscall_entry_stop (Syscall.Close 99);
+      Proc.Syscall_exit_stop (Syscall.Close 99, Syscall.Error Errno.EBADF);
+    ]
+    stops
+
+(* A skipped write answers the injected result and leaves the pipe empty. *)
+let test_stop_skip () =
+  let injected = Syscall.Ok_int 5 in
+  let fds = ref (0, 0) and written = ref Syscall.Ok_unit and queued = ref (-1) in
+  let stops =
+    traced
+      ~answer:(function
+        | Proc.Syscall_entry_stop (Syscall.Write _) -> Proc.Resume_skip injected
+        | _ -> Proc.Resume_continue)
+      (fun () ->
+        let r, w = expect_pair "pipe" (sys Syscall.Pipe) in
+        fds := (r, w);
+        written := sys (Syscall.Write (w, "x"));
+        queued := expect_int "FIONREAD" (sys (Syscall.Ioctl (r, Syscall.Fionread))))
+  in
+  let r, w = !fds in
+  check_bool "the write answers the injected result" true (!written = injected);
+  check_int "the pipe stays empty" 0 !queued;
+  Alcotest.(check (list stop_t))
+    "the exit stop follows the skipped call"
+    [
+      Proc.Syscall_entry_stop Syscall.Pipe;
+      Proc.Syscall_exit_stop (Syscall.Pipe, Syscall.Ok_pair (r, w));
+      Proc.Syscall_entry_stop (Syscall.Write (w, "x"));
+      Proc.Syscall_exit_stop (Syscall.Write (w, "x"), injected);
+      Proc.Syscall_entry_stop (Syscall.Ioctl (r, Syscall.Fionread));
+      Proc.Syscall_exit_stop (Syscall.Ioctl (r, Syscall.Fionread), Syscall.Ok_int 0);
+    ]
+    stops
+
+(* Sends [sg] to the process itself with a handler installed; answers the
+   signal stops and the signals left pending and queued for the handler. *)
+let self_signal sg =
+  let pending = ref [] and queued = ref [] in
+  let stops =
+    traced (fun () ->
+        ignore (sys (Syscall.Rt_sigaction (sg, Syscall.Sig_handler 7)));
+        let pid = expect_int "getpid" (sys Syscall.Getpid) in
+        ignore (sys (Syscall.Kill (pid, sg)));
+        let self = Sched.self () in
+        pending := List.of_seq (Queue.to_seq self.Proc.proc.Proc.pending_signals);
+        queued := List.of_seq (Queue.to_seq self.Proc.pending_delivery))
+  in
+  let signal_stops =
+    List.filter (function Proc.Signal_delivery_stop _ -> true | _ -> false) stops
+  in
+  (signal_stops, !pending, !queued)
+
+(* An asynchronous signal goes to the tracer, which keeps it. *)
+let test_stop_async_signal () =
+  let stops, pending, queued = self_signal Sigdefs.sigusr1 in
+  Alcotest.(check (list stop_t))
+    "one signal-delivery stop" [ Proc.Signal_delivery_stop Sigdefs.sigusr1 ] stops;
+  Alcotest.(check (list int)) "not pending" [] pending;
+  Alcotest.(check (list int)) "not queued for the handler" [] queued
+
+let test_stop_sync_signal () =
+  let stops, pending, queued = self_signal Sigdefs.sigsegv in
+  Alcotest.(check (list stop_t)) "no stop" [] stops;
+  Alcotest.(check (list int)) "not pending" [] pending;
+  Alcotest.(check (list int)) "queued for the handler" [ Sigdefs.sigsegv ] queued
+
+let test_stop_death () =
+  let stops = traced (fun () -> ignore (sys (Syscall.Exit 3))) in
+  Alcotest.(check (list stop_t))
+    "the call's entry stop, then one death stop with its code"
+    [ Proc.Syscall_entry_stop (Syscall.Exit 3); Proc.Exit_stop 3 ]
+    stops
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "kernel"
@@ -688,4 +804,12 @@ let () =
         [ tc "shm words shared" test_shm_share_words; tc "/proc/self/maps" test_proc_maps ] );
       ( "processes",
         [ tc "wait4" test_wait4; tc "exit_group is one death" test_exit_group_one_death ] );
+      ( "stop protocol",
+        [
+          tc "entry then exit stop per call" test_stop_entry_then_exit;
+          tc "skip injects the result" test_stop_skip;
+          tc "an asynchronous signal goes to the tracer" test_stop_async_signal;
+          tc "a synchronous signal does not stop" test_stop_sync_signal;
+          tc "exit makes one death stop" test_stop_death;
+        ] );
     ]

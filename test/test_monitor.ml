@@ -429,7 +429,6 @@ let registered_thread kernel ~calls ~name =
       {
         Proc.unmonitored = Sysno.mask_of_list calls;
         rb_addr = 0L;
-        entry_addr = 0L;
         invoke = (fun _ ~token:_ ~call:_ -> Syscall.Ok_unit);
       };
   Kernel.add_thread kernel p ~start_clock:Vtime.zero
