@@ -804,7 +804,7 @@ let () =
         [ tc "shm words shared" test_shm_share_words; tc "/proc/self/maps" test_proc_maps ] );
       ( "processes",
         [ tc "wait4" test_wait4; tc "exit_group is one death" test_exit_group_one_death ] );
-      ( "stop protocol",
+      ( "ptrace stops",
         [
           tc "entry then exit stop per call" test_stop_entry_then_exit;
           tc "skip injects the result" test_stop_skip;
